@@ -9,9 +9,6 @@ ever appear in the human text format.
 Exit codes: 0 all verdicts pass; 1 parse/input/precision problems (including
 a criterion that fails to certify); 2 violated hypothesis flags, named; 3 a
 certified-nonzero quantity evaluated to zero (theory violation).
-
-HGPADE_THREADS is accepted and validated for forward compatibility; the
-current implementation runs every stage sequentially.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,7 +57,6 @@ class RunConfig:
     out: str | None = None
     format: str = "json"
     seed: int = SUITE_SEED
-    threads: int = 1
 
     def spec(self) -> HypergeometricSpec:
         if not self.a:
@@ -95,17 +90,11 @@ def _parse_n_range(flag: str, text: str) -> range:
     return range(lo, hi + 1)  # inclusive upper end on the command line
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("HGPADE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        k = int(raw)
-    except ValueError as exc:
-        raise InvalidInput(f"HGPADE_THREADS: not an integer: {raw!r}") from exc
-    if k < 1:
-        raise InvalidInput(f"HGPADE_THREADS: need >= 1, got {k}")
-    return k
+def _integer(flag: str, value) -> int:
+    """argparse already hands over ints; values from --config may be anything."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{flag}: expected an integer, got {value!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,12 +189,12 @@ def config_from_args(argv) -> RunConfig:
             return file_cfg[name]
         return default
 
-    cfg = RunConfig(command=args.command, threads=_threads_from_env())
+    cfg = RunConfig(command=args.command)
     cfg.out = pick("out")
     cfg.format = pick("format", "json")
     if cfg.format not in ("json", "csv", "text"):
         raise RationalParseError(f"--format: unknown format {cfg.format!r}")
-    cfg.seed = int(pick("seed", SUITE_SEED))
+    cfg.seed = _integer("--seed", pick("seed", SUITE_SEED))
 
     a = pick("a")
     if a is not None:
@@ -223,19 +212,25 @@ def config_from_args(argv) -> RunConfig:
             raise RationalParseError("--alphas: need at least one point")
     n = pick("n")
     if n is not None:
-        cfg.n = int(n)
+        cfg.n = _integer("--n", n)
     beta = pick("beta")
     if beta is not None:
         cfg.beta = _named("--beta", str(beta), parse_rational)
+        if cfg.beta == 0:
+            raise InvalidInput("--beta: need a nonzero rational")
     place = pick("place")
     if place is not None:
         cfg.place = _named("--place", str(place), parse_place)
     eps = pick("epsilon")
     if eps is not None:
-        cfg.epsilon = float(eps)
+        cfg.epsilon = _named("--epsilon", str(eps), float)
+        if not (math.isfinite(cfg.epsilon) and cfg.epsilon > 0):
+            raise InvalidInput(f"--epsilon: need a finite value > 0, got {eps!r}")
     bits = pick("bits")
     if bits is not None:
-        cfg.bits = int(bits)
+        cfg.bits = _integer("--bits", bits)
+        if cfg.bits < 1:
+            raise InvalidInput(f"--bits: need >= 1, got {bits!r}")
     z = pick("z")
     if z is not None:
         cfg.z = _named("--z", str(z), parse_rational)
@@ -245,10 +240,10 @@ def config_from_args(argv) -> RunConfig:
     cfg.system = pick("system")
     sb = pick("search_bound")
     if sb is not None:
-        cfg.search_bound = int(sb)
+        cfg.search_bound = _integer("--search-bound", sb)
     tr = pick("truncation")
     if tr is not None:
-        cfg.truncation = int(tr)
+        cfg.truncation = _integer("--truncation", tr)
     cfg.level = str(pick("level", "desk"))
     return cfg
 

@@ -1,8 +1,10 @@
 """Exact linear algebra over Fraction: Bareiss determinants, kernels,
 linear solves, and Newton interpolation.
 
-Matrices are lists of equal-length lists of Fractions.  Sizes here are tiny
-(rm+1 <= 7 at desk scale), so clarity beats asymptotics throughout.
+Matrices are lists of equal-length lists of Fractions (ints are accepted
+too).  Every determinant of the Wronskian chain goes through `det_bareiss`,
+O(N^3) exact integer operations: Delta's (rm+1) x (rm+1) matrix at each
+evaluation point in z, the moment matrix of C_{u,m}, and Theta.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ def default_truncation(r: int, m: int, n: int) -> int:
     return r * m * (n + 1) + n + 5
 
 
-def _base_polynomial(alphas, rn: int, ell: int) -> Poly:
+def base_polynomial(alphas, rn: int, ell: int) -> Poly:
     """t^ell * prod_i (t - alpha_i)^{rn}."""
     g = [Fraction(1)]
     for al in alphas:
@@ -76,7 +76,7 @@ def build_P(spec: HypergeometricSpec, alphas, n: int, ell: int) -> Poly:
     if not (0 <= ell <= r * m):
         raise InvalidInput(f"ell out of range: {ell}")
     _check_alphas(alphas)
-    g = _base_polynomial(alphas, r * n, ell)
+    g = base_polynomial(alphas, r * n, ell)
     B = spec.B_poly()
     for j in range(1, n):
         g = apply_H_theta(B, g, shift=j)

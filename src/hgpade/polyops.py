@@ -504,23 +504,22 @@ def phi_zeta_s(zeta: Fraction, s: int, p: Poly) -> Fraction:
     return total
 
 
-def zeta_prefix_functional(spec: HypergeometricSpec, alpha: Fraction, s: int, p: Poly) -> Fraction:
-    """t^k -> alpha^k / ((k+zeta_1)...(k+zeta_{s+1})) applied to p.
+def zeta_prefix_weights(spec: HypergeometricSpec, alpha: Fraction, s: int, upto: int) -> list:
+    """Values alpha^k / ((k+zeta_1)...(k+zeta_{s+1})) on t^k, k = 0..upto.
 
     This is the normalized evaluation functional obtained from psi_{i,s} by
     stripping T_c and one alpha factor; the non-vanishing chain is built on it.
     """
     alpha = Fraction(alpha)
-    total = Fraction(0)
+    out = []
     apow = Fraction(1)
-    for k, c in enumerate(p):
-        if c != 0:
-            den = Fraction(1)
-            for zj in spec.zeta[: s + 1]:
-                den *= k + zj
-            total += c * apow / den
+    for k in range(upto + 1):
+        den = Fraction(1)
+        for zj in spec.zeta[: s + 1]:
+            den *= k + zj
+        out.append(apow / den)
         apow *= alpha
-    return total
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,9 @@ def check_nullspace_membership(shared=None, seed=SUITE_SEED) -> CheckResult:
 
 def check_wronskian_routes(shared=None, seed=SUITE_SEED) -> CheckResult:
     """Delta constant in z and nonzero, Delta = lead(P_rm) * Theta, and the
-    chain Theta * (n-1)!^(r^2 m) = prod(alpha)^r * prod(a0s)^m * C_{n,m}."""
+    chain Theta * (n-1)!^(r^2 m) = prod(alpha)^r * prod(a0s)^m * C_{n,m},
+    with C_{n,m} equal on the moment-determinant route and the elimination
+    oracle (affordable here: rm <= 4 on the grid)."""
     shared = {} if shared is None else shared
     t0 = time.perf_counter()
     rows, ok = [], True
@@ -209,11 +211,12 @@ def check_wronskian_routes(shared=None, seed=SUITE_SEED) -> CheckResult:
             * math.prod(a0["values"], start=Fraction(1)) ** m
             * C
         )
-        here = route["delta"] != 0 and route["equal"] and lhs == rhs
+        chain = lhs == rhs and C == C_um(spec, alphas, n, n, route="eliminate")
+        here = route["delta"] != 0 and route["equal"] and chain
         ok = ok and here
         rows.append(
             {"instance": label, "ok": here, "delta": format_rational(route["delta"]),
-             "expansion_route": route["equal"], "chain_route": lhs == rhs}
+             "expansion_route": route["equal"], "chain_route": chain}
         )
     return CheckResult(
         "wronskian-routes",

@@ -12,6 +12,12 @@ of partial-fraction functionals which is checked nonzero directly.
 Every link is computed over exact rationals, and every identity that ties two
 links together is asserted with exact equality — a failure is a theory
 violation, never a tolerance event.
+
+Each quantity has one polynomial-time route, and every determinant goes
+through `det_bareiss`: Delta by exact evaluation at integer points z (enough
+of them to pin a polynomial of its degree bound), C_{u,m} by the moment
+determinant.  The subset elimination behind `C_um(..., route="eliminate")`
+is exponential in rm and is kept only as an oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -29,63 +35,17 @@ from .errors import (
     TheoryViolation,
 )
 from .linalg import det_bareiss, newton_interpolate, solve_linear
-from .pade import PadeSystem, build_system, poly_pow_linear
+from .pade import PadeSystem, base_polynomial, build_system, poly_pow_linear
 from .polyops import (
     HypergeometricSpec,
     Poly,
     phi_zeta_s,
-    poly_deg,
+    poly_add,
     poly_mul,
     poly_shift_up,
-    poly_trim,
     psi,
+    zeta_prefix_weights,
 )
-
-# ---------------------------------------------------------------------------
-# polynomial determinant (Laplace over column bitmask, zero entries pruned)
-
-
-def poly_det(rows) -> Poly:
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InvalidInput("determinant needs a square matrix")
-    memo = {}
-
-    def minor(row: int, mask: int) -> Poly:
-        if row == n:
-            return [Fraction(1)]
-        key = (row, mask)
-        if key in memo:
-            return memo[key]
-        total = []
-        sign = 1
-        for col in range(n):
-            bit = 1 << col
-            if mask & bit:
-                continue
-            entry = rows[row][col]
-            if entry:
-                term = poly_mul(entry, minor(row + 1, mask | bit))
-                if sign < 0:
-                    term = [-c for c in term]
-                total = _poly_add(total, term)
-            sign = -sign
-        memo[key] = total
-        return total
-
-    return minor(0, 0)
-
-
-def _poly_add(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Delta and Theta
@@ -98,19 +58,41 @@ def _row_index_pairs(r: int, m: int):
             yield i, s
 
 
+def _eval_int(p: list, z: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * z + c
+    return acc
+
+
 def delta_of_system(system: PadeSystem) -> Fraction:
-    """det( p_0(z) ... p_rm(z) ) — constant in z, returned as that constant."""
+    """det( p_0(z) ... p_rm(z) ) — constant in z, returned as that constant.
+
+    D, the sum over columns of the largest entry degree, bounds deg Delta, so
+    Delta is constant exactly when its values at z = 0..D all agree.  Each
+    row is scaled to integer coefficients over one denominator, so every
+    evaluation is integer Horner and every determinant an integer Bareiss.
+    """
     r, m = system.r, system.m
     cols = range(r * m + 1)
     rows = [[system.P[ell] for ell in cols]]
     for i, s in _row_index_pairs(r, m):
         rows.append([system.Pis[(ell, i, s)] for ell in cols])
-    det = poly_det(rows)
-    if poly_deg(det) > 0:
-        raise NonconstantDeterminant(
-            f"nonconstant determinant: z-degree {poly_deg(det)}"
-        )
-    return det[0] if det else Fraction(0)
+    D = sum(max(max(len(row[ell]) for row in rows) - 1, 0) for ell in cols)
+    scale = 1
+    int_rows = []
+    for row in rows:
+        den = math.lcm(*(c.denominator for p in row for c in p))
+        scale *= den
+        int_rows.append([[c.numerator * (den // c.denominator) for c in p] for p in row])
+    values = [
+        det_bareiss([[_eval_int(p, z) for p in row] for row in int_rows])
+        for z in range(D + 1)
+    ]
+    if any(v != values[0] for v in values):
+        degree = len(newton_interpolate(list(range(D + 1)), values)) - 1
+        raise NonconstantDeterminant(f"nonconstant determinant: z-degree {degree}")
+    return values[0] / scale
 
 
 def theta_det(system: PadeSystem) -> Fraction:
@@ -131,7 +113,7 @@ def leading_coeff_P_rm(system: PadeSystem) -> Fraction:
 
 
 def delta_route_check(system: PadeSystem) -> dict:
-    """Both computations of Delta: the polynomial determinant, and the
+    """Both computations of Delta: the determinant evaluated in z, and the
     expansion along the top row, Delta = (leading coeff of P_rm) * Theta."""
     delta = delta_of_system(system)
     theta = theta_det(system)
@@ -194,7 +176,7 @@ def _poly_compose_shift(p: Poly, h: Fraction) -> Poly:
     h = Fraction(h)
     out = []
     for c in reversed(p):
-        out = _poly_add(poly_mul(out, [h, Fraction(1)]), [c])
+        out = poly_add(poly_mul(out, [h, Fraction(1)]), [c])
     return out
 
 
@@ -202,32 +184,12 @@ def _poly_compose_shift(p: Poly, h: Fraction) -> Poly:
 # the multivariate functional value C_{u,m}
 
 
-def _psi_tilde_weights(spec: HypergeometricSpec, alpha: Fraction, s: int, upto: int):
-    """Monomial values alpha^k / ((k+zeta_1)...(k+zeta_{s+1})), k = 0..upto."""
-    out = []
-    apow = Fraction(1)
-    for k in range(upto + 1):
-        den = Fraction(1)
-        for zj in spec.zeta[: s + 1]:
-            den *= k + zj
-        out.append(apow / den)
-        apow *= alpha
-    return out
-
-
-def _u_poly(alphas, rn: int, u: int) -> Poly:
-    g = [Fraction(1)]
-    for al in alphas:
-        g = poly_mul(g, poly_pow_linear(-Fraction(al), rn))
-    return poly_shift_up(g, u)
-
-
 def _c_functionals(spec: HypergeometricSpec, alphas, upto: int):
     """One weight table per auxiliary variable, in lexicographic (i, s) order."""
     tables = []
     for i in range(1, len(alphas) + 1):
         for s in range(spec.r):
-            tables.append(_psi_tilde_weights(spec, Fraction(alphas[i - 1]), s, upto))
+            tables.append(zeta_prefix_weights(spec, alphas[i - 1], s, upto))
     return tables
 
 
@@ -266,19 +228,23 @@ def _eliminate(U: Poly, tables) -> Fraction:
     return acc.get((), Fraction(0))
 
 
-def C_um(spec: HypergeometricSpec, alphas, n: int, u: int, route: str = "eliminate") -> Fraction:
+def C_um(spec: HypergeometricSpec, alphas, n: int, u: int, route: str = "det") -> Fraction:
     """The functional value C_{u,m}: one evaluation functional per variable
     applied to prod_v t_v^u prod_j (t_v - alpha_j)^{rn} * Vandermonde(t).
 
-    route='eliminate' (the primary) collapses one variable at a time;
-    route='det' is the independent oracle det( psi~_v(t^{u+p} prod(t-a)^{rn}) ).
+    route='det' (the primary, polynomial time) is the moment determinant
+    det( psi~_v(t^{u+p} prod_j (t - alpha_j)^{rn}) ), p, v < rm, which
+    Andreief's identity (Cauchy-Binet) gives for a product of functionals
+    against a Vandermonde.  route='eliminate' is the independent oracle: it
+    collapses one variable at a time over 2^(rm-1-v) subsets, affordable
+    only for rm <= 4 or so.
     """
     alphas = [Fraction(a) for a in alphas]
     if u < 0:
         raise InvalidInput("need u >= 0")
     r, m = spec.r, len(alphas)
     N = r * m
-    U = _u_poly(alphas, r * n, u)
+    U = base_polynomial(alphas, r * n, u)
     degU = len(U) - 1
     tables = _c_functionals(spec, alphas, degU + N)
     if route == "eliminate":
@@ -405,7 +371,7 @@ def vanishing_order_at_equal_alphas(spec: HypergeometricSpec, n: int, u: int,
     for j in range(1, degree + 2):
         t = base + [base[-1] + j]
         xs.append(Fraction(j))
-        ys.append(C_um(spec, t, n, u, route="det"))
+        ys.append(C_um(spec, t, n, u))
     coeffs = newton_interpolate(xs, ys)
     for idx, cval in enumerate(coeffs):
         if cval != 0:
@@ -419,18 +385,9 @@ def vanishing_order_at_equal_alphas(spec: HypergeometricSpec, n: int, u: int,
 
 def l_factor(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
     """det( psi_s(t^{u+ell} (t-1)^{rn}) ), s and ell running over 0..r-1,
-    where psi_s is the alpha = 1 evaluation functional at level s."""
-    r = spec.r
-    tables = [_psi_tilde_weights(spec, Fraction(1), s, u + r - 1 + r * n) for s in range(r)]
-    body = poly_pow_linear(Fraction(-1), r * n)
-    mat = []
-    for s in range(r):
-        row = []
-        for ell in range(r):
-            p = poly_shift_up(body, u + ell)
-            row.append(sum((c * tables[s][k] for k, c in enumerate(p) if c), Fraction(0)))
-        mat.append(row)
-    return det_bareiss(mat)
+    where psi_s is the alpha = 1 evaluation functional at level s.  This is
+    the transposed moment matrix of C_{u,1} at alpha = 1."""
+    return C_um(spec, (Fraction(1),), n, u)
 
 
 def reduction_check(spec: HypergeometricSpec, alphas, n: int, u: int) -> dict:
@@ -511,12 +468,11 @@ def final_det(spec: HypergeometricSpec, n: int, u: int) -> tuple:
     r = spec.r
     zhat, mult = _zeta_groups(spec)
     grouped = [(j, k) for j in range(len(zhat)) for k in range(1, mult[j] + 1)]
-    body = poly_pow_linear(Fraction(-1), r * n)
     mat = []
     for j, k in grouped:
         row = []
         for ell in range(r):
-            p = poly_shift_up(body, u + ell)
+            p = base_polynomial((Fraction(1),), r * n, u + ell)
             row.append(phi_zeta_s(zhat[j], k, p))
         mat.append(row)
     value = det_bareiss(mat)

@@ -113,6 +113,19 @@ def test_wronskian_certifies_canonical_instance(capsys):
     assert report["verdict"] == "certified nonzero"
 
 
+@pytest.mark.parametrize("a, b, alphas", [
+    ("1/3,1/4", "1/2", "1,2,3,4"),          # r = 2, m = 4
+    ("1/3,1/4,1/5", "1/2,2/3", "1,2,3"),    # r = 3, m = 3
+])
+def test_wronskian_certifies_rm_up_to_nine(a, b, alphas, capsys):
+    code = main(["wronskian", "--a", a, "--b", b, "--alphas", alphas, "--n", "1"])
+    assert code == 0
+    report = _json_out(capsys)
+    assert report["verdict"] == "certified nonzero"
+    assert report["zero_links"] == []
+    assert report["checks"] and all(report["checks"].values())
+
+
 def test_eval_reports_certified_decimals(capsys):
     code = main(["eval", *R2, "--z", "1/7", "--bits", "512"])
     assert code == 0
@@ -246,21 +259,27 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
     assert "--config" in capsys.readouterr().err
 
 
-# ---------------------------------------------------------------------------
-# environment validation
-# ---------------------------------------------------------------------------
-
-
-def test_threads_env_must_be_a_positive_integer(monkeypatch, capsys):
-    monkeypatch.setenv("HGPADE_THREADS", "0")
-    assert main(["build", *R2, "--alphas", "1", "--n", "1"]) == 1
-    assert "HGPADE_THREADS" in capsys.readouterr().err
-
-    monkeypatch.setenv("HGPADE_THREADS", "soon")
-    assert main(["build", *R2, "--alphas", "1", "--n", "1"]) == 1
-
-    monkeypatch.setenv("HGPADE_THREADS", "4")
-    assert main(["build", *R2, "--alphas", "1", "--n", "1"]) == 0
+@pytest.mark.parametrize("argv, config, flag", [
+    (["criterion", *R2, "--alphas", "1", "--epsilon", "nan"], None, "--epsilon"),
+    (["criterion", *R2, "--alphas", "1", "--epsilon", "inf"], None, "--epsilon"),
+    (["criterion", *R2, "--alphas", "1", "--epsilon=-1"], None, "--epsilon"),
+    (["criterion", *R2, "--alphas", "1"], {"epsilon": "x"}, "--epsilon"),
+    (["criterion", *R2, "--alphas", "1", "--beta", "0"], None, "--beta"),
+    (["build", *R2, "--alphas", "1"], {"n": "x"}, "--n"),
+    (["build", *R2, "--alphas", "1"], {"n": 1.5}, "--n"),
+    (["eval", *R2, "--z", "1/7", "--bits", "-5"], None, "--bits"),
+    (["eval", *R2, "--z", "1/7"], {"bits": True}, "--bits"),
+])
+def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from hgpade.polyops import (
     poly_trim,
     psi,
     psi_weights,
-    zeta_prefix_functional,
+    zeta_prefix_weights,
 )
 
 F = Fraction
@@ -314,9 +314,9 @@ def test_phi_zeta_s_literal():
 def test_zeta_prefix_functional_literal(spec_r2):
     # t^k -> alpha^k / ((k+zeta_1)...(k+zeta_{s+1})); hand-checked at s = 1:
     # k=0: 1/((1/2)(1)) = 2, k=1: 2/((3/2)(2)) = 2/3
-    assert zeta_prefix_functional(spec_r2, F(2), 1, [F(1), F(1)]) == F(8, 3)
+    assert zeta_prefix_weights(spec_r2, F(2), 1, 1) == [F(2), F(2, 3)]
     # s = 0 keeps only the first zeta factor
-    assert zeta_prefix_functional(spec_r2, F(2), 0, [F(1), F(1)]) == 2 + F(2) / F(3, 2)
+    assert zeta_prefix_weights(spec_r2, F(2), 0, 1) == [F(2), F(2) / F(3, 2)]
 
 
 # ---------------------------------------------------------------------------

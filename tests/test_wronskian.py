@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hgpade.errors import NonconstantDeterminant
 from hgpade.pade import build_system
@@ -20,7 +22,6 @@ from hgpade.wronskian import (
     homogeneity_degree,
     l_factor,
     leading_coeff_P_rm,
-    poly_det,
     reduction_check,
     theta_det,
     vandermonde,
@@ -28,25 +29,6 @@ from hgpade.wronskian import (
 )
 
 F = Fraction
-
-
-# ---------------------------------------------------------------------------
-# small exact determinant kernel
-
-
-def test_poly_det_2x2():
-    # | 1+x  2 |
-    # | 3    x | = x + x^2 - 6
-    rows = [[[F(1), F(1)], [F(2)]], [[F(3)], [F(0), F(1)]]]
-    assert poly_det(rows) == [F(-6), F(1), F(1)]
-
-
-def test_poly_det_scalar_matches_fraction_det():
-    rows = [[[F(2)], [F(1)], [F(0)]],
-            [[F(1)], [F(3)], [F(1)]],
-            [[F(0)], [F(1)], [F(4)]]]
-    # 2*(12-1) - 1*(4-0) + 0 = 18
-    assert poly_det(rows) == [F(18)]
 
 
 def test_vandermonde():
@@ -117,13 +99,49 @@ def test_a0s_canonical_frozen(spec_r2):
     assert a0s_values(spec_r2, 1)["values"] == [F(1, 24), F(1, 2)]
 
 
-def test_C_um_routes_agree(spec_r2):
-    alphas = (F(1), F(2))
-    for n in (1, 2):
-        for u in (0, 1, n):
-            assert C_um(spec_r2, alphas, n, u, route="eliminate") == C_um(
-                spec_r2, alphas, n, u, route="det"
-            )
+def test_C_um_routes_agree(spec_r2, spec_r3):
+    # the elimination oracle against the moment determinant, at every size it
+    # affords, including the exponent u = n + r(n+1) the reduction chain visits
+    for spec, alphas in ((spec_r2, (F(1),)), (spec_r2, (F(1), F(2))), (spec_r3, (F(1),))):
+        r = spec.r
+        for n in (1, 2):
+            for u in sorted({0, 1, n, n + r * (n + 1)}):
+                assert C_um(spec, alphas, n, u, route="eliminate") == C_um(
+                    spec, alphas, n, u, route="det"
+                )
+
+
+_small_fractions = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
+    lambda x: x.denominator > 1
+)
+
+
+@st.composite
+def _admissible_instances(draw):
+    """r <= 3, small-height non-integer a and b that pass the hypothesis
+    flags, and rm <= 4 distinct nonzero points alpha."""
+    r = draw(st.integers(1, 3))
+    a = draw(st.lists(_small_fractions, min_size=r, max_size=r))
+    b = draw(st.lists(_small_fractions, min_size=r - 1, max_size=r - 1))
+    spec = HypergeometricSpec.from_ab(a, b)
+    assume(spec.flags_pass())
+    m = draw(st.integers(1, 4 // r))
+    alphas = draw(st.lists(
+        st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+        min_size=m, max_size=m, unique=True,
+    ))
+    return spec, alphas
+
+
+@settings(deadline=None, derandomize=True)
+@given(_admissible_instances())
+def test_chain_contracts_on_random_instances(instance):
+    spec, alphas = instance
+    n = 1
+    assert C_um(spec, alphas, n, n) == C_um(spec, alphas, n, n, route="eliminate")
+    system = build_system(spec, alphas, n)
+    delta = delta_of_system(system)  # raises NonconstantDeterminant otherwise
+    assert delta == leading_coeff_P_rm(system) * theta_det(system)
 
 
 def test_final_det_canonical(spec_r2):
