@@ -241,6 +241,8 @@ def config_from_args(argv) -> RunConfig:
     sb = pick("search_bound")
     if sb is not None:
         cfg.search_bound = _integer("--search-bound", sb)
+        if cfg.search_bound < 1:
+            raise InvalidInput(f"--search-bound: need >= 1, got {sb!r}")
     tr = pick("truncation")
     if tr is not None:
         cfg.truncation = _integer("--truncation", tr)

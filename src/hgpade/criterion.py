@@ -38,7 +38,7 @@ from .errors import (
 )
 from .numerics import remainder_value
 from .pade import build_system
-from .polyops import poly_eval, poly_shift_up, psi
+from .polyops import correlate, poly_eval, psi_weights
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,10 @@ def growth_fit_P(spec, alphas, beta, n_range, v: Place, systems=None) -> FitResu
 
 def _log_abs_R_arch(system, ell, i, s, beta, cache=None) -> float:
     """log |R_{ell,i,s}(beta)|, escalating precision until the certified
-    interval is narrow enough to take a log."""
+    interval is narrow enough to take a log; every precision reuses the
+    extension coefficients of the ones before (through a local cache when
+    the caller passes none)."""
+    cache = {} if cache is None else cache
     bits = 32
     while True:
         val = remainder_value(system, ell, i, s, beta, bits, coeff_cache=cache)
@@ -282,12 +285,18 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     ) + D
 
     S = Fraction(0)
+    ext = []  # psi_{i,s}(t^k P_ell) from k = truncation on, in doubling batches
     k = system.n
     while True:
         if k < tail.truncation:
             coeff = tail.coeff(k)
         else:
-            coeff = psi(spec, system.alphas, i, s, poly_shift_up(Pl, k))
+            j = k - tail.truncation
+            if j >= len(ext):
+                stop = tail.truncation + max(j + 1, 2 * len(ext), 8)
+                w = psi_weights(spec, alpha, s, stop - 1 + D)
+                ext.extend(correlate(Pl, w, tail.truncation + len(ext), stop))
+            coeff = ext[j]
         S += coeff / beta ** (k + 1)
         if S != 0 and k >= k_star and lowbound(k + 1) > v_p(S, p):
             return v_p(S, p)

@@ -17,10 +17,10 @@ from fractions import Fraction
 from .errors import DivergentSeries, InsufficientPrecision, InvalidInput
 from .polyops import (
     HypergeometricSpec,
+    correlate,
     f_s_coefficient,
     poly_eval,
-    poly_shift_up,
-    psi,
+    psi_weights,
 )
 
 
@@ -258,14 +258,6 @@ def eval_lerch(c: int, x, w, bits: int) -> BigFloat:
 # remainder identities at a rational point
 
 
-def _psi_term_bound(spec: HypergeometricSpec, alpha: Fraction, s: int, j: int) -> Fraction:
-    """Upper bound for |psi weight at t^j| = gammaprod(j)|c_j||alpha|^{j+1}."""
-    g = Fraction(1)
-    for gam in spec.gamma[:s]:
-        g *= j + gam
-    return _abs(g * spec.c(j)) * _abs(alpha) ** (j + 1)
-
-
 def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
                     coeff_cache: dict | None = None) -> BigFloat:
     """R_{ell,i,s}(beta) from the exact stored tail plus a certified bound on
@@ -278,8 +270,12 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
     sum |P_d| slack (the true psi sums cancel heavily), so exact terms are
     appended until the bound drops under the 2^-bits target.
 
-    coeff_cache, when given, stores the beta-independent extension
-    coefficients psi(t^k P_ell) under (ell, i, s) for reuse across beta.
+    Past the window, the extension coefficients psi_{i,s}(t^k P_ell) and the
+    beta-independent sizes sum_d |P_d| |w_{k+d}| that the bound scales come
+    from `correlate` against the psi weight table, in batches that double.
+    coeff_cache, when given, keeps both sequences, as two lists indexed from
+    the first k past the window, under (ell, i, s) for reuse across beta and
+    bits; a batch only appends, so a cached entry equals a fresh one.
     """
     beta = Fraction(beta)
     spec = system.spec
@@ -310,32 +306,33 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
     geom = 1 / (1 - ratio0)
     target = Fraction(1, 2**bits)
 
-    ext = None
-    if coeff_cache is not None:
-        ext = coeff_cache.setdefault((ell, i, s), [])
+    if coeff_cache is None:
+        coeffs, sizes = [], []
+    else:
+        coeffs, sizes = coeff_cache.setdefault((ell, i, s), ([], []))
 
-    def ext_coeff(k: int) -> Fraction:
-        if ext is None:
-            return psi(spec, system.alphas, i, s, poly_shift_up(P, k))
-        while len(ext) <= k - kfirst:
-            ext.append(psi(spec, system.alphas, i, s,
-                           poly_shift_up(P, kfirst + len(ext))))
-        return ext[k - kfirst]
+    def reach(k: int) -> int:
+        """Extend both sequences past index k; returns k's list index."""
+        j = k - kfirst
+        if j >= len(coeffs):
+            start = kfirst + len(coeffs)
+            stop = kfirst + max(j + 1, 2 * len(coeffs), 8)
+            w = psi_weights(spec, alpha, s, stop - 2 + len(P))
+            coeffs.extend(correlate(P, w, start, stop))
+            sizes.extend(correlate([_abs(c) for c in P],
+                                   [_abs(x) for x in w[start:]], 0, stop - start))
+        return j
 
     def chain_bound(k: int) -> Fraction:
-        total = Fraction(0)
-        for d, c in enumerate(P):
-            if c:
-                total += _abs(c) * _psi_term_bound(spec, alpha, s, k + d)
-        return total / _abs(beta) ** (k + 1) * geom
+        return sizes[reach(k)] / _abs(beta) ** (k + 1) * geom
 
     k = kfirst
     while k < kmin:
-        value += ext_coeff(k) / beta ** (k + 1)
+        value += coeffs[reach(k)] / beta ** (k + 1)
         k += 1
     bound = chain_bound(k)
     while bound > target * max(_abs(value), target):
-        value += ext_coeff(k) / beta ** (k + 1)
+        value += coeffs[reach(k)] / beta ** (k + 1)
         k += 1
         bound = chain_bound(k)
         if k > kfirst + 64 * bits + 64:

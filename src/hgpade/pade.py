@@ -13,8 +13,12 @@ psi_{i,s}-image of the divided difference (P_ell(z)-P_ell(t))/(z-t).
 
 The remainder admits two independent computations (the coefficient formula
 psi_{i,s}(t^k P_ell) and the literal series product); both are kept and
-compared.  A generic exact null-space solver provides a third, construction-
-free oracle for the same approximation problem.
+compared.  The functional side -- P_{ell,i,s} and the coefficient formula --
+reads one psi_{i,s} weight table per (i, s), shared by every ell, through the
+integer-scaled kernel `polyops.correlate`; the product route multiplies the
+series of F_s out with its own Fraction loops and shares no code with it.  A
+generic exact null-space solver provides a third, construction-free oracle
+for the same approximation problem.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .polyops import (
     Poly,
     apply_H_theta,
     T_c,
+    correlate,
     expand_F_s,
     poly_deg,
     poly_mul,
@@ -86,34 +91,25 @@ def build_P(spec: HypergeometricSpec, alphas, n: int, ell: int) -> Poly:
 
 
 def divided_difference_image(P: Poly, weights) -> Poly:
-    """Apply a functional (given by its monomial values `weights`) to the
-    t-variable of (P(z) - P(t))/(z - t); returns a polynomial in z.
+    """Apply a functional (given by its monomial values `weights`, at least
+    deg P of them) to the t-variable of (P(z) - P(t))/(z - t); returns a
+    polynomial in z.
 
-    The z^d coefficient is sum_k P[d+1+k] * weights[k], the Horner/synthetic
-    form of the divided difference — no polynomial remainder division.
+    The z^d coefficient is sum_k weights[k] * P[d+1+k], the Horner/synthetic
+    form of the divided difference -- no polynomial remainder division.  All
+    of them come from one `correlate` call of the weights against the
+    coefficients of P above degree 0.
     """
     deg = len(P) - 1
-    out = []
-    for d in range(deg):
-        acc = Fraction(0)
-        for k in range(deg - d):
-            c = P[d + 1 + k]
-            if c:
-                acc += c * weights[k]
-        out.append(acc)
-    return poly_trim(out)
-
-
-def build_P_is(spec: HypergeometricSpec, alphas, n: int, ell: int, i: int, s: int,
-               P: Poly = None) -> Poly:
-    """psi_{i,s} applied to the divided difference of P_ell; degree <= rmn+ell."""
-    alphas = [Fraction(a) for a in alphas]
-    if P is None:
-        P = build_P(spec, alphas, n, ell)
-    if len(P) <= 1:
+    if deg < 1:
         return []
-    w = psi_weights(spec, alphas[i - 1], s, len(P) - 2)
-    return divided_difference_image(P, w)
+    return poly_trim(correlate(weights[:deg], P[1:], 0, deg))
+
+
+def _functional_tail(P: Poly, weights, truncation: int) -> LaurentTail:
+    """The remainder window whose 1/z^{k+1} coefficient is psi(t^k P), from
+    the weight table of psi (it must reach truncation - 2 + deg P)."""
+    return LaurentTail(1, correlate(P, weights, 0, truncation - 1), truncation)
 
 
 def remainder(system: "PadeSystem", ell: int, i: int, s: int,
@@ -130,16 +126,8 @@ def remainder(system: "PadeSystem", ell: int, i: int, s: int,
     spec, alphas = system.spec, system.alphas
     P = system.P[ell]
     if route == "functional":
-        kmax = truncation - 2 + max(0, len(P) - 1)
-        w = psi_weights(spec, alphas[i - 1], s, kmax)
-        coeffs = []
-        for k in range(truncation - 1):
-            acc = Fraction(0)
-            for d, c in enumerate(P):
-                if c:
-                    acc += c * w[k + d]
-            coeffs.append(acc)
-        return LaurentTail(1, coeffs, truncation)
+        w = psi_weights(spec, alphas[i - 1], s, truncation - 2 + max(0, len(P) - 1))
+        return _functional_tail(P, w, truncation)
     if route == "product":
         d = max(0, len(P) - 1)
         F = expand_F_s(spec, alphas[i - 1], s, truncation + d)
@@ -219,9 +207,11 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
                  truncation: int = None, cross_check: bool = True) -> PadeSystem:
     """Build every P_ell, P_{ell,i,s} and remainder tail for the instance.
 
-    The remainder is always computed by the functional route and, when
-    cross_check is set (the default), re-computed from the literal series
-    product; any disagreement is a theory violation, not a warning.
+    P_{ell,i,s} and the remainder come from one psi_{i,s} weight table per
+    (i, s), long enough for the highest P_ell and dropped when the build
+    ends.  When cross_check is set (the default), every remainder is
+    re-computed from the literal series product; any disagreement is a
+    theory violation, not a warning.
     """
     alphas = [Fraction(a) for a in alphas]
     _check_alphas(alphas)
@@ -231,12 +221,16 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     system = PadeSystem(spec=spec, alphas=alphas, n=n, truncation=truncation)
     for ell in range(r * m + 1):
         system.P[ell] = build_P(spec, alphas, n, ell)
+    upto = truncation - 2 + len(system.P[r * m]) - 1
+    weights = {
+        (i, s): psi_weights(spec, alphas[i - 1], s, upto)
+        for i in range(1, m + 1)
+        for s in range(r)
+    }
     for ell, i, s in system.indices():
-        system.Pis[(ell, i, s)] = build_P_is(
-            spec, alphas, n, ell, i, s, P=system.P[ell]
-        )
-    for ell, i, s in system.indices():
-        tail = remainder(system, ell, i, s, truncation, route="functional")
+        P, w = system.P[ell], weights[(i, s)]
+        system.Pis[(ell, i, s)] = divided_difference_image(P, w)
+        tail = _functional_tail(P, w, truncation)
         if cross_check:
             other = remainder(system, ell, i, s, truncation, route="product")
             lo, hi = max(tail.order, other.order), min(tail.truncation, other.truncation)

@@ -6,6 +6,10 @@ Laurent tails in 1/z with exact order bookkeeping, and the instance data
 
 Polynomials are plain coefficient lists (Fraction, low degree first, trailing
 zeros stripped); the zero polynomial is [] with degree -inf.
+
+Every value psi_{i,s}(t^k p) is a correlation of p against the one weight
+table of (i, s); `correlate` computes a run of them over integers scaled to
+the common denominators, one Fraction per output.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .arith import format_rational, parse_rational
 from .errors import (
@@ -479,6 +484,27 @@ def psi_weights(spec: HypergeometricSpec, i_alpha: Fraction, s: int, upto: int) 
     return out
 
 
+def correlate(p: list, w: list, k0: int, k1: int) -> list:
+    """[sum_d p[d] * w[k + d] for k0 <= k < k1], exact; entries past the end
+    of w count as zero.
+
+    With w the weight table of psi_{i,s}, entry k is psi_{i,s}(t^k p).  p and
+    the window of w it meets are scaled to integers over their lcm
+    denominators, so each output is one integer dot product and one Fraction,
+    equal to the Fraction sum it replaces.
+    """
+    window = w[k0:k1 - 1 + len(p)]
+    dp = math.lcm(*(c.denominator for c in p))
+    dw = math.lcm(*(x.denominator for x in window))
+    pi = [c.numerator * (dp // c.denominator) for c in p]
+    wi = [x.numerator * (dw // x.denominator) for x in window]
+    den = dp * dw
+    return [
+        Fraction(sum(map(mul, pi, wi[j:j + len(pi)])), den)
+        for j in range(k1 - k0)
+    ]
+
+
 def psi(spec: HypergeometricSpec, alphas, i: int, s: int, p: Poly) -> Fraction:
     """The functional psi_{i,s} applied to p (1 <= i <= m, 0 <= s <= r-1)."""
     if not (1 <= i <= len(alphas)):
@@ -488,7 +514,7 @@ def psi(spec: HypergeometricSpec, alphas, i: int, s: int, p: Poly) -> Fraction:
     if not p:
         return Fraction(0)
     w = psi_weights(spec, Fraction(alphas[i - 1]), s, len(p) - 1)
-    return sum((c * w[k] for k, c in enumerate(p)), Fraction(0))
+    return correlate(p, w, 0, 1)[0]
 
 
 def phi_zeta_s(zeta: Fraction, s: int, p: Poly) -> Fraction:

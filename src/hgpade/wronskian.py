@@ -39,11 +39,11 @@ from .pade import PadeSystem, base_polynomial, build_system, poly_pow_linear
 from .polyops import (
     HypergeometricSpec,
     Poly,
+    correlate,
     phi_zeta_s,
     poly_add,
     poly_mul,
-    poly_shift_up,
-    psi,
+    psi_weights,
     zeta_prefix_weights,
 )
 
@@ -98,13 +98,11 @@ def delta_of_system(system: PadeSystem) -> Fraction:
 def theta_det(system: PadeSystem) -> Fraction:
     """det of the rm x rm matrix with entries psi_{i,s}(t^n P_ell(t))."""
     r, m, n = system.r, system.m, system.n
+    upto = n + len(system.P[r * m - 1]) - 1
     mat = []
     for i, s in _row_index_pairs(r, m):
-        row = [
-            psi(system.spec, system.alphas, i, s, poly_shift_up(system.P[ell], n))
-            for ell in range(r * m)
-        ]
-        mat.append(row)
+        w = psi_weights(system.spec, system.alphas[i - 1], s, upto)
+        mat.append([correlate(system.P[ell], w, n, n + 1)[0] for ell in range(r * m)])
     return det_bareiss(mat)
 
 

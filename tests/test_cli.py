@@ -5,6 +5,7 @@ stdout reports and stderr messages are all observable without spawning
 subprocesses.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -155,6 +156,19 @@ def test_criterion_uncertified_exit_1(capsys):
     assert "CriterionNotSatisfied" in capsys.readouterr().err
 
 
+def test_criterion_at_a_finite_place_report_is_frozen(capsys):
+    # the p-adic route: |alpha/beta|_5 = 5^-10, remainder valuations summed
+    # exactly past the stored window
+    code = main(["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1",
+                 "--beta=1/9765625", "--place", "5", "--epsilon=0.1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["verdict"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fc38e5064daf795d814090e8046c6cba722ca29f1a3a40e5c3def8b8a8649a34"
+    )
+
+
 def test_min_beta_report(capsys):
     code = main(["min-beta", *R2, "--alphas", "1",
                  "--search-bound", "64", "--n-range", "4:8"])
@@ -269,6 +283,8 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
     (["build", *R2, "--alphas", "1"], {"n": 1.5}, "--n"),
     (["eval", *R2, "--z", "1/7", "--bits", "-5"], None, "--bits"),
     (["eval", *R2, "--z", "1/7"], {"bits": True}, "--bits"),
+    (["min-beta", *R2, "--alphas", "1", "--search-bound=-5"], None, "--search-bound"),
+    (["min-beta", *R2, "--alphas", "1"], {"search_bound": 0}, "--search-bound"),
 ])
 def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys):
     if config is not None:

@@ -15,7 +15,7 @@ from hgpade.numerics import (
     remainder_value,
 )
 from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec, poly_eval
+from hgpade.polyops import HypergeometricSpec, poly_eval, psi_weights
 
 F = Fraction
 
@@ -172,12 +172,23 @@ def test_remainder_value_guards(system_n4):
 
 
 def test_remainder_value_cache_consistent(system_n4):
+    # one cache filled at 32 bits, then grown by a higher precision and a
+    # second beta: every answer, bound included, equals a fresh uncached call
     cache = {}
-    a = remainder_value(system_n4, 2, 1, 1, F(3), 128, coeff_cache=cache)
-    b = remainder_value(system_n4, 2, 1, 1, F(3), 128, coeff_cache=cache)
-    c = remainder_value(system_n4, 2, 1, 1, F(3), 128)
-    assert a.value == b.value == c.value
-    assert (2, 1, 1) in cache
+    for beta, bits in ((F(3), 32), (F(3), 32), (F(3), 256), (F(-7, 2), 256), (F(3), 128)):
+        got = remainder_value(system_n4, 2, 1, 1, beta, bits, coeff_cache=cache)
+        fresh = remainder_value(system_n4, 2, 1, 1, beta, bits)
+        assert (got.value, got.error, got.bits) == (fresh.value, fresh.error, fresh.bits)
+    assert list(cache) == [(2, 1, 1)]
+    coeffs, sizes = cache[(2, 1, 1)]
+    assert len(coeffs) == len(sizes) > 8  # the 256-bit calls grew the first batch
+    # every batch holds psi(t^k P_2) and sum_d |P_d| |w_{k+d}| from the window on
+    P, kfirst = system_n4.P[2], system_n4.truncation - 1
+    w = psi_weights(system_n4.spec, F(1), 1, kfirst + len(coeffs) + len(P))
+    for j, (coeff, size) in enumerate(zip(coeffs, sizes)):
+        k = kfirst + j
+        assert coeff == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
+        assert size == sum((abs(c) * abs(w[k + d]) for d, c in enumerate(P)), F(0))
 
 
 def test_check_remainder_identity_small_beta(canonical_m1):

@@ -8,7 +8,6 @@ from hgpade.errors import InvalidInput
 from hgpade.pade import (
     PadeSystem,
     build_P,
-    build_P_is,
     build_system,
     default_truncation,
     membership_in_nullspace,
@@ -42,7 +41,7 @@ def test_poly_pow_linear():
 
 def test_toy_P0(toy_spec):
     assert build_P(toy_spec, (F(1),), 1, 0) == [F(-1), F(1)]
-    assert build_P_is(toy_spec, (F(1),), 1, 0, 1, 0) == [F(1)]
+    assert build_system(toy_spec, (F(1),), 1).Pis[(0, 1, 0)] == [F(1)]
 
 
 def test_toy_remainder_vanishes(toy_spec):
@@ -90,6 +89,25 @@ def test_remainder_routes_agree(canonical_system):
             assert a.coeff(e) == b.coeff(e)
     with pytest.raises(InvalidInput):
         remainder(sys, 0, 1, 0, truncation=sys.n + 1)  # too short to certify
+
+
+def test_product_route_does_not_use_the_kernel(canonical_system, monkeypatch):
+    # the cross-check is independent only if the series product never goes
+    # through the correlation kernel that the functional route uses
+    import hgpade.pade
+    import hgpade.polyops
+
+    def kernel(*args):
+        raise AssertionError("the product route called correlate")
+
+    monkeypatch.setattr(hgpade.polyops, "correlate", kernel)
+    monkeypatch.setattr(hgpade.pade, "correlate", kernel)
+    sys = canonical_system
+    for key in [(0, 1, 0), (4, 2, 1)]:
+        b = remainder(sys, *key, route="product")
+        a = sys.R[key]
+        for e in range(1, min(a.truncation, b.truncation)):
+            assert a.coeff(e) == b.coeff(e)
 
 
 def test_cross_check_off_matches(spec_r2, canonical_system):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hgpade.errors import InsufficientPrecision, InvalidInput, SingularEigenvalue
@@ -14,6 +14,7 @@ from hgpade.polyops import (
     T_c,
     apply_H_theta,
     apply_H_theta_inverse,
+    correlate,
     expand_F_s,
     f_s_coefficient,
     phi_zeta_s,
@@ -298,6 +299,32 @@ def test_psi_weights_match_psi(spec_r2):
     # weight at k is (k + gamma_1) c_k alpha^(k+1) for s = 1
     k = 3
     assert w[k] == (k + spec_r2.gamma[0]) * spec_r2.c(k) * F(2) ** (k + 1)
+
+
+@given(p=st.lists(small_rationals, min_size=0, max_size=6),
+       w=st.lists(small_rationals, min_size=0, max_size=14),
+       k0=st.integers(0, 5), count=st.integers(0, 6))
+@example(p=[F(-3, 7)], w=[F(0), F(5, 2), F(-1, 3), F(4)], k0=2, count=3)
+@example(p=[F(0), F(1, 4), F(-2, 9)], w=[F(1, 6), F(0), F(-7, 10), F(3)], k0=1, count=2)
+def test_correlate_equals_naive_fraction_sum(p, w, k0, count):
+    # entries past the end of w count as zero
+    naive = [
+        sum((c * w[k + d] for d, c in enumerate(p) if k + d < len(w)), F(0))
+        for k in range(k0, k0 + count)
+    ]
+    got = correlate(p, w, k0, k0 + count)
+    assert got == naive
+    assert all(type(x) is F for x in got)
+
+
+def test_correlate_on_the_weight_table_is_psi(spec_r3):
+    alphas = (F(1), F(-3, 2))
+    p = [F(2, 3), F(0), F(-5), F(1, 7)]
+    w = psi_weights(spec_r3, alphas[1], 2, 12)
+    got = correlate(p, w, 0, 9)
+    for k in range(9):
+        assert got[k] == psi(spec_r3, alphas, 2, 2, poly_shift_up(p, k))
+        assert got[k] == sum((c * w[k + d] for d, c in enumerate(p)), F(0))
 
 
 def test_phi_zeta_s_literal():
