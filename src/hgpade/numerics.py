@@ -6,6 +6,12 @@ partial sum plus an exact rational bound on the discarded tail, so all error
 tracking is rigorous (the tail bounds come from a geometric majorant with the
 ratio frozen once it drops below (1+|z|)/2).  No binary floats enter any
 certified quantity; floats appear only when a caller formats or fits rates.
+
+Both series routes (`eval_pFq` and the direct sum of F_s) run on one kernel,
+`_sum_series`: the partial sum is kept on unreduced integers over the running
+denominator of the term, and the stopping test is decided exactly on those
+integers, so the certified value and bound are the same reduced rationals a
+term-by-term Fraction sum would give, at the same stopping index.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from .errors import DivergentSeries, InsufficientPrecision, InvalidInput
 from .polyops import (
     HypergeometricSpec,
     correlate,
-    f_s_coefficient,
     poly_eval,
     psi_weights,
 )
@@ -66,24 +71,88 @@ class BigFloat:
         return f"{sign}{ds[:-digits]}.{ds[-digits:]}"
 
     def error_exponent(self) -> int:
-        """Smallest k with error <= 2^-k (0 when the error exceeds 1)."""
+        """Largest k <= 4 bits + 64 with error <= 2^-k (0 when the error
+        exceeds 1)."""
         if self.error == 0:
             return self.bits
-        k = 0
         e = Fraction(self.error)
-        while e <= Fraction(1, 2) and k < 4 * self.bits + 64:
-            e *= 2
-            k += 1
-        return k
+        n, d = e.numerator, e.denominator
+        # 2^(k-1) < d/n < 2^(k+1) for k = len(d) - len(n): the floor of
+        # log2(d/n) is k or k - 1, and one shift comparison decides which
+        k = d.bit_length() - n.bit_length()
+        if (n << k > d) if k >= 0 else (n > d << -k):
+            k -= 1
+        return max(0, min(k, 4 * self.bits + 64))
 
 
 def _abs(x: Fraction) -> Fraction:
     return -x if x < 0 else x
 
 
+def _linear(roots) -> list:
+    """Each factor k + p/q as the integer pair (q, p) of q*k + p."""
+    return [(Fraction(x).denominator, Fraction(x).numerator) for x in roots]
+
+
+def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
+                bits: int, max_k: int) -> BigFloat:
+    """sum_{k<K} G(k) t_k with G(k) = prod(k + g) over `weight` and
+    t_{k+1}/t_k = x prod(k + u)/prod(k + d) over `upper` and `lower`, stopped
+    at the first K >= k0 with |G(K) t_K| * tail_factor <= 2^-bits max(1, |S|).
+
+    Every factor k + p/q enters as (q k + p) with the q's gathered into two
+    constants, so the sum is kept as N / D with D = prod(q_g) * den(t_k)
+    unreduced: a step is a few big-by-small integer products and no gcd.  The
+    stop is decided exactly on integers, and the returned value and tail
+    bound are the reduced rationals sum and |G(K) t_K| * tail_factor."""
+    t0, x = Fraction(t0), Fraction(x)
+    up, lo, gw = _linear(upper), _linear(lower), _linear(weight)
+    a0 = x.numerator * math.prod(q for q, _ in lo)
+    b0 = x.denominator * math.prod(q for q, _ in up)
+    f_num, f_den = tail_factor.numerator, tail_factor.denominator
+    # the stop needs T << bits <= f_den max(D, |N|); for gt != 0 the left
+    # side is >= 2^(len(gt) + len(f_num) + bits - 2) and the right side is
+    # < 2^(len(f_den) + max(len(D), len(N))), so the exact test is only worth
+    # running once len(gt) + slack < max(len(D), len(N))
+    slack = f_num.bit_length() + bits - 2 - f_den.bit_length()
+    tn = t0.numerator
+    D = math.prod(q for q, _ in gw) * t0.denominator
+    N = 0
+    k = 0
+    while True:
+        gt = tn
+        for q, p in gw:
+            gt *= q * k + p
+        if k >= k0 and (not gt or gt.bit_length() + slack
+                        < max(D.bit_length(), N.bit_length())):
+            T = abs(gt) * f_num
+            if (T << bits) <= f_den * max(D, abs(N)):
+                return BigFloat(Fraction(N, D), Fraction(T, D * f_den), bits)
+        if k > max_k:
+            raise InsufficientPrecision("series did not certify within budget")
+        a, b = a0, b0
+        for q, p in up:
+            a *= q * k + p
+        for q, p in lo:
+            b *= q * k + p
+        if b == 0:
+            raise InvalidInput("lower-parameter pole while summing")
+        if b < 0:
+            a, b = -a, -b
+        N = (N + gt) * b
+        D *= b
+        tn *= a
+        k += 1
+
+
 def eval_pFq(a, b, z, bits: int) -> BigFloat:
     """Generalized hypergeometric sum_k prod(a)_k/prod(b)_k * z^k/k!, with a
-    certified geometric tail bound.  Requires |z| < 1 when len(a) == len(b)+1."""
+    certified geometric tail bound.  Requires |z| < 1 when len(a) == len(b)+1.
+
+    The terms are summed by `_sum_series` on unreduced integers (term ratio
+    z prod(k+a)/((k+1) prod(k+b)), tail factor rho/(1-rho)); the stop at the
+    first k >= k0 whose tail bound is under 2^-bits max(1, |sum|) is decided
+    exactly."""
     a = [Fraction(x) for x in a]
     b = [Fraction(x) for x in b]
     z = Fraction(z)
@@ -115,33 +184,14 @@ def eval_pFq(a, b, z, bits: int) -> BigFloat:
     k0 = kmin
     while ratio_bound(k0) > rho:
         k0 *= 2
-
-    target = Fraction(1, 2**bits)
-    term = Fraction(1)
-    total = Fraction(0)
-    k = 0
-    while True:
-        total += term
-        num = Fraction(1)
-        for x in a:
-            num *= x + k
-        den = Fraction(k + 1)
-        for x in b:
-            den *= x + k
-        if den == 0:
-            raise InvalidInput("lower-parameter pole while summing")
-        term = term * z * num / den
-        k += 1
-        if k >= k0:
-            tail = _abs(term) * rho / (1 - rho)
-            if tail <= target * max(Fraction(1), _abs(total)):
-                return BigFloat(total, tail, bits)
-        if k > 64 * bits + 4 * k0 + 64:
-            raise InsufficientPrecision("series did not certify within budget")
+    return _sum_series(1, z, a, b + [Fraction(1)], (), k0, rho / (1 - rho),
+                       bits, 64 * bits + 4 * k0 + 64)
 
 
 def _f_direct(spec: HypergeometricSpec, s: int, w: Fraction, bits: int) -> BigFloat:
-    """F_s(w) by direct summation of (k+gamma_1)...(k+gamma_s) c_k w^{k+1}."""
+    """F_s(w) by direct summation of (k+gamma_1)...(k+gamma_s) c_k w^{k+1},
+    from c_0 and c_{k+1}/c_k = prod(k+eta)/prod(k+1+zeta), by `_sum_series`
+    with tail factor 1/(1-rho) and the stop decided exactly."""
     w = Fraction(w)
     if _abs(w) >= 1:
         raise DivergentSeries("need |w| < 1")
@@ -165,22 +215,9 @@ def _f_direct(spec: HypergeometricSpec, s: int, w: Fraction, bits: int) -> BigFl
     k0 = kmin
     while ratio_bound(k0) > rho:
         k0 *= 2
-
-    target = Fraction(1, 2**bits)
-    total = Fraction(0)
-    k = 0
-    wpow = w
-    while True:
-        term = f_s_coefficient(spec, s, k) * wpow
-        total += term
-        wpow *= w
-        k += 1
-        if k >= k0:
-            tail = _abs(f_s_coefficient(spec, s, k) * wpow) / (1 - rho)
-            if tail <= target * max(Fraction(1), _abs(total)):
-                return BigFloat(total, tail, bits)
-        if k > 64 * bits + 4 * k0 + 64:
-            raise InsufficientPrecision("series did not certify within budget")
+    return _sum_series(spec.c0 * w, w, spec.eta, [1 + z for z in spec.zeta],
+                       spec.gamma[:s], k0, 1 / (1 - rho), bits,
+                       64 * bits + 4 * k0 + 64)
 
 
 def _f_closed(spec: HypergeometricSpec, s: int, w: Fraction, bits: int):
@@ -228,30 +265,6 @@ def eval_F_family(spec: HypergeometricSpec, w, bits: int):
             )
         out.append(direct)
     return out
-
-
-def eval_lerch(c: int, x, w, bits: int) -> BigFloat:
-    """sum_{k>=0} w^{k+1}/(x+k+1)^c — the classical one-variable ladder the
-    order-r family specializes to at equal parameters."""
-    x = Fraction(x)
-    w = Fraction(w)
-    if _abs(w) >= 1:
-        raise DivergentSeries("need |w| < 1")
-    if w == 0:
-        return BigFloat(Fraction(0), Fraction(0), bits)
-    target = Fraction(1, 2**bits)
-    total = Fraction(0)
-    k = 0
-    wpow = w
-    while True:
-        total += wpow / (x + k + 1) ** c
-        k += 1
-        wpow *= w
-        tail = _abs(wpow / (x + k + 1) ** c) / (1 - _abs(w))
-        if tail <= target * max(Fraction(1), _abs(total)):
-            return BigFloat(total, tail, bits)
-        if k > 64 * bits + 64:
-            raise InsufficientPrecision("series did not certify within budget")
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
 """Certified evaluation: interval values, series routes, remainder identities."""
 
 import decimal
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hgpade.errors import DivergentSeries, InsufficientPrecision, InvalidInput
 from hgpade.numerics import (
     BigFloat,
+    _f_direct,
     check_remainder_identity,
     eval_F_family,
-    eval_lerch,
     eval_pFq,
     remainder_value,
 )
 from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec, poly_eval, psi_weights
+from hgpade.polyops import HypergeometricSpec, f_s_coefficient, poly_eval, psi_weights
 
 F = Fraction
 
@@ -60,6 +63,178 @@ def test_bigfloat_decimal_and_exponent():
     assert BigFloat(F(1), F(0), 96).error_exponent() == 96  # exact: full budget
 
 
+def _error_exponent_by_doubling(error: Fraction, bits: int) -> int:
+    """The doubling loop error_exponent replaced, kept as its oracle."""
+    if error == 0:
+        return bits
+    k = 0
+    e = Fraction(error)
+    while e <= Fraction(1, 2) and k < 4 * bits + 64:
+        e *= 2
+        k += 1
+    return k
+
+
+def test_error_exponent_matches_doubling_loop():
+    rng = random.Random(20261018)
+    cases = [(F(0), 7), (F(1), 8), (F(3, 2), 8), (F(1, 2), 8), (F(2, 3), 1)]
+    for _ in range(3000):
+        bits = rng.randint(1, 64)
+        cap = 4 * bits + 64
+        cases += [
+            # random rationals, of either size
+            (F(rng.randint(1, 2 ** rng.randint(1, 400)),
+               rng.randint(1, 2 ** rng.randint(1, 400))), bits),
+            # exact powers of two, and their neighbours
+            (F(2) ** rng.randint(-cap - 40, 8) * rng.choice((1, F(2**20 - 1, 2**20),
+                                                              F(2**20 + 1, 2**20))), bits),
+            # at the cap
+            (F(2) ** (rng.randint(-3, 3) - cap) * rng.choice((1, F(3, 4), F(5, 4))), bits),
+        ]
+    for error, bits in cases:
+        got = BigFloat(F(0), error, bits).error_exponent()
+        assert got == _error_exponent_by_doubling(error, bits), (error, bits)
+
+
+# ---------------------------------------------------------------------------
+# reference series: one reduced Fraction per term, the stop tested on
+# Fractions; the package sums the same terms on unreduced integers
+
+
+def _naive_pFq(a, b, z, bits: int) -> BigFloat:
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    z = Fraction(z)
+    rho = (1 + abs(z)) / 2 if len(a) == len(b) + 1 else Fraction(1, 2)
+    kmin = 1 + max([0] + [int(abs(x)) + 1 for x in b] + [int(abs(x)) + 1 for x in a])
+
+    def ratio_bound(k: int) -> Fraction:
+        out = abs(z) * Fraction(k) ** (len(a) - len(b) - 1)
+        for x in a:
+            out *= 1 + abs(x) / k
+        for x in b:
+            out /= 1 - abs(x) / k
+        return out
+
+    k0 = kmin
+    while ratio_bound(k0) > rho:
+        k0 *= 2
+    target = Fraction(1, 2**bits)
+    term, total, k = Fraction(1), Fraction(0), 0
+    while True:
+        total += term
+        num, den = Fraction(1), Fraction(k + 1)
+        for x in a:
+            num *= x + k
+        for x in b:
+            den *= x + k
+        term = term * z * num / den
+        k += 1
+        if k >= k0:
+            tail = abs(term) * rho / (1 - rho)
+            if tail <= target * max(Fraction(1), abs(total)):
+                return BigFloat(total, tail, bits)
+
+
+def _naive_f_direct(spec: HypergeometricSpec, s: int, w, bits: int) -> BigFloat:
+    w = Fraction(w)
+    rho = (1 + abs(w)) / 2
+    gmax = max([abs(g) for g in spec.gamma[:s]], default=Fraction(0))
+    kmin = 2 + int(max([abs(x) for x in spec.eta] + [abs(1 + z) for z in spec.zeta] + [gmax]))
+
+    def ratio_bound(k: int) -> Fraction:
+        out = abs(w)
+        for x in spec.eta:
+            out *= 1 + abs(x) / k
+        for zj in spec.zeta:
+            out /= 1 - abs(1 + zj) / k
+        return out * (1 + 1 / (k - gmax)) ** s
+
+    k0 = kmin
+    while ratio_bound(k0) > rho:
+        k0 *= 2
+    target = Fraction(1, 2**bits)
+    total, k, wpow = Fraction(0), 0, w
+    while True:
+        total += f_s_coefficient(spec, s, k) * wpow
+        wpow *= w
+        k += 1
+        if k >= k0:
+            tail = abs(f_s_coefficient(spec, s, k) * wpow) / (1 - rho)
+            if tail <= target * max(Fraction(1), abs(total)):
+                return BigFloat(total, tail, bits)
+
+
+def _lerch(c: int, x, w, bits: int) -> BigFloat:
+    """sum_{k>=0} w^{k+1}/(x+k+1)^c — the classical one-variable ladder the
+    order-r family specializes to at equal parameters."""
+    x, w = Fraction(x), Fraction(w)
+    if abs(w) >= 1:
+        raise DivergentSeries("need |w| < 1")
+    target = Fraction(1, 2**bits)
+    total, k, wpow = Fraction(0), 0, w
+    while True:
+        total += wpow / (x + k + 1) ** c
+        k += 1
+        wpow *= w
+        tail = abs(wpow / (x + k + 1) ** c) / (1 - abs(w))
+        if tail <= target * max(Fraction(1), abs(total)):
+            return BigFloat(total, tail, bits)
+
+
+_small_fractions = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
+    lambda x: x.denominator > 1
+)
+_arguments = st.builds(F, st.integers(-16, 16).filter(bool), st.integers(32, 64))
+
+
+@st.composite
+def _admissible_specs(draw):
+    """r <= 3, small-height non-integer a and b that pass the hypothesis flags."""
+    r = draw(st.integers(1, 3))
+    a = draw(st.lists(_small_fractions, min_size=r, max_size=r))
+    b = draw(st.lists(_small_fractions, min_size=r - 1, max_size=r - 1))
+    spec = HypergeometricSpec.from_ab(a, b)
+    assume(spec.flags_pass())
+    return spec
+
+
+def _same(got: BigFloat, want: BigFloat) -> bool:
+    return (got.value, got.error, got.bits) == (want.value, want.error, want.bits)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(_admissible_specs(), _arguments, st.sampled_from((16, 64, 160)))
+def test_series_equal_the_reference_sums(spec, z, bits):
+    # |z| <= 1/2 of both signs, every s, and the shifted closed-form sums
+    r = spec.r
+    assert _same(eval_pFq(spec.a, spec.b, z, bits), _naive_pFq(spec.a, spec.b, z, bits))
+    for s in range(r):
+        assert _same(_f_direct(spec, s, z, bits), _naive_f_direct(spec, s, z, bits))
+        a1 = [x + 1 for x in spec.a]
+        b1 = [y + 1 for y in spec.b[: r - s]] + list(spec.b[r - s:])
+        assert _same(eval_pFq(a1, b1, z, bits), _naive_pFq(a1, b1, z, bits))
+
+
+@pytest.mark.parametrize("a, b, z", [
+    ((), (), F(1)),                          # p < q + 1: exp(1)
+    ((), (F(1, 3),), F(-5, 2)),               # p < q + 1, large |z|
+    ((F(1, 2),), (F(-3, 2), F(2, 5)), F(3)),  # p < q + 1, negative lower factors
+    ((F(-3), F(1, 2)), (F(1, 3),), F(1, 2)),  # terminates: the terms reach zero
+])
+def test_pFq_equals_the_reference_sum(a, b, z):
+    for bits in (8, 96):
+        assert _same(eval_pFq(a, b, z, bits), _naive_pFq(a, b, z, bits))
+
+
+def test_from_roots_spec_equals_the_reference_sum():
+    # zeta_r = 2 != 1: only the direct route applies
+    spec = HypergeometricSpec.from_roots((F(5, 3), F(1, 4)), (F(3, 2), F(2)), F(-2, 7))
+    for z in (F(1, 2), F(-3, 7)):
+        for s in range(spec.r):
+            assert _same(_f_direct(spec, s, z, 128), _naive_f_direct(spec, s, z, 128))
+
+
 # ---------------------------------------------------------------------------
 # series evaluation against classical closed forms (stdlib decimal oracle)
 
@@ -96,11 +271,12 @@ def test_pFq_guards():
 
 
 def test_lerch_log2():
-    got = eval_lerch(1, F(0), F(1, 2), 160)
+    # the Lerch oracle itself, against the stdlib
+    got = _lerch(1, F(0), F(1, 2), 160)
     want = decimal.Decimal(2).ln()
     assert abs(_as_decimal(got.value) - want) < decimal.Decimal(10) ** -40
     with pytest.raises(DivergentSeries):
-        eval_lerch(1, F(0), F(1), 64)
+        _lerch(1, F(0), F(1), 64)
 
 
 def test_family_specializes_to_lerch():
@@ -114,7 +290,7 @@ def test_family_specializes_to_lerch():
         assert spec.c(k) == 1 / (x + k + 1) ** 3
     vals = eval_F_family(spec, F(1, 3), 192)
     for s in range(3):
-        ladder = eval_lerch(3 - s, x, F(1, 3), 192)
+        ladder = _lerch(3 - s, x, F(1, 3), 192)
         assert vals[s].agrees_with(ladder)
         assert abs(vals[s].value - ladder.value) <= F(1, 2**180)
 
@@ -127,6 +303,33 @@ def test_family_dual_route_canonical(spec_r2):
     assert vals[1].to_decimal(30) == "0.028253552821257868789923775257"
     assert vals[0].error_exponent() >= 512
     assert vals[1].error_exponent() >= 512
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(_admissible_specs(), _arguments)
+def test_family_intervals_contain_mpmath_values(spec, z):
+    # an outside oracle: mpmath at 600 bits; F_0 = rF_{r-1}(a; b; z) - 1 and,
+    # for s >= 1, F_s = prod(a)/(b_1...b_{r-s}) z rF_{r-1}(a+1; b_1+1, ...,
+    # b_{r-s}+1, b_{r-s+1}, ..., b_{r-1}; z)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.prec = 600
+
+    def q(x):
+        return mp.mpf(x.numerator) / x.denominator
+
+    a, b, r = [q(x) for x in spec.a], [q(y) for y in spec.b], spec.r
+    zz = q(z)
+    truth = [mp.hyper(a, b, zz) - 1]
+    for s in range(1, r):
+        front = mp.fprod(a) / mp.fprod(b[: r - s]) * zz
+        truth.append(front * mp.hyper([x + 1 for x in a],
+                                      [y + 1 for y in b[: r - s]] + b[r - s:], zz))
+    got = eval_F_family(spec, z, 256)
+    for v, t in zip(got, truth):
+        # the oracle's own rounding is far below 2^-256
+        slack = mp.mpf(2) ** -520 * max(1, abs(t))
+        assert abs(q(v.value) - t) <= q(v.error) + slack
 
 
 def test_family_rejects_outside_disk(spec_r2):
