@@ -16,7 +16,7 @@ Takes ~10s: the full fit window builds weight-16 systems exactly.
 from fractions import Fraction
 
 from hgpade.arith import Place
-from hgpade.criterion import measure, min_beta, place_consistency
+from hgpade.criterion import Instance, measure, min_beta, place_consistency
 from hgpade.polyops import HypergeometricSpec
 
 
@@ -25,7 +25,7 @@ def main() -> None:
     alphas = (Fraction(1),)
 
     print("measuring at beta = 10^6 (archimedean place, epsilon = 0.1) ...")
-    rep = measure(spec, alphas, Fraction(10**6), Place(), epsilon=0.1)
+    rep = measure(Instance(spec, alphas, range(4, 17)), Fraction(10**6), Place(), epsilon=0.1)
     print(f"  decay rate      A = {rep.A_emp:9.4f}   (closed form {rep.A_cf:9.4f})")
     print(f"  growth rate     U = {rep.U_emp:9.4f}")
     print(f"  certified gap   V = {rep.V_emp:9.4f}   (worst-case route "
@@ -38,7 +38,7 @@ def main() -> None:
 
     print()
     print("smallest certified integer beta (search bound 1024) ...")
-    threshold = min_beta(spec, alphas, Place(), 1024)
+    threshold = min_beta(Instance(spec, alphas, range(4, 13)), Place(), 1024)
     print(f"  min beta = {threshold}")
     assert threshold is not None and 2 <= threshold <= 1024
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import DenominatorProfile, Place, format_rational, parse_place, parse_rational
-from .criterion import criterion_V, measure, min_beta
+from .criterion import Instance, criterion_V, measure, min_beta
 from .errors import HgpadeError, InvalidInput, RationalParseError
 from .numerics import eval_F_family
 from .pade import PadeSystem, build_system, verify_system
@@ -30,6 +30,11 @@ from .suite import SUITE_SEED, run_suite
 from .wronskian import certify_nonvanishing
 
 COMMANDS = ("build", "verify", "wronskian", "criterion", "min-beta", "eval", "suite")
+
+# eval's work grows quadratically in the precision (4-6 s at 8192 bits for
+# r = 3, z = 1/2 on a 2-core Xeon), and its decimal output must stay under
+# Python's int-to-str digit limit
+MAX_BITS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +234,8 @@ def config_from_args(argv) -> RunConfig:
     bits = pick("bits")
     if bits is not None:
         cfg.bits = _integer("--bits", bits)
-        if cfg.bits < 1:
-            raise InvalidInput(f"--bits: need >= 1, got {bits!r}")
+        if not 1 <= cfg.bits <= MAX_BITS:
+            raise InvalidInput(f"--bits: need 1 <= bits <= {MAX_BITS}, got {bits!r}")
     z = pick("z")
     if z is not None:
         cfg.z = _named("--z", str(z), parse_rational)
@@ -388,8 +393,8 @@ def _cmd_wronskian(cfg: RunConfig) -> int:
 def _cmd_criterion(cfg: RunConfig) -> int:
     spec = cfg.spec()
     beta = cfg.beta if cfg.beta is not None else Fraction(10**6)
-    n_range = cfg.n_range or range(4, 17)
-    report = measure(spec, cfg.alphas, beta, cfg.place, cfg.epsilon, n_range)
+    inst = Instance(spec, cfg.alphas, cfg.n_range or range(4, 17))
+    report = measure(inst, beta, cfg.place, cfg.epsilon)
     out = report.to_jsonable()
     out["beta"] = beta
     emit_report(out, cfg.format, cfg.out)
@@ -401,14 +406,15 @@ def _cmd_min_beta(cfg: RunConfig) -> int:
     if cfg.search_bound is None:
         raise InvalidInput("--search-bound is required")
     n_range = cfg.n_range or range(4, 13)
-    found = min_beta(spec, cfg.alphas, cfg.place, cfg.search_bound, n_range)
+    inst = Instance(spec, cfg.alphas, n_range)
+    found = min_beta(inst, cfg.place, cfg.search_bound)
     report = {
         "search_bound": cfg.search_bound,
         "n_range": [n_range[0], n_range[-1]],
         "place": cfg.place,
         "min_beta": found,
         "V_emp": (
-            criterion_V(spec, cfg.alphas, Fraction(found), cfg.place, n_range=n_range)
+            criterion_V(inst, Fraction(found), cfg.place)
             if found is not None
             else None
         ),

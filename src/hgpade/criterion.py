@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .arith import (
@@ -174,14 +175,36 @@ def _height_excluding(vec, v0: Place) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _systems_for(spec, alphas, n_range) -> dict:
-    return {n: build_system(spec, alphas, n, cross_check=False) for n in n_range}
-
-
 def _check_flags(spec):
     bad = spec.violated_hypotheses()
     if bad:
         raise HypothesisViolation("; ".join(bad))
+
+
+class Instance:
+    """One criterion run's fixed family of systems: (spec, alphas) at every
+    n of the fitting window.
+
+    The systems are built on first access, so input checks that need none
+    of them (divergence at beta, the place of min-beta) fire before any
+    build. `caches` holds, per n, the beta-independent remainder extensions
+    that `remainder_value` fills (its `coeff_cache`), for reuse across
+    every beta and precision of the run.
+    """
+
+    def __init__(self, spec, alphas, n_range):
+        _check_flags(spec)
+        self.spec = spec
+        self.alphas = tuple(Fraction(a) for a in alphas)
+        self.n_range = n_range
+        self.caches = {}
+
+    @cached_property
+    def systems(self) -> dict:
+        return {
+            n: build_system(self.spec, self.alphas, n, cross_check=False)
+            for n in self.n_range
+        }
 
 
 def _matrix_coefficients(system) -> list:
@@ -195,17 +218,11 @@ def _matrix_coefficients(system) -> list:
     return [c for c in coeffs if c != 0]
 
 
-def growth_rate_P(spec, alphas, beta, n_range, v: Place, systems=None) -> float:
+def growth_fit_P(inst: Instance, beta, v: Place) -> FitResult:
     """Fitted rate of log max_ell |P_ell(beta)|_v; the empirical U at v."""
-    return growth_fit_P(spec, alphas, beta, n_range, v, systems).rate
-
-
-def growth_fit_P(spec, alphas, beta, n_range, v: Place, systems=None) -> FitResult:
-    systems = systems or _systems_for(spec, alphas, n_range)
     beta = Fraction(beta)
     ns, ys = [], []
-    for n in sorted(systems):
-        sysn = systems[n]
+    for n, sysn in inst.systems.items():
         vals = [poly_eval(sysn.P[ell], beta) for ell in sorted(sysn.P)]
         ys.append(max(log_abs_at_place(x, v) for x in vals if x != 0))
         ns.append(n)
@@ -215,12 +232,10 @@ def growth_fit_P(spec, alphas, beta, n_range, v: Place, systems=None) -> FitResu
 # --- remainder size at the two kinds of places -----------------------------
 
 
-def _log_abs_R_arch(system, ell, i, s, beta, cache=None) -> float:
+def _log_abs_R_arch(system, ell, i, s, beta, cache) -> float:
     """log |R_{ell,i,s}(beta)|, escalating precision until the certified
     interval is narrow enough to take a log; every precision reuses the
-    extension coefficients of the ones before (through a local cache when
-    the caller passes none)."""
-    cache = {} if cache is None else cache
+    extension coefficients in `cache`."""
     bits = 32
     while True:
         val = remainder_value(system, ell, i, s, beta, bits, coeff_cache=cache)
@@ -307,24 +322,19 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
             )
 
 
-def decay_rate_R(spec, alphas, beta, n_range, v0: Place, systems=None, caches=None) -> float:
-    """Fitted rate of -log max_{ell,i,s} |R_{ell,i,s}(beta)|_{v0}; empirical A."""
-    return decay_fit_R(spec, alphas, beta, n_range, v0, systems, caches).rate
-
-
-def decay_fit_R(spec, alphas, beta, n_range, v0: Place, systems=None, caches=None) -> FitResult:
+def decay_fit_R(inst: Instance, beta, v0: Place) -> FitResult:
+    """Fitted rate of -log max_{ell,i,s} |R_{ell,i,s}(beta)|_{v0}; the
+    empirical A."""
     beta = Fraction(beta)
-    for a in alphas:
-        if abs_at_place(Fraction(a) / beta, v0) >= 1:
+    for a in inst.alphas:
+        if abs_at_place(a / beta, v0) >= 1:
             raise DivergentSeries(
                 f"|alpha/beta| at {v0} is not < 1 (alpha={a}, beta={beta})"
             )
-    systems = systems or _systems_for(spec, alphas, n_range)
     ns, ys = [], []
-    for n in sorted(systems):
-        sysn = systems[n]
-        cache = caches.setdefault(n, {}) if caches is not None else None
+    for n, sysn in inst.systems.items():
         if v0.is_archimedean:
+            cache = inst.caches.setdefault(n, {})
             best = max(
                 _log_abs_R_arch(sysn, ell, i, s, beta, cache)
                 for ell, i, s in sysn.indices()
@@ -367,7 +377,7 @@ def stirling_growth_const(r: int, m: int) -> float:
     )
 
 
-def height_fit_vec(spec, alphas, beta, n_range, v0: Place, systems=None) -> FitResult:
+def height_fit_vec(inst: Instance, beta, v0: Place) -> FitResult:
     """Fitted rate of h(vec_n) - h_{v0}(vec_n) for the full coefficient
     vector vec_n of the matrix row polynomials P_ell, P_{ell,i,s}.
 
@@ -375,52 +385,24 @@ def height_fit_vec(spec, alphas, beta, n_range, v0: Place, systems=None) -> FitR
     at most max(1,|beta|_v)^deg per place, which adds deg * (h - h_{v0}) of
     the 1-tuple (beta); that term vanishes for integer beta at finite places,
     keeping V(beta') - V(beta) = log(beta'/beta) exact in the fit."""
-    systems = systems or _systems_for(spec, alphas, n_range)
     beta = Fraction(beta)
     beta_part = _height_excluding([beta], v0)
-    rm = spec.r * len(alphas)
+    rm = inst.spec.r * len(inst.alphas)
     ns, qs = [], []
-    for n in sorted(systems):
+    for n, sysn in inst.systems.items():
         deg = rm * n + rm
         qs.append(
-            _height_excluding(_matrix_coefficients(systems[n]), v0)
+            _height_excluding(_matrix_coefficients(sysn), v0)
             + deg * beta_part
         )
         ns.append(n)
     return fit_rate(ns, qs)
 
 
-def criterion_V(
-    spec,
-    alphas,
-    beta,
-    v0: Place,
-    mode: str = "empirical",
-    n_range=range(4, 17),
-    systems=None,
-) -> float:
-    """The criterion value at v0.
-
-    empirical: A_emp minus the fitted growth of the coefficient vector's
-    height away from v0 (the operative definition).
-
-    closed_form: the decay skeleton with the finite-place budget in place of
-    the measured height growth. The budget is an upper estimate, so this
-    route is a pessimistic lower variant of V; best-effort only.
-    """
-    _check_flags(spec)
-    systems = systems or _systems_for(spec, alphas, n_range)
-    a_emp = decay_rate_R(spec, alphas, beta, n_range, v0, systems)
-    if mode == "empirical":
-        return a_emp - height_fit_vec(spec, alphas, beta, n_range, v0, systems).rate
-    if mode == "closed_form":
-        extra = 0.0
-        if not v0.is_archimedean:
-            # the archimedean place is then one of the "other" places; its
-            # growth is the measured arch U (no closed form is available)
-            extra = growth_rate_P(spec, alphas, beta, n_range, Place(), systems)
-        return a_emp - finite_place_budget(spec) - extra
-    raise InvalidInput(f"unknown criterion mode {mode!r}")
+def criterion_V(inst: Instance, beta, v0: Place) -> float:
+    """The criterion value at v0: A_emp minus the fitted growth of the
+    coefficient vector's height away from v0."""
+    return decay_fit_R(inst, beta, v0).rate - height_fit_vec(inst, beta, v0).rate
 
 
 # ---------------------------------------------------------------------------
@@ -466,22 +448,20 @@ class MeasureReport:
         return out
 
 
-def measure(spec, alphas, beta, v0: Place, epsilon: float, n_range=range(4, 17)) -> MeasureReport:
+def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
     """Run the full effective criterion at one instance.
 
     Raises CriterionNotSatisfied when V_emp - epsilon <= 0, and
     InconclusiveComparison when the empirical route certifies positivity but
     the budget-based closed-form route flips the sign.
     """
-    _check_flags(spec)
+    spec, alphas, n_range = inst.spec, inst.alphas, inst.n_range
     beta = Fraction(beta)
-    alphas = [Fraction(a) for a in alphas]
     rm = spec.r * len(alphas)
-    systems = _systems_for(spec, alphas, n_range)
 
-    a_fit = decay_fit_R(spec, alphas, beta, n_range, v0, systems)
-    u_fit = growth_fit_P(spec, alphas, beta, n_range, v0, systems)
-    q_fit = height_fit_vec(spec, alphas, beta, n_range, v0, systems)
+    a_fit = decay_fit_R(inst, beta, v0)
+    u_fit = growth_fit_P(inst, beta, v0)
+    q_fit = height_fit_vec(inst, beta, v0)
     a_emp, u_emp = a_fit.rate, u_fit.rate
     v_emp = a_emp - q_fit.rate
 
@@ -498,7 +478,7 @@ def measure(spec, alphas, beta, v0: Place, epsilon: float, n_range=range(4, 17))
     if v0.is_archimedean:
         u_arch = u_emp
     else:
-        u_arch = growth_rate_P(spec, alphas, beta, n_range, Place(), systems)
+        u_arch = growth_fit_P(inst, beta, Place()).rate
     c_fit = u_arch - rm * _h_at_place(tuple_ab, Place())
 
     if v0.is_archimedean:
@@ -549,7 +529,7 @@ def measure(spec, alphas, beta, v0: Place, epsilon: float, n_range=range(4, 17))
     special_ok = (
         spec2.to_jsonable() == spec.to_jsonable()
         and build_system(spec2, alphas, n_top, cross_check=False).P
-        == systems[n_top].P
+        == inst.systems[n_top].P
     )
 
     return MeasureReport(
@@ -586,39 +566,28 @@ def measure(spec, alphas, beta, v0: Place, epsilon: float, n_range=range(4, 17))
 # ---------------------------------------------------------------------------
 
 
-def _v_emp_at(systems, spec, alphas, beta, v0: Place, n_range,
-              caches=None, q_rate=None) -> float:
-    a_emp = decay_rate_R(spec, alphas, beta, n_range, v0, systems, caches)
-    if q_rate is None:
-        q_rate = height_fit_vec(spec, alphas, beta, n_range, v0, systems).rate
-    return a_emp - q_rate
-
-
-def min_beta(spec, alphas, v0: Place, search_bound: int, n_range=range(4, 13)):
+def min_beta(inst: Instance, v0: Place, search_bound: int):
     """Smallest integer beta <= search_bound with V_emp(beta) > 0.
 
     V is affine in log beta with slope 1 (all else fixed), so plain integer
-    bisection applies. Systems are built once; each candidate only reevaluates
-    the remainder sums (the height part of V is beta-independent for integer
-    beta). Returns None if the bound is too small.
+    bisection applies. The instance's systems and remainder extensions serve
+    every candidate, and the height part of V is beta-independent for
+    integer beta, so it is fitted once. Returns None if the bound is too
+    small.
     """
-    _check_flags(spec)
     if not v0.is_archimedean:
         raise InvalidInput(
             "min-beta bisection relies on V growing in log|beta|, which "
             "holds at the archimedean place only"
         )
-    alphas = [Fraction(a) for a in alphas]
     search_bound = int(search_bound)
-    lo = int(max(abs(a) for a in alphas)) + 1
+    lo = int(max(abs(a) for a in inst.alphas)) + 1
     if search_bound < lo:
         return None
-    systems = _systems_for(spec, alphas, n_range)
-    caches = {}
-    q_rate = height_fit_vec(spec, alphas, lo, n_range, v0, systems).rate
+    q_rate = height_fit_vec(inst, lo, v0).rate
 
     def value(b: int) -> float:
-        return _v_emp_at(systems, spec, alphas, b, v0, n_range, caches, q_rate)
+        return decay_fit_R(inst, b, v0).rate - q_rate
 
     if value(search_bound) <= 0:
         return None

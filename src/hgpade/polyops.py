@@ -56,15 +56,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return poly_trim(out)
 
 
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, [-c for c in q])
-
-
-def poly_scale(p: Poly, c: Fraction) -> Poly:
-    c = Fraction(c)
-    return [] if c == 0 else poly_trim([c * x for x in p])
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import D_n_profile, Place, format_rational, log_mu, totient
-from .criterion import criterion_V, decay_fit_R, measure, min_beta
+from .criterion import Instance, criterion_V, decay_fit_R, measure, min_beta
 from .errors import InvalidInput
 from .numerics import _f_closed, _f_direct, check_remainder_identity
 from .pade import build_system, membership_in_nullspace, solve_pade_nullspace, verify_system
@@ -438,15 +438,10 @@ def check_operator_identities(shared=None, seed=SUITE_SEED) -> CheckResult:
     )
 
 
-def _criterion_systems(shared: dict) -> tuple:
-    spec = spec_r2()
-    alphas = (Fraction(1),)
-    systems = shared.setdefault("crit-systems", {})
-    caches = shared.setdefault("crit-caches", {})
-    for n in range(4, 17):
-        if n not in systems:
-            systems[n] = build_system(spec, alphas, n, cross_check=False)
-    return spec, alphas, systems, caches
+def _criterion_instance(shared: dict) -> Instance:
+    if "criterion" not in shared:
+        shared["criterion"] = Instance(spec_r2(), (Fraction(1),), range(4, 17))
+    return shared["criterion"]
 
 
 def check_numerical_shadow(shared=None, seed=SUITE_SEED) -> CheckResult:
@@ -455,15 +450,15 @@ def check_numerical_shadow(shared=None, seed=SUITE_SEED) -> CheckResult:
     doubling beta shifts the fitted rate by log 2 within 5%."""
     shared = {} if shared is None else shared
     t0 = time.perf_counter()
-    spec, alphas, systems, caches = _criterion_systems(shared)
+    inst = _criterion_instance(shared)
     beta = Fraction(10**6)
 
-    ident = check_remainder_identity(systems[4], beta, bits=128)
+    ident = check_remainder_identity(inst.systems[4], beta, bits=128)
     budget_cap = max(e["budget"] for e in ident["entries"])
     certified = ident["ok"] and budget_cap <= 2.0**-128
 
-    fit = decay_fit_R(spec, alphas, beta, range(4, 17), ARCH, systems, caches)
-    fit2 = decay_fit_R(spec, alphas, 2 * beta, range(4, 17), ARCH, systems, caches)
+    fit = decay_fit_R(inst, beta, ARCH)
+    fit2 = decay_fit_R(inst, 2 * beta, ARCH)
     shift = fit2.rate - fit.rate
     shift_ok = abs(shift - math.log(2)) <= 0.05 * math.log(2)
 
@@ -489,21 +484,21 @@ def check_numerical_shadow(shared=None, seed=SUITE_SEED) -> CheckResult:
 def check_criterion_end_to_end(shared=None, seed=SUITE_SEED) -> CheckResult:
     """min-beta certifies a beta with V_emp > 0; the measure report's two
     formula identities recompute exactly in float arithmetic; re-running at
-    the returned beta reproduces V_emp > 0."""
+    the returned beta on a fresh instance reproduces V_emp > 0."""
     shared = {} if shared is None else shared
     t0 = time.perf_counter()
     spec = spec_r2()
     alphas = (Fraction(1),)
 
-    beta_min = min_beta(spec, alphas, ARCH, 1024)
+    beta_min = min_beta(Instance(spec, alphas, range(4, 13)), ARCH, 1024)
     found = beta_min is not None
     v_rerun = (
-        criterion_V(spec, alphas, Fraction(beta_min), ARCH, n_range=range(4, 13))
+        criterion_V(Instance(spec, alphas, range(4, 13)), Fraction(beta_min), ARCH)
         if found
         else float("-inf")
     )
 
-    rep = measure(spec, alphas, Fraction(10**6), ARCH, epsilon=0.1)
+    rep = measure(_criterion_instance(shared), Fraction(10**6), ARCH, epsilon=0.1)
     denom = rep.V_emp - rep.epsilon
     mu_ok = rep.mu_eps == (rep.A_emp + rep.U_emp) / denom
     c_ok = rep.C_eps == math.exp(

@@ -5,13 +5,18 @@ stdout reports and stderr messages are all observable without spawning
 subprocesses.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgpade.arith import D_n_profile
+from hgpade import criterion
+from hgpade.arith import D_n_profile, Place
 from hgpade.cli import emit_report, main
 
 R2 = ["--a", "1/3,1/4", "--b", "1/2"]
@@ -181,6 +186,31 @@ def test_min_beta_report(capsys):
     assert report["V_emp"] == pytest.approx(0.02518398663377175, rel=1e-9)
 
 
+def test_each_system_is_built_once(monkeypatch, capsys, spec_r2):
+    # min-beta's bisection and its report's V_emp share one Instance;
+    # criterion builds its window plus the from_roots specialization check
+    built = []
+    real = criterion.build_system
+
+    def counting(*args, **kwargs):
+        built.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(criterion, "build_system", counting)
+    assert main(["min-beta", *R2, "--alphas", "1", "--n-range=4:8",
+                 "--search-bound=64"]) == 0
+    report = _json_out(capsys)
+    assert sorted(built) == [4, 5, 6, 7, 8]
+    fresh = criterion.Instance(spec_r2, (Fraction(1),), range(4, 9))
+    assert report["V_emp"] == criterion.criterion_V(
+        fresh, Fraction(report["min_beta"]), Place())
+
+    built.clear()
+    assert main(["criterion", *R2, "--alphas", "1", "--n-range=4:8"]) == 0
+    capsys.readouterr()
+    assert sorted(built) == [4, 5, 6, 7, 8, 8]
+
+
 def test_min_beta_nothing_found_exit_1(capsys):
     code = main(["min-beta", *R2, "--alphas", "1",
                  "--search-bound", "2", "--n-range", "4:8"])
@@ -285,6 +315,8 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
     (["eval", *R2, "--z", "1/7"], {"bits": True}, "--bits"),
     (["min-beta", *R2, "--alphas", "1", "--search-bound=-5"], None, "--search-bound"),
     (["min-beta", *R2, "--alphas", "1"], {"search_bound": 0}, "--search-bound"),
+    (["eval", *R2, "--z", "1/7", "--bits=16384"], None, "--bits"),
+    (["eval", *R2, "--z", "1/7", "--bits=100000000"], None, "--bits"),
 ])
 def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -296,6 +328,114 @@ def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys)
     assert flag in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv: every command, valid flags mixed with bad values
+# ---------------------------------------------------------------------------
+
+_BAD = ("nan", "inf", "-5", "0", "x", "1/0", "")
+_HUGE = str(10**30)
+
+# Valid values keep each run cheap (n <= 2, windows within 4:7, bits <= 256,
+# search bounds <= 16).  Huge integers go only where they are rejected or
+# cost nothing: a huge a, b or n makes a valid but endless run.
+_SPECS = (("1/3,1/4", "1/2"), ("1/3", ""), ("1/5,2/7", "1/2"))
+_VALID = {
+    "--c0": ("1", "2/3"),
+    "--alphas": ("1", "1,2"),
+    "--n": ("1", "2"),
+    "--truncation": ("8",),
+    "--beta": ("1000000", "10"),
+    "--place": ("inf", "5"),
+    "--epsilon": ("0.1",),
+    "--bits": ("64", "256"),
+    "--z": ("1/7", "-1/3"),
+    "--n-range": ("4:7",),
+    "--search-bound": ("5", "16"),
+    "--seed": ("0",),
+    "--format": ("json", "text", "csv"),
+}
+_ODD = {
+    "--c0": (_HUGE,),
+    "--alphas": (_HUGE, "1,1"),
+    "--n": ("-" + _HUGE,),
+    "--truncation": ("-" + _HUGE,),
+    "--beta": (_HUGE, "1/2"),
+    "--place": ("4", "p", _HUGE),
+    "--epsilon": ("1e400", _HUGE),
+    "--bits": ("16384", _HUGE),
+    "--z": ("1", _HUGE),
+    "--n-range": ("7:4", "0:7", "4:5", _HUGE),
+    "--search-bound": ("-" + _HUGE,),
+    "--seed": (_HUGE,),
+    "--format": ("yaml",),
+    "--level": ("full",),
+    "--system": ("no-such-system.json",),
+}
+_SPEC = ("--a", "--b", "--c0")
+_FLAGS = {
+    "build": (*_SPEC, "--alphas", "--n", "--truncation"),
+    "verify": (*_SPEC, "--alphas", "--n", "--truncation", "--system"),
+    "wronskian": (*_SPEC, "--alphas", "--n"),
+    "criterion": (*_SPEC, "--alphas", "--beta", "--place", "--epsilon", "--n-range"),
+    "min-beta": (*_SPEC, "--alphas", "--place", "--search-bound", "--n-range"),
+    "eval": (*_SPEC, "--z", "--bits"),
+    "suite": ("--level",),
+}
+# given a valid value unless drawn bad: without them a run stops at once,
+# or (--n-range) falls back to an expensive default window
+_NEEDED = ("--a", "--b", "--alphas", "--n", "--z", "--n-range", "--search-bound")
+
+
+def _exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_each_bad_value_exits_cleanly(command):
+    # every bad value of every flag, the other flags at a cheap valid value
+    # (r = 1); a valid --level would run the whole suite, so it stays bad
+    flags = (*_FLAGS[command], "--format", "--seed")
+    base = {"--a": "1/3", "--b": "", "--level": "full"}
+    base.update((flag, values[0]) for flag, values in _VALID.items())
+    base = {flag: base[flag] for flag in flags if flag in base}
+    for flag in flags:
+        for value in _BAD + _ODD.get(flag, ()):
+            argv = {**base, flag: value}
+            _exits_cleanly([command, *(f"{f}={v}" for f, v in argv.items())])
+
+
+@st.composite
+def _argvs(draw):
+    """One command with at most two flags given bad values; the others get
+    a valid value or are left out.  --level is always bad, since a valid
+    level runs the whole suite."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = (*_FLAGS[command], "--format", "--seed")
+    bad = draw(st.sets(st.sampled_from(flags), max_size=2))
+    a, b = draw(st.sampled_from(_SPECS))
+    valid = {**_VALID, "--a": (a,), "--b": (b,), "--level": (), "--system": ()}
+    argv = [command]
+    for flag in flags:
+        if flag in bad or flag == "--level":
+            value = draw(st.sampled_from(_BAD + _ODD.get(flag, ())))
+        elif valid[flag] and (flag in _NEEDED or draw(st.booleans())):
+            value = draw(st.sampled_from(valid[flag]))
+        else:
+            continue
+        argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(_argvs())
+def test_fuzzed_argv_never_tracebacks(argv):
+    _exits_cleanly(argv)
 
 
 # ---------------------------------------------------------------------------

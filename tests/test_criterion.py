@@ -14,6 +14,7 @@ import pytest
 from hgpade.arith import Place
 from hgpade.criterion import (
     HeightData,
+    Instance,
     criterion_V,
     finite_place_budget,
     fit_rate,
@@ -163,7 +164,7 @@ def test_stirling_growth_const_frozen():
 
 
 def test_criterion_v_small_window_frozen(spec_r2):
-    v = criterion_V(spec_r2, (Fraction(1),), Fraction(10), Place(), n_range=SMALL_WINDOW)
+    v = criterion_V(Instance(spec_r2, (Fraction(1),), SMALL_WINDOW), Fraction(10), Place())
     assert v == pytest.approx(0.9244315080059713, rel=1e-9)
 
 
@@ -176,7 +177,8 @@ def test_criterion_v_small_window_frozen(spec_r2):
 def canonical_measure(spec_r2):
     # alpha=1, beta=10^6 at the archimedean place: comfortably inside the
     # certified region, so every route in the report is populated
-    return measure(spec_r2, (Fraction(1),), Fraction(10**6), Place(), epsilon=0.1)
+    inst = Instance(spec_r2, (Fraction(1),), range(4, 17))
+    return measure(inst, Fraction(10**6), Place(), epsilon=0.1)
 
 
 def test_measure_frozen_empirical_rates(canonical_measure):
@@ -265,36 +267,37 @@ def test_measure_report_jsonable(canonical_measure):
 def test_measure_rejects_beta_too_small(spec_r2):
     # at beta=2 the approximations grow faster than they decay: V < 0
     with pytest.raises(CriterionNotSatisfied, match="beta=2"):
-        measure(spec_r2, (Fraction(1),), Fraction(2), Place(),
-                epsilon=0.01, n_range=SMALL_WINDOW)
+        measure(Instance(spec_r2, (Fraction(1),), SMALL_WINDOW), Fraction(2),
+                Place(), epsilon=0.01)
 
 
 def test_measure_rejects_epsilon_eating_the_margin(spec_r2):
     # V ~ 0.92 at beta=10 on the small window, so epsilon=1 kills it
     with pytest.raises(CriterionNotSatisfied):
-        measure(spec_r2, (Fraction(1),), Fraction(10), Place(),
-                epsilon=1.0, n_range=SMALL_WINDOW)
+        measure(Instance(spec_r2, (Fraction(1),), SMALL_WINDOW), Fraction(10),
+                Place(), epsilon=1.0)
 
 
 def test_measure_marginal_instance_is_inconclusive_not_certified(spec_r2):
     # beta=10: empirically positive (V ~ 0.92) but far below the worst-case
     # budget, so the run must refuse to certify rather than pick a winner
     with pytest.raises(InconclusiveComparison, match="budget route"):
-        measure(spec_r2, (Fraction(1),), Fraction(10), Place(),
-                epsilon=0.01, n_range=SMALL_WINDOW)
+        measure(Instance(spec_r2, (Fraction(1),), SMALL_WINDOW), Fraction(10),
+                Place(), epsilon=0.01)
 
 
 def test_measure_p_adic_uncertified_instance(spec_r2):
     # 5-adically small target: alpha=25, beta=3 at v0=5 is not certified
     with pytest.raises(CriterionNotSatisfied):
-        measure(spec_r2, (Fraction(25),), Fraction(3), Place(5),
-                epsilon=0.01, n_range=SMALL_WINDOW)
+        measure(Instance(spec_r2, (Fraction(25),), SMALL_WINDOW), Fraction(3),
+                Place(5), epsilon=0.01)
 
 
 def test_measure_checks_spec_hypotheses_first():
     bad = HypergeometricSpec.from_ab((Fraction(2), Fraction(1, 4)), (Fraction(1, 2),))
     with pytest.raises(HypothesisViolation):
-        measure(bad, (Fraction(1),), Fraction(10**6), Place(), epsilon=0.1)
+        measure(Instance(bad, (Fraction(1),), range(4, 17)), Fraction(10**6),
+                Place(), epsilon=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +306,12 @@ def test_measure_checks_spec_hypotheses_first():
 
 
 def test_min_beta_small_window(spec_r2):
-    mb = min_beta(spec_r2, (Fraction(1),), Place(), 64, n_range=SMALL_WINDOW)
+    inst = Instance(spec_r2, (Fraction(1),), SMALL_WINDOW)
+    mb = min_beta(inst, Place(), 64)
     assert mb == 5
     # bracketing: V flips sign exactly at the reported threshold
-    v_at = criterion_V(spec_r2, (Fraction(1),), Fraction(5), Place(), n_range=SMALL_WINDOW)
-    v_below = criterion_V(spec_r2, (Fraction(1),), Fraction(4), Place(), n_range=SMALL_WINDOW)
+    v_at = criterion_V(inst, Fraction(5), Place())
+    v_below = criterion_V(inst, Fraction(4), Place())
     assert v_at == pytest.approx(0.02518398663377175, rel=1e-9)
     assert v_below == pytest.approx(-0.29439711685130376, rel=1e-9)
     assert v_at > 0 > v_below
@@ -315,19 +319,20 @@ def test_min_beta_small_window(spec_r2):
 
 def test_min_beta_canonical_window(spec_r2):
     # default fitting window, the value quoted in the docs
-    assert min_beta(spec_r2, (Fraction(1),), Place(), 1024) == 10
+    assert min_beta(Instance(spec_r2, (Fraction(1),), range(4, 13)), Place(), 1024) == 10
 
 
 def test_min_beta_none_when_bound_too_small(spec_r2):
     # the search floor is int(max |alpha|) + 1 = 2
-    assert min_beta(spec_r2, (Fraction(1),), Place(), 1, n_range=SMALL_WINDOW) is None
+    inst = Instance(spec_r2, (Fraction(1),), SMALL_WINDOW)
+    assert min_beta(inst, Place(), 1) is None
     # V(2) < 0, so a bound of 2 leaves nothing certified either
-    assert min_beta(spec_r2, (Fraction(1),), Place(), 2, n_range=SMALL_WINDOW) is None
+    assert min_beta(inst, Place(), 2) is None
 
 
 def test_min_beta_is_archimedean_only(spec_r2):
     with pytest.raises(InvalidInput, match="archimedean"):
-        min_beta(spec_r2, (Fraction(25),), Place(5), 100)
+        min_beta(Instance(spec_r2, (Fraction(25),), range(4, 13)), Place(5), 100)
 
 
 # ---------------------------------------------------------------------------
