@@ -128,16 +128,7 @@ def totient(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer / denominators / mu
-
-
-def pochhammer(a: Fraction, k: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+k-1); empty product = 1."""
-    a = Fraction(a)
-    out = Fraction(1)
-    for j in range(k):
-        out *= a + j
-    return out
+# denominators / mu
 
 
 def den_of_set(values) -> int:

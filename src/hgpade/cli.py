@@ -36,6 +36,12 @@ COMMANDS = ("build", "verify", "wronskian", "criterion", "min-beta", "eval", "su
 # Python's int-to-str digit limit
 MAX_BITS = 8192
 
+# the series and remainder sums start their stop tests only past the largest
+# |parameter| and budget their steps from there, so the work grows with the
+# parameters' size: at numerators near 10^3 a `criterion` run takes seconds,
+# near 10^4 it did not end within 100 s (2-core Xeon)
+MAX_PARAM_HEIGHT = 1000
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -82,6 +88,17 @@ def _rational_list(flag: str, text: str) -> tuple:
     if not text:
         return ()
     return tuple(_named(flag, part, parse_rational) for part in text.split(","))
+
+
+def _parameters(flag: str, text: str) -> tuple:
+    values = _rational_list(flag, text)
+    for x in values:
+        if max(abs(x.numerator), x.denominator) > MAX_PARAM_HEIGHT:
+            raise InvalidInput(
+                f"{flag}: numerator and denominator must be at most "
+                f"{MAX_PARAM_HEIGHT} in absolute value, got {format_rational(x)}"
+            )
+    return values
 
 
 def _parse_n_range(flag: str, text: str) -> range:
@@ -203,10 +220,10 @@ def config_from_args(argv) -> RunConfig:
 
     a = pick("a")
     if a is not None:
-        cfg.a = _rational_list("--a", str(a))
+        cfg.a = _parameters("--a", str(a))
     b = pick("b")
     if b is not None:
-        cfg.b = _rational_list("--b", str(b))
+        cfg.b = _parameters("--b", str(b))
     c0 = pick("c0")
     if c0 is not None:
         cfg.c0 = _named("--c0", str(c0), parse_rational)

@@ -251,6 +251,10 @@ def _log_abs_R_arch(system, ell, i, s, beta, cache) -> float:
 def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     """Exact p-adic valuation of R_{ell,i,s}(beta).
 
+    Term k of R(beta) is psi_{i,s}(t^k P_ell) / beta^{k+1}: the window's
+    coefficient of 1/z^{k+1} while k + 1 < truncation, a `correlate` output
+    past it.
+
     Partial sums are exact rationals; the loop stops once every later term
     provably has larger valuation, which pins the valuation of the full sum
     (ultrametric). The per-term lower bound tracks the recurrence: each step
@@ -300,17 +304,18 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     ) + D
 
     S = Fraction(0)
-    ext = []  # psi_{i,s}(t^k P_ell) from k = truncation on, in doubling batches
+    kfirst = tail.truncation - 1  # first psi index k not covered by the window
+    ext = []  # psi_{i,s}(t^k P_ell) from k = kfirst on, in doubling batches
     k = system.n
     while True:
-        if k < tail.truncation:
-            coeff = tail.coeff(k)
+        if k < kfirst:
+            coeff = tail.coeff(k + 1)
         else:
-            j = k - tail.truncation
+            j = k - kfirst
             if j >= len(ext):
-                stop = tail.truncation + max(j + 1, 2 * len(ext), 8)
+                stop = kfirst + max(j + 1, 2 * len(ext), 8)
                 w = psi_weights(spec, alpha, s, stop - 1 + D)
-                ext.extend(correlate(Pl, w, tail.truncation + len(ext), stop))
+                ext.extend(correlate(Pl, w, kfirst + len(ext), stop))
             coeff = ext[j]
         S += coeff / beta ** (k + 1)
         if S != 0 and k >= k_star and lowbound(k + 1) > v_p(S, p):

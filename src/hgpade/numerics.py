@@ -41,24 +41,6 @@ class BigFloat:
         if self.error < 0:
             raise InvalidInput("error bound must be nonnegative")
 
-    def cmp(self, other) -> int:
-        """-1, 0, +1 against a rational or another BigFloat; raises when the
-        certified intervals overlap without coinciding."""
-        if isinstance(other, BigFloat):
-            lo = (other.value - other.error, other.value + other.error)
-        else:
-            other = Fraction(other)
-            lo = (other, other)
-        if self.value + self.error < lo[0]:
-            return -1
-        if self.value - self.error > lo[1]:
-            return 1
-        if self.error == 0 and lo[0] == lo[1] == self.value:
-            return 0
-        raise InsufficientPrecision(
-            "certified intervals overlap; increase bits to compare"
-        )
-
     def agrees_with(self, other: "BigFloat") -> bool:
         """True iff the certified intervals intersect."""
         return abs(self.value - other.value) <= self.error + other.error

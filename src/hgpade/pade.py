@@ -7,18 +7,20 @@ build the polynomials
     P_{ell,i,s}(z) of degree <= r*m*n + ell,
 
 such that R_{ell,i,s}(z) = P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z) has order
-at least n+1 at infinity.  P_ell comes from one closed formula (a diagonal
-operator chain applied to t^ell prod (t-alpha_i)^{rn}); P_{ell,i,s} is the
-psi_{i,s}-image of the divided difference (P_ell(z)-P_ell(t))/(z-t).
+at least n+1 at infinity.  Every P_ell comes from one closed formula: the
+coefficients of prod (t-alpha_i)^{rn}, shifted up by ell, times one
+hypergeometric multiplier table M(k) shared by every ell (see `_P_family`);
+P_{ell,i,s} is the psi_{i,s}-image of the divided difference
+(P_ell(z)-P_ell(t))/(z-t).
 
 The remainder admits two independent computations (the coefficient formula
 psi_{i,s}(t^k P_ell) and the literal series product); both are kept and
 compared.  The functional side -- P_{ell,i,s} and the coefficient formula --
-reads one psi_{i,s} weight table per (i, s), shared by every ell, through the
-integer-scaled kernel `polyops.correlate`; the product route multiplies the
-series of F_s out with its own Fraction loops and shares no code with it.  A
-generic exact null-space solver provides a third, construction-free oracle
-for the same approximation problem.
+reads the psi_{i,s} weight table of (alpha_i, s), shared by every ell and
+kept on the spec, through the integer-scaled kernel `polyops.correlate`; the
+product route multiplies the series of F_s out with its own Fraction loops
+and shares no code with it.  A generic exact null-space solver provides a
+third, construction-free oracle for the same approximation problem.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .polyops import (
     HypergeometricSpec,
     LaurentTail,
     Poly,
-    apply_H_theta,
-    T_c,
     correlate,
     expand_F_s,
     poly_deg,
@@ -43,6 +43,7 @@ from .polyops import (
     poly_shift_up,
     poly_trim,
     psi_weights,
+    term_table,
 )
 
 
@@ -72,6 +73,35 @@ def poly_pow_linear(c: Fraction, e: int) -> Poly:
     return out
 
 
+def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
+    """[P_0, ..., P_top] of weight n, exact; P_ell has degree r*m*n + ell.
+
+    The paper's formula is
+        P_ell = T_c^{-1} prod_{j=1}^{n-1} B(theta+j) [t^ell prod_i (t-alpha_i)^{rn}]
+                / ((n-1)!)^r,
+    with T_c^{-1} t^k = t^k / c_k (`suite.T_c`, "forward").  Every operator
+    in it is diagonal on monomials, so with base_0 = prod_i (t-alpha_i)^{rn},
+        P_ell[k] = base_0[k-ell] * M(k),
+        M(k) = prod_{j=1}^{n-1} B(k+j) / (c_k ((n-1)!)^r).
+    By c_{k+1}/c_k = A(k)/B(k+1) the multiplier is a hypergeometric term:
+        M(0) = prod_{j=1}^{n-1} B(j) / (c_0 ((n-1)!)^r),
+        M(k+1)/M(k) = B(k+n)/A(k),
+    which (AB) keeps finite and nonzero.  One M table serves every ell.
+    """
+    alphas = [Fraction(a) for a in alphas]
+    r = spec.r
+    base = base_polynomial(alphas, r * n, 0)
+    M0 = math.prod((spec.B_at(j) for j in range(1, n)), start=Fraction(1)) / (
+        spec.c0 * math.factorial(n - 1) ** r
+    )
+    M = [M0] + term_table(M0, 0, len(base) - 1 + top, 1,
+                          [z + n for z in spec.zeta], spec.eta)
+    return [
+        [Fraction(0)] * ell + [b * M[k + ell] for k, b in enumerate(base)]
+        for ell in range(top + 1)
+    ]
+
+
 def build_P(spec: HypergeometricSpec, alphas, n: int, ell: int) -> Poly:
     """The ell-th polynomial of the system, exact, degree r*m*n + ell."""
     alphas = [Fraction(a) for a in alphas]
@@ -81,13 +111,7 @@ def build_P(spec: HypergeometricSpec, alphas, n: int, ell: int) -> Poly:
     if not (0 <= ell <= r * m):
         raise InvalidInput(f"ell out of range: {ell}")
     _check_alphas(alphas)
-    g = base_polynomial(alphas, r * n, ell)
-    B = spec.B_poly()
-    for j in range(1, n):
-        g = apply_H_theta(B, g, shift=j)
-    g = T_c(spec, g, "forward")
-    scale = Fraction(1, math.factorial(n - 1) ** r)
-    return poly_trim([scale * c for c in g])
+    return _P_family(spec, alphas, n, ell)[ell]
 
 
 def divided_difference_image(P: Poly, weights) -> Poly:
@@ -207,20 +231,21 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
                  truncation: int = None, cross_check: bool = True) -> PadeSystem:
     """Build every P_ell, P_{ell,i,s} and remainder tail for the instance.
 
-    P_{ell,i,s} and the remainder come from one psi_{i,s} weight table per
-    (i, s), long enough for the highest P_ell and dropped when the build
-    ends.  When cross_check is set (the default), every remainder is
-    re-computed from the literal series product; any disagreement is a
-    theory violation, not a warning.
+    All P_ell come from one multiplier table (`_P_family`); P_{ell,i,s} and
+    the remainder read the psi_{i,s} weight table of (alpha_i, s), shared
+    with every later caller through the spec.  When cross_check is set (the
+    default), every remainder is re-computed from the literal series
+    product; any disagreement is a theory violation, not a warning.
     """
     alphas = [Fraction(a) for a in alphas]
     _check_alphas(alphas)
     r, m = spec.r, len(alphas)
     if truncation is None:
         truncation = default_truncation(r, m, n)
+    if n < 1:
+        raise InvalidInput("need n >= 1")
     system = PadeSystem(spec=spec, alphas=alphas, n=n, truncation=truncation)
-    for ell in range(r * m + 1):
-        system.P[ell] = build_P(spec, alphas, n, ell)
+    system.P = dict(enumerate(_P_family(spec, alphas, n, r * m)))
     upto = truncation - 2 + len(system.P[r * m]) - 1
     weights = {
         (i, s): psi_weights(spec, alphas[i - 1], s, upto)

@@ -1,15 +1,18 @@
-"""The exact operator algebra: polynomials over Q, the Euler operator
-theta = t d/dt, diagonal operators (T_c, S_{n,zeta}, H(theta+shift) and
-inverses), the evaluation functionals psi_{i,s} / phi_{zeta,s}, truncated
-Laurent tails in 1/z with exact order bookkeeping, and the instance data
-(parameter vectors, derived roots, seed coefficient, hypothesis flags).
+"""The exact kernel: polynomials over Q, hypergeometric term tables, the
+evaluation functionals psi_{i,s} / phi_{zeta,s}, truncated Laurent tails in
+1/z with exact order bookkeeping, and the instance data (parameter vectors,
+derived roots, seed coefficient, hypothesis flags).
 
 Polynomials are plain coefficient lists (Fraction, low degree first, trailing
 zeros stripped); the zero polynomial is [] with degree -inf.
 
-Every value psi_{i,s}(t^k p) is a correlation of p against the one weight
-table of (i, s); `correlate` computes a run of them over integers scaled to
-the common denominators, one Fraction per output.
+Every exact weight table here -- c_k, the psi_{i,s} weights, the
+zeta-prefix weights, and the coefficient multipliers of P_ell in `pade` -- is
+a hypergeometric term t_{k+1}/t_k = x prod(k+u)/prod(k+d), stepped by one
+routine, `term_table`.  Every value psi_{i,s}(t^k p) is a correlation of p
+against the one weight table of (alpha_i, s), kept append-only on the spec;
+`correlate` computes a run of them over integers scaled to the common
+denominators, one Fraction per output.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .errors import (
     HypothesisViolation,
     InsufficientPrecision,
     InvalidInput,
-    SingularEigenvalue,
 )
 
 Poly = list  # list[Fraction], low degree first
@@ -68,13 +70,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return poly_trim(out)
 
 
-def poly_pow(p: Poly, e: int) -> Poly:
-    out = [Fraction(1)]
-    for _ in range(e):
-        out = poly_mul(out, p)
-    return out
-
-
 def poly_eval(p: Poly, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
@@ -93,22 +88,6 @@ def poly_from_roots(roots) -> Poly:
     for rt in roots:
         out = poly_mul(out, [Fraction(rt), Fraction(1)])
     return out
-
-
-def poly_divexact_linear(p: Poly, alpha: Fraction) -> Poly:
-    """Exact division by (t - alpha); raises if the remainder is nonzero."""
-    if not p:
-        return []
-    alpha = Fraction(alpha)
-    n = len(p) - 1
-    q = [Fraction(0)] * n
-    carry = p[n]
-    for i in range(n - 1, -1, -1):
-        q[i] = carry
-        carry = p[i] + alpha * carry
-    if carry != 0:
-        raise InvalidInput("polynomial not divisible by (t - alpha)")
-    return poly_trim(q)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +226,8 @@ class HypergeometricSpec:
     eta: tuple = ()
     zeta: tuple = ()
     _c_cache: list = field(default_factory=list, repr=False, compare=False)
+    # (alpha, s) -> psi_{i,s} weights from k = 0, append-only (`psi_weights`)
+    _psi_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- constructors
 
@@ -328,9 +309,9 @@ class HypergeometricSpec:
         cache = self._c_cache
         if not cache:
             cache.append(self.c0)
-        while len(cache) <= k:
-            j = len(cache) - 1
-            cache.append(cache[-1] * self.A_at(j) / self.B_at(j + 1))
+        if len(cache) <= k:
+            cache.extend(term_table(cache[-1], len(cache) - 1, k + 1 - len(cache),
+                                    1, self.eta, [z + 1 for z in self.zeta]))
         return cache[k]
 
     # -- hypothesis flags (gate certification, not construction)
@@ -392,87 +373,52 @@ class HypergeometricSpec:
 
 
 # ---------------------------------------------------------------------------
-# diagonal operators
-
-
-@dataclass
-class DiagonalOperator:
-    """An endomorphism of Q[t] acting diagonally on monomials:
-    t^k -> eigenvalue(k) * t^k."""
-
-    eigenvalue: object  # callable k -> Fraction
-    description: str = ""
-
-    def apply(self, p: Poly) -> Poly:
-        return poly_trim([c * self.eigenvalue(k) for k, c in enumerate(p)])
-
-    def apply_inverse(self, p: Poly) -> Poly:
-        out = []
-        for k, c in enumerate(p):
-            lam = self.eigenvalue(k)
-            if lam == 0:
-                if c != 0:
-                    raise SingularEigenvalue(
-                        f"singular eigenvalue at degree {k} for {self.description or 'operator'}"
-                    )
-                out.append(Fraction(0))
-            else:
-                out.append(c / lam)
-        return poly_trim(out)
-
-
-def apply_H_theta(H: Poly, p: Poly, shift: Fraction = Fraction(0)) -> Poly:
-    """H(theta_t + shift): multiply the t^k coefficient by H(k + shift)."""
-    shift = Fraction(shift)
-    return poly_trim([c * poly_eval(H, k + shift) for k, c in enumerate(p)])
-
-
-def apply_H_theta_inverse(H: Poly, p: Poly, shift: Fraction = Fraction(0)) -> Poly:
-    """Coefficientwise division by H(k + shift); exact or loudly singular."""
-    shift = Fraction(shift)
-    op = DiagonalOperator(lambda k: poly_eval(H, k + shift), f"H(theta+{shift})")
-    return op.apply_inverse(p)
-
-
-def T_c(spec: HypergeometricSpec, p: Poly, direction: str = "forward") -> Poly:
-    """T_c: t^k -> t^k / c_k ('forward'); 'inverse' multiplies by c_k."""
-    if direction == "forward":
-        return poly_trim([c / spec.c(k) for k, c in enumerate(p)])
-    if direction == "inverse":
-        return poly_trim([c * spec.c(k) for k, c in enumerate(p)])
-    raise InvalidInput(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-def S_n_zeta(n: int, zeta: Fraction) -> DiagonalOperator:
-    """S_{n,zeta}: t^k -> ((k+zeta+1)_n / n!) t^k."""
-    zeta = Fraction(zeta)
-    fact = math.factorial(n)
-
-    def eig(k, _z=zeta, _n=n, _f=fact):
-        out = Fraction(1)
-        for j in range(_n):
-            out *= k + _z + 1 + j
-        return out / _f
-
-    return DiagonalOperator(eig, f"S_{n},{zeta}")
-
-
-# ---------------------------------------------------------------------------
 # evaluation functionals
 
 
-def psi_weights(spec: HypergeometricSpec, i_alpha: Fraction, s: int, upto: int) -> list:
-    """Values psi_{i,s}(t^k) = (k+gamma_1)...(k+gamma_s) c_k alpha^{k+1}, k <= upto."""
-    gam = spec.gamma[:s]
+def term_table(t: Fraction, k: int, count: int, x, upper, lower) -> list:
+    """[t_{k+1}, ..., t_{k+count}] of the hypergeometric term with t_k = t and
+    t_{j+1}/t_j = x * prod_u (j + u) / prod_d (j + d), exact.
+
+    Each factor j + p/q enters as the small integer q*j + p, its q folded
+    into one constant, so a step is one product of t with a small reduced
+    ratio (Fraction multiplication cancels across, big-by-small gcds only).
+    """
+    x = Fraction(x)
+    upper = [Fraction(u) for u in upper]
+    lower = [Fraction(d) for d in lower]
+    num0 = x.numerator * math.prod(d.denominator for d in lower)
+    den0 = x.denominator * math.prod(u.denominator for u in upper)
     out = []
-    apow = Fraction(i_alpha)
-    for k in range(upto + 1):
-        w = Fraction(1)
-        for g in gam:
-            w *= k + g
-        out.append(w * spec.c(k) * apow)
-        apow *= i_alpha
+    for j in range(k, k + count):
+        t *= Fraction(
+            num0 * math.prod(u.denominator * j + u.numerator for u in upper),
+            den0 * math.prod(d.denominator * j + d.numerator for d in lower),
+        )
+        out.append(t)
     return out
+
+
+def psi_weights(spec: HypergeometricSpec, i_alpha: Fraction, s: int, upto: int) -> list:
+    """Values psi_{i,s}(t^k) = (k+gamma_1)...(k+gamma_s) c_k alpha^{k+1}, k <= upto.
+
+    The weights are one hypergeometric term in k, kept in one append-only
+    table per (alpha, s) on the spec and grown on demand.  The caller gets a
+    fresh list of exactly upto + 1 entries: `correlate` reads entries past
+    the end of its table as zero, so a longer list would change its results.
+    """
+    alpha = Fraction(i_alpha)
+    gam = spec.gamma[:s]
+    table = spec._psi_tables.setdefault((alpha, s), [])
+    if not table:
+        table.append(math.prod(gam, start=Fraction(1)) * spec.c0 * alpha)
+    if len(table) <= upto:
+        table.extend(term_table(
+            table[-1], len(table) - 1, upto + 1 - len(table), alpha,
+            spec.eta + tuple(g + 1 for g in gam),
+            tuple(z + 1 for z in spec.zeta) + gam,
+        ))
+    return table[:upto + 1]
 
 
 def correlate(p: list, w: list, k0: int, k1: int) -> list:
@@ -527,16 +473,9 @@ def zeta_prefix_weights(spec: HypergeometricSpec, alpha: Fraction, s: int, upto:
     This is the normalized evaluation functional obtained from psi_{i,s} by
     stripping T_c and one alpha factor; the non-vanishing chain is built on it.
     """
-    alpha = Fraction(alpha)
-    out = []
-    apow = Fraction(1)
-    for k in range(upto + 1):
-        den = Fraction(1)
-        for zj in spec.zeta[: s + 1]:
-            den *= k + zj
-        out.append(apow / den)
-        apow *= alpha
-    return out
+    zs = spec.zeta[: s + 1]
+    t0 = 1 / math.prod(zs, start=Fraction(1))
+    return [t0] + term_table(t0, 0, upto, alpha, zs, [z + 1 for z in zs])
 
 
 # ---------------------------------------------------------------------------

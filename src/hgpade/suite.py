@@ -17,18 +17,16 @@ from fractions import Fraction
 
 from .arith import D_n_profile, Place, format_rational, log_mu, totient
 from .criterion import Instance, criterion_V, decay_fit_R, measure, min_beta
-from .errors import InvalidInput
+from .errors import InvalidInput, SingularEigenvalue
 from .numerics import _f_closed, _f_direct, check_remainder_identity
 from .pade import build_system, membership_in_nullspace, solve_pade_nullspace, verify_system
 from .polyops import (
     HypergeometricSpec,
     LaurentTail,
-    T_c,
-    apply_H_theta,
-    apply_H_theta_inverse,
     poly_deg,
     poly_eval,
     poly_shift_up,
+    poly_trim,
     psi,
     psi_weights,
 )
@@ -367,6 +365,42 @@ def check_denominator_growth(shared=None, seed=SUITE_SEED) -> CheckResult:
 
 def _monomial(m: int) -> list:
     return [Fraction(0)] * m + [Fraction(1)]
+
+
+# The diagonal operators of the paper's construction, kept for the identity
+# check below; `pade` builds P_ell from their closed form instead.
+
+
+def apply_H_theta(H, p, shift: Fraction = Fraction(0)) -> list:
+    """H(theta_t + shift): multiply the t^k coefficient by H(k + shift)."""
+    shift = Fraction(shift)
+    return poly_trim([c * poly_eval(H, k + shift) for k, c in enumerate(p)])
+
+
+def apply_H_theta_inverse(H, p, shift: Fraction = Fraction(0)) -> list:
+    """Coefficientwise division by H(k + shift); exact or loudly singular."""
+    shift = Fraction(shift)
+    out = []
+    for k, c in enumerate(p):
+        lam = poly_eval(H, k + shift)
+        if lam == 0:
+            if c != 0:
+                raise SingularEigenvalue(
+                    f"singular eigenvalue at degree {k} for H(theta+{shift})"
+                )
+            out.append(Fraction(0))
+        else:
+            out.append(c / lam)
+    return poly_trim(out)
+
+
+def T_c(spec: HypergeometricSpec, p, direction: str = "forward") -> list:
+    """T_c: t^k -> t^k / c_k ('forward'); 'inverse' multiplies by c_k."""
+    if direction == "forward":
+        return poly_trim([c / spec.c(k) for k, c in enumerate(p)])
+    if direction == "inverse":
+        return poly_trim([c * spec.c(k) for k, c in enumerate(p)])
+    raise InvalidInput(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 def check_operator_identities(shared=None, seed=SUITE_SEED) -> CheckResult:

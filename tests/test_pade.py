@@ -1,10 +1,13 @@
 """System construction, invariant checking, and the construction-free oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hgpade.errors import InvalidInput
+from hgpade.errors import HypothesisViolation, InvalidInput
 from hgpade.pade import (
     PadeSystem,
     build_P,
@@ -16,7 +19,16 @@ from hgpade.pade import (
     solve_pade_nullspace,
     verify_system,
 )
-from hgpade.polyops import LaurentTail, expand_F_s, poly_deg, poly_mul, poly_trim, psi_weights
+from hgpade.polyops import (
+    HypergeometricSpec,
+    LaurentTail,
+    expand_F_s,
+    poly_deg,
+    poly_eval,
+    poly_mul,
+    poly_trim,
+    psi_weights,
+)
 
 F = Fraction
 
@@ -60,6 +72,56 @@ def test_toy_input_validation(toy_spec):
         build_P(toy_spec, (F(0),), 1, 0)  # alpha = 0
     with pytest.raises(InvalidInput):
         build_P(toy_spec, (F(1), F(1)), 1, 0)  # repeated alphas
+
+
+# ---------------------------------------------------------------------------
+# the multiplier table against the operator chain it replaces
+
+
+def _operator_chain_P(spec, alphas, n, ell):
+    """P_ell as the paper's operator chain: B(theta+j) for j = 1..n-1, one
+    Fraction polynomial evaluation per coefficient, on t^ell prod (t-alpha)^{rn},
+    then division by c_k (by its own recurrence) and by ((n-1)!)^r."""
+    g = [F(1)]
+    for al in alphas:
+        for _ in range(spec.r * n):
+            g = poly_mul(g, [-F(al), F(1)])
+    g = [F(0)] * ell + g
+    B = spec.B_poly()
+    for j in range(1, n):
+        g = [c * poly_eval(B, k + j) for k, c in enumerate(g)]
+    c = spec.c0
+    out = []
+    for k, x in enumerate(g):
+        out.append(x / c / math.factorial(n - 1) ** spec.r)
+        c = c * spec.A_at(F(k)) / spec.B_at(F(k + 1))
+    return poly_trim(out)
+
+
+_signed = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@st.composite
+def _instances(draw):
+    r = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=6))
+    a = draw(st.lists(_signed.filter(bool), min_size=r, max_size=r))
+    b = draw(st.lists(_signed.filter(bool), min_size=r - 1, max_size=r - 1))
+    alphas = draw(st.lists(_signed.filter(bool), min_size=m, max_size=m, unique=True))
+    return a, b, alphas, n
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(_instances())
+def test_build_P_equals_the_operator_chain(instance):
+    a, b, alphas, n = instance
+    try:
+        spec = HypergeometricSpec.from_ab(a, b)
+    except HypothesisViolation:
+        assume(False)  # (AB) fails: a non-positive integer root
+    for ell in range(spec.r * len(alphas) + 1):
+        assert build_P(spec, alphas, n, ell) == _operator_chain_P(spec, alphas, n, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Polynomial kernels, truncated tails, specs and the functional calculus."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,27 +11,22 @@ from hgpade.errors import InsufficientPrecision, InvalidInput, SingularEigenvalu
 from hgpade.polyops import (
     HypergeometricSpec,
     LaurentTail,
-    S_n_zeta,
-    T_c,
-    apply_H_theta,
-    apply_H_theta_inverse,
     correlate,
     expand_F_s,
     f_s_coefficient,
     phi_zeta_s,
     poly_add,
     poly_deg,
-    poly_divexact_linear,
     poly_eval,
     poly_from_roots,
     poly_mul,
-    poly_pow,
     poly_shift_up,
     poly_trim,
     psi,
     psi_weights,
     zeta_prefix_weights,
 )
+from hgpade.suite import T_c, apply_H_theta, apply_H_theta_inverse
 
 F = Fraction
 
@@ -40,6 +36,32 @@ polys = st.lists(small_rationals, min_size=0, max_size=7)
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers
+
+
+def poly_pow(p, e: int):
+    """p^e by repeated squaring."""
+    out, sq = [F(1)], list(p)
+    while e:
+        if e & 1:
+            out = poly_mul(out, sq)
+        sq = poly_mul(sq, sq)
+        e >>= 1
+    return out
+
+
+def poly_divexact_linear(p, alpha):
+    """Exact division by (t - alpha) (synthetic division); raises if the
+    remainder is nonzero."""
+    if not p:
+        return []
+    q = [F(0)] * (len(p) - 1)
+    carry = p[-1]
+    for i in range(len(p) - 2, -1, -1):
+        q[i] = carry
+        carry = p[i] + F(alpha) * carry
+    if carry != 0:
+        raise InvalidInput("polynomial not divisible by (t - alpha)")
+    return poly_trim(q)
 
 
 def test_poly_basics():
@@ -226,6 +248,40 @@ def test_T_c_inverts(spec_r2):
         T_c(spec_r2, p, direction="sideways")
 
 
+class DiagonalOperator:
+    """An endomorphism of Q[t] acting diagonally on monomials:
+    t^k -> eigenvalue(k) * t^k."""
+
+    def __init__(self, eigenvalue):
+        self.eigenvalue = eigenvalue
+
+    def apply(self, p):
+        return poly_trim([c * self.eigenvalue(k) for k, c in enumerate(p)])
+
+    def apply_inverse(self, p):
+        out = []
+        for k, c in enumerate(p):
+            lam = self.eigenvalue(k)
+            if lam == 0:
+                if c != 0:
+                    raise SingularEigenvalue(f"singular eigenvalue at degree {k}")
+                out.append(F(0))
+            else:
+                out.append(c / lam)
+        return poly_trim(out)
+
+
+def S_n_zeta(n: int, zeta) -> DiagonalOperator:
+    """S_{n,zeta}: t^k -> ((k+zeta+1)_n / n!) t^k."""
+    def eig(k):
+        out = F(1)
+        for j in range(n):
+            out *= k + F(zeta) + 1 + j
+        return out / math.factorial(n)
+
+    return DiagonalOperator(eig)
+
+
 def test_S_n_zeta_diagonal():
     op = S_n_zeta(2, F(1, 2))
     p = [F(1), F(1), F(1)]
@@ -287,6 +343,35 @@ def test_psi_evaluation_identity(p):
         assert psi(spec, alphas, i, 0, T_c(spec, p)) == alphas[i - 1] * poly_eval(
             p, alphas[i - 1]
         )
+
+
+def test_shared_psi_table_grows_out_of_order():
+    # a fresh spec: short, long, then short again, at two alpha
+    spec = HypergeometricSpec.from_ab((F(1, 3), F(-1, 4)), (F(1, 2),))
+
+    def naive(alpha, s, upto):
+        out, c = [], spec.c0
+        for k in range(upto + 1):
+            g = F(1)
+            for gam in spec.gamma[:s]:
+                g *= k + gam
+            out.append(g * c * alpha ** (k + 1))
+            c = c * spec.A_at(F(k)) / spec.B_at(F(k + 1))
+        return out
+
+    for alpha in (F(1), F(-2, 3)):
+        for s in (1, 0):
+            reached = -1
+            for upto in (3, 40, 3, 0, 41):
+                w = psi_weights(spec, alpha, s, upto)
+                assert w == naive(alpha, s, upto)
+                reached = max(reached, upto)
+                stored = spec._psi_tables[(alpha, s)]
+                assert w is not stored
+                assert len(stored) == reached + 1  # grown on demand, never cut
+                w[-1] = F(99)  # the caller's list is its own
+    assert psi_weights(spec, F(1), 1, 5) == naive(F(1), 1, 5)
+    assert len(spec._psi_tables) == 4  # one table per (alpha, s)
 
 
 def test_psi_weights_match_psi(spec_r2):
