@@ -8,7 +8,7 @@ the diagnostics the verdict rests on, then bisects for the smallest integer
 beta that still certifies and checks the finite places stay inside their
 worst-case budget.
 
-Takes ~10s: the full fit window builds weight-16 systems exactly.
+Takes about a second, building the systems of weight 4..16 exactly.
 
     python3 demos/irrationality_sweep.py
 """

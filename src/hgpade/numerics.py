@@ -11,7 +11,9 @@ Both series routes (`eval_pFq` and the direct sum of F_s) run on one kernel,
 `_sum_series`: the partial sum is kept on unreduced integers over the running
 denominator of the term, and the stopping test is decided exactly on those
 integers, so the certified value and bound are the same reduced rationals a
-term-by-term Fraction sum would give, at the same stopping index.
+term-by-term Fraction sum would give, at the same stopping index.  The
+remainder values R(beta) of `remainder_value` are summed the same way, over
+one running denominator L * p^e for beta = p/q.
 """
 
 from __future__ import annotations
@@ -271,6 +273,16 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
     coeff_cache, when given, keeps both sequences, as two lists indexed from
     the first k past the window, under (ell, i, s) for reuse across beta and
     bits; a batch only appends, so a cached entry equals a fresh one.
+
+    As in `_sum_series`, the sum stays on unreduced integers.  With
+    beta = p/q (p > 0, the sign on q), the sum through the 1/z^e term is
+    N / (L p^e), L a common denominator of its coefficients.  The window is
+    summed by Horner over the lcm of its denominators; each coefficient a/b
+    past it enters as N <- N (b/g) p + a (L/g) q^{e+1}, L <- L b/g, with
+    g = gcd(L, b).  The stop test bound > 2^-bits max(|S|, 2^-bits) is
+    decided exactly on integers (p^e cancels from the |S| side), so the
+    value, the bound and the stop index are those of the term-by-term
+    Fraction sum.
     """
     beta = Fraction(beta)
     spec = system.spec
@@ -279,11 +291,6 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
         raise DivergentSeries("need |alpha/beta| < 1")
     tail = system.R[(ell, i, s)]
     P = system.P[ell]
-    value = sum(
-        (tail.coefficients[idx] / beta ** (tail.order + idx)
-         for idx in range(len(tail.coefficients))),
-        Fraction(0),
-    )
     gmax = max([_abs(g) for g in spec.gamma[:s]], default=Fraction(0))
     consts = [_abs(x) for x in spec.eta] + [_abs(1 + z) for z in spec.zeta] + [gmax]
     kfirst = tail.truncation - 1  # first psi index k not covered by the window
@@ -299,7 +306,6 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
             "tail ratio bound not contracting; enlarge the truncation window"
         )
     geom = 1 / (1 - ratio0)
-    target = Fraction(1, 2**bits)
 
     if coeff_cache is None:
         coeffs, sizes = [], []
@@ -318,23 +324,49 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
                                    [_abs(x) for x in w[start:]], 0, stop - start))
         return j
 
-    def chain_bound(k: int) -> Fraction:
-        return sizes[reach(k)] / _abs(beta) ** (k + 1) * geom
-
+    p, q = beta.numerator, beta.denominator
+    if p < 0:
+        p, q = -p, -q
+    L = math.lcm(*(c.denominator for c in tail.coefficients))
+    N = 0
+    qe = q ** tail.order  # q^e for the next exponent e
+    for c in tail.coefficients:
+        N = N * p + c.numerator * (L // c.denominator) * qe
+        qe *= q
+    # the window ends at 1/z^kfirst: S = N / (L p^k) and qe = q^(k+1)
+    pk = p ** kfirst
+    gn, gd = geom.numerator, geom.denominator
+    # with size = sa/sb, bound = sa |q|^(k+1) gn / (sb p^(k+1) gd), and the
+    # sum goes on while sa |q|^(k+1) gn L 2^(2 bits) > sb p gd max(|N| 2^bits,
+    # L p^k); bit lengths settle that until the two sides come within `wide`
+    wide = p.bit_length() + gd.bit_length() - gn.bit_length() + 4 - 2 * bits
     k = kfirst
-    while k < kmin:
-        value += coeffs[reach(k)] / beta ** (k + 1)
-        k += 1
-    bound = chain_bound(k)
-    while bound > target * max(_abs(value), target):
-        value += coeffs[reach(k)] / beta ** (k + 1)
-        k += 1
-        bound = chain_bound(k)
-        if k > kfirst + 64 * bits + 64:
+    while True:
+        j = reach(k)
+        if k > kmin and k > kfirst + 64 * bits + 64:
             raise InsufficientPrecision(
                 "remainder tail did not certify within the step budget"
             )
-    return BigFloat(value, bound, bits)
+        if k >= kmin:
+            sa, sb = sizes[j].numerator, sizes[j].denominator
+            qa = abs(qe)
+            big = max(N.bit_length() + bits, L.bit_length() + pk.bit_length())
+            if not sa or (
+                sa.bit_length() + qa.bit_length() + L.bit_length()
+                < sb.bit_length() + big + wide
+                and (sa * qa * gn * L << 2 * bits)
+                <= sb * p * gd * max(abs(N) << bits, L * pk)
+            ):
+                break
+        a, b = coeffs[j].numerator, coeffs[j].denominator
+        g = math.gcd(L, b)
+        N = N * (b // g) * p + a * (L // g) * qe
+        L *= b // g
+        qe *= q
+        pk *= p
+        k += 1
+    return BigFloat(Fraction(N, L * pk),
+                    Fraction(sa * qa * gn, sb * pk * p * gd), bits)
 
 
 def _log2_abs(x: Fraction) -> int:

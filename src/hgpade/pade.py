@@ -258,7 +258,7 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
         tail = _functional_tail(P, w, truncation)
         if cross_check:
             other = remainder(system, ell, i, s, truncation, route="product")
-            lo, hi = max(tail.order, other.order), min(tail.truncation, other.truncation)
+            lo, hi = min(tail.order, other.order), min(tail.truncation, other.truncation)
             if any(tail.coeff(e) != other.coeff(e) for e in range(lo, hi)) or (
                 tail.is_zero_window() != other.is_zero_window()
             ):
@@ -293,8 +293,12 @@ def verify_system(system: PadeSystem) -> dict:
                 {"check": "ord_R", "index": [ell, i, s], "bound": n + 1,
                  "got": tail.ord_infinity()}
             )
-    # remainder coefficient identity, re-derived from scratch
+    # P_{ell,i,s} and the remainder coefficients, re-derived from scratch
     for ell, i, s in system.indices():
+        P = system.P[ell]
+        w = psi_weights(system.spec, system.alphas[i - 1], s, len(P) - 2)
+        if poly_trim(list(system.Pis[(ell, i, s)])) != divided_difference_image(P, w):
+            failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
         tail = system.R[(ell, i, s)]
         fresh = remainder(system, ell, i, s, tail.truncation, route="functional")
         window = range(min(tail.order, fresh.order), min(tail.truncation, fresh.truncation))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgpade import criterion
-from hgpade.arith import D_n_profile, Place
+from hgpade.arith import D_n_profile, Place, format_rational, parse_rational
 from hgpade.cli import emit_report, main
 
 R2 = ["--a", "1/3,1/4", "--b", "1/2"]
@@ -98,6 +98,22 @@ def test_verify_corrupted_system_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["ok"] is False
     assert "verify failure" in captured.err
+
+
+def test_verify_tampered_Pis_exits_3_naming_the_index(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    assert main(["build", *R2, "--alphas", "1,2", "--n", "2", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["Pis"]["0,1,0"][0] = format_rational(parse_rational(data["Pis"]["0,1,0"][0]) + 1)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+
+    assert main(["verify", "--system", str(path)]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["ok"] is False
+    assert report["failures"] == [{"check": "Pis_coeffs", "index": [0, 1, 0]}]
+    assert "Pis_coeffs" in captured.err and "[0, 1, 0]" in captured.err
 
 
 def test_verify_unreadable_system_exits_1(tmp_path, capsys):

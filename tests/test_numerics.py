@@ -5,10 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hgpade.errors import DivergentSeries, InsufficientPrecision, InvalidInput
+from hgpade.errors import (
+    DivergentSeries,
+    HypothesisViolation,
+    InsufficientPrecision,
+    InvalidInput,
+)
 from hgpade.numerics import (
     BigFloat,
     _f_direct,
@@ -18,7 +23,13 @@ from hgpade.numerics import (
     remainder_value,
 )
 from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec, f_s_coefficient, poly_eval, psi_weights
+from hgpade.polyops import (
+    HypergeometricSpec,
+    correlate,
+    f_s_coefficient,
+    poly_eval,
+    psi_weights,
+)
 
 F = Fraction
 
@@ -408,6 +419,117 @@ def test_remainder_value_cache_consistent(system_n4):
         k = kfirst + j
         assert coeff == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
         assert size == sum((abs(c) * abs(w[k + d]) for d, c in enumerate(P)), F(0))
+
+
+def _naive_remainder_value(system, ell, i, s, beta, bits):
+    """The term-by-term Fraction sum of R_{ell,i,s}(beta): every term is a
+    reduced Fraction and the stop test compares Fractions.  `remainder_value`
+    must give the same value, bound and stop index on integers."""
+    beta = F(beta)
+    spec = system.spec
+    alpha = F(system.alphas[i - 1])
+    if abs(alpha / beta) >= 1:
+        raise DivergentSeries("need |alpha/beta| < 1")
+    tail = system.R[(ell, i, s)]
+    P = system.P[ell]
+    value = sum(
+        (tail.coefficients[idx] / beta ** (tail.order + idx)
+         for idx in range(len(tail.coefficients))),
+        F(0),
+    )
+    gmax = max([abs(g) for g in spec.gamma[:s]], default=F(0))
+    consts = [abs(x) for x in spec.eta] + [abs(1 + z) for z in spec.zeta] + [gmax]
+    kfirst = tail.truncation - 1
+    kmin = max(kfirst, int(max(consts)) + 2)
+    ratio0 = abs(alpha) / abs(beta)
+    for x in spec.eta:
+        ratio0 *= 1 + abs(x) / kmin
+    for zj in spec.zeta:
+        ratio0 /= 1 - abs(1 + zj) / kmin
+    ratio0 *= (1 + 1 / (kmin - gmax)) ** s
+    if ratio0 >= 1:
+        raise InsufficientPrecision("tail ratio bound not contracting")
+    geom = 1 / (1 - ratio0)
+    target = F(1, 2**bits)
+    coeffs, sizes = [], []
+
+    def reach(k):
+        j = k - kfirst
+        if j >= len(coeffs):
+            start = kfirst + len(coeffs)
+            stop = kfirst + max(j + 1, 2 * len(coeffs), 8)
+            w = psi_weights(spec, alpha, s, stop - 2 + len(P))
+            coeffs.extend(correlate(P, w, start, stop))
+            sizes.extend(correlate([abs(c) for c in P],
+                                   [abs(x) for x in w[start:]], 0, stop - start))
+        return j
+
+    def chain_bound(k):
+        return sizes[reach(k)] / abs(beta) ** (k + 1) * geom
+
+    k = kfirst
+    while k < kmin:
+        value += coeffs[reach(k)] / beta ** (k + 1)
+        k += 1
+    bound = chain_bound(k)
+    while bound > target * max(abs(value), target):
+        value += coeffs[reach(k)] / beta ** (k + 1)
+        k += 1
+        bound = chain_bound(k)
+        if k > kfirst + 64 * bits + 64:
+            raise InsufficientPrecision("step budget")
+    return BigFloat(value, bound, bits)
+
+
+def _outcome(fn, *args, **kwargs):
+    """(value, error, bits) of a certified value, or the exception class."""
+    try:
+        got = fn(*args, **kwargs)
+    except (DivergentSeries, InsufficientPrecision) as exc:
+        return type(exc)
+    return got.value, got.error, got.bits
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool)
+
+
+@st.composite
+def _remainder_calls(draw):
+    r = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=2))
+    n = draw(st.integers(min_value=1, max_value=3))
+    a = draw(st.lists(_small, min_size=r, max_size=r))
+    b = draw(st.lists(_small, min_size=r - 1, max_size=r - 1))
+    alphas = draw(st.lists(_small, min_size=m, max_size=m, unique=True))
+    # |beta| from just above max|alpha| (where the tail bound may not yet
+    # contract) out to 10^9, of either sign, integer or not
+    amax = max(abs(x) for x in alphas)
+    scale = draw(st.sampled_from([F(17, 16), F(3, 2), F(7, 3), F(10), F(10**3), F(10**9)]))
+    offset = draw(st.sampled_from([F(0), F(1, 7), F(1, 1000)]))
+    beta = draw(st.sampled_from([1, -1])) * (amax * scale + offset)
+    bits = draw(st.sampled_from([8, 32, 128, 512]))
+    return a, b, alphas, n, beta, bits, draw(st.booleans())
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(_remainder_calls())
+# the toy kernel c_k = 1 (a = 1): every remainder window is zero throughout
+@example(([F(1)], [], [F(2), F(-1)], 2, F(-5, 2), 128, True))
+def test_remainder_value_equals_the_fraction_sum(call):
+    a, b, alphas, n, beta, bits, shared = call
+    try:
+        spec = HypergeometricSpec.from_ab(a, b)
+    except HypothesisViolation:
+        assume(False)  # (AB) fails: a non-positive integer root
+    system = build_system(spec, alphas, n, cross_check=False)
+    cache = {} if shared else None
+    for key in system.indices():
+        want = _outcome(_naive_remainder_value, system, *key, beta, bits)
+        if shared:
+            # a shorter run first, so the call below reads a filled cache
+            assert _outcome(remainder_value, system, *key, beta, 8, coeff_cache=cache) \
+                == _outcome(_naive_remainder_value, system, *key, beta, 8)
+        assert _outcome(remainder_value, system, *key, beta, bits, coeff_cache=cache) == want
 
 
 def test_check_remainder_identity_small_beta(canonical_m1):

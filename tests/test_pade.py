@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hgpade.errors import HypothesisViolation, InvalidInput
+from hgpade.errors import HypothesisViolation, InvalidInput, TheoryViolation
 from hgpade.pade import (
     PadeSystem,
     build_P,
@@ -177,6 +177,40 @@ def test_cross_check_off_matches(spec_r2, canonical_system):
     assert loose.P == canonical_system.P
     assert loose.Pis == canonical_system.Pis
     assert loose.R == canonical_system.R
+
+
+def test_cross_check_compares_below_the_larger_order(spec_r2, monkeypatch):
+    # both mutants leave every coefficient from the larger of the two orders
+    # on intact, so only a comparison from the smaller order sees them
+    import hgpade.pade
+
+    image, functional = hgpade.pade.divided_difference_image, hgpade.pade._functional_tail
+
+    def constant_plus_one(P, weights):
+        out = image(P, weights) or [F(0)]
+        return [out[0] + 1] + out[1:]
+
+    def leading_zeroed(P, weights, truncation):
+        tail = functional(P, weights, truncation)
+        return LaurentTail(tail.order, [F(0)] + tail.coefficients[1:], truncation)
+
+    for name, mutant in (("divided_difference_image", constant_plus_one),
+                         ("_functional_tail", leading_zeroed)):
+        with monkeypatch.context() as patch:
+            patch.setattr(hgpade.pade, name, mutant)
+            with pytest.raises(TheoryViolation):
+                build_system(spec_r2, (F(1), F(2)), 1)
+
+
+@pytest.mark.parametrize("a, b, alphas, n", [
+    ((F(1, 3), F(1, 4)), (F(1, 2),), (F(1), F(2)), 2),
+    ((F(1, 3), F(1, 4)), (F(1, 2),), (F(1),), 3),
+    ((F(1, 3), F(1, 4), F(1, 5)), (F(1, 2), F(2, 3)), (F(1), F(2)), 1),
+    ((F(1, 3), F(1, 4)), (F(1, 2),), (F(1, 2), F(-3)), 2),
+])
+def test_cross_check_passes_on_correct_builds(a, b, alphas, n):
+    system = build_system(HypergeometricSpec.from_ab(a, b), alphas, n)
+    assert verify_system(system)["ok"]
 
 
 def test_verify_clean(canonical_system):
