@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .arith import DenominatorProfile, Place, format_rational, parse_place, parse_rational
 from .criterion import Instance, criterion_V, measure, min_beta
-from .errors import HgpadeError, InvalidInput, RationalParseError
+from .errors import HgpadeError, InvalidInput, RationalParseError, StepBudgetExceeded
 from .numerics import eval_F_family
 from .pade import PadeSystem, build_system, verify_system
 from .polyops import HypergeometricSpec
@@ -447,7 +447,10 @@ def _cmd_eval(cfg: RunConfig) -> int:
     spec = cfg.spec()
     if cfg.z is None:
         raise InvalidInput("--z is required")
-    values = eval_F_family(spec, cfg.z, cfg.bits)
+    try:
+        values = eval_F_family(spec, cfg.z, cfg.bits)
+    except StepBudgetExceeded as exc:
+        raise StepBudgetExceeded(f"--z, --bits: {exc}") from exc
     digits = max(12, int(cfg.bits * 0.30103))
     report = {
         "z": cfg.z,

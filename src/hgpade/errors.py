@@ -59,6 +59,11 @@ class InsufficientPrecision(HgpadeError):
     exit_code = 1
 
 
+class StepBudgetExceeded(InsufficientPrecision):
+    """A certified sum provably cannot meet its precision within its step
+    budget (the argument is too close to the edge of the disk for the bits)."""
+
+
 class DivergentSeries(HgpadeError):
     """A series evaluation was requested outside its convergence region."""
 

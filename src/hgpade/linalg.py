@@ -18,21 +18,22 @@ from .errors import InvalidInput
 def det_bareiss(matrix: list[list[Fraction]]) -> Fraction:
     """Exact determinant by fraction-free Bareiss elimination.
 
-    Rows are first scaled to integers (scaling tracked), then the classic
-    integer-preserving recurrence runs without any rational division.
+    Each row is first scaled to integers over the lcm of its denominators
+    (entry x becomes x.numerator * (d // x.denominator); int rows pass
+    through with d = 1), then the classic integer-preserving recurrence runs
+    without any rational division.
     """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise InvalidInput("determinant needs a square matrix")
-    scale = Fraction(1)
+    scale = 1
     m: list[list[int]] = []
     for row in matrix:
-        row = [Fraction(x) for x in row]
-        d = math.lcm(*(x.denominator for x in row)) if row else 1
+        d = math.lcm(*(x.denominator for x in row))
         scale *= d
-        m.append([int(x * d) for x in row])
+        m.append([x.numerator * (d // x.denominator) for x in row])
 
     sign = 1
     prev = 1
@@ -50,7 +51,7 @@ def det_bareiss(matrix: list[list[Fraction]]) -> Fraction:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], 1) / scale
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

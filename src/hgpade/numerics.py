@@ -22,7 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivergentSeries, InsufficientPrecision, InvalidInput
+from .errors import (
+    DivergentSeries,
+    InsufficientPrecision,
+    InvalidInput,
+    StepBudgetExceeded,
+)
 from .polyops import (
     HypergeometricSpec,
     correlate,
@@ -78,6 +83,12 @@ def _linear(roots) -> list:
     return [(Fraction(x).denominator, Fraction(x).numerator) for x in roots]
 
 
+# `_sum_series` tries its budget proof only from this step on: the proof
+# costs about what a few dozen steps of a short sum cost, and a sum that
+# certifies sooner needs none
+_BUDGET_CHECK_FROM = 1024
+
+
 def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
                 bits: int, max_k: int) -> BigFloat:
     """sum_{k<K} G(k) t_k with G(k) = prod(k + g) over `weight` and
@@ -88,7 +99,14 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
     constants, so the sum is kept as N / D with D = prod(q_g) * den(t_k)
     unreduced: a step is a few big-by-small integer products and no gcd.  The
     stop is decided exactly on integers, and the returned value and tail
-    bound are the reduced rationals sum and |G(K) t_K| * tail_factor."""
+    bound are the reduced rationals sum and |G(K) t_K| * tail_factor.
+
+    The caller's k0 promises a term ratio of at most rho for k >= k0, with
+    rho/(1-rho) <= tail_factor.  When the test fails at k = max(k0, 1024),
+    and again at each k = 2k + 1 after it, `_budget_cannot_certify` tries to
+    prove that no test up to max_k + 1 can pass; if it does, the sum raises
+    StepBudgetExceeded there instead of running out the budget.
+    """
     t0, x = Fraction(t0), Fraction(x)
     up, lo, gw = _linear(upper), _linear(lower), _linear(weight)
     a0 = x.numerator * math.prod(q for q, _ in lo)
@@ -103,6 +121,7 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
     D = math.prod(q for q, _ in gw) * t0.denominator
     N = 0
     k = 0
+    check_at = max(k0, _BUDGET_CHECK_FROM)
     while True:
         gt = tn
         for q, p in gw:
@@ -112,6 +131,14 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
             T = abs(gt) * f_num
             if (T << bits) <= f_den * max(D, abs(N)):
                 return BigFloat(Fraction(N, D), Fraction(T, D * f_den), bits)
+        if k == check_at:
+            if _budget_cannot_certify(x, upper, lower, weight, k, gt, N, D,
+                                      tail_factor, bits, max_k + 1 - k):
+                raise StepBudgetExceeded(
+                    f"|z| = {_abs(x)}: the terms provably stay above 2^-{bits} "
+                    f"through the step budget of {max_k} terms"
+                )
+            check_at = 2 * k + 1
         if k > max_k:
             raise InsufficientPrecision("series did not certify within budget")
         a, b = a0, b0
@@ -127,6 +154,41 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
         D *= b
         tn *= a
         k += 1
+
+
+def _budget_cannot_certify(x, upper, lower, weight, K: int, gt: int, N: int,
+                           D: int, tail_factor: Fraction, bits: int,
+                           steps: int) -> bool:
+    """True when no stop test of `_sum_series` at K..K+steps can pass, given
+    that the one at K failed with term gt/D and partial sum N/D (a False
+    proves nothing).
+
+    For k >= K > max(|u|, |g|) and as many upper as lower factors, the term
+    ratio is at least lam = |x| prod (K-|u|)/(K+|d|) prod (K-|g|)/(K+|g|):
+    each factor (k-a)/(k+b) grows with k.  So every later term is at least
+    T_K lam^steps, while |S| stays below |S_K| + T_K (1 + tail_factor) by
+    the caller's ratio bound.  With lam = P/Q, ln(Q/P) <= (Q-P)/P and
+    1/ln 2 < 1443/1000, so everything is decided on integer bit lengths.
+    """
+    upper, lower, weight = ([_abs(Fraction(v)) for v in vs]
+                            for vs in (upper, lower, weight))
+    if len(upper) != len(lower) or K <= max(upper + weight, default=0):
+        return False  # no geometric lower bound on the ratio from K on
+    lam = _abs(Fraction(x))
+    for u, d in zip(upper, lower):
+        lam *= (K - u) / (K + d)
+    for g in weight:
+        lam *= (K - g) / (K + g)
+    if lam == 0:
+        return False
+    P, Q = lam.numerator, lam.denominator
+    f_num, f_den = tail_factor.numerator, tail_factor.denominator
+    scale = (D * f_den).bit_length()
+    # log2(T_K tail_factor) >= low; log2 max(1, S bound) <= high
+    low = (abs(gt) * f_num).bit_length() - 1 - scale
+    s_num = abs(N) * f_den + abs(gt) * (f_den + f_num)
+    high = max(0, s_num.bit_length() + 1 - scale)
+    return (low + bits - high) * 1000 * P > steps * max(Q - P, 0) * 1443
 
 
 def eval_pFq(a, b, z, bits: int) -> BigFloat:

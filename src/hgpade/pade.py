@@ -18,9 +18,10 @@ psi_{i,s}(t^k P_ell) and the literal series product); both are kept and
 compared.  The functional side -- P_{ell,i,s} and the coefficient formula --
 reads the psi_{i,s} weight table of (alpha_i, s), shared by every ell and
 kept on the spec, through the integer-scaled kernel `polyops.correlate`; the
-product route multiplies the series of F_s out with its own Fraction loops
-and shares no code with it.  A generic exact null-space solver provides a
-third, construction-free oracle for the same approximation problem.
+product route multiplies the series of F_s out with its own integer loop
+(`LaurentTail.mul_poly`) and shares no code with it.  A generic exact
+null-space solver provides a third, construction-free oracle for the same
+approximation problem.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ a hypergeometric term t_{k+1}/t_k = x prod(k+u)/prod(k+d), stepped by one
 routine, `term_table`.  Every value psi_{i,s}(t^k p) is a correlation of p
 against the one weight table of (alpha_i, s), kept append-only on the spec;
 `correlate` computes a run of them over integers scaled to the common
-denominators, one Fraction per output.
+denominators, one Fraction per output, and so does each column of the C_{u,m}
+moment matrix in `wronskian`.  `LaurentTail.mul_poly`, the product route
+that cross-checks those values, scales to integers in a loop of its own.
 """
 
 from __future__ import annotations
@@ -159,20 +161,28 @@ class LaurentTail:
         )
 
     def mul_poly(self, p: Poly) -> "LaurentTail":
-        """Multiply by a polynomial in z (z^d lowers the 1/z exponent by d)."""
+        """Multiply by a polynomial in z (z^d lowers the 1/z exponent by d).
+
+        The coefficient of 1/z^e is sum_j p[j] * coeff(e + j), zero below the
+        order.  p and the window are scaled to integers over their lcm
+        denominators, so each output is one integer sum and one Fraction.
+        This loop is the product route's own: it shares no code with
+        `correlate`, which the functional route it cross-checks runs on.
+        """
         if not p:
             return LaurentTail(self.order, [], self.order)
         d = len(p) - 1
-        start = self.order - d
-        trunc = self.truncation - d
-        coeffs = []
-        for e in range(start, trunc):
-            s = Fraction(0)
-            for j, pj in enumerate(p):
-                if pj != 0 and e + j >= self.order:  # below order is zero
-                    s += pj * self.coeff(e + j)
-            coeffs.append(s)
-        return LaurentTail(start, coeffs, trunc)
+        dp = math.lcm(*(c.denominator for c in p))
+        dc = math.lcm(*(c.denominator for c in self.coefficients))
+        pi = [c.numerator * (dp // c.denominator) for c in p]
+        # d zeros stand for the exponents below the order that e + j reaches
+        ci = [0] * d + [c.numerator * (dc // c.denominator) for c in self.coefficients]
+        den = dp * dc
+        coeffs = [
+            Fraction(sum(map(mul, pi, ci[k:k + len(pi)])), den)
+            for k in range(len(self.coefficients))
+        ]
+        return LaurentTail(self.order - d, coeffs, self.truncation - d)
 
     def sub_poly(self, p: Poly) -> "LaurentTail":
         """Subtract a polynomial in z (it lives on exponents -deg..0)."""

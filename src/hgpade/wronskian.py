@@ -16,8 +16,11 @@ violation, never a tolerance event.
 Each quantity has one polynomial-time route, and every determinant goes
 through `det_bareiss`: Delta by exact evaluation at integer points z (enough
 of them to pin a polynomial of its degree bound), C_{u,m} by the moment
-determinant.  The subset elimination behind `C_um(..., route="eliminate")`
-is exponential in rm and is kept only as an oracle for small sizes.
+determinant, whose columns are `correlate` runs.  The chain computes each
+constant c_{u,k}, k = m..1, once and checks every link against its
+successor with the one link check that `reduction_check` also runs.  The
+subset elimination behind `C_um(..., route="eliminate")` is exponential in
+rm and is kept only as an oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -233,7 +236,10 @@ def C_um(spec: HypergeometricSpec, alphas, n: int, u: int, route: str = "det") -
     route='det' (the primary, polynomial time) is the moment determinant
     det( psi~_v(t^{u+p} prod_j (t - alpha_j)^{rn}) ), p, v < rm, which
     Andreief's identity (Cauchy-Binet) gives for a product of functionals
-    against a Vandermonde.  route='eliminate' is the independent oracle: it
+    against a Vandermonde.  Each of its columns is one `correlate` run of
+    the base polynomial against variable v's weight table, the same kernel
+    that computes every psi(t^k P).  route='eliminate' is the independent
+    oracle, on Fractions and sharing no code with `correlate`: it
     collapses one variable at a time over 2^(rm-1-v) subsets, affordable
     only for rm <= 4 or so.
     """
@@ -248,14 +254,9 @@ def C_um(spec: HypergeometricSpec, alphas, n: int, u: int, route: str = "det") -
     if route == "eliminate":
         return _eliminate(U, tables)
     if route == "det":
-        mat = []
-        for p in range(N):
-            row = []
-            for v in range(N):
-                w = tables[v]
-                row.append(sum((U[d] * w[p + d] for d in range(len(U)) if U[d]), Fraction(0)))
-            mat.append(row)
-        return det_bareiss(mat)
+        # row v holds column v of the moment matrix, psi~_v(t^{u+p} ...) for
+        # p < N; the determinant does not see the transpose
+        return det_bareiss([correlate(U, w, 0, N) for w in tables])
     raise InvalidInput(f"unknown route {route!r}")
 
 
@@ -388,6 +389,18 @@ def l_factor(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
     return C_um(spec, (Fraction(1),), n, u)
 
 
+def _link(spec: HypergeometricSpec, n: int, u: int, m: int,
+          c_here: Fraction, c_next: Fraction) -> dict:
+    """One chain link, c_{u,m} = (-1)^{r^2 n (m-1)} c_{u + r(n+1), m-1} * L(u),
+    checked on given constants (c_{u,0} = 1 closes the chain)."""
+    r = spec.r
+    L = l_factor(spec, n, u)
+    sign = -1 if (r * r * n * (m - 1)) % 2 else 1
+    rhs = sign * c_next * L
+    return {"lhs": c_here, "rhs": rhs, "c_next": c_next, "L": L, "sign": sign,
+            "equal": c_here == rhs}
+
+
 def reduction_check(spec: HypergeometricSpec, alphas, n: int, u: int) -> dict:
     """Both sides of c_{u,m} = (-1)^{r^2 n (m-1)} c_{u + r(n+1), m-1} * L(u)."""
     alphas = [Fraction(a) for a in alphas]
@@ -395,24 +408,12 @@ def reduction_check(spec: HypergeometricSpec, alphas, n: int, u: int) -> dict:
     if m < 1:
         raise InvalidInput("need m >= 1")
     c_here, e_here = c_um_factor(spec, alphas, n, u)
-    u_next = u + r * (n + 1)
     if m == 1:
         c_next, e_next = Fraction(1), None
     else:
-        c_next, e_next = c_um_factor(spec, alphas[:-1], n, u_next)
-    L = l_factor(spec, n, u)
-    sign = -1 if (r * r * n * (m - 1)) % 2 else 1
-    rhs = sign * c_next * L
-    return {
-        "lhs": c_here,
-        "rhs": rhs,
-        "c_next": c_next,
-        "L": L,
-        "sign": sign,
-        "exponent_here": e_here,
-        "exponent_next": e_next,
-        "equal": c_here == rhs,
-    }
+        c_next, e_next = c_um_factor(spec, alphas[:-1], n, u + r * (n + 1))
+    return {**_link(spec, n, u, m, c_here, c_next),
+            "exponent_here": e_here, "exponent_next": e_next}
 
 
 def _zeta_groups(spec: HypergeometricSpec):
@@ -568,26 +569,30 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     exponent_e = None
     fdet_value = Fraction(0)
     if "C_um" not in zero_links and "a0s" not in zero_links:
-        u, mm, als = n, m, list(alphas)
-        c_val, exponent_e = c_um_factor(spec, als, n, u)
-        chain.append(c_val)
+        # c_{u_k,k} for k = m..1 with u_m = n and u_{k-1} = u_k + r(n+1):
+        # each constant is computed once and checked against its successor
+        u = n
+        c_here, exponent_e = c_um_factor(spec, alphas, n, u)
+        chain.append(c_here)
         ok_all = True
-        while mm >= 1:
-            red = reduction_check(spec, als, n, u)
-            ok_all = ok_all and red["equal"]
-            if red["L"] == 0:
+        for k in range(m, 0, -1):
+            u_next = u + r * (n + 1)
+            c_next = Fraction(1)
+            if k > 1:
+                c_next, _ = c_um_factor(spec, alphas[:k - 1], n, u_next)
+            link = _link(spec, n, u, k, c_here, c_next)
+            ok_all = ok_all and link["equal"]
+            if link["L"] == 0:
                 zero_links.append(f"L(u={u})")
             fdet, E = final_det(spec, n, u)
             fdet_value = fdet
             checks.setdefault("final_det_basis_links", True)
-            if red["L"] != E * fdet:
+            if link["L"] != E * fdet:
                 checks["final_det_basis_links"] = False
             if fdet == 0:
                 zero_links.append(f"final_det(u={u})")
-            chain.append(red["c_next"])
-            u += r * (n + 1)
-            mm -= 1
-            als = als[:-1]
+            chain.append(c_next)
+            u, c_here = u_next, c_next
         checks["reduction_chain"] = ok_all
         if chain and chain[0] == 0:
             zero_links.append("c_um")

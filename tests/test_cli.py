@@ -148,6 +148,18 @@ def test_wronskian_certifies_rm_up_to_nine(a, b, alphas, capsys):
     assert report["checks"] and all(report["checks"].values())
 
 
+@pytest.mark.parametrize("alphas", ["1,2", "1,2,3"])   # r = 4, m = 2 and 3
+def test_wronskian_certifies_r4_up_to_m3(alphas, capsys):
+    code = main(["wronskian", "--a=1/3,1/4,1/5,1/6", "--b=1/2,2/3,3/4",
+                 "--alphas", alphas, "--n", "1"])
+    assert code == 0
+    report = _json_out(capsys)
+    assert report["verdict"] == "certified nonzero"
+    assert report["zero_links"] == []
+    assert report["checks"] and all(report["checks"].values())
+    assert all(report["hypothesis_flags"].values())
+
+
 def test_eval_reports_certified_decimals(capsys):
     code = main(["eval", *R2, "--z", "1/7", "--bits", "512"])
     assert code == 0
@@ -337,6 +349,8 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
     (["eval", "--a=1/3,1/1001", "--b=1/2", "--z=1/7"], None, "--a"),
     (["criterion", "--a=1/3,1/4", "--b=-1001", "--alphas=1"], None, "--b"),
     (["eval", "--z=1/7"], {"a": "1/3,1/4", "b": "1/1000000000"}, "--b"),
+    # the step budget provably cannot reach 2^-512 this close to |z| = 1
+    (["eval", "--a=1/3,1/4", "--b=1/2", "--z=999/1000", "--bits=512"], None, "--z"),
 ])
 def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys):
     if config is not None:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgpade.errors import InsufficientPrecision, InvalidInput, SingularEigenvalue
@@ -154,6 +154,39 @@ def test_tail_mul_poly_window():
     assert both.coeff(0) == 1
     assert both.coeff(1) == 1 + 2
     assert both.coeff(2) == 2
+
+
+def _naive_mul_poly(tail, p):
+    """The per-term Fraction product that `LaurentTail.mul_poly` replaced."""
+    if not p:
+        return LaurentTail(tail.order, [], tail.order)
+    d = len(p) - 1
+    start, trunc = tail.order - d, tail.truncation - d
+    coeffs = []
+    for e in range(start, trunc):
+        s = F(0)
+        for j, pj in enumerate(p):
+            if pj != 0 and e + j >= tail.order:
+                s += pj * tail.coeff(e + j)
+        coeffs.append(s)
+    return LaurentTail(start, coeffs, trunc)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(order=st.integers(-3, 6),
+       window=st.lists(small_rationals, min_size=0, max_size=9),
+       p=st.lists(small_rationals, min_size=0, max_size=6))
+@example(order=2, window=[], p=[F(1, 3), F(-2, 5)])            # zero window
+@example(order=1, window=[F(0), F(0), F(1, 7)], p=[F(0), F(-3, 4), F(0)])
+@example(order=3, window=[F(2, 9), F(-5, 6), F(1, 10)], p=[F(-7, 15)] * 4)
+@example(order=0, window=[F(1, 2)], p=[])
+def test_mul_poly_equals_the_fraction_loop(order, window, p):
+    # order > 0 and <= 0, empty windows, zero and negative entries in p and
+    # unequal denominators on both sides
+    tail = LaurentTail(order, list(window), order + len(window))
+    got = tail.mul_poly(p)
+    assert got == _naive_mul_poly(tail, p)
+    assert all(type(c) is F for c in got.coefficients)
 
 
 def test_tail_json_round_trip():

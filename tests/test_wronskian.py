@@ -117,15 +117,15 @@ _small_fractions = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
 
 
 @st.composite
-def _admissible_instances(draw):
+def _admissible_instances(draw, max_m=4):
     """r <= 3, small-height non-integer a and b that pass the hypothesis
-    flags, and rm <= 4 distinct nonzero points alpha."""
+    flags, and rm <= 4 distinct nonzero points alpha, at most max_m of them."""
     r = draw(st.integers(1, 3))
     a = draw(st.lists(_small_fractions, min_size=r, max_size=r))
     b = draw(st.lists(_small_fractions, min_size=r - 1, max_size=r - 1))
     spec = HypergeometricSpec.from_ab(a, b)
     assume(spec.flags_pass())
-    m = draw(st.integers(1, 4 // r))
+    m = draw(st.integers(1, min(max_m, 4 // r)))
     alphas = draw(st.lists(
         st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
         min_size=m, max_size=m, unique=True,
@@ -142,6 +142,48 @@ def test_chain_contracts_on_random_instances(instance):
     system = build_system(spec, alphas, n)
     delta = delta_of_system(system)  # raises NonconstantDeterminant otherwise
     assert delta == leading_coeff_P_rm(system) * theta_det(system)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(_admissible_instances(max_m=2))
+def test_chain_constants_are_the_reduction_check_sides(instance):
+    # the certified chain [c_{u_m,m}, ..., c_{u_1,1}, 1], computed once per
+    # link, against reduction_check, which recomputes both ends of each link
+    spec, alphas = instance
+    n, r, m = 1, spec.r, len(alphas)
+    chain = certify_nonvanishing(spec, alphas, n).c_um_chain
+    assert len(chain) == m + 1
+    u = n
+    for k in range(m, 0, -1):
+        red = reduction_check(spec, alphas[:k], n, u)
+        assert red["equal"]
+        assert red["lhs"] == chain[m - k]
+        assert red["c_next"] == chain[m - k + 1]
+        u += r * (n + 1)
+
+
+@pytest.mark.parametrize("spec_name, alphas, n, calls", [
+    ("spec_r2", (1, 2, 3), 2, 3),
+    ("spec_r3", (1,), 2, 1),
+])
+def test_each_chain_link_factor_is_computed_once(spec_name, alphas, n, calls,
+                                                 request, monkeypatch):
+    import hgpade.wronskian
+
+    seen = []
+    factor = hgpade.wronskian.c_um_factor
+
+    def counted(spec, alphas, n, u):
+        seen.append((tuple(alphas), u))
+        return factor(spec, alphas, n, u)
+
+    monkeypatch.setattr(hgpade.wronskian, "c_um_factor", counted)
+    report = certify_nonvanishing(request.getfixturevalue(spec_name),
+                                  [F(a) for a in alphas], n)
+    assert report.verdict == "certified nonzero"
+    assert all(report.checks.values())
+    assert len(seen) == calls
+    assert len(set(seen)) == calls
 
 
 def test_final_det_canonical(spec_r2):
