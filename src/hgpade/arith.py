@@ -2,11 +2,11 @@
 
 Everything in here is exact big-rational arithmetic (`fractions.Fraction`);
 floats appear only in logarithmic rates, where asymptotic comparisons are the
-point.  The module provides Pochhammer symbols, denominator lcm's, the
-denominator-growth constant mu(x), Euler's totient, p-adic valuations and
-normalized absolute values, and the three denominator-sequence profiles used
-by the growth-rate analysis: D_n for a Pochhammer ratio pair, mu_n(zeta), and
-the coefficient-denominator families D_c / D'_c.
+point.  The module provides rational parsing and formatting, primality and
+factoring, the denominator-growth constant mu(x), Euler's totient, p-adic
+valuations and normalized absolute values, and the denominator-sequence
+profiles used by the growth-rate analysis: D_n for a Pochhammer ratio pair,
+and the coefficient-denominator families D_c / D'_c.
 """
 
 from __future__ import annotations
@@ -129,17 +129,6 @@ def totient(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # denominators / mu
-
-
-def den_of_set(values) -> int:
-    """Smallest positive integer clearing all denominators (lcm of dens)."""
-    values = list(values)
-    if not values:
-        raise InvalidInput("den_of_set needs a non-empty set")
-    d = 1
-    for x in values:
-        d = math.lcm(d, Fraction(x).denominator)
-    return d
 
 
 def log_mu(x: Fraction) -> float:
@@ -291,49 +280,6 @@ def D_n_profile(a: Fraction, b: Fraction, N: int) -> DenominatorProfile:
         terms.append(ratio)
         ratio *= (a + k) / (b + k)
     return _profile_from_terms(terms)
-
-
-# mu_n rounding: the divisibility oracle den((zeta+1)_n/n!) | mu_n decides
-# whether e(n,q) rounds n/(q-1) down or up; resolved once, lazily.
-_MU_SWEEP_ZETAS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 5))
-_MU_SWEEP_N = 100
-_mu_rounding_cache: str | None = None
-
-
-def _mu_n_with(zeta: Fraction, n: int, rounding: str) -> int:
-    out = 1
-    for q, v in factorize(Fraction(zeta).denominator).items():
-        e = n // (q - 1) if rounding == "floor" else -((-n) // (q - 1))
-        out *= q ** (n * v + e)
-    return out
-
-
-def mu_rounding() -> str:
-    """'floor' or 'ceil': smallest exponent passing the divisibility sweep."""
-    global _mu_rounding_cache
-    if _mu_rounding_cache is None:
-        for candidate in ("floor", "ceil"):
-            ok = True
-            for zeta in _MU_SWEEP_ZETAS:
-                ratio = Fraction(1)
-                for n in range(1, _MU_SWEEP_N + 1):
-                    ratio *= (zeta + n) / n  # (zeta+1)_n / n!
-                    if _mu_n_with(zeta, n, candidate) % ratio.denominator != 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                _mu_rounding_cache = candidate
-                break
-        else:  # pragma: no cover - the sweep always admits ceil
-            _mu_rounding_cache = "ceil"
-    return _mu_rounding_cache
-
-
-def mu_n(zeta: Fraction, n: int) -> int:
-    """prod over q | den(zeta) of q^(n v_q(den) + e(n,q)), e fixed by the oracle."""
-    return _mu_n_with(Fraction(zeta), n, mu_rounding())
 
 
 def D_c_profiles(eta, zeta, N: int) -> tuple[DenominatorProfile, DenominatorProfile]:

@@ -38,8 +38,8 @@ from .errors import (
     InvalidInput,
 )
 from .numerics import remainder_value
-from .pade import build_system
-from .polyops import correlate, poly_eval, psi_weights
+from .pade import _P_family, build_system
+from .polyops import poly_eval
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +187,9 @@ class Instance:
 
     The systems are built on first access, so input checks that need none
     of them (divergence at beta, the place of min-beta) fire before any
-    build. `caches` holds, per n, the beta-independent remainder extensions
-    that `remainder_value` fills (its `coeff_cache`), for reuse across
-    every beta and precision of the run.
+    build.  Each system keeps its own remainder series past the window
+    (`PadeSystem.extension`), so every beta, precision and place of the run
+    reads one copy.
     """
 
     def __init__(self, spec, alphas, n_range):
@@ -197,7 +197,6 @@ class Instance:
         self.spec = spec
         self.alphas = tuple(Fraction(a) for a in alphas)
         self.n_range = n_range
-        self.caches = {}
 
     @cached_property
     def systems(self) -> dict:
@@ -232,13 +231,12 @@ def growth_fit_P(inst: Instance, beta, v: Place) -> FitResult:
 # --- remainder size at the two kinds of places -----------------------------
 
 
-def _log_abs_R_arch(system, ell, i, s, beta, cache) -> float:
+def _log_abs_R_arch(system, ell, i, s, beta) -> float:
     """log |R_{ell,i,s}(beta)|, escalating precision until the certified
-    interval is narrow enough to take a log; every precision reuses the
-    extension coefficients in `cache`."""
+    interval is narrow enough to take a log."""
     bits = 32
     while True:
-        val = remainder_value(system, ell, i, s, beta, bits, coeff_cache=cache)
+        val = remainder_value(system, ell, i, s, beta, bits)
         if val.value != 0 and val.error * 2**12 <= abs(val.value):
             return log_abs_fraction(val.value)
         bits *= 2
@@ -252,8 +250,8 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     """Exact p-adic valuation of R_{ell,i,s}(beta).
 
     Term k of R(beta) is psi_{i,s}(t^k P_ell) / beta^{k+1}: the window's
-    coefficient of 1/z^{k+1} while k + 1 < truncation, a `correlate` output
-    past it.
+    coefficient of 1/z^{k+1} while k + 1 < truncation, an entry of the
+    system's extension table (`PadeSystem.extension`) past it.
 
     Partial sums are exact rationals; the loop stops once every later term
     provably has larger valuation, which pins the valuation of the full sum
@@ -305,18 +303,13 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
 
     S = Fraction(0)
     kfirst = tail.truncation - 1  # first psi index k not covered by the window
-    ext = []  # psi_{i,s}(t^k P_ell) from k = kfirst on, in doubling batches
     k = system.n
     while True:
         if k < kfirst:
             coeff = tail.coeff(k + 1)
         else:
             j = k - kfirst
-            if j >= len(ext):
-                stop = kfirst + max(j + 1, 2 * len(ext), 8)
-                w = psi_weights(spec, alpha, s, stop - 1 + D)
-                ext.extend(correlate(Pl, w, kfirst + len(ext), stop))
-            coeff = ext[j]
+            coeff = system.extension(ell, i, s, j)[0][j]
         S += coeff / beta ** (k + 1)
         if S != 0 and k >= k_star and lowbound(k + 1) > v_p(S, p):
             return v_p(S, p)
@@ -339,9 +332,8 @@ def decay_fit_R(inst: Instance, beta, v0: Place) -> FitResult:
     ns, ys = [], []
     for n, sysn in inst.systems.items():
         if v0.is_archimedean:
-            cache = inst.caches.setdefault(n, {})
             best = max(
-                _log_abs_R_arch(sysn, ell, i, s, beta, cache)
+                _log_abs_R_arch(sysn, ell, i, s, beta)
                 for ell, i, s in sysn.indices()
             )
             ys.append(-best)
@@ -528,12 +520,12 @@ def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
     c_eps = math.exp(-(math.log(2) / denom + 1) * (a_emp + u_emp))
 
     # specialization consistency: rebuilding the spec through its root form
-    # must reproduce the top system identically (same code path)
+    # must reproduce the top system's P family identically (same code path)
     spec2 = type(spec).from_roots(spec.eta, spec.zeta, spec.c0)
     n_top = max(n_range)
     special_ok = (
         spec2.to_jsonable() == spec.to_jsonable()
-        and build_system(spec2, alphas, n_top, cross_check=False).P
+        and dict(enumerate(_P_family(spec2, alphas, n_top, rm)))
         == inst.systems[n_top].P
     )
 

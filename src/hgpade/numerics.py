@@ -13,7 +13,8 @@ denominator of the term, and the stopping test is decided exactly on those
 integers, so the certified value and bound are the same reduced rationals a
 term-by-term Fraction sum would give, at the same stopping index.  The
 remainder values R(beta) of `remainder_value` are summed the same way, over
-one running denominator L * p^e for beta = p/q.
+one running denominator L * p^e for beta = p/q, their terms past the stored
+window read from the system (`PadeSystem.extension`).
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from .errors import (
     InvalidInput,
     StepBudgetExceeded,
 )
-from .polyops import (
-    HypergeometricSpec,
-    correlate,
-    poly_eval,
-    psi_weights,
-)
+from .polyops import HypergeometricSpec, poly_eval
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,8 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
     bound are the reduced rationals sum and |G(K) t_K| * tail_factor.
 
     The caller's k0 promises a term ratio of at most rho for k >= k0, with
-    rho/(1-rho) <= tail_factor.  When the test fails at k = max(k0, 1024),
+    1/(1-rho) <= tail_factor, so the bound covers the whole discarded tail,
+    the tested term included.  When the test fails at k = max(k0, 1024),
     and again at each k = 2k + 1 after it, `_budget_cannot_certify` tries to
     prove that no test up to max_k + 1 can pass; if it does, the sum raises
     StepBudgetExceeded there instead of running out the budget.
@@ -196,7 +193,8 @@ def eval_pFq(a, b, z, bits: int) -> BigFloat:
     certified geometric tail bound.  Requires |z| < 1 when len(a) == len(b)+1.
 
     The terms are summed by `_sum_series` on unreduced integers (term ratio
-    z prod(k+a)/((k+1) prod(k+b)), tail factor rho/(1-rho)); the stop at the
+    z prod(k+a)/((k+1) prod(k+b)), tail factor 1/(1-rho): the discarded tail
+    starts with the term the stop is tested on); the stop at the
     first k >= k0 whose tail bound is under 2^-bits max(1, |sum|) is decided
     exactly."""
     a = [Fraction(x) for x in a]
@@ -230,8 +228,26 @@ def eval_pFq(a, b, z, bits: int) -> BigFloat:
     k0 = kmin
     while ratio_bound(k0) > rho:
         k0 *= 2
-    return _sum_series(1, z, a, b + [Fraction(1)], (), k0, rho / (1 - rho),
+    return _sum_series(1, z, a, b + [Fraction(1)], (), k0, 1 / (1 - rho),
                        bits, 64 * bits + 4 * k0 + 64)
+
+
+def _tail_ratio(spec: HypergeometricSpec, s: int, x: Fraction,
+                k: int) -> tuple:
+    """(k0, bound): k0 = max(k, 2 + floor max(|eta|, |1+zeta|, gmax)) with
+    gmax = max |gamma_1..gamma_s|, and bound >= every ratio of consecutive
+    terms (j+gamma_1)...(j+gamma_s) c_j x^{j+1}, j >= k0: |x| prod (1 +
+    |eta|/k0) / prod (1 - |1+zeta|/k0) * (1 + 1/(k0 - gmax))^s."""
+    gmax = max([_abs(g) for g in spec.gamma[:s]], default=Fraction(0))
+    consts = [_abs(v) for v in spec.eta] + [_abs(1 + z) for z in spec.zeta] + [gmax]
+    k = max(k, 2 + int(max(consts)))
+    out = _abs(x)
+    for v in spec.eta:
+        out *= 1 + _abs(v) / k
+    for zj in spec.zeta:
+        out /= 1 - _abs(1 + zj) / k
+    # (j+1+g)/(j+g) <= 1 + 1/(j - |g|), valid and decreasing past k
+    return k, out * (1 + 1 / (k - gmax)) ** s
 
 
 def _f_direct(spec: HypergeometricSpec, s: int, w: Fraction, bits: int) -> BigFloat:
@@ -244,23 +260,9 @@ def _f_direct(spec: HypergeometricSpec, s: int, w: Fraction, bits: int) -> BigFl
     if w == 0:
         return BigFloat(Fraction(0), Fraction(0), bits)
     rho = (1 + _abs(w)) / 2
-    gmax = max([_abs(g) for g in spec.gamma[:s]], default=Fraction(0))
-    consts = [_abs(x) for x in spec.eta] + [_abs(1 + z) for z in spec.zeta] + [gmax]
-    kmin = 2 + int(max(consts))
-
-    def ratio_bound(k: int) -> Fraction:
-        out = _abs(w)
-        for x in spec.eta:
-            out *= 1 + _abs(x) / k
-        for zj in spec.zeta:
-            out /= 1 - _abs(1 + zj) / k
-        # (k+1+g)/(k+g) <= 1 + 1/(k - |g|), valid and decreasing past kmin
-        out *= (1 + 1 / (k - gmax)) ** s
-        return out
-
-    k0 = kmin
-    while ratio_bound(k0) > rho:
-        k0 *= 2
+    k0, ratio = _tail_ratio(spec, s, w, 0)
+    while ratio > rho:
+        k0, ratio = _tail_ratio(spec, s, w, 2 * k0)
     return _sum_series(spec.c0 * w, w, spec.eta, [1 + z for z in spec.zeta],
                        spec.gamma[:s], k0, 1 / (1 - rho), bits,
                        64 * bits + 4 * k0 + 64)
@@ -317,8 +319,7 @@ def eval_F_family(spec: HypergeometricSpec, w, bits: int):
 # remainder identities at a rational point
 
 
-def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
-                    coeff_cache: dict | None = None) -> BigFloat:
+def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFloat:
     """R_{ell,i,s}(beta) from the exact stored tail plus a certified bound on
     the part beyond the truncation.
 
@@ -329,12 +330,9 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
     sum |P_d| slack (the true psi sums cancel heavily), so exact terms are
     appended until the bound drops under the 2^-bits target.
 
-    Past the window, the extension coefficients psi_{i,s}(t^k P_ell) and the
-    beta-independent sizes sum_d |P_d| |w_{k+d}| that the bound scales come
-    from `correlate` against the psi weight table, in batches that double.
-    coeff_cache, when given, keeps both sequences, as two lists indexed from
-    the first k past the window, under (ell, i, s) for reuse across beta and
-    bits; a batch only appends, so a cached entry equals a fresh one.
+    Past the window, the terms psi_{i,s}(t^k P_ell) and the beta-independent
+    sizes sum_d |P_d| |w_{k+d}| that the bound scales are the system's
+    (`PadeSystem.extension`), shared by every beta and precision.
 
     As in `_sum_series`, the sum stays on unreduced integers.  With
     beta = p/q (p > 0, the sign on q), the sum through the 1/z^e term is
@@ -347,44 +345,18 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
     Fraction sum.
     """
     beta = Fraction(beta)
-    spec = system.spec
-    alpha = Fraction(system.alphas[i - 1])
-    if _abs(alpha / beta) >= 1:
+    x = Fraction(system.alphas[i - 1]) / beta
+    if _abs(x) >= 1:
         raise DivergentSeries("need |alpha/beta| < 1")
     tail = system.R[(ell, i, s)]
-    P = system.P[ell]
-    gmax = max([_abs(g) for g in spec.gamma[:s]], default=Fraction(0))
-    consts = [_abs(x) for x in spec.eta] + [_abs(1 + z) for z in spec.zeta] + [gmax]
     kfirst = tail.truncation - 1  # first psi index k not covered by the window
-    kmin = max(kfirst, int(max(consts)) + 2)
-    ratio0 = _abs(alpha) / _abs(beta)
-    for x in spec.eta:
-        ratio0 *= 1 + _abs(x) / kmin
-    for zj in spec.zeta:
-        ratio0 /= 1 - _abs(1 + zj) / kmin
-    ratio0 *= (1 + 1 / (kmin - gmax)) ** s
+    kmin, ratio0 = _tail_ratio(system.spec, s, x, kfirst)
     if ratio0 >= 1:
         raise InsufficientPrecision(
             "tail ratio bound not contracting; enlarge the truncation window"
         )
     geom = 1 / (1 - ratio0)
-
-    if coeff_cache is None:
-        coeffs, sizes = [], []
-    else:
-        coeffs, sizes = coeff_cache.setdefault((ell, i, s), ([], []))
-
-    def reach(k: int) -> int:
-        """Extend both sequences past index k; returns k's list index."""
-        j = k - kfirst
-        if j >= len(coeffs):
-            start = kfirst + len(coeffs)
-            stop = kfirst + max(j + 1, 2 * len(coeffs), 8)
-            w = psi_weights(spec, alpha, s, stop - 2 + len(P))
-            coeffs.extend(correlate(P, w, start, stop))
-            sizes.extend(correlate([_abs(c) for c in P],
-                                   [_abs(x) for x in w[start:]], 0, stop - start))
-        return j
+    terms, sizes = system.extension(ell, i, s, 0)
 
     p, q = beta.numerator, beta.denominator
     if p < 0:
@@ -404,7 +376,9 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
     wide = p.bit_length() + gd.bit_length() - gn.bit_length() + 4 - 2 * bits
     k = kfirst
     while True:
-        j = reach(k)
+        j = k - kfirst
+        if j >= len(terms):
+            system.extension(ell, i, s, j)
         if k > kmin and k > kfirst + 64 * bits + 64:
             raise InsufficientPrecision(
                 "remainder tail did not certify within the step budget"
@@ -420,7 +394,7 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int,
                 <= sb * p * gd * max(abs(N) << bits, L * pk)
             ):
                 break
-        a, b = coeffs[j].numerator, coeffs[j].denominator
+        a, b = terms[j].numerator, terms[j].denominator
         g = math.gcd(L, b)
         N = N * (b // g) * p + a * (L // g) * qe
         L *= b // g

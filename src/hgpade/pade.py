@@ -21,7 +21,8 @@ kept on the spec, through the integer-scaled kernel `polyops.correlate`; the
 product route multiplies the series of F_s out with its own integer loop
 (`LaurentTail.mul_poly`) and shares no code with it.  A generic exact
 null-space solver provides a third, construction-free oracle for the same
-approximation problem.
+approximation problem.  Past its window each remainder series goes on in
+one append-only table on the system (`PadeSystem.extension`).
 """
 
 from __future__ import annotations
@@ -103,18 +104,6 @@ def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
     ]
 
 
-def build_P(spec: HypergeometricSpec, alphas, n: int, ell: int) -> Poly:
-    """The ell-th polynomial of the system, exact, degree r*m*n + ell."""
-    alphas = [Fraction(a) for a in alphas]
-    r, m = spec.r, len(alphas)
-    if n < 1:
-        raise InvalidInput("need n >= 1")
-    if not (0 <= ell <= r * m):
-        raise InvalidInput(f"ell out of range: {ell}")
-    _check_alphas(alphas)
-    return _P_family(spec, alphas, n, ell)[ell]
-
-
 def divided_difference_image(P: Poly, weights) -> Poly:
     """Apply a functional (given by its monomial values `weights`, at least
     deg P of them) to the t-variable of (P(z) - P(t))/(z - t); returns a
@@ -180,6 +169,10 @@ class PadeSystem:
     Pis: dict = field(default_factory=dict)         # (ell, i, s) -> Poly
     R: dict = field(default_factory=dict)           # (ell, i, s) -> LaurentTail
     truncation: int = 0
+    # (ell, i, s) -> `extension` lists; like `spec._psi_tables`, a pure
+    # function of the system
+    _extensions: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def r(self) -> int:
@@ -194,6 +187,24 @@ class PadeSystem:
             for i in range(1, self.m + 1):
                 for s in range(self.r):
                     yield ell, i, s
+
+    def extension(self, ell: int, i: int, s: int, j: int) -> tuple:
+        """(terms, sizes) of R_{ell,i,s} past its window, grown in doubling
+        batches until they hold entry j: at k = truncation - 1 + j,
+        terms[j] = psi_{i,s}(t^k P_ell), the 1/z^{k+1} coefficient, and
+        sizes[j] = sum_d |P_d| |w_{k+d}| over the psi weights w.  The lists
+        only grow, so a caller's reference stays valid."""
+        terms, sizes = self._extensions.setdefault((ell, i, s), ([], []))
+        if j >= len(terms):
+            P = self.P[ell]
+            kfirst = self.R[(ell, i, s)].truncation - 1
+            start = kfirst + len(terms)
+            stop = kfirst + max(j + 1, 2 * len(terms), 8)
+            w = psi_weights(self.spec, self.alphas[i - 1], s, stop - 2 + len(P))
+            terms.extend(correlate(P, w, start, stop))
+            sizes.extend(correlate([abs(c) for c in P],
+                                   [abs(x) for x in w[start:]], 0, stop - start))
+        return terms, sizes
 
     def to_jsonable(self) -> dict:
         return {

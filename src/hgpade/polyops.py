@@ -148,18 +148,6 @@ class LaurentTail:
     def is_zero_window(self) -> bool:
         return not self.coefficients
 
-    def add(self, other: "LaurentTail") -> "LaurentTail":
-        start = min(self.order, other.order)
-        trunc = min(self.truncation, other.truncation)
-        coeffs = [self.coeff(e) + other.coeff(e) for e in range(start, trunc)]
-        return LaurentTail(start, coeffs, trunc)
-
-    def scale(self, c: Fraction) -> "LaurentTail":
-        c = Fraction(c)
-        return LaurentTail(
-            self.order, [c * x for x in self.coefficients], self.truncation
-        )
-
     def mul_poly(self, p: Poly) -> "LaurentTail":
         """Multiply by a polynomial in z (z^d lowers the 1/z exponent by d).
 
@@ -307,9 +295,6 @@ class HypergeometricSpec:
 
     def B_poly(self) -> Poly:
         return poly_from_roots(self.zeta)
-
-    def A_at(self, x: Fraction) -> Fraction:
-        return math.prod((Fraction(x) + e for e in self.eta), start=Fraction(1))
 
     def B_at(self, x: Fraction) -> Fraction:
         return math.prod((Fraction(x) + z for z in self.zeta), start=Fraction(1))

@@ -39,6 +39,7 @@ from .wronskian import (
     final_det,
     homogeneity_degree,
     reduction_check,
+    theta_chain_holds,
     vanishing_order_at_equal_alphas,
 )
 
@@ -199,17 +200,11 @@ def check_wronskian_routes(shared=None, seed=SUITE_SEED) -> CheckResult:
     t0 = time.perf_counter()
     rows, ok = [], True
     for label, (spec, alphas, n, system) in sorted(_grid_systems(shared).items()):
-        r, m = spec.r, len(alphas)
         route = delta_route_check(system)  # raises if z-degree > 0
-        a0 = a0s_values(spec, n)
         C = C_um(spec, alphas, n, n)
-        lhs = route["theta"] * Fraction(math.factorial(n - 1)) ** (r * r * m)
-        rhs = (
-            math.prod(alphas, start=Fraction(1)) ** r
-            * math.prod(a0["values"], start=Fraction(1)) ** m
-            * C
-        )
-        chain = lhs == rhs and C == C_um(spec, alphas, n, n, route="eliminate")
+        chain = theta_chain_holds(
+            spec, alphas, n, route["theta"], a0s_values(spec, n)["values"], C
+        ) and C == C_um(spec, alphas, n, n, route="eliminate")
         here = route["delta"] != 0 and route["equal"] and chain
         ok = ok and here
         rows.append(

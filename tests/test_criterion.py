@@ -393,3 +393,32 @@ def test_vp_remainder_matches_an_exact_partial_sum(spec_r2):
         )
         assert _v5(R) == 49
         assert _vp_remainder(system, ell, i, s, beta, 5) == 49
+
+
+def test_vp_remainder_and_remainder_value_share_one_table(spec_r2):
+    # past the window both sums read psi(t^k P) from the system's one
+    # extension table: whichever fills it, the other gets a fresh system's
+    # answer, and the v_5 = 49 oracle above still holds on the filled table
+    from hgpade.criterion import _vp_remainder
+    from hgpade.numerics import remainder_value
+    from hgpade.pade import build_system
+
+    def fresh():
+        return build_system(spec_r2, (Fraction(1),), 4, cross_check=False)
+
+    system = fresh()
+    near, far = Fraction(1, 5), Fraction(10**6)  # |1/5|_5 = 5: a long p-adic sum
+    for key in system.indices():
+        v = _vp_remainder(system, *key, near, 5)
+        terms, sizes = system.extension(*key, 0)
+        seen = list(terms)
+        assert len(seen) >= 16  # the p-adic sum ran past the window
+        got = remainder_value(system, *key, far, 256)
+        again = system.extension(*key, 0)
+        assert again[0] is terms and again[1] is sizes
+        assert terms[:len(seen)] == seen
+        want = remainder_value(fresh(), *key, far, 256)
+        assert (got.value, got.error) == (want.value, want.error)
+        assert v == _vp_remainder(system, *key, near, 5) \
+            == _vp_remainder(fresh(), *key, near, 5)
+        assert _vp_remainder(system, *key, Fraction(1, 5**10), 5) == 49

@@ -1,5 +1,6 @@
 """Certified evaluation: interval values, series routes, remainder identities."""
 
+import dataclasses
 import decimal
 import random
 from fractions import Fraction
@@ -158,7 +159,7 @@ def _naive_pFq(a, b, z, bits: int) -> BigFloat:
         term = term * z * num / den
         k += 1
         if k >= k0:
-            tail = abs(term) * rho / (1 - rho)
+            tail = abs(term) / (1 - rho)  # the tail starts with this term
             if tail <= target * max(Fraction(1), abs(total)):
                 return BigFloat(total, tail, bits)
 
@@ -252,6 +253,28 @@ def test_series_equal_the_reference_sums(spec, z, bits):
 def test_pFq_equals_the_reference_sum(a, b, z):
     for bits in (8, 96):
         assert _same(eval_pFq(a, b, z, bits), _naive_pFq(a, b, z, bits))
+
+
+@pytest.mark.parametrize("a", [(F(999, 2), F(1, 4)), (F(301, 3), F(1, 5)),
+                               (F(99, 2), F(1, 4))])
+@pytest.mark.parametrize("b", [(F(1, 2),), (F(7, 3),)])
+def test_pFq_interval_contains_the_mpmath_value(a, b):
+    # large upper parameters and few bits: the sum stops where the terms
+    # still fall slowly, so the first discarded term is a large part of the
+    # tail and an error bound that leaves it out is too small
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.prec = 1200
+
+    def q(x):
+        return mp.mpf(x.numerator) / x.denominator
+
+    for z in (F(1, 3), F(-1, 2), F(2, 3)):
+        truth = mp.hyper([q(x) for x in a], [q(y) for y in b], q(z))
+        for bits in (1, 8):
+            got = eval_pFq(a, b, z, bits)
+            slack = mp.mpf(2) ** -1100 * max(1, abs(truth))  # the oracle's rounding
+            assert abs(q(got.value) - truth) <= q(got.error) + slack, (z, bits)
 
 
 def test_from_roots_spec_equals_the_reference_sum():
@@ -401,23 +424,25 @@ def test_remainder_value_guards(system_n4):
         remainder_value(system_n4, 0, 1, 0, F(1, 2), 64)  # |alpha/beta| >= 1
 
 
-def test_remainder_value_cache_consistent(system_n4):
-    # one cache filled at 32 bits, then grown by a higher precision and a
-    # second beta: every answer, bound included, equals a fresh uncached call
-    cache = {}
+def test_remainder_value_cache_consistent(spec_r2):
+    # one system's table, filled at 32 bits and grown by a higher precision
+    # and a second beta: every answer, bound included, equals the one a fresh
+    # system gives
+    alphas, key = (F(1),), (2, 1, 1)
+    reused = build_system(spec_r2, alphas, 4, cross_check=False)
     for beta, bits in ((F(3), 32), (F(3), 32), (F(3), 256), (F(-7, 2), 256), (F(3), 128)):
-        got = remainder_value(system_n4, 2, 1, 1, beta, bits, coeff_cache=cache)
-        fresh = remainder_value(system_n4, 2, 1, 1, beta, bits)
-        assert (got.value, got.error, got.bits) == (fresh.value, fresh.error, fresh.bits)
-    assert list(cache) == [(2, 1, 1)]
-    coeffs, sizes = cache[(2, 1, 1)]
-    assert len(coeffs) == len(sizes) > 8  # the 256-bit calls grew the first batch
-    # every batch holds psi(t^k P_2) and sum_d |P_d| |w_{k+d}| from the window on
-    P, kfirst = system_n4.P[2], system_n4.truncation - 1
-    w = psi_weights(system_n4.spec, F(1), 1, kfirst + len(coeffs) + len(P))
-    for j, (coeff, size) in enumerate(zip(coeffs, sizes)):
+        got = remainder_value(reused, *key, beta, bits)
+        fresh = build_system(spec_r2, alphas, 4, cross_check=False)
+        want = remainder_value(fresh, *key, beta, bits)
+        assert (got.value, got.error, got.bits) == (want.value, want.error, want.bits)
+    terms, sizes = reused.extension(*key, 0)
+    assert len(terms) == len(sizes) > 8  # the 256-bit calls grew the first batch
+    # every entry is psi(t^k P_2) and sum_d |P_d| |w_{k+d}| from the window on
+    P, kfirst = reused.P[2], reused.truncation - 1
+    w = psi_weights(spec_r2, F(1), 1, kfirst + len(terms) + len(P))
+    for j, (term, size) in enumerate(zip(terms, sizes)):
         k = kfirst + j
-        assert coeff == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
+        assert term == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
         assert size == sum((abs(c) * abs(w[k + d]) for d, c in enumerate(P)), F(0))
 
 
@@ -522,14 +547,16 @@ def test_remainder_value_equals_the_fraction_sum(call):
     except HypothesisViolation:
         assume(False)  # (AB) fails: a non-positive integer root
     system = build_system(spec, alphas, n, cross_check=False)
-    cache = {} if shared else None
     for key in system.indices():
         want = _outcome(_naive_remainder_value, system, *key, beta, bits)
         if shared:
-            # a shorter run first, so the call below reads a filled cache
-            assert _outcome(remainder_value, system, *key, beta, 8, coeff_cache=cache) \
+            # a shorter run first, so the call below reads a filled table
+            assert _outcome(remainder_value, system, *key, beta, 8) \
                 == _outcome(_naive_remainder_value, system, *key, beta, 8)
-        assert _outcome(remainder_value, system, *key, beta, bits, coeff_cache=cache) == want
+            here = system
+        else:
+            here = dataclasses.replace(system)  # the same system, no table yet
+        assert _outcome(remainder_value, here, *key, beta, bits) == want
 
 
 def test_check_remainder_identity_small_beta(canonical_m1):

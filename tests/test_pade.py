@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hgpade.errors import HypothesisViolation, InvalidInput, TheoryViolation
 from hgpade.pade import (
     PadeSystem,
-    build_P,
+    _P_family,
     build_system,
     default_truncation,
     membership_in_nullspace,
@@ -52,7 +52,7 @@ def test_poly_pow_linear():
 
 
 def test_toy_P0(toy_spec):
-    assert build_P(toy_spec, (F(1),), 1, 0) == [F(-1), F(1)]
+    assert build_system(toy_spec, (F(1),), 1).P[0] == [F(-1), F(1)]
     assert build_system(toy_spec, (F(1),), 1).Pis[(0, 1, 0)] == [F(1)]
 
 
@@ -65,13 +65,11 @@ def test_toy_remainder_vanishes(toy_spec):
 
 def test_toy_input_validation(toy_spec):
     with pytest.raises(InvalidInput):
-        build_P(toy_spec, (F(1),), 0, 0)  # n >= 1
+        build_system(toy_spec, (F(1),), 0)  # n >= 1
     with pytest.raises(InvalidInput):
-        build_P(toy_spec, (F(1),), 1, 2)  # ell <= r*m
+        build_system(toy_spec, (F(0),), 1)  # alpha = 0
     with pytest.raises(InvalidInput):
-        build_P(toy_spec, (F(0),), 1, 0)  # alpha = 0
-    with pytest.raises(InvalidInput):
-        build_P(toy_spec, (F(1), F(1)), 1, 0)  # repeated alphas
+        build_system(toy_spec, (F(1), F(1)), 1)  # repeated alphas
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +92,7 @@ def _operator_chain_P(spec, alphas, n, ell):
     out = []
     for k, x in enumerate(g):
         out.append(x / c / math.factorial(n - 1) ** spec.r)
-        c = c * spec.A_at(F(k)) / spec.B_at(F(k + 1))
+        c = c * math.prod(k + e for e in spec.eta) / spec.B_at(F(k + 1))
     return poly_trim(out)
 
 
@@ -120,8 +118,9 @@ def test_build_P_equals_the_operator_chain(instance):
         spec = HypergeometricSpec.from_ab(a, b)
     except HypothesisViolation:
         assume(False)  # (AB) fails: a non-positive integer root
-    for ell in range(spec.r * len(alphas) + 1):
-        assert build_P(spec, alphas, n, ell) == _operator_chain_P(spec, alphas, n, ell)
+    top = spec.r * len(alphas)
+    for ell, P in enumerate(_P_family(spec, alphas, n, top)):
+        assert P == _operator_chain_P(spec, alphas, n, ell)
 
 
 # ---------------------------------------------------------------------------
