@@ -39,7 +39,9 @@ MAX_BITS = 8192
 # the series and remainder sums start their stop tests only past the largest
 # |parameter| and budget their steps from there, so the work grows with the
 # parameters' size: at numerators near 10^3 a `criterion` run takes seconds,
-# near 10^4 it did not end within 100 s (2-core Xeon)
+# near 10^4 it did not end within 100 s (2-core Xeon).  The same cap holds
+# for --z: its stop tests start once the ratio bound is under (1+|z|)/2, at a
+# k growing like 1/(1-|z|), which the cap keeps at most about 10^3
 MAX_PARAM_HEIGHT = 1000
 
 
@@ -90,15 +92,17 @@ def _rational_list(flag: str, text: str) -> tuple:
     return tuple(_named(flag, part, parse_rational) for part in text.split(","))
 
 
+def _capped(flag: str, x: Fraction) -> Fraction:
+    if max(abs(x.numerator), x.denominator) > MAX_PARAM_HEIGHT:
+        raise InvalidInput(
+            f"{flag}: numerator and denominator must be at most "
+            f"{MAX_PARAM_HEIGHT} in absolute value, got {format_rational(x)}"
+        )
+    return x
+
+
 def _parameters(flag: str, text: str) -> tuple:
-    values = _rational_list(flag, text)
-    for x in values:
-        if max(abs(x.numerator), x.denominator) > MAX_PARAM_HEIGHT:
-            raise InvalidInput(
-                f"{flag}: numerator and denominator must be at most "
-                f"{MAX_PARAM_HEIGHT} in absolute value, got {format_rational(x)}"
-            )
-    return values
+    return tuple(_capped(flag, x) for x in _rational_list(flag, text))
 
 
 def _parse_n_range(flag: str, text: str) -> range:
@@ -255,7 +259,7 @@ def config_from_args(argv) -> RunConfig:
             raise InvalidInput(f"--bits: need 1 <= bits <= {MAX_BITS}, got {bits!r}")
     z = pick("z")
     if z is not None:
-        cfg.z = _named("--z", str(z), parse_rational)
+        cfg.z = _capped("--z", _named("--z", str(z), parse_rational))
     nr = pick("n_range")
     if nr is not None:
         cfg.n_range = _parse_n_range("--n-range", str(nr))

@@ -188,8 +188,8 @@ class Instance:
     The systems are built on first access, so input checks that need none
     of them (divergence at beta, the place of min-beta) fire before any
     build.  Each system keeps its own remainder series past the window
-    (`PadeSystem.extension`), so every beta, precision and place of the run
-    reads one copy.
+    (`PadeSystem.extension_terms` / `extension_sizes`), so every beta,
+    precision and place of the run reads one copy.
     """
 
     def __init__(self, spec, alphas, n_range):
@@ -251,7 +251,8 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
 
     Term k of R(beta) is psi_{i,s}(t^k P_ell) / beta^{k+1}: the window's
     coefficient of 1/z^{k+1} while k + 1 < truncation, an entry of the
-    system's extension table (`PadeSystem.extension`) past it.
+    system's term list (`PadeSystem.extension_terms`) past it; the sizes
+    that bound the archimedean sums are never computed here.
 
     Partial sums are exact rationals; the loop stops once every later term
     provably has larger valuation, which pins the valuation of the full sum
@@ -309,7 +310,7 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
             coeff = tail.coeff(k + 1)
         else:
             j = k - kfirst
-            coeff = system.extension(ell, i, s, j)[0][j]
+            coeff = system.extension_terms(ell, i, s, j)[j]
         S += coeff / beta ** (k + 1)
         if S != 0 and k >= k_star and lowbound(k + 1) > v_p(S, p):
             return v_p(S, p)

@@ -13,8 +13,11 @@ denominator of the term, and the stopping test is decided exactly on those
 integers, so the certified value and bound are the same reduced rationals a
 term-by-term Fraction sum would give, at the same stopping index.  The
 remainder values R(beta) of `remainder_value` are summed the same way, over
-one running denominator L * p^e for beta = p/q, their terms past the stored
-window read from the system (`PadeSystem.extension`).
+one running denominator L * p^e for beta = p/q.  Their beta-free set-up
+lives on the system: the ratio bound's part without |alpha/beta| and,
+past the stored window, the terms and the sizes of the bound, each read
+only where the sum needs it (`PadeSystem.tail_ratio`, `extension_terms`,
+`extension_sizes`).  Both sums stop on one tail-ratio bound (`_tail_ratio`).
 """
 
 from __future__ import annotations
@@ -232,16 +235,17 @@ def eval_pFq(a, b, z, bits: int) -> BigFloat:
                        bits, 64 * bits + 4 * k0 + 64)
 
 
-def _tail_ratio(spec: HypergeometricSpec, s: int, x: Fraction,
-                k: int) -> tuple:
-    """(k0, bound): k0 = max(k, 2 + floor max(|eta|, |1+zeta|, gmax)) with
-    gmax = max |gamma_1..gamma_s|, and bound >= every ratio of consecutive
-    terms (j+gamma_1)...(j+gamma_s) c_j x^{j+1}, j >= k0: |x| prod (1 +
-    |eta|/k0) / prod (1 - |1+zeta|/k0) * (1 + 1/(k0 - gmax))^s."""
+def _tail_ratio(spec: HypergeometricSpec, s: int, k: int) -> tuple:
+    """(k0, c): k0 = max(k, 2 + floor max(|eta|, |1+zeta|, gmax)) with
+    gmax = max |gamma_1..gamma_s|, and |x| c bounds every ratio of
+    consecutive terms (j+gamma_1)...(j+gamma_s) c_j x^{j+1}, j >= k0, at any
+    x: c = prod (1 + |eta|/k0) / prod (1 - |1+zeta|/k0) * (1 + 1/(k0 - gmax))^s.
+    Neither k0 nor c depends on x, so a caller that sums at many x (the
+    remainder values of one system) computes them once."""
     gmax = max([_abs(g) for g in spec.gamma[:s]], default=Fraction(0))
     consts = [_abs(v) for v in spec.eta] + [_abs(1 + z) for z in spec.zeta] + [gmax]
     k = max(k, 2 + int(max(consts)))
-    out = _abs(x)
+    out = Fraction(1)
     for v in spec.eta:
         out *= 1 + _abs(v) / k
     for zj in spec.zeta:
@@ -260,9 +264,9 @@ def _f_direct(spec: HypergeometricSpec, s: int, w: Fraction, bits: int) -> BigFl
     if w == 0:
         return BigFloat(Fraction(0), Fraction(0), bits)
     rho = (1 + _abs(w)) / 2
-    k0, ratio = _tail_ratio(spec, s, w, 0)
-    while ratio > rho:
-        k0, ratio = _tail_ratio(spec, s, w, 2 * k0)
+    k0, c = _tail_ratio(spec, s, 0)
+    while _abs(w) * c > rho:
+        k0, c = _tail_ratio(spec, s, 2 * k0)
     return _sum_series(spec.c0 * w, w, spec.eta, [1 + z for z in spec.zeta],
                        spec.gamma[:s], k0, 1 / (1 - rho), bits,
                        64 * bits + 4 * k0 + 64)
@@ -330,9 +334,14 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     sum |P_d| slack (the true psi sums cancel heavily), so exact terms are
     appended until the bound drops under the 2^-bits target.
 
-    Past the window, the terms psi_{i,s}(t^k P_ell) and the beta-independent
-    sizes sum_d |P_d| |w_{k+d}| that the bound scales are the system's
-    (`PadeSystem.extension`), shared by every beta and precision.
+    Everything but |alpha/beta| is set up once per system: the ratio's
+    beta-free part (`PadeSystem.tail_ratio`), and, past the window, the
+    terms psi_{i,s}(t^k P_ell) and the sizes sum_d |P_d| |w_{k+d}| that the
+    bound scales (`PadeSystem.extension_terms` / `extension_sizes`), shared
+    by every beta and precision.  A size is read only at a stop test and a
+    term only once that test has failed, so the two lists grow only as far
+    as some sum reads them: a sum that stops at its first test reads one
+    size and no term.
 
     As in `_sum_series`, the sum stays on unreduced integers.  With
     beta = p/q (p > 0, the sign on q), the sum through the 1/z^e term is
@@ -350,13 +359,13 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
         raise DivergentSeries("need |alpha/beta| < 1")
     tail = system.R[(ell, i, s)]
     kfirst = tail.truncation - 1  # first psi index k not covered by the window
-    kmin, ratio0 = _tail_ratio(system.spec, s, x, kfirst)
+    kmin, per_x = system.tail_ratio(s)
+    ratio0 = _abs(x) * per_x
     if ratio0 >= 1:
         raise InsufficientPrecision(
             "tail ratio bound not contracting; enlarge the truncation window"
         )
     geom = 1 / (1 - ratio0)
-    terms, sizes = system.extension(ell, i, s, 0)
 
     p, q = beta.numerator, beta.denominator
     if p < 0:
@@ -377,14 +386,13 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     k = kfirst
     while True:
         j = k - kfirst
-        if j >= len(terms):
-            system.extension(ell, i, s, j)
         if k > kmin and k > kfirst + 64 * bits + 64:
             raise InsufficientPrecision(
                 "remainder tail did not certify within the step budget"
             )
         if k >= kmin:
-            sa, sb = sizes[j].numerator, sizes[j].denominator
+            size = system.extension_sizes(ell, i, s, j)[j]
+            sa, sb = size.numerator, size.denominator
             qa = abs(qe)
             big = max(N.bit_length() + bits, L.bit_length() + pk.bit_length())
             if not sa or (
@@ -394,7 +402,8 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
                 <= sb * p * gd * max(abs(N) << bits, L * pk)
             ):
                 break
-        a, b = terms[j].numerator, terms[j].denominator
+        term = system.extension_terms(ell, i, s, j)[j]
+        a, b = term.numerator, term.denominator
         g = math.gcd(L, b)
         N = N * (b // g) * p + a * (L // g) * qe
         L *= b // g

@@ -8,8 +8,9 @@ build the polynomials
 
 such that R_{ell,i,s}(z) = P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z) has order
 at least n+1 at infinity.  Every P_ell comes from one closed formula: the
-coefficients of prod (t-alpha_i)^{rn}, shifted up by ell, times one
-hypergeometric multiplier table M(k) shared by every ell (see `_P_family`);
+coefficients of prod (t-alpha_i)^{rn} (multiplied out on integers, see
+`base_polynomial`), shifted up by ell, times one hypergeometric multiplier
+table M(k) shared by every ell (see `_P_family`);
 P_{ell,i,s} is the psi_{i,s}-image of the divided difference
 (P_ell(z)-P_ell(t))/(z-t).
 
@@ -22,7 +23,10 @@ product route multiplies the series of F_s out with its own integer loop
 (`LaurentTail.mul_poly`) and shares no code with it.  A generic exact
 null-space solver provides a third, construction-free oracle for the same
 approximation problem.  Past its window each remainder series goes on in
-one append-only table on the system (`PadeSystem.extension`).
+two append-only lists on the system, its terms and their sizes
+(`PadeSystem.extension_terms` / `extension_sizes`), each grown only when a
+caller reads past its end; the beta-free part of the remainder sums' ratio
+bound is kept there too (`PadeSystem.tail_ratio`).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from fractions import Fraction
 from .arith import format_rational, parse_rational
 from .errors import InvalidInput, TheoryViolation
 from .linalg import kernel_basis
+from .numerics import _tail_ratio
 from .polyops import (
     HypergeometricSpec,
     LaurentTail,
@@ -41,8 +46,6 @@ from .polyops import (
     correlate,
     expand_F_s,
     poly_deg,
-    poly_mul,
-    poly_shift_up,
     poly_trim,
     psi_weights,
     term_table,
@@ -56,11 +59,21 @@ def default_truncation(r: int, m: int, n: int) -> int:
 
 
 def base_polynomial(alphas, rn: int, ell: int) -> Poly:
-    """t^ell * prod_i (t - alpha_i)^{rn}."""
-    g = [Fraction(1)]
-    for al in alphas:
-        g = poly_mul(g, poly_pow_linear(-Fraction(al), rn))
-    return poly_shift_up(g, ell)
+    """t^ell * prod_i (t - alpha_i)^{rn}.
+
+    With alpha_i = p_i/q_i this is prod_i q_i^{-rn} (q_i t - p_i)^{rn}: each
+    power comes from the binomial theorem on integers, the product runs on
+    integers, and the one division by prod_i q_i^{rn} comes last."""
+    g, den = [1], 1
+    for al in map(Fraction, alphas):
+        p, q = al.numerator, al.denominator
+        power = [math.comb(rn, k) * q**k * (-p) ** (rn - k) for k in range(rn + 1)]
+        out = [0] * (len(g) + rn)
+        for d, x in enumerate(g):
+            for k, y in enumerate(power):
+                out[d + k] += x * y
+        g, den = out, den * q**rn
+    return [Fraction(0)] * ell + [Fraction(c, den) for c in g]
 
 
 def poly_pow_linear(c: Fraction, e: int) -> Poly:
@@ -169,8 +182,9 @@ class PadeSystem:
     Pis: dict = field(default_factory=dict)         # (ell, i, s) -> Poly
     R: dict = field(default_factory=dict)           # (ell, i, s) -> LaurentTail
     truncation: int = 0
-    # (ell, i, s) -> `extension` lists; like `spec._psi_tables`, a pure
-    # function of the system
+    # (ell, i, s) -> the (terms, sizes) lists of `extension_terms` and
+    # `extension_sizes`, and s -> `tail_ratio(s)`; like `spec._psi_tables`,
+    # a pure function of the system
     _extensions: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -188,23 +202,46 @@ class PadeSystem:
                 for s in range(self.r):
                     yield ell, i, s
 
-    def extension(self, ell: int, i: int, s: int, j: int) -> tuple:
-        """(terms, sizes) of R_{ell,i,s} past its window, grown in doubling
-        batches until they hold entry j: at k = truncation - 1 + j,
-        terms[j] = psi_{i,s}(t^k P_ell), the 1/z^{k+1} coefficient, and
-        sizes[j] = sum_d |P_d| |w_{k+d}| over the psi weights w.  The lists
-        only grow, so a caller's reference stays valid."""
-        terms, sizes = self._extensions.setdefault((ell, i, s), ([], []))
-        if j >= len(terms):
+    def tail_ratio(self, s: int) -> tuple:
+        """(k0, c) of `numerics._tail_ratio` from the first index past the
+        window, k = truncation - 1: the remainder sums of this system at any
+        beta stop-test from k0 on, against the ratio bound |alpha/beta| c.
+        Computed once per s."""
+        got = self._extensions.get(s)
+        if got is None:
+            got = self._extensions[s] = _tail_ratio(self.spec, s, self.truncation - 1)
+        return got
+
+    def extension_terms(self, ell: int, i: int, s: int, j: int) -> list:
+        """The terms of R_{ell,i,s} past its window, grown to hold entry j:
+        terms[j] = psi_{i,s}(t^k P_ell), the 1/z^{k+1} coefficient, at
+        k = truncation - 1 + j.  The list only grows, so a caller's
+        reference stays valid."""
+        return self._extend(ell, i, s, j, 0)
+
+    def extension_sizes(self, ell: int, i: int, s: int, j: int) -> list:
+        """The sizes of R_{ell,i,s} past its window, grown to hold entry j:
+        sizes[j] = sum_d |P_d| |w_{k+d}| over the psi weights w, at
+        k = truncation - 1 + j.  Grown apart from the terms, so a sum that
+        reads only sizes (or only terms) computes nothing else."""
+        return self._extend(ell, i, s, j, 1)
+
+    def _extend(self, ell: int, i: int, s: int, j: int, half: int) -> list:
+        # one list of the (terms, sizes) pair of (ell, i, s); a read past its
+        # end grows it to max(j + 1, twice its length)
+        out = self._extensions.setdefault((ell, i, s), ([], []))[half]
+        if j >= len(out):
             P = self.P[ell]
             kfirst = self.R[(ell, i, s)].truncation - 1
-            start = kfirst + len(terms)
-            stop = kfirst + max(j + 1, 2 * len(terms), 8)
+            start = kfirst + len(out)
+            stop = kfirst + max(j + 1, 2 * len(out))
             w = psi_weights(self.spec, self.alphas[i - 1], s, stop - 2 + len(P))
-            terms.extend(correlate(P, w, start, stop))
-            sizes.extend(correlate([abs(c) for c in P],
-                                   [abs(x) for x in w[start:]], 0, stop - start))
-        return terms, sizes
+            if half:
+                out.extend(correlate([abs(c) for c in P],
+                                     [abs(x) for x in w[start:]], 0, stop - start))
+            else:
+                out.extend(correlate(P, w, start, stop))
+        return out
 
     def to_jsonable(self) -> dict:
         return {

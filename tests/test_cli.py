@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,22 @@ def test_criterion_at_a_finite_place_report_is_frozen(capsys):
     )
 
 
+_FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "frozen.json"
+
+
+def test_measure_reports_match_frozen(capsys):
+    # the benchmark's three default-seed `measure` ops (two criterion runs
+    # and one min-beta bisection), run in process: every report byte must
+    # match the sha256 the benchmark pins in its frozen table
+    frozen = json.loads(_FROZEN.read_text())
+    keys = sorted(k for k in frozen if k.split()[0] in ("criterion", "min-beta"))
+    assert len(keys) == 3
+    for key in keys:
+        assert main(key.split()) == 0, key
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == frozen[key], key
+
+
 def test_min_beta_report(capsys):
     code = main(["min-beta", *R2, "--alphas", "1",
                  "--search-bound", "64", "--n-range", "4:8"])
@@ -352,6 +369,9 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
     (["eval", "--z=1/7"], {"a": "1/3,1/4", "b": "1/1000000000"}, "--b"),
     # the step budget provably cannot reach 2^-512 this close to |z| = 1
     (["eval", "--a=1/3,1/4", "--b=1/2", "--z=999/1000", "--bits=512"], None, "--z"),
+    # closer still, the stop tests would start past k = 10^9: over the cap
+    (["eval", "--a=1/3,1/4", "--b=1/2", "--z=999999999/1000000000", "--bits=64"],
+     None, "--z"),
 ])
 def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -374,8 +394,8 @@ _HUGE = str(10**30)
 
 # Valid values keep each run cheap (n <= 2, windows within 4:7, bits <= 256,
 # search bounds <= 16).  Huge integers go only where they are rejected or
-# cost nothing: a huge n would make a valid but endless run, and a huge a or
-# b is rejected by the parameter-height cap.
+# cost nothing: a huge n would make a valid but endless run, and a huge a, b
+# or z (also one of modulus just below 1) is rejected by the height cap.
 _SPECS = (("1/3,1/4", "1/2"), ("1/3", ""), ("1/5,2/7", "1/2"))
 _VALID = {
     "--c0": ("1", "2/3"),
@@ -403,7 +423,7 @@ _ODD = {
     "--place": ("4", "p", _HUGE),
     "--epsilon": ("1e400", _HUGE),
     "--bits": ("16384", _HUGE),
-    "--z": ("1", _HUGE),
+    "--z": ("1", _HUGE, "-999999999/1000000000"),
     "--n-range": ("7:4", "0:7", "4:5", _HUGE),
     "--search-bound": ("-" + _HUGE,),
     "--seed": (_HUGE,),

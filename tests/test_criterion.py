@@ -397,8 +397,8 @@ def test_vp_remainder_matches_an_exact_partial_sum(spec_r2):
 
 def test_vp_remainder_and_remainder_value_share_one_table(spec_r2):
     # past the window both sums read psi(t^k P) from the system's one
-    # extension table: whichever fills it, the other gets a fresh system's
-    # answer, and the v_5 = 49 oracle above still holds on the filled table
+    # term list: whichever fills it, the other gets a fresh system's answer,
+    # and the v_5 = 49 oracle above still holds on the filled table
     from hgpade.criterion import _vp_remainder
     from hgpade.numerics import remainder_value
     from hgpade.pade import build_system
@@ -410,15 +410,37 @@ def test_vp_remainder_and_remainder_value_share_one_table(spec_r2):
     near, far = Fraction(1, 5), Fraction(10**6)  # |1/5|_5 = 5: a long p-adic sum
     for key in system.indices():
         v = _vp_remainder(system, *key, near, 5)
-        terms, sizes = system.extension(*key, 0)
+        terms, sizes = system._extensions[key]  # read without growing either list
         seen = list(terms)
-        assert len(seen) >= 16  # the p-adic sum ran past the window
+        assert len(seen) > 8  # the p-adic sum ran past the window
         got = remainder_value(system, *key, far, 256)
-        again = system.extension(*key, 0)
+        again = system._extensions[key]
         assert again[0] is terms and again[1] is sizes
         assert terms[:len(seen)] == seen
         want = remainder_value(fresh(), *key, far, 256)
         assert (got.value, got.error) == (want.value, want.error)
         assert v == _vp_remainder(system, *key, near, 5) \
             == _vp_remainder(fresh(), *key, near, 5)
+        assert _vp_remainder(system, *key, Fraction(1, 5**10), 5) == 49
+        assert system._extensions[key][0] is terms
+
+
+def test_remainder_sums_grow_only_what_they_read(spec_r2):
+    # an archimedean sum reads a size at each stop test and a term only once
+    # that test has failed; a p-adic sum reads terms only
+    from hgpade.criterion import _vp_remainder
+
+    inst = Instance(spec_r2, (Fraction(1),), range(4, 8))  # the fit needs 4 n
+    assert measure(inst, Fraction(10**6), Place(), 0.1).verdict
+    for system in inst.systems.values():
+        for key in system.indices():
+            terms, sizes = system._extensions[key]
+            # at beta = 10^6 every sum stops at the first entry past the window
+            assert terms == [] and len(sizes) == 1
+    system = inst.systems[4]
+    for key in system.indices():
+        sizes = list(system._extensions[key][1])
+        _vp_remainder(system, *key, Fraction(1, 5), 5)
+        terms, now = system._extensions[key]
+        assert len(terms) > 8 and now == sizes  # past the window, terms only
         assert _vp_remainder(system, *key, Fraction(1, 5**10), 5) == 49

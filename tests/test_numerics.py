@@ -427,23 +427,72 @@ def test_remainder_value_guards(system_n4):
 def test_remainder_value_cache_consistent(spec_r2):
     # one system's table, filled at 32 bits and grown by a higher precision
     # and a second beta: every answer, bound included, equals the one a fresh
-    # system gives
+    # system gives, and the term and size lists only ever grow
     alphas, key = (F(1),), (2, 1, 1)
     reused = build_system(spec_r2, alphas, 4, cross_check=False)
+    seen = []
     for beta, bits in ((F(3), 32), (F(3), 32), (F(3), 256), (F(-7, 2), 256), (F(3), 128)):
         got = remainder_value(reused, *key, beta, bits)
         fresh = build_system(spec_r2, alphas, 4, cross_check=False)
         want = remainder_value(fresh, *key, beta, bits)
         assert (got.value, got.error, got.bits) == (want.value, want.error, want.bits)
-    terms, sizes = reused.extension(*key, 0)
-    assert len(terms) == len(sizes) > 8  # the 256-bit calls grew the first batch
+        lists = reused._extensions[key]  # read without growing either list
+        seen.append((lists, [list(half) for half in lists]))
+    terms, sizes = seen[-1][0]
+    for (now_terms, now_sizes), (was_terms, was_sizes) in seen:
+        assert now_terms is terms and now_sizes is sizes
+        assert terms[:len(was_terms)] == was_terms
+        assert sizes[:len(was_sizes)] == was_sizes
+    # the 256-bit calls read past the entries the 32-bit ones had grown
+    (_, (terms32, sizes32)), (_, (terms256, sizes256)) = seen[1], seen[2]
+    assert len(terms256) > len(terms32) and len(sizes256) > len(sizes32)
     # every entry is psi(t^k P_2) and sum_d |P_d| |w_{k+d}| from the window on
     P, kfirst = reused.P[2], reused.truncation - 1
-    w = psi_weights(spec_r2, F(1), 1, kfirst + len(terms) + len(P))
-    for j, (term, size) in enumerate(zip(terms, sizes)):
+    w = psi_weights(spec_r2, F(1), 1, kfirst + max(len(terms), len(sizes)) + len(P))
+    for j, term in enumerate(terms):
         k = kfirst + j
         assert term == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
+    for j, size in enumerate(sizes):
+        k = kfirst + j
         assert size == sum((abs(c) * abs(w[k + d]) for d, c in enumerate(P)), F(0))
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(st.sampled_from([(0, 1, 0), (2, 1, 1), (1, 2, 0), (4, 2, 1)]),
+       st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=40)),
+                min_size=1, max_size=8))
+def test_extension_entries_at_any_index_in_any_order(key, reads):
+    # terms and sizes requested at random indices, in random order: each
+    # list grows on its own, and every entry equals its naive Fraction sum
+    spec = HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(1, 2),))
+    system = build_system(spec, (F(1), F(2)), 1, cross_check=False)
+    ell, i, s = key
+    P, kfirst = system.P[ell], system.truncation - 1
+    w = psi_weights(spec, system.alphas[i - 1], s, kfirst + 2 * 41 + len(P))
+    lists = {}
+    for is_size, j in reads:
+        grow = system.extension_sizes if is_size else system.extension_terms
+        before = len(system._extensions.get(key, ([], []))[is_size])
+        got = grow(*key, j)
+        assert lists.setdefault(is_size, got) is got
+        # a read past the end doubles the list, or reaches j if that is more
+        assert len(got) == (before if j < before else max(j + 1, 2 * before))
+        k = kfirst + j
+        if is_size:
+            want = sum((abs(c) * abs(w[k + d]) for d, c in enumerate(P)), F(0))
+        else:
+            want = sum((c * w[k + d] for d, c in enumerate(P)), F(0))
+        assert got[j] == want
+    terms, sizes = system._extensions[key]
+    # a list that no read asked for stays empty
+    if False not in lists:
+        assert terms == []
+    if True not in lists:
+        assert sizes == []
+    for j, term in enumerate(terms):
+        assert term == sum((c * w[kfirst + j + d] for d, c in enumerate(P)), F(0))
+    for j, size in enumerate(sizes):
+        assert size == sum((abs(c) * abs(w[kfirst + j + d]) for d, c in enumerate(P)), F(0))
 
 
 def _naive_remainder_value(system, ell, i, s, beta, bits):

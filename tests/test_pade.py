@@ -11,6 +11,7 @@ from hgpade.errors import HypothesisViolation, InvalidInput, TheoryViolation
 from hgpade.pade import (
     PadeSystem,
     _P_family,
+    base_polynomial,
     build_system,
     default_truncation,
     membership_in_nullspace,
@@ -45,6 +46,21 @@ def test_poly_pow_linear():
         poly_mul(poly_mul([F(-2), F(1)], [F(-2), F(1)]), [F(-2), F(1)])
     )
     assert poly_pow_linear(F(5), 0) == [F(1)]
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=97),
+                max_size=3),
+       st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=4))
+def test_base_polynomial_equals_the_fraction_product(alphas, rn, ell):
+    # t^ell prod (t - alpha)^rn, multiplied out on Fractions factor by factor
+    want = [F(1)]
+    for al in alphas:
+        for _ in range(rn):
+            want = poly_mul(want, [-F(al), F(1)])
+    got = base_polynomial(alphas, rn, ell)
+    assert got == [F(0)] * ell + want
+    assert all(type(c) is F for c in got)
 
 
 # ---------------------------------------------------------------------------
