@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import DenominatorProfile, Place, format_rational, parse_place, parse_rational
-from .criterion import Instance, criterion_V, measure, min_beta
+from .criterion import MIN_FIT_SIZES, Instance, criterion_V, measure, min_beta
 from .errors import HgpadeError, InvalidInput, RationalParseError, StepBudgetExceeded
 from .numerics import eval_F_family
 from .pade import PadeSystem, build_system, verify_system
@@ -113,6 +113,10 @@ def _parse_n_range(flag: str, text: str) -> range:
         raise RationalParseError(f"{flag}: expected LO:HI, got {text!r}") from exc
     if not 0 < lo <= hi:
         raise RationalParseError(f"{flag}: need 0 < LO <= HI, got {text!r}")
+    if hi - lo + 1 < MIN_FIT_SIZES:
+        raise InvalidInput(
+            f"{flag}: the rate fits need at least {MIN_FIT_SIZES} sizes n, "
+            f"got {text!r}")
     return range(lo, hi + 1)  # inclusive upper end on the command line
 
 

@@ -46,6 +46,8 @@ from .polyops import poly_eval
 # rate fitting
 # ---------------------------------------------------------------------------
 
+MIN_FIT_SIZES = 4  # sizes n a rate fit needs; the CLI checks --n-range against it
+
 
 @dataclass
 class FitResult:
@@ -79,8 +81,8 @@ class FitResult:
 def fit_rate(ns, values, tolerance: float = 0.02) -> FitResult:
     """Weighted least squares of y_n/n = rate + offset/n over the sample."""
     ns = list(ns)
-    if len(ns) < 4:
-        raise InvalidInput("rate fitting needs at least 4 sample sizes")
+    if len(ns) < MIN_FIT_SIZES:
+        raise InvalidInput(f"rate fitting needs at least {MIN_FIT_SIZES} sample sizes")
     if len(set(ns)) != len(ns) or len(values) != len(ns):
         raise InvalidInput("sample sizes must be distinct and match the values")
     pts = sorted(zip(ns, values))

@@ -3,8 +3,8 @@ linear solves, and Newton interpolation.
 
 Matrices are lists of equal-length lists of Fractions (ints are accepted
 too).  Every determinant of the Wronskian chain goes through `det_bareiss`,
-O(N^3) exact integer operations: Delta's (rm+1) x (rm+1) matrix at each
-evaluation point in z, the moment matrix of C_{u,m}, and Theta.
+O(N^3) exact integer operations: Delta's (rm+1) x (rm+1) matrix at z = 0
+and z = 1, the moment matrix of C_{u,m}, and Theta.
 """
 
 from __future__ import annotations

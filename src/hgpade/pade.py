@@ -20,7 +20,9 @@ compared.  The functional side -- P_{ell,i,s} and the coefficient formula --
 reads the psi_{i,s} weight table of (alpha_i, s), shared by every ell and
 kept on the spec, through the integer-scaled kernel `polyops.correlate`; the
 product route multiplies the series of F_s out with its own integer loop
-(`LaurentTail.mul_poly`) and shares no code with it.  A generic exact
+(`LaurentTail.mul_poly`) and shares no code with it; that series is expanded
+once per (alpha_i, s), from the product formula of its coefficients, into a
+table of its own on the spec (`polyops.expand_F_s`).  A generic exact
 null-space solver provides a third, construction-free oracle for the same
 approximation problem.  Past its window each remainder series goes on in
 two append-only lists on the system, its terms and their sizes
@@ -284,7 +286,9 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     the remainder read the psi_{i,s} weight table of (alpha_i, s), shared
     with every later caller through the spec.  When cross_check is set (the
     default), every remainder is re-computed from the literal series
-    product; any disagreement is a theory violation, not a warning.
+    product over its whole window; any disagreement is a theory violation,
+    not a warning.  The series F_s(alpha_i/z) of that product is expanded
+    once per (alpha_i, s) and read by every ell (`expand_F_s`).
     """
     alphas = [Fraction(a) for a in alphas]
     _check_alphas(alphas)

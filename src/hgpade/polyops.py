@@ -14,7 +14,8 @@ against the one weight table of (alpha_i, s), kept append-only on the spec;
 `correlate` computes a run of them over integers scaled to the common
 denominators, one Fraction per output, and so does each column of the C_{u,m}
 moment matrix in `wronskian`.  `LaurentTail.mul_poly`, the product route
-that cross-checks those values, scales to integers in a loop of its own.
+that cross-checks those values, scales to integers in a loop of its own, on
+a series table of its own (`expand_F_s`).
 """
 
 from __future__ import annotations
@@ -226,6 +227,8 @@ class HypergeometricSpec:
     _c_cache: list = field(default_factory=list, repr=False, compare=False)
     # (alpha, s) -> psi_{i,s} weights from k = 0, append-only (`psi_weights`)
     _psi_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    # (alpha, s) -> coefficients of F_s(alpha/z) from 1/z, append-only (`expand_F_s`)
+    _series_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- constructors
 
@@ -486,13 +489,22 @@ def f_s_coefficient(spec: HypergeometricSpec, s: int, k: int) -> Fraction:
 
 
 def expand_F_s(spec: HypergeometricSpec, alpha: Fraction, s: int, truncation: int) -> LaurentTail:
-    """Tail of F_s(alpha/z) in powers of 1/z, exact up to `truncation`."""
+    """Tail of F_s(alpha/z) in powers of 1/z, exact up to `truncation`.
+
+    The coefficient of 1/z^{k+1} is f_s_coefficient(s, k) * alpha^{k+1}, kept
+    in one append-only table per (alpha, s) on the spec and grown on demand,
+    so every caller (each ell of a build's cross-check) reads one expansion.
+    The table is filled by that product formula alone, never from the psi
+    weights (`psi_weights` steps g_s(k) c_k alpha^{k+1} as one term): the
+    product route it feeds is the independent oracle of the functional one.
+    """
     alpha = Fraction(alpha)
     if not (0 <= s <= spec.r - 1):
         raise InvalidInput(f"s out of range: {s}")
-    coeffs = []
-    apow = alpha
-    for k in range(max(0, truncation - 1)):
-        coeffs.append(f_s_coefficient(spec, s, k) * apow)
-        apow *= alpha
-    return LaurentTail(1, coeffs, truncation)
+    table = spec._series_tables.setdefault((alpha, s), [])
+    if len(table) < truncation - 1:
+        apow = alpha ** (len(table) + 1)
+        for k in range(len(table), truncation - 1):
+            table.append(f_s_coefficient(spec, s, k) * apow)
+            apow *= alpha
+    return LaurentTail(1, table[:max(0, truncation - 1)], truncation)

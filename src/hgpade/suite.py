@@ -200,7 +200,7 @@ def check_wronskian_routes(shared=None, seed=SUITE_SEED) -> CheckResult:
     t0 = time.perf_counter()
     rows, ok = [], True
     for label, (spec, alphas, n, system) in sorted(_grid_systems(shared).items()):
-        route = delta_route_check(system)  # raises if z-degree > 0
+        route = delta_route_check(system)  # raises if Delta is not constant
         C = C_um(spec, alphas, n, n)
         chain = theta_chain_holds(
             spec, alphas, n, route["theta"], a0s_values(spec, n)["values"], C

@@ -14,13 +14,16 @@ links together is asserted with exact equality — a failure is a theory
 violation, never a tolerance event.
 
 Each quantity has one polynomial-time route, and every determinant goes
-through `det_bareiss`: Delta by exact evaluation at integer points z (enough
-of them to pin a polynomial of its degree bound), C_{u,m} by the moment
-determinant, whose columns are `correlate` runs.  The chain computes each
-constant c_{u,k}, k = m..1, once and checks every link against its
-successor with the one link check that `reduction_check` also runs.  The
-subset elimination behind `C_um(..., route="eliminate")` is exponential in
-rm and is kept only as an oracle for small sizes.
+through `det_bareiss`.  Delta is constant by the paper's cofactor argument:
+every remainder has order >= n+1 at infinity, so the expansion along the
+top row leaves lead(P_rm) * Theta.  `delta_of_system` checks the
+argument's hypotheses on the system and evaluates Delta at z = 0 and 1;
+`pade.build_system` cross-checks every remainder window over its whole
+length.  C_{u,m} is the moment determinant, whose columns are `correlate`
+runs.  The chain computes each distinct C_{u,m} value once and checks every
+link against its successor with the one link check that `reduction_check`
+also runs.  The subset elimination behind `C_um(..., route="eliminate")`
+is exponential in rm and is kept only as an oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -38,14 +41,22 @@ from .errors import (
     TheoryViolation,
 )
 from .linalg import det_bareiss, newton_interpolate, solve_linear
-from .pade import PadeSystem, base_polynomial, build_system, poly_pow_linear
+from .pade import (
+    PadeSystem,
+    base_polynomial,
+    build_system,
+    poly_pow_linear,
+    remainder,
+)
 from .polyops import (
     HypergeometricSpec,
     Poly,
     correlate,
     phi_zeta_s,
     poly_add,
+    poly_deg,
     poly_mul,
+    poly_trim,
     zeta_prefix_weights,
 )
 
@@ -60,41 +71,70 @@ def _row_index_pairs(r: int, m: int):
             yield i, s
 
 
-def _eval_int(p: list, z: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * z + c
-    return acc
-
-
 def delta_of_system(system: PadeSystem) -> Fraction:
-    """det( p_0(z) ... p_rm(z) ) — constant in z, returned as that constant.
+    """det( p_0(z) ... p_rm(z) ), column ell = (P_ell, P_{ell,i,s} in row
+    order), proved constant in z by the cofactor argument and returned as
+    that constant.
 
-    D, the sum over columns of the largest entry degree, bounds deg Delta, so
-    Delta is constant exactly when its values at z = 0..D all agree.  Each
-    row is scaled to integer coefficients over one denominator, so every
-    evaluation is integer Horner and every determinant an integer Bareiss.
+    Subtract F_s(alpha_i/z) times the top row from the row of (i, s): its
+    entries become -R_{ell,i,s}, each of order >= n+1 at infinity.  Expanded
+    along the top row, the cofactor of column ell is an rm x rm minor of
+    remainders, of order >= rm(n+1), against deg P_ell = rmn + ell.  Every
+    term but ell = rm therefore vanishes at infinity, so the polynomial
+    Delta is the constant lead(P_rm) * Theta.  The hypotheses are checked
+    here, exactly, on the system's own data, and the first that fails raises
+    NonconstantDeterminant naming it:
+
+    * deg P_ell = rmn + ell;
+    * deg P_{ell,i,s} <= rmn + ell;
+    * the literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} (the product
+      route of `remainder`, up to 1/z^{n+1}) has order >= n+1;
+    * its 1/z^{n+1} coefficient is the stored window entry Theta reads.
+
+    Delta(0) and Delta(1) are then two integer Bareiss determinants; they
+    must agree, and their value is returned.  `delta_route_check` compares it
+    with lead(P_rm) * Theta.
     """
-    r, m = system.r, system.m
-    cols = range(r * m + 1)
-    rows = [[system.P[ell] for ell in cols]]
+    r, m, n = system.r, system.m, system.n
+    N = r * m
+    for ell in range(N + 1):
+        P = system.P[ell]
+        if len(P) != N * n + ell + 1 or not P[-1]:
+            raise NonconstantDeterminant(
+                f"hypothesis deg P_ell = rmn + ell fails at ell = {ell}: "
+                f"degree {poly_deg(poly_trim(list(P)))}, want {N * n + ell}")
+    for ell, i, s in system.indices():
+        got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)])))
+        if got > N * n + ell:
+            raise NonconstantDeterminant(
+                f"hypothesis deg P_{{ell,i,s}} <= rmn + ell fails at "
+                f"(ell,i,s) = ({ell},{i},{s}): degree {got}")
+    for ell, i, s in system.indices():
+        product = remainder(system, ell, i, s, truncation=n + 2, route="product")
+        if not product.ord_at_least(n + 1):
+            raise NonconstantDeterminant(
+                f"hypothesis order >= n+1 fails at (ell,i,s) = ({ell},{i},{s}): "
+                f"P_ell F_s - P_{{ell,i,s}} has order {product.ord_infinity()}")
+        if product.coeff(n + 1) != system.R[(ell, i, s)].coeff(n + 1):
+            raise NonconstantDeterminant(
+                f"hypothesis product coefficient fails at (ell,i,s) = "
+                f"({ell},{i},{s}): the 1/z^{n + 1} coefficient of "
+                "P_ell F_s - P_{ell,i,s} is not the stored window entry")
+    rows = [[system.P[ell] for ell in range(N + 1)]]
     for i, s in _row_index_pairs(r, m):
-        rows.append([system.Pis[(ell, i, s)] for ell in cols])
-    D = sum(max(max(len(row[ell]) for row in rows) - 1, 0) for ell in cols)
-    scale = 1
-    int_rows = []
-    for row in rows:
-        den = math.lcm(*(c.denominator for p in row for c in p))
-        scale *= den
-        int_rows.append([[c.numerator * (den // c.denominator) for c in p] for p in row])
-    values = [
-        det_bareiss([[_eval_int(p, z) for p in row] for row in int_rows])
-        for z in range(D + 1)
-    ]
-    if any(v != values[0] for v in values):
-        degree = len(newton_interpolate(list(range(D + 1)), values)) - 1
-        raise NonconstantDeterminant(f"nonconstant determinant: z-degree {degree}")
-    return values[0] / scale
+        rows.append([system.Pis[(ell, i, s)] for ell in range(N + 1)])
+    at_0 = det_bareiss([[p[0] if p else Fraction(0) for p in row] for row in rows])
+    at_1 = det_bareiss([[_value_at_1(p) for p in row] for row in rows])
+    if at_0 != at_1:
+        raise NonconstantDeterminant(
+            f"nonconstant determinant: Delta(0) = {at_0} != Delta(1) = {at_1}")
+    return at_0
+
+
+def _value_at_1(p: Poly) -> Fraction:
+    """p(1), summed on integers over the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in p))
+    return Fraction(sum(c.numerator * (den // c.denominator) for c in p), den)
 
 
 def theta_det(system: PadeSystem) -> Fraction:
@@ -320,9 +360,13 @@ def c_um_factor(spec: HypergeometricSpec, alphas, n: int, u: int) -> tuple:
     if tuple(alphas) not in tuples:
         tuples.append(tuple(alphas))
 
+    values = {}  # tuple -> Q(tuple): at m = 1 the doubled (1) is the base (2)
+
     def Q(t):
-        C = C_um(spec, t, n, u)
-        return C / vandermonde(t) ** vpow if m > 1 else C
+        if t not in values:
+            C = C_um(spec, t, n, u)
+            values[t] = C / vandermonde(t) ** vpow if m > 1 else C
+        return values[t]
 
     e = None
     c = None
@@ -398,12 +442,11 @@ def l_factor(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
     return C_um(spec, (Fraction(1),), n, u)
 
 
-def _link(spec: HypergeometricSpec, n: int, u: int, m: int,
-          c_here: Fraction, c_next: Fraction) -> dict:
+def _link(spec: HypergeometricSpec, n: int, m: int, c_here: Fraction,
+          c_next: Fraction, L: Fraction) -> dict:
     """One chain link, c_{u,m} = (-1)^{r^2 n (m-1)} c_{u + r(n+1), m-1} * L(u),
     checked on given constants (c_{u,0} = 1 closes the chain)."""
     r = spec.r
-    L = l_factor(spec, n, u)
     sign = -1 if (r * r * n * (m - 1)) % 2 else 1
     rhs = sign * c_next * L
     return {"lhs": c_here, "rhs": rhs, "c_next": c_next, "L": L, "sign": sign,
@@ -421,7 +464,7 @@ def reduction_check(spec: HypergeometricSpec, alphas, n: int, u: int) -> dict:
         c_next, e_next = Fraction(1), None
     else:
         c_next, e_next = c_um_factor(spec, alphas[:-1], n, u + r * (n + 1))
-    return {**_link(spec, n, u, m, c_here, c_next),
+    return {**_link(spec, n, m, c_here, c_next, l_factor(spec, n, u)),
             "exponent_here": e_here, "exponent_next": e_next}
 
 
@@ -563,7 +606,21 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     if not a0s["all_nonzero"]:
         zero_links.append("a0s")
 
-    C = C_um(spec, alphas, n, n)
+    # C_{n,m} is the first chain constant's own value at alpha:
+    # c_um_factor checked C(alpha) = c prod(alpha)^e V(alpha)^{(2n+1)r^2}
+    # exactly, so C is rebuilt from (c, e) rather than recomputed
+    first = None
+    if a0s["all_nonzero"]:
+        try:
+            first = c_um_factor(spec, alphas, n, n)
+        except FactorizationMismatch:
+            if C_um(spec, alphas, n, n) != 0:
+                raise
+    if first is None:
+        C = C_um(spec, alphas, n, n)
+    else:
+        C = (first[0] * math.prod(alphas, start=Fraction(1)) ** first[1]
+             * vandermonde(alphas) ** ((2 * n + 1) * r * r))
     if C == 0:
         zero_links.append("C_um")
     checks["theta_chain_identity"] = theta_chain_holds(
@@ -572,11 +629,11 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     chain = []
     exponent_e = None
     fdet_value = Fraction(0)
-    if "C_um" not in zero_links and "a0s" not in zero_links:
+    if first is not None:
         # c_{u_k,k} for k = m..1 with u_m = n and u_{k-1} = u_k + r(n+1):
         # each constant is computed once and checked against its successor
         u = n
-        c_here, exponent_e = c_um_factor(spec, alphas, n, u)
+        c_here, exponent_e = first
         chain.append(c_here)
         ok_all = True
         for k in range(m, 0, -1):
@@ -584,14 +641,17 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
             c_next = Fraction(1)
             if k > 1:
                 c_next, _ = c_um_factor(spec, alphas[:k - 1], n, u_next)
-            link = _link(spec, n, u, k, c_here, c_next)
+            # L(u) is C_{u,1} at alpha = 1, the first tuple of every m = 1
+            # factorization, so the last link's L is its c_{u,1}
+            L = l_factor(spec, n, u) if k > 1 else c_here
+            link = _link(spec, n, k, c_here, c_next, L)
             ok_all = ok_all and link["equal"]
-            if link["L"] == 0:
+            if L == 0:
                 zero_links.append(f"L(u={u})")
             fdet, E = final_det(spec, n, u)
             fdet_value = fdet
             checks.setdefault("final_det_basis_links", True)
-            if link["L"] != E * fdet:
+            if L != E * fdet:
                 checks["final_det_basis_links"] = False
             if fdet == 0:
                 zero_links.append(f"final_det(u={u})")

@@ -149,7 +149,9 @@ def test_wronskian_certifies_rm_up_to_nine(a, b, alphas, capsys):
     assert report["checks"] and all(report["checks"].values())
 
 
-@pytest.mark.parametrize("alphas", ["1,2", "1,2,3"])   # r = 4, m = 2 and 3
+# r = 4, m = 2..5: Delta rests on the cofactor argument, not on one
+# determinant per point z up to its degree, so r*m = 20 stays within seconds
+@pytest.mark.parametrize("alphas", ["1,2", "1,2,3", "1,2,3,4", "1,2,3,4,5"])
 def test_wronskian_certifies_r4_up_to_m3(alphas, capsys):
     code = main(["wronskian", "--a=1/3,1/4,1/5,1/6", "--b=1/2,2/3,3/4",
                  "--alphas", alphas, "--n", "1"])
@@ -213,6 +215,19 @@ def test_measure_reports_match_frozen(capsys):
     frozen = json.loads(_FROZEN.read_text())
     keys = sorted(k for k in frozen if k.split()[0] in ("criterion", "min-beta"))
     assert len(keys) == 3
+    for key in keys:
+        assert main(key.split()) == 0, key
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == frozen[key], key
+
+
+def test_certify_reports_match_frozen(capsys):
+    # the benchmark's four default-seed `certify` ops (wronskian at r*m = 6
+    # and r*m <= 4), run in process: every report byte must match the sha256
+    # the benchmark pins in its frozen table
+    frozen = json.loads(_FROZEN.read_text())
+    keys = sorted(k for k in frozen if k.split()[0] == "wronskian")
+    assert len(keys) == 4
     for key in keys:
         assert main(key.split()) == 0, key
         out = capsys.readouterr().out
@@ -372,6 +387,11 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
     # closer still, the stop tests would start past k = 10^9: over the cap
     (["eval", "--a=1/3,1/4", "--b=1/2", "--z=999999999/1000000000", "--bits=64"],
      None, "--z"),
+    # three sizes n cannot carry a rate fit: refused before any system is built
+    (["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--beta=1000000000",
+      "--n-range=20:22"], None, "--n-range"),
+    (["min-beta", *R2, "--alphas", "1", "--search-bound=100000"],
+     {"n_range": "20:22"}, "--n-range"),
 ])
 def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys):
     if config is not None:

@@ -187,6 +187,29 @@ def test_product_route_does_not_use_the_kernel(canonical_system, monkeypatch):
             assert a.coeff(e) == b.coeff(e)
 
 
+def test_one_build_expands_each_series_coefficient_once(monkeypatch):
+    # every ell of the cross-check reads the one table of F_s(alpha/z) on
+    # the spec: one build computes each coefficient once per (alpha, s, k)
+    import hgpade.polyops
+
+    seen = []
+    coefficient = hgpade.polyops.f_s_coefficient
+
+    def counted(spec, s, k):
+        seen.append((s, k))
+        return coefficient(spec, s, k)
+
+    monkeypatch.setattr(hgpade.polyops, "f_s_coefficient", counted)
+    spec = HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(1, 2),))
+    alphas = (F(1), F(-1, 2))
+    system = build_system(spec, alphas, 2)
+    assert verify_system(system)["ok"]
+    longest = system.truncation + len(system.P[system.r * system.m]) - 2
+    for s in range(spec.r):
+        assert sorted(k for t, k in seen if t == s) == sorted(
+            [*range(longest)] * len(alphas))
+
+
 def test_cross_check_off_matches(spec_r2, canonical_system):
     loose = build_system(spec_r2, (F(1), F(2)), 1, cross_check=False)
     assert loose.P == canonical_system.P

@@ -489,10 +489,24 @@ def test_f_s_coefficient(spec_r2, spec_r3):
     )
 
 
-def test_expand_F_s_matches_psi_weights(spec_r2):
+def test_expand_F_s_matches_psi_weights(spec_r2, monkeypatch):
+    # the series table grows in steps and is filled by the product formula
+    # alone, never from the psi weights it is compared against
+    import hgpade.polyops
+
+    def weights(*args):
+        raise AssertionError("expand_F_s read the psi weights")
+
+    spec = HypergeometricSpec.from_ab(spec_r2.a, spec_r2.b)
     alpha = F(2)
-    tail = expand_F_s(spec_r2, alpha, 1, 8)
-    w = psi_weights(spec_r2, alpha, 1, 6)
-    assert tail.order == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(hgpade.polyops, "psi_weights", weights)
+        short = expand_F_s(spec, alpha, 1, 4)
+        tail = expand_F_s(spec, alpha, 1, 8)
+    w = psi_weights(spec, alpha, 1, 6)
+    assert short.order == tail.order == 1
+    assert (short.truncation, tail.truncation) == (4, 8)
     for k in range(7):
         assert tail.coeff(k + 1) == w[k]
+        if k < 3:
+            assert short.coeff(k + 1) == w[k]

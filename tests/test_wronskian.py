@@ -1,6 +1,7 @@
 """Determinant routes, factor extraction, reduction, and the zero ledger."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hgpade.errors import NonconstantDeterminant
-from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec
+from hgpade.linalg import det_bareiss
+from hgpade.pade import PadeSystem, build_system
+from hgpade.polyops import HypergeometricSpec, LaurentTail, poly_eval
 from hgpade.wronskian import (
     C_um,
     a0s_change_of_basis,
@@ -38,6 +40,22 @@ def test_vandermonde():
 
 # ---------------------------------------------------------------------------
 # Delta: frozen exact values across the grid
+
+
+def _delta_by_evaluation(system):
+    """Oracle for Delta that assumes nothing of the cofactor argument: the
+    values of the determinant at z = 0..D, where D (the sum over columns of
+    the largest entry degree) bounds deg Delta.  Delta is constant exactly
+    when they all agree; the list is returned for the caller to check."""
+    r, m = system.r, system.m
+    cols = range(r * m + 1)
+    rows = [[system.P[ell] for ell in cols]]
+    for i in range(1, m + 1):
+        for s in range(r - 1, -1, -1):
+            rows.append([system.Pis[(ell, i, s)] for ell in cols])
+    D = sum(max(max(len(row[ell]) for row in rows) - 1, 0) for ell in cols)
+    return [det_bareiss([[poly_eval(p, F(z)) for p in row] for row in rows])
+            for z in range(D + 1)]
 
 
 @pytest.mark.parametrize(
@@ -144,6 +162,18 @@ def test_chain_contracts_on_random_instances(instance):
     assert delta == leading_coeff_P_rm(system) * theta_det(system)
 
 
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(_admissible_instances(), st.integers(1, 2))
+def test_delta_equals_the_evaluation_oracle(instance, n):
+    # the argument's Delta against the determinant evaluated at every z up
+    # to its degree bound, on random admissible rm <= 4 and n <= 2
+    spec, alphas = instance
+    system = build_system(spec, alphas, n)
+    values = _delta_by_evaluation(system)
+    assert all(v == values[0] for v in values)
+    assert delta_of_system(system) == values[0]
+
+
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(_admissible_instances(max_m=2))
 def test_chain_constants_are_the_reduction_check_sides(instance):
@@ -178,6 +208,32 @@ def test_each_chain_link_factor_is_computed_once(spec_name, alphas, n, calls,
         return factor(spec, alphas, n, u)
 
     monkeypatch.setattr(hgpade.wronskian, "c_um_factor", counted)
+    report = certify_nonvanishing(request.getfixturevalue(spec_name),
+                                  [F(a) for a in alphas], n)
+    assert report.verdict == "certified nonzero"
+    assert all(report.checks.values())
+    assert len(seen) == calls
+    assert len(set(seen)) == calls
+
+
+@pytest.mark.parametrize("spec_name, alphas, n, calls", [
+    ("spec_r2", (1, 2, 3), 2, 21),
+    ("spec_r3", (1,), 2, 7),
+])
+def test_each_C_um_value_is_computed_once(spec_name, alphas, n, calls,
+                                          request, monkeypatch):
+    # the Theta identity's C_{n,m}, the doubled (1) of an m = 1 factorization
+    # and the last link's L(u) all repeat values the chain already has
+    import hgpade.wronskian
+
+    seen = []
+    c_um = hgpade.wronskian.C_um
+
+    def counted(spec, alphas, n, u, route="det"):
+        seen.append((tuple(alphas), u, route))
+        return c_um(spec, alphas, n, u, route)
+
+    monkeypatch.setattr(hgpade.wronskian, "C_um", counted)
     report = certify_nonvanishing(request.getfixturevalue(spec_name),
                                   [F(a) for a in alphas], n)
     assert report.verdict == "certified nonzero"
@@ -277,12 +333,60 @@ def test_certify_degenerate_n2_zero_ledger():
     assert "a0s" in report.zero_links
 
 
+def _corrupted(system, part, key, edit):
+    """A copy of the system with one polynomial or window edited."""
+    broken = PadeSystem.from_jsonable(system.to_jsonable())
+    table = getattr(broken, part)
+    table[key] = edit(table[key])
+    return broken
+
+
+def _window_with(tail, e, value):
+    coeffs = [tail.coeff(k) for k in range(tail.order, tail.truncation)]
+    coeffs[e - tail.order] = value
+    return LaurentTail(tail.order, coeffs, tail.truncation)
+
+
 def test_nonconstant_determinant_raises(canonical_system):
     # corrupting one polynomial makes the determinant genuinely z-dependent
-    from hgpade.pade import PadeSystem
-
-    broken = PadeSystem.from_jsonable(canonical_system.to_jsonable())
-    broken.P[0] = list(broken.P[0])
-    broken.P[0][0] += 1
+    broken = _corrupted(canonical_system, "P", 0,
+                        lambda p: [p[0] + 1, *p[1:]])
+    values = _delta_by_evaluation(broken)
+    assert any(v != values[0] for v in values)
     with pytest.raises(NonconstantDeterminant):
         delta_route_check(broken)
+
+
+@pytest.mark.parametrize("part, key, edit, name", [
+    # deg P_0 = rmn + 1 instead of rmn
+    ("P", 0, lambda p: [*p, F(1)], "deg P_ell"),
+    # deg P_{0,1,0} = rmn + 2 past its bound rmn
+    ("Pis", (0, 1, 0), lambda p: [*p, *[F(0)] * (6 - len(p)), F(1)],
+     "deg P_{ell,i,s}"),
+    # a constant term in P_{0,1,0}: the product has order 0
+    ("Pis", (0, 1, 0), lambda p: [p[0] + 1, *p[1:]], "order >= n+1"),
+    # the product is untouched, the window entry Theta reads is not
+    ("R", (1, 2, 1), lambda t: _window_with(t, 2, t.coeff(2) + 1),
+     "product coefficient"),
+])
+def test_each_failed_hypothesis_is_named(canonical_system, part, key, edit, name):
+    broken = _corrupted(canonical_system, part, key, edit)
+    with pytest.raises(NonconstantDeterminant, match="hypothesis " + re.escape(name)):
+        delta_of_system(broken)
+
+
+def test_delta_at_0_and_1_must_agree(canonical_system, monkeypatch):
+    # with every hypothesis holding, only a broken determinant can make the
+    # two values differ: feed the check one whose value moves per call
+    import hgpade.wronskian
+
+    calls = []
+
+    def drifting(matrix):
+        calls.append(None)
+        return det_bareiss(matrix) + len(calls)
+
+    monkeypatch.setattr(hgpade.wronskian, "det_bareiss", drifting)
+    with pytest.raises(NonconstantDeterminant, match=re.escape("Delta(0)")):
+        delta_of_system(canonical_system)
+    assert len(calls) == 2
