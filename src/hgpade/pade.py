@@ -12,23 +12,23 @@ coefficients of prod (t-alpha_i)^{rn} (multiplied out on integers, see
 `base_polynomial`), shifted up by ell, times one hypergeometric multiplier
 table M(k) shared by every ell (see `_P_family`);
 P_{ell,i,s} is the psi_{i,s}-image of the divided difference
-(P_ell(z)-P_ell(t))/(z-t).
+(P_ell(z)-P_ell(t))/(z-t), and the stored remainder window holds
+psi_{i,s}(t^k P_ell) as its 1/z^{k+1} coefficient; both read the psi_{i,s}
+weight table of (alpha_i, s), shared by every ell and kept on the spec,
+through the integer-scaled kernel `polyops.correlate`.
 
-The remainder admits two independent computations (the coefficient formula
-psi_{i,s}(t^k P_ell) and the literal series product); both are kept and
-compared.  The functional side -- P_{ell,i,s} and the coefficient formula --
-reads the psi_{i,s} weight table of (alpha_i, s), shared by every ell and
-kept on the spec, through the integer-scaled kernel `polyops.correlate`; the
-product route multiplies the series of F_s out with its own integer loop
-(`LaurentTail.mul_poly`) and shares no code with it; that series is expanded
-once per (alpha_i, s), from the product formula of its coefficients, into a
-table of its own on the spec (`polyops.expand_F_s`).  A generic exact
-null-space solver provides a third, construction-free oracle for the same
-approximation problem.  Past its window each remainder series goes on in
-two append-only lists on the system, its terms and their sizes
-(`PadeSystem.extension_terms` / `extension_sizes`), each grown only when a
-caller reads past its end; the beta-free part of the remainder sums' ratio
-bound is kept there too (`PadeSystem.tail_ratio`).
+One function, `contract_failures`, decides the system's contract, with one
+literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
+(`remainder`: its own integer loop, on a series table of its own, sharing
+no code with `correlate`); `verify_system`, `build_system`'s cross-check,
+the hypotheses of `wronskian.delta_of_system` and the suite read it.  A
+generic exact null-space solver (`solve_pade_nullspace`) provides a
+construction-free oracle for the same approximation problem.  Past its
+window each remainder series goes on in two append-only lists on the
+system, its terms and their sizes (`PadeSystem.extension_terms` /
+`extension_sizes`), each grown only when a caller reads past its end; the
+beta-free part of the remainder sums' ratio bound is kept there too
+(`PadeSystem.tail_ratio`).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
     The paper's formula is
         P_ell = T_c^{-1} prod_{j=1}^{n-1} B(theta+j) [t^ell prod_i (t-alpha_i)^{rn}]
                 / ((n-1)!)^r,
-    with T_c^{-1} t^k = t^k / c_k (`suite.T_c`, "forward").  Every operator
+    with T_c^{-1} t^k = t^k / c_k (`suite.T_c`).  Every operator
     in it is diagonal on monomials, so with base_0 = prod_i (t-alpha_i)^{rn},
         P_ell[k] = base_0[k-ell] * M(k),
         M(k) = prod_{j=1}^{n-1} B(k+j) / (c_k ((n-1)!)^r).
@@ -142,26 +142,27 @@ def _functional_tail(P: Poly, weights, truncation: int) -> LaurentTail:
 
 
 def remainder(system: "PadeSystem", ell: int, i: int, s: int,
-              truncation: int = None, route: str = "functional") -> LaurentTail:
-    """Exact tail of R_{ell,i,s}(z) = P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z).
+              truncation: int = None) -> LaurentTail:
+    """The literal product P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z), exact
+    from 1/z^{-deg P_ell} up to `truncation` (the system's by default).
 
-    route='functional': coefficient of 1/z^{k+1} is psi_{i,s}(t^k P_ell(t)).
-    route='product':    literal series product minus the polynomial part.
+    Its exponents <= 0 vanish exactly when P_{ell,i,s} is the polynomial
+    part of P_ell F_s, and its exponents >= 1 are the remainder R_{ell,i,s}.
+    The series comes from `expand_F_s` and the product from
+    `LaurentTail.mul_poly`; neither shares code with the stored window,
+    which `_functional_tail` builds from the psi weights.
     """
     if truncation is None:
         truncation = system.truncation
     if truncation <= system.n + 1:
         raise InvalidInput("truncation must exceed n+1 to certify the order bound")
-    spec, alphas = system.spec, system.alphas
     P = system.P[ell]
-    if route == "functional":
-        w = psi_weights(spec, alphas[i - 1], s, truncation - 2 + max(0, len(P) - 1))
-        return _functional_tail(P, w, truncation)
-    if route == "product":
-        d = max(0, len(P) - 1)
-        F = expand_F_s(spec, alphas[i - 1], s, truncation + d)
-        return F.mul_poly(P).sub_poly(system.Pis[(ell, i, s)])
-    raise InvalidInput(f"unknown route {route!r}")
+    if P:
+        F = expand_F_s(system.spec, system.alphas[i - 1], s, truncation + len(P) - 1)
+        product = F.mul_poly(P)
+    else:
+        product = LaurentTail(truncation, [], truncation)
+    return product.sub_poly(system.Pis[(ell, i, s)])
 
 
 def _check_alphas(alphas):
@@ -285,10 +286,10 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     All P_ell come from one multiplier table (`_P_family`); P_{ell,i,s} and
     the remainder read the psi_{i,s} weight table of (alpha_i, s), shared
     with every later caller through the spec.  When cross_check is set (the
-    default), every remainder is re-computed from the literal series
-    product over its whole window; any disagreement is a theory violation,
-    not a warning.  The series F_s(alpha_i/z) of that product is expanded
-    once per (alpha_i, s) and read by every ell (`expand_F_s`).
+    default), the built system must pass `contract_failures`, one literal
+    product per (ell, i, s) over the whole window; any failure is a theory
+    violation, not a warning.  A caller that runs the contract itself
+    (`wronskian.certify_nonvanishing`, through Delta) builds without it.
     """
     alphas = [Fraction(a) for a in alphas]
     _check_alphas(alphas)
@@ -308,22 +309,32 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     for ell, i, s in system.indices():
         P, w = system.P[ell], weights[(i, s)]
         system.Pis[(ell, i, s)] = divided_difference_image(P, w)
-        tail = _functional_tail(P, w, truncation)
-        if cross_check:
-            other = remainder(system, ell, i, s, truncation, route="product")
-            lo, hi = min(tail.order, other.order), min(tail.truncation, other.truncation)
-            if any(tail.coeff(e) != other.coeff(e) for e in range(lo, hi)) or (
-                tail.is_zero_window() != other.is_zero_window()
-            ):
-                raise TheoryViolation(
-                    f"remainder routes disagree at (ell,i,s)=({ell},{i},{s})"
-                )
-        system.R[(ell, i, s)] = tail
+        system.R[(ell, i, s)] = _functional_tail(P, w, truncation)
+    if cross_check:
+        failures = contract_failures(system)
+        if failures:
+            raise TheoryViolation(
+                f"the built system breaks its contract: {failures[0]}"
+                f" ({len(failures)} failures)")
     return system
 
 
-def verify_system(system: PadeSystem) -> dict:
-    """Re-check every invariant; returns a report naming each failure."""
+def contract_failures(system: PadeSystem) -> list:
+    """Every failure of the system's contract, in a fixed order; [] when it
+    holds.  Each failure names its check and its index:
+
+    * deg_P: deg P_ell = rmn + ell;
+    * deg_Pis: deg P_{ell,i,s} <= rmn + ell;
+    * ord_R: the stored window of R_{ell,i,s} has order >= n+1;
+    * Pis_coeffs: the literal product `remainder`, taken once per
+      (ell, i, s) at the window's truncation, vanishes at every exponent
+      <= 0, i.e. P_{ell,i,s} is the polynomial part of P_ell F_s;
+    * remainder_coeffs: its exponents >= 1 are the stored window, compared
+      from the lower of the two orders on.
+
+    Together these are the paper's contract: the true remainder
+    P_ell F_s(alpha_i/z) - P_{ell,i,s} has order >= n+1 at infinity.
+    """
     failures = []
     r, m, n = system.r, system.m, system.n
     for ell in range(r * m + 1):
@@ -346,25 +357,29 @@ def verify_system(system: PadeSystem) -> dict:
                 {"check": "ord_R", "index": [ell, i, s], "bound": n + 1,
                  "got": tail.ord_infinity()}
             )
-    # P_{ell,i,s} and the remainder coefficients, re-derived from scratch
     for ell, i, s in system.indices():
-        P = system.P[ell]
-        w = psi_weights(system.spec, system.alphas[i - 1], s, len(P) - 2)
-        if poly_trim(list(system.Pis[(ell, i, s)])) != divided_difference_image(P, w):
-            failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
         tail = system.R[(ell, i, s)]
-        fresh = remainder(system, ell, i, s, tail.truncation, route="functional")
-        window = range(min(tail.order, fresh.order), min(tail.truncation, fresh.truncation))
-        if any(tail.coeff(e) != fresh.coeff(e) for e in window):
+        product = remainder(system, ell, i, s, tail.truncation)
+        if product.order < 1:
+            failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
+        if any((product.coeff(e) if e > 0 else 0) != tail.coeff(e)
+               for e in range(min(tail.order, 1), tail.truncation)):
             failures.append({"check": "remainder_coeffs", "index": [ell, i, s]})
+    return failures
+
+
+def verify_system(system: PadeSystem) -> dict:
+    """The system's `contract_failures` as a report, with the instance's
+    hypothesis flags and its shape."""
+    failures = contract_failures(system)
     flags = system.spec.hypothesis_flags()
     return {
         "ok": not failures,
         "failures": failures,
         "hypothesis_flags": {k: ok for k, (ok, _) in flags.items()},
-        "n": n,
-        "r": r,
-        "m": m,
+        "n": system.n,
+        "r": system.r,
+        "m": system.m,
     }
 
 
@@ -407,16 +422,3 @@ def solve_pade_nullspace(f, n_vec, M: int):
             family.append(poly_trim(coeffs))
         families.append(family)
     return families
-
-
-def membership_in_nullspace(system: PadeSystem, ell: int) -> bool:
-    """Check the constructed column ell solves its own approximation problem:
-    ord(P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z)) >= n+1 for every (i, s),
-    with the polynomial part matched exactly (that is what R's tail already
-    witnesses, re-verified here from the product route alone)."""
-    for i in range(1, system.m + 1):
-        for s in range(system.r):
-            tail = remainder(system, ell, i, s, system.truncation, route="product")
-            if not tail.ord_at_least(system.n + 1):
-                return False
-    return True

@@ -9,13 +9,15 @@ zeros stripped); the zero polynomial is [] with degree -inf.
 Every exact weight table here -- c_k, the psi_{i,s} weights, the
 zeta-prefix weights, and the coefficient multipliers of P_ell in `pade` -- is
 a hypergeometric term t_{k+1}/t_k = x prod(k+u)/prod(k+d), stepped by one
-routine, `term_table`.  Every value psi_{i,s}(t^k p) is a correlation of p
-against the one weight table of (alpha_i, s), kept append-only on the spec;
-`correlate` computes a run of them over integers scaled to the common
-denominators, one Fraction per output, and so does each column of the C_{u,m}
-moment matrix in `wronskian`.  `LaurentTail.mul_poly`, the product route
-that cross-checks those values, scales to integers in a loop of its own, on
-a series table of its own (`expand_F_s`).
+routine, `term_table`; the first three are kept append-only on the spec,
+per (alpha, s) where they depend on it, and grown on demand by one helper,
+`_grown`.  Every value psi_{i,s}(t^k p) is a correlation of p against the
+one weight table of (alpha_i, s); `correlate` computes a run of them over
+integers scaled to the common denominators, one Fraction per output, and so
+does each column of the C_{u,m} moment matrix in `wronskian`.
+`LaurentTail.mul_poly`, the literal product that `pade.contract_failures`
+checks those values against, scales to integers in a loop of its own, on a
+series table of its own (`expand_F_s`).
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ class LaurentTail:
         The coefficient of 1/z^e is sum_j p[j] * coeff(e + j), zero below the
         order.  p and the window are scaled to integers over their lcm
         denominators, so each output is one integer sum and one Fraction.
-        This loop is the product route's own: it shares no code with
-        `correlate`, which the functional route it cross-checks runs on.
+        This loop is the literal product's own: it shares no code with
+        `correlate`, which builds the remainder windows it checks.
         """
         if not p:
             return LaurentTail(self.order, [], self.order)
@@ -227,6 +229,8 @@ class HypergeometricSpec:
     _c_cache: list = field(default_factory=list, repr=False, compare=False)
     # (alpha, s) -> psi_{i,s} weights from k = 0, append-only (`psi_weights`)
     _psi_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    # (alpha, s) -> zeta-prefix weights from k = 0, append-only
+    _zeta_tables: dict = field(default_factory=dict, repr=False, compare=False)
     # (alpha, s) -> coefficients of F_s(alpha/z) from 1/z, append-only (`expand_F_s`)
     _series_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -304,13 +308,8 @@ class HypergeometricSpec:
 
     def c(self, k: int) -> Fraction:
         """c_k by the recurrence, memoized."""
-        cache = self._c_cache
-        if not cache:
-            cache.append(self.c0)
-        if len(cache) <= k:
-            cache.extend(term_table(cache[-1], len(cache) - 1, k + 1 - len(cache),
-                                    1, self.eta, [z + 1 for z in self.zeta]))
-        return cache[k]
+        return _grown(self._c_cache, k, lambda: (
+            self.c0, 1, self.eta, [z + 1 for z in self.zeta]))[k]
 
     # -- hypothesis flags (gate certification, not construction)
 
@@ -397,6 +396,18 @@ def term_table(t: Fraction, k: int, count: int, x, upper, lower) -> list:
     return out
 
 
+def _grown(table: list, upto: int, term) -> list:
+    """`table`, an append-only table of a term on the spec, grown to hold
+    entry upto; term() gives its (t_0, x, upper, lower), see `term_table`."""
+    if len(table) <= upto:
+        t0, x, upper, lower = term()
+        if not table:
+            table.append(t0)
+        table.extend(term_table(table[-1], len(table) - 1, upto + 1 - len(table),
+                                x, upper, lower))
+    return table
+
+
 def psi_weights(spec: HypergeometricSpec, i_alpha: Fraction, s: int, upto: int) -> list:
     """Values psi_{i,s}(t^k) = (k+gamma_1)...(k+gamma_s) c_k alpha^{k+1}, k <= upto.
 
@@ -407,15 +418,11 @@ def psi_weights(spec: HypergeometricSpec, i_alpha: Fraction, s: int, upto: int) 
     """
     alpha = Fraction(i_alpha)
     gam = spec.gamma[:s]
-    table = spec._psi_tables.setdefault((alpha, s), [])
-    if not table:
-        table.append(math.prod(gam, start=Fraction(1)) * spec.c0 * alpha)
-    if len(table) <= upto:
-        table.extend(term_table(
-            table[-1], len(table) - 1, upto + 1 - len(table), alpha,
-            spec.eta + tuple(g + 1 for g in gam),
-            tuple(z + 1 for z in spec.zeta) + gam,
-        ))
+    table = _grown(spec._psi_tables.setdefault((alpha, s), []), upto, lambda: (
+        math.prod(gam, start=Fraction(1)) * spec.c0 * alpha, alpha,
+        spec.eta + tuple(g + 1 for g in gam),
+        tuple(z + 1 for z in spec.zeta) + gam,
+    ))
     return table[:upto + 1]
 
 
@@ -470,10 +477,14 @@ def zeta_prefix_weights(spec: HypergeometricSpec, alpha: Fraction, s: int, upto:
 
     This is the normalized evaluation functional obtained from psi_{i,s} by
     stripping T_c and one alpha factor; the non-vanishing chain is built on it.
+    Kept and returned like `psi_weights`: one table per (alpha, s) on the
+    spec, a fresh list of upto + 1 entries to the caller.
     """
+    alpha = Fraction(alpha)
     zs = spec.zeta[: s + 1]
-    t0 = 1 / math.prod(zs, start=Fraction(1))
-    return [t0] + term_table(t0, 0, upto, alpha, zs, [z + 1 for z in zs])
+    table = _grown(spec._zeta_tables.setdefault((alpha, s), []), upto, lambda: (
+        1 / math.prod(zs, start=Fraction(1)), alpha, zs, [z + 1 for z in zs]))
+    return table[:upto + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +504,11 @@ def expand_F_s(spec: HypergeometricSpec, alpha: Fraction, s: int, truncation: in
 
     The coefficient of 1/z^{k+1} is f_s_coefficient(s, k) * alpha^{k+1}, kept
     in one append-only table per (alpha, s) on the spec and grown on demand,
-    so every caller (each ell of a build's cross-check) reads one expansion.
-    The table is filled by that product formula alone, never from the psi
-    weights (`psi_weights` steps g_s(k) c_k alpha^{k+1} as one term): the
-    product route it feeds is the independent oracle of the functional one.
+    so every caller (each ell of a system's contract check) reads one
+    expansion.  The table is filled by that product formula alone, never
+    from the psi weights (`psi_weights` steps g_s(k) c_k alpha^{k+1} as one
+    term): the literal product it feeds is the independent oracle of the
+    remainder windows built from them.
     """
     alpha = Fraction(alpha)
     if not (0 <= s <= spec.r - 1):

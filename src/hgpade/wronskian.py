@@ -17,10 +17,11 @@ Each quantity has one polynomial-time route, and every determinant goes
 through `det_bareiss`.  Delta is constant by the paper's cofactor argument:
 every remainder has order >= n+1 at infinity, so the expansion along the
 top row leaves lead(P_rm) * Theta.  `delta_of_system` checks the
-argument's hypotheses on the system and evaluates Delta at z = 0 and 1;
-`pade.build_system` cross-checks every remainder window over its whole
-length.  C_{u,m} is the moment determinant, whose columns are `correlate`
-runs.  The chain computes each distinct C_{u,m} value once and checks every
+argument's hypotheses through `pade.contract_failures`, one literal product
+per remainder over its whole window, and evaluates Delta at z = 0 and 1;
+the certify path builds without the cross-check, which would run the same
+contract again.  C_{u,m} is the moment determinant, whose columns are
+`correlate` runs.  The chain computes each distinct C_{u,m} value once and checks every
 link against its successor with the one link check that `reduction_check`
 also runs.  The subset elimination behind `C_um(..., route="eliminate")`
 is exponential in rm and is kept only as an oracle for small sizes.
@@ -45,8 +46,8 @@ from .pade import (
     PadeSystem,
     base_polynomial,
     build_system,
+    contract_failures,
     poly_pow_linear,
-    remainder,
 )
 from .polyops import (
     HypergeometricSpec,
@@ -54,9 +55,7 @@ from .polyops import (
     correlate,
     phi_zeta_s,
     poly_add,
-    poly_deg,
     poly_mul,
-    poly_trim,
     zeta_prefix_weights,
 )
 
@@ -71,6 +70,16 @@ def _row_index_pairs(r: int, m: int):
             yield i, s
 
 
+# the hypothesis of the cofactor argument that each contract check decides
+_HYPOTHESES = {
+    "deg_P": "deg P_ell = rmn + ell",
+    "deg_Pis": "deg P_{ell,i,s} <= rmn + ell",
+    "ord_R": "order >= n+1",
+    "Pis_coeffs": "order >= n+1",
+    "remainder_coeffs": "product coefficient",
+}
+
+
 def delta_of_system(system: PadeSystem) -> Fraction:
     """det( p_0(z) ... p_rm(z) ), column ell = (P_ell, P_{ell,i,s} in row
     order), proved constant in z by the cofactor argument and returned as
@@ -81,45 +90,29 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     along the top row, the cofactor of column ell is an rm x rm minor of
     remainders, of order >= rm(n+1), against deg P_ell = rmn + ell.  Every
     term but ell = rm therefore vanishes at infinity, so the polynomial
-    Delta is the constant lead(P_rm) * Theta.  The hypotheses are checked
-    here, exactly, on the system's own data, and the first that fails raises
-    NonconstantDeterminant naming it:
+    Delta is the constant lead(P_rm) * Theta.  The hypotheses are the
+    system's contract, `pade.contract_failures`, checked exactly on its own
+    data with one literal product per (ell, i, s); the first failure raises
+    NonconstantDeterminant naming its hypothesis:
 
-    * deg P_ell = rmn + ell;
-    * deg P_{ell,i,s} <= rmn + ell;
-    * the literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} (the product
-      route of `remainder`, up to 1/z^{n+1}) has order >= n+1;
-    * its 1/z^{n+1} coefficient is the stored window entry Theta reads.
+    * deg P_ell = rmn + ell (deg_P);
+    * deg P_{ell,i,s} <= rmn + ell (deg_Pis);
+    * order >= n+1: the stored window has it (ord_R) and the literal
+      product P_ell F_s - P_{ell,i,s} vanishes at every exponent <= 0
+      (Pis_coeffs);
+    * product coefficient: the product's exponents >= 1 are the stored
+      window that Theta reads (remainder_coeffs).
 
     Delta(0) and Delta(1) are then two integer Bareiss determinants; they
     must agree, and their value is returned.  `delta_route_check` compares it
     with lead(P_rm) * Theta.
     """
-    r, m, n = system.r, system.m, system.n
+    failures = contract_failures(system)
+    if failures:
+        raise NonconstantDeterminant(
+            f"hypothesis {_HYPOTHESES[failures[0]['check']]} fails: {failures[0]}")
+    r, m = system.r, system.m
     N = r * m
-    for ell in range(N + 1):
-        P = system.P[ell]
-        if len(P) != N * n + ell + 1 or not P[-1]:
-            raise NonconstantDeterminant(
-                f"hypothesis deg P_ell = rmn + ell fails at ell = {ell}: "
-                f"degree {poly_deg(poly_trim(list(P)))}, want {N * n + ell}")
-    for ell, i, s in system.indices():
-        got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)])))
-        if got > N * n + ell:
-            raise NonconstantDeterminant(
-                f"hypothesis deg P_{{ell,i,s}} <= rmn + ell fails at "
-                f"(ell,i,s) = ({ell},{i},{s}): degree {got}")
-    for ell, i, s in system.indices():
-        product = remainder(system, ell, i, s, truncation=n + 2, route="product")
-        if not product.ord_at_least(n + 1):
-            raise NonconstantDeterminant(
-                f"hypothesis order >= n+1 fails at (ell,i,s) = ({ell},{i},{s}): "
-                f"P_ell F_s - P_{{ell,i,s}} has order {product.ord_infinity()}")
-        if product.coeff(n + 1) != system.R[(ell, i, s)].coeff(n + 1):
-            raise NonconstantDeterminant(
-                f"hypothesis product coefficient fails at (ell,i,s) = "
-                f"({ell},{i},{s}): the 1/z^{n + 1} coefficient of "
-                "P_ell F_s - P_{ell,i,s} is not the stored window entry")
     rows = [[system.P[ell] for ell in range(N + 1)]]
     for i, s in _row_index_pairs(r, m):
         rows.append([system.Pis[(ell, i, s)] for ell in range(N + 1)])
@@ -594,7 +587,7 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     zero_links = []
     checks = {}
 
-    route = delta_route_check(build_system(spec, alphas, n))
+    route = delta_route_check(build_system(spec, alphas, n, cross_check=False))
     delta, theta = route["delta"], route["theta"]
     checks["delta_equals_lead_times_theta"] = route["equal"]
     if delta == 0:

@@ -87,6 +87,16 @@ def test_build_verify_round_trip(tmp_path, capsys):
     assert report["failures"] == []
 
 
+def test_build_report_is_frozen(capsys):
+    # every coefficient of P_ell, P_{ell,i,s} and the stored windows of the
+    # r = 2, m = 2, n = 2 system, byte for byte
+    assert main(["build", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "380d7cda4470c60871f1b4733a5d5f45a06e04db9ce00fc6950a65578bde0ae2"
+    )
+
+
 def test_verify_corrupted_system_exits_3(tmp_path, capsys):
     path = tmp_path / "system.json"
     assert main(["build", *R2, "--alphas", "1", "--n", "1", "--out", str(path)]) == 0
@@ -525,6 +535,10 @@ def test_suite_command_runs_green(capsys):
     code = main(["suite", "--level", "desk"])
     assert code == 0
     captured = capsys.readouterr()
+    # every check's details, byte for byte
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "d41528876d4ee5ce20c278496c19541e59e3d2c961453f72ef5ccf6a9064c244"
+    )
     report = json.loads(captured.out)
     assert report["all_passed"] is True
     assert report["level"] == "desk"

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from hgpade.errors import HypothesisViolation, InvalidInput, TheoryViolation
 from hgpade.pade import (
     PadeSystem,
+    _functional_tail,
     _P_family,
     base_polynomial,
     build_system,
+    contract_failures,
     default_truncation,
-    membership_in_nullspace,
+    divided_difference_image,
     poly_pow_linear,
     remainder,
     solve_pade_nullspace,
@@ -157,11 +159,20 @@ def test_order_contract(canonical_system):
         assert tail.ord_at_least(canonical_system.n + 1), key
 
 
+def _functional(system, ell, i, s, truncation=None):
+    """The window psi_{i,s}(t^k P_ell) of R_{ell,i,s}, fresh from the weights."""
+    truncation = truncation or system.truncation
+    P = system.P[ell]
+    w = psi_weights(system.spec, system.alphas[i - 1], s,
+                    truncation - 2 + max(0, len(P) - 1))
+    return _functional_tail(P, w, truncation)
+
+
 def test_remainder_routes_agree(canonical_system):
     sys = canonical_system
     for key in [(0, 1, 0), (2, 2, 1), (4, 1, 1)]:
-        a = remainder(sys, *key, route="functional")
-        b = remainder(sys, *key, route="product")
+        a = _functional(sys, *key)
+        b = remainder(sys, *key)
         for e in range(1, min(a.truncation, b.truncation)):
             assert a.coeff(e) == b.coeff(e)
     with pytest.raises(InvalidInput):
@@ -181,10 +192,11 @@ def test_product_route_does_not_use_the_kernel(canonical_system, monkeypatch):
     monkeypatch.setattr(hgpade.pade, "correlate", kernel)
     sys = canonical_system
     for key in [(0, 1, 0), (4, 2, 1)]:
-        b = remainder(sys, *key, route="product")
+        b = remainder(sys, *key)
         a = sys.R[key]
         for e in range(1, min(a.truncation, b.truncation)):
             assert a.coeff(e) == b.coeff(e)
+    assert contract_failures(sys) == []  # the whole contract, kernel-free
 
 
 def test_one_build_expands_each_series_coefficient_once(monkeypatch):
@@ -271,6 +283,17 @@ def test_verify_names_degree_failure(canonical_system):
     assert any(f["check"] == "deg_P" and f["index"] == [1] for f in report["failures"])
 
 
+def test_verify_names_a_zero_P(canonical_system):
+    # P_ell = 0 read from a file: the literal product is -P_{ell,i,s}, and
+    # the report names the failures instead of raising
+    broken = _copy(canonical_system)
+    broken.P[2] = []
+    failures = verify_system(broken)["failures"]
+    assert failures[0] == {"check": "deg_P", "index": [2], "expected": 6, "got": "-inf"}
+    assert {"check": "Pis_coeffs", "index": [2, 1, 0]} in failures
+    assert {"check": "remainder_coeffs", "index": [2, 1, 0]} in failures
+
+
 def test_verify_names_order_failure(canonical_system):
     broken = _copy(canonical_system)
     trunc = broken.truncation
@@ -345,8 +368,16 @@ def test_constructed_column_is_the_kernel(canonical_m1):
 
 
 def test_membership_all_columns(canonical_system):
-    for ell in range(canonical_system.r * canonical_system.m + 1):
-        assert membership_in_nullspace(canonical_system, ell)
+    # every column solves its own approximation problem: each literal
+    # product P_ell F_s - P_{ell,i,s} has order >= n+1 and is the window
+    # the weights give, and the contract names no failure
+    sys = canonical_system
+    for key in sys.indices():
+        product, window = remainder(sys, *key), _functional(sys, *key)
+        assert product.ord_at_least(sys.n + 1), key
+        assert product.coefficients == window.coefficients, key
+        assert product.order == window.order, key
+    assert contract_failures(sys) == []
 
 
 def test_psi_weights_agree_with_remainder(canonical_m1):
@@ -356,3 +387,90 @@ def test_psi_weights_agree_with_remainder(canonical_m1):
     w = psi_weights(sys.spec, sys.alphas[0], 1, sys.n + len(P))
     acc = sum(c * w[sys.n + d] for d, c in enumerate(P))
     assert sys.R[(0, 1, 1)].coeff(sys.n + 1) == acc
+
+
+# ---------------------------------------------------------------------------
+# the contract against the two-route check it replaced
+
+
+def _two_route_failures(system):
+    """The failure list of the two-route `verify_system` that the literal
+    product replaced: the degrees and orders as the contract checks them,
+    P_{ell,i,s} against a fresh divided difference, and the stored window
+    against a fresh functional window from the psi weights."""
+    failures = []
+    r, m, n = system.r, system.m, system.n
+    for ell in range(r * m + 1):
+        want = r * m * n + ell
+        got = poly_deg(system.P[ell])
+        if got != want:
+            failures.append(
+                {"check": "deg_P", "index": [ell], "expected": want, "got": str(got)})
+    for ell, i, s in system.indices():
+        bound = r * m * n + ell
+        got = poly_deg(system.Pis[(ell, i, s)])
+        if got > bound:
+            failures.append({"check": "deg_Pis", "index": [ell, i, s],
+                             "bound": bound, "got": str(got)})
+        tail = system.R[(ell, i, s)]
+        if not tail.ord_at_least(n + 1):
+            failures.append({"check": "ord_R", "index": [ell, i, s], "bound": n + 1,
+                             "got": tail.ord_infinity()})
+    for ell, i, s in system.indices():
+        P = system.P[ell]
+        w = psi_weights(system.spec, system.alphas[i - 1], s, len(P) - 2)
+        if poly_trim(list(system.Pis[(ell, i, s)])) != divided_difference_image(P, w):
+            failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
+        tail = system.R[(ell, i, s)]
+        fresh = _functional(system, ell, i, s, tail.truncation)
+        window = range(min(tail.order, fresh.order), min(tail.truncation, fresh.truncation))
+        if any(tail.coeff(e) != fresh.coeff(e) for e in window):
+            failures.append({"check": "remainder_coeffs", "index": [ell, i, s]})
+    return failures
+
+
+_non_integers = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
+    lambda x: x.denominator > 1)
+
+
+@st.composite
+def _corrupted_systems(draw):
+    """A built admissible system (r*m <= 4, n <= 2) and a copy of it with
+    one entry of one P_ell, P_{ell,i,s} or stored window moved by a
+    nonzero rational."""
+    r = draw(st.integers(1, 3))
+    spec = HypergeometricSpec.from_ab(
+        draw(st.lists(_non_integers, min_size=r, max_size=r)),
+        draw(st.lists(_non_integers, min_size=r - 1, max_size=r - 1)))
+    assume(spec.flags_pass())
+    m = draw(st.integers(1, 4 // r))
+    alphas = draw(st.lists(st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+                           min_size=m, max_size=m, unique=True))
+    system = build_system(spec, alphas, draw(st.integers(1, 2)), cross_check=False)
+    broken = PadeSystem.from_jsonable(system.to_jsonable())
+    part = draw(st.sampled_from(["P", "Pis", "R"]))
+    keys = sorted(getattr(broken, part))
+    key = keys[draw(st.integers(0, len(keys) - 1))]
+    delta = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+    if part == "R":
+        tail = broken.R[key]
+        coeffs = [tail.coeff(e) for e in range(1, tail.truncation)]
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += delta
+        broken.R[key] = LaurentTail(1, coeffs, tail.truncation)
+    else:
+        table = getattr(broken, part)
+        poly = list(table[key])
+        poly[draw(st.integers(0, len(poly) - 1))] += delta
+        table[key] = poly
+    return system, broken
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(_corrupted_systems())
+def test_contract_names_what_the_two_routes_named(systems):
+    system, broken = systems
+    assert contract_failures(system) == _two_route_failures(system) == []
+    failures = contract_failures(broken)
+    assert failures  # every corruption breaks the contract somewhere
+    assert failures == _two_route_failures(broken)
+    assert verify_system(broken)["failures"] == failures

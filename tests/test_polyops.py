@@ -286,11 +286,10 @@ def test_spec_json_round_trip(spec_r3):
 
 def test_T_c_inverts(spec_r2):
     p = [F(3), F(-1, 2), F(0), F(7, 5)]
-    assert T_c(spec_r2, T_c(spec_r2, p), direction="inverse") == p
-    # forward divides by c_k
+    inverse = [c * spec_r2.c(k) for k, c in enumerate(T_c(spec_r2, p))]
+    assert inverse == p
+    # T_c divides by c_k
     assert T_c(spec_r2, [F(0), F(1)])[1] == 1 / spec_r2.c(1)
-    with pytest.raises(InvalidInput):
-        T_c(spec_r2, p, direction="sideways")
 
 
 class DiagonalOperator:
@@ -474,6 +473,54 @@ def test_zeta_prefix_functional_literal(spec_r2):
     assert zeta_prefix_weights(spec_r2, F(2), 1, 1) == [F(2), F(2, 3)]
     # s = 0 keeps only the first zeta factor
     assert zeta_prefix_weights(spec_r2, F(2), 0, 1) == [F(2), F(2) / F(3, 2)]
+
+
+def test_zeta_prefix_weights_grow_one_table_per_alpha_and_s():
+    spec = HypergeometricSpec.from_ab((F(1, 3), F(-1, 4)), (F(1, 2),))
+
+    def naive(alpha, s, upto):
+        return [alpha ** k / math.prod((k + z for z in spec.zeta[:s + 1]), start=F(1))
+                for k in range(upto + 1)]
+
+    for alpha in (F(1), F(-2, 3)):
+        for s in (1, 0):
+            reached = -1
+            for upto in (3, 40, 3, 0, 41):
+                w = zeta_prefix_weights(spec, alpha, s, upto)
+                assert w == naive(alpha, s, upto)
+                reached = max(reached, upto)
+                stored = spec._zeta_tables[(alpha, s)]
+                assert w is not stored
+                assert len(stored) == reached + 1  # grown on demand, never cut
+                w[-1] = F(99)  # the caller's list is its own
+    assert zeta_prefix_weights(spec, 1, 1, 5) == naive(F(1), 1, 5)
+    assert len(spec._zeta_tables) == 4  # one table per (alpha, s)
+
+
+def test_C_um_steps_each_zeta_prefix_weight_once(monkeypatch):
+    # the tuples of one factorization share alpha values; the table of each
+    # (alpha, s) on the spec is stepped only past its end, so no weight
+    # alpha^k / prod (k + zeta_j) is computed twice
+    import hgpade.polyops
+    from hgpade.wronskian import c_um_factor
+
+    spec = HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(1, 2),))
+    prefixes = {spec.zeta[:s + 1]: s for s in range(spec.r)}
+    stepped = []
+    step = hgpade.polyops.term_table
+
+    def counted(t, k, count, x, upper, lower):
+        s = prefixes.get(tuple(upper))
+        if s is not None:
+            stepped.extend((F(x), s, j) for j in range(k, k + count))
+        return step(t, k, count, x, upper, lower)
+
+    monkeypatch.setattr(hgpade.polyops, "term_table", counted)
+    c_um_factor(spec, [F(1), F(2), F(3)], 2, 2)
+    # (1,2,3), (2,3,4), (3,4,5) and their doubles: alphas 1..6, 8 and 10
+    assert len(spec._zeta_tables) == 8 * spec.r
+    assert len(stepped) == len(set(stepped))
+    assert len(stepped) == sum(len(t) - 1 for t in spec._zeta_tables.values())
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,26 @@ def test_each_C_um_value_is_computed_once(spec_name, alphas, n, calls,
     assert len(set(seen)) == calls
 
 
+def test_certify_takes_one_literal_product_per_remainder(spec_r3, monkeypatch):
+    # the contract behind Delta's hypotheses is the only check of the
+    # remainders on the certify path: one product per (ell, i, s)
+    import hgpade.pade
+
+    seen = []
+    product = hgpade.pade.remainder
+
+    def counted(system, ell, i, s, truncation=None):
+        seen.append((ell, i, s))
+        return product(system, ell, i, s, truncation)
+
+    monkeypatch.setattr(hgpade.pade, "remainder", counted)
+    report = certify_nonvanishing(spec_r3, [F(1), F(2)], 2)
+    assert report.verdict == "certified nonzero"
+    assert all(report.checks.values())
+    assert len(seen) == 42  # (rm + 1) * m * r at r = 3, m = 2
+    assert len(set(seen)) == 42
+
+
 def test_final_det_canonical(spec_r2):
     value, _E = final_det(spec_r2, 1, 1)
     assert value != 0
