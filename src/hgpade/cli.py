@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import DenominatorProfile, Place, format_rational, parse_place, parse_rational
+from .arith import Place, format_rational, parse_place, parse_rational
 from .criterion import MIN_FIT_SIZES, Instance, criterion_V, measure, min_beta
 from .errors import HgpadeError, InvalidInput, RationalParseError, StepBudgetExceeded
 from .numerics import eval_F_family
@@ -331,27 +331,18 @@ def _render_text(obj, indent: int = 0) -> str:
 
 def emit_report(report, fmt: str = "json", path: str | None = None) -> str:
     """Serialize a report bit-stably; same report in, same bytes out."""
-    if isinstance(report, DenominatorProfile):
-        if fmt == "csv":
-            # exactly N+1 rows, one per exact denominator
-            report = "\n".join(f"{k},{d}" for k, d in enumerate(report.values)) + "\n"
-        else:
-            report = report.to_jsonable()
-    if not isinstance(report, str):
-        data = _canonical(report)
-        if fmt == "json":
-            text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-        elif fmt == "csv":
-            rows = []
-            _flatten("", data, rows)
-            text = "\n".join(
-                f"{key},{json.dumps(val) if isinstance(val, str) else val}"
-                for key, val in rows
-            ) + "\n"
-        else:
-            text = _render_text(data) + "\n"
+    data = _canonical(report)
+    if fmt == "json":
+        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    elif fmt == "csv":
+        rows = []
+        _flatten("", data, rows)
+        text = "\n".join(
+            f"{key},{json.dumps(val) if isinstance(val, str) else val}"
+            for key, val in rows
+        ) + "\n"
     else:
-        text = report
+        text = _render_text(data) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -392,7 +383,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
     else:
         if cfg.n is None:
             raise InvalidInput("--n is required without --system")
-        system = build_system(cfg.spec(), cfg.alphas, cfg.n, truncation=cfg.truncation)
+        # verify_system runs the contract; the build's cross-check would too
+        system = build_system(cfg.spec(), cfg.alphas, cfg.n,
+                              truncation=cfg.truncation, cross_check=False)
     report = verify_system(system)
     emit_report(report, cfg.format, cfg.out)
     code = _flags_exit(system.spec)

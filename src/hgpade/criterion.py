@@ -3,7 +3,9 @@
 Heights of rational tuples, empirical growth/decay rates of the approximant
 data at a chosen place, the criterion value V whose positivity certifies the
 linear-independence setup, the resulting measure mu and constant C, and the
-search for the smallest usable integer beta.
+search for the smallest usable integer beta.  The remainder sums at both
+kinds of place read each system's remainder series by exponent
+(`PadeSystem.terms`), one list per (ell, i, s) shared by every beta.
 
 The closed-form rate constants are only partly recoverable from the source
 material (the archimedean one is occluded), so every closed-form figure here
@@ -189,9 +191,9 @@ class Instance:
 
     The systems are built on first access, so input checks that need none
     of them (divergence at beta, the place of min-beta) fire before any
-    build.  Each system keeps its own remainder series past the window
-    (`PadeSystem.extension_terms` / `extension_sizes`), so every beta,
-    precision and place of the run reads one copy.
+    build.  Each system keeps its own remainder series, read by exponent
+    (`PadeSystem.terms`, with the sizes of `PadeSystem.size`), so every
+    beta, precision and place of the run reads one copy.
     """
 
     def __init__(self, spec, alphas, n_range):
@@ -251,10 +253,10 @@ def _log_abs_R_arch(system, ell, i, s, beta) -> float:
 def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     """Exact p-adic valuation of R_{ell,i,s}(beta).
 
-    Term k of R(beta) is psi_{i,s}(t^k P_ell) / beta^{k+1}: the window's
-    coefficient of 1/z^{k+1} while k + 1 < truncation, an entry of the
-    system's term list (`PadeSystem.extension_terms`) past it; the sizes
-    that bound the archimedean sums are never computed here.
+    Term k of R(beta) is psi_{i,s}(t^k P_ell) / beta^{k+1}, read by its
+    exponent from the system's term list (`PadeSystem.terms`), the one the
+    archimedean sums read; the sizes that bound those sums are never
+    computed here.
 
     Partial sums are exact rationals; the loop stops once every later term
     provably has larger valuation, which pins the valuation of the full sum
@@ -268,7 +270,6 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     D = len(Pl) - 1
     alpha = Fraction(system.alphas[i - 1])
     beta = Fraction(beta)
-    tail = system.R[(ell, i, s)]
     lp = math.log(p)
 
     va, vb = v_p(alpha, p), v_p(beta, p)
@@ -305,15 +306,9 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     ) + D
 
     S = Fraction(0)
-    kfirst = tail.truncation - 1  # first psi index k not covered by the window
     k = system.n
     while True:
-        if k < kfirst:
-            coeff = tail.coeff(k + 1)
-        else:
-            j = k - kfirst
-            coeff = system.extension_terms(ell, i, s, j)[j]
-        S += coeff / beta ** (k + 1)
+        S += system.terms(ell, i, s, k)[k] / beta ** (k + 1)
         if S != 0 and k >= k_star and lowbound(k + 1) > v_p(S, p):
             return v_p(S, p)
         k += 1
@@ -570,7 +565,7 @@ def min_beta(inst: Instance, v0: Place, search_bound: int):
     """Smallest integer beta <= search_bound with V_emp(beta) > 0.
 
     V is affine in log beta with slope 1 (all else fixed), so plain integer
-    bisection applies. The instance's systems and remainder extensions serve
+    bisection applies. The instance's systems and remainder series serve
     every candidate, and the height part of V is beta-independent for
     integer beta, so it is fitted once. Returns None if the bound is too
     small.

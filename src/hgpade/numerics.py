@@ -12,12 +12,12 @@ Both series routes (`eval_pFq` and the direct sum of F_s) run on one kernel,
 denominator of the term, and the stopping test is decided exactly on those
 integers, so the certified value and bound are the same reduced rationals a
 term-by-term Fraction sum would give, at the same stopping index.  The
-remainder values R(beta) of `remainder_value` are summed the same way, over
-one running denominator L * p^e for beta = p/q.  Their beta-free set-up
-lives on the system: the ratio bound's part without |alpha/beta| and,
-past the stored window, the terms and the sizes of the bound, each read
-only where the sum needs it (`PadeSystem.tail_ratio`, `extension_terms`,
-`extension_sizes`).  Both sums stop on one tail-ratio bound (`_tail_ratio`).
+remainder values R(beta) of `remainder_value` are summed the same way, in
+one loop over the system's terms by exponent, over one running denominator
+L * p^e for beta = p/q.  Their beta-free set-up lives on the system: the
+ratio bound's part without |alpha/beta|, the terms and the sizes of the
+bound, each read only where the sum needs it (`PadeSystem.tail_ratio`,
+`terms`, `size`).  Both sums stop on one tail-ratio bound (`_tail_ratio`).
 """
 
 from __future__ import annotations
@@ -324,8 +324,8 @@ def eval_F_family(spec: HypergeometricSpec, w, bits: int):
 
 
 def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFloat:
-    """R_{ell,i,s}(beta) from the exact stored tail plus a certified bound on
-    the part beyond the truncation.
+    """R_{ell,i,s}(beta) = sum_k psi_{i,s}(t^k P_ell)/beta^{k+1}, exact up to
+    a stop index and with a certified bound on the rest.
 
     The discarded part is sum_{k >= K} psi_{i,s}(t^k P_ell)/beta^{k+1}; each
     |psi weight| chain w(k+d) contracts by at least `ratio` per step once k is
@@ -334,31 +334,30 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     sum |P_d| slack (the true psi sums cancel heavily), so exact terms are
     appended until the bound drops under the 2^-bits target.
 
-    Everything but |alpha/beta| is set up once per system: the ratio's
-    beta-free part (`PadeSystem.tail_ratio`), and, past the window, the
-    terms psi_{i,s}(t^k P_ell) and the sizes sum_d |P_d| |w_{k+d}| that the
-    bound scales (`PadeSystem.extension_terms` / `extension_sizes`), shared
-    by every beta and precision.  A size is read only at a stop test and a
-    term only once that test has failed, so the two lists grow only as far
-    as some sum reads them: a sum that stops at its first test reads one
-    size and no term.
+    Everything but |alpha/beta| is set up once per system and shared by
+    every beta and precision: the ratio's beta-free part
+    (`PadeSystem.tail_ratio`, whose k0 is past the stored window), the
+    terms psi_{i,s}(t^k P_ell) by exponent (`PadeSystem.terms`) and the
+    sizes sum_d |P_d| |w_{k+d}| that the bound scales (`PadeSystem.size`).
+    A size is read only at a stop test and a term only once that test has
+    failed, so past the window the lists grow only as far as some sum reads
+    them: a sum that stops at its first test reads one size and no term
+    past the window.
 
     As in `_sum_series`, the sum stays on unreduced integers.  With
     beta = p/q (p > 0, the sign on q), the sum through the 1/z^e term is
-    N / (L p^e), L a common denominator of its coefficients.  The window is
-    summed by Horner over the lcm of its denominators; each coefficient a/b
-    past it enters as N <- N (b/g) p + a (L/g) q^{e+1}, L <- L b/g, with
-    g = gcd(L, b).  The stop test bound > 2^-bits max(|S|, 2^-bits) is
-    decided exactly on integers (p^e cancels from the |S| side), so the
-    value, the bound and the stop index are those of the term-by-term
-    Fraction sum.
+    N / (L p^e), L a common denominator of its coefficients, summed in one
+    loop from the window's order: each coefficient a/b enters as
+    N <- N (b/g) p + a (L/g) q^{e+1}, L <- L b/g, with g = gcd(L, b).  The
+    stop test bound > 2^-bits max(|S|, 2^-bits) is decided exactly on
+    integers (p^e cancels from the |S| side), so the value, the bound and
+    the stop index are those of the term-by-term Fraction sum.
     """
     beta = Fraction(beta)
     x = Fraction(system.alphas[i - 1]) / beta
     if _abs(x) >= 1:
         raise DivergentSeries("need |alpha/beta| < 1")
     tail = system.R[(ell, i, s)]
-    kfirst = tail.truncation - 1  # first psi index k not covered by the window
     kmin, per_x = system.tail_ratio(s)
     ratio0 = _abs(x) * per_x
     if ratio0 >= 1:
@@ -370,28 +369,24 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     p, q = beta.numerator, beta.denominator
     if p < 0:
         p, q = -p, -q
-    L = math.lcm(*(c.denominator for c in tail.coefficients))
-    N = 0
-    qe = q ** tail.order  # q^e for the next exponent e
-    for c in tail.coefficients:
-        N = N * p + c.numerator * (L // c.denominator) * qe
-        qe *= q
-    # the window ends at 1/z^kfirst: S = N / (L p^k) and qe = q^(k+1)
-    pk = p ** kfirst
+    # before term k (exponent k + 1): S = N / (L p^k) and qe = q^(k+1)
+    k = tail.order - 1
+    N, L, pk, qe = 0, 1, p ** k, q ** (k + 1)
+    terms = system.terms(ell, i, s, 0)
+    # the step budget: 64 bits + 64 terms past the window, and past kmin
+    budget = max(kmin, tail.truncation + 64 * bits + 63)
     gn, gd = geom.numerator, geom.denominator
     # with size = sa/sb, bound = sa |q|^(k+1) gn / (sb p^(k+1) gd), and the
     # sum goes on while sa |q|^(k+1) gn L 2^(2 bits) > sb p gd max(|N| 2^bits,
     # L p^k); bit lengths settle that until the two sides come within `wide`
     wide = p.bit_length() + gd.bit_length() - gn.bit_length() + 4 - 2 * bits
-    k = kfirst
     while True:
-        j = k - kfirst
-        if k > kmin and k > kfirst + 64 * bits + 64:
+        if k > budget:
             raise InsufficientPrecision(
                 "remainder tail did not certify within the step budget"
             )
         if k >= kmin:
-            size = system.extension_sizes(ell, i, s, j)[j]
+            size = system.size(ell, i, s, k)
             sa, sb = size.numerator, size.denominator
             qa = abs(qe)
             big = max(N.bit_length() + bits, L.bit_length() + pk.bit_length())
@@ -402,11 +397,13 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
                 <= sb * p * gd * max(abs(N) << bits, L * pk)
             ):
                 break
-        term = system.extension_terms(ell, i, s, j)[j]
-        a, b = term.numerator, term.denominator
+        if k >= len(terms):
+            system.terms(ell, i, s, k)  # grows `terms` in place
+        a, b = terms[k].numerator, terms[k].denominator
         g = math.gcd(L, b)
-        N = N * (b // g) * p + a * (L // g) * qe
-        L *= b // g
+        b //= g
+        N = N * b * p + a * (L // g) * qe
+        L *= b
         qe *= q
         pk *= p
         k += 1

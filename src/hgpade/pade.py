@@ -23,12 +23,14 @@ literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
 no code with `correlate`); `verify_system`, `build_system`'s cross-check,
 the hypotheses of `wronskian.delta_of_system` and the suite read it.  A
 generic exact null-space solver (`solve_pade_nullspace`) provides a
-construction-free oracle for the same approximation problem.  Past its
-window each remainder series goes on in two append-only lists on the
-system, its terms and their sizes (`PadeSystem.extension_terms` /
-`extension_sizes`), each grown only when a caller reads past its end; the
-beta-free part of the remainder sums' ratio bound is kept there too
-(`PadeSystem.tail_ratio`).
+construction-free oracle for the same approximation problem.  Each
+remainder series is one append-only list on the system, read by exponent
+(`PadeSystem.terms`): it starts as the stored window and grows past it only
+when a caller reads past its end.  Past the window, the sizes that bound
+the remainder sums are a second such list (`PadeSystem.size`), and the
+beta-free part of their ratio bound is kept there too
+(`PadeSystem.tail_ratio`).  Only this module splits a series at the
+window's end; its readers index it by exponent alone.
 """
 
 from __future__ import annotations
@@ -185,11 +187,11 @@ class PadeSystem:
     Pis: dict = field(default_factory=dict)         # (ell, i, s) -> Poly
     R: dict = field(default_factory=dict)           # (ell, i, s) -> LaurentTail
     truncation: int = 0
-    # (ell, i, s) -> the (terms, sizes) lists of `extension_terms` and
-    # `extension_sizes`, and s -> `tail_ratio(s)`; like `spec._psi_tables`,
-    # a pure function of the system
-    _extensions: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    # (ell, i, s) -> (window end, terms, sizes) of `terms` and `size`, and
+    # s -> `tail_ratio(s)`; like `spec._psi_tables`, a pure function of the
+    # system
+    _lists: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def r(self) -> int:
@@ -210,41 +212,49 @@ class PadeSystem:
         window, k = truncation - 1: the remainder sums of this system at any
         beta stop-test from k0 on, against the ratio bound |alpha/beta| c.
         Computed once per s."""
-        got = self._extensions.get(s)
+        got = self._lists.get(s)
         if got is None:
-            got = self._extensions[s] = _tail_ratio(self.spec, s, self.truncation - 1)
+            got = self._lists[s] = _tail_ratio(self.spec, s, self.truncation - 1)
         return got
 
-    def extension_terms(self, ell: int, i: int, s: int, j: int) -> list:
-        """The terms of R_{ell,i,s} past its window, grown to hold entry j:
-        terms[j] = psi_{i,s}(t^k P_ell), the 1/z^{k+1} coefficient, at
-        k = truncation - 1 + j.  The list only grows, so a caller's
-        reference stays valid."""
-        return self._extend(ell, i, s, j, 0)
-
-    def extension_sizes(self, ell: int, i: int, s: int, j: int) -> list:
-        """The sizes of R_{ell,i,s} past its window, grown to hold entry j:
-        sizes[j] = sum_d |P_d| |w_{k+d}| over the psi weights w, at
-        k = truncation - 1 + j.  Grown apart from the terms, so a sum that
-        reads only sizes (or only terms) computes nothing else."""
-        return self._extend(ell, i, s, j, 1)
-
-    def _extend(self, ell: int, i: int, s: int, j: int, half: int) -> list:
-        # one list of the (terms, sizes) pair of (ell, i, s); a read past its
-        # end grows it to max(j + 1, twice its length)
-        out = self._extensions.setdefault((ell, i, s), ([], []))[half]
-        if j >= len(out):
-            P = self.P[ell]
-            kfirst = self.R[(ell, i, s)].truncation - 1
-            start = kfirst + len(out)
-            stop = kfirst + max(j + 1, 2 * len(out))
+    def terms(self, ell: int, i: int, s: int, k: int) -> list:
+        """The coefficients of R_{ell,i,s} by exponent, grown to hold index k:
+        terms[k] = psi_{i,s}(t^k P_ell), the coefficient of 1/z^{k+1}, for
+        every k >= 0.  The head is the stored window, copied on first use;
+        a read past the end grows the list to max(k + 1, twice its part past
+        the window).  The list only grows, so a caller's reference stays
+        valid."""
+        end, terms, _ = self._lists_of(ell, i, s)
+        if k >= len(terms):
+            P, stop = self.P[ell], max(k + 1, 2 * len(terms) - end)
             w = psi_weights(self.spec, self.alphas[i - 1], s, stop - 2 + len(P))
-            if half:
-                out.extend(correlate([abs(c) for c in P],
-                                     [abs(x) for x in w[start:]], 0, stop - start))
-            else:
-                out.extend(correlate(P, w, start, stop))
-        return out
+            terms.extend(correlate(P, w, len(terms), stop))
+        return terms
+
+    def size(self, ell: int, i: int, s: int, k: int) -> Fraction:
+        """sum_d |P_d| |w_{k+d}| over the psi_{i,s} weights w, for k from the
+        window's end on: the size that bounds terms[k] and every later term.
+        Kept in a list of its own that grows like the terms, so a sum that
+        reads only sizes (or only terms) computes nothing else."""
+        end, _, sizes = self._lists_of(ell, i, s)
+        start = end + len(sizes)
+        if k >= start:
+            P, stop = self.P[ell], max(k + 1, 2 * start - end)
+            w = psi_weights(self.spec, self.alphas[i - 1], s, stop - 2 + len(P))
+            sizes.extend(correlate([abs(c) for c in P],
+                                   [abs(x) for x in w[start:]], 0, stop - start))
+        return sizes[k - end]
+
+    def _lists_of(self, ell: int, i: int, s: int) -> tuple:
+        # (window end, terms, sizes) of (ell, i, s); the terms start as the
+        # stored window, and sizes[0] is the size at the window's end
+        got = self._lists.get((ell, i, s))
+        if got is None:
+            tail = self.R[(ell, i, s)]  # its window starts at 1/z^1
+            got = self._lists[(ell, i, s)] = (
+                tail.truncation - 1,
+                [Fraction(0)] * (tail.order - 1) + tail.coefficients, [])
+        return got
 
     def to_jsonable(self) -> dict:
         return {
@@ -339,14 +349,15 @@ def contract_failures(system: PadeSystem) -> list:
     r, m, n = system.r, system.m, system.n
     for ell in range(r * m + 1):
         want = r * m * n + ell
-        got = poly_deg(system.P[ell])
+        got = poly_deg(poly_trim(list(system.P[ell])))
         if got != want:
             failures.append(
                 {"check": "deg_P", "index": [ell], "expected": want, "got": str(got)}
             )
     for ell, i, s in system.indices():
         bound = r * m * n + ell
-        got = poly_deg(system.Pis[(ell, i, s)])  # -inf for the zero polynomial
+        # -inf for the zero polynomial
+        got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)])))
         if got > bound:
             failures.append(
                 {"check": "deg_Pis", "index": [ell, i, s], "bound": bound, "got": str(got)}

@@ -148,9 +148,6 @@ class LaurentTail:
             return True
         return self.order >= k
 
-    def is_zero_window(self) -> bool:
-        return not self.coefficients
-
     def mul_poly(self, p: Poly) -> "LaurentTail":
         """Multiply by a polynomial in z (z^d lowers the 1/z exponent by d).
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec
+from hgpade.polyops import HypergeometricSpec, psi_weights
 
 F = Fraction
 
@@ -44,3 +44,27 @@ def canonical_system(spec_r2):
 @pytest.fixture(scope="session")
 def canonical_m1(spec_r2):
     return build_system(spec_r2, (F(1),), 1)
+
+
+def _check_remainder_lists(system, key):
+    # every entry of the term list of R_{ell,i,s} is psi(t^k P_ell), inside
+    # the window the stored coefficient of 1/z^{k+1}, and every size is
+    # sum_d |P_d| |w_{k+d}| from the window's end on, each against its naive
+    # Fraction sum
+    end, terms, sizes = system._lists[key]
+    ell, i, s = key
+    P, tail = system.P[ell], system.R[key]
+    assert end == system.truncation - 1
+    w = psi_weights(system.spec, system.alphas[i - 1], s,
+                    end + max(len(terms), len(sizes)) + len(P))
+    assert terms[:end] == [tail.coeff(k + 1) for k in range(end)]
+    for k, term in enumerate(terms):
+        assert term == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
+    for j, size in enumerate(sizes):
+        assert size == sum((abs(c) * abs(w[end + j + d]) for d, c in enumerate(P)), F(0))
+
+
+@pytest.fixture(scope="session")
+def check_remainder_lists():
+    """Check a system's term and size lists of one (ell, i, s) entry by entry."""
+    return _check_remainder_lists

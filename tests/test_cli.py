@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgpade import criterion
-from hgpade.arith import D_n_profile, Place, format_rational, parse_rational
+from hgpade.arith import Place, format_rational, parse_rational
 from hgpade.cli import emit_report, main
 
 R2 = ["--a", "1/3,1/4", "--b", "1/2"]
@@ -125,6 +125,61 @@ def test_verify_tampered_Pis_exits_3_naming_the_index(tmp_path, capsys):
     assert report["ok"] is False
     assert report["failures"] == [{"check": "Pis_coeffs", "index": [0, 1, 0]}]
     assert "Pis_coeffs" in captured.err and "[0, 1, 0]" in captured.err
+
+
+def test_verify_names_a_zero_leading_coefficient(tmp_path, capsys):
+    # a file whose P_4 stores a leading 0: verify names deg_P at [4]
+    path = tmp_path / "system.json"
+    assert main(["build", *R2, "--alphas", "1,2", "--n", "2", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["P"]["4"][-1] = "0"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+
+    assert main(["verify", "--system", str(path)]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["failures"][0] == {
+        "check": "deg_P", "index": [4], "expected": 12, "got": "11"}
+    assert "deg_P" in captured.err and "[4]" in captured.err
+
+
+def test_verify_runs_the_contract_once(monkeypatch, capsys):
+    # verify builds without the cross-check: the report's own contract run
+    # is the only one
+    import hgpade.pade
+
+    calls = []
+    contract = hgpade.pade.contract_failures
+
+    def counted(system):
+        calls.append(None)
+        return contract(system)
+
+    monkeypatch.setattr(hgpade.pade, "contract_failures", counted)
+    for spec in (R2, ["--a", "1/3,1/4,1/5", "--b", "1/2,2/3"]):
+        calls.clear()
+        assert main(["verify", *spec, "--alphas", "1,2", "--n", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert len(calls) == 1
+
+
+def test_verify_reports_a_broken_build(monkeypatch, capsys):
+    # a build that breaks its contract exits 3, its failures in the report
+    import hgpade.pade
+
+    image = hgpade.pade.divided_difference_image
+
+    def shifted(P, weights):
+        return [c + 1 if d == 0 else c for d, c in enumerate(image(P, weights))]
+
+    monkeypatch.setattr(hgpade.pade, "divided_difference_image", shifted)
+    assert main(["verify", *R2, "--alphas", "1", "--n", "1"]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["ok"] is False
+    assert {"check": "Pis_coeffs", "index": [0, 1, 0]} in report["failures"]
+    assert "Pis_coeffs" in captured.err
 
 
 def test_verify_unreadable_system_exits_1(tmp_path, capsys):
@@ -330,18 +385,6 @@ def test_text_format_renders_nested_report(capsys):
     out = capsys.readouterr().out
     assert "verdict: True" in out
     assert "diagnostics:" in out
-
-
-def test_denominator_profile_csv_has_one_row_per_index(tmp_path):
-    prof = D_n_profile(Fraction(1, 3), Fraction(1), 10)
-    text = emit_report(prof, "csv", str(tmp_path / "prof.csv"))
-    lines = text.splitlines()
-    assert len(lines) == 11  # indices 0..N inclusive
-    assert lines[0] == "0,1"
-    for k, line in enumerate(lines):
-        idx, value = line.split(",")
-        assert int(idx) == k
-        assert int(value) >= 1
 
 
 # ---------------------------------------------------------------------------

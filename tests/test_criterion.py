@@ -395,10 +395,11 @@ def test_vp_remainder_matches_an_exact_partial_sum(spec_r2):
         assert _vp_remainder(system, ell, i, s, beta, 5) == 49
 
 
-def test_vp_remainder_and_remainder_value_share_one_table(spec_r2):
-    # past the window both sums read psi(t^k P) from the system's one
-    # term list: whichever fills it, the other gets a fresh system's answer,
-    # and the v_5 = 49 oracle above still holds on the filled table
+def test_vp_remainder_and_remainder_value_share_one_table(spec_r2, check_remainder_lists):
+    # both sums read psi(t^k P) by exponent from the system's one term list:
+    # whichever fills it, the other gets a fresh system's answer, every entry
+    # is its naive sum, and the v_5 = 49 oracle above still holds on the
+    # filled list
     from hgpade.criterion import _vp_remainder
     from hgpade.numerics import remainder_value
     from hgpade.pade import build_system
@@ -407,25 +408,37 @@ def test_vp_remainder_and_remainder_value_share_one_table(spec_r2):
         return build_system(spec_r2, (Fraction(1),), 4, cross_check=False)
 
     system = fresh()
+    end = system.truncation - 1
     near, far = Fraction(1, 5), Fraction(10**6)  # |1/5|_5 = 5: a long p-adic sum
     for key in system.indices():
         v = _vp_remainder(system, *key, near, 5)
-        terms, sizes = system._extensions[key]  # read without growing either list
+        _, terms, sizes = system._lists[key]  # read without growing either list
         seen = list(terms)
-        assert len(seen) > 8  # the p-adic sum ran past the window
+        # the p-adic sum ran past the window one exponent at a time, each
+        # read past the end doubling the part past the window; no size
+        past = len(terms) - end
+        assert past > 8 and past & (past - 1) == 0 and sizes == []
         got = remainder_value(system, *key, far, 256)
-        again = system._extensions[key]
-        assert again[0] is terms and again[1] is sizes
+        again = system._lists[key]
+        assert again[1] is terms and again[2] is sizes
         assert terms[:len(seen)] == seen
         want = remainder_value(fresh(), *key, far, 256)
         assert (got.value, got.error) == (want.value, want.error)
+        check_remainder_lists(system, key)
+        # on its own, the sum at 10^6 and 32 bits stops at its first test:
+        # one size, no term past the window
+        other = fresh()
+        remainder_value(other, *key, far, 32)
+        _, other_terms, other_sizes = other._lists[key]
+        assert (len(other_terms), len(other_sizes)) == (end, 1)
+        check_remainder_lists(other, key)
         assert v == _vp_remainder(system, *key, near, 5) \
             == _vp_remainder(fresh(), *key, near, 5)
         assert _vp_remainder(system, *key, Fraction(1, 5**10), 5) == 49
-        assert system._extensions[key][0] is terms
+        assert system._lists[key][1] is terms
 
 
-def test_remainder_sums_grow_only_what_they_read(spec_r2):
+def test_remainder_sums_grow_only_what_they_read(spec_r2, check_remainder_lists):
     # an archimedean sum reads a size at each stop test and a term only once
     # that test has failed; a p-adic sum reads terms only
     from hgpade.criterion import _vp_remainder
@@ -434,13 +447,19 @@ def test_remainder_sums_grow_only_what_they_read(spec_r2):
     assert measure(inst, Fraction(10**6), Place(), 0.1).verdict
     for system in inst.systems.values():
         for key in system.indices():
-            terms, sizes = system._extensions[key]
-            # at beta = 10^6 every sum stops at the first entry past the window
-            assert terms == [] and len(sizes) == 1
+            end, terms, sizes = system._lists[key]
+            # at beta = 10^6 every sum stops at its first test, at the
+            # window's end: no term past the window, one size
+            assert len(terms) == end and len(sizes) == 1
+            check_remainder_lists(system, key)
     system = inst.systems[4]
     for key in system.indices():
-        sizes = list(system._extensions[key][1])
+        end, terms, sizes = system._lists[key]
+        was = list(sizes)
         _vp_remainder(system, *key, Fraction(1, 5), 5)
-        terms, now = system._extensions[key]
-        assert len(terms) > 8 and now == sizes  # past the window, terms only
+        # past the window, terms only, read one exponent at a time: each read
+        # past the end doubled the part past the window
+        past = len(terms) - end
+        assert past > 8 and past & (past - 1) == 0 and sizes == was
+        check_remainder_lists(system, key)
         assert _vp_remainder(system, *key, Fraction(1, 5**10), 5) == 49

@@ -424,81 +424,106 @@ def test_remainder_value_guards(system_n4):
         remainder_value(system_n4, 0, 1, 0, F(1, 2), 64)  # |alpha/beta| >= 1
 
 
-def test_remainder_value_cache_consistent(spec_r2):
-    # one system's table, filled at 32 bits and grown by a higher precision
-    # and a second beta: every answer, bound included, equals the one a fresh
-    # system gives, and the term and size lists only ever grow
+def _grown(stop, end, k):
+    """The length of a list that held the entries below `stop` (by exponent)
+    after a read at k: a read past its end grows it to max(k + 1, twice its
+    part past the window end)."""
+    return stop if k < stop else max(k + 1, 2 * stop - end)
+
+
+def test_remainder_value_cache_consistent(spec_r2, check_remainder_lists):
+    # one system's lists, filled at 32 bits and grown by a higher precision
+    # and a second beta: every answer, bound included, is the term-by-term
+    # Fraction sum's, the lists only ever grow, and they grow by the growth
+    # rule from exactly the reads of that sum (a size at each stop test, a
+    # term below the stop index) and from nothing else
     alphas, key = (F(1),), (2, 1, 1)
     reused = build_system(spec_r2, alphas, 4, cross_check=False)
+    end = reused.truncation - 1
+    terms_stop = sizes_stop = end  # the exponents each list holds, below
     seen = []
-    for beta, bits in ((F(3), 32), (F(3), 32), (F(3), 256), (F(-7, 2), 256), (F(3), 128)):
+    for beta, bits in ((F(10**6), 32), (F(3), 32), (F(3), 32), (F(3), 256),
+                       (F(-7, 2), 256), (F(3), 128)):
         got = remainder_value(reused, *key, beta, bits)
-        fresh = build_system(spec_r2, alphas, 4, cross_check=False)
-        want = remainder_value(fresh, *key, beta, bits)
+        want, kmin, K = _naive_remainder_sum(reused, *key, beta, bits)
         assert (got.value, got.error, got.bits) == (want.value, want.error, want.bits)
-        lists = reused._extensions[key]  # read without growing either list
-        seen.append((lists, [list(half) for half in lists]))
-    terms, sizes = seen[-1][0]
-    for (now_terms, now_sizes), (was_terms, was_sizes) in seen:
+        for k in range(K):
+            terms_stop = _grown(terms_stop, end, k)
+        for k in range(kmin, K + 1):
+            sizes_stop = _grown(sizes_stop, end, k)
+        _, terms, sizes = reused._lists[key]  # read without growing either list
+        assert (len(terms), end + len(sizes)) == (terms_stop, sizes_stop)
+        seen.append((terms, sizes, list(terms), list(sizes)))
+    # at beta = 10^6 the sum stops at its first test: one size, no term past
+    # the window
+    assert (len(seen[0][2]), len(seen[0][3])) == (end, 1)
+    terms, sizes = seen[-1][:2]
+    for now_terms, now_sizes, was_terms, was_sizes in seen:
         assert now_terms is terms and now_sizes is sizes
         assert terms[:len(was_terms)] == was_terms
         assert sizes[:len(was_sizes)] == was_sizes
     # the 256-bit calls read past the entries the 32-bit ones had grown
-    (_, (terms32, sizes32)), (_, (terms256, sizes256)) = seen[1], seen[2]
-    assert len(terms256) > len(terms32) and len(sizes256) > len(sizes32)
-    # every entry is psi(t^k P_2) and sum_d |P_d| |w_{k+d}| from the window on
-    P, kfirst = reused.P[2], reused.truncation - 1
-    w = psi_weights(spec_r2, F(1), 1, kfirst + max(len(terms), len(sizes)) + len(P))
-    for j, term in enumerate(terms):
-        k = kfirst + j
-        assert term == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
-    for j, size in enumerate(sizes):
-        k = kfirst + j
-        assert size == sum((abs(c) * abs(w[k + d]) for d, c in enumerate(P)), F(0))
+    assert len(seen[3][2]) > len(seen[2][2]) and len(seen[3][3]) > len(seen[2][3])
+    check_remainder_lists(reused, key)
+
+
+_END = 13  # the window's end, truncation - 1, of the system below
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(st.sampled_from([(0, 1, 0), (2, 1, 1), (1, 2, 0), (4, 2, 1)]),
-       st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=40)),
-                min_size=1, max_size=8))
-def test_extension_entries_at_any_index_in_any_order(key, reads):
-    # terms and sizes requested at random indices, in random order: each
-    # list grows on its own, and every entry equals its naive Fraction sum
+       st.lists(st.one_of(
+           st.tuples(st.just("term"), st.integers(min_value=0, max_value=_END + 40)),
+           st.tuples(st.just("size"), st.integers(min_value=_END, max_value=_END + 40)),
+           st.tuples(st.just("sum"), st.sampled_from(
+               [(F(10**6), 32), (F(5), 32), (F(-7, 2), 128), (F(9, 2), 256)]))),
+           min_size=1, max_size=8))
+def test_extension_entries_at_any_index_in_any_order(check_remainder_lists, key, reads):
+    # terms read at any exponent, inside the window or past it, sizes at any
+    # exponent from the window's end on, and whole sums, in random order:
+    # each list grows on its own by the growth rule (so a list that no read
+    # asked for stays as it started), a sum reads only the sizes of its stop
+    # tests and the terms below its stop index, and every entry equals its
+    # naive Fraction sum
     spec = HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(1, 2),))
     system = build_system(spec, (F(1), F(2)), 1, cross_check=False)
-    ell, i, s = key
-    P, kfirst = system.P[ell], system.truncation - 1
-    w = psi_weights(spec, system.alphas[i - 1], s, kfirst + 2 * 41 + len(P))
-    lists = {}
-    for is_size, j in reads:
-        grow = system.extension_sizes if is_size else system.extension_terms
-        before = len(system._extensions.get(key, ([], []))[is_size])
-        got = grow(*key, j)
-        assert lists.setdefault(is_size, got) is got
-        # a read past the end doubles the list, or reaches j if that is more
-        assert len(got) == (before if j < before else max(j + 1, 2 * before))
-        k = kfirst + j
-        if is_size:
-            want = sum((abs(c) * abs(w[k + d]) for d, c in enumerate(P)), F(0))
+    end = system.truncation - 1
+    assert end == _END
+    first = None
+    terms_stop = sizes_stop = end
+    for kind, arg in reads:
+        if kind == "term":
+            got = system.terms(*key, arg)
+            terms_stop = _grown(terms_stop, end, arg)
+        elif kind == "size":
+            got = system.size(*key, arg)
+            sizes_stop = _grown(sizes_stop, end, arg)
         else:
-            want = sum((c * w[k + d] for d, c in enumerate(P)), F(0))
-        assert got[j] == want
-    terms, sizes = system._extensions[key]
-    # a list that no read asked for stays empty
-    if False not in lists:
-        assert terms == []
-    if True not in lists:
-        assert sizes == []
-    for j, term in enumerate(terms):
-        assert term == sum((c * w[kfirst + j + d] for d, c in enumerate(P)), F(0))
-    for j, size in enumerate(sizes):
-        assert size == sum((abs(c) * abs(w[kfirst + j + d]) for d, c in enumerate(P)), F(0))
+            beta, bits = arg
+            got = remainder_value(system, *key, beta, bits)
+            want, kmin, K = _naive_remainder_sum(system, *key, beta, bits)
+            assert (got.value, got.error) == (want.value, want.error)
+            for k in range(K):
+                terms_stop = _grown(terms_stop, end, k)
+            for k in range(kmin, K + 1):
+                sizes_stop = _grown(sizes_stop, end, k)
+        _, terms, sizes = system._lists[key]
+        first = first or (terms, sizes)
+        assert first[0] is terms and first[1] is sizes  # the lists only grow
+        assert (len(terms), end + len(sizes)) == (terms_stop, sizes_stop)
+        if kind == "term":
+            assert got is terms
+        elif kind == "size":
+            assert got == sizes[arg - end]
+        check_remainder_lists(system, key)
 
 
-def _naive_remainder_value(system, ell, i, s, beta, bits):
+def _naive_remainder_sum(system, ell, i, s, beta, bits):
     """The term-by-term Fraction sum of R_{ell,i,s}(beta): every term is a
     reduced Fraction and the stop test compares Fractions.  `remainder_value`
-    must give the same value, bound and stop index on integers."""
+    must give the same value, bound and stop index on integers.  Returns the
+    value with (kmin, K): the sum reads the sizes at kmin..K (its stop tests)
+    and the terms below K."""
     beta = F(beta)
     spec = system.spec
     alpha = F(system.alphas[i - 1])
@@ -552,7 +577,11 @@ def _naive_remainder_value(system, ell, i, s, beta, bits):
         bound = chain_bound(k)
         if k > kfirst + 64 * bits + 64:
             raise InsufficientPrecision("step budget")
-    return BigFloat(value, bound, bits)
+    return BigFloat(value, bound, bits), kmin, k
+
+
+def _naive_remainder_value(system, ell, i, s, beta, bits):
+    return _naive_remainder_sum(system, ell, i, s, beta, bits)[0]
 
 
 def _outcome(fn, *args, **kwargs):

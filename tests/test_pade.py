@@ -77,7 +77,7 @@ def test_toy_P0(toy_spec):
 def test_toy_remainder_vanishes(toy_spec):
     system = build_system(toy_spec, (F(1),), 1)
     tail = system.R[(0, 1, 0)]
-    assert tail.is_zero_window()  # 1 - 1 = 0, exactly, through the whole window
+    assert tail.coefficients == []  # 1 - 1 = 0, exactly, through the whole window
     assert tail.ord_at_least(2)
 
 
@@ -281,6 +281,18 @@ def test_verify_names_degree_failure(canonical_system):
     report = verify_system(broken)
     assert not report["ok"]
     assert any(f["check"] == "deg_P" and f["index"] == [1] for f in report["failures"])
+
+
+def test_verify_reads_the_degree_of_the_trimmed_P(spec_r2):
+    # a stored leading coefficient of 0: P_4 of r2, alphas (1, 2), n = 2 has
+    # degree rmn + 3, not rmn + 4, and deg_P says so without trimming the
+    # stored list
+    broken = build_system(spec_r2, (F(1), F(2)), 2)
+    broken.P[4] = [*broken.P[4][:-1], F(0)]
+    failures = verify_system(broken)["failures"]
+    assert failures[0] == {"check": "deg_P", "index": [4], "expected": 12, "got": "11"}
+    assert [f for f in failures if f["check"].startswith("deg")] == failures[:1]
+    assert len(broken.P[4]) == 13 and broken.P[4][-1] == 0
 
 
 def test_verify_names_a_zero_P(canonical_system):

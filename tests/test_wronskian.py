@@ -388,6 +388,8 @@ def test_nonconstant_determinant_raises(canonical_system):
     # the product is untouched, the window entry Theta reads is not
     ("R", (1, 2, 1), lambda t: _window_with(t, 2, t.coeff(2) + 1),
      "product coefficient"),
+    # a stored leading 0: deg P_4 = rmn + 3, whatever the list's length
+    ("P", 4, lambda p: [*p[:-1], F(0)], "deg P_ell"),
 ])
 def test_each_failed_hypothesis_is_named(canonical_system, part, key, edit, name):
     broken = _corrupted(canonical_system, part, key, edit)
