@@ -250,13 +250,6 @@ class DenominatorProfile:
     def __post_init__(self):
         assert len(self.values) == self.N + 1
 
-    def to_jsonable(self) -> dict:
-        return {
-            "N": self.N,
-            "values": [str(d) for d in self.values],
-            "log_rate": self.log_rate,
-        }
-
 
 def _profile_from_terms(terms) -> DenominatorProfile:
     values = []

@@ -5,19 +5,24 @@ Everything is interval arithmetic in disguise: a BigFloat is an exact rational
 partial sum plus an exact rational bound on the discarded tail, so all error
 tracking is rigorous (the tail bounds come from a geometric majorant with the
 ratio frozen once it drops below (1+|z|)/2).  No binary floats enter any
-certified quantity; floats appear only when a caller formats or fits rates.
+certified quantity; floats appear only when a caller formats or fits rates,
+and in the stop guess of `_sum_series`, which decides nothing.
 
 Both series routes (`eval_pFq` and the direct sum of F_s) run on one kernel,
-`_sum_series`: the partial sum is kept on unreduced integers over the running
-denominator of the term, and the stopping test is decided exactly on those
-integers, so the certified value and bound are the same reduced rationals a
-term-by-term Fraction sum would give, at the same stopping index.  The
-remainder values R(beta) of `remainder_value` are summed the same way, in
-one loop over the system's terms by exponent, over one running denominator
-L * p^e for beta = p/q.  Their beta-free set-up lives on the system: the
-ratio bound's part without |alpha/beta|, the terms and the sizes of the
-bound, each read only where the sum needs it (`PadeSystem.tail_ratio`,
-`terms`, `size`).  Both sums stop on one tail-ratio bound (`_tail_ratio`).
+`_sum_series`: it multiplies the steps of the term recurrence out by binary
+splitting, one product tree per range of steps, and reaches exactly the
+unreduced integers (term, numerator, denominator) a step-by-step sum would.
+A range is taken only where one exact comparison at its end proves that no
+stop test inside it can pass (the margin lemma of `_sum_series`), and the
+stopping test is decided exactly on those integers, so the certified value
+and bound are the same reduced rationals a term-by-term Fraction sum would
+give, at the same stopping index.  The remainder values R(beta) of
+`remainder_value` are summed on integers too, in one loop over the system's
+terms by exponent, over one running denominator L * p^e for beta = p/q.
+Their beta-free set-up lives on the system: the ratio bound's part without
+|alpha/beta|, the terms and the sizes of the bound, each read only where the
+sum needs it (`PadeSystem.tail_ratio`, `terms`, `size`).  Both sums stop on
+one tail-ratio bound (`_tail_ratio`).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     DivergentSeries,
@@ -87,6 +93,58 @@ def _linear(roots) -> list:
 # certifies sooner needs none
 _BUDGET_CHECK_FROM = 1024
 
+# `_segment` lists the integers of the steps (one `map` per factor costs far
+# less than a call per step) at most _LIST_RUN at a time, so a long range
+# never holds all of its lists at once, and it multiplies runs of at most
+# _LEAF_RUN steps out in one loop instead of splitting them further: a step
+# costs about what a call costs
+_LIST_RUN = 1024
+_LEAF_RUN = 16
+
+
+def _segment(steps, lo: int, hi: int) -> tuple:
+    """(P, Q, T) of the steps lo <= j < hi of `_sum_series`, whose integers
+    (a_j, b_j, g_j) steps(lo, hi) lists: P = prod a_j, Q = prod b_j and
+    T = sum_j g_j prod_{lo<=i<j} a_i prod_{j<=i<hi} b_i, so that the steps
+    take the state (tn, N, D) at lo to (tn P, N Q + tn T, D Q) at hi.  The
+    two halves of a range combine as (P1 P2, Q1 Q2, T1 Q2 + P1 T2): binary
+    splitting, over lists of at most _LIST_RUN steps."""
+    if hi - lo <= _LIST_RUN:
+        return _split(*steps(lo, hi), 0, hi - lo)
+    mid = (lo + hi) // 2
+    P1, Q1, T1 = _segment(steps, lo, mid)
+    P2, Q2, T2 = _segment(steps, mid, hi)
+    return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+
+def _split(a: list, b: list, g: list, lo: int, hi: int) -> tuple:
+    """`_segment` of the steps listed at lo <= j < hi of a, b and g."""
+    if hi - lo <= _LEAF_RUN:
+        P, Q, T = 1, 1, 0
+        for j in range(lo, hi):
+            T = (T + P * g[j]) * b[j]
+            P *= a[j]
+            Q *= b[j]
+        return P, Q, T
+    mid = (lo + hi) // 2
+    P1, Q1, T1 = _split(a, b, g, lo, mid)
+    P2, Q2, T2 = _split(a, b, g, mid, hi)
+    return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+
+def _stop_guess(k: int, gt: int, N: int, D: int, ratio: float,
+                need: float) -> int:
+    """A float guess, from the state at k of `_sum_series` (term gt/D, sum
+    N/D, term ratio `ratio` at k, need = bits + log2 tail_factor), of the
+    last index at which the margin test still holds: the term must fall by
+    about 2^need / max(1, |S|) before the sum stops.  It only picks where
+    to try a jump; the exact margin test decides every jump, so any guess
+    gives the same sum."""
+    if not gt or not 0 < ratio < 1:
+        return k
+    over = gt.bit_length() - max(D.bit_length(), N.bit_length()) + need
+    return k + int(over / -math.log2(ratio)) - 2
+
 
 def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
                 bits: int, max_k: int) -> BigFloat:
@@ -95,10 +153,13 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
     at the first K >= k0 with |G(K) t_K| * tail_factor <= 2^-bits max(1, |S|).
 
     Every factor k + p/q enters as (q k + p) with the q's gathered into two
-    constants, so the sum is kept as N / D with D = prod(q_g) * den(t_k)
-    unreduced: a step is a few big-by-small integer products and no gcd.  The
-    stop is decided exactly on integers, and the returned value and tail
-    bound are the reduced rationals sum and |G(K) t_K| * tail_factor.
+    constants, so step k has integers a_k, b_k > 0 (the sign moved to a_k)
+    and g(k) = prod (q k + p) over `weight`, and the sum is kept as N / D
+    with D = prod(q_g) * den(t_0) * prod b_j unreduced: with gt = tn g(k)
+    (so gt / D = G(k) t_k), a step is N <- (N + gt) b_k, D <- D b_k,
+    tn <- tn a_k.  The stop is decided exactly on these integers, and the
+    returned value and tail bound are the reduced rationals sum and
+    |G(K) t_K| * tail_factor.
 
     The caller's k0 promises a term ratio of at most rho for k >= k0, with
     1/(1-rho) <= tail_factor, so the bound covers the whole discarded tail,
@@ -106,6 +167,28 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
     and again at each k = 2k + 1 after it, `_budget_cannot_certify` tries to
     prove that no test up to max_k + 1 can pass; if it does, the sum raises
     StepBudgetExceeded there instead of running out the budget.
+
+    The steps run in ranges, each one product tree (`_segment`), and the
+    states they reach are exactly those of the steps one by one, so every
+    test below sees the same integers.  No test runs below k0, so the steps
+    there are one range.  From then on a range [k, e) is taken only where
+    no stop test in it can pass, which one exact comparison at e proves.
+
+    Margin lemma.  Let k0 <= k < e, write u_j = |G(j) t_j|, S_j = N_j / D_j,
+    tau = tail_factor, and suppose u_e tau (2^bits - 1) > max(1, |S_e|),
+    that is |gt_e| f (2^bits - 1) > f' max(D_e, |N_e|) with tau = f / f'.
+    Then the test fails at every j in [k, e).  Past k0 the terms contract
+    by rho, so u_e <= u_j and the terms j..e-1 add up to at most
+    u_j / (1 - rho) <= u_j tau, whence |S_j| <= |S_e| + u_j tau.  So
+    u_j tau 2^bits >= u_e tau 2^bits > max(1, |S_e|) >= 1, and
+    u_j tau 2^bits = u_j tau (2^bits - 1) + u_j tau
+    >= u_e tau (2^bits - 1) + u_j tau > |S_e| + u_j tau >= |S_j|.
+
+    From each exact state past k0, `_stop_guess` picks the end e of the
+    next range, capped at the next budget check and at max_k + 1, so that
+    every budget check, the final stop test and the step budget run at the
+    same k on the same integers as one step at a time would.  Where the
+    lemma fails at e, the range is halved; at one step, the step is taken.
     """
     t0, x = Fraction(t0), Fraction(x)
     up, lo, gw = _linear(upper), _linear(lower), _linear(weight)
@@ -117,15 +200,36 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
     # < 2^(len(f_den) + max(len(D), len(N))), so the exact test is only worth
     # running once len(gt) + slack < max(len(D), len(N))
     slack = f_num.bit_length() + bits - 2 - f_den.bit_length()
+    need = bits + math.log2(f_num) - math.log2(f_den)
+
+    def steps(k: int, e: int) -> tuple:
+        # the integers a_j, b_j > 0 and g(j) of the steps k <= j < e; each
+        # factor q j + p runs over range(q k + p, q e + p, q)
+        a, b, g = [a0] * (e - k), [b0] * (e - k), [1] * (e - k)
+        for q, p in up:
+            a = list(map(mul, a, range(q * k + p, q * e + p, q)))
+        for q, p in lo:
+            b = list(map(mul, b, range(q * k + p, q * e + p, q)))
+        for q, p in gw:
+            g = list(map(mul, g, range(q * k + p, q * e + p, q)))
+        if b and min(b) < 0:
+            a = [-u if v < 0 else u for u, v in zip(a, b)]
+            b = list(map(abs, b))
+        return a, b, g
+
+    # no stop test runs below k0: the steps there are one range
+    k = min(k0, max_k + 1)
+    P, Q, T = _segment(steps, 0, k)
+    if not Q:
+        raise InvalidInput("lower-parameter pole while summing")
     tn = t0.numerator
-    D = math.prod(q for q, _ in gw) * t0.denominator
-    N = 0
-    k = 0
+    N = tn * T
+    D = math.prod(q for q, _ in gw) * t0.denominator * Q
+    tn *= P
     check_at = max(k0, _BUDGET_CHECK_FROM)
     while True:
-        gt = tn
-        for q, p in gw:
-            gt *= q * k + p
+        (a, _), (b, _), (g, g1) = steps(k, k + 2)
+        gt = tn * g
         if k >= k0 and (not gt or gt.bit_length() + slack
                         < max(D.bit_length(), N.bit_length())):
             T = abs(gt) * f_num
@@ -141,19 +245,24 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
             check_at = 2 * k + 1
         if k > max_k:
             raise InsufficientPrecision("series did not certify within budget")
-        a, b = a0, b0
-        for q, p in up:
-            a *= q * k + p
-        for q, p in lo:
-            b *= q * k + p
         if b == 0:
             raise InvalidInput("lower-parameter pole while summing")
-        if b < 0:
-            a, b = -a, -b
-        N = (N + gt) * b
-        D *= b
-        tn *= a
-        k += 1
+        ratio = abs(a * g1) / (b * abs(g)) if gt else 0.0
+        e = min(max(_stop_guess(k, gt, N, D, ratio, need), k + 1),
+                check_at, max_k + 1)
+        while e - k > 1:
+            P, Q, T = _segment(steps, k, e)
+            tn_e, N_e, D_e = tn * P, N * Q + tn * T, D * Q
+            # the margin lemma at e: no stop test in [k, e) passes (a pole
+            # in (k, e), Q = 0, breaks the caller's promise: step to it)
+            _, _, (g_e,) = steps(e, e + 1)
+            G = abs(tn_e * g_e) * f_num
+            if Q and (G << bits) - G > f_den * max(D_e, abs(N_e)):
+                break
+            e = (k + e) // 2
+        else:  # one step
+            tn_e, N_e, D_e = tn * a, (N + gt) * b, D * b
+        tn, N, D, k = tn_e, N_e, D_e, e
 
 
 def _budget_cannot_certify(x, upper, lower, weight, K: int, gt: int, N: int,

@@ -301,8 +301,9 @@ def test_D_c_profiles_divide_each_other():
 
 
 def test_profile_jsonable():
+    # one exact integer denominator per index 0..N: the running lcm of the
+    # denominators of (1/2)_k / k! = 1, 1/2, 3/8, 5/16, 35/128, 63/256
     prof = D_n_profile(F(1, 2), F(1), 5)
-    data = prof.to_jsonable()
-    assert data["N"] == 5
-    assert len(data["values"]) == 6
-    assert all(isinstance(v, str) for v in data["values"])
+    assert prof.N == 5
+    assert prof.values == [1, 2, 8, 16, 128, 256]
+    assert all(isinstance(v, int) for v in prof.values)

@@ -275,11 +275,13 @@ _FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "frozen.json"
 
 def test_measure_reports_match_frozen(capsys):
     # the benchmark's three default-seed `measure` ops (two criterion runs
-    # and one min-beta bisection), run in process: every report byte must
-    # match the sha256 the benchmark pins in its frozen table
+    # and one min-beta bisection) and its 25 default-seed `series` ops (one
+    # eval at 4096 bits, 24 at 512 bits), run in process: every report byte
+    # must match the sha256 the benchmark pins in its frozen table
     frozen = json.loads(_FROZEN.read_text())
-    keys = sorted(k for k in frozen if k.split()[0] in ("criterion", "min-beta"))
-    assert len(keys) == 3
+    keys = sorted(k for k in frozen
+                  if k.split()[0] in ("criterion", "min-beta", "eval"))
+    assert len(keys) == 3 + 25
     for key in keys:
         assert main(key.split()) == 0, key
         out = capsys.readouterr().out
@@ -574,9 +576,23 @@ def test_fuzzed_argv_never_tracebacks(argv):
 # ---------------------------------------------------------------------------
 
 
-def test_suite_command_runs_green(capsys):
+def test_suite_command_runs_green(monkeypatch, capsys):
+    import hgpade.pade
+
+    calls = []
+    remainder = hgpade.pade.remainder
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return remainder(*args, **kwargs)
+
+    monkeypatch.setattr(hgpade.pade, "remainder", counted)
     code = main(["suite", "--level", "desk"])
     assert code == 0
+    # one literal product per (ell, i, s) of the 108 on the grid for the
+    # shared contract of pade-contract and nullspace-membership, one more
+    # for Delta's own hypotheses
+    assert len(calls) == 216
     captured = capsys.readouterr()
     # every check's details, byte for byte
     assert hashlib.sha256(captured.out.encode()).hexdigest() == (

@@ -2,6 +2,7 @@
 
 import dataclasses
 import decimal
+import math
 import random
 from fractions import Fraction
 
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hgpade import numerics
+from hgpade.cli import main
 from hgpade.errors import (
     DivergentSeries,
     HypothesisViolation,
     InsufficientPrecision,
     InvalidInput,
+    StepBudgetExceeded,
 )
 from hgpade.numerics import (
     BigFloat,
@@ -283,6 +287,125 @@ def test_from_roots_spec_equals_the_reference_sum():
     for z in (F(1, 2), F(-3, 7)):
         for s in range(spec.r):
             assert _same(_f_direct(spec, s, z, 128), _naive_f_direct(spec, s, z, 128))
+
+
+# ---------------------------------------------------------------------------
+# the series kernel against the step loop it replaced: the same unreduced
+# integers at the same indices, so the same BigFloat, bit for bit
+
+
+def _sum_series_by_steps(t0, x, upper, lower, weight, k0, tail_factor, bits, max_k):
+    """`_sum_series` one step at a time, every stop test and budget check
+    in place: the loop the product-tree kernel replaced, kept as its oracle
+    (without its bit-length shortcut to the stop test, which decides
+    nothing)."""
+    t0, x = Fraction(t0), Fraction(x)
+    up, lo, gw = (numerics._linear(v) for v in (upper, lower, weight))
+    a0 = x.numerator * math.prod(q for q, _ in lo)
+    b0 = x.denominator * math.prod(q for q, _ in up)
+    f_num, f_den = tail_factor.numerator, tail_factor.denominator
+    tn = t0.numerator
+    D = math.prod(q for q, _ in gw) * t0.denominator
+    N = 0
+    k = 0
+    check_at = max(k0, numerics._BUDGET_CHECK_FROM)
+    while True:
+        gt = tn
+        for q, p in gw:
+            gt *= q * k + p
+        if k >= k0:
+            T = abs(gt) * f_num
+            if (T << bits) <= f_den * max(D, abs(N)):
+                return BigFloat(Fraction(N, D), Fraction(T, D * f_den), bits)
+        if k == check_at:
+            if numerics._budget_cannot_certify(x, upper, lower, weight, k, gt, N, D,
+                                               tail_factor, bits, max_k + 1 - k):
+                raise StepBudgetExceeded("the step budget cannot certify")
+            check_at = 2 * k + 1
+        if k > max_k:
+            raise InsufficientPrecision("series did not certify within budget")
+        a, b = a0, b0
+        for q, p in up:
+            a *= q * k + p
+        for q, p in lo:
+            b *= q * k + p
+        if b == 0:
+            raise InvalidInput("lower-parameter pole while summing")
+        if b < 0:
+            a, b = -a, -b
+        N = (N + gt) * b
+        D *= b
+        tn *= a
+        k += 1
+
+
+def _by_steps(fn, *args):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numerics, "_sum_series", _sum_series_by_steps)
+        return fn(*args)
+
+
+def _kernel_calls(spec, z, bits):
+    # eval_pFq, and per s the direct sum of F_s and its shifted closed form
+    r = spec.r
+    calls = [(eval_pFq, spec.a, spec.b, z, bits)]
+    for s in range(r):
+        b1 = [y + 1 for y in spec.b[: r - s]] + list(spec.b[r - s:])
+        calls += [(_f_direct, spec, s, z, bits),
+                  (eval_pFq, [x + 1 for x in spec.a], b1, z, bits)]
+    return calls
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(_admissible_specs(), _arguments, st.sampled_from((1024, 2048)))
+def test_series_kernel_equals_the_step_loop(spec, z, bits):
+    # |z| <= 1/2 of both signs, every s, and the shifted closed-form sums
+    for fn, *args in _kernel_calls(spec, z, bits):
+        assert _same(fn(*args), _by_steps(fn, *args)), (fn.__name__, args)
+
+
+_R3 = HypergeometricSpec.from_ab((F(1, 3), F(1, 4), F(1, 5)), (F(1, 2), F(2, 3)))
+
+
+@pytest.mark.parametrize("fn, args", [
+    *((_f_direct, (_R3, s, F(1, 3), 4096)) for s in range(3)),
+    (eval_pFq, ((), (F(1, 3),), F(-5, 2), 4096)),            # p < q + 1
+    (eval_pFq, ((F(-3), F(1, 2)), (F(1, 3),), F(1, 2), 4096)),  # terminates
+    (eval_pFq, ((), (F(1, 3),), F(-5, 2), 1024)),
+    (eval_pFq, ((F(-3), F(1, 2)), (F(1, 3),), F(1, 2), 1024)),
+    # the budget proof fails at k = 1024 and refuses at k = 2049
+    (eval_pFq, ((F(1, 3), F(1, 4)), (F(1, 2),), F(199, 200), 64)),
+])
+def test_series_kernel_equals_the_step_loop_at_fixed_cases(fn, args):
+    assert _outcome(fn, *args) == _by_steps(_outcome, fn, *args)
+
+
+@pytest.mark.parametrize("guess", ["k", "past max_k", "random"])
+def test_the_stop_guess_decides_nothing(guess, capsys):
+    # the guess only picks where a jump is tried: guesses that are always
+    # one step, always past the step budget (capped at max_k + 1, so every
+    # jump fails its margin test first and is halved) or random give the
+    # same BigFloat and the same budget refusal
+    rng = random.Random(20261018)
+    adversary = {
+        "k": lambda k, *rest: k,
+        "past max_k": lambda k, *rest: 1 << 62,
+        "random": lambda k, *rest: k + rng.randint(-8, 4096),
+    }[guess]
+    calls = _kernel_calls(_R3, F(1, 3), 1024) + _kernel_calls(_R3, F(-1, 2), 512)
+    calls += [(eval_pFq, (), (F(1, 3),), F(-5, 2), 1024),
+              (eval_pFq, (F(-3), F(1, 2)), (F(1, 3),), F(1, 2), 1024),
+              (eval_pFq, (F(1, 3), F(1, 4)), (F(1, 2),), F(199, 200), 64)]
+    want = [_outcome(*call) for call in calls]
+    assert want[-1] is StepBudgetExceeded
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numerics, "_stop_guess", adversary)
+        for call, outcome in zip(calls, want):
+            assert _outcome(*call) == outcome, call
+        argv = ["eval", "--a=1/3,1/4", "--b=1/2", "--z=999/1000", "--bits=512"]
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "StepBudgetExceeded" in err and "--z" in err
 
 
 # ---------------------------------------------------------------------------
