@@ -255,8 +255,9 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
 
     Term k of R(beta) is psi_{i,s}(t^k P_ell) / beta^{k+1}, read by its
     exponent from the system's term list (`PadeSystem.terms`), the one the
-    archimedean sums read; the sizes that bound those sums are never
-    computed here.
+    archimedean sums read past their first stop test.  This sum starts at
+    k = n, inside the stored window, so it builds the window; the sizes
+    that bound the archimedean sums are never computed here.
 
     Partial sums are exact rationals; the loop stops once every later term
     provably has larger valuation, which pins the valuation of the full sum

@@ -17,12 +17,15 @@ stop test inside it can pass (the margin lemma of `_sum_series`), and the
 stopping test is decided exactly on those integers, so the certified value
 and bound are the same reduced rationals a term-by-term Fraction sum would
 give, at the same stopping index.  The remainder values R(beta) of
-`remainder_value` are summed on integers too, in one loop over the system's
-terms by exponent, over one running denominator L * p^e for beta = p/q.
-Their beta-free set-up lives on the system: the ratio bound's part without
-|alpha/beta|, the terms and the sizes of the bound, each read only where the
-sum needs it (`PadeSystem.tail_ratio`, `terms`, `size`).  Both sums stop on
-one tail-ratio bound (`_tail_ratio`).
+`remainder_value` are summed on integers too, over one running denominator
+L * p^e for beta = p/q: up to the first stop test in one piece, from prefix
+sums of the psi weights (`_head_sum`, which reads no coefficient and so no
+stored window), and from there in one loop over the system's terms by
+exponent.  Their beta-free set-up lives on the system: the ratio bound's
+part without |alpha/beta|, P_ell and the weights on integers, the terms and
+the sizes of the bound, each read only where the sum needs it
+(`PadeSystem.tail_ratio`, `integer_P`, `integer_weights`, `terms`,
+`size`).  Both sums stop on one tail-ratio bound (`_tail_ratio`).
 """
 
 from __future__ import annotations
@@ -443,30 +446,32 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     sum |P_d| slack (the true psi sums cancel heavily), so exact terms are
     appended until the bound drops under the 2^-bits target.
 
-    Everything but |alpha/beta| is set up once per system and shared by
-    every beta and precision: the ratio's beta-free part
-    (`PadeSystem.tail_ratio`, whose k0 is past the stored window), the
-    terms psi_{i,s}(t^k P_ell) by exponent (`PadeSystem.terms`) and the
-    sizes sum_d |P_d| |w_{k+d}| that the bound scales (`PadeSystem.size`).
-    A size is read only at a stop test and a term only once that test has
+    No stop test runs below k0, the first index of the ratio bound
+    (`PadeSystem.tail_ratio`, past the stored window), so the sum up to k0
+    is taken whole from prefix sums of the psi weights (`_head_sum`),
+    without a single coefficient psi_{i,s}(t^k P_ell): no window is built.
+    From k0 on, a size sum_d |P_d| |w_{k+d}| (`PadeSystem.size`) is read at
+    each stop test and a term (`PadeSystem.terms`) only once that test has
     failed, so past the window the lists grow only as far as some sum reads
-    them: a sum that stops at its first test reads one size and no term
-    past the window.
+    them: a sum that stops at its first test reads one size and no term.
+    Everything but |alpha/beta| and the prefix sums is set up once per
+    system and shared by every beta and precision.
 
     As in `_sum_series`, the sum stays on unreduced integers.  With
     beta = p/q (p > 0, the sign on q), the sum through the 1/z^e term is
-    N / (L p^e), L a common denominator of its coefficients, summed in one
-    loop from the window's order: each coefficient a/b enters as
-    N <- N (b/g) p + a (L/g) q^{e+1}, L <- L b/g, with g = gcd(L, b).  The
-    stop test bound > 2^-bits max(|S|, 2^-bits) is decided exactly on
-    integers (p^e cancels from the |S| side), so the value, the bound and
-    the stop index are those of the term-by-term Fraction sum.
+    N / (L p^e), L > 0 a common denominator of its coefficients: each
+    coefficient a/b past k0 enters as N <- N (b/g) p + a (L/g) q^{e+1},
+    L <- L b/g, with g = gcd(L, b).  The stop test
+    bound > 2^-bits max(|S|, 2^-bits) is decided exactly on integers (p^e
+    cancels from the |S| side); it is homogeneous in (N, L), and its
+    bit-length prefilter is a necessary condition for any such pair, so the
+    value, the bound and the stop index are those of the term-by-term
+    Fraction sum.
     """
     beta = Fraction(beta)
     x = Fraction(system.alphas[i - 1]) / beta
     if _abs(x) >= 1:
         raise DivergentSeries("need |alpha/beta| < 1")
-    tail = system.R[(ell, i, s)]
     kmin, per_x = system.tail_ratio(s)
     ratio0 = _abs(x) * per_x
     if ratio0 >= 1:
@@ -479,11 +484,11 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     if p < 0:
         p, q = -p, -q
     # before term k (exponent k + 1): S = N / (L p^k) and qe = q^(k+1)
-    k = tail.order - 1
-    N, L, pk, qe = 0, 1, p ** k, q ** (k + 1)
-    terms = system.terms(ell, i, s, 0)
+    k = kmin
+    N, L = _head_sum(system, ell, i, s, p, q, k)
+    pk, qe = p ** k, q ** (k + 1)
     # the step budget: 64 bits + 64 terms past the window, and past kmin
-    budget = max(kmin, tail.truncation + 64 * bits + 63)
+    budget = max(kmin, system.truncation + 64 * bits + 63)
     gn, gd = geom.numerator, geom.denominator
     # with size = sa/sb, bound = sa |q|^(k+1) gn / (sb p^(k+1) gd), and the
     # sum goes on while sa |q|^(k+1) gn L 2^(2 bits) > sb p gd max(|N| 2^bits,
@@ -494,21 +499,19 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
             raise InsufficientPrecision(
                 "remainder tail did not certify within the step budget"
             )
-        if k >= kmin:
-            size = system.size(ell, i, s, k)
-            sa, sb = size.numerator, size.denominator
-            qa = abs(qe)
-            big = max(N.bit_length() + bits, L.bit_length() + pk.bit_length())
-            if not sa or (
-                sa.bit_length() + qa.bit_length() + L.bit_length()
-                < sb.bit_length() + big + wide
-                and (sa * qa * gn * L << 2 * bits)
-                <= sb * p * gd * max(abs(N) << bits, L * pk)
-            ):
-                break
-        if k >= len(terms):
-            system.terms(ell, i, s, k)  # grows `terms` in place
-        a, b = terms[k].numerator, terms[k].denominator
+        size = system.size(ell, i, s, k)
+        sa, sb = size.numerator, size.denominator
+        qa = abs(qe)
+        big = max(N.bit_length() + bits, L.bit_length() + pk.bit_length())
+        if not sa or (
+            sa.bit_length() + qa.bit_length() + L.bit_length()
+            < sb.bit_length() + big + wide
+            and (sa * qa * gn * L << 2 * bits)
+            <= sb * p * gd * max(abs(N) << bits, L * pk)
+        ):
+            break
+        term = system.terms(ell, i, s, k)[k]
+        a, b = term.numerator, term.denominator
         g = math.gcd(L, b)
         b //= g
         N = N * b * p + a * (L // g) * qe
@@ -518,6 +521,40 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
         k += 1
     return BigFloat(Fraction(N, L * pk),
                     Fraction(sa * qa * gn, sb * pk * p * gd), bits)
+
+
+def _head_sum(system, ell: int, i: int, s: int, p: int, q: int, K: int) -> tuple:
+    """(N, L), L > 0, with N / (L p^K) the sum over k < K of
+    psi_{i,s}(t^k P_ell) / beta^{k+1} for beta = p/q, taken from prefix sums
+    of the psi weights w_x without one coefficient psi_{i,s}(t^k P_ell).
+
+    Reordered by y = k + d, the sum is sum_d P_d beta^d (W_{K+d} - W_d) with
+    W_y = sum_{x<y} w_x beta^{-x-1}, D = deg P_ell.  On the system's integer
+    forms P_d = Pn_d / dp and w_x = wn_x / V (`PadeSystem.integer_P`,
+    `integer_weights`), U_y = V p^y W_y steps as U_0 = 0,
+    U_{y+1} = U_y p + wn_y q^{y+1}, so
+    N = sum_d Pn_d q^{D-d} (U_{K+d} - p^K U_d) over L = dp V q^D, the sign
+    moved onto N.  That is the same rational as the sum of the
+    coefficients, which are the window's from its order on and exact zeros
+    below it."""
+    dp, Pn, _ = system.integer_P(ell)
+    V, wn = system.integer_weights(i, s)
+    D = len(Pn) - 1
+    U, u, qy = [0], 0, q
+    for y in range(K + D):
+        u = u * p + wn[y] * qy
+        U.append(u)
+        qy *= q
+    # N = sum_d Pn_d q^{D-d} U_{K+d} - p^K sum_d Pn_d q^{D-d} U_d
+    top = low = 0
+    qd = 1
+    for d in range(D, -1, -1):
+        c = Pn[d] * qd
+        top += c * U[K + d]
+        low += c * U[d]
+        qd *= q
+    N, L = top - p ** K * low, dp * V * q ** max(D, 0)
+    return (-N, -L) if L < 0 else (N, L)
 
 
 def _log2_abs(x: Fraction) -> int:

@@ -23,12 +23,19 @@ literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
 no code with `correlate`); `verify_system`, `build_system`'s cross-check,
 the hypotheses of `wronskian.delta_of_system` and the suite read it.  A
 generic exact null-space solver (`solve_pade_nullspace`) provides a
-construction-free oracle for the same approximation problem.  Each
-remainder series is one append-only list on the system, read by exponent
-(`PadeSystem.terms`): it starts as the stored window and grows past it only
-when a caller reads past its end.  Past the window, the sizes that bound
-the remainder sums are a second such list (`PadeSystem.size`), and the
-beta-free part of their ratio bound is kept there too
+construction-free oracle for the same approximation problem.
+
+A stored window is built on its first read (`PadeSystem.R`): the contract,
+Theta, the p-adic sums and `to_jsonable` read windows, and the archimedean
+remainder sums read none (`numerics.remainder_value` takes its sum up to
+the first stop test from prefix sums of the psi weights, on the integer
+forms of P_ell and of the weights kept here, `PadeSystem.integer_P` and
+`integer_weights`).  Each remainder series is one append-only list on the
+system, read by exponent (`PadeSystem.terms`): its head is the stored
+window, copied in only when a read falls inside it, and past the window it
+grows only when a caller reads past its end.  Past the window, the sizes
+that bound the remainder sums are a second such list (`PadeSystem.size`),
+and the beta-free part of their ratio bound is kept there too
 (`PadeSystem.tail_ratio`).  Only this module splits a series at the
 window's end; its readers index it by exponent alone.
 """
@@ -36,6 +43,7 @@ window's end; its readers index it by exponent alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,11 +55,13 @@ from .polyops import (
     HypergeometricSpec,
     LaurentTail,
     Poly,
+    _dot_rows,
+    _psi_table,
+    _scaled,
     correlate,
     expand_F_s,
     poly_deg,
     poly_trim,
-    psi_weights,
     term_table,
 )
 
@@ -176,22 +186,64 @@ def _check_alphas(alphas):
         raise InvalidInput("evaluation points must be pairwise distinct")
 
 
+class _Windows(Mapping):
+    """The stored remainder windows of a system by (ell, i, s), each built
+    by `_functional_tail` on its first read and kept; the keys are the
+    system's indices.  An assigned window (`PadeSystem.from_jsonable`) is
+    kept as it is and never rebuilt."""
+
+    def __init__(self, system: "PadeSystem"):
+        self._system, self._built = system, {}
+
+    def __getitem__(self, key) -> LaurentTail:
+        got = self._built.get(key)
+        if got is None:
+            system = self._system
+            ell, i, s = key
+            if not (ell in system.P and 1 <= i <= system.m and 0 <= s < system.r):
+                raise KeyError(key)
+            P, trunc = system.P[ell], system.truncation
+            w = _psi_table(system.spec, system.alphas[i - 1], s, trunc - 3 + len(P))
+            got = self._built[key] = _functional_tail(P, w, trunc)
+        return got
+
+    def __setitem__(self, key, tail: LaurentTail):
+        self._built[key] = tail
+
+    def __iter__(self):
+        return self._system.indices()
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._system.indices())
+
+
 @dataclass
 class PadeSystem:
-    """One fully built instance: all P_ell, all P_{ell,i,s}, all remainders."""
+    """One fully built instance: all P_ell, all P_{ell,i,s}, all remainders.
+
+    `R` maps (ell, i, s) to the stored window of R_{ell,i,s}, built on its
+    first read (`_Windows`).  Everything else a remainder sum reads is
+    beta-free and kept on the system on first use, each computed once:
+    the ratio bound past the window (`tail_ratio`), P_ell and the psi
+    weights on integers (`integer_P`, `integer_weights`), and per
+    (ell, i, s) the coefficients by exponent (`terms`) and the sizes that
+    bound them (`size`), two lists that grow only as far as they are read.
+    """
 
     spec: HypergeometricSpec
     alphas: list
     n: int
     P: dict = field(default_factory=dict)           # ell -> Poly (in z)
     Pis: dict = field(default_factory=dict)         # (ell, i, s) -> Poly
-    R: dict = field(default_factory=dict)           # (ell, i, s) -> LaurentTail
     truncation: int = 0
-    # (ell, i, s) -> (window end, terms, sizes) of `terms` and `size`, and
-    # s -> `tail_ratio(s)`; like `spec._psi_tables`, a pure function of the
-    # system
-    _lists: dict = field(default_factory=dict, init=False, repr=False,
+    R: Mapping = field(init=False, repr=False)      # (ell, i, s) -> LaurentTail
+    # (tag, *index) -> the state of `_kept`; like `spec._psi_tables`, a
+    # pure function of the system
+    _state: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+
+    def __post_init__(self):
+        self.R = _Windows(self)
 
     @property
     def r(self) -> int:
@@ -207,54 +259,82 @@ class PadeSystem:
                 for s in range(self.r):
                     yield ell, i, s
 
+    def _kept(self, key: tuple, make):
+        # the state under key, made on first use
+        got = self._state.get(key)
+        if got is None:
+            got = self._state[key] = make()
+        return got
+
     def tail_ratio(self, s: int) -> tuple:
         """(k0, c) of `numerics._tail_ratio` from the first index past the
         window, k = truncation - 1: the remainder sums of this system at any
         beta stop-test from k0 on, against the ratio bound |alpha/beta| c.
         Computed once per s."""
-        got = self._lists.get(s)
-        if got is None:
-            got = self._lists[s] = _tail_ratio(self.spec, s, self.truncation - 1)
-        return got
+        return self._kept(("ratio", s), lambda: _tail_ratio(
+            self.spec, s, self.truncation - 1))
+
+    def integer_P(self, ell: int) -> tuple:
+        """(dp, Pn, |Pn|): P_ell = Pn / dp on integers over the lcm dp of
+        its denominators, and the absolute values of Pn.  Computed once per
+        ell."""
+        def make():
+            dp, Pn = _scaled(self.P[ell])
+            return dp, Pn, [abs(c) for c in Pn]
+        return self._kept(("P", ell), make)
+
+    def integer_weights(self, i: int, s: int) -> tuple:
+        """(V, wn): the psi_{i,s} weights w_x = wn_x / V on integers over
+        their lcm V, for x below k0 + deg P_rm with k0 of `tail_ratio(s)`:
+        every weight that a remainder sum up to its first stop test meets.
+        Computed once per (i, s)."""
+        return self._kept(("weights", i, s), lambda: self._weight_run(
+            i, s, 0, self.tail_ratio(s)[0], max(map(len, self.P.values()))))
 
     def terms(self, ell: int, i: int, s: int, k: int) -> list:
         """The coefficients of R_{ell,i,s} by exponent, grown to hold index k:
         terms[k] = psi_{i,s}(t^k P_ell), the coefficient of 1/z^{k+1}, for
-        every k >= 0.  The head is the stored window, copied on first use;
-        a read past the end grows the list to max(k + 1, twice its part past
-        the window).  The list only grows, so a caller's reference stays
-        valid."""
-        end, terms, _ = self._lists_of(ell, i, s)
-        if k >= len(terms):
-            P, stop = self.P[ell], max(k + 1, 2 * len(terms) - end)
-            w = psi_weights(self.spec, self.alphas[i - 1], s, stop - 2 + len(P))
-            terms.extend(correlate(P, w, len(terms), stop))
+        every k >= 0.  The head, below the window's end truncation - 1,
+        holds None until a read inside it copies the whole stored window in
+        (building it, `R`); a read past the end grows the list to
+        max(k + 1, twice its part past the window) and builds no window.
+        The list only grows, so a caller's reference stays valid; an entry
+        is set once a read at its index has returned."""
+        end = self.truncation - 1
+        terms = self._kept(("terms", ell, i, s), lambda: [None] * end)
+        if k < end:
+            if terms[k] is None:
+                window = self.R[(ell, i, s)]
+                terms[:end] = [window.coeff(j + 1) for j in range(end)]
+        elif k >= len(terms):
+            start = len(terms)
+            stop = max(k + 1, 2 * start - end)
+            dp, Pn, _ = self.integer_P(ell)
+            dw, wi = self._weight_run(i, s, start, stop, len(Pn))
+            terms.extend(_dot_rows(Pn, wi, stop - start, dp * dw))
         return terms
 
     def size(self, ell: int, i: int, s: int, k: int) -> Fraction:
         """sum_d |P_d| |w_{k+d}| over the psi_{i,s} weights w, for k from the
         window's end on: the size that bounds terms[k] and every later term.
-        Kept in a list of its own that grows like the terms, so a sum that
-        reads only sizes (or only terms) computes nothing else."""
-        end, _, sizes = self._lists_of(ell, i, s)
+        Kept in a list of its own that grows like the terms past the window,
+        so a sum that reads only sizes (or only terms) computes nothing
+        else, and no size builds a window."""
+        end = self.truncation - 1
+        sizes = self._kept(("sizes", ell, i, s), list)
         start = end + len(sizes)
         if k >= start:
-            P, stop = self.P[ell], max(k + 1, 2 * start - end)
-            w = psi_weights(self.spec, self.alphas[i - 1], s, stop - 2 + len(P))
-            sizes.extend(correlate([abs(c) for c in P],
-                                   [abs(x) for x in w[start:]], 0, stop - start))
+            stop = max(k + 1, 2 * start - end)
+            dp, _, Pabs = self.integer_P(ell)
+            dw, wi = self._weight_run(i, s, start, stop, len(Pabs))
+            sizes.extend(_dot_rows(Pabs, list(map(abs, wi)), stop - start, dp * dw))
         return sizes[k - end]
 
-    def _lists_of(self, ell: int, i: int, s: int) -> tuple:
-        # (window end, terms, sizes) of (ell, i, s); the terms start as the
-        # stored window, and sizes[0] is the size at the window's end
-        got = self._lists.get((ell, i, s))
-        if got is None:
-            tail = self.R[(ell, i, s)]  # its window starts at 1/z^1
-            got = self._lists[(ell, i, s)] = (
-                tail.truncation - 1,
-                [Fraction(0)] * (tail.order - 1) + tail.coefficients, [])
-        return got
+    def _weight_run(self, i: int, s: int, start: int, stop: int, width: int) -> tuple:
+        # the psi_{i,s} weights that outputs start..stop-1 of a correlation
+        # of width `width` meet, as (lcm, ints) of `_scaled`
+        w = _psi_table(self.spec, self.alphas[i - 1], s, stop - 2 + width)
+        return _scaled(w[start:stop - 1 + width])
 
     def to_jsonable(self) -> dict:
         return {
@@ -291,10 +371,11 @@ class PadeSystem:
 
 def build_system(spec: HypergeometricSpec, alphas, n: int,
                  truncation: int = None, cross_check: bool = True) -> PadeSystem:
-    """Build every P_ell, P_{ell,i,s} and remainder tail for the instance.
+    """Build every P_ell and P_{ell,i,s} of the instance; each remainder
+    window is built on its first read (`PadeSystem.R`).
 
     All P_ell come from one multiplier table (`_P_family`); P_{ell,i,s} and
-    the remainder read the psi_{i,s} weight table of (alpha_i, s), shared
+    the windows read the psi_{i,s} weight table of (alpha_i, s), shared
     with every later caller through the spec.  When cross_check is set (the
     default), the built system must pass `contract_failures`, one literal
     product per (ell, i, s) over the whole window; any failure is a theory
@@ -310,16 +391,16 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
         raise InvalidInput("need n >= 1")
     system = PadeSystem(spec=spec, alphas=alphas, n=n, truncation=truncation)
     system.P = dict(enumerate(_P_family(spec, alphas, n, r * m)))
-    upto = truncation - 2 + len(system.P[r * m]) - 1
+    # each weight table grown once, as far as the longest window reads it:
+    # one growth per table instead of one per window
+    upto = truncation - 3 + len(system.P[r * m])
     weights = {
-        (i, s): psi_weights(spec, alphas[i - 1], s, upto)
+        (i, s): _psi_table(spec, alphas[i - 1], s, upto)
         for i in range(1, m + 1)
         for s in range(r)
     }
     for ell, i, s in system.indices():
-        P, w = system.P[ell], weights[(i, s)]
-        system.Pis[(ell, i, s)] = divided_difference_image(P, w)
-        system.R[(ell, i, s)] = _functional_tail(P, w, truncation)
+        system.Pis[(ell, i, s)] = divided_difference_image(system.P[ell], weights[(i, s)])
     if cross_check:
         failures = contract_failures(system)
         if failures:

@@ -409,18 +409,39 @@ def psi_weights(spec: HypergeometricSpec, i_alpha: Fraction, s: int, upto: int) 
     """Values psi_{i,s}(t^k) = (k+gamma_1)...(k+gamma_s) c_k alpha^{k+1}, k <= upto.
 
     The weights are one hypergeometric term in k, kept in one append-only
-    table per (alpha, s) on the spec and grown on demand.  The caller gets a
-    fresh list of exactly upto + 1 entries: `correlate` reads entries past
-    the end of its table as zero, so a longer list would change its results.
+    table per (alpha, s) on the spec and grown on demand (`_psi_table`).
+    The caller gets a fresh list of exactly upto + 1 entries: `correlate`
+    reads entries past the end of its table as zero, so a longer list would
+    change its results.
     """
+    return _psi_table(spec, i_alpha, s, upto)[:upto + 1]
+
+
+def _psi_table(spec: HypergeometricSpec, i_alpha: Fraction, s: int, upto: int) -> list:
+    """The spec's own append-only psi_{i,s} weight table of `psi_weights`,
+    grown to hold entry upto and not copied: a caller slices the entries it
+    reads, to the exact length wherever the slice meets a correlation."""
     alpha = Fraction(i_alpha)
     gam = spec.gamma[:s]
-    table = _grown(spec._psi_tables.setdefault((alpha, s), []), upto, lambda: (
+    return _grown(spec._psi_tables.setdefault((alpha, s), []), upto, lambda: (
         math.prod(gam, start=Fraction(1)) * spec.c0 * alpha, alpha,
         spec.eta + tuple(g + 1 for g in gam),
         tuple(z + 1 for z in spec.zeta) + gam,
     ))
-    return table[:upto + 1]
+
+
+def _scaled(values: list) -> tuple:
+    """(den, ints): the rationals `values` as the integers ints over their
+    lcm denominator den."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _dot_rows(pi: list, wi: list, count: int, den: int) -> list:
+    """[sum_d pi[d] * wi[j + d] / den for 0 <= j < count] on integers, one
+    Fraction per output; entries past the end of wi count as zero."""
+    return [Fraction(sum(map(mul, pi, wi[j:j + len(pi)])), den)
+            for j in range(count)]
 
 
 def correlate(p: list, w: list, k0: int, k1: int) -> list:
@@ -429,19 +450,12 @@ def correlate(p: list, w: list, k0: int, k1: int) -> list:
 
     With w the weight table of psi_{i,s}, entry k is psi_{i,s}(t^k p).  p and
     the window of w it meets are scaled to integers over their lcm
-    denominators, so each output is one integer dot product and one Fraction,
-    equal to the Fraction sum it replaces.
+    denominators (`_scaled`), so each output is one integer dot product and
+    one Fraction, equal to the Fraction sum it replaces.
     """
-    window = w[k0:k1 - 1 + len(p)]
-    dp = math.lcm(*(c.denominator for c in p))
-    dw = math.lcm(*(x.denominator for x in window))
-    pi = [c.numerator * (dp // c.denominator) for c in p]
-    wi = [x.numerator * (dw // x.denominator) for x in window]
-    den = dp * dw
-    return [
-        Fraction(sum(map(mul, pi, wi[j:j + len(pi)])), den)
-        for j in range(k1 - k0)
-    ]
+    dp, pi = _scaled(p)
+    dw, wi = _scaled(w[k0:k1 - 1 + len(p)])
+    return _dot_rows(pi, wi, k1 - k0, dp * dw)
 
 
 def psi(spec: HypergeometricSpec, alphas, i: int, s: int, p: Poly) -> Fraction:

@@ -470,7 +470,13 @@ def _criterion_instance(shared: dict) -> Instance:
 def check_numerical_shadow(shared=None, seed=SUITE_SEED) -> CheckResult:
     """At beta = 10^6, archimedean place: remainder identity certified to
     2^-128; -(1/n) log|R| fits affine-in-n with residual < 2% on n = 4..16;
-    doubling beta shifts the fitted rate by log 2 within 5%."""
+    doubling beta shifts the fitted rate by log 2 within 5%.
+
+    On the n = 4 system, the identity ties each certified sum R(beta),
+    which starts from prefix sums of the psi weights and reads no stored
+    window, to P_ell(beta) F_s(alpha_i/beta) - P_{ell,i,s}(beta); the
+    system's `contract_failures` ties each stored window, built here, to
+    the literal product P_ell F_s - P_{ell,i,s}."""
     shared = {} if shared is None else shared
     t0 = time.perf_counter()
     inst = _criterion_instance(shared)
@@ -478,7 +484,8 @@ def check_numerical_shadow(shared=None, seed=SUITE_SEED) -> CheckResult:
 
     ident = check_remainder_identity(inst.systems[4], beta, bits=128)
     budget_cap = max(e["budget"] for e in ident["entries"])
-    certified = ident["ok"] and budget_cap <= 2.0**-128
+    certified = (ident["ok"] and budget_cap <= 2.0**-128
+                 and not contract_failures(inst.systems[4]))
 
     fit = decay_fit_R(inst, beta, ARCH)
     fit2 = decay_fit_R(inst, 2 * beta, ARCH)

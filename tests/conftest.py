@@ -1,6 +1,7 @@
 """Shared fixtures: the worked instances every test module leans on."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,20 +47,51 @@ def canonical_m1(spec_r2):
     return build_system(spec_r2, (F(1),), 1)
 
 
+def remainder_lists(system, key):
+    """(terms, sizes) of R_{ell,i,s} on the system as they stand, read
+    without growing or making either: None for a list no read has made."""
+    return system._state.get(("terms", *key)), system._state.get(("sizes", *key))
+
+
+def list_stops(system, key):
+    """The exponents below which the term and the size lists of key hold
+    entries (head placeholders included); a list no read has made holds
+    nothing past the window's end."""
+    terms, sizes = remainder_lists(system, key)
+    end = system.truncation - 1
+    return (end if terms is None else len(terms),
+            end + (0 if sizes is None else len(sizes)))
+
+
+def window_built(system, key) -> bool:
+    """Whether the stored window of key has been built (or assigned)."""
+    return key in system.R._built
+
+
 def _check_remainder_lists(system, key):
-    # every entry of the term list of R_{ell,i,s} is psi(t^k P_ell), inside
-    # the window the stored coefficient of 1/z^{k+1}, and every size is
-    # sum_d |P_d| |w_{k+d}| from the window's end on, each against its naive
+    # every entry of the term list of R_{ell,i,s} is psi(t^k P_ell): the
+    # head, below the window's end, is None throughout until a read inside
+    # it copies in the whole stored window (which it builds), and past the
+    # window each entry is its naive Fraction sum; every size is
+    # sum_d |P_d| |w_{k+d}| from the window's end on, against its naive
     # Fraction sum
-    end, terms, sizes = system._lists[key]
+    terms, sizes = remainder_lists(system, key)
+    terms, sizes = terms or [], sizes or []
+    end = system.truncation - 1
     ell, i, s = key
-    P, tail = system.P[ell], system.R[key]
-    assert end == system.truncation - 1
+    P = system.P[ell]
     w = psi_weights(system.spec, system.alphas[i - 1], s,
-                    end + max(len(terms), len(sizes)) + len(P))
-    assert terms[:end] == [tail.coeff(k + 1) for k in range(end)]
+                    max(len(terms), end + len(sizes)) + len(P))
+    assert not terms or len(terms) >= end
+    if terms and terms[0] is None:
+        assert terms[:end] == [None] * end
+    elif terms:
+        assert window_built(system, key)
+        tail = system.R[key]
+        assert terms[:end] == [tail.coeff(k + 1) for k in range(end)]
     for k, term in enumerate(terms):
-        assert term == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
+        if term is not None:
+            assert term == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
     for j, size in enumerate(sizes):
         assert size == sum((abs(c) * abs(w[end + j + d]) for d, c in enumerate(P)), F(0))
 
@@ -68,3 +100,11 @@ def _check_remainder_lists(system, key):
 def check_remainder_lists():
     """Check a system's term and size lists of one (ell, i, s) entry by entry."""
     return _check_remainder_lists
+
+
+@pytest.fixture(scope="session")
+def remainder_state():
+    """Read a system's remainder state without growing or building any of
+    it: `lists` and `stops` of one (ell, i, s), and `window_built`."""
+    return SimpleNamespace(lists=remainder_lists, stops=list_stops,
+                           window_built=window_built)

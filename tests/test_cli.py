@@ -270,6 +270,17 @@ def test_criterion_at_a_finite_place_report_is_frozen(capsys):
     )
 
 
+def test_criterion_report_over_a_long_window_is_frozen(capsys):
+    # r = 2, m = 2 at beta = 10^9 up to n = 24: every remainder sum starts
+    # at its first stop test, past windows that reach 1/z^128
+    assert main(["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2",
+                 "--beta=1000000000", "--n-range=4:24"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bdc3a7b360c7cfb1c4445c67a4001222ad3fe0dab799be290b2d085e5efff909"
+    )
+
+
 _FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "frozen.json"
 
 
@@ -591,8 +602,9 @@ def test_suite_command_runs_green(monkeypatch, capsys):
     assert code == 0
     # one literal product per (ell, i, s) of the 108 on the grid for the
     # shared contract of pade-contract and nullspace-membership, one more
-    # for Delta's own hypotheses
-    assert len(calls) == 216
+    # for Delta's own hypotheses, and one per (ell, i, s) of the 6 of the
+    # n = 4 system whose windows numerical-shadow checks
+    assert len(calls) == 216 + 6
     captured = capsys.readouterr()
     # every check's details, byte for byte
     assert hashlib.sha256(captured.out.encode()).hexdigest() == (
@@ -608,3 +620,26 @@ def test_suite_command_runs_green(monkeypatch, capsys):
     progress = [l for l in captured.err.splitlines() if l.startswith(("ok", "FAIL"))]
     assert len(progress) == 10
     assert all(l.startswith("ok") for l in progress)
+
+
+def test_the_runtime_is_standard_library_only():
+    # importing the front end in a fresh interpreter loads no module outside
+    # the standard library but hgpade's own
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hgpade.cli\n"
+        "print('\\n'.join(sorted({name.split('.')[0] for name in set(sys.modules) - before})))\n"
+    )
+    got = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    loaded = set(got.stdout.split())
+    assert "hgpade" in loaded
+    assert not {name for name in loaded
+                if name != "hgpade" and name not in sys.stdlib_module_names}

@@ -395,11 +395,13 @@ def test_vp_remainder_matches_an_exact_partial_sum(spec_r2):
         assert _vp_remainder(system, ell, i, s, beta, 5) == 49
 
 
-def test_vp_remainder_and_remainder_value_share_one_table(spec_r2, check_remainder_lists):
+def test_vp_remainder_and_remainder_value_share_one_table(spec_r2, check_remainder_lists,
+                                                          remainder_state):
     # both sums read psi(t^k P) by exponent from the system's one term list:
     # whichever fills it, the other gets a fresh system's answer, every entry
     # is its naive sum, and the v_5 = 49 oracle above still holds on the
-    # filled list
+    # filled list; the p-adic sum reads from inside the window, so it fills
+    # the head (building the window), and the archimedean one never does
     from hgpade.criterion import _vp_remainder
     from hgpade.numerics import remainder_value
     from hgpade.pade import build_system
@@ -412,54 +414,80 @@ def test_vp_remainder_and_remainder_value_share_one_table(spec_r2, check_remaind
     near, far = Fraction(1, 5), Fraction(10**6)  # |1/5|_5 = 5: a long p-adic sum
     for key in system.indices():
         v = _vp_remainder(system, *key, near, 5)
-        _, terms, sizes = system._lists[key]  # read without growing either list
+        terms, sizes = remainder_state.lists(system, key)
         seen = list(terms)
         # the p-adic sum ran past the window one exponent at a time, each
         # read past the end doubling the part past the window; no size
         past = len(terms) - end
-        assert past > 8 and past & (past - 1) == 0 and sizes == []
+        assert past > 8 and past & (past - 1) == 0 and sizes is None
+        assert remainder_state.window_built(system, key) and None not in terms
         got = remainder_value(system, *key, far, 256)
-        again = system._lists[key]
-        assert again[1] is terms and again[2] is sizes
+        again = remainder_state.lists(system, key)
+        assert again[0] is terms and again[1] is not None
         assert terms[:len(seen)] == seen
         want = remainder_value(fresh(), *key, far, 256)
         assert (got.value, got.error) == (want.value, want.error)
         check_remainder_lists(system, key)
         # on its own, the sum at 10^6 and 32 bits stops at its first test:
-        # one size, no term past the window
+        # one size, no term, no window
         other = fresh()
         remainder_value(other, *key, far, 32)
-        _, other_terms, other_sizes = other._lists[key]
-        assert (len(other_terms), len(other_sizes)) == (end, 1)
+        other_terms, other_sizes = remainder_state.lists(other, key)
+        assert other_terms is None and len(other_sizes) == 1
+        assert not remainder_state.window_built(other, key)
         check_remainder_lists(other, key)
         assert v == _vp_remainder(system, *key, near, 5) \
             == _vp_remainder(fresh(), *key, near, 5)
         assert _vp_remainder(system, *key, Fraction(1, 5**10), 5) == 49
-        assert system._lists[key][1] is terms
+        assert remainder_state.lists(system, key)[0] is terms
 
 
-def test_remainder_sums_grow_only_what_they_read(spec_r2, check_remainder_lists):
+def test_remainder_sums_grow_only_what_they_read(spec_r2, check_remainder_lists,
+                                                 remainder_state):
     # an archimedean sum reads a size at each stop test and a term only once
-    # that test has failed; a p-adic sum reads terms only
+    # that test has failed, and never a window; a p-adic sum reads terms
+    # only, from inside the window on
     from hgpade.criterion import _vp_remainder
 
     inst = Instance(spec_r2, (Fraction(1),), range(4, 8))  # the fit needs 4 n
     assert measure(inst, Fraction(10**6), Place(), 0.1).verdict
     for system in inst.systems.values():
         for key in system.indices():
-            end, terms, sizes = system._lists[key]
+            terms, sizes = remainder_state.lists(system, key)
             # at beta = 10^6 every sum stops at its first test, at the
-            # window's end: no term past the window, one size
-            assert len(terms) == end and len(sizes) == 1
+            # window's end: no term, one size, no window
+            assert terms is None and len(sizes) == 1
+            assert not remainder_state.window_built(system, key)
             check_remainder_lists(system, key)
     system = inst.systems[4]
+    end = system.truncation - 1
     for key in system.indices():
-        end, terms, sizes = system._lists[key]
-        was = list(sizes)
+        was = list(remainder_state.lists(system, key)[1])
         _vp_remainder(system, *key, Fraction(1, 5), 5)
+        terms, sizes = remainder_state.lists(system, key)
         # past the window, terms only, read one exponent at a time: each read
         # past the end doubled the part past the window
         past = len(terms) - end
         assert past > 8 and past & (past - 1) == 0 and sizes == was
+        assert remainder_state.window_built(system, key)
         check_remainder_lists(system, key)
         assert _vp_remainder(system, *key, Fraction(1, 5**10), 5) == 49
+
+
+def test_archimedean_measure_builds_no_window(spec_r2, monkeypatch):
+    # every archimedean remainder sum starts at its first stop test from
+    # prefix sums of the weights: a whole criterion run on r = 2, m = 2 at
+    # beta = 10^9 builds no stored window
+    import hgpade.pade
+
+    built = []
+    window = hgpade.pade._functional_tail
+
+    def counted(*args):
+        built.append(None)
+        return window(*args)
+
+    monkeypatch.setattr(hgpade.pade, "_functional_tail", counted)
+    inst = Instance(spec_r2, (Fraction(1), Fraction(2)), range(4, 8))
+    measure(inst, Fraction(10**9), Place(), 0.1)
+    assert len(inst.systems) == 4 and built == []

@@ -554,12 +554,14 @@ def _grown(stop, end, k):
     return stop if k < stop else max(k + 1, 2 * stop - end)
 
 
-def test_remainder_value_cache_consistent(spec_r2, check_remainder_lists):
+def test_remainder_value_cache_consistent(spec_r2, check_remainder_lists,
+                                          remainder_state):
     # one system's lists, filled at 32 bits and grown by a higher precision
     # and a second beta: every answer, bound included, is the term-by-term
     # Fraction sum's, the lists only ever grow, and they grow by the growth
     # rule from exactly the reads of that sum (a size at each stop test, a
-    # term below the stop index) and from nothing else
+    # term from the first stop test to the stop index) and from nothing
+    # else; no sum builds the stored window
     alphas, key = (F(1),), (2, 1, 1)
     reused = build_system(spec_r2, alphas, 4, cross_check=False)
     end = reused.truncation - 1
@@ -568,25 +570,27 @@ def test_remainder_value_cache_consistent(spec_r2, check_remainder_lists):
     for beta, bits in ((F(10**6), 32), (F(3), 32), (F(3), 32), (F(3), 256),
                        (F(-7, 2), 256), (F(3), 128)):
         got = remainder_value(reused, *key, beta, bits)
+        assert not remainder_state.window_built(reused, key)
         want, kmin, K = _naive_remainder_sum(reused, *key, beta, bits)
         assert (got.value, got.error, got.bits) == (want.value, want.error, want.bits)
-        for k in range(K):
+        for k in range(kmin, K):
             terms_stop = _grown(terms_stop, end, k)
         for k in range(kmin, K + 1):
             sizes_stop = _grown(sizes_stop, end, k)
-        _, terms, sizes = reused._lists[key]  # read without growing either list
-        assert (len(terms), end + len(sizes)) == (terms_stop, sizes_stop)
-        seen.append((terms, sizes, list(terms), list(sizes)))
-    # at beta = 10^6 the sum stops at its first test: one size, no term past
-    # the window
-    assert (len(seen[0][2]), len(seen[0][3])) == (end, 1)
+        assert remainder_state.stops(reused, key) == (terms_stop, sizes_stop)
+        terms, sizes = remainder_state.lists(reused, key)
+        seen.append((terms, sizes, list(terms or []), list(sizes)))
+    # at beta = 10^6 the sum stops at its first test: one size, no term
+    assert seen[0][0] is None and len(seen[0][3]) == 1
     terms, sizes = seen[-1][:2]
     for now_terms, now_sizes, was_terms, was_sizes in seen:
-        assert now_terms is terms and now_sizes is sizes
+        assert now_terms in (None, terms) and now_sizes is sizes
         assert terms[:len(was_terms)] == was_terms
         assert sizes[:len(was_sizes)] == was_sizes
     # the 256-bit calls read past the entries the 32-bit ones had grown
     assert len(seen[3][2]) > len(seen[2][2]) and len(seen[3][3]) > len(seen[2][3])
+    # every term read lies past the window: the head was never filled
+    assert terms[:end] == [None] * end
     check_remainder_lists(reused, key)
 
 
@@ -601,23 +605,27 @@ _END = 13  # the window's end, truncation - 1, of the system below
            st.tuples(st.just("sum"), st.sampled_from(
                [(F(10**6), 32), (F(5), 32), (F(-7, 2), 128), (F(9, 2), 256)]))),
            min_size=1, max_size=8))
-def test_extension_entries_at_any_index_in_any_order(check_remainder_lists, key, reads):
+def test_extension_entries_at_any_index_in_any_order(check_remainder_lists,
+                                                     remainder_state, key, reads):
     # terms read at any exponent, inside the window or past it, sizes at any
     # exponent from the window's end on, and whole sums, in random order:
     # each list grows on its own by the growth rule (so a list that no read
-    # asked for stays as it started), a sum reads only the sizes of its stop
-    # tests and the terms below its stop index, and every entry equals its
-    # naive Fraction sum
+    # asked for stays as it started), a read inside the window fills the
+    # head and is the only read that builds the window, a sum reads only the
+    # sizes of its stop tests and the terms from its first test to its stop
+    # index, and every entry equals its naive Fraction sum
     spec = HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(1, 2),))
     system = build_system(spec, (F(1), F(2)), 1, cross_check=False)
     end = system.truncation - 1
     assert end == _END
-    first = None
+    first = [None, None]
     terms_stop = sizes_stop = end
+    built = False
     for kind, arg in reads:
         if kind == "term":
             got = system.terms(*key, arg)
             terms_stop = _grown(terms_stop, end, arg)
+            built = built or arg < end
         elif kind == "size":
             got = system.size(*key, arg)
             sizes_stop = _grown(sizes_stop, end, arg)
@@ -626,42 +634,48 @@ def test_extension_entries_at_any_index_in_any_order(check_remainder_lists, key,
             got = remainder_value(system, *key, beta, bits)
             want, kmin, K = _naive_remainder_sum(system, *key, beta, bits)
             assert (got.value, got.error) == (want.value, want.error)
-            for k in range(K):
+            for k in range(kmin, K):
                 terms_stop = _grown(terms_stop, end, k)
             for k in range(kmin, K + 1):
                 sizes_stop = _grown(sizes_stop, end, k)
-        _, terms, sizes = system._lists[key]
-        first = first or (terms, sizes)
-        assert first[0] is terms and first[1] is sizes  # the lists only grow
-        assert (len(terms), end + len(sizes)) == (terms_stop, sizes_stop)
+        lists = remainder_state.lists(system, key)
+        for j, made in enumerate(lists):
+            first[j] = first[j] or made
+            assert made is first[j]  # the lists only grow
+        terms, sizes = lists
+        assert remainder_state.stops(system, key) == (terms_stop, sizes_stop)
         if kind == "term":
-            assert got is terms
+            assert got is terms and got[arg] is not None
         elif kind == "size":
             assert got == sizes[arg - end]
         check_remainder_lists(system, key)
+        assert remainder_state.window_built(system, key) == built
 
 
 def _naive_remainder_sum(system, ell, i, s, beta, bits):
     """The term-by-term Fraction sum of R_{ell,i,s}(beta): every term is a
     reduced Fraction and the stop test compares Fractions.  `remainder_value`
     must give the same value, bound and stop index on integers.  Returns the
-    value with (kmin, K): the sum reads the sizes at kmin..K (its stop tests)
-    and the terms below K."""
+    value with (kmin, K): `remainder_value` reads the sizes at kmin..K (its
+    stop tests) and the terms at kmin..K-1, and takes the sum below kmin
+    from prefix sums of the weights."""
     beta = F(beta)
     spec = system.spec
     alpha = F(system.alphas[i - 1])
     if abs(alpha / beta) >= 1:
         raise DivergentSeries("need |alpha/beta| < 1")
-    tail = system.R[(ell, i, s)]
     P = system.P[ell]
+    kfirst = system.truncation - 1
+    # the terms below the window's end, each its own Fraction sum (this
+    # reads neither the system's window nor its lists)
+    w = psi_weights(spec, alpha, s, kfirst + len(P))
     value = sum(
-        (tail.coefficients[idx] / beta ** (tail.order + idx)
-         for idx in range(len(tail.coefficients))),
+        (sum((c * w[k + d] for d, c in enumerate(P)), F(0)) / beta ** (k + 1)
+         for k in range(kfirst)),
         F(0),
     )
     gmax = max([abs(g) for g in spec.gamma[:s]], default=F(0))
     consts = [abs(x) for x in spec.eta] + [abs(1 + z) for z in spec.zeta] + [gmax]
-    kfirst = tail.truncation - 1
     kmin = max(kfirst, int(max(consts)) + 2)
     ratio0 = abs(alpha) / abs(beta)
     for x in spec.eta:
@@ -758,6 +772,47 @@ def test_remainder_value_equals_the_fraction_sum(call):
         else:
             here = dataclasses.replace(system)  # the same system, no table yet
         assert _outcome(remainder_value, here, *key, beta, bits) == want
+
+
+_non_integer = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(
+    lambda x: x.denominator > 1)
+
+
+@st.composite
+def _admissible_calls(draw):
+    # an admissible instance (the hypothesis flags pass) with r*m <= 4 and
+    # n <= 3, and a non-integer beta (q != 1) of either sign past every alpha
+    r = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=4 // r))
+    a = draw(st.lists(_non_integer, min_size=r, max_size=r))
+    b = draw(st.lists(_non_integer, min_size=r - 1, max_size=r - 1))
+    alphas = draw(st.lists(_small, min_size=m, max_size=m, unique=True))
+    q = draw(st.integers(min_value=2, max_value=7))
+    amax = max(abs(x) for x in alphas)
+    over = draw(st.sampled_from([1, 2, 5, 10**3, 10**9]))
+    beta = F(math.floor(amax * q) + over * q + draw(st.integers(1, q - 1)), q)
+    assume(beta.denominator != 1)
+    return (a, b, alphas, draw(st.integers(min_value=1, max_value=3)),
+            draw(st.sampled_from([1, -1])) * beta, draw(st.sampled_from([32, 64, 256])))
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(_admissible_calls())
+# beta = -7/2: q = -2 < 0, and deg P_1 = rmn + 1 = 3 is odd, so q^D < 0
+@example(([F(1, 3), F(1, 4)], [F(1, 2)], [F(1)], 1, F(-7, 2), 64))
+def test_remainder_value_starts_at_its_first_stop_test(call):
+    # every remainder value takes its sum up to the first stop test whole,
+    # from prefix sums of the weights, and builds no window: it is the
+    # term-by-term Fraction sum, in value, bound, stop and exception
+    a, b, alphas, n, beta, bits = call
+    spec = HypergeometricSpec.from_ab(a, b)
+    assume(spec.flags_pass())
+    system = build_system(spec, alphas, n, cross_check=False)
+    got = {key: _outcome(remainder_value, system, *key, beta, bits)
+           for key in system.indices()}
+    assert not system.R._built
+    for key in system.indices():
+        assert got[key] == _outcome(_naive_remainder_value, system, *key, beta, bits)
 
 
 def test_check_remainder_identity_small_beta(canonical_m1):
