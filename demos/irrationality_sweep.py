@@ -38,7 +38,7 @@ def main() -> None:
 
     print()
     print("smallest certified integer beta (search bound 1024) ...")
-    threshold = min_beta(Instance(spec, alphas, range(4, 13)), Place(), 1024)
+    threshold, _ = min_beta(Instance(spec, alphas, range(4, 13)), Place(), 1024)
     print(f"  min beta = {threshold}")
     assert threshold is not None and 2 <= threshold <= 1024
 

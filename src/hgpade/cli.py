@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import Place, format_rational, parse_place, parse_rational
-from .criterion import MIN_FIT_SIZES, Instance, criterion_V, measure, min_beta
+from .criterion import MIN_FIT_SIZES, Instance, measure, min_beta
 from .errors import HgpadeError, InvalidInput, RationalParseError, StepBudgetExceeded
 from .numerics import eval_F_family
 from .pade import PadeSystem, build_system, verify_system
@@ -425,17 +425,13 @@ def _cmd_min_beta(cfg: RunConfig) -> int:
         raise InvalidInput("--search-bound is required")
     n_range = cfg.n_range or range(4, 13)
     inst = Instance(spec, cfg.alphas, n_range)
-    found = min_beta(inst, cfg.place, cfg.search_bound)
+    found, v_emp = min_beta(inst, cfg.place, cfg.search_bound)
     report = {
         "search_bound": cfg.search_bound,
         "n_range": [n_range[0], n_range[-1]],
         "place": cfg.place,
         "min_beta": found,
-        "V_emp": (
-            criterion_V(inst, Fraction(found), cfg.place)
-            if found is not None
-            else None
-        ),
+        "V_emp": v_emp,
     }
     emit_report(report, cfg.format, cfg.out)
     if found is None:

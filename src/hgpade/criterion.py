@@ -562,14 +562,14 @@ def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
 # ---------------------------------------------------------------------------
 
 
-def min_beta(inst: Instance, v0: Place, search_bound: int):
-    """Smallest integer beta <= search_bound with V_emp(beta) > 0.
+def min_beta(inst: Instance, v0: Place, search_bound: int) -> tuple:
+    """(beta, V): the smallest integer beta <= search_bound with
+    V = V_emp(beta) > 0, or (None, None) if the bound is too small.
 
     V is affine in log beta with slope 1 (all else fixed), so plain integer
     bisection applies. The instance's systems and remainder series serve
     every candidate, and the height part of V is beta-independent for
-    integer beta, so it is fitted once. Returns None if the bound is too
-    small.
+    integer beta, so it is fitted once: V is `criterion_V`'s, bit for bit.
     """
     if not v0.is_archimedean:
         raise InvalidInput(
@@ -579,16 +579,18 @@ def min_beta(inst: Instance, v0: Place, search_bound: int):
     search_bound = int(search_bound)
     lo = int(max(abs(a) for a in inst.alphas)) + 1
     if search_bound < lo:
-        return None
+        return None, None
     q_rate = height_fit_vec(inst, lo, v0).rate
+    seen = {}
 
     def value(b: int) -> float:
-        return decay_fit_R(inst, b, v0).rate - q_rate
+        seen[b] = decay_fit_R(inst, b, v0).rate - q_rate
+        return seen[b]
 
     if value(search_bound) <= 0:
-        return None
+        return None, None
     if value(lo) > 0:
-        return lo
+        return lo, seen[lo]
     hi = search_bound
     # invariant: value(lo) <= 0 < value(hi)
     while hi - lo > 1:
@@ -597,7 +599,7 @@ def min_beta(inst: Instance, v0: Place, search_bound: int):
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi, seen[hi]
 
 
 # ---------------------------------------------------------------------------

@@ -612,8 +612,6 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
         "beta": beta,
         "bits": bits,
         "ok": ok_all and all(rows.values()),
-        "entries": [
-            {k: v for k, v in e.items() if k != "remainder"} for e in entries
-        ],
+        "entries": entries,
         "linear_form_rows": rows,
     }

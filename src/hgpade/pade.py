@@ -10,34 +10,32 @@ such that R_{ell,i,s}(z) = P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z) has order
 at least n+1 at infinity.  Every P_ell comes from one closed formula: the
 coefficients of prod (t-alpha_i)^{rn} (multiplied out on integers, see
 `base_polynomial`), shifted up by ell, times one hypergeometric multiplier
-table M(k) shared by every ell (see `_P_family`);
-P_{ell,i,s} is the psi_{i,s}-image of the divided difference
-(P_ell(z)-P_ell(t))/(z-t), and the stored remainder window holds
-psi_{i,s}(t^k P_ell) as its 1/z^{k+1} coefficient; both read the psi_{i,s}
-weight table of (alpha_i, s), shared by every ell and kept on the spec,
-through the integer-scaled kernel `polyops.correlate`.
+table M(k) shared by every ell (see `_P_family`).
+
+Every other coefficient is a psi_{i,s}-value of P_ell, computed by one
+kernel, `polyops._dot_rows`, over P_ell on integers (`PadeSystem.integer_P`)
+and a scaled run of the psi_{i,s} weights kept on the spec: P_{ell,i,s} is
+the psi_{i,s}-image of the divided difference (P_ell(z)-P_ell(t))/(z-t), and
+R_{ell,i,s} has psi_{i,s}(t^k P_ell) as its 1/z^{k+1} coefficient.  Each
+remainder series is one append-only list on the system, read by exponent
+(`PadeSystem.terms`): its head, below the window's end, is filled on the
+first read inside it, and past the window it grows only as far as a caller
+reads.  The stored window (`PadeSystem.R`) is the `LaurentTail` of that
+head, made on its first read by the contract, Theta or `to_jsonable`; the
+p-adic sums read the head, and the archimedean sums neither
+(`numerics.remainder_value` starts from prefix sums of the weights,
+`PadeSystem.integer_weights`).  Past the window, the sizes that bound the
+remainder sums are a second such list (`PadeSystem.size`), next to the
+beta-free part of their ratio bound (`PadeSystem.tail_ratio`).  Only this
+module splits a series at the window's end.
 
 One function, `contract_failures`, decides the system's contract, with one
 literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
 (`remainder`: its own integer loop, on a series table of its own, sharing
-no code with `correlate`); `verify_system`, `build_system`'s cross-check,
+no code with `_dot_rows`); `verify_system`, `build_system`'s cross-check,
 the hypotheses of `wronskian.delta_of_system` and the suite read it.  A
 generic exact null-space solver (`solve_pade_nullspace`) provides a
 construction-free oracle for the same approximation problem.
-
-A stored window is built on its first read (`PadeSystem.R`): the contract,
-Theta, the p-adic sums and `to_jsonable` read windows, and the archimedean
-remainder sums read none (`numerics.remainder_value` takes its sum up to
-the first stop test from prefix sums of the psi weights, on the integer
-forms of P_ell and of the weights kept here, `PadeSystem.integer_P` and
-`integer_weights`).  Each remainder series is one append-only list on the
-system, read by exponent (`PadeSystem.terms`): its head is the stored
-window, copied in only when a read falls inside it, and past the window it
-grows only when a caller reads past its end.  Past the window, the sizes
-that bound the remainder sums are a second such list (`PadeSystem.size`),
-and the beta-free part of their ratio bound is kept there too
-(`PadeSystem.tail_ratio`).  Only this module splits a series at the
-window's end; its readers index it by exponent alone.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from .polyops import (
     _dot_rows,
     _psi_table,
     _scaled,
-    correlate,
     expand_F_s,
     poly_deg,
     poly_trim,
@@ -67,9 +64,26 @@ from .polyops import (
 
 
 def default_truncation(r: int, m: int, n: int) -> int:
-    """Smallest 1/z-window that certifies the order bound and leaves slack
-    for the determinant bookkeeping downstream."""
+    """The 1/z-window of a system built without a truncation.  Delta and
+    Theta need only n + 2 (`wronskian.delta_of_system`); this longer window
+    is the one the `build` and `verify` reports hold, and the criterion's
+    remainder sums take their first stop test at its end."""
     return r * m * (n + 1) + n + 5
+
+
+# a window's integers grow with its length, so its cost grows faster than the
+# square: `build` r = 2, m = 2, n = 2 took 1.0 s at truncation 512, 4.2 s at
+# 1024, 22 s at 2048 (2-core Xeon), and 10^9 exhausts memory
+MAX_TRUNCATION = 1024
+
+
+def check_truncation(n: int, truncation: int) -> None:
+    """Reject a window that cannot certify the order bound (truncation <= n+1)
+    or that is longer than MAX_TRUNCATION, before anything is built."""
+    if not n + 1 < truncation <= MAX_TRUNCATION:
+        raise InvalidInput(
+            f"--truncation: need n + 1 < truncation <= {MAX_TRUNCATION}, "
+            f"got {truncation} at n = {n}")
 
 
 def base_polynomial(alphas, rn: int, ell: int) -> Poly:
@@ -131,28 +145,6 @@ def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
     ]
 
 
-def divided_difference_image(P: Poly, weights) -> Poly:
-    """Apply a functional (given by its monomial values `weights`, at least
-    deg P of them) to the t-variable of (P(z) - P(t))/(z - t); returns a
-    polynomial in z.
-
-    The z^d coefficient is sum_k weights[k] * P[d+1+k], the Horner/synthetic
-    form of the divided difference -- no polynomial remainder division.  All
-    of them come from one `correlate` call of the weights against the
-    coefficients of P above degree 0.
-    """
-    deg = len(P) - 1
-    if deg < 1:
-        return []
-    return poly_trim(correlate(weights[:deg], P[1:], 0, deg))
-
-
-def _functional_tail(P: Poly, weights, truncation: int) -> LaurentTail:
-    """The remainder window whose 1/z^{k+1} coefficient is psi(t^k P), from
-    the weight table of psi (it must reach truncation - 2 + deg P)."""
-    return LaurentTail(1, correlate(P, weights, 0, truncation - 1), truncation)
-
-
 def remainder(system: "PadeSystem", ell: int, i: int, s: int,
               truncation: int = None) -> LaurentTail:
     """The literal product P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z), exact
@@ -162,12 +154,11 @@ def remainder(system: "PadeSystem", ell: int, i: int, s: int,
     part of P_ell F_s, and its exponents >= 1 are the remainder R_{ell,i,s}.
     The series comes from `expand_F_s` and the product from
     `LaurentTail.mul_poly`; neither shares code with the stored window,
-    which `_functional_tail` builds from the psi weights.
+    which `PadeSystem.terms` fills from the psi weights by `_dot_rows`.
     """
     if truncation is None:
         truncation = system.truncation
-    if truncation <= system.n + 1:
-        raise InvalidInput("truncation must exceed n+1 to certify the order bound")
+    check_truncation(system.n, truncation)
     P = system.P[ell]
     if P:
         F = expand_F_s(system.spec, system.alphas[i - 1], s, truncation + len(P) - 1)
@@ -187,10 +178,11 @@ def _check_alphas(alphas):
 
 
 class _Windows(Mapping):
-    """The stored remainder windows of a system by (ell, i, s), each built
-    by `_functional_tail` on its first read and kept; the keys are the
-    system's indices.  An assigned window (`PadeSystem.from_jsonable`) is
-    kept as it is and never rebuilt."""
+    """The stored remainder windows of a system by (ell, i, s): each is the
+    `LaurentTail` of the head of its term list (`PadeSystem.terms`), made on
+    its first read and kept; the keys are the system's indices.  An
+    assigned window (`PadeSystem.from_jsonable`) is kept as it is and never
+    rebuilt, so a loaded system is checked on its own data."""
 
     def __init__(self, system: "PadeSystem"):
         self._system, self._built = system, {}
@@ -202,9 +194,9 @@ class _Windows(Mapping):
             ell, i, s = key
             if not (ell in system.P and 1 <= i <= system.m and 0 <= s < system.r):
                 raise KeyError(key)
-            P, trunc = system.P[ell], system.truncation
-            w = _psi_table(system.spec, system.alphas[i - 1], s, trunc - 3 + len(P))
-            got = self._built[key] = _functional_tail(P, w, trunc)
+            end = system.truncation - 1
+            got = self._built[key] = LaurentTail(
+                1, system.terms(ell, i, s, 0)[:end], system.truncation)
         return got
 
     def __setitem__(self, key, tail: LaurentTail):
@@ -221,13 +213,14 @@ class _Windows(Mapping):
 class PadeSystem:
     """One fully built instance: all P_ell, all P_{ell,i,s}, all remainders.
 
-    `R` maps (ell, i, s) to the stored window of R_{ell,i,s}, built on its
-    first read (`_Windows`).  Everything else a remainder sum reads is
-    beta-free and kept on the system on first use, each computed once:
-    the ratio bound past the window (`tail_ratio`), P_ell and the psi
-    weights on integers (`integer_P`, `integer_weights`), and per
-    (ell, i, s) the coefficients by exponent (`terms`) and the sizes that
-    bound them (`size`), two lists that grow only as far as they are read.
+    `R` maps (ell, i, s) to the stored window of R_{ell,i,s}, the head of
+    its term list, made on its first read (`_Windows`).  Everything else a
+    remainder sum reads is beta-free and kept on the system on first use,
+    each computed once: the ratio bound past the window (`tail_ratio`),
+    P_ell and the psi weights on integers (`integer_P`, `integer_weights`),
+    and per (ell, i, s) the coefficients by exponent (`terms`) and the sizes
+    that bound them (`size`), two lists that grow only as far as they are
+    read, both from the kernel `_dot_rows` on those integer forms.
     """
 
     spec: HypergeometricSpec
@@ -295,23 +288,19 @@ class PadeSystem:
         """The coefficients of R_{ell,i,s} by exponent, grown to hold index k:
         terms[k] = psi_{i,s}(t^k P_ell), the coefficient of 1/z^{k+1}, for
         every k >= 0.  The head, below the window's end truncation - 1,
-        holds None until a read inside it copies the whole stored window in
-        (building it, `R`); a read past the end grows the list to
-        max(k + 1, twice its part past the window) and builds no window.
-        The list only grows, so a caller's reference stays valid; an entry
-        is set once a read at its index has returned."""
+        holds None until a read inside it fills the whole head, from which
+        the stored window `R` is made; a read past the end grows the list to
+        max(k + 1, twice its part past the window).  The list only grows, so
+        a caller's reference stays valid; an entry is set once a read at its
+        index has returned."""
         end = self.truncation - 1
         terms = self._kept(("terms", ell, i, s), lambda: [None] * end)
         if k < end:
             if terms[k] is None:
-                window = self.R[(ell, i, s)]
-                terms[:end] = [window.coeff(j + 1) for j in range(end)]
+                terms[:end] = self._psi_run(ell, i, s, 0, end)
         elif k >= len(terms):
             start = len(terms)
-            stop = max(k + 1, 2 * start - end)
-            dp, Pn, _ = self.integer_P(ell)
-            dw, wi = self._weight_run(i, s, start, stop, len(Pn))
-            terms.extend(_dot_rows(Pn, wi, stop - start, dp * dw))
+            terms.extend(self._psi_run(ell, i, s, start, max(k + 1, 2 * start - end)))
         return terms
 
     def size(self, ell: int, i: int, s: int, k: int) -> Fraction:
@@ -319,16 +308,25 @@ class PadeSystem:
         window's end on: the size that bounds terms[k] and every later term.
         Kept in a list of its own that grows like the terms past the window,
         so a sum that reads only sizes (or only terms) computes nothing
-        else, and no size builds a window."""
+        else, and no size fills a head or makes a window."""
         end = self.truncation - 1
         sizes = self._kept(("sizes", ell, i, s), list)
         start = end + len(sizes)
         if k >= start:
-            stop = max(k + 1, 2 * start - end)
-            dp, _, Pabs = self.integer_P(ell)
-            dw, wi = self._weight_run(i, s, start, stop, len(Pabs))
-            sizes.extend(_dot_rows(Pabs, list(map(abs, wi)), stop - start, dp * dw))
+            sizes.extend(self._psi_run(ell, i, s, start, max(k + 1, 2 * start - end),
+                                       absolute=True))
         return sizes[k - end]
+
+    def _psi_run(self, ell: int, i: int, s: int, start: int, stop: int,
+                 absolute: bool = False) -> list:
+        # psi_{i,s}(t^k P_ell) for start <= k < stop (with `absolute`, the
+        # sizes sum_d |P_d| |w_{k+d}|): one `_dot_rows` call over P_ell on
+        # integers and the one scaled run of weights those outputs meet
+        dp, Pn, Pabs = self.integer_P(ell)
+        dw, wi = self._weight_run(i, s, start, stop, len(Pn))
+        if absolute:
+            Pn, wi = Pabs, [abs(x) for x in wi]
+        return _dot_rows(Pn, wi, stop - start, dp * dw)
 
     def _weight_run(self, i: int, s: int, start: int, stop: int, width: int) -> tuple:
         # the psi_{i,s} weights that outputs start..stop-1 of a correlation
@@ -372,35 +370,39 @@ class PadeSystem:
 def build_system(spec: HypergeometricSpec, alphas, n: int,
                  truncation: int = None, cross_check: bool = True) -> PadeSystem:
     """Build every P_ell and P_{ell,i,s} of the instance; each remainder
-    window is built on its first read (`PadeSystem.R`).
+    window is made on its first read (`PadeSystem.R`).
 
-    All P_ell come from one multiplier table (`_P_family`); P_{ell,i,s} and
-    the windows read the psi_{i,s} weight table of (alpha_i, s), shared
-    with every later caller through the spec.  When cross_check is set (the
-    default), the built system must pass `contract_failures`, one literal
-    product per (ell, i, s) over the whole window; any failure is a theory
-    violation, not a warning.  A caller that runs the contract itself
-    (`wronskian.certify_nonvanishing`, through Delta) builds without it.
+    All P_ell come from one multiplier table (`_P_family`).  The z^j
+    coefficient of P_{ell,i,s} is sum_k w_k P_ell[j+1+k], the Horner form of
+    the divided difference: one `_dot_rows` call on P_ell[1:] over integers,
+    against the weights below deg P_rm, scaled once per (i, s).  A given
+    truncation is checked before anything is built (`check_truncation`).
+    When cross_check is set (the default), the built system must pass
+    `contract_failures`, one literal product per (ell, i, s) over the whole
+    window; any failure is a theory violation, not a warning.  A caller that
+    runs the contract itself (`wronskian.certify_nonvanishing`, through
+    Delta) builds without it.
     """
     alphas = [Fraction(a) for a in alphas]
     _check_alphas(alphas)
+    if n < 1:
+        raise InvalidInput("need n >= 1")
     r, m = spec.r, len(alphas)
     if truncation is None:
         truncation = default_truncation(r, m, n)
-    if n < 1:
-        raise InvalidInput("need n >= 1")
+    else:
+        check_truncation(n, truncation)
     system = PadeSystem(spec=spec, alphas=alphas, n=n, truncation=truncation)
     system.P = dict(enumerate(_P_family(spec, alphas, n, r * m)))
-    # each weight table grown once, as far as the longest window reads it:
-    # one growth per table instead of one per window
-    upto = truncation - 3 + len(system.P[r * m])
-    weights = {
-        (i, s): _psi_table(spec, alphas[i - 1], s, upto)
-        for i in range(1, m + 1)
-        for s in range(r)
-    }
-    for ell, i, s in system.indices():
-        system.Pis[(ell, i, s)] = divided_difference_image(system.P[ell], weights[(i, s)])
+    top = len(system.P[r * m]) - 1
+    for i in range(1, m + 1):
+        for s in range(r):
+            dw, wn = system._weight_run(i, s, 0, 1, top)
+            for ell in system.P:
+                dp, Pn, _ = system.integer_P(ell)
+                deg = len(Pn) - 1
+                system.Pis[(ell, i, s)] = poly_trim(
+                    _dot_rows(wn[:deg], Pn[1:], deg, dp * dw))
     if cross_check:
         failures = contract_failures(system)
         if failures:

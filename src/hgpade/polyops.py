@@ -12,12 +12,13 @@ a hypergeometric term t_{k+1}/t_k = x prod(k+u)/prod(k+d), stepped by one
 routine, `term_table`; the first three are kept append-only on the spec,
 per (alpha, s) where they depend on it, and grown on demand by one helper,
 `_grown`.  Every value psi_{i,s}(t^k p) is a correlation of p against the
-one weight table of (alpha_i, s); `correlate` computes a run of them over
-integers scaled to the common denominators, one Fraction per output, and so
-does each column of the C_{u,m} moment matrix in `wronskian`.
-`LaurentTail.mul_poly`, the literal product that `pade.contract_failures`
-checks those values against, scales to integers in a loop of its own, on a
-series table of its own (`expand_F_s`).
+one weight table of (alpha_i, s), computed on integers scaled to common
+denominators by one kernel, `_dot_rows`: `pade.PadeSystem` feeds it its own
+integer forms, and `correlate` scales per call, for `psi` and the columns of
+the C_{u,m} moment matrix in `wronskian`.  `LaurentTail.mul_poly`, the
+literal product that `pade.contract_failures` checks those values against,
+scales to integers in a loop of its own, on a series table of its own
+(`expand_F_s`).
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ class HypergeometricSpec:
     eta: tuple = ()
     zeta: tuple = ()
     _c_cache: list = field(default_factory=list, repr=False, compare=False)
-    # (alpha, s) -> psi_{i,s} weights from k = 0, append-only (`psi_weights`)
+    # (alpha, s) -> psi_{i,s} weights from k = 0, append-only (`_psi_table`)
     _psi_tables: dict = field(default_factory=dict, repr=False, compare=False)
     # (alpha, s) -> zeta-prefix weights from k = 0, append-only
     _zeta_tables: dict = field(default_factory=dict, repr=False, compare=False)
@@ -405,22 +406,13 @@ def _grown(table: list, upto: int, term) -> list:
     return table
 
 
-def psi_weights(spec: HypergeometricSpec, i_alpha: Fraction, s: int, upto: int) -> list:
-    """Values psi_{i,s}(t^k) = (k+gamma_1)...(k+gamma_s) c_k alpha^{k+1}, k <= upto.
-
-    The weights are one hypergeometric term in k, kept in one append-only
-    table per (alpha, s) on the spec and grown on demand (`_psi_table`).
-    The caller gets a fresh list of exactly upto + 1 entries: `correlate`
-    reads entries past the end of its table as zero, so a longer list would
-    change its results.
-    """
-    return _psi_table(spec, i_alpha, s, upto)[:upto + 1]
-
-
 def _psi_table(spec: HypergeometricSpec, i_alpha: Fraction, s: int, upto: int) -> list:
-    """The spec's own append-only psi_{i,s} weight table of `psi_weights`,
-    grown to hold entry upto and not copied: a caller slices the entries it
-    reads, to the exact length wherever the slice meets a correlation."""
+    """The values psi_{i,s}(t^k) = (k+gamma_1)...(k+gamma_s) c_k alpha^{k+1}
+    for k <= upto at least: the spec's own append-only weight table of
+    (alpha, s), one hypergeometric term in k, grown to hold entry upto and
+    not copied.  A caller slices the entries it reads, to the exact length
+    wherever the slice meets a correlation (entries past the end of a run
+    count as zero there)."""
     alpha = Fraction(i_alpha)
     gam = spec.gamma[:s]
     return _grown(spec._psi_tables.setdefault((alpha, s), []), upto, lambda: (
@@ -466,7 +458,8 @@ def psi(spec: HypergeometricSpec, alphas, i: int, s: int, p: Poly) -> Fraction:
         raise InvalidInput(f"s out of range: {s}")
     if not p:
         return Fraction(0)
-    w = psi_weights(spec, Fraction(alphas[i - 1]), s, len(p) - 1)
+    # correlate reads exactly the len(p) weights below its one output
+    w = _psi_table(spec, Fraction(alphas[i - 1]), s, len(p) - 1)
     return correlate(p, w, 0, 1)[0]
 
 
@@ -488,8 +481,8 @@ def zeta_prefix_weights(spec: HypergeometricSpec, alpha: Fraction, s: int, upto:
 
     This is the normalized evaluation functional obtained from psi_{i,s} by
     stripping T_c and one alpha factor; the non-vanishing chain is built on it.
-    Kept and returned like `psi_weights`: one table per (alpha, s) on the
-    spec, a fresh list of upto + 1 entries to the caller.
+    Kept in one table per (alpha, s) on the spec, like the psi weights
+    (`_psi_table`); the caller gets a fresh list of upto + 1 entries.
     """
     alpha = Fraction(alpha)
     zs = spec.zeta[: s + 1]
@@ -517,7 +510,7 @@ def expand_F_s(spec: HypergeometricSpec, alpha: Fraction, s: int, truncation: in
     in one append-only table per (alpha, s) on the spec and grown on demand,
     so every caller (each ell of a system's contract check) reads one
     expansion.  The table is filled by that product formula alone, never
-    from the psi weights (`psi_weights` steps g_s(k) c_k alpha^{k+1} as one
+    from the psi weights (`_psi_table` steps g_s(k) c_k alpha^{k+1} as one
     term): the literal product it feeds is the independent oracle of the
     remainder windows built from them.
     """

@@ -520,7 +520,7 @@ def check_criterion_end_to_end(shared=None, seed=SUITE_SEED) -> CheckResult:
     spec = spec_r2()
     alphas = (Fraction(1),)
 
-    beta_min = min_beta(Instance(spec, alphas, range(4, 13)), ARCH, 1024)
+    beta_min, _ = min_beta(Instance(spec, alphas, range(4, 13)), ARCH, 1024)
     found = beta_min is not None
     v_rerun = (
         criterion_V(Instance(spec, alphas, range(4, 13)), Fraction(beta_min), ARCH)

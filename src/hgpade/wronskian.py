@@ -18,10 +18,10 @@ through `det_bareiss`.  Delta is constant by the paper's cofactor argument:
 every remainder has order >= n+1 at infinity, so the expansion along the
 top row leaves lead(P_rm) * Theta.  `delta_of_system` checks the
 argument's hypotheses through `pade.contract_failures`, one literal product
-per remainder over its whole window, and evaluates Delta at z = 0 and 1;
-the certify path builds without the cross-check, which would run the same
-contract again.  C_{u,m} is the moment determinant, whose columns are
-`correlate` runs.  The chain computes each distinct C_{u,m} value once and checks every
+per remainder over its window, and evaluates Delta at z = 0 and 1; the
+certify path builds windows only through 1/z^{n+1}, and without the
+cross-check, which would run the same contract again.  C_{u,m} is the
+moment determinant, whose columns are `correlate` runs.  The chain computes each distinct C_{u,m} value once and checks every
 link against its successor with the one link check that `reduction_check`
 also runs.  The subset elimination behind `C_um(..., route="eliminate")`
 is exponential in rm and is kept only as an oracle for small sizes.
@@ -102,6 +102,10 @@ def delta_of_system(system: PadeSystem) -> Fraction:
       (Pis_coeffs);
     * product coefficient: the product's exponents >= 1 are the stored
       window that Theta reads (remainder_coeffs).
+
+    Windows of truncation n + 2 are enough, so `certify_nonvanishing`
+    builds at it: the order hypotheses read exponents 1..n, Theta reads
+    n+1, and the product's exponents <= 0 are checked at any truncation.
 
     Delta(0) and Delta(1) are then two integer Bareiss determinants; they
     must agree, and their value is returned.  `delta_route_check` compares it
@@ -587,7 +591,8 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     zero_links = []
     checks = {}
 
-    route = delta_route_check(build_system(spec, alphas, n, cross_check=False))
+    route = delta_route_check(
+        build_system(spec, alphas, n, truncation=n + 2, cross_check=False))
     delta, theta = route["delta"], route["theta"]
     checks["delta_equals_lead_times_theta"] = route["equal"]
     if delta == 0:

@@ -6,9 +6,16 @@ from types import SimpleNamespace
 import pytest
 
 from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec, psi_weights
+from hgpade.polyops import HypergeometricSpec, _psi_table
 
 F = Fraction
+
+
+def psi_weights(spec, alpha, s, upto):
+    """psi_{i,s}(t^k) for k = 0..upto, as a fresh list of exactly upto + 1
+    entries cut from the spec's weight table: `correlate` reads entries past
+    the end of a list as zero, so a longer list would change its results."""
+    return _psi_table(spec, alpha, s, upto)[:upto + 1]
 
 
 @pytest.fixture(scope="session")
@@ -64,17 +71,23 @@ def list_stops(system, key):
 
 
 def window_built(system, key) -> bool:
-    """Whether the stored window of key has been built (or assigned)."""
+    """Whether the stored window of key has been made (or assigned)."""
     return key in system.R._built
+
+
+def head_filled(system, key) -> bool:
+    """Whether the head of the term list of key, below the window's end,
+    has been filled."""
+    terms = remainder_lists(system, key)[0]
+    return terms is not None and terms[0] is not None
 
 
 def _check_remainder_lists(system, key):
     # every entry of the term list of R_{ell,i,s} is psi(t^k P_ell): the
     # head, below the window's end, is None throughout until a read inside
-    # it copies in the whole stored window (which it builds), and past the
-    # window each entry is its naive Fraction sum; every size is
-    # sum_d |P_d| |w_{k+d}| from the window's end on, against its naive
-    # Fraction sum
+    # it fills all of it, and a made window is that head; every entry is
+    # its naive Fraction sum, and every size is sum_d |P_d| |w_{k+d}| from
+    # the window's end on, against its naive Fraction sum
     terms, sizes = remainder_lists(system, key)
     terms, sizes = terms or [], sizes or []
     end = system.truncation - 1
@@ -83,10 +96,10 @@ def _check_remainder_lists(system, key):
     w = psi_weights(system.spec, system.alphas[i - 1], s,
                     max(len(terms), end + len(sizes)) + len(P))
     assert not terms or len(terms) >= end
-    if terms and terms[0] is None:
-        assert terms[:end] == [None] * end
-    elif terms:
-        assert window_built(system, key)
+    if not head_filled(system, key):
+        assert terms[:end] == [None] * len(terms[:end])
+        assert not window_built(system, key)
+    elif window_built(system, key):
         tail = system.R[key]
         assert terms[:end] == [tail.coeff(k + 1) for k in range(end)]
     for k, term in enumerate(terms):
@@ -105,6 +118,7 @@ def check_remainder_lists():
 @pytest.fixture(scope="session")
 def remainder_state():
     """Read a system's remainder state without growing or building any of
-    it: `lists` and `stops` of one (ell, i, s), and `window_built`."""
+    it: `lists` and `stops` of one (ell, i, s), `head_filled` and
+    `window_built`."""
     return SimpleNamespace(lists=remainder_lists, stops=list_stops,
-                           window_built=window_built)
+                           head_filled=head_filled, window_built=window_built)

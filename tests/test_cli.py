@@ -165,21 +165,56 @@ def test_verify_runs_the_contract_once(monkeypatch, capsys):
 
 
 def test_verify_reports_a_broken_build(monkeypatch, capsys):
-    # a build that breaks its contract exits 3, its failures in the report
+    # a build that breaks its contract exits 3, its failures in the report:
+    # the kernel shifts the constant term of every P_{ell,i,s}, the one call
+    # shape whose run is exactly as long as its outputs
     import hgpade.pade
 
-    image = hgpade.pade.divided_difference_image
+    kernel = hgpade.pade._dot_rows
 
-    def shifted(P, weights):
-        return [c + 1 if d == 0 else c for d, c in enumerate(image(P, weights))]
+    def shifted(pi, wi, count, den):
+        out = kernel(pi, wi, count, den)
+        return [c + 1 if d == 0 else c for d, c in enumerate(out)] \
+            if len(wi) == count else out
 
-    monkeypatch.setattr(hgpade.pade, "divided_difference_image", shifted)
+    monkeypatch.setattr(hgpade.pade, "_dot_rows", shifted)
     assert main(["verify", *R2, "--alphas", "1", "--n", "1"]) == 3
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["ok"] is False
     assert {"check": "Pis_coeffs", "index": [0, 1, 0]} in report["failures"]
     assert "Pis_coeffs" in captured.err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["build", "--a=1/3", "--alphas=1", "--n=1", "--truncation=1000000000"], None),
+    (["build", "--a=1/3", "--alphas=1", "--n=1", "--truncation=0"], None),
+    (["build", "--a=1/3", "--alphas=1", "--n=1", "--truncation=-5"], None),
+    (["build", "--a=1/3", "--alphas=1", "--n=3", "--truncation=4"], None),
+    (["build", "--a=1/3", "--alphas=1", "--truncation=-" + str(10**30)], {"n": 2}),
+    # verify reads a truncation from --config only
+    (["verify", "--a=1/3", "--alphas=1", "--n=1"], {"truncation": 10**9}),
+    (["verify", "--a=1/3", "--alphas=1", "--n=2"], {"truncation": 3}),
+])
+def test_bad_truncation_exits_1_before_any_build(argv, config, monkeypatch, tmp_path,
+                                                 capsys):
+    # a window that cannot certify the order bound, or one past the cap, is
+    # refused naming --truncation before a single P_ell is made
+    import hgpade.pade
+
+    def no_build(*args):
+        raise AssertionError("built a system for a refused truncation")
+
+    monkeypatch.setattr(hgpade.pade, "_P_family", no_build)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "InvalidInput: --truncation" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_verify_unreadable_system_exits_1(tmp_path, capsys):
@@ -226,6 +261,18 @@ def test_wronskian_certifies_r4_up_to_m3(alphas, capsys):
     assert report["zero_links"] == []
     assert report["checks"] and all(report["checks"].values())
     assert all(report["hypothesis_flags"].values())
+
+
+def test_wronskian_certifies_r4_m6_with_its_report_frozen(capsys):
+    # r*m = 24 on windows that end right past 1/z^{n+1}: the report's
+    # sha256 was measured on windows of the default length
+    code = main(["wronskian", "--a=1/3,1/4,1/5,1/6", "--b=1/2,2/3,3/4",
+                 "--alphas=1,2,3,4,5,6", "--n=1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["verdict"] == "certified nonzero"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "86685229c860dcc417c26f42352483117b5f002ba7ddefeb9bf16c95cee54ac4")
 
 
 def test_eval_reports_certified_decimals(capsys):
@@ -643,3 +690,39 @@ def test_the_runtime_is_standard_library_only():
     assert "hgpade" in loaded
     assert not {name for name in loaded
                 if name != "hgpade" and name not in sys.stdlib_module_names}
+
+
+def _unreferenced_functions(root: Path) -> list:
+    """The module-level functions of src/hgpade that no code in src/ or
+    demos/ reads, outside their own body: as a name, or as an attribute."""
+    import ast
+
+    defs, reads = [], []
+    for path in sorted([*root.glob("src/hgpade/*.py"), *root.glob("demos/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent.name == "hgpade":
+            defs += [(path, node) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.append((node.attr, path, node.lineno))
+    return sorted(
+        f"{path.stem}.{fn.name}" for path, fn in defs
+        if not any(name == fn.name and not (where == path
+                                            and fn.lineno <= line <= fn.end_lineno)
+                   for name, where, line in reads))
+
+
+def test_code_only_the_tests_use_leaves_src(tmp_path):
+    # every module-level function of the package is read by the package or
+    # its demos; one that only the tests read belongs in the tests
+    root = Path(__file__).resolve().parents[1]
+    assert _unreferenced_functions(root) == []
+    # the guard sees a function that only its own body reads
+    (tmp_path / "src" / "hgpade").mkdir(parents=True)
+    (tmp_path / "src" / "hgpade" / "lone.py").write_text(
+        "def lone(k):\n    return lone(k - 1) if k else 0\n\n\n"
+        "def used():\n    return 1\n\n\nVALUE = used()\n")
+    assert _unreferenced_functions(tmp_path) == ["lone.lone"]

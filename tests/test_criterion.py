@@ -307,11 +307,13 @@ def test_measure_checks_spec_hypotheses_first():
 
 def test_min_beta_small_window(spec_r2):
     inst = Instance(spec_r2, (Fraction(1),), SMALL_WINDOW)
-    mb = min_beta(inst, Place(), 64)
+    mb, v_found = min_beta(inst, Place(), 64)
     assert mb == 5
-    # bracketing: V flips sign exactly at the reported threshold
+    # bracketing: V flips sign exactly at the reported threshold, and the
+    # V handed back is criterion_V's at it, to the bit
     v_at = criterion_V(inst, Fraction(5), Place())
     v_below = criterion_V(inst, Fraction(4), Place())
+    assert v_found == v_at
     assert v_at == pytest.approx(0.02518398663377175, rel=1e-9)
     assert v_below == pytest.approx(-0.29439711685130376, rel=1e-9)
     assert v_at > 0 > v_below
@@ -319,15 +321,16 @@ def test_min_beta_small_window(spec_r2):
 
 def test_min_beta_canonical_window(spec_r2):
     # default fitting window, the value quoted in the docs
-    assert min_beta(Instance(spec_r2, (Fraction(1),), range(4, 13)), Place(), 1024) == 10
+    found, v = min_beta(Instance(spec_r2, (Fraction(1),), range(4, 13)), Place(), 1024)
+    assert found == 10 and v > 0
 
 
 def test_min_beta_none_when_bound_too_small(spec_r2):
     # the search floor is int(max |alpha|) + 1 = 2
     inst = Instance(spec_r2, (Fraction(1),), SMALL_WINDOW)
-    assert min_beta(inst, Place(), 1) is None
+    assert min_beta(inst, Place(), 1) == (None, None)
     # V(2) < 0, so a bound of 2 leaves nothing certified either
-    assert min_beta(inst, Place(), 2) is None
+    assert min_beta(inst, Place(), 2) == (None, None)
 
 
 def test_min_beta_is_archimedean_only(spec_r2):
@@ -401,7 +404,7 @@ def test_vp_remainder_and_remainder_value_share_one_table(spec_r2, check_remaind
     # whichever fills it, the other gets a fresh system's answer, every entry
     # is its naive sum, and the v_5 = 49 oracle above still holds on the
     # filled list; the p-adic sum reads from inside the window, so it fills
-    # the head (building the window), and the archimedean one never does
+    # the head (and makes no window), and the archimedean one never does
     from hgpade.criterion import _vp_remainder
     from hgpade.numerics import remainder_value
     from hgpade.pade import build_system
@@ -420,7 +423,8 @@ def test_vp_remainder_and_remainder_value_share_one_table(spec_r2, check_remaind
         # read past the end doubling the part past the window; no size
         past = len(terms) - end
         assert past > 8 and past & (past - 1) == 0 and sizes is None
-        assert remainder_state.window_built(system, key) and None not in terms
+        assert remainder_state.head_filled(system, key) and None not in terms
+        assert not remainder_state.window_built(system, key)
         got = remainder_value(system, *key, far, 256)
         again = remainder_state.lists(system, key)
         assert again[0] is terms and again[1] is not None
@@ -429,11 +433,12 @@ def test_vp_remainder_and_remainder_value_share_one_table(spec_r2, check_remaind
         assert (got.value, got.error) == (want.value, want.error)
         check_remainder_lists(system, key)
         # on its own, the sum at 10^6 and 32 bits stops at its first test:
-        # one size, no term, no window
+        # one size, no term, no head, no window
         other = fresh()
         remainder_value(other, *key, far, 32)
         other_terms, other_sizes = remainder_state.lists(other, key)
         assert other_terms is None and len(other_sizes) == 1
+        assert not remainder_state.head_filled(other, key)
         assert not remainder_state.window_built(other, key)
         check_remainder_lists(other, key)
         assert v == _vp_remainder(system, *key, near, 5) \
@@ -445,8 +450,8 @@ def test_vp_remainder_and_remainder_value_share_one_table(spec_r2, check_remaind
 def test_remainder_sums_grow_only_what_they_read(spec_r2, check_remainder_lists,
                                                  remainder_state):
     # an archimedean sum reads a size at each stop test and a term only once
-    # that test has failed, and never a window; a p-adic sum reads terms
-    # only, from inside the window on
+    # that test has failed, and never the head or a window; a p-adic sum
+    # reads terms only, from inside the window on, and makes no window
     from hgpade.criterion import _vp_remainder
 
     inst = Instance(spec_r2, (Fraction(1),), range(4, 8))  # the fit needs 4 n
@@ -455,8 +460,9 @@ def test_remainder_sums_grow_only_what_they_read(spec_r2, check_remainder_lists,
         for key in system.indices():
             terms, sizes = remainder_state.lists(system, key)
             # at beta = 10^6 every sum stops at its first test, at the
-            # window's end: no term, one size, no window
+            # window's end: no term, one size, no head, no window
             assert terms is None and len(sizes) == 1
+            assert not remainder_state.head_filled(system, key)
             assert not remainder_state.window_built(system, key)
             check_remainder_lists(system, key)
     system = inst.systems[4]
@@ -469,25 +475,20 @@ def test_remainder_sums_grow_only_what_they_read(spec_r2, check_remainder_lists,
         # past the end doubled the part past the window
         past = len(terms) - end
         assert past > 8 and past & (past - 1) == 0 and sizes == was
-        assert remainder_state.window_built(system, key)
+        assert remainder_state.head_filled(system, key)
+        assert not remainder_state.window_built(system, key)
         check_remainder_lists(system, key)
         assert _vp_remainder(system, *key, Fraction(1, 5**10), 5) == 49
 
 
-def test_archimedean_measure_builds_no_window(spec_r2, monkeypatch):
+def test_archimedean_measure_builds_no_window(spec_r2, remainder_state):
     # every archimedean remainder sum starts at its first stop test from
     # prefix sums of the weights: a whole criterion run on r = 2, m = 2 at
-    # beta = 10^9 builds no stored window
-    import hgpade.pade
-
-    built = []
-    window = hgpade.pade._functional_tail
-
-    def counted(*args):
-        built.append(None)
-        return window(*args)
-
-    monkeypatch.setattr(hgpade.pade, "_functional_tail", counted)
+    # beta = 10^9 fills no head and makes no stored window
     inst = Instance(spec_r2, (Fraction(1), Fraction(2)), range(4, 8))
     measure(inst, Fraction(10**9), Place(), 0.1)
-    assert len(inst.systems) == 4 and built == []
+    assert len(inst.systems) == 4
+    for system in inst.systems.values():
+        assert not system.R._built
+        for key in system.indices():
+            assert not remainder_state.head_filled(system, key)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import head_filled, psi_weights
 from hgpade import numerics
 from hgpade.cli import main
 from hgpade.errors import (
@@ -33,7 +34,6 @@ from hgpade.polyops import (
     correlate,
     f_s_coefficient,
     poly_eval,
-    psi_weights,
 )
 
 F = Fraction
@@ -561,7 +561,7 @@ def test_remainder_value_cache_consistent(spec_r2, check_remainder_lists,
     # Fraction sum's, the lists only ever grow, and they grow by the growth
     # rule from exactly the reads of that sum (a size at each stop test, a
     # term from the first stop test to the stop index) and from nothing
-    # else; no sum builds the stored window
+    # else; no sum fills the head or makes the stored window
     alphas, key = (F(1),), (2, 1, 1)
     reused = build_system(spec_r2, alphas, 4, cross_check=False)
     end = reused.truncation - 1
@@ -570,6 +570,7 @@ def test_remainder_value_cache_consistent(spec_r2, check_remainder_lists,
     for beta, bits in ((F(10**6), 32), (F(3), 32), (F(3), 32), (F(3), 256),
                        (F(-7, 2), 256), (F(3), 128)):
         got = remainder_value(reused, *key, beta, bits)
+        assert not remainder_state.head_filled(reused, key)
         assert not remainder_state.window_built(reused, key)
         want, kmin, K = _naive_remainder_sum(reused, *key, beta, bits)
         assert (got.value, got.error, got.bits) == (want.value, want.error, want.bits)
@@ -611,21 +612,21 @@ def test_extension_entries_at_any_index_in_any_order(check_remainder_lists,
     # exponent from the window's end on, and whole sums, in random order:
     # each list grows on its own by the growth rule (so a list that no read
     # asked for stays as it started), a read inside the window fills the
-    # head and is the only read that builds the window, a sum reads only the
-    # sizes of its stop tests and the terms from its first test to its stop
-    # index, and every entry equals its naive Fraction sum
+    # head and is the only read that does, no read makes the window, a sum
+    # reads only the sizes of its stop tests and the terms from its first
+    # test to its stop index, and every entry equals its naive Fraction sum
     spec = HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(1, 2),))
     system = build_system(spec, (F(1), F(2)), 1, cross_check=False)
     end = system.truncation - 1
     assert end == _END
     first = [None, None]
     terms_stop = sizes_stop = end
-    built = False
+    filled = False
     for kind, arg in reads:
         if kind == "term":
             got = system.terms(*key, arg)
             terms_stop = _grown(terms_stop, end, arg)
-            built = built or arg < end
+            filled = filled or arg < end
         elif kind == "size":
             got = system.size(*key, arg)
             sizes_stop = _grown(sizes_stop, end, arg)
@@ -649,7 +650,16 @@ def test_extension_entries_at_any_index_in_any_order(check_remainder_lists,
         elif kind == "size":
             assert got == sizes[arg - end]
         check_remainder_lists(system, key)
-        assert remainder_state.window_built(system, key) == built
+        assert remainder_state.head_filled(system, key) == filled
+        assert not remainder_state.window_built(system, key)
+    if filled:
+        # the window made now holds the head's own entries: none is
+        # computed a second time
+        head = remainder_state.lists(system, key)[0][:end]
+        window = system.R[key]
+        assert [window.coeff(k + 1) for k in range(end)] == head
+        assert all(a is b for a, b in zip(window.coefficients, head[window.order - 1:]))
+        assert remainder_state.stops(system, key) == (terms_stop, sizes_stop)
 
 
 def _naive_remainder_sum(system, ell, i, s, beta, bits):
@@ -802,8 +812,9 @@ def _admissible_calls(draw):
 @example(([F(1, 3), F(1, 4)], [F(1, 2)], [F(1)], 1, F(-7, 2), 64))
 def test_remainder_value_starts_at_its_first_stop_test(call):
     # every remainder value takes its sum up to the first stop test whole,
-    # from prefix sums of the weights, and builds no window: it is the
-    # term-by-term Fraction sum, in value, bound, stop and exception
+    # from prefix sums of the weights, and fills no head and makes no
+    # window: it is the term-by-term Fraction sum, in value, bound, stop and
+    # exception
     a, b, alphas, n, beta, bits = call
     spec = HypergeometricSpec.from_ab(a, b)
     assume(spec.flags_pass())
@@ -811,6 +822,7 @@ def test_remainder_value_starts_at_its_first_stop_test(call):
     got = {key: _outcome(remainder_value, system, *key, beta, bits)
            for key in system.indices()}
     assert not system.R._built
+    assert not any(head_filled(system, key) for key in system.indices())
     for key in system.indices():
         assert got[key] == _outcome(_naive_remainder_value, system, *key, beta, bits)
 

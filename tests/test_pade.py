@@ -7,16 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import psi_weights
 from hgpade.errors import HypothesisViolation, InvalidInput, TheoryViolation
 from hgpade.pade import (
+    MAX_TRUNCATION,
     PadeSystem,
-    _functional_tail,
     _P_family,
     base_polynomial,
     build_system,
     contract_failures,
     default_truncation,
-    divided_difference_image,
     poly_pow_linear,
     remainder,
     solve_pade_nullspace,
@@ -25,15 +25,26 @@ from hgpade.pade import (
 from hgpade.polyops import (
     HypergeometricSpec,
     LaurentTail,
+    correlate,
     expand_F_s,
     poly_deg,
     poly_eval,
     poly_mul,
     poly_trim,
-    psi_weights,
 )
 
 F = Fraction
+
+
+def divided_difference_image(P, weights):
+    """The functional with monomial values `weights` (at least deg P of
+    them) applied to the t-variable of (P(z) - P(t))/(z - t), as a
+    polynomial in z: its z^d coefficient is sum_k weights[k] * P[d+1+k],
+    all of them from one `correlate` call that scales its own inputs."""
+    deg = len(P) - 1
+    if deg < 1:
+        return []
+    return poly_trim(correlate(weights[:deg], P[1:], 0, deg))
 
 
 def test_default_truncation_monotone():
@@ -41,6 +52,27 @@ def test_default_truncation_monotone():
     for n in range(1, 5):
         assert default_truncation(2, 2, n + 1) > default_truncation(2, 2, n)
         assert default_truncation(2, 2, n) > 2 * 2 * n + n  # room beyond the order bound
+
+
+@pytest.mark.parametrize("n, truncation", [(1, 2), (3, 4), (1, MAX_TRUNCATION + 1)])
+def test_bad_truncation_is_refused_before_any_build(spec_r2, monkeypatch, n, truncation):
+    # a window that cannot certify the order bound, or one past the cap, is
+    # an input error naming the flag, raised before a single P_ell is made
+    import hgpade.pade
+
+    def no_build(*args):
+        raise AssertionError("built a system for a refused truncation")
+
+    monkeypatch.setattr(hgpade.pade, "_P_family", no_build)
+    with pytest.raises(InvalidInput, match="--truncation"):
+        build_system(spec_r2, (F(1),), n, truncation=truncation)
+
+
+def test_shortest_and_longest_truncations_build(toy_spec):
+    short = build_system(toy_spec, (F(1),), 1, truncation=3)
+    assert short.R[(0, 1, 0)].truncation == 3 and verify_system(short)["ok"]
+    assert build_system(toy_spec, (F(1),), 1, truncation=MAX_TRUNCATION,
+                        cross_check=False).truncation == MAX_TRUNCATION
 
 
 def test_poly_pow_linear():
@@ -160,12 +192,13 @@ def test_order_contract(canonical_system):
 
 
 def _functional(system, ell, i, s, truncation=None):
-    """The window psi_{i,s}(t^k P_ell) of R_{ell,i,s}, fresh from the weights."""
+    """The window psi_{i,s}(t^k P_ell) of R_{ell,i,s}, fresh from the weights
+    by one `correlate` call that scales its own inputs."""
     truncation = truncation or system.truncation
     P = system.P[ell]
     w = psi_weights(system.spec, system.alphas[i - 1], s,
                     truncation - 2 + max(0, len(P) - 1))
-    return _functional_tail(P, w, truncation)
+    return LaurentTail(1, correlate(P, w, 0, truncation - 1), truncation)
 
 
 def test_remainder_routes_agree(canonical_system):
@@ -179,21 +212,25 @@ def test_remainder_routes_agree(canonical_system):
         remainder(sys, 0, 1, 0, truncation=sys.n + 1)  # too short to certify
 
 
-def test_product_route_does_not_use_the_kernel(canonical_system, monkeypatch):
+def test_product_route_does_not_use_the_kernel(spec_r2, monkeypatch):
     # the cross-check is independent only if the series product never goes
-    # through the correlation kernel that the functional route uses
+    # through the kernel that fills P_{ell,i,s} and the windows, nor through
+    # the scaled correlation built on it
     import hgpade.pade
     import hgpade.polyops
 
-    def kernel(*args):
-        raise AssertionError("the product route called correlate")
+    sys = build_system(spec_r2, (F(1), F(2)), 1, cross_check=False)
+    windows = {key: sys.R[key] for key in sys.indices()}  # made before the patch
 
-    monkeypatch.setattr(hgpade.polyops, "correlate", kernel)
-    monkeypatch.setattr(hgpade.pade, "correlate", kernel)
-    sys = canonical_system
+    def kernel(*args):
+        raise AssertionError("the product route called the kernel")
+
+    for name in ("_dot_rows", "correlate"):
+        monkeypatch.setattr(hgpade.polyops, name, kernel)
+    monkeypatch.setattr(hgpade.pade, "_dot_rows", kernel)
     for key in [(0, 1, 0), (4, 2, 1)]:
         b = remainder(sys, *key)
-        a = sys.R[key]
+        a = windows[key]
         for e in range(1, min(a.truncation, b.truncation)):
             assert a.coeff(e) == b.coeff(e)
     assert contract_failures(sys) == []  # the whole contract, kernel-free
@@ -232,25 +269,36 @@ def test_cross_check_off_matches(spec_r2, canonical_system):
         assert loose.R[key] == canonical_system.R[key], key
 
 
+def _divided_difference_call(pi, wi, count):
+    # the kernel's call shape for P_{ell,i,s}: deg P_ell outputs from the
+    # deg P_ell coefficients P_ell[1:], so its run is exactly as long as its
+    # outputs; a run of remainder coefficients reaches deg P_ell past them
+    return len(wi) == count == len(pi)
+
+
 def test_cross_check_compares_below_the_larger_order(spec_r2, monkeypatch):
-    # both mutants leave every coefficient from the larger of the two orders
-    # on intact, so only a comparison from the smaller order sees them
+    # both mutants, injected through the system's one kernel, leave every
+    # coefficient from the larger of the two orders on intact, so only a
+    # comparison from the smaller order sees them
     import hgpade.pade
 
-    image, functional = hgpade.pade.divided_difference_image, hgpade.pade._functional_tail
+    kernel = hgpade.pade._dot_rows
 
-    def constant_plus_one(P, weights):
-        out = image(P, weights) or [F(0)]
-        return [out[0] + 1] + out[1:]
+    def constant_plus_one(pi, wi, count, den):
+        out = kernel(pi, wi, count, den)
+        if _divided_difference_call(pi, wi, count):
+            out[0] += 1
+        return out
 
-    def leading_zeroed(P, weights, truncation):
-        tail = functional(P, weights, truncation)
-        return LaurentTail(tail.order, [F(0)] + tail.coefficients[1:], truncation)
+    def leading_zeroed(pi, wi, count, den):
+        out = kernel(pi, wi, count, den)
+        if not _divided_difference_call(pi, wi, count):
+            out[next(j for j, x in enumerate(out) if x)] = F(0)
+        return out
 
-    for name, mutant in (("divided_difference_image", constant_plus_one),
-                         ("_functional_tail", leading_zeroed)):
+    for mutant in (constant_plus_one, leading_zeroed):
         with monkeypatch.context() as patch:
-            patch.setattr(hgpade.pade, name, mutant)
+            patch.setattr(hgpade.pade, "_dot_rows", mutant)
             with pytest.raises(TheoryViolation):
                 build_system(spec_r2, (F(1), F(2)), 1)
 
@@ -489,3 +537,45 @@ def test_contract_names_what_the_two_routes_named(systems):
     assert failures  # every corruption breaks the contract somewhere
     assert failures == _two_route_failures(broken)
     assert verify_system(broken)["failures"] == failures
+
+
+# ---------------------------------------------------------------------------
+# the one kernel against Fraction oracles
+
+
+@st.composite
+def _admissible_systems(draw):
+    """A built admissible system, r*m <= 4 and n <= 2, at its default or at
+    a short truncation."""
+    r = draw(st.integers(1, 3))
+    spec = HypergeometricSpec.from_ab(
+        draw(st.lists(_non_integers, min_size=r, max_size=r)),
+        draw(st.lists(_non_integers, min_size=r - 1, max_size=r - 1)))
+    assume(spec.flags_pass())
+    m = draw(st.integers(1, 4 // r))
+    alphas = draw(st.lists(st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+                           min_size=m, max_size=m, unique=True))
+    n = draw(st.integers(1, 2))
+    truncation = draw(st.sampled_from([None, n + 2, n + 5]))
+    return build_system(spec, alphas, n, truncation=truncation, cross_check=False)
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(_admissible_systems())
+def test_every_psi_value_of_the_kernel_is_its_fraction_sum(system):
+    # P_{ell,i,s} against the divided difference of one `correlate` call,
+    # and every window entry against sum_d P_d w_{k+d} taken Fraction by
+    # Fraction, which shares no integer scaling with the kernel
+    end = system.truncation - 1
+    for ell, i, s in system.indices():
+        P = system.P[ell]
+        w = psi_weights(system.spec, system.alphas[i - 1], s, end + len(P))
+        assert system.Pis[(ell, i, s)] == divided_difference_image(P, w)
+        window = system.R[(ell, i, s)]
+        assert window.truncation == system.truncation
+        for k in range(end):
+            want = F(0)
+            for d, c in enumerate(P):
+                want += c * w[k + d]
+            assert window.coeff(k + 1) == want, (ell, i, s, k)
+    assert contract_failures(system) == []

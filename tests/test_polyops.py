@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import psi_weights
 from hgpade.errors import InsufficientPrecision, InvalidInput, SingularEigenvalue
 from hgpade.polyops import (
     HypergeometricSpec,
@@ -23,7 +24,6 @@ from hgpade.polyops import (
     poly_shift_up,
     poly_trim,
     psi,
-    psi_weights,
     zeta_prefix_weights,
 )
 from hgpade.suite import T_c, apply_H_theta, apply_H_theta_inverse
@@ -547,7 +547,7 @@ def test_expand_F_s_matches_psi_weights(spec_r2, monkeypatch):
     spec = HypergeometricSpec.from_ab(spec_r2.a, spec_r2.b)
     alpha = F(2)
     with monkeypatch.context() as patch:
-        patch.setattr(hgpade.polyops, "psi_weights", weights)
+        patch.setattr(hgpade.polyops, "_psi_table", weights)
         short = expand_F_s(spec, alpha, 1, 4)
         tail = expand_F_s(spec, alpha, 1, 8)
     w = psi_weights(spec, alpha, 1, 6)

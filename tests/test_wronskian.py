@@ -244,14 +244,16 @@ def test_each_C_um_value_is_computed_once(spec_name, alphas, n, calls,
 
 def test_certify_takes_one_literal_product_per_remainder(spec_r3, monkeypatch):
     # the contract behind Delta's hypotheses is the only check of the
-    # remainders on the certify path: one product per (ell, i, s)
+    # remainders on the certify path: one product per (ell, i, s), on a
+    # window that ends right past 1/z^{n+1}
     import hgpade.pade
 
-    seen = []
+    seen, windows = [], set()
     product = hgpade.pade.remainder
 
     def counted(system, ell, i, s, truncation=None):
         seen.append((ell, i, s))
+        windows.add((system.truncation, truncation))
         return product(system, ell, i, s, truncation)
 
     monkeypatch.setattr(hgpade.pade, "remainder", counted)
@@ -260,6 +262,7 @@ def test_certify_takes_one_literal_product_per_remainder(spec_r3, monkeypatch):
     assert all(report.checks.values())
     assert len(seen) == 42  # (rm + 1) * m * r at r = 3, m = 2
     assert len(set(seen)) == 42
+    assert windows == {(4, 4)}  # n + 2 at n = 2
 
 
 def test_final_det_canonical(spec_r2):
