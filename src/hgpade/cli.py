@@ -6,6 +6,10 @@ shortest round-trip repr, keys sorted, one trailing newline.  The same config
 and seed always produce byte-identical report files; wall-clock timings only
 ever appear in the human text format.
 
+Each flag is declared once, in `FLAGS`, with its help text, its default
+and the one function that parses and checks its text, from argv or from
+--config alike; `COMMANDS` gives each command's flags.
+
 Exit codes: 0 all verdicts pass; 1 parse/input/precision problems (including
 a criterion that fails to certify); 2 violated hypothesis flags, named; 3 a
 certified-nonzero quantity evaluated to zero (theory violation).
@@ -17,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import Place, format_rational, parse_place, parse_rational
@@ -29,12 +32,17 @@ from .polyops import HypergeometricSpec
 from .suite import SUITE_SEED, run_suite
 from .wronskian import certify_nonvanishing
 
-COMMANDS = ("build", "verify", "wronskian", "criterion", "min-beta", "eval", "suite")
-
 # eval's work grows quadratically in the precision (4-6 s at 8192 bits for
 # r = 3, z = 1/2 on a 2-core Xeon), and its decimal output must stay under
 # Python's int-to-str digit limit
 MAX_BITS = 8192
+
+# the cost of a system grows faster than n^3 even at its cheapest shape,
+# r = m = 1: `wronskian` took 0.45 s at n = 160, 2.3 s at 320 and 27 s at 640,
+# `build` 0.75 s at n = 200 and 11 s at 400 (2-core Xeon, whole process).
+# The cap also keeps the window n + 2 of `wronskian` within
+# pade.MAX_TRUNCATION, so a large n is refused naming --n
+MAX_N = 256
 
 # the series and remainder sums start their stop tests only past the largest
 # |parameter| and budget their steps from there, so the work grows with the
@@ -46,85 +54,133 @@ MAX_PARAM_HEIGHT = 1000
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# flags: each one parsed and checked by one function, flag, text -> value,
+# whether its text comes from argv or from --config
 
 
-@dataclass
+def _named(parse):
+    """The flag parser of a text parser: its errors name the flag."""
+    def parse_flag(flag: str, text: str):
+        try:
+            return parse(text)
+        except (HgpadeError, ValueError) as exc:
+            raise RationalParseError(f"{flag}: {exc}") from exc
+    return parse_flag
+
+
+def _checked(parse, ok, need: str):
+    """The flag parser `parse`, refusing a value v unless ok(v)."""
+    def parse_flag(flag: str, text: str):
+        value = parse(flag, text)
+        if not ok(value):
+            raise InvalidInput(f"{flag}: need {need}, got {text!r}")
+        return value
+    return parse_flag
+
+
+def _rationals(text: str) -> tuple:
+    """Comma-separated rationals; the empty text is the empty list."""
+    text = text.strip()
+    return tuple(parse_rational(part) for part in text.split(",")) if text else ()
+
+
+def _n_range(text: str) -> range:
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise ValueError(f"expected LO:HI, got {text!r}") from None
+    return range(lo, hi + 1)  # inclusive upper end on the command line
+
+
+def _within_height(x: Fraction) -> bool:
+    return max(abs(x.numerator), x.denominator) <= MAX_PARAM_HEIGHT
+
+
+_text = _named(str)
+_integer = _named(int)
+_rational = _named(parse_rational)
+_HEIGHT = f"numerators and denominators at most {MAX_PARAM_HEIGHT} in absolute value"
+_parameters = _checked(_named(_rationals), lambda xs: all(map(_within_height, xs)),
+                       _HEIGHT)
+
+# flag -> (help text, default, parser).  A flag's attribute on RunConfig is
+# its argparse dest (--n-range: n_range); its --config key is that dest or
+# the flag without its dashes (n-range)
+FLAGS = {
+    "--config": ("JSON file whose keys are this command's flags, e.g. "
+                 '{"n": 2}; any other key exits 1; explicit flags win', None, _text),
+    "--out": ("report file (default: stdout)", None, _text),
+    "--format": ("json (default), csv or text", "json",
+                 _checked(_text, ("json", "csv", "text").__contains__, "json, csv or text")),
+    "--seed": (f"seed of the randomized checks (default {SUITE_SEED})", SUITE_SEED,
+               _integer),
+    "--a": ("upper parameters, e.g. 1/3,1/4", (), _parameters),
+    "--b": ("lower parameters, e.g. 1/2 (may be empty)", (), _parameters),
+    "--c0": ("seed coefficient (default: prod a / prod b)", None, _rational),
+    "--alphas": ("evaluation points, e.g. 1,2", (),
+                 _checked(_named(_rationals), bool, "at least one point")),
+    "--n": (f"weight parameter, 1 <= n <= {MAX_N}", None,
+            _checked(_integer, lambda n: 1 <= n <= MAX_N, f"1 <= n <= {MAX_N}")),
+    "--truncation": ("length of the stored 1/z-windows (default rm(n+1)+n+5)", None,
+                     _integer),
+    "--system": ("system JSON produced by build", None, _text),
+    "--beta": ("nonzero rational evaluation point (default 10^6)", Fraction(10**6),
+               _checked(_rational, bool, "a nonzero rational")),
+    "--place": ("inf or a prime p (default inf)", Place(), _named(parse_place)),
+    "--epsilon": ("margin the criterion must clear (default 0.1)", 0.1,
+                  _checked(_named(float), lambda e: math.isfinite(e) and e > 0,
+                           "a finite value > 0")),
+    "--n-range": ("fit window LO:HI inclusive (default 4:16 for criterion, 4:12 "
+                  "for min-beta)", None,
+                  _checked(_named(_n_range),
+                           lambda ns: 0 < ns.start and ns.stop <= MAX_N + 1
+                           and len(ns) >= MIN_FIT_SIZES,
+                           f"0 < LO <= HI <= {MAX_N}, and at least {MIN_FIT_SIZES} "
+                           "sizes n for the rate fits")),
+    "--search-bound": ("largest integer beta tried", None,
+                       _checked(_integer, lambda bound: bound >= 1, "an integer >= 1")),
+    "--z": ("rational argument, |z| < 1", None,
+            _checked(_rational, _within_height, _HEIGHT)),
+    "--bits": (f"precision, 1 <= bits <= {MAX_BITS} (default 128)", 128,
+               _checked(_integer, lambda bits: 1 <= bits <= MAX_BITS,
+                        f"1 <= bits <= {MAX_BITS}")),
+    "--level": ("suite level; desk, the default, is the only one", "desk", _text),
+}
+
+_COMMON = ("--config", "--out", "--format")
+_SPEC = ("--a", "--b", "--c0")
+
+# command -> (help text, its flags)
+COMMANDS = {
+    "build": ("construct a full approximant system",
+              (*_COMMON, *_SPEC, "--alphas", "--n", "--truncation")),
+    "verify": ("re-check every invariant of a system",
+               (*_COMMON, *_SPEC, "--alphas", "--n", "--truncation", "--system")),
+    "wronskian": ("run the full non-vanishing certification chain",
+                  (*_COMMON, *_SPEC, "--alphas", "--n")),
+    "criterion": ("measure the effective irrationality criterion",
+                  (*_COMMON, *_SPEC, "--alphas", "--beta", "--place", "--epsilon",
+                   "--n-range")),
+    "min-beta": ("smallest integer beta certifying V > 0",
+                 (*_COMMON, *_SPEC, "--alphas", "--place", "--search-bound",
+                  "--n-range")),
+    "eval": ("certified values F_0(z)..F_{r-1}(z)", (*_COMMON, *_SPEC, "--z", "--bits")),
+    "suite": ("run the desk-scale acceptance matrix", (*_COMMON, "--level", "--seed")),
+}
+
+
 class RunConfig:
-    command: str
-    a: tuple = ()
-    b: tuple = ()
-    c0: Fraction | None = None
-    alphas: tuple = ()
-    beta: Fraction | None = None
-    n: int | None = None
-    n_range: range | None = None
-    place: Place = field(default_factory=Place)
-    epsilon: float = 0.1
-    bits: int = 128
-    z: Fraction | None = None
-    system: str | None = None
-    search_bound: int | None = None
-    truncation: int | None = None
-    level: str = "desk"
-    out: str | None = None
-    format: str = "json"
-    seed: int = SUITE_SEED
+    """One command's configuration: its name, and one attribute per flag of
+    the command (`COMMANDS`), named by the flag's argparse dest, holding the
+    parsed value or the flag's default."""
+
+    def __init__(self, command: str):
+        self.command = command
 
     def spec(self) -> HypergeometricSpec:
         if not self.a:
             raise InvalidInput("--a is required (comma-separated rationals)")
         return HypergeometricSpec.from_ab(self.a, self.b, self.c0)
-
-
-def _named(flag: str, text: str, parse):
-    """Parse one value, naming the offending flag on failure."""
-    try:
-        return parse(text)
-    except (HgpadeError, ValueError) as exc:
-        raise RationalParseError(f"{flag}: {exc}") from exc
-
-
-def _rational_list(flag: str, text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(_named(flag, part, parse_rational) for part in text.split(","))
-
-
-def _capped(flag: str, x: Fraction) -> Fraction:
-    if max(abs(x.numerator), x.denominator) > MAX_PARAM_HEIGHT:
-        raise InvalidInput(
-            f"{flag}: numerator and denominator must be at most "
-            f"{MAX_PARAM_HEIGHT} in absolute value, got {format_rational(x)}"
-        )
-    return x
-
-
-def _parameters(flag: str, text: str) -> tuple:
-    return tuple(_capped(flag, x) for x in _rational_list(flag, text))
-
-
-def _parse_n_range(flag: str, text: str) -> range:
-    try:
-        lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
-    except ValueError as exc:
-        raise RationalParseError(f"{flag}: expected LO:HI, got {text!r}") from exc
-    if not 0 < lo <= hi:
-        raise RationalParseError(f"{flag}: need 0 < LO <= HI, got {text!r}")
-    if hi - lo + 1 < MIN_FIT_SIZES:
-        raise InvalidInput(
-            f"{flag}: the rate fits need at least {MIN_FIT_SIZES} sizes n, "
-            f"got {text!r}")
-    return range(lo, hi + 1)  # inclusive upper end on the command line
-
-
-def _integer(flag: str, value) -> int:
-    """argparse already hands over ints; values from --config may be anything."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInput(f"{flag}: expected an integer, got {value!r}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,146 +193,61 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
+def _list_commands(argv) -> None:
+    """Parse an argv that starts with no command by a parser that lists the
+    commands: it prints the help, or exits 1 on a usage error."""
     top = _Parser(
         prog="hgpade",
         description="simultaneous Pade systems, Wronskian certification and "
         "effective irrationality measures over Q",
     )
     sub = top.add_subparsers(dest="command", metavar="|".join(COMMANDS))
+    for command, (text, _) in COMMANDS.items():
+        sub.add_parser(command, help=text)
+    top.parse_args(argv)
 
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON file whose keys mirror the flags")
-    common.add_argument("--out", help="report file (default: stdout)")
-    common.add_argument("--format", choices=("json", "csv", "text"), default=None)
-    common.add_argument("--seed", type=int, default=None)
 
-    spec_args = _Parser(add_help=False)
-    spec_args.add_argument("--a", help="upper parameters, e.g. 1/3,1/4")
-    spec_args.add_argument("--b", help="lower parameters, e.g. 1/2 (may be empty)")
-    spec_args.add_argument("--c0", help="seed coefficient (default: prod a / prod b)")
-
-    inst = _Parser(add_help=False)
-    inst.add_argument("--alphas", help="evaluation points, e.g. 1,2")
-    inst.add_argument("--n", type=int, help="weight parameter")
-
-    p = sub.add_parser("build", parents=[common, spec_args, inst],
-                       help="construct a full approximant system")
-    p.add_argument("--truncation", type=int)
-
-    p = sub.add_parser("verify", parents=[common, spec_args, inst],
-                       help="re-check every invariant of a system")
-    p.add_argument("--system", help="system JSON produced by build")
-
-    sub.add_parser("wronskian", parents=[common, spec_args, inst],
-                   help="run the full non-vanishing certification chain")
-
-    p = sub.add_parser("criterion", parents=[common, spec_args, inst],
-                       help="measure the effective irrationality criterion")
-    p.add_argument("--beta", help="rational evaluation point (default 10^6)")
-    p.add_argument("--place", help="inf or a prime p (default inf)")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--n-range", help="fit window LO:HI inclusive (default 4:16)")
-
-    p = sub.add_parser("min-beta", parents=[common, spec_args, inst],
-                       help="smallest integer beta certifying V > 0")
-    p.add_argument("--place", help="inf or a prime p (default inf)")
-    p.add_argument("--search-bound", type=int)
-    p.add_argument("--n-range", help="fit window LO:HI inclusive (default 4:12)")
-
-    p = sub.add_parser("eval", parents=[common, spec_args],
-                       help="certified values F_0(z)..F_{r-1}(z)")
-    p.add_argument("--z", help="rational argument, |z| < 1")
-    p.add_argument("--bits", type=int)
-
-    p = sub.add_parser("suite", parents=[common],
-                       help="run the desk-scale acceptance matrix")
-    p.add_argument("--level", default=None)
-    return top
+def _config_file(path: str, command: str, flags) -> dict:
+    """The text of each value of the --config file, by flag; a key that is
+    not one of the command's flags exits 1, named.  A value that is not a
+    JSON string is read as its JSON text, and null as no value."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvalidInput(f"--config: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInput("--config: expected a JSON object of flag values")
+    texts = {}
+    for key, value in data.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags or flag == "--config":
+            raise InvalidInput(f"--config: {key!r} is not a flag of {command}")
+        if value is not None:
+            texts[flag] = value if isinstance(value, str) else json.dumps(value)
+    return texts
 
 
 def config_from_args(argv) -> RunConfig:
-    args = _build_parser().parse_args(argv)
-    if args.command is None:
+    argv = list(argv)
+    if not argv or argv[0] not in COMMANDS:
+        _list_commands(argv)
         raise RationalParseError("no command given; see hgpade --help")
-
-    file_cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidInput(f"--config: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise InvalidInput("--config: expected a JSON object of flag values")
-        file_cfg = {str(k).replace("-", "_"): v for k, v in file_cfg.items()}
-
-    def pick(name, default=None):
-        got = getattr(args, name, None)
-        if got is not None:
-            return got
-        if name in file_cfg and file_cfg[name] is not None:
-            return file_cfg[name]
-        return default
-
-    cfg = RunConfig(command=args.command)
-    cfg.out = pick("out")
-    cfg.format = pick("format", "json")
-    if cfg.format not in ("json", "csv", "text"):
-        raise RationalParseError(f"--format: unknown format {cfg.format!r}")
-    cfg.seed = _integer("--seed", pick("seed", SUITE_SEED))
-
-    a = pick("a")
-    if a is not None:
-        cfg.a = _parameters("--a", str(a))
-    b = pick("b")
-    if b is not None:
-        cfg.b = _parameters("--b", str(b))
-    c0 = pick("c0")
-    if c0 is not None:
-        cfg.c0 = _named("--c0", str(c0), parse_rational)
-    alphas = pick("alphas")
-    if alphas is not None:
-        cfg.alphas = _rational_list("--alphas", str(alphas))
-        if not cfg.alphas:
-            raise RationalParseError("--alphas: need at least one point")
-    n = pick("n")
-    if n is not None:
-        cfg.n = _integer("--n", n)
-    beta = pick("beta")
-    if beta is not None:
-        cfg.beta = _named("--beta", str(beta), parse_rational)
-        if cfg.beta == 0:
-            raise InvalidInput("--beta: need a nonzero rational")
-    place = pick("place")
-    if place is not None:
-        cfg.place = _named("--place", str(place), parse_place)
-    eps = pick("epsilon")
-    if eps is not None:
-        cfg.epsilon = _named("--epsilon", str(eps), float)
-        if not (math.isfinite(cfg.epsilon) and cfg.epsilon > 0):
-            raise InvalidInput(f"--epsilon: need a finite value > 0, got {eps!r}")
-    bits = pick("bits")
-    if bits is not None:
-        cfg.bits = _integer("--bits", bits)
-        if not 1 <= cfg.bits <= MAX_BITS:
-            raise InvalidInput(f"--bits: need 1 <= bits <= {MAX_BITS}, got {bits!r}")
-    z = pick("z")
-    if z is not None:
-        cfg.z = _capped("--z", _named("--z", str(z), parse_rational))
-    nr = pick("n_range")
-    if nr is not None:
-        cfg.n_range = _parse_n_range("--n-range", str(nr))
-    cfg.system = pick("system")
-    sb = pick("search_bound")
-    if sb is not None:
-        cfg.search_bound = _integer("--search-bound", sb)
-        if cfg.search_bound < 1:
-            raise InvalidInput(f"--search-bound: need >= 1, got {sb!r}")
-    tr = pick("truncation")
-    if tr is not None:
-        cfg.truncation = _integer("--truncation", tr)
-    cfg.level = str(pick("level", "desk"))
+    command = argv[0]
+    about, flags = COMMANDS[command]
+    # no abbreviations, as in --config: criterion's --n-range is not --n
+    parser = _Parser(prog=f"hgpade {command}", description=about, allow_abbrev=False)
+    for flag in flags:
+        parser.add_argument(flag, help=FLAGS[flag][0])
+    cfg = parser.parse_args(argv[1:], namespace=RunConfig(command))
+    texts = _config_file(cfg.config, command, flags) if cfg.config else {}
+    for flag in flags:
+        _, default, parse = FLAGS[flag]
+        dest = flag[2:].replace("-", "_")
+        text = getattr(cfg, dest)
+        if text is None:
+            text = texts.get(flag)
+        setattr(cfg, dest, default if text is None else parse(flag, text))
     return cfg
 
 
@@ -410,11 +381,10 @@ def _cmd_wronskian(cfg: RunConfig) -> int:
 
 def _cmd_criterion(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    beta = cfg.beta if cfg.beta is not None else Fraction(10**6)
     inst = Instance(spec, cfg.alphas, cfg.n_range or range(4, 17))
-    report = measure(inst, beta, cfg.place, cfg.epsilon)
+    report = measure(inst, cfg.beta, cfg.place, cfg.epsilon)
     out = report.to_jsonable()
-    out["beta"] = beta
+    out["beta"] = cfg.beta
     emit_report(out, cfg.format, cfg.out)
     return 0 if report.verdict else 1
 

@@ -40,7 +40,7 @@ from .errors import (
     InvalidInput,
 )
 from .numerics import remainder_value
-from .pade import _P_family, build_system
+from .pade import _P_family, build_system, default_truncation
 from .polyops import poly_eval
 
 
@@ -201,6 +201,8 @@ class Instance:
         self.spec = spec
         self.alphas = tuple(Fraction(a) for a in alphas)
         self.n_range = n_range
+        if n_range:  # a window past the cap is refused before any build
+            default_truncation(spec.r, len(self.alphas), max(n_range))
 
     @cached_property
     def systems(self) -> dict:

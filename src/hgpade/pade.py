@@ -63,18 +63,24 @@ from .polyops import (
 )
 
 
-def default_truncation(r: int, m: int, n: int) -> int:
-    """The 1/z-window of a system built without a truncation.  Delta and
-    Theta need only n + 2 (`wronskian.delta_of_system`); this longer window
-    is the one the `build` and `verify` reports hold, and the criterion's
-    remainder sums take their first stop test at its end."""
-    return r * m * (n + 1) + n + 5
-
-
 # a window's integers grow with its length, so its cost grows faster than the
 # square: `build` r = 2, m = 2, n = 2 took 1.0 s at truncation 512, 4.2 s at
 # 1024, 22 s at 2048 (2-core Xeon), and 10^9 exhausts memory
 MAX_TRUNCATION = 1024
+
+
+def default_truncation(r: int, m: int, n: int) -> int:
+    """The 1/z-window of a system built without a truncation.  Delta and
+    Theta need only n + 2 (`wronskian.delta_of_system`); this longer window
+    is the one the `build` and `verify` reports hold, and the criterion's
+    remainder sums take their first stop test at its end.  An n whose
+    window is longer than MAX_TRUNCATION is refused, naming n."""
+    truncation = r * m * (n + 1) + n + 5
+    if truncation > MAX_TRUNCATION:
+        raise InvalidInput(
+            f"n = {n}: the default window rm(n + 1) + n + 5 at r = {r}, m = {m} "
+            f"has {truncation} terms, more than {MAX_TRUNCATION}")
+    return truncation
 
 
 def check_truncation(n: int, truncation: int) -> None:
@@ -102,18 +108,6 @@ def base_polynomial(alphas, rn: int, ell: int) -> Poly:
                 out[d + k] += x * y
         g, den = out, den * q**rn
     return [Fraction(0)] * ell + [Fraction(c, den) for c in g]
-
-
-def poly_pow_linear(c: Fraction, e: int) -> Poly:
-    """(t + c)^e by binomials (c = -alpha gives (t - alpha)^e)."""
-    out = [Fraction(0)] * (e + 1)
-    binom = 1
-    power = Fraction(1)
-    for k in range(e, -1, -1):
-        out[k] = binom * power
-        binom = binom * k // (e - k + 1)
-        power *= c
-    return out
 
 
 def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
@@ -375,8 +369,9 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     All P_ell come from one multiplier table (`_P_family`).  The z^j
     coefficient of P_{ell,i,s} is sum_k w_k P_ell[j+1+k], the Horner form of
     the divided difference: one `_dot_rows` call on P_ell[1:] over integers,
-    against the weights below deg P_rm, scaled once per (i, s).  A given
-    truncation is checked before anything is built (`check_truncation`).
+    against the weights below deg P_rm, scaled once per (i, s).  The window
+    is checked before anything is built: a given truncation by
+    `check_truncation`, the default one by `default_truncation`.
     When cross_check is set (the default), the built system must pass
     `contract_failures`, one literal product per (ell, i, s) over the whole
     window; any failure is a theory violation, not a warning.  A caller that

@@ -54,16 +54,6 @@ def poly_deg(p: Poly):
     return len(p) - 1 if p else NEG_INF
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []

@@ -611,7 +611,7 @@ def run_suite(level: str = "desk", seed: int = SUITE_SEED, shared=None,
     details) and the rest still run.
     """
     if level != "desk":
-        raise InvalidInput(f"unknown suite level {level!r}; only 'desk' exists")
+        raise InvalidInput(f"--level: unknown suite level {level!r}; only 'desk' exists")
     shared = {} if shared is None else shared
     results = []
     for fn in CHECKS:

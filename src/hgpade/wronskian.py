@@ -47,14 +47,14 @@ from .pade import (
     base_polynomial,
     build_system,
     contract_failures,
-    poly_pow_linear,
 )
 from .polyops import (
     HypergeometricSpec,
     Poly,
+    _scaled,
     correlate,
     phi_zeta_s,
-    poly_add,
+    poly_from_roots,
     poly_mul,
     zeta_prefix_weights,
 )
@@ -121,17 +121,13 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     for i, s in _row_index_pairs(r, m):
         rows.append([system.Pis[(ell, i, s)] for ell in range(N + 1)])
     at_0 = det_bareiss([[p[0] if p else Fraction(0) for p in row] for row in rows])
-    at_1 = det_bareiss([[_value_at_1(p) for p in row] for row in rows])
+    # each p(1) summed on integers over the lcm of p's denominators
+    at_1 = det_bareiss([[Fraction(sum(ints), den) for den, ints in map(_scaled, row)]
+                        for row in rows])
     if at_0 != at_1:
         raise NonconstantDeterminant(
             f"nonconstant determinant: Delta(0) = {at_0} != Delta(1) = {at_1}")
     return at_0
-
-
-def _value_at_1(p: Poly) -> Fraction:
-    """p(1), summed on integers over the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in p))
-    return Fraction(sum(c.numerator * (den // c.denominator) for c in p), den)
 
 
 def theta_det(system: PadeSystem) -> Fraction:
@@ -197,11 +193,10 @@ def a0s_change_of_basis(spec: HypergeometricSpec, n: int, s: int) -> Fraction:
     """Independent route: expand prod_{j=1}^n A(X - j) in the falling basis
     B_k(X) = prod_{w=1}^k (X + gamma_{r-s-1+w}) (gamma extended periodically)
     and return the constant-term coordinate."""
-    A = spec.A_poly()
     prod = [Fraction(1)]
     for j in range(1, n + 1):
-        # A(X - j) via composition with shift
-        prod = poly_mul(prod, _poly_compose_shift(A, -j))
+        # A(X - j) = prod_i (X + eta_i - j)
+        prod = poly_mul(prod, poly_from_roots([e - j for e in spec.eta]))
     basis = [[Fraction(1)]]
     for k in range(1, len(prod)):
         g = spec.gamma_ext(spec.r - s - 1 + k)
@@ -216,15 +211,6 @@ def a0s_change_of_basis(spec: HypergeometricSpec, n: int, s: int) -> Fraction:
     if any(c != 0 for c in rest):
         raise TheoryViolation("falling-basis expansion failed to terminate")
     return coords[0]
-
-
-def _poly_compose_shift(p: Poly, h: Fraction) -> Poly:
-    """p(X + h), exact (Horner in (X + h))."""
-    h = Fraction(h)
-    out = []
-    for c in reversed(p):
-        out = poly_add(poly_mul(out, [h, Fraction(1)]), [c])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +476,10 @@ def _partial_fractions(spec: HypergeometricSpec, s: int):
     # multiply through by prod (X+zhat_j)^{mult_j}: 1 = sum p_{j,k} B_{j,k}(X)
     cols = []
     for j, k in pairs:
-        B = [Fraction(1)]
-        B = poly_mul(B, poly_pow_linear(zhat[j], mult[j] - k))
+        B = base_polynomial((-zhat[j],), mult[j] - k, 0)
         for j2 in range(len(zhat)):
             if j2 != j and mult[j2]:
-                B = poly_mul(B, poly_pow_linear(zhat[j2], mult[j2]))
+                B = poly_mul(B, base_polynomial((-zhat[j2],), mult[j2], 0))
         cols.append(B)
     size = s + 1
     mat = [[cols[c][row] if row < len(cols[c]) else Fraction(0) for c in range(len(pairs))]
@@ -587,7 +572,7 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     alphas = [Fraction(a) for a in alphas]
     r, m = spec.r, len(alphas)
     flags = spec.hypothesis_flags()
-    flags_pass = all(ok for ok, _ in flags.values())
+    flags_pass = spec.flags_pass()
     zero_links = []
     checks = {}
 

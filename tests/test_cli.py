@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from hgpade import criterion
 from hgpade.arith import Place, format_rational, parse_rational
-from hgpade.cli import emit_report, main
+from hgpade.cli import COMMANDS, MAX_N, emit_report, main
 
 R2 = ["--a", "1/3,1/4", "--b", "1/2"]
 
@@ -192,9 +192,9 @@ def test_verify_reports_a_broken_build(monkeypatch, capsys):
     (["build", "--a=1/3", "--alphas=1", "--n=1", "--truncation=-5"], None),
     (["build", "--a=1/3", "--alphas=1", "--n=3", "--truncation=4"], None),
     (["build", "--a=1/3", "--alphas=1", "--truncation=-" + str(10**30)], {"n": 2}),
-    # verify reads a truncation from --config only
     (["verify", "--a=1/3", "--alphas=1", "--n=1"], {"truncation": 10**9}),
     (["verify", "--a=1/3", "--alphas=1", "--n=2"], {"truncation": 3}),
+    (["verify", "--a=1/3", "--alphas=1", "--n=2", "--truncation=3"], None),
 ])
 def test_bad_truncation_exits_1_before_any_build(argv, config, monkeypatch, tmp_path,
                                                  capsys):
@@ -214,6 +214,33 @@ def test_bad_truncation_exits_1_before_any_build(argv, config, monkeypatch, tmp_
     captured = capsys.readouterr()
     assert "InvalidInput: --truncation" in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, named", [
+    # past the cap on --n, at once, where wronskian used to name --truncation
+    (["wronskian", "--a=1/3,1/4", "--b=1/2", "--alphas=1", "--n=2000"], "--n"),
+    (["build", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", f"--n={MAX_N + 1}"], "--n"),
+    (["build", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=300"], "--n"),
+    (["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1", f"--n-range=4:{MAX_N + 1}"],
+     "--n-range"),
+    # within the cap on --n, but the default window rm(n + 1) + n + 5 is not
+    (["build", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=250"], "n = 250"),
+    (["verify", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=250"], "n = 250"),
+    (["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n-range=4:250"],
+     "n = 250"),
+])
+def test_large_n_exits_1_before_any_build(argv, named, monkeypatch, capsys):
+    import hgpade.pade
+
+    def no_build(*args):
+        raise AssertionError("built a system for a refused n")
+
+    monkeypatch.setattr(hgpade.pade, "_P_family", no_build)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f": {named}" in captured.err
+    assert "--truncation" not in captured.err
     assert captured.out == ""
 
 
@@ -470,6 +497,43 @@ def test_cli_flags_override_config(tmp_path, capsys):
     assert _json_out(capsys)["n"] == 2
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    # misspelled, or a flag of another command: both were ignored
+    (["build", *R2, "--alphas=1", "--n=1"], {"alpha": "1,2", "bits": 64}, "alpha"),
+    (["build", *R2, "--alphas=1", "--n=1"], {"bits": 64}, "bits"),
+    (["eval", *R2, "--z=1/7"], {"n": 1}, "n"),
+    (["wronskian", *R2, "--alphas=1", "--n=1"], {"n_range": "4:7"}, "n_range"),
+    (["suite"], {"seed": 0, "a": "1/3"}, "a"),
+    (["criterion", *R2, "--alphas=1"], {"command": "eval"}, "command"),
+    (["build", *R2, "--alphas=1", "--n=1"], {"config": "other.json"}, "config"),
+])
+def test_config_key_outside_the_commands_flags_exits_1(argv, config, key, tmp_path,
+                                                       capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([*argv, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"--config: {key!r} is not a flag of {argv[0]}" in captured.err
+    assert captured.out == ""
+
+
+def test_argv_and_config_values_share_one_parser(tmp_path, capsys):
+    # the same bad text gives the same error whether it comes from argv or
+    # from --config, for every flag of every command (--out would write a
+    # file, and --config names the file itself)
+    path = tmp_path / "cfg.json"
+    for command, (_, flags) in COMMANDS.items():
+        for flag in flags:
+            if flag in ("--out", "--config"):
+                continue
+            assert main([command, f"{flag}=x"]) == 1, (command, flag)
+            from_argv = capsys.readouterr().err
+            path.write_text(json.dumps({flag[2:]: "x"}))
+            assert main([command, "--config", str(path)]) == 1, (command, flag)
+            assert capsys.readouterr().err == from_argv
+            assert flag in from_argv, (command, flag)
+
+
 def test_config_file_must_be_a_json_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
@@ -505,6 +569,15 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
       "--n-range=20:22"], None, "--n-range"),
     (["min-beta", *R2, "--alphas", "1", "--search-bound=100000"],
      {"n_range": "20:22"}, "--n-range"),
+    # a config value is read as its JSON text: neither true nor 2.0 is an integer
+    (["build", *R2, "--alphas", "1"], {"n": True}, "--n"),
+    (["build", *R2, "--alphas", "1"], {"n": 2.0}, "--n"),
+    (["wronskian", *R2, "--alphas", "1"], {"n": 2000}, "--n"),
+    (["criterion", *R2, "--alphas", "1"], {"epsilon": True}, "--epsilon"),
+    (["criterion", *R2, "--alphas", "1", "--format=yaml"], None, "--format"),
+    (["criterion", *R2, "--alphas", "1"], {"format": "yaml"}, "--format"),
+    # flags are never abbreviated: --n is not criterion's --n-range
+    (["criterion", *R2, "--alphas", "1", "--n=4:7"], None, "unrecognized arguments: --n="),
 ])
 def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -527,8 +600,8 @@ _HUGE = str(10**30)
 
 # Valid values keep each run cheap (n <= 2, windows within 4:7, bits <= 256,
 # search bounds <= 16).  Huge integers go only where they are rejected or
-# cost nothing: a huge n would make a valid but endless run, and a huge a, b
-# or z (also one of modulus just below 1) is rejected by the height cap.
+# cost nothing: a huge n or top of --n-range is rejected by the cap on n,
+# and a huge a, b or z (also one of modulus just below 1) by the height cap.
 _SPECS = (("1/3,1/4", "1/2"), ("1/3", ""), ("1/5,2/7", "1/2"))
 _VALID = {
     "--c0": ("1", "2/3"),
@@ -550,30 +623,25 @@ _ODD = {
     "--b": (_HUGE, "1/" + _HUGE),
     "--c0": (_HUGE,),
     "--alphas": (_HUGE, "1,1"),
-    "--n": ("-" + _HUGE,),
+    "--n": ("-" + _HUGE, _HUGE),
     "--truncation": ("-" + _HUGE,),
     "--beta": (_HUGE, "1/2"),
     "--place": ("4", "p", _HUGE),
     "--epsilon": ("1e400", _HUGE),
     "--bits": ("16384", _HUGE),
     "--z": ("1", _HUGE, "-999999999/1000000000"),
-    "--n-range": ("7:4", "0:7", "4:5", _HUGE),
+    "--n-range": ("7:4", "0:7", "4:5", _HUGE, "4:" + _HUGE),
     "--search-bound": ("-" + _HUGE,),
     "--seed": (_HUGE,),
     "--format": ("yaml",),
     "--level": ("full",),
     "--system": ("no-such-system.json",),
+    "--config": ("no-such-config.json",),
 }
-_SPEC = ("--a", "--b", "--c0")
-_FLAGS = {
-    "build": (*_SPEC, "--alphas", "--n", "--truncation"),
-    "verify": (*_SPEC, "--alphas", "--n", "--truncation", "--system"),
-    "wronskian": (*_SPEC, "--alphas", "--n"),
-    "criterion": (*_SPEC, "--alphas", "--beta", "--place", "--epsilon", "--n-range"),
-    "min-beta": (*_SPEC, "--alphas", "--place", "--search-bound", "--n-range"),
-    "eval": (*_SPEC, "--z", "--bits"),
-    "suite": ("--level",),
-}
+# each command's flags, from the CLI's own table; --out is left out, since
+# any value writes a file
+_FLAGS = {command: tuple(flag for flag in flags if flag != "--out")
+          for command, (_, flags) in COMMANDS.items()}
 # given a valid value unless drawn bad: without them a run stops at once,
 # or (--n-range) falls back to an expensive default window
 _NEEDED = ("--a", "--b", "--alphas", "--n", "--z", "--n-range", "--search-bound")
@@ -591,7 +659,7 @@ def _exits_cleanly(argv):
 def test_each_bad_value_exits_cleanly(command):
     # every bad value of every flag, the other flags at a cheap valid value
     # (r = 1); a valid --level would run the whole suite, so it stays bad
-    flags = (*_FLAGS[command], "--format", "--seed")
+    flags = _FLAGS[command]
     base = {"--a": "1/3", "--b": "", "--level": "full"}
     base.update((flag, values[0]) for flag, values in _VALID.items())
     base = {flag: base[flag] for flag in flags if flag in base}
@@ -607,10 +675,11 @@ def _argvs(draw):
     a valid value or are left out.  --level is always bad, since a valid
     level runs the whole suite."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
-    flags = (*_FLAGS[command], "--format", "--seed")
+    flags = _FLAGS[command]
     bad = draw(st.sets(st.sampled_from(flags), max_size=2))
     a, b = draw(st.sampled_from(_SPECS))
-    valid = {**_VALID, "--a": (a,), "--b": (b,), "--level": (), "--system": ()}
+    valid = {**_VALID, "--a": (a,), "--b": (b,), "--level": (), "--system": (),
+             "--config": ()}
     argv = [command]
     for flag in flags:
         if flag in bad or flag == "--level":

@@ -17,7 +17,6 @@ from hgpade.pade import (
     build_system,
     contract_failures,
     default_truncation,
-    poly_pow_linear,
     remainder,
     solve_pade_nullspace,
     verify_system,
@@ -68,6 +67,27 @@ def test_bad_truncation_is_refused_before_any_build(spec_r2, monkeypatch, n, tru
         build_system(spec_r2, (F(1),), n, truncation=truncation)
 
 
+def test_a_default_window_past_the_cap_is_refused_before_any_build(spec_r2, monkeypatch):
+    # rm(n + 1) + n + 5 is 1259 at r = m = 2, n = 250: build_system refuses
+    # it, naming n and the window's length, and so does a criterion window
+    # that reaches that n, before a single P_ell is made
+    import hgpade.pade
+    from hgpade.criterion import Instance
+
+    def no_build(*args):
+        raise AssertionError("built a system for a refused window")
+
+    monkeypatch.setattr(hgpade.pade, "_P_family", no_build)
+    alphas = (F(1), F(2))
+    assert default_truncation(2, 2, 203) == MAX_TRUNCATION
+    for refused in (lambda: build_system(spec_r2, alphas, 250),
+                    lambda: build_system(spec_r2, alphas, 204, cross_check=False),
+                    lambda: Instance(spec_r2, alphas, range(4, 251))):
+        with pytest.raises(InvalidInput, match=r"^n = (250|204): .* (1259|1029) terms") as info:
+            refused()
+        assert "--truncation" not in str(info.value)
+
+
 def test_shortest_and_longest_truncations_build(toy_spec):
     short = build_system(toy_spec, (F(1),), 1, truncation=3)
     assert short.R[(0, 1, 0)].truncation == 3 and verify_system(short)["ok"]
@@ -75,11 +95,14 @@ def test_shortest_and_longest_truncations_build(toy_spec):
                         cross_check=False).truncation == MAX_TRUNCATION
 
 
-def test_poly_pow_linear():
-    assert poly_pow_linear(F(-2), 3) == poly_trim(
+def test_base_polynomial_of_one_point_is_a_binomial_power():
+    # (t + c)^e as base_polynomial((-c,), e, 0), the form the partial
+    # fractions of `wronskian` use
+    assert base_polynomial((F(2),), 3, 0) == poly_trim(
         poly_mul(poly_mul([F(-2), F(1)], [F(-2), F(1)]), [F(-2), F(1)])
     )
-    assert poly_pow_linear(F(5), 0) == [F(1)]
+    assert base_polynomial((F(-1, 2),), 2, 0) == [F(1, 4), F(1), F(1)]
+    assert base_polynomial((F(-5),), 0, 0) == [F(1)]
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)

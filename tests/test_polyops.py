@@ -16,7 +16,6 @@ from hgpade.polyops import (
     expand_F_s,
     f_s_coefficient,
     phi_zeta_s,
-    poly_add,
     poly_deg,
     poly_eval,
     poly_from_roots,
@@ -67,7 +66,7 @@ def poly_divexact_linear(p, alpha):
 def test_poly_basics():
     p = [F(1), F(2)]        # 1 + 2x
     q = [F(0), F(0), F(3)]  # 3x^2
-    assert poly_add(p, q) == [F(1), F(2), F(3)]
+    assert poly_mul(p, q) == [F(0), F(0), F(3), F(6)]
     assert poly_mul(p, p) == [F(1), F(4), F(4)]
     assert poly_deg([]) < 0  # zero polynomial: distinguished -inf degree
     assert poly_deg(p) == 1
@@ -82,6 +81,17 @@ def test_poly_from_roots_and_divexact():
     assert poly_divexact_linear(p, F(1)) == [F(-2), F(1)]
     with pytest.raises(InvalidInput):
         poly_divexact_linear([F(1), F(1)], F(1))  # x + 1 not divisible by x - 1
+
+
+@given(st.lists(small_rationals, max_size=4), small_rationals)
+def test_poly_from_roots_of_shifted_roots_is_the_shifted_polynomial(roots, h):
+    # prod (X + root + h) = A(X + h) for A = prod (X + root), the form in
+    # which `wronskian.a0s_change_of_basis` takes A(X - j): two monic
+    # polynomials of degree d that agree at d + 1 points
+    shifted, A = poly_from_roots([rt + h for rt in roots]), poly_from_roots(roots)
+    assert len(shifted) == len(A)
+    for x in range(len(roots) + 1):
+        assert poly_eval(shifted, F(x)) == poly_eval(A, x + h)
 
 
 @given(polys, polys)
