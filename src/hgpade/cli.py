@@ -144,7 +144,6 @@ FLAGS = {
     "--bits": (f"precision, 1 <= bits <= {MAX_BITS} (default 128)", 128,
                _checked(_integer, lambda bits: 1 <= bits <= MAX_BITS,
                         f"1 <= bits <= {MAX_BITS}")),
-    "--level": ("suite level; desk, the default, is the only one", "desk", _text),
 }
 
 _COMMON = ("--config", "--out", "--format")
@@ -165,17 +164,19 @@ COMMANDS = {
                  (*_COMMON, *_SPEC, "--alphas", "--place", "--search-bound",
                   "--n-range")),
     "eval": ("certified values F_0(z)..F_{r-1}(z)", (*_COMMON, *_SPEC, "--z", "--bits")),
-    "suite": ("run the desk-scale acceptance matrix", (*_COMMON, "--level", "--seed")),
+    "suite": ("run the desk-scale acceptance matrix", (*_COMMON, "--seed")),
 }
 
 
 class RunConfig:
-    """One command's configuration: its name, and one attribute per flag of
-    the command (`COMMANDS`), named by the flag's argparse dest, holding the
+    """One command's configuration: its name, the set `given` of the flags
+    whose text came from argv or --config, and one attribute per flag of the
+    command (`COMMANDS`), named by the flag's argparse dest, holding the
     parsed value or the flag's default."""
 
     def __init__(self, command: str):
         self.command = command
+        self.given = set()
 
     def spec(self) -> HypergeometricSpec:
         if not self.a:
@@ -247,6 +248,8 @@ def config_from_args(argv) -> RunConfig:
         text = getattr(cfg, dest)
         if text is None:
             text = texts.get(flag)
+        if text is not None:
+            cfg.given.add(flag)
         setattr(cfg, dest, default if text is None else parse(flag, text))
     return cfg
 
@@ -315,8 +318,11 @@ def emit_report(report, fmt: str = "json", path: str | None = None) -> str:
     else:
         text = _render_text(data) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"--out: {exc}") from exc
     else:
         sys.stdout.write(text)
     return text
@@ -346,6 +352,10 @@ def _cmd_build(cfg: RunConfig) -> int:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     if cfg.system is not None:
+        for flag in (*_SPEC, "--alphas", "--n", "--truncation"):
+            if flag in cfg.given:
+                raise InvalidInput(f"{flag}: not allowed with --system, which "
+                                   "gives the whole system")
         try:
             with open(cfg.system, encoding="utf-8") as fh:
                 system = PadeSystem.from_jsonable(json.load(fh))
@@ -437,11 +447,11 @@ def _cmd_suite(cfg: RunConfig) -> int:
         print(f"{mark} {res.check_id:24} {res.runtime:7.2f}s "
               f"(budget {res.budget_s:.0f}s)", file=sys.stderr)
 
-    results = run_suite(level=cfg.level, seed=cfg.seed, progress=progress)
+    results = run_suite(seed=cfg.seed, progress=progress)
     all_passed = all(r.passed for r in results)
     with_timing = cfg.format == "text"  # timings are measurement, not data
     report = {
-        "level": cfg.level,
+        "level": "desk",
         "seed": cfg.seed,
         "all_passed": all_passed,
         "checks": [r.to_jsonable(with_timing=with_timing) for r in results],

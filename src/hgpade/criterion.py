@@ -125,13 +125,6 @@ class HeightData:
     h_v: dict  # place name ("inf" or the prime) -> float
     h: float
 
-    def to_jsonable(self) -> dict:
-        return {
-            "vector": [str(x) for x in self.vector],
-            "h_v": dict(self.h_v),
-            "h": self.h,
-        }
-
 
 def _h_arch(vec) -> float:
     top = max(abs(Fraction(x)) for x in vec)

@@ -1,10 +1,13 @@
-"""Desk-scale acceptance matrix: ten independent checks over the exact kernel.
+"""Desk-scale acceptance matrix: ten checks over the exact kernel, one table.
 
-Each check builds what it needs (sharing a system cache when run together
-via `run_suite`), returns a CheckResult and never prints; both the `hgpade
-suite` command and the test suite consume the same functions.  Failure
-details name the internal check id plus the offending instance label, so a
-red run points straight at the broken link.
+`CHECKS` has one row per check: its id, its description, its wall-clock
+budget and its body.  A body takes the run's `Desk`, which builds the grid
+systems, their contracts and the criterion instance once, on first read, and
+returns (passed, details); it never prints and never reads a clock.
+`run_check` times one row and records a body that raises as a failed check;
+`run_suite` runs every row on one Desk.  Both the `hgpade suite` command and
+the test suite run the rows through `run_check`.  Failure details name the
+offending instance label, so a red run points straight at the broken link.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import D_n_profile, Place, format_rational, log_mu, totient
 from .criterion import Instance, criterion_V, decay_fit_R, measure, min_beta
-from .errors import InvalidInput, SingularEigenvalue
+from .errors import SingularEigenvalue
 from .numerics import _f_closed, _f_direct, check_remainder_identity
 from .pade import build_system, contract_failures, solve_pade_nullspace
 from .polyops import (
@@ -90,65 +94,63 @@ class CheckResult:
         return out
 
 
-def _grid_systems(shared: dict) -> dict:
-    # built without the cross-check: every check that needs the contract
-    # runs `contract_failures` itself
-    built = shared.setdefault("grid", {})
-    if not built:
+class Desk:
+    """What the checks of one run share, each part built on its first read."""
+
+    def __init__(self, seed: int = SUITE_SEED):
+        self.seed = seed
+
+    @cached_property
+    def grid(self) -> dict:
+        """label -> (spec, alphas, n, system) over `GRID`, built without the
+        cross-check: `contracts` runs `contract_failures` once per system."""
         specs = {"r2": spec_r2(), "r3": spec_r3()}
+        built = {}
         for key, m, ns in GRID:
             alphas = tuple(Fraction(j) for j in range(1, m + 1))
             for n in ns:
-                label = f"{key}m{m}n{n}"
-                built[label] = (specs[key], alphas, n,
-                                build_system(specs[key], alphas, n, cross_check=False))
-    return built
+                built[f"{key}m{m}n{n}"] = (
+                    specs[key], alphas, n,
+                    build_system(specs[key], alphas, n, cross_check=False))
+        return built
+
+    @cached_property
+    def contracts(self) -> dict:
+        """label -> `contract_failures` of its grid system, read by
+        pade-contract and nullspace-membership (Delta checks its own
+        hypotheses)."""
+        return {label: contract_failures(system)
+                for label, (_, _, _, system) in self.grid.items()}
+
+    @cached_property
+    def criterion(self) -> Instance:
+        return Instance(spec_r2(), (Fraction(1),), range(4, 17))
 
 
-def _grid_contract(shared: dict, label: str) -> list:
-    # one `contract_failures` per grid system, read by pade-contract and
-    # nullspace-membership (Delta checks its own hypotheses)
-    done = shared.setdefault("contract", {})
-    if label not in done:
-        done[label] = contract_failures(_grid_systems(shared)[label][3])
-    return done[label]
-
-
-def check_pade_contract(shared=None, seed=SUITE_SEED) -> CheckResult:
+def check_pade_contract(desk: Desk):
     """Degrees rmn+ell exact and every remainder of order >= n+1 on the grid:
     the system contract (`contract_failures`)."""
-    shared = {} if shared is None else shared
-    t0 = time.perf_counter()
     rows, ok = [], True
-    for label in sorted(_grid_systems(shared)):
-        failures = _grid_contract(shared, label)
+    for label in sorted(desk.grid):
+        failures = desk.contracts[label]
         here = not failures
         ok = ok and here
         row = {"instance": label, "ok": here}
         if failures:
             row["failures"] = failures
         rows.append(row)
-    return CheckResult(
-        "pade-contract",
-        "deg P_ell = rmn+ell and ord R >= n+1, exact, across the (r,m,n) grid",
-        ok,
-        time.perf_counter() - t0,
-        60.0,
-        {"instances": rows},
-    )
+    return ok, {"instances": rows}
 
 
-def check_nullspace_membership(shared=None, seed=SUITE_SEED) -> CheckResult:
+def check_nullspace_membership(desk: Desk):
     """The constructed family solves the order-condition kernel of its own
     instance matrix: the ell=0 column is annihilated by the literal matrix
     rows, spans the (1-dimensional) kernel the solver finds at M = rmn, and
     every column passes the system contract (`contract_failures`).  The
     series F_s(alpha_i/z) come from their product formula (`expand_F_s`),
     not from the construction's psi weights."""
-    shared = {} if shared is None else shared
-    t0 = time.perf_counter()
     rows, ok = [], True
-    for label, (spec, alphas, n, system) in sorted(_grid_systems(shared).items()):
+    for label, (spec, alphas, n, system) in sorted(desk.grid.items()):
         r, m = spec.r, len(alphas)
         M = r * m * n
         tails = [expand_F_s(spec, alpha, s, n + M + 1)
@@ -172,32 +174,23 @@ def check_nullspace_membership(shared=None, seed=SUITE_SEED) -> CheckResult:
                     [c * lam for c in families[0][1 + j]] == list(system.Pis[key])
                     for j, key in enumerate(keys)
                 )
-        member = not _grid_contract(shared, label)
+        member = not desk.contracts[label]
         here = annihilated and span_ok and member
         ok = ok and here
         rows.append(
             {"instance": label, "ok": here, "annihilated": annihilated,
              "kernel_dim_1_and_spanned": span_ok, "membership": member}
         )
-    return CheckResult(
-        "nullspace-membership",
-        "constructed rows lie in the null space of their own instance matrix",
-        ok,
-        time.perf_counter() - t0,
-        30.0,
-        {"instances": rows},
-    )
+    return ok, {"instances": rows}
 
 
-def check_wronskian_routes(shared=None, seed=SUITE_SEED) -> CheckResult:
+def check_wronskian_routes(desk: Desk):
     """Delta constant in z and nonzero, Delta = lead(P_rm) * Theta, and the
     chain Theta * (n-1)!^(r^2 m) = prod(alpha)^r * prod(a0s)^m * C_{n,m},
     with C_{n,m} equal on the moment-determinant route and the elimination
     oracle (affordable here: rm <= 4 on the grid)."""
-    shared = {} if shared is None else shared
-    t0 = time.perf_counter()
     rows, ok = [], True
-    for label, (spec, alphas, n, system) in sorted(_grid_systems(shared).items()):
+    for label, (spec, alphas, n, system) in sorted(desk.grid.items()):
         route = delta_route_check(system)  # raises if Delta is not constant
         C = C_um(spec, alphas, n, n)
         chain = theta_chain_holds(
@@ -209,21 +202,12 @@ def check_wronskian_routes(shared=None, seed=SUITE_SEED) -> CheckResult:
             {"instance": label, "ok": here, "delta": format_rational(route["delta"]),
              "expansion_route": route["equal"], "chain_route": chain}
         )
-    return CheckResult(
-        "wronskian-routes",
-        "Delta has z-degree 0, is nonzero, and both route equalities hold exactly",
-        ok,
-        time.perf_counter() - t0,
-        120.0,
-        {"instances": rows},
-    )
+    return ok, {"instances": rows}
 
 
-def check_factorization(shared=None, seed=SUITE_SEED) -> CheckResult:
+def check_factorization(desk: Desk):
     """Measured homogeneity degree, vanishing order at merged alphas,
     two-point reduction, and the alpha-exponent across tuples."""
-    shared = {} if shared is None else shared
-    t0 = time.perf_counter()
     s2 = spec_r2()
     s3 = spec_r3()
     details, ok = {}, True
@@ -275,23 +259,12 @@ def check_factorization(shared=None, seed=SUITE_SEED) -> CheckResult:
         )
         ok = ok and e == want and c != 0
     details["alpha_exponent"] = exp_rows
-
-    return CheckResult(
-        "factorization",
-        "homogeneity exact, vanishing order >= (2n+1)r^2, reduction exact, "
-        "alpha-exponent consistent across tuples",
-        ok,
-        time.perf_counter() - t0,
-        120.0,
-        details,
-    )
+    return ok, details
 
 
-def check_a0s_final_det(shared=None, seed=SUITE_SEED) -> CheckResult:
+def check_a0s_final_det(desk: Desk):
     """a_{0,s} product formula vs change-of-basis oracle (r <= 3, n <= 4);
     final determinant nonzero for all r <= 3, n <= 3, u <= 2rm."""
-    shared = {} if shared is None else shared
-    t0 = time.perf_counter()
     ok = True
     a0_rows = []
     for spec in (spec_r1(), spec_r2(), spec_r3()):
@@ -306,30 +279,17 @@ def check_a0s_final_det(shared=None, seed=SUITE_SEED) -> CheckResult:
                             "all_nonzero": vals["all_nonzero"]})
     det_rows = []
     for spec, m_max in ((spec_r1(), 1), (spec_r2(), 2), (spec_r3(), 1)):
-        zero_at = []
-        for n in range(1, 4):
-            for u in range(0, 2 * spec.r * m_max + 1):
-                value, _E = final_det(spec, n, u)
-                if value == 0:
-                    zero_at.append([n, u])
+        zero_at = [[n, u] for n in range(1, 4)
+                   for u in range(0, 2 * spec.r * m_max + 1)
+                   if final_det(spec, n, u) == 0]
         ok = ok and not zero_at
         det_rows.append({"r": spec.r, "u_max": 2 * spec.r * m_max,
                          "nonzero": not zero_at, "zero_at": zero_at})
-    return CheckResult(
-        "a0s-final-det",
-        "diagonal constants match the change-of-basis oracle; the reduced "
-        "determinant never vanishes on the tested range",
-        ok,
-        time.perf_counter() - t0,
-        30.0,
-        {"a0s": a0_rows, "final_det": det_rows},
-    )
+    return ok, {"a0s": a0_rows, "final_det": det_rows}
 
 
-def check_denominator_growth(shared=None, seed=SUITE_SEED) -> CheckResult:
+def check_denominator_growth(desk: Desk):
     """(1/N) log D_N <= log mu(a) + den(b)/phi(den(b)) + 0.05 at N = 200."""
-    shared = {} if shared is None else shared
-    t0 = time.perf_counter()
     pairs = (
         (Fraction(1, 3), Fraction(1, 2)),
         (Fraction(1, 4), Fraction(2, 3)),
@@ -346,14 +306,7 @@ def check_denominator_growth(shared=None, seed=SUITE_SEED) -> CheckResult:
             {"a": format_rational(a), "b": format_rational(b),
              "log_rate": prof.log_rate, "bound": bound, "ok": here}
         )
-    return CheckResult(
-        "denominator-growth",
-        "profile growth rate stays under its mu-budget at N = 200",
-        ok,
-        time.perf_counter() - t0,
-        20.0,
-        {"pairs": rows},
-    )
+    return ok, {"pairs": rows}
 
 
 def _monomial(m: int) -> list:
@@ -392,7 +345,7 @@ def T_c(spec: HypergeometricSpec, p) -> list:
     return poly_trim([c / spec.c(k) for k, c in enumerate(p)])
 
 
-def check_operator_identities(shared=None, seed=SUITE_SEED) -> CheckResult:
+def check_operator_identities(desk: Desk):
     """Shift, twist and evaluation identities, exact on monomials.
 
     - t^k H(theta)(t^m) = H(theta - k)(t^(k+m)), H of degree <= 3
@@ -400,9 +353,7 @@ def check_operator_identities(shared=None, seed=SUITE_SEED) -> CheckResult:
     - psi_{i,s}(P) = psi_{i,0}((theta+g_1)...(theta+g_s) P)
     - psi_{i,0}(T_c(P)) = alpha_i * P(alpha_i)
     """
-    shared = {} if shared is None else shared
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(desk.seed)
     specs = [spec_r1(), spec_r2(), spec_r3()]
     alphas = (Fraction(1), Fraction(2))
     H_set = (
@@ -451,23 +402,10 @@ def check_operator_identities(shared=None, seed=SUITE_SEED) -> CheckResult:
             {"r": spec.r, "ok": here, "shift": shift_ok, "twist": twist_ok,
              "psi_factorization": factor_ok, "psi_evaluation": eval_ok}
         )
-    return CheckResult(
-        "operator-identities",
-        "operator identities exact on monomial bases to degree 15, three specs",
-        ok,
-        time.perf_counter() - t0,
-        10.0,
-        {"specs": rows},
-    )
+    return ok, {"specs": rows}
 
 
-def _criterion_instance(shared: dict) -> Instance:
-    if "criterion" not in shared:
-        shared["criterion"] = Instance(spec_r2(), (Fraction(1),), range(4, 17))
-    return shared["criterion"]
-
-
-def check_numerical_shadow(shared=None, seed=SUITE_SEED) -> CheckResult:
+def check_numerical_shadow(desk: Desk):
     """At beta = 10^6, archimedean place: remainder identity certified to
     2^-128; -(1/n) log|R| fits affine-in-n with residual < 2% on n = 4..16;
     doubling beta shifts the fitted rate by log 2 within 5%.
@@ -477,9 +415,7 @@ def check_numerical_shadow(shared=None, seed=SUITE_SEED) -> CheckResult:
     window, to P_ell(beta) F_s(alpha_i/beta) - P_{ell,i,s}(beta); the
     system's `contract_failures` ties each stored window, built here, to
     the literal product P_ell F_s - P_{ell,i,s}."""
-    shared = {} if shared is None else shared
-    t0 = time.perf_counter()
-    inst = _criterion_instance(shared)
+    inst = desk.criterion
     beta = Fraction(10**6)
 
     ident = check_remainder_identity(inst.systems[4], beta, bits=128)
@@ -492,31 +428,20 @@ def check_numerical_shadow(shared=None, seed=SUITE_SEED) -> CheckResult:
     shift = fit2.rate - fit.rate
     shift_ok = abs(shift - math.log(2)) <= 0.05 * math.log(2)
 
-    ok = certified and fit.ok and shift_ok
-    return CheckResult(
-        "numerical-shadow",
-        "certified remainder identity at beta = 10^6; affine decay fit "
-        "residual < 2%; doubling beta shifts the rate by log 2 within 5%",
-        ok,
-        time.perf_counter() - t0,
-        120.0,
-        {
-            "identity_ok": ident["ok"],
-            "certified_budget": budget_cap,
-            "fit_rate": fit.rate,
-            "fit_max_rel_residual": fit.max_rel_residual,
-            "doubling_shift": shift,
-            "log2": math.log(2),
-        },
-    )
+    return certified and fit.ok and shift_ok, {
+        "identity_ok": ident["ok"],
+        "certified_budget": budget_cap,
+        "fit_rate": fit.rate,
+        "fit_max_rel_residual": fit.max_rel_residual,
+        "doubling_shift": shift,
+        "log2": math.log(2),
+    }
 
 
-def check_criterion_end_to_end(shared=None, seed=SUITE_SEED) -> CheckResult:
+def check_criterion_end_to_end(desk: Desk):
     """min-beta certifies a beta with V_emp > 0; the measure report's two
     formula identities recompute exactly in float arithmetic; re-running at
     the returned beta on a fresh instance reproduces V_emp > 0."""
-    shared = {} if shared is None else shared
-    t0 = time.perf_counter()
     spec = spec_r2()
     alphas = (Fraction(1),)
 
@@ -528,38 +453,27 @@ def check_criterion_end_to_end(shared=None, seed=SUITE_SEED) -> CheckResult:
         else float("-inf")
     )
 
-    rep = measure(_criterion_instance(shared), Fraction(10**6), ARCH, epsilon=0.1)
+    rep = measure(desk.criterion, Fraction(10**6), ARCH, epsilon=0.1)
     denom = rep.V_emp - rep.epsilon
     mu_ok = rep.mu_eps == (rep.A_emp + rep.U_emp) / denom
     c_ok = rep.C_eps == math.exp(
         -(math.log(2) / denom + 1) * (rep.A_emp + rep.U_emp)
     )
 
-    ok = found and v_rerun > 0 and mu_ok and c_ok and rep.verdict
-    return CheckResult(
-        "criterion-end-to-end",
-        "min-beta finds a certified beta, report formulas recompute exactly, "
-        "rerun reproduces V_emp > 0",
-        ok,
-        time.perf_counter() - t0,
-        60.0,
-        {
-            "min_beta": beta_min,
-            "V_at_min_beta": v_rerun,
-            "V_emp_canonical": rep.V_emp,
-            "mu_identity": mu_ok,
-            "C_identity": c_ok,
-            "verdict": rep.verdict,
-        },
-    )
+    return found and v_rerun > 0 and mu_ok and c_ok and rep.verdict, {
+        "min_beta": beta_min,
+        "V_at_min_beta": v_rerun,
+        "V_emp_canonical": rep.V_emp,
+        "mu_identity": mu_ok,
+        "C_identity": c_ok,
+        "verdict": rep.verdict,
+    }
 
 
-def check_dual_route_series(shared=None, seed=SUITE_SEED) -> CheckResult:
+def check_dual_route_series(desk: Desk):
     """Closed form vs direct summation of every F_s, relative 2^-128 at
     512 bits, ten pseudo-random arguments with |z| <= 1/2."""
-    shared = {} if shared is None else shared
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(desk.seed)
     rows, ok = [], True
     for spec in (spec_r2(), spec_r3()):
         for _ in range(5):
@@ -578,57 +492,69 @@ def check_dual_route_series(shared=None, seed=SUITE_SEED) -> CheckResult:
             ok = ok and here
             rows.append({"r": spec.r, "z": format_rational(z),
                          "worst_rel": worst, "ok": here})
-    return CheckResult(
-        "dual-route-series",
-        "closed form vs direct series agree to relative 2^-128 at 512 bits "
-        "on ten random arguments",
-        ok,
-        time.perf_counter() - t0,
-        20.0,
-        {"arguments": rows},
-    )
+    return ok, {"arguments": rows}
 
 
+# (id, description, wall-clock budget in seconds, body), in report order
 CHECKS = (
-    check_pade_contract,
-    check_nullspace_membership,
-    check_wronskian_routes,
-    check_factorization,
-    check_a0s_final_det,
-    check_denominator_growth,
-    check_operator_identities,
-    check_numerical_shadow,
-    check_criterion_end_to_end,
-    check_dual_route_series,
+    ("pade-contract",
+     "deg P_ell = rmn+ell and ord R >= n+1, exact, across the (r,m,n) grid",
+     60.0, check_pade_contract),
+    ("nullspace-membership",
+     "constructed rows lie in the null space of their own instance matrix",
+     30.0, check_nullspace_membership),
+    ("wronskian-routes",
+     "Delta has z-degree 0, is nonzero, and both route equalities hold exactly",
+     120.0, check_wronskian_routes),
+    ("factorization",
+     "homogeneity exact, vanishing order >= (2n+1)r^2, reduction exact, "
+     "alpha-exponent consistent across tuples",
+     120.0, check_factorization),
+    ("a0s-final-det",
+     "diagonal constants match the change-of-basis oracle; the reduced "
+     "determinant never vanishes on the tested range",
+     30.0, check_a0s_final_det),
+    ("denominator-growth",
+     "profile growth rate stays under its mu-budget at N = 200",
+     20.0, check_denominator_growth),
+    ("operator-identities",
+     "operator identities exact on monomial bases to degree 15, three specs",
+     10.0, check_operator_identities),
+    ("numerical-shadow",
+     "certified remainder identity at beta = 10^6; affine decay fit "
+     "residual < 2%; doubling beta shifts the rate by log 2 within 5%",
+     120.0, check_numerical_shadow),
+    ("criterion-end-to-end",
+     "min-beta finds a certified beta, report formulas recompute exactly, "
+     "rerun reproduces V_emp > 0",
+     60.0, check_criterion_end_to_end),
+    ("dual-route-series",
+     "closed form vs direct series agree to relative 2^-128 at 512 bits "
+     "on ten random arguments",
+     20.0, check_dual_route_series),
 )
 
 
-def run_suite(level: str = "desk", seed: int = SUITE_SEED, shared=None,
-              progress=None) -> list:
-    """Run the acceptance matrix; one CheckResult per criterion, in order.
+def run_check(row, desk: Desk) -> CheckResult:
+    """One row of `CHECKS` run on `desk` and timed.  A body that raises is
+    recorded as failed, with its error type and message in the details."""
+    check_id, description, budget_s, body = row
+    t0 = time.perf_counter()
+    try:
+        passed, details = body(desk)
+    except Exception as exc:  # noqa: BLE001 -- a red check must not hide the rest
+        passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
+    return CheckResult(check_id, description, passed, time.perf_counter() - t0,
+                       budget_s, details)
 
-    A check that raises is recorded as failed (error type and message in the
-    details) and the rest still run.
-    """
-    if level != "desk":
-        raise InvalidInput(f"--level: unknown suite level {level!r}; only 'desk' exists")
-    shared = {} if shared is None else shared
+
+def run_suite(seed: int = SUITE_SEED, progress=None) -> list:
+    """Every row of `CHECKS`, in order, on one Desk: one CheckResult each.
+    `progress`, if given, is called with each result as it comes."""
+    desk = Desk(seed)
     results = []
-    for fn in CHECKS:
-        t0 = time.perf_counter()
-        try:
-            res = fn(shared, seed)
-        except Exception as exc:  # noqa: BLE001 -- a red check must not hide the rest
-            doc = (fn.__doc__ or fn.__name__).strip().splitlines()[0]
-            res = CheckResult(
-                fn.__name__.replace("check_", "").replace("_", "-"),
-                doc,
-                False,
-                time.perf_counter() - t0,
-                0.0,
-                {"error": f"{type(exc).__name__}: {exc}"},
-            )
-        results.append(res)
+    for row in CHECKS:
+        results.append(run_check(row, desk))
         if progress is not None:
-            progress(res)
+            progress(results[-1])
     return results

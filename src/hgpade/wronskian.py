@@ -303,21 +303,13 @@ def vandermonde(alphas) -> Fraction:
     return out
 
 
-def _exact_power_of(ratio: Fraction, base: int) -> int:
-    """g with ratio == base**g, or raise FactorizationMismatch."""
-    if ratio <= 0:
-        raise FactorizationMismatch(f"ratio {ratio} is not a power of {base}")
-    g = 0
-    x = Fraction(ratio)
-    while x > 1:
-        x /= base
-        g += 1
-    while x < 1:
-        x *= base
-        g -= 1
-    if x != 1:
-        raise FactorizationMismatch(f"ratio {ratio} is not a power of {base}")
-    return g
+def _exact_power_of_2(ratio: Fraction) -> int:
+    """g with ratio == 2**g, or raise FactorizationMismatch.  A reduced
+    ratio is a power of 2 iff its numerator and denominator both are."""
+    num, den = ratio.numerator, ratio.denominator
+    if num <= 0 or num & (num - 1) or den & (den - 1):
+        raise FactorizationMismatch(f"ratio {ratio} is not a power of 2")
+    return num.bit_length() - den.bit_length()
 
 
 def _factor_tuples(m: int):
@@ -360,7 +352,7 @@ def c_um_factor(spec: HypergeometricSpec, alphas, n: int, u: int) -> tuple:
                 f"C vanishes at alpha = {t}; nothing to factor"
             )
         q2 = Q(tuple(2 * a for a in t))
-        g = _exact_power_of(q2 / q1, 2)
+        g = _exact_power_of_2(q2 / q1)
         if g % m:
             raise FactorizationMismatch(
                 f"power of 2 in the scaled quotient ({g}) is not divisible by m = {m}"
@@ -379,15 +371,14 @@ def c_um_factor(spec: HypergeometricSpec, alphas, n: int, u: int) -> tuple:
     return c, e
 
 
-def homogeneity_degree(spec: HypergeometricSpec, alphas, n: int, u: int,
-                       lam: int = 2) -> int:
-    """Measured integer D with C(lam * alpha) = lam^D C(alpha), exact."""
+def homogeneity_degree(spec: HypergeometricSpec, alphas, n: int, u: int) -> int:
+    """Measured integer D with C(2 alpha) = 2^D C(alpha), exact."""
     alphas = [Fraction(a) for a in alphas]
     base = C_um(spec, alphas, n, u)
     if base == 0:
         raise FactorizationMismatch("C vanishes; homogeneity degree undefined")
-    scaled = C_um(spec, [lam * a for a in alphas], n, u)
-    return _exact_power_of(scaled / base, lam)
+    scaled = C_um(spec, [2 * a for a in alphas], n, u)
+    return _exact_power_of_2(scaled / base)
 
 
 def vanishing_order_at_equal_alphas(spec: HypergeometricSpec, n: int, u: int,
@@ -489,10 +480,31 @@ def _partial_fractions(spec: HypergeometricSpec, s: int):
     return {pair: sol[idx] for idx, pair in enumerate(pairs)}
 
 
-def final_det(spec: HypergeometricSpec, n: int, u: int) -> tuple:
+def _grouped(zhat, mult) -> list:
+    """The rows of `final_det`: (j, k) by distinct zeta value j, then
+    1 <= k <= its multiplicity."""
+    return [(j, k) for j in range(len(zhat)) for k in range(1, mult[j] + 1)]
+
+
+def final_det(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
     """The r x r determinant of phi-functionals on t^{u+ell}(t-1)^{rn}, rows
-    grouped by distinct zeta value (j, then 1 <= k <= multiplicity), plus the
-    exact change-of-basis scalar E with  L(u) = E * final_det.
+    grouped by distinct zeta value (j, then 1 <= k <= multiplicity).
+    L(u) = final_det_basis(spec) * final_det(spec, n, u)."""
+    r = spec.r
+    zhat, mult = _zeta_groups(spec)
+    mat = []
+    for j, k in _grouped(zhat, mult):
+        row = []
+        for ell in range(r):
+            p = base_polynomial((Fraction(1),), r * n, u + ell)
+            row.append(phi_zeta_s(zhat[j], k, p))
+        mat.append(row)
+    return det_bareiss(mat)
+
+
+def final_det_basis(spec: HypergeometricSpec) -> Fraction:
+    """The exact change-of-basis scalar E with L(u) = E * final_det for every
+    n and u.
 
     E is the product of the partial-fraction coefficients of the term that
     each prefix level introduces, times the sign of the reordering from
@@ -500,16 +512,7 @@ def final_det(spec: HypergeometricSpec, n: int, u: int) -> tuple:
     """
     r = spec.r
     zhat, mult = _zeta_groups(spec)
-    grouped = [(j, k) for j in range(len(zhat)) for k in range(1, mult[j] + 1)]
-    mat = []
-    for j, k in grouped:
-        row = []
-        for ell in range(r):
-            p = base_polynomial((Fraction(1),), r * n, u + ell)
-            row.append(phi_zeta_s(zhat[j], k, p))
-        mat.append(row)
-    value = det_bareiss(mat)
-
+    grouped = _grouped(zhat, mult)
     # introduction order: level s first brings in (group of zeta_{s+1}, count so far)
     counts = [0] * len(zhat)
     intro = []
@@ -524,7 +527,7 @@ def final_det(spec: HypergeometricSpec, n: int, u: int) -> tuple:
     for x, y in combinations(range(r), 2):
         if perm[x] > perm[y]:
             sign = -sign
-    return value, E * sign
+    return E * sign
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +620,7 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
         # each constant is computed once and checked against its successor
         u = n
         c_here, exponent_e = first
+        E = final_det_basis(spec)
         chain.append(c_here)
         ok_all = True
         for k in range(m, 0, -1):
@@ -631,12 +635,11 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
             ok_all = ok_all and link["equal"]
             if L == 0:
                 zero_links.append(f"L(u={u})")
-            fdet, E = final_det(spec, n, u)
-            fdet_value = fdet
+            fdet_value = final_det(spec, n, u)
             checks.setdefault("final_det_basis_links", True)
-            if L != E * fdet:
+            if L != E * fdet_value:
                 checks["final_det_basis_links"] = False
-            if fdet == 0:
+            if fdet_value == 0:
                 zero_links.append(f"final_det(u={u})")
             chain.append(c_next)
             u, c_here = u_next, c_next

@@ -1,23 +1,21 @@
 """Acceptance gate: every check in the desk-scale matrix, one line each.
 
-The checks are the same functions the `hgpade suite` command runs; here each
-one is a separate parametrized test so a red run names the broken check
-directly.  A shared cache keeps the expensive approximant systems from being
-rebuilt ten times.
+Each row of `CHECKS` runs through `run_check`, the runner the `hgpade suite`
+command uses, as a separate parametrized test, so a red run names the broken
+check directly.  One module-level `Desk` keeps the expensive approximant
+systems from being rebuilt ten times.
 """
 
 import pytest
 
-from hgpade.suite import CHECKS, SUITE_SEED, run_suite
+from hgpade.suite import CHECKS, SUITE_SEED, Desk, run_check, run_suite
 
-SHARED = {}
+DESK = Desk(SUITE_SEED)
 
 
-@pytest.mark.parametrize(
-    "check", CHECKS, ids=lambda fn: fn.__name__.removeprefix("check_")
-)
-def test_acceptance(check):
-    result = check(shared=SHARED, seed=SUITE_SEED)
+@pytest.mark.parametrize("row", CHECKS, ids=lambda row: row[0].replace("-", "_"))
+def test_acceptance(row):
+    result = run_check(row, DESK)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.check_id:24} {result.runtime:6.2f}s "
           f"(budget {result.budget_s:.0f}s)")
@@ -29,13 +27,16 @@ def test_acceptance(check):
 
 
 def test_runner_records_a_raising_check_as_failed(monkeypatch):
-    def check_always_explodes(shared=None, seed=SUITE_SEED):
+    def explodes(desk):
         raise ValueError("boom")
 
-    monkeypatch.setattr("hgpade.suite.CHECKS", (check_always_explodes,))
+    monkeypatch.setattr("hgpade.suite.CHECKS",
+                        (("always-explodes", "a body that raises", 5.0, explodes),))
     results = run_suite()
     assert len(results) == 1
     res = results[0]
     assert not res.passed
-    assert res.check_id == "always-explodes"
+    # the row's own id, description and budget, not ones made up for the error
+    assert (res.check_id, res.description, res.budget_s) == (
+        "always-explodes", "a body that raises", 5.0)
     assert res.details["error"] == "ValueError: boom"

@@ -251,6 +251,32 @@ def test_verify_unreadable_system_exits_1(tmp_path, capsys):
     assert "--system" in capsys.readouterr().err
 
 
+def test_verify_refuses_instance_flags_with_system(tmp_path, capsys):
+    # the system file gives the whole instance: a flag that would describe
+    # another one exits 1, named, from argv or from --config alike
+    path = tmp_path / "sys.json"
+    assert main(["build", *R2, "--alphas", "1", "--n", "1", "--out", str(path)]) == 0
+    cfg = tmp_path / "cfg.json"
+    for flag, value in (("--a", "1/5"), ("--b", ""), ("--c0", "1"), ("--alphas", "1"),
+                        ("--n", "7"), ("--truncation", "3")):
+        cfg.write_text(json.dumps({flag[2:]: value}))
+        for argv in ([f"{flag}={value}"], ["--config", str(cfg)]):
+            assert main(["verify", "--system", str(path), *argv]) == 1, argv
+            captured = capsys.readouterr()
+            assert f"InvalidInput: {flag}: not allowed with --system" in captured.err
+            assert captured.out == ""
+    assert main(["verify", "--system", str(path)]) == 0
+
+
+def test_unwritable_out_exits_1_naming_it(capsys):
+    code = main(["eval", "--a=1/3", "--z=1/7", "--bits=64",
+                 "--out", "/nonexistent-dir/x.json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "InvalidInput: --out: " in captured.err
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # wronskian / eval / criterion / min-beta reports
 # ---------------------------------------------------------------------------
@@ -634,7 +660,6 @@ _ODD = {
     "--search-bound": ("-" + _HUGE,),
     "--seed": (_HUGE,),
     "--format": ("yaml",),
-    "--level": ("full",),
     "--system": ("no-such-system.json",),
     "--config": ("no-such-config.json",),
 }
@@ -656,11 +681,13 @@ def _exits_cleanly(argv):
 
 
 @pytest.mark.parametrize("command", sorted(_FLAGS))
-def test_each_bad_value_exits_cleanly(command):
+def test_each_bad_value_exits_cleanly(command, monkeypatch):
     # every bad value of every flag, the other flags at a cheap valid value
-    # (r = 1); a valid --level would run the whole suite, so it stays bad
+    # (r = 1); with no checks, a valid suite argv exits 0 at once instead of
+    # running the whole suite
+    monkeypatch.setattr("hgpade.suite.CHECKS", ())
     flags = _FLAGS[command]
-    base = {"--a": "1/3", "--b": "", "--level": "full"}
+    base = {"--a": "1/3", "--b": ""}
     base.update((flag, values[0]) for flag, values in _VALID.items())
     base = {flag: base[flag] for flag in flags if flag in base}
     for flag in flags:
@@ -672,17 +699,15 @@ def test_each_bad_value_exits_cleanly(command):
 @st.composite
 def _argvs(draw):
     """One command with at most two flags given bad values; the others get
-    a valid value or are left out.  --level is always bad, since a valid
-    level runs the whole suite."""
+    a valid value or are left out."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     flags = _FLAGS[command]
     bad = draw(st.sets(st.sampled_from(flags), max_size=2))
     a, b = draw(st.sampled_from(_SPECS))
-    valid = {**_VALID, "--a": (a,), "--b": (b,), "--level": (), "--system": (),
-             "--config": ()}
+    valid = {**_VALID, "--a": (a,), "--b": (b,), "--system": (), "--config": ()}
     argv = [command]
     for flag in flags:
-        if flag in bad or flag == "--level":
+        if flag in bad:
             value = draw(st.sampled_from(_BAD + _ODD.get(flag, ())))
         elif valid[flag] and (flag in _NEEDED or draw(st.booleans())):
             value = draw(st.sampled_from(valid[flag]))
@@ -695,7 +720,11 @@ def _argvs(draw):
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(_argvs())
 def test_fuzzed_argv_never_tracebacks(argv):
-    _exits_cleanly(argv)
+    # as above, no suite checks; hypothesis runs no function-scoped fixture
+    # per example
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("hgpade.suite.CHECKS", ())
+        _exits_cleanly(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +743,7 @@ def test_suite_command_runs_green(monkeypatch, capsys):
         return remainder(*args, **kwargs)
 
     monkeypatch.setattr(hgpade.pade, "remainder", counted)
-    code = main(["suite", "--level", "desk"])
+    code = main(["suite"])
     assert code == 0
     # one literal product per (ell, i, s) of the 108 on the grid for the
     # shared contract of pade-contract and nullspace-membership, one more

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hgpade.errors import NonconstantDeterminant
+from hgpade.errors import FactorizationMismatch, NonconstantDeterminant
 from hgpade.linalg import det_bareiss
 from hgpade.pade import PadeSystem, build_system
 from hgpade.polyops import HypergeometricSpec, LaurentTail, poly_eval
@@ -20,7 +20,9 @@ from hgpade.wronskian import (
     certify_nonvanishing,
     delta_of_system,
     delta_route_check,
+    _exact_power_of_2,
     final_det,
+    final_det_basis,
     homogeneity_degree,
     l_factor,
     leading_coeff_P_rm,
@@ -266,12 +268,13 @@ def test_certify_takes_one_literal_product_per_remainder(spec_r3, monkeypatch):
 
 
 def test_final_det_canonical(spec_r2):
-    value, _E = final_det(spec_r2, 1, 1)
-    assert value != 0
-    # the full chain below pins the combination; here just nonvanishing
+    # nonvanishing, and one change of basis E for every u: L(u) = E * final_det
+    E = final_det_basis(spec_r2)
+    assert E != 0
     for u in range(0, 9):
-        v, _ = final_det(spec_r2, 1, u)
+        v = final_det(spec_r2, 1, u)
         assert v != 0, u
+        assert l_factor(spec_r2, 1, u) == E * v, u
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +290,44 @@ def test_alpha_exponent_measured(spec_r2, spec_r3):
     assert e == 5
     c, e = c_um_factor(spec_r3, (F(1),), 1, 0)
     assert e == 3 * 0 + 9 * 1 + 3 == 12
+
+
+def _power_of_by_division(ratio: Fraction, base: int) -> int:
+    """The exponent g with ratio == base**g, by g exact divisions: the
+    oracle of the bit test `_exact_power_of_2`."""
+    if ratio <= 0:
+        raise FactorizationMismatch(f"ratio {ratio} is not a power of {base}")
+    g = 0
+    x = Fraction(ratio)
+    while x > 1:
+        x /= base
+        g += 1
+    while x < 1:
+        x *= base
+        g -= 1
+    if x != 1:
+        raise FactorizationMismatch(f"ratio {ratio} is not a power of {base}")
+    return g
+
+
+def _outcome(fn, ratio):
+    try:
+        return fn(ratio)
+    except FactorizationMismatch:
+        return "mismatch"
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.one_of(
+    st.integers(-80, 80).map(lambda g: F(2) ** g),
+    st.integers(-80, 80).map(lambda g: -(F(2) ** g)),
+    st.just(F(0)),
+    st.fractions(),
+))
+def test_exact_power_of_2_matches_repeated_division(ratio):
+    # powers of two, their negatives, 0 and arbitrary ratios
+    assert _outcome(_exact_power_of_2, ratio) == _outcome(
+        lambda x: _power_of_by_division(x, 2), ratio)
 
 
 def test_homogeneity_degree(spec_r2):
