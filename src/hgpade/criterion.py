@@ -157,14 +157,29 @@ def _h_at_place(vec, v: Place) -> float:
     return e * math.log(v.p)
 
 
-def _height_excluding(vec, v0: Place) -> float:
-    """h(vec) - h_{v0}(vec), computed from the denominator lcm (no factoring)."""
-    vec = [Fraction(x) for x in vec]
-    big_lcm = math.lcm(*(x.denominator for x in vec))
+def _row_lcm(den: int, ints: list) -> int:
+    """The lcm of the reduced denominators of a_j / den over the row
+    ints = [a_1, ..., a_n], den > 0: den / gcd(den, a_1, ..., a_n).
+
+    At each prime p, the reduced denominator of a_j / den has valuation
+    max(0, v_p(den) - v_p(a_j)), so the lcm has max_j of that, which is
+    v_p(den) - min(v_p(den), min_j v_p(a_j)) = v_p(den / gcd(den, a_1, ...)).
+    A zero entry, or an all-zero row, adds 1."""
+    return den // math.gcd(den, *ints)
+
+
+def _height_excluding(rows: list, v0: Place) -> float:
+    """h(vec) - h_{v0}(vec) of the tuple vec of every a_j / den over the
+    integer rows (den, [a_j]), den > 0: log of the lcm of its denominators
+    (one gcd per row, `_row_lcm`, no factoring), plus at a finite v0 the
+    archimedean part, log of the largest |a_j| / den, less the v0 part of
+    that lcm."""
+    big_lcm = math.lcm(*(_row_lcm(den, ints) for den, ints in rows))
     finite = log_int(big_lcm)
     if v0.is_archimedean:
         return finite
-    return _h_arch(vec) + finite - v_p(Fraction(big_lcm), v0.p) * math.log(v0.p)
+    tops = (Fraction(max(map(abs, ints), default=0), den) for den, ints in rows)
+    return _h_arch(tops) + finite - v_p(big_lcm, v0.p) * math.log(v0.p)
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +218,6 @@ class Instance:
             n: build_system(self.spec, self.alphas, n, cross_check=False)
             for n in self.n_range
         }
-
-
-def _matrix_coefficients(system) -> list:
-    """Every z-coefficient of every P_ell and P_{ell,i,s}: the coefficient
-    vector whose height controls the matrix rows at all places at once."""
-    coeffs = []
-    for ell in sorted(system.P):
-        coeffs.extend(system.P[ell])
-    for key in sorted(system.Pis):
-        coeffs.extend(system.Pis[key])
-    return [c for c in coeffs if c != 0]
 
 
 def growth_fit_P(inst: Instance, beta, v: Place) -> FitResult:
@@ -370,20 +374,25 @@ def stirling_growth_const(r: int, m: int) -> float:
 
 def height_fit_vec(inst: Instance, beta, v0: Place) -> FitResult:
     """Fitted rate of h(vec_n) - h_{v0}(vec_n) for the full coefficient
-    vector vec_n of the matrix row polynomials P_ell, P_{ell,i,s}.
+    vector vec_n of the matrix row polynomials P_ell, P_{ell,i,s}: the
+    coefficient vector whose height controls the matrix rows at all places
+    at once.  It is read from the integer rows the system keeps
+    (`PadeSystem.integer_P`, `PadeSystem.Pis.rows`), so no P_{ell,i,s} is
+    made into Fractions.
 
     Evaluating a row polynomial at beta multiplies its size away from v0 by
     at most max(1,|beta|_v)^deg per place, which adds deg * (h - h_{v0}) of
     the 1-tuple (beta); that term vanishes for integer beta at finite places,
     keeping V(beta') - V(beta) = log(beta'/beta) exact in the fit."""
     beta = Fraction(beta)
-    beta_part = _height_excluding([beta], v0)
+    beta_part = _height_excluding([(beta.denominator, [beta.numerator])], v0)
     rm = inst.spec.r * len(inst.alphas)
     ns, qs = [], []
     for n, sysn in inst.systems.items():
         deg = rm * n + rm
+        rows = [sysn.integer_P(ell)[:2] for ell in sysn.P]
         qs.append(
-            _height_excluding(_matrix_coefficients(sysn), v0)
+            _height_excluding(rows + list(sysn.Pis.rows.values()), v0)
             + deg * beta_part
         )
         ns.append(n)

@@ -454,6 +454,8 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     each stop test and a term (`PadeSystem.terms`) only once that test has
     failed, so past the window the lists grow only as far as some sum reads
     them: a sum that stops at its first test reads one size and no term.
+    A size is read as the unreduced pair (sa, sb) the system keeps, with no
+    gcd: the stop test and the bound below are homogeneous in (sa, sb).
     Everything but |alpha/beta| and the prefix sums is set up once per
     system and shared by every beta and precision.
 
@@ -463,10 +465,10 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     coefficient a/b past k0 enters as N <- N (b/g) p + a (L/g) q^{e+1},
     L <- L b/g, with g = gcd(L, b).  The stop test
     bound > 2^-bits max(|S|, 2^-bits) is decided exactly on integers (p^e
-    cancels from the |S| side); it is homogeneous in (N, L), and its
-    bit-length prefilter is a necessary condition for any such pair, so the
-    value, the bound and the stop index are those of the term-by-term
-    Fraction sum.
+    cancels from the |S| side); it is homogeneous in (N, L) and in the size's
+    (sa, sb), and its bit-length prefilter is a necessary condition for any
+    such pairs, so the value, the bound (reduced when the BigFloat is made)
+    and the stop index are those of the term-by-term Fraction sum.
     """
     beta = Fraction(beta)
     x = Fraction(system.alphas[i - 1]) / beta
@@ -499,8 +501,7 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
             raise InsufficientPrecision(
                 "remainder tail did not certify within the step budget"
             )
-        size = system.size(ell, i, s, k)
-        sa, sb = size.numerator, size.denominator
+        sa, sb = system.size(ell, i, s, k)
         qa = abs(qe)
         big = max(N.bit_length() + bits, L.bit_length() + pk.bit_length())
         if not sa or (

@@ -13,21 +13,27 @@ coefficients of prod (t-alpha_i)^{rn} (multiplied out on integers, see
 table M(k) shared by every ell (see `_P_family`).
 
 Every other coefficient is a psi_{i,s}-value of P_ell, computed by one
-kernel, `polyops._dot_rows`, over P_ell on integers (`PadeSystem.integer_P`)
-and a scaled run of the psi_{i,s} weights kept on the spec: P_{ell,i,s} is
-the psi_{i,s}-image of the divided difference (P_ell(z)-P_ell(t))/(z-t), and
-R_{ell,i,s} has psi_{i,s}(t^k P_ell) as its 1/z^{k+1} coefficient.  Each
-remainder series is one append-only list on the system, read by exponent
-(`PadeSystem.terms`): its head, below the window's end, is filled on the
-first read inside it, and past the window it grows only as far as a caller
-reads.  The stored window (`PadeSystem.R`) is the `LaurentTail` of that
-head, made on its first read by the contract, Theta or `to_jsonable`; the
-p-adic sums read the head, and the archimedean sums neither
-(`numerics.remainder_value` starts from prefix sums of the weights,
+integer kernel, `polyops._dot_rows`, over P_ell on integers
+(`PadeSystem.integer_P`) and a scaled run of the psi_{i,s} weights kept on
+the spec, each run of outputs over one denominator: P_{ell,i,s} is the
+psi_{i,s}-image of the divided difference (P_ell(z)-P_ell(t))/(z-t), and
+R_{ell,i,s} has psi_{i,s}(t^k P_ell) as its 1/z^{k+1} coefficient.  A
+Fraction is made only where a caller reads a rational.  Each P_{ell,i,s} is
+kept as its integer row over that denominator (`PadeSystem.Pis.rows`,
+which the height fit reads), and made into its list of Fractions on its
+first read, by the contract, Delta, `to_jsonable` or the remainder
+identity.  Each remainder series is one append-only list on the system,
+read by exponent (`PadeSystem.terms`): its head, below the window's end, is
+filled on the first read inside it, and past the window it grows only as
+far as a caller reads.  The stored window (`PadeSystem.R`) is the
+`LaurentTail` of that head, made on its first read by the contract, Theta
+or `to_jsonable`; the p-adic sums read the head, and the archimedean sums
+neither (`numerics.remainder_value` starts from prefix sums of the weights,
 `PadeSystem.integer_weights`).  Past the window, the sizes that bound the
-remainder sums are a second such list (`PadeSystem.size`), next to the
-beta-free part of their ratio bound (`PadeSystem.tail_ratio`).  Only this
-module splits a series at the window's end.
+remainder sums are a second such list (`PadeSystem.size`), kept as
+unreduced integer pairs, next to the beta-free part of their ratio bound
+(`PadeSystem.tail_ratio`).  Only this module splits a series at the
+window's end.
 
 One function, `contract_failures`, decides the system's contract, with one
 literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
@@ -56,6 +62,7 @@ from .polyops import (
     _dot_rows,
     _psi_table,
     _scaled,
+    _unscaled,
     expand_F_s,
     poly_deg,
     poly_trim,
@@ -171,6 +178,32 @@ def _check_alphas(alphas):
         raise InvalidInput("evaluation points must be pairwise distinct")
 
 
+class _Rows(Mapping):
+    """The P_{ell,i,s} of a system by (ell, i, s).  Each is kept in `rows`
+    as the integer row (den, ints) of `build_system`, trailing zeros
+    trimmed, and made into its list of Fractions ints / den on its first
+    read, then kept.  An assigned list (`PadeSystem.from_jsonable`) is kept
+    as it is, with its row from `_scaled`."""
+
+    def __init__(self):
+        self.rows, self._made = {}, {}
+
+    def __getitem__(self, key) -> Poly:
+        got = self._made.get(key)
+        if got is None:
+            got = self._made[key] = _unscaled(*self.rows[key])
+        return got
+
+    def __setitem__(self, key, poly: Poly):
+        self.rows[key], self._made[key] = _scaled(poly), poly
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 class _Windows(Mapping):
     """The stored remainder windows of a system by (ell, i, s): each is the
     `LaurentTail` of the head of its term list (`PadeSystem.terms`), made on
@@ -207,21 +240,25 @@ class _Windows(Mapping):
 class PadeSystem:
     """One fully built instance: all P_ell, all P_{ell,i,s}, all remainders.
 
-    `R` maps (ell, i, s) to the stored window of R_{ell,i,s}, the head of
-    its term list, made on its first read (`_Windows`).  Everything else a
-    remainder sum reads is beta-free and kept on the system on first use,
-    each computed once: the ratio bound past the window (`tail_ratio`),
-    P_ell and the psi weights on integers (`integer_P`, `integer_weights`),
-    and per (ell, i, s) the coefficients by exponent (`terms`) and the sizes
-    that bound them (`size`), two lists that grow only as far as they are
-    read, both from the kernel `_dot_rows` on those integer forms.
+    `Pis` maps (ell, i, s) to P_{ell,i,s}: `build_system` keeps each as an
+    integer row over one denominator (`Pis.rows`), and its list of
+    Fractions is made on its first read and kept (`_Rows`).  `R` maps
+    (ell, i, s) to the stored window of R_{ell,i,s}, the head of its term
+    list, made on its first read (`_Windows`).  Everything else a remainder
+    sum reads is beta-free and kept on the system on first use, each
+    computed once: the ratio bound past the window (`tail_ratio`), P_ell and
+    the psi weights on integers (`integer_P`, `integer_weights`), and per
+    (ell, i, s) the coefficients by exponent (`terms`) and the sizes that
+    bound them (`size`, unreduced integer pairs), two lists that grow only
+    as far as they are read, both from the kernel `_dot_rows` on those
+    integer forms.
     """
 
     spec: HypergeometricSpec
     alphas: list
     n: int
     P: dict = field(default_factory=dict)           # ell -> Poly (in z)
-    Pis: dict = field(default_factory=dict)         # (ell, i, s) -> Poly
+    Pis: Mapping = field(default_factory=_Rows)     # (ell, i, s) -> Poly
     truncation: int = 0
     R: Mapping = field(init=False, repr=False)      # (ell, i, s) -> LaurentTail
     # (tag, *index) -> the state of `_kept`; like `spec._psi_tables`, a
@@ -291,36 +328,41 @@ class PadeSystem:
         terms = self._kept(("terms", ell, i, s), lambda: [None] * end)
         if k < end:
             if terms[k] is None:
-                terms[:end] = self._psi_run(ell, i, s, 0, end)
+                terms[:end] = _unscaled(*self._psi_run(ell, i, s, 0, end))
         elif k >= len(terms):
             start = len(terms)
-            terms.extend(self._psi_run(ell, i, s, start, max(k + 1, 2 * start - end)))
+            terms.extend(_unscaled(*self._psi_run(
+                ell, i, s, start, max(k + 1, 2 * start - end))))
         return terms
 
-    def size(self, ell: int, i: int, s: int, k: int) -> Fraction:
+    def size(self, ell: int, i: int, s: int, k: int) -> tuple:
         """sum_d |P_d| |w_{k+d}| over the psi_{i,s} weights w, for k from the
-        window's end on: the size that bounds terms[k] and every later term.
-        Kept in a list of its own that grows like the terms past the window,
-        so a sum that reads only sizes (or only terms) computes nothing
-        else, and no size fills a head or makes a window."""
+        window's end on: the size that bounds terms[k] and every later term,
+        as the unreduced pair (sa, sb) of its integer sum over its run's
+        denominator dp * dw (`integer_P`, `_weight_run`).  Kept in a list of
+        its own that grows like the terms past the window, so a sum that
+        reads only sizes (or only terms) computes nothing else, and no size
+        fills a head or makes a window."""
         end = self.truncation - 1
         sizes = self._kept(("sizes", ell, i, s), list)
         start = end + len(sizes)
         if k >= start:
-            sizes.extend(self._psi_run(ell, i, s, start, max(k + 1, 2 * start - end),
-                                       absolute=True))
+            den, ints = self._psi_run(ell, i, s, start, max(k + 1, 2 * start - end),
+                                      absolute=True)
+            sizes.extend((a, den) for a in ints)
         return sizes[k - end]
 
     def _psi_run(self, ell: int, i: int, s: int, start: int, stop: int,
-                 absolute: bool = False) -> list:
-        # psi_{i,s}(t^k P_ell) for start <= k < stop (with `absolute`, the
-        # sizes sum_d |P_d| |w_{k+d}|): one `_dot_rows` call over P_ell on
-        # integers and the one scaled run of weights those outputs meet
+                 absolute: bool = False) -> tuple:
+        # (den, ints): psi_{i,s}(t^k P_ell) = ints[k - start] / den for
+        # start <= k < stop (with `absolute`, the sizes sum_d |P_d| |w_{k+d}|),
+        # one `_dot_rows` call over P_ell on integers and the one scaled run
+        # of weights those outputs meet
         dp, Pn, Pabs = self.integer_P(ell)
         dw, wi = self._weight_run(i, s, start, stop, len(Pn))
         if absolute:
             Pn, wi = Pabs, [abs(x) for x in wi]
-        return _dot_rows(Pn, wi, stop - start, dp * dw)
+        return dp * dw, _dot_rows(Pn, wi, stop - start)
 
     def _weight_run(self, i: int, s: int, start: int, stop: int, width: int) -> tuple:
         # the psi_{i,s} weights that outputs start..stop-1 of a correlation
@@ -369,7 +411,9 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     All P_ell come from one multiplier table (`_P_family`).  The z^j
     coefficient of P_{ell,i,s} is sum_k w_k P_ell[j+1+k], the Horner form of
     the divided difference: one `_dot_rows` call on P_ell[1:] over integers,
-    against the weights below deg P_rm, scaled once per (i, s).  The window
+    against the weights below deg P_rm, scaled once per (i, s).  Each is
+    kept as that integer row over dp * dw, trailing zeros trimmed
+    (`PadeSystem.Pis`); no Fraction is made here.  The window
     is checked before anything is built: a given truncation by
     `check_truncation`, the default one by `default_truncation`.
     When cross_check is set (the default), the built system must pass
@@ -396,8 +440,8 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
             for ell in system.P:
                 dp, Pn, _ = system.integer_P(ell)
                 deg = len(Pn) - 1
-                system.Pis[(ell, i, s)] = poly_trim(
-                    _dot_rows(wn[:deg], Pn[1:], deg, dp * dw))
+                system.Pis.rows[(ell, i, s)] = (
+                    dp * dw, poly_trim(_dot_rows(wn[:deg], Pn[1:], deg)))
     if cross_check:
         failures = contract_failures(system)
         if failures:

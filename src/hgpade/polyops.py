@@ -13,9 +13,11 @@ routine, `term_table`; the first three are kept append-only on the spec,
 per (alpha, s) where they depend on it, and grown on demand by one helper,
 `_grown`.  Every value psi_{i,s}(t^k p) is a correlation of p against the
 one weight table of (alpha_i, s), computed on integers scaled to common
-denominators by one kernel, `_dot_rows`: `pade.PadeSystem` feeds it its own
-integer forms, and `correlate` scales per call, for `psi` and the columns of
-the C_{u,m} moment matrix in `wronskian`.  `LaurentTail.mul_poly`, the
+denominators by one kernel, `_dot_rows`, whose integer outputs share one
+denominator; a caller that reads rationals makes them (`_unscaled`).
+`pade.PadeSystem` feeds it its own integer forms, and `correlate` scales per
+call, for `psi` and the columns of the C_{u,m} moment matrix in
+`wronskian`.  `LaurentTail.mul_poly`, the
 literal product that `pade.contract_failures` checks those values against,
 scales to integers in a loop of its own, on a series table of its own
 (`expand_F_s`).
@@ -419,11 +421,16 @@ def _scaled(values: list) -> tuple:
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
-def _dot_rows(pi: list, wi: list, count: int, den: int) -> list:
-    """[sum_d pi[d] * wi[j + d] / den for 0 <= j < count] on integers, one
-    Fraction per output; entries past the end of wi count as zero."""
-    return [Fraction(sum(map(mul, pi, wi[j:j + len(pi)])), den)
-            for j in range(count)]
+def _unscaled(den: int, ints: list) -> list:
+    """The rationals ints / den, one reduced Fraction each: the inverse of
+    `_scaled`."""
+    return [Fraction(a, den) for a in ints]
+
+
+def _dot_rows(pi: list, wi: list, count: int) -> list:
+    """[sum_d pi[d] * wi[j + d] for 0 <= j < count], integer dot products;
+    entries past the end of wi count as zero."""
+    return [sum(map(mul, pi, wi[j:j + len(pi)])) for j in range(count)]
 
 
 def correlate(p: list, w: list, k0: int, k1: int) -> list:
@@ -437,7 +444,7 @@ def correlate(p: list, w: list, k0: int, k1: int) -> list:
     """
     dp, pi = _scaled(p)
     dw, wi = _scaled(w[k0:k1 - 1 + len(p)])
-    return _dot_rows(pi, wi, k1 - k0, dp * dw)
+    return _unscaled(dp * dw, _dot_rows(pi, wi, k1 - k0))
 
 
 def psi(spec: HypergeometricSpec, alphas, i: int, s: int, p: Poly) -> Fraction:

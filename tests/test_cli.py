@@ -97,6 +97,36 @@ def test_build_report_is_frozen(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["build", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=2"],
+     "380d7cda4470c60871f1b4733a5d5f45a06e04db9ce00fc6950a65578bde0ae2"),
+    (["verify", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=2"],
+     "8d82348665424c14e0ac5569b52652bc9185206bf81f7955c73e9f6de7f07ec0"),
+    (["wronskian", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=3"],
+     "e436543b4c3138dfa8d966eace68353b6b61ed12857e741635b67c55d1c7599f"),
+])
+def test_reports_that_read_every_companion_make_each(argv, digest, monkeypatch, capsys):
+    # build's JSON form, verify's contract and certify's Delta read every
+    # P_{ell,i,s}: each system such a command makes ends with every one made
+    # into Fractions from its integer row, and the report keeps its bytes
+    from hgpade.pade import PadeSystem
+
+    made = []
+    post_init = PadeSystem.__post_init__
+
+    def recorded(system):
+        post_init(system)
+        made.append(system)
+
+    monkeypatch.setattr(PadeSystem, "__post_init__", recorded)
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert made
+    for system in made:
+        assert sorted(system.Pis._made) == sorted(system.Pis.rows) \
+            == sorted(system.indices())
+
+
 def test_verify_corrupted_system_exits_3(tmp_path, capsys):
     path = tmp_path / "system.json"
     assert main(["build", *R2, "--alphas", "1", "--n", "1", "--out", str(path)]) == 0
@@ -172,8 +202,9 @@ def test_verify_reports_a_broken_build(monkeypatch, capsys):
 
     kernel = hgpade.pade._dot_rows
 
-    def shifted(pi, wi, count, den):
-        out = kernel(pi, wi, count, den)
+    def shifted(pi, wi, count):
+        # the outputs share one denominator, so + 1 shifts by 1/den
+        out = kernel(pi, wi, count)
         return [c + 1 if d == 0 else c for d, c in enumerate(out)] \
             if len(wi) == count else out
 

@@ -10,14 +10,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hgpade.arith import Place
+from hgpade.arith import Place, log_abs_fraction, log_int, v_p
 from hgpade.criterion import (
     HeightData,
     Instance,
+    _row_lcm,
     criterion_V,
     finite_place_budget,
     fit_rate,
+    height_fit_vec,
     heights,
     measure,
     min_beta,
@@ -156,6 +160,73 @@ def test_stirling_growth_const_frozen():
     )
     # doubling the number of interpolation points increases the constant
     assert stirling_growth_const(2, 2) > stirling_growth_const(2, 1)
+
+
+# ---------------------------------------------------------------------------
+# heights of the matrix rows: integer rows against the Fraction route
+# ---------------------------------------------------------------------------
+
+# products of small primes, so that rows and their denominator share factors
+_smooth = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=10).map(math.prod)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_smooth, st.lists(st.one_of(
+    st.just(0),
+    st.builds(lambda a, sign, u: sign * a * u, _smooth, st.sampled_from([1, -1]),
+              st.integers(1, 40))), max_size=6))
+@example(12, [0, 0, 0])
+@example(12, [])
+@example(360, [-4, 0, 6])
+def test_row_lcm_is_the_lcm_of_reduced_denominators(den, ints):
+    # D / gcd(D, a_1, ..., a_n) against math.lcm of the reduced denominators
+    # of a_j / D, with negative entries, zeros and an all-zero row
+    assert _row_lcm(den, ints) == math.lcm(*(Fraction(a, den).denominator for a in ints))
+
+
+def _fraction_route_height(vec, v0: Place) -> float:
+    # the Fraction route the integer rows replaced: h(vec) - h_{v0}(vec) from
+    # one reduced Fraction per nonzero coefficient and the lcm of their
+    # denominators
+    vec = [Fraction(x) for x in vec if x != 0]
+    big_lcm = math.lcm(*(x.denominator for x in vec))
+    finite = log_int(big_lcm)
+    if v0.is_archimedean:
+        return finite
+    top = max(abs(x) for x in vec)
+    arch = log_abs_fraction(top) if top > 1 else 0.0
+    return arch + finite - v_p(Fraction(big_lcm), v0.p) * math.log(v0.p)
+
+
+def _matrix_coefficients(system) -> list:
+    # every z-coefficient of every P_ell and P_{ell,i,s}, as Fractions
+    coeffs = []
+    for ell in sorted(system.P):
+        coeffs.extend(system.P[ell])
+    for key in sorted(system.Pis):
+        coeffs.extend(system.Pis[key])
+    return coeffs
+
+
+@pytest.mark.parametrize("alphas", [(Fraction(1),), (Fraction(1), Fraction(2))])
+def test_height_fit_from_rows_equals_the_fraction_route(spec_r2, alphas):
+    # r = 2, m = 1 and m = 2, at infinity, p = 5 and p = 3: the fit from
+    # the integer rows equals, bit for bit, the fit of the Fraction route,
+    # and reads no P_{ell,i,s} as Fractions
+    inst = Instance(spec_r2, alphas, range(4, 8))
+    rm = spec_r2.r * len(alphas)
+    for beta, v0 in [(Fraction(10**9), Place()), (Fraction(1, 5**10), Place(5)),
+                     (Fraction(-2, 3**7), Place(3))]:
+        got = height_fit_vec(inst, beta, v0)
+        assert not any(system.Pis._made for system in inst.systems.values())
+        beta_part = _fraction_route_height([beta], v0)
+        want = fit_rate(list(inst.systems), [
+            _fraction_route_height(_matrix_coefficients(system), v0)
+            + (rm * n + rm) * beta_part
+            for n, system in inst.systems.items()])
+        assert got == want, v0
+        for system in inst.systems.values():
+            system.Pis._made.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +554,15 @@ def test_remainder_sums_grow_only_what_they_read(spec_r2, check_remainder_lists,
 
 def test_archimedean_measure_builds_no_window(spec_r2, remainder_state):
     # every archimedean remainder sum starts at its first stop test from
-    # prefix sums of the weights: a whole criterion run on r = 2, m = 2 at
-    # beta = 10^9 fills no head and makes no stored window
+    # prefix sums of the weights, and the height fit reads the integer rows
+    # of the P_{ell,i,s}: a whole criterion run on r = 2, m = 2 at
+    # beta = 10^9 fills no head, makes no stored window and makes no
+    # P_{ell,i,s} into Fractions
     inst = Instance(spec_r2, (Fraction(1), Fraction(2)), range(4, 8))
     measure(inst, Fraction(10**9), Place(), 0.1)
     assert len(inst.systems) == 4
     for system in inst.systems.values():
         assert not system.R._built
+        assert not system.Pis._made and sorted(system.Pis.rows) == sorted(system.indices())
         for key in system.indices():
             assert not remainder_state.head_filled(system, key)

@@ -307,16 +307,16 @@ def test_cross_check_compares_below_the_larger_order(spec_r2, monkeypatch):
 
     kernel = hgpade.pade._dot_rows
 
-    def constant_plus_one(pi, wi, count, den):
-        out = kernel(pi, wi, count, den)
+    def constant_plus_one(pi, wi, count):
+        out = kernel(pi, wi, count)
         if _divided_difference_call(pi, wi, count):
             out[0] += 1
         return out
 
-    def leading_zeroed(pi, wi, count, den):
-        out = kernel(pi, wi, count, den)
+    def leading_zeroed(pi, wi, count):
+        out = kernel(pi, wi, count)
         if not _divided_difference_call(pi, wi, count):
-            out[next(j for j, x in enumerate(out) if x)] = F(0)
+            out[next(j for j, x in enumerate(out) if x)] = 0
         return out
 
     for mutant in (constant_plus_one, leading_zeroed):
