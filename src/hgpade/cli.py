@@ -259,7 +259,9 @@ def config_from_args(argv) -> RunConfig:
 
 
 def _canonical(obj):
-    """Rationals to 'num/den' strings, tuples to lists, keys to sorted str."""
+    """Rationals to 'num/den' strings, places to their names, tuples to
+    lists, keys to sorted str: the one place where the exact values of a
+    report become text."""
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, dict):
@@ -382,7 +384,7 @@ def _cmd_wronskian(cfg: RunConfig) -> int:
     if cfg.n is None:
         raise InvalidInput("--n is required")
     report = certify_nonvanishing(spec, cfg.alphas, cfg.n)
-    emit_report(report.to_jsonable(), cfg.format, cfg.out)
+    emit_report(vars(report), cfg.format, cfg.out)
     code = _flags_exit(spec)
     if code == 0 and report.verdict != "certified nonzero":
         return 3  # unreachable in theory: certify raises first
@@ -460,7 +462,7 @@ def _cmd_suite(cfg: RunConfig) -> int:
     if not all_passed:
         for r in results:
             if not r.passed:
-                print(f"suite failure: {r.check_id}: {r.details}", file=sys.stderr)
+                print(f"suite failure: {r.check_id}: {_canonical(r.details)}", file=sys.stderr)
         return 3
     return 0
 

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .numerics import remainder_value
 from .pade import _P_family, build_system, default_truncation
-from .polyops import poly_eval
+from .polyops import _row_value
 
 
 # ---------------------------------------------------------------------------
@@ -50,37 +50,34 @@ from .polyops import poly_eval
 
 MIN_FIT_SIZES = 4  # sizes n a rate fit needs; the CLI checks --n-range against it
 
+# the largest relative residual of a fit that reads as affine in n
+FIT_TOLERANCE = 0.02
+
 
 @dataclass
 class FitResult:
     """Extrapolated linear rate of a sequence y_n ~ rate*n + offset.
 
     The fit regresses y_n/n against 1/n (so `rate` is the 1/n -> 0 intercept)
-    with the largest-n half of the points weighted double.
+    with the largest-n half of the points weighted double.  `to_jsonable`
+    adds what its fields do not hold, the tolerance and `ok`; `cli._canonical`
+    writes the rest.
     """
 
     rate: float
     offset: float
     points: list = field(default_factory=list)  # (n, y_n/n)
     max_rel_residual: float = 0.0
-    tolerance: float = 0.02
 
     @property
     def ok(self) -> bool:
-        return self.max_rel_residual <= self.tolerance
+        return self.max_rel_residual <= FIT_TOLERANCE
 
     def to_jsonable(self) -> dict:
-        return {
-            "rate": self.rate,
-            "offset": self.offset,
-            "points": [[n, z] for n, z in self.points],
-            "max_rel_residual": self.max_rel_residual,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-        }
+        return {**vars(self), "tolerance": FIT_TOLERANCE, "ok": self.ok}
 
 
-def fit_rate(ns, values, tolerance: float = 0.02) -> FitResult:
+def fit_rate(ns, values) -> FitResult:
     """Weighted least squares of y_n/n = rate + offset/n over the sample."""
     ns = list(ns)
     if len(ns) < MIN_FIT_SIZES:
@@ -108,7 +105,6 @@ def fit_rate(ns, values, tolerance: float = 0.02) -> FitResult:
         offset=offset,
         points=[(n, z) for (n, _), z in zip(pts, zs)],
         max_rel_residual=max_rel,
-        tolerance=tolerance,
     )
 
 
@@ -225,7 +221,7 @@ def growth_fit_P(inst: Instance, beta, v: Place) -> FitResult:
     beta = Fraction(beta)
     ns, ys = [], []
     for n, sysn in inst.systems.items():
-        vals = [poly_eval(sysn.P[ell], beta) for ell in sorted(sysn.P)]
+        vals = [_row_value(den, ints, beta) for den, ints in sysn.P.rows.values()]
         ys.append(max(log_abs_at_place(x, v) for x in vals if x != 0))
         ns.append(n)
     return fit_rate(ns, ys)
@@ -263,11 +259,12 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     (ultrametric). The per-term lower bound tracks the recurrence: each step
     multiplies by A(k)/B(k+1) * (alpha/beta) * (shifted gamma factors), and
     the B-side numerators can drop the valuation by at most a Pochhammer-type
-    k/(p-1) + log_p(...) amount.
+    k/(p-1) + log_p(...) amount.  min_d v_p(P_d) comes from the integer
+    row (den, a) of P_ell as min_d v_p(a_d) - v_p(den).
     """
     spec = system.spec
-    Pl = system.P[ell]
-    D = len(Pl) - 1
+    den, Pn = system.P.rows[ell]
+    D = len(Pn) - 1
     alpha = Fraction(system.alphas[i - 1])
     beta = Fraction(beta)
     lp = math.log(p)
@@ -275,7 +272,7 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     va, vb = v_p(alpha, p), v_p(beta, p)
     a_neg = sum(min(0, v_p(e, p)) for e in spec.eta)
     g_neg = sum(min(0, v_p(g, p)) for g in spec.gamma[:s])
-    min_p = min(v_p(c, p) for c in Pl if c != 0)
+    min_p = min(v_p(a, p) for a in Pn if a) - v_p(den, p)
     vc0 = v_p(spec.c0, p)
     # zeta entries whose denominator is prime to p feed the Pochhammer bound
     zs = [(abs(z.numerator), z.denominator) for z in map(Fraction, spec.zeta)]
@@ -377,8 +374,8 @@ def height_fit_vec(inst: Instance, beta, v0: Place) -> FitResult:
     vector vec_n of the matrix row polynomials P_ell, P_{ell,i,s}: the
     coefficient vector whose height controls the matrix rows at all places
     at once.  It is read from the integer rows the system keeps
-    (`PadeSystem.integer_P`, `PadeSystem.Pis.rows`), so no P_{ell,i,s} is
-    made into Fractions.
+    (`PadeSystem.P.rows`, `PadeSystem.Pis.rows`), so no P_ell or P_{ell,i,s}
+    is made into Fractions.
 
     Evaluating a row polynomial at beta multiplies its size away from v0 by
     at most max(1,|beta|_v)^deg per place, which adds deg * (h - h_{v0}) of
@@ -390,9 +387,9 @@ def height_fit_vec(inst: Instance, beta, v0: Place) -> FitResult:
     ns, qs = [], []
     for n, sysn in inst.systems.items():
         deg = rm * n + rm
-        rows = [sysn.integer_P(ell)[:2] for ell in sysn.P]
+        rows = [*sysn.P.rows.values(), *sysn.Pis.rows.values()]
         qs.append(
-            _height_excluding(rows + list(sysn.Pis.rows.values()), v0)
+            _height_excluding(rows, v0)
             + deg * beta_part
         )
         ns.append(n)
@@ -412,7 +409,10 @@ def criterion_V(inst: Instance, beta, v0: Place) -> float:
 
 @dataclass
 class MeasureReport:
-    """Everything the effective criterion run produced at one instance."""
+    """Everything the effective criterion run produced at one instance.
+    `to_jsonable` adds the one constant its fields do not hold,
+    closed_form_status; `cli._canonical` writes the rest (the place v0 by
+    its name)."""
 
     v0: Place
     A_emp: float
@@ -429,23 +429,7 @@ class MeasureReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        out = {
-            "v0": str(self.v0),
-            "A_emp": self.A_emp,
-            "U_emp": self.U_emp,
-            "V_emp": self.V_emp,
-            "A_cf": self.A_cf,
-            "U_cf": self.U_cf,
-            "V_cf": self.V_cf,
-            "closed_form_status": "best_effort",
-            "mu_eps": self.mu_eps,
-            "C_eps": self.C_eps,
-            "epsilon": self.epsilon,
-            "n_range": list(self.n_range),
-            "verdict": self.verdict,
-            "diagnostics": self.diagnostics,
-        }
-        return out
+        return {**vars(self), "closed_form_status": "best_effort"}
 
 
 def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
@@ -523,13 +507,14 @@ def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
     c_eps = math.exp(-(math.log(2) / denom + 1) * (a_emp + u_emp))
 
     # specialization consistency: rebuilding the spec through its root form
-    # must reproduce the top system's P family identically (same code path)
+    # must reproduce the top system's P family identically (same code path),
+    # row for row
     spec2 = type(spec).from_roots(spec.eta, spec.zeta, spec.c0)
     n_top = max(n_range)
     special_ok = (
         spec2.to_jsonable() == spec.to_jsonable()
         and dict(enumerate(_P_family(spec2, alphas, n_top, rm)))
-        == inst.systems[n_top].P
+        == inst.systems[n_top].P.rows
     )
 
     return MeasureReport(

@@ -24,8 +24,8 @@ stored window), and from there in one loop over the system's terms by
 exponent.  Their beta-free set-up lives on the system: the ratio bound's
 part without |alpha/beta|, P_ell and the weights on integers, the terms and
 the sizes of the bound, each read only where the sum needs it
-(`PadeSystem.tail_ratio`, `integer_P`, `integer_weights`, `terms`,
-`size`).  Both sums stop on one tail-ratio bound (`_tail_ratio`).
+(`PadeSystem.tail_ratio`, `P.rows`, `integer_weights`, `terms`, `size`).
+Both sums stop on one tail-ratio bound (`_tail_ratio`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     InvalidInput,
     StepBudgetExceeded,
 )
-from .polyops import HypergeometricSpec, poly_eval
+from .polyops import HypergeometricSpec, _row_value
 
 
 @dataclass(frozen=True)
@@ -531,14 +531,14 @@ def _head_sum(system, ell: int, i: int, s: int, p: int, q: int, K: int) -> tuple
 
     Reordered by y = k + d, the sum is sum_d P_d beta^d (W_{K+d} - W_d) with
     W_y = sum_{x<y} w_x beta^{-x-1}, D = deg P_ell.  On the system's integer
-    forms P_d = Pn_d / dp and w_x = wn_x / V (`PadeSystem.integer_P`,
+    forms P_d = Pn_d / dp and w_x = wn_x / V (the row `PadeSystem.P.rows`,
     `integer_weights`), U_y = V p^y W_y steps as U_0 = 0,
     U_{y+1} = U_y p + wn_y q^{y+1}, so
     N = sum_d Pn_d q^{D-d} (U_{K+d} - p^K U_d) over L = dp V q^D, the sign
     moved onto N.  That is the same rational as the sum of the
     coefficients, which are the window's from its order on and exact zeros
     below it."""
-    dp, Pn, _ = system.integer_P(ell)
+    dp, Pn = system.P.rows[ell]
     V, wn = system.integer_weights(i, s)
     D = len(Pn) - 1
     U, u, qy = [0], 0, q
@@ -571,13 +571,12 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
 
     The product P_ell(beta) * F_s cancels to the tiny remainder, so F is
     evaluated with enough extra precision to survive the cancellation and
-    leave a budget of order 2^-bits on the difference itself."""
+    leave a budget of order 2^-bits on the difference itself.  Every
+    polynomial is evaluated on its integer row (`polyops._row_value`)."""
     beta = Fraction(beta)
     spec = system.spec
-    headroom = max(
-        _log2_abs(poly_eval(system.P[ell], beta))
-        for ell in range(system.r * system.m + 1)
-    )
+    P_at = {ell: _row_value(*row, beta) for ell, row in system.P.rows.items()}
+    headroom = max(map(_log2_abs, P_at.values()))
     eff_bits = bits + max(0, headroom) + 16
     F_at = {}
     for i in range(1, system.m + 1):
@@ -589,8 +588,8 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
     # must land on sum_{i,s} R(b) within the summed certified errors
     rows_acc = {}
     for ell, i, s in system.indices():
-        Pb = poly_eval(system.P[ell], beta)
-        Pisb = poly_eval(system.Pis[(ell, i, s)], beta)
+        Pb = P_at[ell]
+        Pisb = _row_value(*system.Pis.rows[(ell, i, s)], beta)
         Fv = F_at[i][s]
         lhs = BigFloat(Pb * Fv.value - Pisb, _abs(Pb) * Fv.error, bits)
         rhs = remainder_value(system, ell, i, s, beta, bits)

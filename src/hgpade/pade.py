@@ -13,19 +13,19 @@ coefficients of prod (t-alpha_i)^{rn} (multiplied out on integers, see
 table M(k) shared by every ell (see `_P_family`).
 
 Every other coefficient is a psi_{i,s}-value of P_ell, computed by one
-integer kernel, `polyops._dot_rows`, over P_ell on integers
-(`PadeSystem.integer_P`) and a scaled run of the psi_{i,s} weights kept on
-the spec, each run of outputs over one denominator: P_{ell,i,s} is the
-psi_{i,s}-image of the divided difference (P_ell(z)-P_ell(t))/(z-t), and
-R_{ell,i,s} has psi_{i,s}(t^k P_ell) as its 1/z^{k+1} coefficient.  A
-Fraction is made only where a caller reads a rational.  Each P_{ell,i,s} is
-kept as its integer row over that denominator (`PadeSystem.Pis.rows`,
-which the height fit reads), and made into its list of Fractions on its
-first read, by the contract, Delta, `to_jsonable` or the remainder
-identity.  Each remainder series is one append-only list on the system,
-read by exponent (`PadeSystem.terms`): its head, below the window's end, is
-filled on the first read inside it, and past the window it grows only as
-far as a caller reads.  The stored window (`PadeSystem.R`) is the
+integer kernel, `polyops._dot_rows`, over P_ell on integers and a scaled
+run of the psi_{i,s} weights kept on the spec, each run of outputs over one
+denominator: P_{ell,i,s} is the psi_{i,s}-image of the divided difference
+(P_ell(z)-P_ell(t))/(z-t), and R_{ell,i,s} has psi_{i,s}(t^k P_ell) as its
+1/z^{k+1} coefficient.  A Fraction is made only where a caller reads a
+rational.  Each P_ell and each P_{ell,i,s} is kept as its integer row over
+one denominator (`PadeSystem.P.rows`, `PadeSystem.Pis.rows`, which the
+kernel, the remainder sums, Delta and the criterion read), and made into
+its list of Fractions on its first read, by the contract or `to_jsonable`.
+Each remainder series is one append-only list on the system, read by
+exponent (`PadeSystem.terms`): its head, below the window's end, is filled
+on the first read inside it, and past the window it grows only as far as a
+caller reads.  The stored window (`PadeSystem.R`) is the
 `LaurentTail` of that head, made on its first read by the contract, Theta
 or `to_jsonable`; the p-adic sums read the head, and the archimedean sums
 neither (`numerics.remainder_value` starts from prefix sums of the weights,
@@ -50,6 +50,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .arith import format_rational, parse_rational
 from .errors import InvalidInput, TheoryViolation
@@ -118,7 +119,8 @@ def base_polynomial(alphas, rn: int, ell: int) -> Poly:
 
 
 def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
-    """[P_0, ..., P_top] of weight n, exact; P_ell has degree r*m*n + ell.
+    """[P_0, ..., P_top] of weight n, exact, each as its integer row
+    (den, ints) of `_scaled`; P_ell has degree r*m*n + ell.
 
     The paper's formula is
         P_ell = T_c^{-1} prod_{j=1}^{n-1} B(theta+j) [t^ell prod_i (t-alpha_i)^{rn}]
@@ -131,19 +133,27 @@ def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
         M(0) = prod_{j=1}^{n-1} B(j) / (c_0 ((n-1)!)^r),
         M(k+1)/M(k) = B(k+n)/A(k),
     which (AB) keeps finite and nonzero.  One M table serves every ell.
+
+    With base_0 = bn / db and M[ell:] scaled to mn / dm, P_ell is the
+    integer row bn * mn over db * dm, and dividing it by its one gcd g
+    gives `_scaled` of the reduced Fractions: den / gcd(den, a_1, ...) is
+    the lcm of the reduced denominators (`criterion._row_lcm`).
     """
     alphas = [Fraction(a) for a in alphas]
     r = spec.r
-    base = base_polynomial(alphas, r * n, 0)
+    db, bn = _scaled(base_polynomial(alphas, r * n, 0))
     M0 = math.prod((spec.B_at(j) for j in range(1, n)), start=Fraction(1)) / (
         spec.c0 * math.factorial(n - 1) ** r
     )
-    M = [M0] + term_table(M0, 0, len(base) - 1 + top, 1,
+    M = [M0] + term_table(M0, 0, len(bn) - 1 + top, 1,
                           [z + n for z in spec.zeta], spec.eta)
-    return [
-        [Fraction(0)] * ell + [b * M[k + ell] for k, b in enumerate(base)]
-        for ell in range(top + 1)
-    ]
+    rows = []
+    for ell in range(top + 1):
+        dm, mn = _scaled(M[ell:ell + len(bn)])
+        ints = [0] * ell + list(map(mul, bn, mn))
+        g = math.gcd(db * dm, *ints)
+        rows.append((db * dm // g, [a // g for a in ints]))
+    return rows
 
 
 def remainder(system: "PadeSystem", ell: int, i: int, s: int,
@@ -179,11 +189,13 @@ def _check_alphas(alphas):
 
 
 class _Rows(Mapping):
-    """The P_{ell,i,s} of a system by (ell, i, s).  Each is kept in `rows`
-    as the integer row (den, ints) of `build_system`, trailing zeros
-    trimmed, and made into its list of Fractions ints / den on its first
-    read, then kept.  An assigned list (`PadeSystem.from_jsonable`) is kept
-    as it is, with its row from `_scaled`."""
+    """The P_ell of a system by ell, or its P_{ell,i,s} by (ell, i, s).
+    Each is kept in `rows` as the integer row (den, ints) of `build_system`,
+    den > 0 and trailing zeros trimmed, and made into its list of Fractions
+    ints / den on its first read, then kept.  An assigned list
+    (`PadeSystem.from_jsonable`) is kept as it is, with its row from
+    `_scaled`.  A reader that wants integers reads `rows`: `in` and
+    `values()` go through the Fractions."""
 
     def __init__(self):
         self.rows, self._made = {}, {}
@@ -219,7 +231,7 @@ class _Windows(Mapping):
         if got is None:
             system = self._system
             ell, i, s = key
-            if not (ell in system.P and 1 <= i <= system.m and 0 <= s < system.r):
+            if not (ell in system.P.rows and 1 <= i <= system.m and 0 <= s < system.r):
                 raise KeyError(key)
             end = system.truncation - 1
             got = self._built[key] = LaurentTail(
@@ -240,24 +252,24 @@ class _Windows(Mapping):
 class PadeSystem:
     """One fully built instance: all P_ell, all P_{ell,i,s}, all remainders.
 
-    `Pis` maps (ell, i, s) to P_{ell,i,s}: `build_system` keeps each as an
-    integer row over one denominator (`Pis.rows`), and its list of
-    Fractions is made on its first read and kept (`_Rows`).  `R` maps
-    (ell, i, s) to the stored window of R_{ell,i,s}, the head of its term
-    list, made on its first read (`_Windows`).  Everything else a remainder
-    sum reads is beta-free and kept on the system on first use, each
-    computed once: the ratio bound past the window (`tail_ratio`), P_ell and
-    the psi weights on integers (`integer_P`, `integer_weights`), and per
-    (ell, i, s) the coefficients by exponent (`terms`) and the sizes that
-    bound them (`size`, unreduced integer pairs), two lists that grow only
-    as far as they are read, both from the kernel `_dot_rows` on those
-    integer forms.
+    `P` maps ell to P_ell and `Pis` maps (ell, i, s) to P_{ell,i,s}:
+    `build_system` keeps each as an integer row over one denominator
+    (`P.rows`, `Pis.rows`), and its list of Fractions is made on its first
+    read and kept (`_Rows`).  `R` maps (ell, i, s) to the stored window of
+    R_{ell,i,s}, the head of its term list, made on its first read
+    (`_Windows`).  Everything else a remainder sum reads is beta-free and
+    kept on the system on first use, each computed once: the ratio bound
+    past the window (`tail_ratio`), the psi weights on integers
+    (`integer_weights`), and per (ell, i, s) the coefficients by exponent
+    (`terms`) and the sizes that bound them (`size`, unreduced integer
+    pairs), two lists that grow only as far as they are read, both from the
+    kernel `_dot_rows` on the rows of P_ell and the weights.
     """
 
     spec: HypergeometricSpec
     alphas: list
     n: int
-    P: dict = field(default_factory=dict)           # ell -> Poly (in z)
+    P: Mapping = field(default_factory=_Rows)       # ell -> Poly (in z)
     Pis: Mapping = field(default_factory=_Rows)     # (ell, i, s) -> Poly
     truncation: int = 0
     R: Mapping = field(init=False, repr=False)      # (ell, i, s) -> LaurentTail
@@ -298,22 +310,14 @@ class PadeSystem:
         return self._kept(("ratio", s), lambda: _tail_ratio(
             self.spec, s, self.truncation - 1))
 
-    def integer_P(self, ell: int) -> tuple:
-        """(dp, Pn, |Pn|): P_ell = Pn / dp on integers over the lcm dp of
-        its denominators, and the absolute values of Pn.  Computed once per
-        ell."""
-        def make():
-            dp, Pn = _scaled(self.P[ell])
-            return dp, Pn, [abs(c) for c in Pn]
-        return self._kept(("P", ell), make)
-
     def integer_weights(self, i: int, s: int) -> tuple:
         """(V, wn): the psi_{i,s} weights w_x = wn_x / V on integers over
         their lcm V, for x below k0 + deg P_rm with k0 of `tail_ratio(s)`:
         every weight that a remainder sum up to its first stop test meets.
         Computed once per (i, s)."""
         return self._kept(("weights", i, s), lambda: self._weight_run(
-            i, s, 0, self.tail_ratio(s)[0], max(map(len, self.P.values()))))
+            i, s, 0, self.tail_ratio(s)[0],
+            max(len(ints) for _, ints in self.P.rows.values())))
 
     def terms(self, ell: int, i: int, s: int, k: int) -> list:
         """The coefficients of R_{ell,i,s} by exponent, grown to hold index k:
@@ -339,7 +343,7 @@ class PadeSystem:
         """sum_d |P_d| |w_{k+d}| over the psi_{i,s} weights w, for k from the
         window's end on: the size that bounds terms[k] and every later term,
         as the unreduced pair (sa, sb) of its integer sum over its run's
-        denominator dp * dw (`integer_P`, `_weight_run`).  Kept in a list of
+        denominator dp * dw (`P.rows`, `_weight_run`).  Kept in a list of
         its own that grows like the terms past the window, so a sum that
         reads only sizes (or only terms) computes nothing else, and no size
         fills a head or makes a window."""
@@ -356,12 +360,12 @@ class PadeSystem:
                  absolute: bool = False) -> tuple:
         # (den, ints): psi_{i,s}(t^k P_ell) = ints[k - start] / den for
         # start <= k < stop (with `absolute`, the sizes sum_d |P_d| |w_{k+d}|),
-        # one `_dot_rows` call over P_ell on integers and the one scaled run
+        # one `_dot_rows` call over the row of P_ell and the one scaled run
         # of weights those outputs meet
-        dp, Pn, Pabs = self.integer_P(ell)
+        dp, Pn = self.P.rows[ell]
         dw, wi = self._weight_run(i, s, start, stop, len(Pn))
         if absolute:
-            Pn, wi = Pabs, [abs(x) for x in wi]
+            Pn, wi = [abs(c) for c in Pn], [abs(x) for x in wi]
         return dp * dw, _dot_rows(Pn, wi, stop - start)
 
     def _weight_run(self, i: int, s: int, start: int, stop: int, width: int) -> tuple:
@@ -393,7 +397,8 @@ class PadeSystem:
             n=data["n"],
             truncation=data["truncation"],
         )
-        sys.P = {int(k): [parse_rational(c) for c in p] for k, p in data["P"].items()}
+        for key, p in data["P"].items():
+            sys.P[int(key)] = [parse_rational(c) for c in p]
         for key, p in data["Pis"].items():
             ell, i, s = map(int, key.split(","))
             sys.Pis[(ell, i, s)] = [parse_rational(c) for c in p]
@@ -408,9 +413,10 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     """Build every P_ell and P_{ell,i,s} of the instance; each remainder
     window is made on its first read (`PadeSystem.R`).
 
-    All P_ell come from one multiplier table (`_P_family`).  The z^j
-    coefficient of P_{ell,i,s} is sum_k w_k P_ell[j+1+k], the Horner form of
-    the divided difference: one `_dot_rows` call on P_ell[1:] over integers,
+    All P_ell come from one multiplier table, as integer rows
+    (`_P_family`, kept in `PadeSystem.P`).  The z^j coefficient of
+    P_{ell,i,s} is sum_k w_k P_ell[j+1+k], the Horner form of the divided
+    difference: one `_dot_rows` call on the row of P_ell past its constant,
     against the weights below deg P_rm, scaled once per (i, s).  Each is
     kept as that integer row over dp * dw, trailing zeros trimmed
     (`PadeSystem.Pis`); no Fraction is made here.  The window
@@ -432,13 +438,12 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     else:
         check_truncation(n, truncation)
     system = PadeSystem(spec=spec, alphas=alphas, n=n, truncation=truncation)
-    system.P = dict(enumerate(_P_family(spec, alphas, n, r * m)))
-    top = len(system.P[r * m]) - 1
+    system.P.rows.update(enumerate(_P_family(spec, alphas, n, r * m)))
+    top = len(system.P.rows[r * m][1]) - 1
     for i in range(1, m + 1):
         for s in range(r):
             dw, wn = system._weight_run(i, s, 0, 1, top)
-            for ell in system.P:
-                dp, Pn, _ = system.integer_P(ell)
+            for ell, (dp, Pn) in system.P.rows.items():
                 deg = len(Pn) - 1
                 system.Pis.rows[(ell, i, s)] = (
                     dp * dw, poly_trim(_dot_rows(wn[:deg], Pn[1:], deg)))

@@ -14,7 +14,9 @@ per (alpha, s) where they depend on it, and grown on demand by one helper,
 `_grown`.  Every value psi_{i,s}(t^k p) is a correlation of p against the
 one weight table of (alpha_i, s), computed on integers scaled to common
 denominators by one kernel, `_dot_rows`, whose integer outputs share one
-denominator; a caller that reads rationals makes them (`_unscaled`).
+denominator; a caller that reads rationals makes them (`_unscaled`), and a
+caller that reads such a row's polynomial at a rational point takes one
+integer Horner (`_row_value`).
 `pade.PadeSystem` feeds it its own integer forms, and `correlate` scales per
 call, for `psi` and the columns of the C_{u,m} moment matrix in
 `wronskian`.  `LaurentTail.mul_poly`, the
@@ -425,6 +427,19 @@ def _unscaled(den: int, ints: list) -> list:
     """The rationals ints / den, one reduced Fraction each: the inverse of
     `_scaled`."""
     return [Fraction(a, den) for a in ints]
+
+
+def _row_value(den: int, ints: list, x: Fraction) -> Fraction:
+    """The polynomial sum_d ints[d] / den * x^d at x = p/q, as one Fraction:
+    the integer Horner sum_d ints[d] p^d q^{D-d} over den q^D, D = deg."""
+    if not ints:
+        return Fraction(0)
+    p, q = x.numerator, x.denominator
+    acc, qd = 0, 1
+    for a in reversed(ints):
+        acc = acc * p + a * qd
+        qd *= q
+    return Fraction(acc, den * (qd // q))  # qd = q^(D+1)
 
 
 def _dot_rows(pi: list, wi: list, count: int) -> list:

@@ -3,7 +3,8 @@
 `CHECKS` has one row per check: its id, its description, its wall-clock
 budget and its body.  A body takes the run's `Desk`, which builds the grid
 systems, their contracts and the criterion instance once, on first read, and
-returns (passed, details); it never prints and never reads a clock.
+returns (passed, details); it never prints and never reads a clock, and
+its details keep rationals exact (`cli._canonical` writes them).
 `run_check` times one row and records a body that raises as a failed check;
 `run_suite` runs every row on one Desk.  Both the `hgpade suite` command and
 the test suite run the rows through `run_check`.  Failure details name the
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import D_n_profile, Place, format_rational, log_mu, totient
+from .arith import D_n_profile, Place, log_mu, totient
 from .criterion import Instance, criterion_V, decay_fit_R, measure, min_beta
 from .errors import SingularEigenvalue
 from .numerics import _f_closed, _f_direct, check_remainder_identity
@@ -199,7 +200,7 @@ def check_wronskian_routes(desk: Desk):
         here = route["delta"] != 0 and route["equal"] and chain
         ok = ok and here
         rows.append(
-            {"instance": label, "ok": here, "delta": format_rational(route["delta"]),
+            {"instance": label, "ok": here, "delta": route["delta"],
              "expansion_route": route["equal"], "chain_route": chain}
         )
     return ok, {"instances": rows}
@@ -255,7 +256,7 @@ def check_factorization(desk: Desk):
         want = expo(spec.r, len(alphas), n, u)
         exp_rows.append(
             {"r": spec.r, "m": len(alphas), "n": n, "u": u,
-             "measured_e": e, "expected_e": want, "c": format_rational(c)}
+             "measured_e": e, "expected_e": want, "c": c}
         )
         ok = ok and e == want and c != 0
     details["alpha_exponent"] = exp_rows
@@ -303,7 +304,7 @@ def check_denominator_growth(desk: Desk):
         here = prof.log_rate <= bound
         ok = ok and here
         rows.append(
-            {"a": format_rational(a), "b": format_rational(b),
+            {"a": a, "b": b,
              "log_rate": prof.log_rate, "bound": bound, "ok": here}
         )
     return ok, {"pairs": rows}
@@ -490,7 +491,7 @@ def check_dual_route_series(desk: Desk):
                 worst = max(worst, float(rel))
             here = worst <= 2.0**-128
             ok = ok and here
-            rows.append({"r": spec.r, "z": format_rational(z),
+            rows.append({"r": spec.r, "z": z,
                          "worst_rel": worst, "ok": here})
     return ok, {"arguments": rows}
 

@@ -21,10 +21,11 @@ argument's hypotheses through `pade.contract_failures`, one literal product
 per remainder over its window, and evaluates Delta at z = 0 and 1; the
 certify path builds windows only through 1/z^{n+1}, and without the
 cross-check, which would run the same contract again.  C_{u,m} is the
-moment determinant, whose columns are `correlate` runs.  The chain computes each distinct C_{u,m} value once and checks every
-link against its successor with the one link check that `reduction_check`
-also runs.  The subset elimination behind `C_um(..., route="eliminate")`
-is exponential in rm and is kept only as an oracle for small sizes.
+moment determinant, whose columns are `correlate` runs.  The chain computes
+each distinct C_{u,m} value once and checks every link against its
+successor with the one link check that `reduction_check` also runs.  The
+subset elimination behind `C_um(..., route="eliminate")` is exponential in
+rm and is kept only as an oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import format_rational
 from .errors import (
     FactorizationMismatch,
     InvalidInput,
@@ -51,7 +51,6 @@ from .pade import (
 from .polyops import (
     HypergeometricSpec,
     Poly,
-    _scaled,
     correlate,
     phi_zeta_s,
     poly_from_roots,
@@ -107,9 +106,10 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     builds at it: the order hypotheses read exponents 1..n, Theta reads
     n+1, and the product's exponents <= 0 are checked at any truncation.
 
-    Delta(0) and Delta(1) are then two integer Bareiss determinants; they
-    must agree, and their value is returned.  `delta_route_check` compares it
-    with lead(P_rm) * Theta.
+    Delta(0) and Delta(1) are then two Bareiss determinants, read off the
+    integer rows (den, ints) of the system: p(0) = ints[0] / den and
+    p(1) = sum(ints) / den.  They must agree, and their value is returned.
+    `delta_route_check` compares it with lead(P_rm) * Theta.
     """
     failures = contract_failures(system)
     if failures:
@@ -117,13 +117,12 @@ def delta_of_system(system: PadeSystem) -> Fraction:
             f"hypothesis {_HYPOTHESES[failures[0]['check']]} fails: {failures[0]}")
     r, m = system.r, system.m
     N = r * m
-    rows = [[system.P[ell] for ell in range(N + 1)]]
+    rows = [[system.P.rows[ell] for ell in range(N + 1)]]
     for i, s in _row_index_pairs(r, m):
-        rows.append([system.Pis[(ell, i, s)] for ell in range(N + 1)])
-    at_0 = det_bareiss([[p[0] if p else Fraction(0) for p in row] for row in rows])
-    # each p(1) summed on integers over the lcm of p's denominators
-    at_1 = det_bareiss([[Fraction(sum(ints), den) for den, ints in map(_scaled, row)]
+        rows.append([system.Pis.rows[(ell, i, s)] for ell in range(N + 1)])
+    at_0 = det_bareiss([[Fraction(ints[0] if ints else 0, den) for den, ints in row]
                         for row in rows])
+    at_1 = det_bareiss([[Fraction(sum(ints), den) for den, ints in row] for row in rows])
     if at_0 != at_1:
         raise NonconstantDeterminant(
             f"nonconstant determinant: Delta(0) = {at_0} != Delta(1) = {at_1}")
@@ -536,6 +535,8 @@ def final_det_basis(spec: HypergeometricSpec) -> Fraction:
 
 @dataclass
 class WronskianReport:
+    """Every value of the chain, exact; `cli._canonical` writes it."""
+
     delta: Fraction
     theta: Fraction
     a0s: list
@@ -547,21 +548,6 @@ class WronskianReport:
     hypothesis_flags: dict
     checks: dict
     zero_links: list = field(default_factory=list)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "delta": format_rational(self.delta),
-            "theta": format_rational(self.theta),
-            "a0s": [format_rational(v) for v in self.a0s],
-            "leading_coeff_Prm": format_rational(self.leading_coeff_Prm),
-            "c_um_chain": [format_rational(v) for v in self.c_um_chain],
-            "final_det": format_rational(self.final_det),
-            "exponent_e": self.exponent_e,
-            "verdict": self.verdict,
-            "hypothesis_flags": {k: v for k, v in self.hypothesis_flags.items()},
-            "checks": dict(self.checks),
-            "zero_links": list(self.zero_links),
-        }
 
 
 def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianReport:

@@ -106,9 +106,10 @@ def test_build_report_is_frozen(capsys):
      "e436543b4c3138dfa8d966eace68353b6b61ed12857e741635b67c55d1c7599f"),
 ])
 def test_reports_that_read_every_companion_make_each(argv, digest, monkeypatch, capsys):
-    # build's JSON form, verify's contract and certify's Delta read every
-    # P_{ell,i,s}: each system such a command makes ends with every one made
-    # into Fractions from its integer row, and the report keeps its bytes
+    # build's JSON form, verify's contract and the contract behind
+    # certify's Delta read every P_ell and P_{ell,i,s}: each system such a
+    # command makes ends with every one made into Fractions from its integer
+    # row, and the report keeps its bytes
     from hgpade.pade import PadeSystem
 
     made = []
@@ -125,6 +126,8 @@ def test_reports_that_read_every_companion_make_each(argv, digest, monkeypatch, 
     for system in made:
         assert sorted(system.Pis._made) == sorted(system.Pis.rows) \
             == sorted(system.indices())
+        assert sorted(system.P._made) == sorted(system.P.rows) \
+            == list(range(system.r * system.m + 1))
 
 
 def test_verify_corrupted_system_exits_3(tmp_path, capsys):
@@ -855,3 +858,16 @@ def test_code_only_the_tests_use_leaves_src(tmp_path):
         "def lone(k):\n    return lone(k - 1) if k else 0\n\n\n"
         "def used():\n    return 1\n\n\nVALUE = used()\n")
     assert _unreferenced_functions(tmp_path) == ["lone.lone"]
+
+
+def test_suite_failure_names_its_details_in_report_text(monkeypatch, capsys):
+    # a check's details keep rationals exact; a red run writes them on
+    # stderr as the report does, not as Python reprs
+    def red(desk):
+        return False, {"instance": "r2m1n1", "delta": Fraction(-3, 8)}
+
+    monkeypatch.setattr("hgpade.suite.CHECKS", (("red", "always fails", 5.0, red),))
+    assert main(["suite"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["checks"][0]["details"]["delta"] == "-3/8"
+    assert "suite failure: red: {'delta': '-3/8', 'instance': 'r2m1n1'}" in captured.err

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgpade.arith import Place, log_abs_fraction, log_int, v_p
+from hgpade.cli import _canonical
 from hgpade.criterion import (
     HeightData,
     Instance,
@@ -67,12 +68,6 @@ def test_fit_rate_flags_distorted_data():
     assert not fit.ok
 
 
-def test_fit_rate_tolerance_passthrough():
-    ns = list(range(4, 9))
-    fit = fit_rate(ns, [1.0 * n for n in ns], tolerance=0.5)
-    assert fit.tolerance == 0.5
-
-
 def test_fit_rate_input_guards():
     with pytest.raises(InvalidInput):
         fit_rate([4, 5, 6], [1.0, 2.0, 3.0])  # too few samples
@@ -85,9 +80,10 @@ def test_fit_rate_input_guards():
 def test_fit_rate_jsonable_round_trip_fields():
     ns = list(range(4, 9))
     fit = fit_rate(ns, [2.0 * n + 3.0 for n in ns])
-    data = fit.to_jsonable()
+    data = _canonical(fit.to_jsonable())
     assert data["rate"] == fit.rate
     assert data["ok"] is True
+    assert data["tolerance"] == 0.02
     assert data["points"] == [[n, z] for n, z in fit.points]
 
 
@@ -321,13 +317,14 @@ def test_measure_fit_quality(canonical_measure):
 
 
 def test_measure_report_jsonable(canonical_measure):
-    data = canonical_measure.to_jsonable()
+    # the report keeps exact values; the CLI's one writer makes the text
+    data = _canonical(canonical_measure.to_jsonable())
     assert data["v0"] == "inf"
     assert data["closed_form_status"] == "best_effort"
     assert data["verdict"] is True
     assert data["n_range"] == [4, 16]
     assert data["A_emp"] == canonical_measure.A_emp
-    assert data["diagnostics"] == canonical_measure.diagnostics
+    assert data["diagnostics"] == _canonical(canonical_measure.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +551,45 @@ def test_remainder_sums_grow_only_what_they_read(spec_r2, check_remainder_lists,
 
 def test_archimedean_measure_builds_no_window(spec_r2, remainder_state):
     # every archimedean remainder sum starts at its first stop test from
-    # prefix sums of the weights, and the height fit reads the integer rows
-    # of the P_{ell,i,s}: a whole criterion run on r = 2, m = 2 at
-    # beta = 10^9 fills no head, makes no stored window and makes no
-    # P_{ell,i,s} into Fractions
+    # prefix sums of the weights, and the growth and height fits read the
+    # integer rows of the P_ell and P_{ell,i,s}: a whole criterion run on
+    # r = 2, m = 2 at beta = 10^9 fills no head, makes no stored window and
+    # makes no P_ell or P_{ell,i,s} into Fractions
     inst = Instance(spec_r2, (Fraction(1), Fraction(2)), range(4, 8))
     measure(inst, Fraction(10**9), Place(), 0.1)
     assert len(inst.systems) == 4
     for system in inst.systems.values():
         assert not system.R._built
         assert not system.Pis._made and sorted(system.Pis.rows) == sorted(system.indices())
+        assert not system.P._made and sorted(system.P.rows) == list(range(5))
         for key in system.indices():
             assert not remainder_state.head_filled(system, key)
+    # the p-adic criterion fills heads but reads P_ell off its row, and
+    # min-beta runs the archimedean sums at every beta it tries: neither
+    # makes a P_ell Fraction either
+    for run in (lambda inst: measure(inst, Fraction(1, 5**10), Place(5), 0.1),
+                lambda inst: min_beta(inst, Place(), 1024)):
+        inst = Instance(spec_r2, (Fraction(1),), range(4, 8))
+        run(inst)
+        for system in inst.systems.values():
+            assert not system.P._made and sorted(system.P.rows) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_vp_remainder_reads_the_valuation_of_P_off_its_row(spec_r2, p):
+    # min_d v_p(P_d) off the integer row (den, a) of P_ell is
+    # min_d v_p(a_d) - v_p(den), the Fraction route's value; with it, the
+    # p-adic sum at |beta|_p = p^10 agrees with an exact partial sum of
+    # R(beta) = sum_k psi(t^k P)/beta^(k+1), whose later terms all have far
+    # larger valuation
+    from hgpade.criterion import _vp_remainder
+    from hgpade.pade import build_system
+
+    system = build_system(spec_r2, (Fraction(1), Fraction(2)), 3, cross_check=False)
+    for ell, (den, ints) in system.P.rows.items():
+        assert min(v_p(a, p) for a in ints if a) - v_p(den, p) == min(
+            v_p(c, p) for c in system.P[ell] if c)
+    beta = Fraction(1, p**10)
+    for key in system.indices():
+        R = sum(system.terms(*key, k)[k] / beta ** (k + 1) for k in range(80))
+        assert _vp_remainder(system, *key, beta, p) == v_p(R, p)

@@ -24,6 +24,7 @@ from hgpade.pade import (
 from hgpade.polyops import (
     HypergeometricSpec,
     LaurentTail,
+    _scaled,
     correlate,
     expand_F_s,
     poly_deg,
@@ -192,8 +193,10 @@ def test_build_P_equals_the_operator_chain(instance):
     except HypothesisViolation:
         assume(False)  # (AB) fails: a non-positive integer root
     top = spec.r * len(alphas)
-    for ell, P in enumerate(_P_family(spec, alphas, n, top)):
-        assert P == _operator_chain_P(spec, alphas, n, ell)
+    # each row is `_scaled` of the chain's reduced Fractions: the same
+    # polynomial, over the least common denominator
+    for ell, row in enumerate(_P_family(spec, alphas, n, top)):
+        assert row == _scaled(_operator_chain_P(spec, alphas, n, ell))
 
 
 # ---------------------------------------------------------------------------

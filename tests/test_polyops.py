@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import psi_weights
@@ -12,6 +12,8 @@ from hgpade.errors import InsufficientPrecision, InvalidInput, SingularEigenvalu
 from hgpade.polyops import (
     HypergeometricSpec,
     LaurentTail,
+    _row_value,
+    _unscaled,
     correlate,
     expand_F_s,
     f_s_coefficient,
@@ -92,6 +94,17 @@ def test_poly_from_roots_of_shifted_roots_is_the_shifted_polynomial(roots, h):
     assert len(shifted) == len(A)
     for x in range(len(roots) + 1):
         assert poly_eval(shifted, F(x)) == poly_eval(A, x + h)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-10**12, 10**12), max_size=9), st.integers(1, 10**9),
+       st.integers(-10**6, 10**6), st.integers(2, 10**6))
+@example([3, 0, -5], 12, -7, 4)
+def test_row_value_is_poly_eval_of_the_rows_fractions(ints, den, p, q):
+    # the integer Horner over den q^D is the polynomial ints / den at p/q
+    x = F(p, q)
+    assume(x.denominator > 1)
+    assert _row_value(den, ints, x) == poly_eval(_unscaled(den, ints), x)
 
 
 @given(polys, polys)
