@@ -236,7 +236,9 @@ def _log_abs_R_arch(system, ell, i, s, beta) -> float:
     bits = 32
     while True:
         val = remainder_value(system, ell, i, s, beta, bits)
-        if val.value != 0 and val.error * 2**12 <= abs(val.value):
+        # error 2^12 <= |value|, on the unreduced pairs (both denominators
+        # are positive): the value is reduced once, for the log
+        if val.num and (val.err * val.den << 12) <= abs(val.num) * val.err_den:
             return log_abs_fraction(val.value)
         bits *= 2
         if bits > 1 << 14:

@@ -15,8 +15,9 @@ unreduced integers (term, numerator, denominator) a step-by-step sum would.
 A range is taken only where one exact comparison at its end proves that no
 stop test inside it can pass (the margin lemma of `_sum_series`), and the
 stopping test is decided exactly on those integers, so the certified value
-and bound are the same reduced rationals a term-by-term Fraction sum would
-give, at the same stopping index.  The remainder values R(beta) of
+and bound are the same rationals a term-by-term Fraction sum would give, at
+the same stopping index, kept unreduced: a BigFloat holds integer pairs,
+and `eval` reads them without one gcd.  The remainder values R(beta) of
 `remainder_value` are summed on integers too, over one running denominator
 L * p^e for beta = p/q: up to the first stop test in one piece, from prefix
 sums of the psi weights (`_head_sum`, which reads no coefficient and so no
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
@@ -44,42 +46,103 @@ from .errors import (
 from .polyops import HypergeometricSpec, _row_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BigFloat:
-    """An exact value known to lie within `error` of the true sum."""
+    """A rational num / den known to lie within err / err_den of the true
+    sum.
 
-    value: Fraction
-    error: Fraction
+    Both pairs are kept as the sums reach them, unreduced, each with a
+    positive denominator (the constructor moves a sign onto the
+    numerator), so no gcd is taken on the way: `agrees_with`, `to_decimal`
+    and `error_exponent` depend only on the two rationals, not on their
+    forms.  `value` and `error` are the reduced Fractions, each made on its
+    first read, for the readers that need a reduced form.  Equality is
+    identity (eq=False): compare values, not the pairs."""
+
+    num: int
+    den: int
+    err: int
+    err_den: int
     bits: int
 
     def __post_init__(self):
-        if self.error < 0:
+        if not self.den or not self.err_den:
+            raise InvalidInput("zero denominator")
+        for top, bottom in (("num", "den"), ("err", "err_den")):
+            if getattr(self, bottom) < 0:
+                object.__setattr__(self, top, -getattr(self, top))
+                object.__setattr__(self, bottom, -getattr(self, bottom))
+        if self.err < 0:
             raise InvalidInput("error bound must be nonnegative")
 
+    @cached_property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @cached_property
+    def error(self) -> Fraction:
+        return Fraction(self.err, self.err_den)
+
     def agrees_with(self, other: "BigFloat") -> bool:
-        """True iff the certified intervals intersect."""
-        return abs(self.value - other.value) <= self.error + other.error
+        """True iff the certified intervals intersect: |x1 - x2| <= e1 + e2
+        for the values x and errors e of the two sides.
+
+        Decided first on fixed-point quotients, with no cross product of
+        the long pairs.  For K >= 0 let v = floor(x 2^K) and
+        u = ceil(e 2^K) on each side.  Then X = 2^K (x1 - x2) lies within
+        less than 1 of v1 - v2, and W = 2^K (e1 + e2) lies in
+        (u1 + u2 - 2, u1 + u2].  So |v1 - v2| > u1 + u2 + 1 gives
+        |X| > |v1 - v2| - 1 > u1 + u2 >= W: the intervals are disjoint.
+        And |v1 - v2| <= u1 + u2 - 3 gives |X| < |v1 - v2| + 1
+        <= u1 + u2 - 2 < W: they meet.  Only the four gaps in between, and
+        a zero error, go to the exact test `_agrees_exactly`.
+
+        K = 64 + max (len(err_den) - len(err)) over both sides makes each
+        e 2^K at least 2^63, so the band of four units is at most 2^-62 of
+        W.  An error above 2^64 would make K negative, so K is clamped at 0,
+        where every error is above 2^63 already."""
+        if not (self.err and other.err):
+            return _agrees_exactly(self, other)
+        K = max(0, 64 + max(x.err_den.bit_length() - x.err.bit_length()
+                            for x in (self, other)))
+        gap = abs((self.num << K) // self.den - (other.num << K) // other.den)
+        # the sum of the ceilings, as minus the sum of the floors of -e 2^K
+        width = -((-self.err << K) // self.err_den
+                  + (-other.err << K) // other.err_den)
+        if gap > width + 1:
+            return False
+        if gap <= width - 3:
+            return True
+        return _agrees_exactly(self, other)
 
     def to_decimal(self, digits: int = 30) -> str:
-        scaled = self.value * 10**digits
-        whole = int(scaled)  # truncation toward zero is fine for display
-        sign = "-" if whole < 0 else ""
-        ds = str(abs(whole)).rjust(digits + 1, "0")
+        # truncation toward zero is fine for display
+        whole = abs(self.num) * 10**digits // self.den
+        sign = "-" if whole and self.num < 0 else ""
+        ds = str(whole).rjust(digits + 1, "0")
         return f"{sign}{ds[:-digits]}.{ds[-digits:]}"
 
     def error_exponent(self) -> int:
         """Largest k <= 4 bits + 64 with error <= 2^-k (0 when the error
         exceeds 1)."""
-        if self.error == 0:
+        n, d = self.err, self.err_den
+        if n == 0:
             return self.bits
-        e = Fraction(self.error)
-        n, d = e.numerator, e.denominator
-        # 2^(k-1) < d/n < 2^(k+1) for k = len(d) - len(n): the floor of
-        # log2(d/n) is k or k - 1, and one shift comparison decides which
+        # 2^(k-1) < d/n < 2^(k+1) for k = len(d) - len(n), for any pair of
+        # the error: the floor of log2(d/n) is k or k - 1, and one shift
+        # comparison decides which
         k = d.bit_length() - n.bit_length()
         if (n << k > d) if k >= 0 else (n > d << -k):
             k -= 1
         return max(0, min(k, 4 * self.bits + 64))
+
+
+def _agrees_exactly(x: BigFloat, y: BigFloat) -> bool:
+    """`BigFloat.agrees_with` cross-multiplied: every denominator is
+    positive, so |x.num/x.den - y.num/y.den| <= x.err/x.err_den +
+    y.err/y.err_den holds iff it holds times x.den y.den x.err_den y.err_den."""
+    return (abs(x.num * y.den - y.num * x.den) * x.err_den * y.err_den
+            <= (x.err * y.err_den + y.err * x.err_den) * x.den * y.den)
 
 
 def _abs(x: Fraction) -> Fraction:
@@ -161,8 +224,9 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
     with D = prod(q_g) * den(t_0) * prod b_j unreduced: with gt = tn g(k)
     (so gt / D = G(k) t_k), a step is N <- (N + gt) b_k, D <- D b_k,
     tn <- tn a_k.  The stop is decided exactly on these integers, and the
-    returned value and tail bound are the reduced rationals sum and
-    |G(K) t_K| * tail_factor.
+    returned value and tail bound are the rationals sum and
+    |G(K) t_K| * tail_factor as the unreduced pairs (N, D) and
+    (|gt| f, D f') for tail_factor = f / f'.
 
     The caller's k0 promises a term ratio of at most rho for k >= k0, with
     1/(1-rho) <= tail_factor, so the bound covers the whole discarded tail,
@@ -237,7 +301,7 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
                         < max(D.bit_length(), N.bit_length())):
             T = abs(gt) * f_num
             if (T << bits) <= f_den * max(D, abs(N)):
-                return BigFloat(Fraction(N, D), Fraction(T, D * f_den), bits)
+                return BigFloat(N, D, T, D * f_den, bits)
         if k == check_at:
             if _budget_cannot_certify(x, upper, lower, weight, k, gt, N, D,
                                       tail_factor, bits, max_k + 1 - k):
@@ -323,7 +387,7 @@ def eval_pFq(a, b, z, bits: int) -> BigFloat:
     if len(a) > len(b) + 1 and z != 0:
         raise DivergentSeries("series diverges for p > q+1")
     if z == 0:
-        return BigFloat(Fraction(1), Fraction(0), bits)
+        return BigFloat(1, 1, 0, 1, bits)
 
     rho = (1 + _abs(z)) / 2 if len(a) == len(b) + 1 else Fraction(1, 2)
     kmin = 1 + max(
@@ -374,7 +438,7 @@ def _f_direct(spec: HypergeometricSpec, s: int, w: Fraction, bits: int) -> BigFl
     if _abs(w) >= 1:
         raise DivergentSeries("need |w| < 1")
     if w == 0:
-        return BigFloat(Fraction(0), Fraction(0), bits)
+        return BigFloat(0, 1, 0, 1, bits)
     rho = (1 + _abs(w)) / 2
     k0, c = _tail_ratio(spec, s, 0)
     while _abs(w) * c > rho:
@@ -400,17 +464,21 @@ def _f_closed(spec: HypergeometricSpec, s: int, w: Fraction, bits: int):
     w = Fraction(w)
     if s == 0:
         inner = eval_pFq(a, b, w, bits + 8)
-        return BigFloat(scale * (inner.value - 1), _abs(scale) * inner.error, bits)
-    r = spec.r
-    if s > r - 1:
-        raise InvalidInput(f"s out of range: {s}")
-    shifted_b = [bj + 1 for bj in b[: r - s]] + list(b[r - s:])
-    front = math.prod(a, start=Fraction(1))
-    for bj in b[: r - s]:
-        front /= bj
-    inner = eval_pFq([x + 1 for x in a], shifted_b, w, bits + 8)
-    front = scale * front * w
-    return BigFloat(front * inner.value, _abs(front) * inner.error, bits)
+        front, top = scale, inner.num - inner.den  # the sum minus 1
+    else:
+        r = spec.r
+        if s > r - 1:
+            raise InvalidInput(f"s out of range: {s}")
+        shifted_b = [bj + 1 for bj in b[: r - s]] + list(b[r - s:])
+        front = math.prod(a, start=Fraction(1))
+        for bj in b[: r - s]:
+            front /= bj
+        inner = eval_pFq([x + 1 for x in a], shifted_b, w, bits + 8)
+        front, top = scale * front * w, inner.num
+    # front times the sum's pairs, still unreduced
+    c, d = front.numerator, front.denominator
+    return BigFloat(c * top, d * inner.den, abs(c) * inner.err,
+                    d * inner.err_den, bits)
 
 
 def eval_F_family(spec: HypergeometricSpec, w, bits: int):
@@ -425,7 +493,7 @@ def eval_F_family(spec: HypergeometricSpec, w, bits: int):
         if closed is not None and not direct.agrees_with(closed):
             raise InsufficientPrecision(
                 f"series and closed form disagree beyond certified error at s={s}: "
-                f"{float(direct.value)} vs {float(closed.value)}"
+                f"{direct.num / direct.den} vs {closed.num / closed.den}"
             )
         out.append(direct)
     return out
@@ -467,8 +535,8 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     bound > 2^-bits max(|S|, 2^-bits) is decided exactly on integers (p^e
     cancels from the |S| side); it is homogeneous in (N, L) and in the size's
     (sa, sb), and its bit-length prefilter is a necessary condition for any
-    such pairs, so the value, the bound (reduced when the BigFloat is made)
-    and the stop index are those of the term-by-term Fraction sum.
+    such pairs, so the value, the bound (both unreduced pairs in the
+    BigFloat) and the stop index are those of the term-by-term Fraction sum.
     """
     beta = Fraction(beta)
     x = Fraction(system.alphas[i - 1]) / beta
@@ -520,8 +588,7 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
         qe *= q
         pk *= p
         k += 1
-    return BigFloat(Fraction(N, L * pk),
-                    Fraction(sa * qa * gn, sb * pk * p * gd), bits)
+    return BigFloat(N, L * pk, sa * qa * gn, sb * pk * p * gd, bits)
 
 
 def _head_sum(system, ell: int, i: int, s: int, p: int, q: int, K: int) -> tuple:
@@ -591,7 +658,9 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
         Pb = P_at[ell]
         Pisb = _row_value(*system.Pis.rows[(ell, i, s)], beta)
         Fv = F_at[i][s]
-        lhs = BigFloat(Pb * Fv.value - Pisb, _abs(Pb) * Fv.error, bits)
+        v, e = Pb * Fv.value - Pisb, _abs(Pb) * Fv.error
+        lhs = BigFloat(v.numerator, v.denominator, e.numerator, e.denominator,
+                       bits)
         rhs = remainder_value(system, ell, i, s, beta, bits)
         ok = lhs.agrees_with(rhs)
         ok_all = ok_all and ok

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hgpade import criterion
 from hgpade.arith import Place, format_rational, parse_rational
 from hgpade.cli import COMMANDS, MAX_N, emit_report, main
+from hgpade.numerics import BigFloat
 
 R2 = ["--a", "1/3,1/4", "--b", "1/2"]
 
@@ -431,6 +432,22 @@ def test_measure_reports_match_frozen(capsys):
         assert main(key.split()) == 0, key
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == frozen[key], key
+
+
+def test_eval_reduces_no_certified_value(capsys, monkeypatch):
+    # `eval` reads its values only as the unreduced pairs the sums reach:
+    # with the reduced forms unreadable, the benchmark's 4096-bit op still
+    # writes the report bytes its frozen table pins
+    def unreadable(self):
+        raise AssertionError("the eval path reduced a BigFloat")
+
+    monkeypatch.setattr(BigFloat, "value", property(unreadable))
+    monkeypatch.setattr(BigFloat, "error", property(unreadable))
+    key = "eval --a=1/3,1/4,1/5 --b=1/2,2/3 --z=1/3 --bits=4096"
+    assert main(key.split()) == 0
+    out = capsys.readouterr().out
+    frozen = json.loads(_FROZEN.read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == frozen[key]
 
 
 def test_certify_reports_match_frozen(capsys):

@@ -50,6 +50,13 @@ def _as_decimal(x: Fraction) -> decimal.Decimal:
 # the interval scalar
 
 
+def _of(value, error, bits: int) -> BigFloat:
+    """The BigFloat of two rationals, as their reduced pairs."""
+    value, error = F(value), F(error)
+    return BigFloat(value.numerator, value.denominator, error.numerator,
+                    error.denominator, bits)
+
+
 def _cmp(x: BigFloat, other) -> int:
     """-1, 0, +1 of x against a rational or another BigFloat; raises when
     the certified intervals overlap without coinciding."""
@@ -67,32 +74,43 @@ def _cmp(x: BigFloat, other) -> int:
 
 
 def test_bigfloat_invariants():
-    x = BigFloat(F(1, 3), F(1, 1000), 64)
+    x = BigFloat(1, 3, 1, 1000, 64)
     assert _cmp(x, F(1)) == -1
     assert _cmp(x, F(0)) == 1
     with pytest.raises(InsufficientPrecision):
         _cmp(x, F(1, 3))  # inside the interval: not decidable
-    exact = BigFloat(F(1, 3), F(0), 64)
+    exact = BigFloat(1, 3, 0, 1, 64)
     assert _cmp(exact, F(1, 3)) == 0
+    for err, err_den in ((-1, 1), (1, -1)):
+        with pytest.raises(InvalidInput):
+            BigFloat(1, 1, err, err_den, 64)
     with pytest.raises(InvalidInput):
-        BigFloat(F(1), F(-1), 64)
+        BigFloat(1, 0, 0, 1, 64)
+    # a sign moves onto the numerator; the pairs stay unreduced
+    y = BigFloat(2, -6, -2, -2000, 64)
+    assert (y.num, y.den, y.err, y.err_den) == (-2, 6, 2, 2000)
+    assert (y.value, y.error) == (F(-1, 3), F(1, 1000))
+    # the reduced forms are made once, and cannot be assigned
+    assert y.value is y.value and y.error is y.error
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        y.value = F(0)
 
 
 def test_bigfloat_agreement():
-    a = BigFloat(F(10, 7), F(1, 100), 64)
-    b = BigFloat(F(143, 100), F(1, 100), 64)
+    a = BigFloat(10, 7, 1, 100, 64)
+    b = BigFloat(143, 100, 1, 100, 64)
     assert a.agrees_with(b)
-    c = BigFloat(F(2), F(1, 100), 64)
+    c = BigFloat(2, 1, 1, 100, 64)
     assert not a.agrees_with(c)
 
 
 def test_bigfloat_decimal_and_exponent():
-    x = BigFloat(F(1, 3), F(1, 2**100), 128)
+    x = BigFloat(1, 3, 1, 2**100, 128)
     assert x.to_decimal(12) == "0.333333333333"
     assert x.to_decimal(3) == "0.333"
-    assert BigFloat(F(-1, 4), F(0), 8).to_decimal(4) == "-0.2500"
+    assert BigFloat(-1, 4, 0, 1, 8).to_decimal(4) == "-0.2500"
     assert x.error_exponent() == 100
-    assert BigFloat(F(1), F(0), 96).error_exponent() == 96  # exact: full budget
+    assert BigFloat(1, 1, 0, 1, 96).error_exponent() == 96  # exact: full budget
 
 
 def _error_exponent_by_doubling(error: Fraction, bits: int) -> int:
@@ -124,8 +142,131 @@ def test_error_exponent_matches_doubling_loop():
             (F(2) ** (rng.randint(-3, 3) - cap) * rng.choice((1, F(3, 4), F(5, 4))), bits),
         ]
     for error, bits in cases:
-        got = BigFloat(F(0), error, bits).error_exponent()
+        got = _of(0, error, bits).error_exponent()
         assert got == _error_exponent_by_doubling(error, bits), (error, bits)
+
+
+def _random_value(rng) -> Fraction:
+    return F(rng.randint(-2 ** rng.randint(0, 300), 2 ** rng.randint(0, 300)),
+             rng.randint(1, 2 ** rng.randint(0, 300)))
+
+
+def _random_error(rng) -> Fraction:
+    """A nonzero error from about 2^-300 to 2^300: above 2^64 clamps the
+    K of `agrees_with` at 0."""
+    return F(rng.randint(1, 2 ** rng.randint(0, 300)),
+             rng.randint(1, 2 ** rng.randint(0, 300)))
+
+
+def _unreduced(value, error, bits: int, rng) -> BigFloat:
+    """value +- error as pairs times random factors of either sign."""
+    value, error = F(value), F(error)
+    k, j = (rng.choice((1, -1)) * rng.randint(1, 2 ** rng.randint(0, 90))
+            for _ in range(2))
+    return BigFloat(k * value.numerator, k * value.denominator,
+                    j * error.numerator, j * error.denominator, bits)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The calls `agrees_with` makes to its exact test."""
+    calls = []
+    exact = numerics._agrees_exactly
+
+    def counted(x, y):
+        calls.append((x, y))
+        return exact(x, y)
+
+    monkeypatch.setattr(numerics, "_agrees_exactly", counted)
+    return calls
+
+
+def test_agreement_equals_the_fraction_oracle(exact_calls):
+    # random unreduced pairs of either sign: a second value near the first
+    # (within a random multiple 0..2 of the summed errors) or anywhere,
+    # errors of any size or zero
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(3000):
+        x1, e1, e2 = _random_value(rng), _random_error(rng), _random_error(rng)
+        if rng.random() < 0.2:
+            e1 = F(0)
+        if rng.random() < 0.2:
+            e2 = F(0)
+        x2 = rng.choice((
+            _random_value(rng),
+            x1 + rng.choice((1, -1)) * (e1 + e2) * F(rng.randint(0, 2**20), 2**19),
+            x1,
+        ))
+        a, b = _unreduced(x1, e1, 64, rng), _unreduced(x2, e2, 64, rng)
+        want = abs(x1 - x2) <= e1 + e2
+        before = len(exact_calls)
+        assert a.agrees_with(b) == want == b.agrees_with(a), (a, b)
+        if not (e1 and e2):
+            assert len(exact_calls) == before + 2
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_agreement_near_the_fast_path_bounds(exact_calls):
+    # K, v = floor(x 2^K) and u = ceil(e 2^K) as `agrees_with` takes them
+    # from the pairs it is given, and a second value placed so that
+    # |v1 - v2| runs over u1 + u2 - 3 .. u1 + u2 + 2: the four gaps
+    # u1 + u2 - 2 .. u1 + u2 + 1 reach the exact test, the two outside
+    # them are decided on the quotients, and all match the oracle
+    rng = random.Random(20261019)
+    band, clamped = set(), 0
+    for _ in range(400):
+        sides = [_unreduced(0, _random_error(rng), 64, rng) for _ in range(2)]
+        K = 64 + max(s.err_den.bit_length() - s.err.bit_length() for s in sides)
+        clamped += K < 0
+        K = max(0, K)
+        width = -sum((-s.err << K) // s.err_den for s in sides)
+        x1 = _random_value(rng)
+        v1 = (x1.numerator << K) // x1.denominator
+        for delta in range(-3, 3):
+            v2 = v1 + rng.choice((1, -1)) * (width + delta)
+            x2 = (v2 + F(rng.randint(0, 2**32 - 1), 2**32)) / 2**K
+            a, b = (BigFloat(x.numerator, x.denominator, s.err, s.err_den, 64)
+                    for x, s in zip((x1, x2), sides))
+            before = len(exact_calls)
+            got = a.agrees_with(b)
+            assert got == (abs(x1 - x2) <= sides[0].error + sides[1].error)
+            assert (len(exact_calls) > before) == (-2 <= delta <= 1), delta
+            if delta < 1:
+                band.add(got)
+    assert band == {True, False} and clamped
+
+
+def _decimal_of(value: Fraction, digits: int) -> str:
+    """The Fraction form `to_decimal` replaced, kept as its oracle."""
+    whole = int(value * 10**digits)  # truncation toward zero
+    sign = "-" if whole < 0 else ""
+    ds = str(abs(whole)).rjust(digits + 1, "0")
+    return f"{sign}{ds[:-digits]}.{ds[-digits:]}"
+
+
+def test_decimal_and_exponent_depend_only_on_the_value():
+    # both pairs scaled by random factors of either sign read as their
+    # reduced pairs and as the Fraction oracles: negative values truncate
+    # toward zero, a zero error gives the full budget, tiny errors the cap
+    rng = random.Random(20261019)
+    cases = [(F(-1, 3), F(0), 8, 3), (F(-1, 10**5), F(1, 7), 8, 3),
+             (F(-7, 2), F(1, 2**400), 16, 5), (F(0), F(3, 2), 8, 1)]
+    for _ in range(1500):
+        bits = rng.randint(1, 64)
+        cap = 4 * bits + 64
+        error = rng.choice((F(0), _random_error(rng),
+                            F(rng.randint(1, 3), 2 ** (cap + rng.randint(-3, 40)))))
+        cases.append((_random_value(rng), error, bits, rng.randint(1, 60)))
+    for value, error, bits, digits in cases:
+        reduced, scaled = _of(value, error, bits), _unreduced(value, error, bits, rng)
+        assert scaled.to_decimal(digits) == reduced.to_decimal(digits) \
+            == _decimal_of(value, digits)
+        assert scaled.error_exponent() == reduced.error_exponent() \
+            == _error_exponent_by_doubling(error, bits)
+    assert _of(F(-1, 3), 0, 8).to_decimal(3) == "-0.333"
+    assert _of(F(-1, 10**5), 0, 8).to_decimal(3) == "0.000"
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +306,7 @@ def _naive_pFq(a, b, z, bits: int) -> BigFloat:
         if k >= k0:
             tail = abs(term) / (1 - rho)  # the tail starts with this term
             if tail <= target * max(Fraction(1), abs(total)):
-                return BigFloat(total, tail, bits)
+                return _of(total, tail, bits)
 
 
 def _naive_f_direct(spec: HypergeometricSpec, s: int, w, bits: int) -> BigFloat:
@@ -194,7 +335,7 @@ def _naive_f_direct(spec: HypergeometricSpec, s: int, w, bits: int) -> BigFloat:
         if k >= k0:
             tail = abs(f_s_coefficient(spec, s, k) * wpow) / (1 - rho)
             if tail <= target * max(Fraction(1), abs(total)):
-                return BigFloat(total, tail, bits)
+                return _of(total, tail, bits)
 
 
 def _lerch(c: int, x, w, bits: int) -> BigFloat:
@@ -211,7 +352,7 @@ def _lerch(c: int, x, w, bits: int) -> BigFloat:
         wpow *= w
         tail = abs(wpow / (x + k + 1) ** c) / (1 - abs(w))
         if tail <= target * max(Fraction(1), abs(total)):
-            return BigFloat(total, tail, bits)
+            return _of(total, tail, bits)
 
 
 _small_fractions = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
@@ -316,7 +457,7 @@ def _sum_series_by_steps(t0, x, upper, lower, weight, k0, tail_factor, bits, max
         if k >= k0:
             T = abs(gt) * f_num
             if (T << bits) <= f_den * max(D, abs(N)):
-                return BigFloat(Fraction(N, D), Fraction(T, D * f_den), bits)
+                return BigFloat(N, D, T, D * f_den, bits)
         if k == check_at:
             if numerics._budget_cannot_certify(x, upper, lower, weight, k, gt, N, D,
                                                tail_factor, bits, max_k + 1 - k):
@@ -724,7 +865,7 @@ def _naive_remainder_sum(system, ell, i, s, beta, bits):
         bound = chain_bound(k)
         if k > kfirst + 64 * bits + 64:
             raise InsufficientPrecision("step budget")
-    return BigFloat(value, bound, bits), kmin, k
+    return _of(value, bound, bits), kmin, k
 
 
 def _naive_remainder_value(system, ell, i, s, beta, bits):
