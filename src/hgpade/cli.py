@@ -361,7 +361,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         try:
             with open(cfg.system, encoding="utf-8") as fh:
                 system = PadeSystem.from_jsonable(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, InvalidInput) as exc:
             raise InvalidInput(f"--system: {exc}") from exc
     else:
         if cfg.n is None:

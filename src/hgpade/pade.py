@@ -18,17 +18,18 @@ run of the psi_{i,s} weights kept on the spec, each run of outputs over one
 denominator: P_{ell,i,s} is the psi_{i,s}-image of the divided difference
 (P_ell(z)-P_ell(t))/(z-t), and R_{ell,i,s} has psi_{i,s}(t^k P_ell) as its
 1/z^{k+1} coefficient.  A Fraction is made only where a caller reads a
-rational.  Each P_ell and each P_{ell,i,s} is kept as its integer row over
-one denominator (`PadeSystem.P.rows`, `PadeSystem.Pis.rows`, which the
-kernel, the remainder sums, Delta and the criterion read), and made into
-its list of Fractions on its first read, by the contract or `to_jsonable`.
+rational.  A system is given its data once, when it is made: each P_ell
+and each P_{ell,i,s} is only its integer row over one denominator
+(`PadeSystem.P.rows`, `PadeSystem.Pis.rows`), which every reader reads; a
+read by key makes a fresh tuple of Fractions.
 Each remainder series is one append-only list on the system, read by
 exponent (`PadeSystem.terms`): its head, below the window's end, is filled
 on the first read inside it, and past the window it grows only as far as a
 caller reads.  The stored window (`PadeSystem.R`) is the
 `LaurentTail` of that head, made on its first read by the contract, Theta
-or `to_jsonable`; the p-adic sums read the head, and the archimedean sums
-neither (`numerics.remainder_value` starts from prefix sums of the weights,
+or `to_jsonable` (a loaded system holds its own); the p-adic sums read the
+head, and the archimedean sums neither (`numerics.remainder_value` starts
+from prefix sums of the weights,
 `PadeSystem.integer_weights`).  Past the window, the sizes that bound the
 remainder sums are a second such list (`PadeSystem.size`), kept as
 unreduced integer pairs, next to the beta-free part of their ratio bound
@@ -37,18 +38,18 @@ window's end.
 
 One function, `contract_failures`, decides the system's contract, with one
 literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
-(`remainder`: its own integer loop, on a series table of its own, sharing
-no code with `_dot_rows`); `verify_system`, `build_system`'s cross-check,
-the hypotheses of `wronskian.delta_of_system` and the suite read it.  A
-generic exact null-space solver (`solve_pade_nullspace`) provides a
-construction-free oracle for the same approximation problem.
+(`remainder`: its own integer loop over the rows, on a series table of its
+own, sharing no code with `_dot_rows`); `verify_system`, `build_system`'s
+cross-check, the hypotheses of `wronskian.delta_of_system` and the suite
+read it.  A generic exact null-space solver (`solve_pade_nullspace`)
+provides a construction-free oracle for the same approximation problem.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -157,26 +158,38 @@ def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
 
 
 def remainder(system: "PadeSystem", ell: int, i: int, s: int,
-              truncation: int = None) -> LaurentTail:
+              truncation: int = None) -> tuple:
     """The literal product P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z), exact
-    from 1/z^{-deg P_ell} up to `truncation` (the system's by default).
+    up to `truncation` (the system's by default), as the integer row
+    (order, den, ints): the coefficient of 1/z^e is ints[e - order] / den
+    for order <= e < truncation, and order <= 1.
 
     Its exponents <= 0 vanish exactly when P_{ell,i,s} is the polynomial
     part of P_ell F_s, and its exponents >= 1 are the remainder R_{ell,i,s}.
-    The series comes from `expand_F_s` and the product from
-    `LaurentTail.mul_poly`; neither shares code with the stored window,
-    which `PadeSystem.terms` fills from the psi weights by `_dot_rows`.
+    It reads the rows of P_ell and P_{ell,i,s} and one scaled table of the
+    series (`expand_F_s`), in a loop of its own: it shares no code with the
+    stored window, which `PadeSystem.terms` fills from the psi weights by
+    `_dot_rows`.
     """
     if truncation is None:
         truncation = system.truncation
     check_truncation(system.n, truncation)
-    P = system.P[ell]
-    if P:
-        F = expand_F_s(system.spec, system.alphas[i - 1], s, truncation + len(P) - 1)
-        product = F.mul_poly(P)
-    else:
-        product = LaurentTail(truncation, [], truncation)
-    return product.sub_poly(system.Pis[(ell, i, s)])
+    dp, Pn = system.P.rows[ell]
+    dq, Qn = system.Pis.rows[(ell, i, s)]
+    d = max(len(Pn) - 1, 0)
+    F = expand_F_s(system.spec, system.alphas[i - 1], s, truncation + d)
+    dc, cn = _scaled(F.coefficients)
+    # the product's 1/z^e coefficient, F.order - d <= e < truncation, is
+    # sum_j Pn[j] cn[e + j - F.order] / (dp dc); d zeros stand for the
+    # exponents below F's order that e + j reaches
+    cn = [0] * d + cn
+    order = min(F.order - d, 1 - len(Qn))
+    ints = [0] * (F.order - d - order) + [
+        sum(map(mul, Pn, cn[k:k + len(Pn)])) * dq
+        for k in range(truncation - F.order + d)]
+    for q, c in enumerate(Qn):
+        ints[-q - order] -= c * dp * dc
+    return order, dp * dc * dq, ints
 
 
 def _check_alphas(alphas):
@@ -188,26 +201,26 @@ def _check_alphas(alphas):
         raise InvalidInput("evaluation points must be pairwise distinct")
 
 
+def _indices(r: int, m: int):
+    # every (ell, i, s) of a system, in its fixed order
+    for ell in range(r * m + 1):
+        for i in range(1, m + 1):
+            for s in range(r):
+                yield ell, i, s
+
+
 class _Rows(Mapping):
-    """The P_ell of a system by ell, or its P_{ell,i,s} by (ell, i, s).
-    Each is kept in `rows` as the integer row (den, ints) of `build_system`,
-    den > 0 and trailing zeros trimmed, and made into its list of Fractions
-    ints / den on its first read, then kept.  An assigned list
-    (`PadeSystem.from_jsonable`) is kept as it is, with its row from
-    `_scaled`.  A reader that wants integers reads `rows`: `in` and
-    `values()` go through the Fractions."""
+    """The P_ell of a system by ell, or its P_{ell,i,s} by (ell, i, s),
+    each kept only as its integer row (den, ints) in `rows`, den > 0: the
+    one form every reader of the data reads.  A read by key makes the tuple
+    of Fractions ints / den afresh, so no reader edits the data through it,
+    and nothing assigns to it: a system is given its rows when it is made."""
 
-    def __init__(self):
-        self.rows, self._made = {}, {}
+    def __init__(self, rows: dict):
+        self.rows = rows
 
-    def __getitem__(self, key) -> Poly:
-        got = self._made.get(key)
-        if got is None:
-            got = self._made[key] = _unscaled(*self.rows[key])
-        return got
-
-    def __setitem__(self, key, poly: Poly):
-        self.rows[key], self._made[key] = _scaled(poly), poly
+    def __getitem__(self, key) -> tuple:
+        return tuple(_unscaled(*self.rows[key]))
 
     def __iter__(self):
         return iter(self.rows)
@@ -217,14 +230,13 @@ class _Rows(Mapping):
 
 
 class _Windows(Mapping):
-    """The stored remainder windows of a system by (ell, i, s): each is the
-    `LaurentTail` of the head of its term list (`PadeSystem.terms`), made on
-    its first read and kept; the keys are the system's indices.  An
-    assigned window (`PadeSystem.from_jsonable`) is kept as it is and never
-    rebuilt, so a loaded system is checked on its own data."""
+    """The stored remainder windows of a system by (ell, i, s), keyed by its
+    indices: those it was made with (`PadeSystem.from_jsonable`), never
+    rebuilt, so a loaded system is checked on its own data; else each is the
+    `LaurentTail` of the head of its term list, made on its first read."""
 
-    def __init__(self, system: "PadeSystem"):
-        self._system, self._built = system, {}
+    def __init__(self, system: "PadeSystem", given: dict):
+        self._system, self._built = system, dict(given)
 
     def __getitem__(self, key) -> LaurentTail:
         got = self._built.get(key)
@@ -238,9 +250,6 @@ class _Windows(Mapping):
                 1, system.terms(ell, i, s, 0)[:end], system.truncation)
         return got
 
-    def __setitem__(self, key, tail: LaurentTail):
-        self._built[key] = tail
-
     def __iter__(self):
         return self._system.indices()
 
@@ -252,12 +261,11 @@ class _Windows(Mapping):
 class PadeSystem:
     """One fully built instance: all P_ell, all P_{ell,i,s}, all remainders.
 
-    `P` maps ell to P_ell and `Pis` maps (ell, i, s) to P_{ell,i,s}:
-    `build_system` keeps each as an integer row over one denominator
-    (`P.rows`, `Pis.rows`), and its list of Fractions is made on its first
-    read and kept (`_Rows`).  `R` maps (ell, i, s) to the stored window of
-    R_{ell,i,s}, the head of its term list, made on its first read
-    (`_Windows`).  Everything else a remainder sum reads is beta-free and
+    Its data is given once, when it is made, and never assigned: `P` maps
+    ell to P_ell and `Pis` maps (ell, i, s) to P_{ell,i,s}, each an integer
+    row (`P.rows`, `Pis.rows`, `_Rows`), and `R` maps (ell, i, s) to the
+    stored window of R_{ell,i,s}, given (`windows`) or made (`_Windows`).
+    Everything else a remainder sum reads is beta-free and
     kept on the system on first use, each computed once: the ratio bound
     past the window (`tail_ratio`), the psi weights on integers
     (`integer_weights`), and per (ell, i, s) the coefficients by exponent
@@ -267,19 +275,20 @@ class PadeSystem:
     """
 
     spec: HypergeometricSpec
-    alphas: list
+    alphas: tuple
     n: int
-    P: Mapping = field(default_factory=_Rows)       # ell -> Poly (in z)
-    Pis: Mapping = field(default_factory=_Rows)     # (ell, i, s) -> Poly
-    truncation: int = 0
-    R: Mapping = field(init=False, repr=False)      # (ell, i, s) -> LaurentTail
+    truncation: int
+    P: _Rows                                        # ell -> P_ell (in z)
+    Pis: _Rows                                      # (ell, i, s) -> P_{ell,i,s}
+    windows: InitVar[dict] = None                   # (ell, i, s) -> LaurentTail
+    R: _Windows = field(init=False, repr=False)
     # (tag, *index) -> the state of `_kept`; like `spec._psi_tables`, a
     # pure function of the system
     _state: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def __post_init__(self):
-        self.R = _Windows(self)
+    def __post_init__(self, windows):
+        self.R = _Windows(self, windows or {})
 
     @property
     def r(self) -> int:
@@ -290,10 +299,7 @@ class PadeSystem:
         return len(self.alphas)
 
     def indices(self):
-        for ell in range(self.r * self.m + 1):
-            for i in range(1, self.m + 1):
-                for s in range(self.r):
-                    yield ell, i, s
+        return _indices(self.r, self.m)
 
     def _kept(self, key: tuple, make):
         # the state under key, made on first use
@@ -315,8 +321,8 @@ class PadeSystem:
         their lcm V, for x below k0 + deg P_rm with k0 of `tail_ratio(s)`:
         every weight that a remainder sum up to its first stop test meets.
         Computed once per (i, s)."""
-        return self._kept(("weights", i, s), lambda: self._weight_run(
-            i, s, 0, self.tail_ratio(s)[0],
+        return self._kept(("weights", i, s), lambda: _weight_run(
+            self.spec, self.alphas[i - 1], s, 0, self.tail_ratio(s)[0],
             max(len(ints) for _, ints in self.P.rows.values())))
 
     def terms(self, ell: int, i: int, s: int, k: int) -> list:
@@ -363,16 +369,10 @@ class PadeSystem:
         # one `_dot_rows` call over the row of P_ell and the one scaled run
         # of weights those outputs meet
         dp, Pn = self.P.rows[ell]
-        dw, wi = self._weight_run(i, s, start, stop, len(Pn))
+        dw, wi = _weight_run(self.spec, self.alphas[i - 1], s, start, stop, len(Pn))
         if absolute:
             Pn, wi = [abs(c) for c in Pn], [abs(x) for x in wi]
         return dp * dw, _dot_rows(Pn, wi, stop - start)
-
-    def _weight_run(self, i: int, s: int, start: int, stop: int, width: int) -> tuple:
-        # the psi_{i,s} weights that outputs start..stop-1 of a correlation
-        # of width `width` meet, as (lcm, ints) of `_scaled`
-        w = _psi_table(self.spec, self.alphas[i - 1], s, stop - 2 + width)
-        return _scaled(w[start:stop - 1 + width])
 
     def to_jsonable(self) -> dict:
         return {
@@ -390,22 +390,41 @@ class PadeSystem:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PadeSystem":
+        """The system of a `to_jsonable` form, made with its own windows: P,
+        Pis and R hold exactly the keys of ell = 0..rm and of the indices,
+        or InvalidInput names the first key missing, else the first extra."""
         spec = HypergeometricSpec.from_jsonable(data["spec"])
-        sys = cls(
-            spec=spec,
-            alphas=[parse_rational(a) for a in data["alphas"]],
-            n=data["n"],
-            truncation=data["truncation"],
-        )
-        for key, p in data["P"].items():
-            sys.P[int(key)] = [parse_rational(c) for c in p]
-        for key, p in data["Pis"].items():
-            ell, i, s = map(int, key.split(","))
-            sys.Pis[(ell, i, s)] = [parse_rational(c) for c in p]
-        for key, t in data["R"].items():
-            ell, i, s = map(int, key.split(","))
-            sys.R[(ell, i, s)] = LaurentTail.from_jsonable(t)
-        return sys
+        alphas = tuple(parse_rational(a) for a in data["alphas"])
+        r, m = spec.r, len(alphas)
+        tops = {str(ell): ell for ell in range(r * m + 1)}
+        index = {f"{ell},{i},{s}": (ell, i, s) for ell, i, s in _indices(r, m)}
+
+        def entries(part, keys):
+            # data[part] by key, its names exactly those of keys
+            got = data[part]
+            missing = [name for name in keys if name not in got]
+            extra = [name for name in got if name not in keys]
+            if missing or extra:
+                raise InvalidInput(f'{part}: {"missing" if missing else "extra"} '
+                                   f'key "{(missing or extra)[0]}"')
+            return {keys[name]: got[name] for name in keys}
+
+        def rows(part, keys):
+            return _Rows({key: _scaled([parse_rational(c) for c in p])
+                          for key, p in entries(part, keys).items()})
+
+        return cls(spec=spec, alphas=alphas, n=data["n"], truncation=data["truncation"],
+                   P=rows("P", tops), Pis=rows("Pis", index),
+                   windows={key: LaurentTail.from_jsonable(t)
+                            for key, t in entries("R", index).items()})
+
+
+def _weight_run(spec: HypergeometricSpec, alpha, s: int, start: int, stop: int,
+                width: int) -> tuple:
+    # the psi_{i,s} weights of alpha = alpha_i that outputs start..stop-1 of
+    # a correlation of width `width` meet, as (lcm, ints) of `_scaled`
+    w = _psi_table(spec, alpha, s, stop - 2 + width)
+    return _scaled(w[start:stop - 1 + width])
 
 
 def build_system(spec: HypergeometricSpec, alphas, n: int,
@@ -428,7 +447,7 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     runs the contract itself (`wronskian.certify_nonvanishing`, through
     Delta) builds without it.
     """
-    alphas = [Fraction(a) for a in alphas]
+    alphas = tuple(Fraction(a) for a in alphas)
     _check_alphas(alphas)
     if n < 1:
         raise InvalidInput("need n >= 1")
@@ -437,16 +456,17 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
         truncation = default_truncation(r, m, n)
     else:
         check_truncation(n, truncation)
-    system = PadeSystem(spec=spec, alphas=alphas, n=n, truncation=truncation)
-    system.P.rows.update(enumerate(_P_family(spec, alphas, n, r * m)))
-    top = len(system.P.rows[r * m][1]) - 1
+    P = dict(enumerate(_P_family(spec, alphas, n, r * m)))
+    top = len(P[r * m][1]) - 1
+    Pis = {}
     for i in range(1, m + 1):
         for s in range(r):
-            dw, wn = system._weight_run(i, s, 0, 1, top)
-            for ell, (dp, Pn) in system.P.rows.items():
+            dw, wn = _weight_run(spec, alphas[i - 1], s, 0, 1, top)
+            for ell, (dp, Pn) in P.items():
                 deg = len(Pn) - 1
-                system.Pis.rows[(ell, i, s)] = (
-                    dp * dw, poly_trim(_dot_rows(wn[:deg], Pn[1:], deg)))
+                Pis[(ell, i, s)] = dp * dw, poly_trim(_dot_rows(wn[:deg], Pn[1:], deg))
+    system = PadeSystem(spec=spec, alphas=alphas, n=n, truncation=truncation,
+                        P=_Rows(P), Pis=_Rows(Pis))
     if cross_check:
         failures = contract_failures(system)
         if failures:
@@ -470,13 +490,16 @@ def contract_failures(system: PadeSystem) -> list:
       from the lower of the two orders on.
 
     Together these are the paper's contract: the true remainder
-    P_ell F_s(alpha_i/z) - P_{ell,i,s} has order >= n+1 at infinity.
+    P_ell F_s(alpha_i/z) - P_{ell,i,s} has order >= n+1 at infinity.  The
+    degrees are read off the rows, and the product's integers a / den are
+    compared with the window's Fractions c by a c.den = c.num den, so the
+    contract makes no Fraction of P_ell, P_{ell,i,s} or the product.
     """
     failures = []
     r, m, n = system.r, system.m, system.n
     for ell in range(r * m + 1):
         want = r * m * n + ell
-        got = poly_deg(poly_trim(list(system.P[ell])))
+        got = poly_deg(poly_trim(list(system.P.rows[ell][1])))
         if got != want:
             failures.append(
                 {"check": "deg_P", "index": [ell], "expected": want, "got": str(got)}
@@ -484,7 +507,7 @@ def contract_failures(system: PadeSystem) -> list:
     for ell, i, s in system.indices():
         bound = r * m * n + ell
         # -inf for the zero polynomial
-        got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)])))
+        got = poly_deg(poly_trim(list(system.Pis.rows[(ell, i, s)][1])))
         if got > bound:
             failures.append(
                 {"check": "deg_Pis", "index": [ell, i, s], "bound": bound, "got": str(got)}
@@ -497,13 +520,21 @@ def contract_failures(system: PadeSystem) -> list:
             )
     for ell, i, s in system.indices():
         tail = system.R[(ell, i, s)]
-        product = remainder(system, ell, i, s, tail.truncation)
-        if product.order < 1:
+        order, den, ints = remainder(system, ell, i, s, tail.truncation)
+        if any(ints[:1 - order]):
             failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
-        if any((product.coeff(e) if e > 0 else 0) != tail.coeff(e)
-               for e in range(min(tail.order, 1), tail.truncation)):
+        if not _is_window(tail, order, den, ints):
             failures.append({"check": "remainder_coeffs", "index": [ell, i, s]})
     return failures
+
+
+def _is_window(tail: LaurentTail, order: int, den: int, ints: list) -> bool:
+    # whether the window is the product row's exponents >= 1, zero below
+    for e in range(min(tail.order, 1), tail.truncation):
+        c = tail.coeff(e)
+        if (ints[e - order] * c.denominator if e > 0 else 0) != c.numerator * den:
+            return False
+    return True
 
 
 def verify_system(system: PadeSystem) -> dict:

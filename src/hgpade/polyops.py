@@ -19,10 +19,9 @@ caller that reads such a row's polynomial at a rational point takes one
 integer Horner (`_row_value`).
 `pade.PadeSystem` feeds it its own integer forms, and `correlate` scales per
 call, for `psi` and the columns of the C_{u,m} moment matrix in
-`wronskian`.  `LaurentTail.mul_poly`, the
-literal product that `pade.contract_failures` checks those values against,
-scales to integers in a loop of its own, on a series table of its own
-(`expand_F_s`).
+`wronskian`.  The literal product that `pade.contract_failures` checks
+those values against (`pade.remainder`) runs a loop of its own on the
+integer rows, on a series table of its own (`expand_F_s`).
 """
 
 from __future__ import annotations
@@ -142,43 +141,6 @@ class LaurentTail:
                 raise InsufficientPrecision("ord query beyond the truncation")
             return True
         return self.order >= k
-
-    def mul_poly(self, p: Poly) -> "LaurentTail":
-        """Multiply by a polynomial in z (z^d lowers the 1/z exponent by d).
-
-        The coefficient of 1/z^e is sum_j p[j] * coeff(e + j), zero below the
-        order.  p and the window are scaled to integers over their lcm
-        denominators, so each output is one integer sum and one Fraction.
-        This loop is the literal product's own: it shares no code with
-        `correlate`, which builds the remainder windows it checks.
-        """
-        if not p:
-            return LaurentTail(self.order, [], self.order)
-        d = len(p) - 1
-        dp = math.lcm(*(c.denominator for c in p))
-        dc = math.lcm(*(c.denominator for c in self.coefficients))
-        pi = [c.numerator * (dp // c.denominator) for c in p]
-        # d zeros stand for the exponents below the order that e + j reaches
-        ci = [0] * d + [c.numerator * (dc // c.denominator) for c in self.coefficients]
-        den = dp * dc
-        coeffs = [
-            Fraction(sum(map(mul, pi, ci[k:k + len(pi)])), den)
-            for k in range(len(self.coefficients))
-        ]
-        return LaurentTail(self.order - d, coeffs, self.truncation - d)
-
-    def sub_poly(self, p: Poly) -> "LaurentTail":
-        """Subtract a polynomial in z (it lives on exponents -deg..0)."""
-        if not p:
-            return self
-        start = min(self.order, -(len(p) - 1))
-        coeffs = []
-        for e in range(start, self.truncation):
-            c = self.coeff(e) if e >= self.order else Fraction(0)
-            if -len(p) < e <= 0:
-                c -= p[-e]
-            coeffs.append(c)
-        return LaurentTail(start, coeffs, self.truncation)
 
     def to_jsonable(self) -> dict:
         return {

@@ -140,7 +140,8 @@ def theta_det(system: PadeSystem) -> Fraction:
 
 
 def leading_coeff_P_rm(system: PadeSystem) -> Fraction:
-    return system.P[system.r * system.m][-1]
+    den, ints = system.P.rows[system.r * system.m]
+    return Fraction(ints[-1], den)
 
 
 def delta_route_check(system: PadeSystem) -> dict:

@@ -1,14 +1,21 @@
-"""Shared fixtures: the worked instances every test module leans on."""
+"""Shared fixtures and helpers: the worked instances every test module leans
+on, one admissible-instance strategy and one way to corrupt a system."""
 
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec, _psi_table
+from hgpade.arith import format_rational, parse_rational
+from hgpade.pade import PadeSystem, build_system
+from hgpade.polyops import HypergeometricSpec, LaurentTail, _psi_table
 
 F = Fraction
+
+_small_fractions = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
+    lambda x: x.denominator > 1)
 
 
 def psi_weights(spec, alpha, s, upto):
@@ -16,6 +23,39 @@ def psi_weights(spec, alpha, s, upto):
     entries cut from the spec's weight table: `correlate` reads entries past
     the end of a list as zero, so a longer list would change its results."""
     return _psi_table(spec, alpha, s, upto)[:upto + 1]
+
+
+@st.composite
+def admissible_instances(draw, max_m=4):
+    """(spec, alphas): r <= 3, small-height non-integer a and b that pass
+    the hypothesis flags, and rm <= 4 distinct nonzero points alpha, at
+    most max_m of them."""
+    r = draw(st.integers(1, 3))
+    spec = HypergeometricSpec.from_ab(
+        draw(st.lists(_small_fractions, min_size=r, max_size=r)),
+        draw(st.lists(_small_fractions, min_size=r - 1, max_size=r - 1)))
+    assume(spec.flags_pass())
+    m = draw(st.integers(1, min(max_m, 4 // r)))
+    alphas = draw(st.lists(st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+                           min_size=m, max_size=m, unique=True))
+    return spec, alphas
+
+
+def corrupted(system, *edits):
+    """The system loaded from its JSON form after the edits, each a triple
+    (part, key, edit): the entry of "P", "Pis" or "R" at key becomes
+    edit(entry), where a P_ell or P_{ell,i,s} is its list of Fractions and
+    a window is its `LaurentTail`."""
+    data = system.to_jsonable()
+    for part, key, edit in edits:
+        name = ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+        if part == "R":
+            tail = edit(LaurentTail.from_jsonable(data[part][name]))
+            data[part][name] = tail.to_jsonable()
+        else:
+            poly = edit([parse_rational(c) for c in data[part][name]])
+            data[part][name] = [format_rational(c) for c in poly]
+    return PadeSystem.from_jsonable(data)
 
 
 @pytest.fixture(scope="session")

@@ -99,36 +99,23 @@ def test_build_report_is_frozen(capsys):
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (["build", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=2"],
-     "380d7cda4470c60871f1b4733a5d5f45a06e04db9ce00fc6950a65578bde0ae2"),
     (["verify", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=2"],
      "8d82348665424c14e0ac5569b52652bc9185206bf81f7955c73e9f6de7f07ec0"),
     (["wronskian", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=3"],
      "e436543b4c3138dfa8d966eace68353b6b61ed12857e741635b67c55d1c7599f"),
 ])
-def test_reports_that_read_every_companion_make_each(argv, digest, monkeypatch, capsys):
-    # build's JSON form, verify's contract and the contract behind
-    # certify's Delta read every P_ell and P_{ell,i,s}: each system such a
-    # command makes ends with every one made into Fractions from its integer
-    # row, and the report keeps its bytes
-    from hgpade.pade import PadeSystem
+def test_verify_and_wronskian_read_no_companion_fraction(argv, digest, monkeypatch, capsys):
+    # verify's contract and the contract behind certify's Delta read the
+    # integer rows of every P_ell and P_{ell,i,s}: with a read by key made
+    # to fail, each report keeps its bytes
+    from hgpade.pade import _Rows
 
-    made = []
-    post_init = PadeSystem.__post_init__
+    def unreadable(rows, key):
+        raise AssertionError(f"read {key} of a system as Fractions")
 
-    def recorded(system):
-        post_init(system)
-        made.append(system)
-
-    monkeypatch.setattr(PadeSystem, "__post_init__", recorded)
+    monkeypatch.setattr(_Rows, "__getitem__", unreadable)
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-    assert made
-    for system in made:
-        assert sorted(system.Pis._made) == sorted(system.Pis.rows) \
-            == sorted(system.indices())
-        assert sorted(system.P._made) == sorted(system.P.rows) \
-            == list(range(system.r * system.m + 1))
 
 
 def test_verify_corrupted_system_exits_3(tmp_path, capsys):
@@ -277,6 +264,29 @@ def test_large_n_exits_1_before_any_build(argv, named, monkeypatch, capsys):
     assert f": {named}" in captured.err
     assert "--truncation" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("part, key, extra", [
+    ("P", "2", False), ("Pis", "0,1,0", False), ("R", "0,1,0", False),
+    ("P", "9", True), ("Pis", "9,9,9", True),
+])
+def test_verify_refuses_a_system_file_without_its_keys(tmp_path, capsys, part, key, extra):
+    # a system file holds P for ell = 0..rm and Pis and R for every
+    # (ell, i, s), no more: a missing or an extra key exits 1, named
+    path = tmp_path / "system.json"
+    assert main(["build", *R2, "--alphas=1,2", "--n=1", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    if extra:
+        data[part][key] = data[part]["0" if part == "P" else "0,1,0"]
+    else:
+        del data[part][key]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--system", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"hgpade verify: InvalidInput: --system: {part}: "
+                            f'{"extra" if extra else "missing"} key "{key}"\n')
 
 
 def test_verify_unreadable_system_exits_1(tmp_path, capsys):
@@ -843,38 +853,53 @@ def test_the_runtime_is_standard_library_only():
 
 def _unreferenced_functions(root: Path) -> list:
     """The module-level functions of src/hgpade that no code in src/ or
-    demos/ reads, outside their own body: as a name, or as an attribute."""
+    demos/ reads, outside their own body, as a name or as an attribute; and
+    the methods of its classes, dunders aside, that no such code reads as
+    an attribute outside their own body."""
     import ast
 
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs, reads = [], []
     for path in sorted([*root.glob("src/hgpade/*.py"), *root.glob("demos/*.py")]):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.parent.name == "hgpade":
-            defs += [(path, node) for node in tree.body
-                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            defs += [(path, f"{path.stem}.{node.name}", node, True)
+                     for node in tree.body if isinstance(node, functions)]
+            defs += [(path, f"{path.stem}.{cls.name}.{node.name}", node, False)
+                     for cls in tree.body if isinstance(cls, ast.ClassDef)
+                     for node in cls.body if isinstance(node, functions)
+                     and not node.name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.append((node.id, path, node.lineno))
+                reads.append((node.id, False, path, node.lineno))
             elif isinstance(node, ast.Attribute):
-                reads.append((node.attr, path, node.lineno))
+                reads.append((node.attr, True, path, node.lineno))
     return sorted(
-        f"{path.stem}.{fn.name}" for path, fn in defs
-        if not any(name == fn.name and not (where == path
-                                            and fn.lineno <= line <= fn.end_lineno)
-                   for name, where, line in reads))
+        label for path, label, fn, by_name in defs
+        if not any(name == fn.name and (by_name or attribute)
+                   and not (where == path and fn.lineno <= line <= fn.end_lineno)
+                   for name, attribute, where, line in reads))
 
 
 def test_code_only_the_tests_use_leaves_src(tmp_path):
-    # every module-level function of the package is read by the package or
-    # its demos; one that only the tests read belongs in the tests
+    # every module-level function and every method of the package is read
+    # by the package or its demos; one that only the tests read belongs in
+    # the tests
     root = Path(__file__).resolve().parents[1]
     assert _unreferenced_functions(root) == []
-    # the guard sees a function that only its own body reads
+    # the guard sees a function or a method that only its own body reads,
+    # and a method read only as a bare name
     (tmp_path / "src" / "hgpade").mkdir(parents=True)
     (tmp_path / "src" / "hgpade" / "lone.py").write_text(
         "def lone(k):\n    return lone(k - 1) if k else 0\n\n\n"
-        "def used():\n    return 1\n\n\nVALUE = used()\n")
-    assert _unreferenced_functions(tmp_path) == ["lone.lone"]
+        "def used():\n    return 1\n\n\n"
+        "class Box:\n    def __init__(self):\n        self.k = 0\n\n"
+        "    def spin(self, k):\n        return self.spin(k - 1) if k else 0\n\n"
+        "    def named(self):\n        return 1\n\n"
+        "    def read(self):\n        return used()\n\n\n"
+        "VALUE = Box().read() + named\n")
+    assert _unreferenced_functions(tmp_path) == ["lone.Box.named", "lone.Box.spin",
+                                                 "lone.lone"]
 
 
 def test_suite_failure_names_its_details_in_report_text(monkeypatch, capsys):

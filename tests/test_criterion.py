@@ -35,6 +35,7 @@ from hgpade.errors import (
     InconclusiveComparison,
     InvalidInput,
 )
+from hgpade.pade import _Rows
 from hgpade.polyops import HypergeometricSpec
 
 # a small fitting window keeps the failure-path tests fast; the canonical
@@ -194,6 +195,10 @@ def _fraction_route_height(vec, v0: Place) -> float:
     return arch + finite - v_p(Fraction(big_lcm), v0.p) * math.log(v0.p)
 
 
+def _unreadable(rows, key):
+    raise AssertionError(f"read {key} of a system as Fractions")
+
+
 def _matrix_coefficients(system) -> list:
     # every z-coefficient of every P_ell and P_{ell,i,s}, as Fractions
     coeffs = []
@@ -205,24 +210,23 @@ def _matrix_coefficients(system) -> list:
 
 
 @pytest.mark.parametrize("alphas", [(Fraction(1),), (Fraction(1), Fraction(2))])
-def test_height_fit_from_rows_equals_the_fraction_route(spec_r2, alphas):
+def test_height_fit_from_rows_equals_the_fraction_route(spec_r2, alphas, monkeypatch):
     # r = 2, m = 1 and m = 2, at infinity, p = 5 and p = 3: the fit from
     # the integer rows equals, bit for bit, the fit of the Fraction route,
-    # and reads no P_{ell,i,s} as Fractions
+    # and reads no P_ell or P_{ell,i,s} as Fractions
     inst = Instance(spec_r2, alphas, range(4, 8))
     rm = spec_r2.r * len(alphas)
     for beta, v0 in [(Fraction(10**9), Place()), (Fraction(1, 5**10), Place(5)),
                      (Fraction(-2, 3**7), Place(3))]:
-        got = height_fit_vec(inst, beta, v0)
-        assert not any(system.Pis._made for system in inst.systems.values())
+        with monkeypatch.context() as patch:
+            patch.setattr(_Rows, "__getitem__", _unreadable)
+            got = height_fit_vec(inst, beta, v0)
         beta_part = _fraction_route_height([beta], v0)
         want = fit_rate(list(inst.systems), [
             _fraction_route_height(_matrix_coefficients(system), v0)
             + (rm * n + rm) * beta_part
             for n, system in inst.systems.items()])
         assert got == want, v0
-        for system in inst.systems.values():
-            system.Pis._made.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -549,30 +553,31 @@ def test_remainder_sums_grow_only_what_they_read(spec_r2, check_remainder_lists,
         assert _vp_remainder(system, *key, Fraction(1, 5**10), 5) == 49
 
 
-def test_archimedean_measure_builds_no_window(spec_r2, remainder_state):
+def test_archimedean_measure_builds_no_window(spec_r2, remainder_state, monkeypatch):
     # every archimedean remainder sum starts at its first stop test from
     # prefix sums of the weights, and the growth and height fits read the
     # integer rows of the P_ell and P_{ell,i,s}: a whole criterion run on
     # r = 2, m = 2 at beta = 10^9 fills no head, makes no stored window and
-    # makes no P_ell or P_{ell,i,s} into Fractions
+    # reads no P_ell or P_{ell,i,s} as Fractions
+    monkeypatch.setattr(_Rows, "__getitem__", _unreadable)
     inst = Instance(spec_r2, (Fraction(1), Fraction(2)), range(4, 8))
     measure(inst, Fraction(10**9), Place(), 0.1)
     assert len(inst.systems) == 4
     for system in inst.systems.values():
         assert not system.R._built
-        assert not system.Pis._made and sorted(system.Pis.rows) == sorted(system.indices())
-        assert not system.P._made and sorted(system.P.rows) == list(range(5))
+        assert sorted(system.Pis.rows) == sorted(system.indices())
+        assert sorted(system.P.rows) == list(range(5))
         for key in system.indices():
             assert not remainder_state.head_filled(system, key)
     # the p-adic criterion fills heads but reads P_ell off its row, and
     # min-beta runs the archimedean sums at every beta it tries: neither
-    # makes a P_ell Fraction either
+    # reads a P_ell Fraction either
     for run in (lambda inst: measure(inst, Fraction(1, 5**10), Place(5), 0.1),
                 lambda inst: min_beta(inst, Place(), 1024)):
         inst = Instance(spec_r2, (Fraction(1),), range(4, 8))
         run(inst)
         for system in inst.systems.values():
-            assert not system.P._made and sorted(system.P.rows) == [0, 1, 2]
+            assert sorted(system.P.rows) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import psi_weights
+from conftest import admissible_instances, corrupted, psi_weights
 from hgpade.errors import HypothesisViolation, InvalidInput, TheoryViolation
 from hgpade.pade import (
     MAX_TRUNCATION,
@@ -126,8 +126,8 @@ def test_base_polynomial_equals_the_fraction_product(alphas, rn, ell):
 
 
 def test_toy_P0(toy_spec):
-    assert build_system(toy_spec, (F(1),), 1).P[0] == [F(-1), F(1)]
-    assert build_system(toy_spec, (F(1),), 1).Pis[(0, 1, 0)] == [F(1)]
+    assert build_system(toy_spec, (F(1),), 1).P[0] == (F(-1), F(1))
+    assert build_system(toy_spec, (F(1),), 1).Pis[(0, 1, 0)] == (F(1),)
 
 
 def test_toy_remainder_vanishes(toy_spec):
@@ -217,6 +217,12 @@ def test_order_contract(canonical_system):
         assert tail.ord_at_least(canonical_system.n + 1), key
 
 
+def _product(system, ell, i, s, truncation=None):
+    """The literal product `remainder` as the `LaurentTail` of its row."""
+    order, den, ints = remainder(system, ell, i, s, truncation)
+    return LaurentTail(order, [F(a, den) for a in ints], order + len(ints))
+
+
 def _functional(system, ell, i, s, truncation=None):
     """The window psi_{i,s}(t^k P_ell) of R_{ell,i,s}, fresh from the weights
     by one `correlate` call that scales its own inputs."""
@@ -231,7 +237,7 @@ def test_remainder_routes_agree(canonical_system):
     sys = canonical_system
     for key in [(0, 1, 0), (2, 2, 1), (4, 1, 1)]:
         a = _functional(sys, *key)
-        b = remainder(sys, *key)
+        b = _product(sys, *key)
         for e in range(1, min(a.truncation, b.truncation)):
             assert a.coeff(e) == b.coeff(e)
     with pytest.raises(InvalidInput):
@@ -255,7 +261,7 @@ def test_product_route_does_not_use_the_kernel(spec_r2, monkeypatch):
         monkeypatch.setattr(hgpade.polyops, name, kernel)
     monkeypatch.setattr(hgpade.pade, "_dot_rows", kernel)
     for key in [(0, 1, 0), (4, 2, 1)]:
-        b = remainder(sys, *key)
+        b = _product(sys, *key)
         a = windows[key]
         for e in range(1, min(a.truncation, b.truncation)):
             assert a.coeff(e) == b.coeff(e)
@@ -348,13 +354,8 @@ def test_verify_clean(canonical_system):
     assert all(report["hypothesis_flags"].values())
 
 
-def _copy(system):
-    return PadeSystem.from_jsonable(system.to_jsonable())
-
-
 def test_verify_names_degree_failure(canonical_system):
-    broken = _copy(canonical_system)
-    broken.P[1] = broken.P[1][:-1]  # drop the leading coefficient
+    broken = corrupted(canonical_system, ("P", 1, lambda p: p[:-1]))  # drop the leading coefficient
     report = verify_system(broken)
     assert not report["ok"]
     assert any(f["check"] == "deg_P" and f["index"] == [1] for f in report["failures"])
@@ -364,8 +365,8 @@ def test_verify_reads_the_degree_of_the_trimmed_P(spec_r2):
     # a stored leading coefficient of 0: P_4 of r2, alphas (1, 2), n = 2 has
     # degree rmn + 3, not rmn + 4, and deg_P says so without trimming the
     # stored list
-    broken = build_system(spec_r2, (F(1), F(2)), 2)
-    broken.P[4] = [*broken.P[4][:-1], F(0)]
+    broken = corrupted(build_system(spec_r2, (F(1), F(2)), 2),
+                       ("P", 4, lambda p: [*p[:-1], F(0)]))
     failures = verify_system(broken)["failures"]
     assert failures[0] == {"check": "deg_P", "index": [4], "expected": 12, "got": "11"}
     assert [f for f in failures if f["check"].startswith("deg")] == failures[:1]
@@ -375,8 +376,7 @@ def test_verify_reads_the_degree_of_the_trimmed_P(spec_r2):
 def test_verify_names_a_zero_P(canonical_system):
     # P_ell = 0 read from a file: the literal product is -P_{ell,i,s}, and
     # the report names the failures instead of raising
-    broken = _copy(canonical_system)
-    broken.P[2] = []
+    broken = corrupted(canonical_system, ("P", 2, lambda p: []))
     failures = verify_system(broken)["failures"]
     assert failures[0] == {"check": "deg_P", "index": [2], "expected": 6, "got": "-inf"}
     assert {"check": "Pis_coeffs", "index": [2, 1, 0]} in failures
@@ -384,23 +384,73 @@ def test_verify_names_a_zero_P(canonical_system):
 
 
 def test_verify_names_order_failure(canonical_system):
-    broken = _copy(canonical_system)
-    trunc = broken.truncation
-    broken.R[(0, 1, 0)] = LaurentTail(1, [F(1)] + [F(0)] * (trunc - 2), trunc)
+    trunc = canonical_system.truncation
+    broken = corrupted(canonical_system, ("R", (0, 1, 0), lambda t: LaurentTail(
+        1, [F(1)] + [F(0)] * (trunc - 2), trunc)))
     report = verify_system(broken)
     assert not report["ok"]
     checks = {f["check"] for f in report["failures"]}
     assert "ord_R" in checks
     assert "remainder_coeffs" in checks  # the fresh recomputation disagrees too
+    # the true window with a 1/z^0 term in front: the product's exponents
+    # >= 1 still match, and the stored term below them is named
+    broken = corrupted(canonical_system, ("R", (0, 1, 0), lambda t: LaurentTail(
+        0, [F(1)] + [t.coeff(e) for e in range(1, trunc)], trunc)))
+    assert [f["check"] for f in verify_system(broken)["failures"]] == [
+        "ord_R", "remainder_coeffs"]
 
 
 def test_verify_names_remainder_failure(canonical_system):
-    broken = _copy(canonical_system)
-    broken.P[0] = list(broken.P[0])
-    broken.P[0][0] += 1  # same degree, wrong polynomial
+    # same degree, wrong polynomial
+    broken = corrupted(canonical_system, ("P", 0, lambda p: [p[0] + 1, *p[1:]]))
     report = verify_system(broken)
     assert not report["ok"]
     assert any(f["check"] == "remainder_coeffs" for f in report["failures"])
+
+
+def test_a_system_is_fixed_when_it_is_made(canonical_system):
+    # a read by key is a fresh tuple, and nothing assigns to a system: an
+    # edit in place or an assignment raises, and the data stay as made
+    system = canonical_system
+    P0, Pis0 = system.P[0], system.Pis[(0, 1, 0)]
+    with pytest.raises(TypeError):
+        system.P[0][0] += 1
+    with pytest.raises(TypeError):
+        system.Pis[(0, 1, 0)][0] += 1
+    with pytest.raises(TypeError):
+        system.P[0] = [2 * c for c in P0]
+    with pytest.raises(TypeError):
+        system.Pis[(0, 1, 0)] = [2 * c for c in Pis0]
+    with pytest.raises(TypeError):
+        system.R[(0, 1, 0)] = system.R[(0, 1, 1)]
+    assert system.P[0] == P0 and system.Pis[(0, 1, 0)] == Pis0
+    assert verify_system(system)["ok"]
+
+
+def _doubled(p):
+    return [2 * c for c in p]
+
+
+@pytest.mark.parametrize("edits, ok", [
+    # a non-constant coefficient of P_0: P_{0,i,s} is no longer its
+    # polynomial part
+    ([("P", 0, lambda p: [p[0], p[1] + 1, *p[2:]])], False),
+    ([("Pis", (0, 1, 0), lambda p: [p[0] + 1, *p[1:]])], False),
+    # P_0, every P_{0,i,s} and every stored window doubled: still a system
+    ([("P", 0, _doubled)]
+     + [("Pis", (0, i, s), _doubled) for i in (1, 2) for s in (0, 1)]
+     + [("R", (0, i, s), lambda t: LaurentTail(t.order, _doubled(t.coefficients),
+                                               t.truncation))
+        for i in (1, 2) for s in (0, 1)], True),
+])
+def test_verify_and_the_remainder_identity_agree(canonical_system, edits, ok):
+    # the contract and the remainder identity read the one form a system
+    # holds, so on an edited file they give the same verdict
+    from hgpade.numerics import check_remainder_identity
+
+    broken = corrupted(canonical_system, *edits)
+    assert verify_system(broken)["ok"] is ok
+    assert check_remainder_identity(broken, 10**6, 64)["ok"] is ok
 
 
 def test_json_round_trip(canonical_system):
@@ -448,12 +498,12 @@ def test_constructed_column_is_the_kernel(canonical_m1):
     assert len(families) == 1
     fam = families[0]
     lam = sys.P[0][-1] / fam[0][-1]
-    assert [lam * c for c in fam[0]] == sys.P[0]
+    assert tuple(lam * c for c in fam[0]) == sys.P[0]
     idx = 0
     for i in range(1, sys.m + 1):
         for s in range(sys.r):
             idx += 1
-            assert [lam * c for c in fam[idx]] == sys.Pis[(0, i, s)]
+            assert tuple(lam * c for c in fam[idx]) == sys.Pis[(0, i, s)]
 
 
 def test_membership_all_columns(canonical_system):
@@ -462,7 +512,7 @@ def test_membership_all_columns(canonical_system):
     # the weights give, and the contract names no failure
     sys = canonical_system
     for key in sys.indices():
-        product, window = remainder(sys, *key), _functional(sys, *key)
+        product, window = _product(sys, *key), _functional(sys, *key)
         assert product.ord_at_least(sys.n + 1), key
         assert product.coefficients == window.coefficients, key
         assert product.order == window.order, key
@@ -518,40 +568,25 @@ def _two_route_failures(system):
     return failures
 
 
-_non_integers = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
-    lambda x: x.denominator > 1)
-
-
 @st.composite
 def _corrupted_systems(draw):
     """A built admissible system (r*m <= 4, n <= 2) and a copy of it with
     one entry of one P_ell, P_{ell,i,s} or stored window moved by a
     nonzero rational."""
-    r = draw(st.integers(1, 3))
-    spec = HypergeometricSpec.from_ab(
-        draw(st.lists(_non_integers, min_size=r, max_size=r)),
-        draw(st.lists(_non_integers, min_size=r - 1, max_size=r - 1)))
-    assume(spec.flags_pass())
-    m = draw(st.integers(1, 4 // r))
-    alphas = draw(st.lists(st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
-                           min_size=m, max_size=m, unique=True))
+    spec, alphas = draw(admissible_instances())
     system = build_system(spec, alphas, draw(st.integers(1, 2)), cross_check=False)
-    broken = PadeSystem.from_jsonable(system.to_jsonable())
     part = draw(st.sampled_from(["P", "Pis", "R"]))
-    keys = sorted(getattr(broken, part))
+    keys = sorted(getattr(system, part))
     key = keys[draw(st.integers(0, len(keys) - 1))]
     delta = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
-    if part == "R":
-        tail = broken.R[key]
-        coeffs = [tail.coeff(e) for e in range(1, tail.truncation)]
+
+    def moved(entry):
+        coeffs = ([entry.coeff(e) for e in range(1, entry.truncation)] if part == "R"
+                  else list(entry))
         coeffs[draw(st.integers(0, len(coeffs) - 1))] += delta
-        broken.R[key] = LaurentTail(1, coeffs, tail.truncation)
-    else:
-        table = getattr(broken, part)
-        poly = list(table[key])
-        poly[draw(st.integers(0, len(poly) - 1))] += delta
-        table[key] = poly
-    return system, broken
+        return LaurentTail(1, coeffs, entry.truncation) if part == "R" else coeffs
+
+    return system, corrupted(system, (part, key, moved))
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -573,14 +608,7 @@ def test_contract_names_what_the_two_routes_named(systems):
 def _admissible_systems(draw):
     """A built admissible system, r*m <= 4 and n <= 2, at its default or at
     a short truncation."""
-    r = draw(st.integers(1, 3))
-    spec = HypergeometricSpec.from_ab(
-        draw(st.lists(_non_integers, min_size=r, max_size=r)),
-        draw(st.lists(_non_integers, min_size=r - 1, max_size=r - 1)))
-    assume(spec.flags_pass())
-    m = draw(st.integers(1, 4 // r))
-    alphas = draw(st.lists(st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
-                           min_size=m, max_size=m, unique=True))
+    spec, alphas = draw(admissible_instances())
     n = draw(st.integers(1, 2))
     truncation = draw(st.sampled_from([None, n + 2, n + 5]))
     return build_system(spec, alphas, n, truncation=truncation, cross_check=False)
@@ -596,7 +624,7 @@ def test_every_psi_value_of_the_kernel_is_its_fraction_sum(system):
     for ell, i, s in system.indices():
         P = system.P[ell]
         w = psi_weights(system.spec, system.alphas[i - 1], s, end + len(P))
-        assert system.Pis[(ell, i, s)] == divided_difference_image(P, w)
+        assert list(system.Pis[(ell, i, s)]) == divided_difference_image(P, w)
         window = system.R[(ell, i, s)]
         assert window.truncation == system.truncation
         for k in range(end):

@@ -13,6 +13,7 @@ from hgpade.polyops import (
     HypergeometricSpec,
     LaurentTail,
     _row_value,
+    _scaled,
     _unscaled,
     correlate,
     expand_F_s,
@@ -169,29 +170,11 @@ def test_tail_arithmetic():
     s = _tail_add(a, b)
     assert [s.coeff(e) for e in range(1, 5)] == [F(1), F(5), F(0), F(0)]
     assert _tail_scale(a, F(2)).coeff(2) == 4
-    sub = a.sub_poly([F(5)])  # subtract the constant 5 (exponent 0)
-    assert sub.order == 0
-    assert sub.coeff(0) == -5
-    assert sub.coeff(1) == 1
-
-
-def test_tail_mul_poly_window():
-    # coeff(e) is the 1/z^e coefficient, so multiplying by z lowers e by one
-    # and the known window shrinks by the degree
-    a = LaurentTail(1, [F(1), F(2), F(0), F(0)], 5)
-    m = a.mul_poly([F(0), F(1)])  # times z
-    assert m.order == 0
-    assert m.coeff(0) == 1
-    assert m.coeff(1) == 2
-    assert m.truncation == 4
-    both = a.mul_poly([F(1), F(1)])  # times 1 + z
-    assert both.coeff(0) == 1
-    assert both.coeff(1) == 1 + 2
-    assert both.coeff(2) == 2
 
 
 def _naive_mul_poly(tail, p):
-    """The per-term Fraction product that `LaurentTail.mul_poly` replaced."""
+    """The product of a window and a polynomial in z, taken Fraction by
+    Fraction: the coefficient of 1/z^e is sum_j p[j] * coeff(e + j)."""
     if not p:
         return LaurentTail(tail.order, [], tail.order)
     d = len(p) - 1
@@ -207,20 +190,29 @@ def _naive_mul_poly(tail, p):
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
-@given(order=st.integers(-3, 6),
-       window=st.lists(small_rationals, min_size=0, max_size=9),
-       p=st.lists(small_rationals, min_size=0, max_size=6))
-@example(order=2, window=[], p=[F(1, 3), F(-2, 5)])            # zero window
-@example(order=1, window=[F(0), F(0), F(1, 7)], p=[F(0), F(-3, 4), F(0)])
-@example(order=3, window=[F(2, 9), F(-5, 6), F(1, 10)], p=[F(-7, 15)] * 4)
-@example(order=0, window=[F(1, 2)], p=[])
-def test_mul_poly_equals_the_fraction_loop(order, window, p):
-    # order > 0 and <= 0, empty windows, zero and negative entries in p and
-    # unequal denominators on both sides
-    tail = LaurentTail(order, list(window), order + len(window))
-    got = tail.mul_poly(p)
-    assert got == _naive_mul_poly(tail, p)
-    assert all(type(c) is F for c in got.coefficients)
+@given(p=st.lists(small_rationals, min_size=0, max_size=6),
+       q=st.lists(small_rationals, min_size=0, max_size=9),
+       alpha=small_rationals.filter(bool), s=st.integers(0, 1),
+       truncation=st.integers(3, 9))
+@example(p=[], q=[F(1, 3), F(-2, 5)], alpha=F(1), s=0, truncation=3)  # zero P
+@example(p=[F(0), F(-3, 4), F(0)], q=[], alpha=F(-1, 2), s=1, truncation=5)
+@example(p=[F(-7, 15)] * 4, q=[F(2, 9), F(-5, 6)], alpha=F(3), s=0, truncation=4)
+def test_remainder_equals_the_fraction_loop(spec_r2, p, q, alpha, s, truncation):
+    # the row (order, den, ints) of the literal product P F_s(alpha/z) - Q,
+    # on a system given P as P_0 and Q as P_{0,1,s}, against the Fraction
+    # product of the series and P less Q: zero and trailing-zero P, Q longer
+    # than P, and unequal denominators on every side
+    from hgpade.pade import PadeSystem, _Rows, remainder
+
+    system = PadeSystem(spec_r2, (alpha,), 1, truncation, P=_Rows({0: _scaled(p)}),
+                        Pis=_Rows({(0, 1, s): _scaled(q)}))
+    d = max(len(p) - 1, 0)
+    product = _naive_mul_poly(expand_F_s(spec_r2, alpha, s, truncation + d), p)
+    order, den, ints = remainder(system, 0, 1, s)
+    assert order == min(1 - d, 1 - len(q)) and len(ints) == truncation - order
+    for e in range(order, truncation):
+        want = (product.coeff(e) if p else 0) - (q[-e] if -len(q) < e <= 0 else 0)
+        assert F(ints[e - order], den) == want, e
 
 
 def test_tail_json_round_trip():

@@ -5,13 +5,14 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import admissible_instances, corrupted
 from hgpade.cli import _canonical
 from hgpade.errors import FactorizationMismatch, NonconstantDeterminant
 from hgpade.linalg import det_bareiss
-from hgpade.pade import PadeSystem, build_system
+from hgpade.pade import build_system
 from hgpade.polyops import HypergeometricSpec, LaurentTail, poly_eval
 from hgpade.wronskian import (
     C_um,
@@ -132,30 +133,8 @@ def test_C_um_routes_agree(spec_r2, spec_r3):
                 )
 
 
-_small_fractions = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
-    lambda x: x.denominator > 1
-)
-
-
-@st.composite
-def _admissible_instances(draw, max_m=4):
-    """r <= 3, small-height non-integer a and b that pass the hypothesis
-    flags, and rm <= 4 distinct nonzero points alpha, at most max_m of them."""
-    r = draw(st.integers(1, 3))
-    a = draw(st.lists(_small_fractions, min_size=r, max_size=r))
-    b = draw(st.lists(_small_fractions, min_size=r - 1, max_size=r - 1))
-    spec = HypergeometricSpec.from_ab(a, b)
-    assume(spec.flags_pass())
-    m = draw(st.integers(1, min(max_m, 4 // r)))
-    alphas = draw(st.lists(
-        st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
-        min_size=m, max_size=m, unique=True,
-    ))
-    return spec, alphas
-
-
 @settings(deadline=None, derandomize=True)
-@given(_admissible_instances())
+@given(admissible_instances())
 def test_chain_contracts_on_random_instances(instance):
     spec, alphas = instance
     n = 1
@@ -166,7 +145,7 @@ def test_chain_contracts_on_random_instances(instance):
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
-@given(_admissible_instances(), st.integers(1, 2))
+@given(admissible_instances(), st.integers(1, 2))
 def test_delta_equals_the_evaluation_oracle(instance, n):
     # the argument's Delta against the determinant evaluated at every z up
     # to its degree bound, on random admissible rm <= 4 and n <= 2
@@ -178,7 +157,7 @@ def test_delta_equals_the_evaluation_oracle(instance, n):
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
-@given(_admissible_instances(max_m=2))
+@given(admissible_instances(max_m=2))
 def test_chain_constants_are_the_reduction_check_sides(instance):
     # the certified chain [c_{u_m,m}, ..., c_{u_1,1}, 1], computed once per
     # link, against reduction_check, which recomputes both ends of each link
@@ -398,14 +377,6 @@ def test_certify_degenerate_n2_zero_ledger():
     assert "a0s" in report.zero_links
 
 
-def _corrupted(system, part, key, edit):
-    """A copy of the system with one polynomial or window edited."""
-    broken = PadeSystem.from_jsonable(system.to_jsonable())
-    table = getattr(broken, part)
-    table[key] = edit(table[key])
-    return broken
-
-
 def _window_with(tail, e, value):
     coeffs = [tail.coeff(k) for k in range(tail.order, tail.truncation)]
     coeffs[e - tail.order] = value
@@ -414,8 +385,7 @@ def _window_with(tail, e, value):
 
 def test_nonconstant_determinant_raises(canonical_system):
     # corrupting one polynomial makes the determinant genuinely z-dependent
-    broken = _corrupted(canonical_system, "P", 0,
-                        lambda p: [p[0] + 1, *p[1:]])
+    broken = corrupted(canonical_system, ("P", 0, lambda p: [p[0] + 1, *p[1:]]))
     values = _delta_by_evaluation(broken)
     assert any(v != values[0] for v in values)
     with pytest.raises(NonconstantDeterminant):
@@ -437,7 +407,7 @@ def test_nonconstant_determinant_raises(canonical_system):
     ("P", 4, lambda p: [*p[:-1], F(0)], "deg P_ell"),
 ])
 def test_each_failed_hypothesis_is_named(canonical_system, part, key, edit, name):
-    broken = _corrupted(canonical_system, part, key, edit)
+    broken = corrupted(canonical_system, (part, key, edit))
     with pytest.raises(NonconstantDeterminant, match="hypothesis " + re.escape(name)):
         delta_of_system(broken)
 
