@@ -252,7 +252,8 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
 
     Term k of R(beta) is psi_{i,s}(t^k P_ell) / beta^{k+1}, read by its
     exponent from the system's term list (`PadeSystem.terms`), the one the
-    archimedean sums read past their first stop test.  This sum starts at
+    archimedean sums read past their first stop test, and made a Fraction
+    here from its unreduced pair.  This sum starts at
     k = n, inside the stored window, so it builds the window; the sizes
     that bound the archimedean sums are never computed here.
 
@@ -307,7 +308,8 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     S = Fraction(0)
     k = system.n
     while True:
-        S += system.terms(ell, i, s, k)[k] / beta ** (k + 1)
+        a, den = system.terms(ell, i, s, k)[k]
+        S += Fraction(a, den) / beta ** (k + 1)
         if S != 0 and k >= k_star and lowbound(k + 1) > v_p(S, p):
             return v_p(S, p)
         k += 1

@@ -26,7 +26,10 @@ exponent.  Their beta-free set-up lives on the system: the ratio bound's
 part without |alpha/beta|, P_ell and the weights on integers, the terms and
 the sizes of the bound, each read only where the sum needs it
 (`PadeSystem.tail_ratio`, `P.rows`, `integer_weights`, `terms`, `size`).
-Both sums stop on one tail-ratio bound (`_tail_ratio`).
+The terms and sizes are unreduced integer pairs over the denominators of
+weight runs that the system scales once per range for every ell, so the
+sum past the head makes no Fraction.  Both sums stop on one tail-ratio
+bound (`_tail_ratio`).
 """
 
 from __future__ import annotations
@@ -522,8 +525,10 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     each stop test and a term (`PadeSystem.terms`) only once that test has
     failed, so past the window the lists grow only as far as some sum reads
     them: a sum that stops at its first test reads one size and no term.
-    A size is read as the unreduced pair (sa, sb) the system keeps, with no
-    gcd: the stop test and the bound below are homogeneous in (sa, sb).
+    A size is read as the unreduced pair (sa, sb) the system keeps, and a
+    term as its unreduced pair (a, b), with no gcd: the stop test and the
+    bound below are homogeneous in (sa, sb), and a term enters N / L only
+    as the rational a / b.
     Everything but |alpha/beta| and the prefix sums is set up once per
     system and shared by every beta and precision.
 
@@ -579,8 +584,7 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
             <= sb * p * gd * max(abs(N) << bits, L * pk)
         ):
             break
-        term = system.terms(ell, i, s, k)[k]
-        a, b = term.numerator, term.denominator
+        a, b = system.terms(ell, i, s, k)[k]
         g = math.gcd(L, b)
         b //= g
         N = N * b * p + a * (L // g) * qe
@@ -639,7 +643,14 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
     The product P_ell(beta) * F_s cancels to the tiny remainder, so F is
     evaluated with enough extra precision to survive the cancellation and
     leave a budget of order 2^-bits on the difference itself.  Every
-    polynomial is evaluated on its integer row (`polyops._row_value`)."""
+    polynomial is evaluated on its integer row (`polyops._row_value`).
+
+    This is a numerical cross-check of the rows, not the system's contract:
+    it reads no stored window (`PadeSystem.R`) and checks no order at
+    infinity, so a loaded system whose windows disagree with its rows, or
+    whose P_ell carries an added constant that leaves P_{ell,i,s} the
+    polynomial part of P_ell F_s, can pass it and still fail
+    `pade.verify_system`, which is the contract."""
     beta = Fraction(beta)
     spec = system.spec
     P_at = {ell: _row_value(*row, beta) for ell, row in system.P.rows.items()}

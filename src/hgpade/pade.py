@@ -14,10 +14,13 @@ table M(k) shared by every ell (see `_P_family`).
 
 Every other coefficient is a psi_{i,s}-value of P_ell, computed by one
 integer kernel, `polyops._dot_rows`, over P_ell on integers and a scaled
-run of the psi_{i,s} weights kept on the spec, each run of outputs over one
-denominator: P_{ell,i,s} is the psi_{i,s}-image of the divided difference
+run of the psi_{i,s} weights, each run of outputs over one denominator:
+P_{ell,i,s} is the psi_{i,s}-image of the divided difference
 (P_ell(z)-P_ell(t))/(z-t), and R_{ell,i,s} has psi_{i,s}(t^k P_ell) as its
-1/z^{k+1} coefficient.  A Fraction is made only where a caller reads a
+1/z^{k+1} coefficient.  The same psi_{i,s} acts on every P_ell, so a
+system scales the weights of one range of exponents once, at the width of
+its longest row (`PadeSystem.weight_run`), and every ell reads a prefix of
+that run.  A Fraction is made only where a caller reads a
 rational.  A system is given its data once, when it is made: each P_ell
 and each P_{ell,i,s} is only its integer row over one denominator
 (`PadeSystem.P.rows`, `PadeSystem.Pis.rows`), which every reader reads; a
@@ -31,10 +34,10 @@ or `to_jsonable` (a loaded system holds its own); the p-adic sums read the
 head, and the archimedean sums neither (`numerics.remainder_value` starts
 from prefix sums of the weights,
 `PadeSystem.integer_weights`).  Past the window, the sizes that bound the
-remainder sums are a second such list (`PadeSystem.size`), kept as
-unreduced integer pairs, next to the beta-free part of their ratio bound
-(`PadeSystem.tail_ratio`).  Only this module splits a series at the
-window's end.
+remainder sums are a second such list (`PadeSystem.size`), next to the
+beta-free part of their ratio bound (`PadeSystem.tail_ratio`).  Both lists
+hold unreduced integer pairs (a, den) over their run's denominator.  Only
+this module splits a series at the window's end.
 
 One function, `contract_failures`, decides the system's contract, with one
 literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
@@ -92,12 +95,13 @@ def default_truncation(r: int, m: int, n: int) -> int:
     return truncation
 
 
-def check_truncation(n: int, truncation: int) -> None:
+def check_truncation(n: int, truncation: int, name: str = "--truncation") -> None:
     """Reject a window that cannot certify the order bound (truncation <= n+1)
-    or that is longer than MAX_TRUNCATION, before anything is built."""
+    or that is longer than MAX_TRUNCATION, before anything is built; the
+    message names the window `name`."""
     if not n + 1 < truncation <= MAX_TRUNCATION:
         raise InvalidInput(
-            f"--truncation: need n + 1 < truncation <= {MAX_TRUNCATION}, "
+            f"{name}: need n + 1 < truncation <= {MAX_TRUNCATION}, "
             f"got {truncation} at n = {n}")
 
 
@@ -247,7 +251,8 @@ class _Windows(Mapping):
                 raise KeyError(key)
             end = system.truncation - 1
             got = self._built[key] = LaurentTail(
-                1, system.terms(ell, i, s, 0)[:end], system.truncation)
+                1, [Fraction(a, den) for a, den in system.terms(ell, i, s, 0)[:end]],
+                system.truncation)
         return got
 
     def __iter__(self):
@@ -267,11 +272,12 @@ class PadeSystem:
     stored window of R_{ell,i,s}, given (`windows`) or made (`_Windows`).
     Everything else a remainder sum reads is beta-free and
     kept on the system on first use, each computed once: the ratio bound
-    past the window (`tail_ratio`), the psi weights on integers
-    (`integer_weights`), and per (ell, i, s) the coefficients by exponent
-    (`terms`) and the sizes that bound them (`size`, unreduced integer
-    pairs), two lists that grow only as far as they are read, both from the
-    kernel `_dot_rows` on the rows of P_ell and the weights.
+    past the window (`tail_ratio`), per (i, s) and range the psi weights on
+    integers (`weight_run`, `integer_weights`), shared by every ell, and per
+    (ell, i, s) the coefficients by exponent (`terms`) and the sizes that
+    bound them (`size`), two lists of unreduced integer pairs that grow only
+    as far as they are read, both from the kernel `_dot_rows` on the row of
+    P_ell and a weight run.
     """
 
     spec: HypergeometricSpec
@@ -320,59 +326,71 @@ class PadeSystem:
         """(V, wn): the psi_{i,s} weights w_x = wn_x / V on integers over
         their lcm V, for x below k0 + deg P_rm with k0 of `tail_ratio(s)`:
         every weight that a remainder sum up to its first stop test meets.
-        Computed once per (i, s)."""
-        return self._kept(("weights", i, s), lambda: _weight_run(
-            self.spec, self.alphas[i - 1], s, 0, self.tail_ratio(s)[0],
+        It is the run `weight_run(i, s, 0, k0)`; at the default truncation
+        k0 is the window's end, so the head of every term list reads it
+        too."""
+        return self.weight_run(i, s, 0, self.tail_ratio(s)[0])
+
+    def weight_run(self, i: int, s: int, start: int, stop: int) -> tuple:
+        """(dw, wi): the psi_{i,s} weights that outputs start..stop-1 of a
+        correlation with the longest row, P_rm, meet, on integers over
+        their lcm dw (`_weight_run`).  Every shorter P_ell meets a prefix of
+        them, so one run serves the terms and the sizes of every ell over
+        that range.  Scaled once per (i, s, start, stop)."""
+        return self._kept(("run", i, s, start, stop), lambda: _weight_run(
+            self.spec, self.alphas[i - 1], s, start, stop,
             max(len(ints) for _, ints in self.P.rows.values())))
 
     def terms(self, ell: int, i: int, s: int, k: int) -> list:
         """The coefficients of R_{ell,i,s} by exponent, grown to hold index k:
         terms[k] = psi_{i,s}(t^k P_ell), the coefficient of 1/z^{k+1}, for
-        every k >= 0.  The head, below the window's end truncation - 1,
-        holds None until a read inside it fills the whole head, from which
-        the stored window `R` is made; a read past the end grows the list to
-        max(k + 1, twice its part past the window).  The list only grows, so
-        a caller's reference stays valid; an entry is set once a read at its
-        index has returned."""
+        every k >= 0, as the unreduced pair (a, den) of its integer sum over
+        its run's denominator dp * dw (`P.rows`, `weight_run`), the form of
+        `size`: no Fraction is made.  The head, below the window's end
+        truncation - 1, holds None until a read inside it fills the whole
+        head, from which the stored window `R` is made; a read past the end
+        grows the list to max(k + 1, twice its part past the window).  The
+        list only grows, so a caller's reference stays valid; an entry is
+        set once a read at its index has returned."""
         end = self.truncation - 1
         terms = self._kept(("terms", ell, i, s), lambda: [None] * end)
         if k < end:
             if terms[k] is None:
-                terms[:end] = _unscaled(*self._psi_run(ell, i, s, 0, end))
+                terms[:end] = self._psi_run(ell, i, s, 0, end)
         elif k >= len(terms):
             start = len(terms)
-            terms.extend(_unscaled(*self._psi_run(
-                ell, i, s, start, max(k + 1, 2 * start - end))))
+            terms.extend(self._psi_run(ell, i, s, start, max(k + 1, 2 * start - end)))
         return terms
 
     def size(self, ell: int, i: int, s: int, k: int) -> tuple:
         """sum_d |P_d| |w_{k+d}| over the psi_{i,s} weights w, for k from the
         window's end on: the size that bounds terms[k] and every later term,
         as the unreduced pair (sa, sb) of its integer sum over its run's
-        denominator dp * dw (`P.rows`, `_weight_run`).  Kept in a list of
-        its own that grows like the terms past the window, so a sum that
-        reads only sizes (or only terms) computes nothing else, and no size
-        fills a head or makes a window."""
+        denominator, read off the same shared weight run as the terms.
+        Kept in a list of its own that grows like the terms past the
+        window, so a sum that reads only sizes (or only terms) computes
+        nothing else, and no size fills a head or makes a window."""
         end = self.truncation - 1
         sizes = self._kept(("sizes", ell, i, s), list)
         start = end + len(sizes)
         if k >= start:
-            den, ints = self._psi_run(ell, i, s, start, max(k + 1, 2 * start - end),
-                                      absolute=True)
-            sizes.extend((a, den) for a in ints)
+            sizes.extend(self._psi_run(ell, i, s, start, max(k + 1, 2 * start - end),
+                                       absolute=True))
         return sizes[k - end]
 
     def _psi_run(self, ell: int, i: int, s: int, start: int, stop: int,
-                 absolute: bool = False) -> tuple:
-        # (den, ints): psi_{i,s}(t^k P_ell) = ints[k - start] / den for
-        # start <= k < stop (with `absolute`, the sizes sum_d |P_d| |w_{k+d}|),
-        # one `_dot_rows` call over the row of P_ell and the one scaled run
-        # of weights those outputs meet
+                 absolute: bool = False) -> list:
+        # [(a, den)]: psi_{i,s}(t^k P_ell) = a / den for start <= k < stop
+        # (with `absolute`, the sizes sum_d |P_d| |w_{k+d}|), one `_dot_rows`
+        # call over the row of P_ell and the prefix of the shared weight run
+        # that it meets
         dp, Pn = self.P.rows[ell]
-        dw, wi = _weight_run(self.spec, self.alphas[i - 1], s, start, stop, len(Pn))
+        dw, wi = self.weight_run(i, s, start, stop)
         if absolute:
-            Pn, wi = [abs(c) for c in Pn], [abs(x) for x in wi]
-        return dp * dw, _dot_rows(Pn, wi, stop - start)
+            Pn = [abs(c) for c in Pn]
+            wi = [abs(x) for x in wi[:stop - start - 1 + len(Pn)]]
+        den = dp * dw
+        return [(a, den) for a in _dot_rows(Pn, wi, stop - start)]
 
     def to_jsonable(self) -> dict:
         return {
@@ -390,11 +408,23 @@ class PadeSystem:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PadeSystem":
-        """The system of a `to_jsonable` form, made with its own windows: P,
-        Pis and R hold exactly the keys of ell = 0..rm and of the indices,
-        or InvalidInput names the first key missing, else the first extra."""
+        """The system of a `to_jsonable` form, made with its own windows.
+        The instance must be one `build_system` accepts: distinct nonzero
+        alphas, n >= 1 and a truncation `check_truncation` passes, which
+        every window's truncation equals; and P, Pis and R hold exactly the
+        keys of ell = 0..rm and of the indices.  Otherwise InvalidInput
+        names the field (for the keys, the first missing, else the first
+        extra)."""
         spec = HypergeometricSpec.from_jsonable(data["spec"])
         alphas = tuple(parse_rational(a) for a in data["alphas"])
+        try:
+            _check_alphas(alphas)
+        except InvalidInput as exc:
+            raise InvalidInput(f"alphas: {exc}") from None
+        n, truncation = data["n"], data["truncation"]
+        if not isinstance(n, int) or n < 1:
+            raise InvalidInput(f"n: need an integer n >= 1, got {n!r}")
+        check_truncation(n, truncation, "truncation")
         r, m = spec.r, len(alphas)
         tops = {str(ell): ell for ell in range(r * m + 1)}
         index = {f"{ell},{i},{s}": (ell, i, s) for ell, i, s in _indices(r, m)}
@@ -413,10 +443,15 @@ class PadeSystem:
             return _Rows({key: _scaled([parse_rational(c) for c in p])
                           for key, p in entries(part, keys).items()})
 
-        return cls(spec=spec, alphas=alphas, n=data["n"], truncation=data["truncation"],
-                   P=rows("P", tops), Pis=rows("Pis", index),
-                   windows={key: LaurentTail.from_jsonable(t)
-                            for key, t in entries("R", index).items()})
+        P, Pis = rows("P", tops), rows("Pis", index)
+        windows = {key: LaurentTail.from_jsonable(t) for key, t in entries("R", index).items()}
+        for key, tail in windows.items():
+            if tail.truncation != truncation:
+                raise InvalidInput(
+                    f'truncation: the window "{",".join(map(str, key))}" has '
+                    f"truncation {tail.truncation}, not {truncation}")
+        return cls(spec=spec, alphas=alphas, n=n, truncation=truncation,
+                   P=P, Pis=Pis, windows=windows)
 
 
 def _weight_run(spec: HypergeometricSpec, alpha, s: int, start: int, stop: int,

@@ -125,10 +125,10 @@ def head_filled(system, key) -> bool:
 def _check_remainder_lists(system, key):
     # every entry of the term list of R_{ell,i,s} is psi(t^k P_ell): the
     # head, below the window's end, is None throughout until a read inside
-    # it fills all of it, and a made window is that head; every entry is
-    # its naive Fraction sum, and every size, an unreduced pair (sa, sb), is
-    # sum_d |P_d| |w_{k+d}| from the window's end on, against its naive
-    # Fraction sum
+    # it fills all of it, and a made window is that head; every entry, an
+    # unreduced pair (a, den), is its naive Fraction sum, and every size,
+    # an unreduced pair (sa, sb), is sum_d |P_d| |w_{k+d}| from the window's
+    # end on, against its naive Fraction sum
     terms, sizes = remainder_lists(system, key)
     terms, sizes = terms or [], sizes or []
     end = system.truncation - 1
@@ -142,10 +142,10 @@ def _check_remainder_lists(system, key):
         assert not window_built(system, key)
     elif window_built(system, key):
         tail = system.R[key]
-        assert terms[:end] == [tail.coeff(k + 1) for k in range(end)]
+        assert [F(*term) for term in terms[:end]] == [tail.coeff(k + 1) for k in range(end)]
     for k, term in enumerate(terms):
         if term is not None:
-            assert term == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
+            assert F(*term) == sum((c * w[k + d] for d, c in enumerate(P)), F(0))
     for j, size in enumerate(sizes):
         assert F(*size) == sum((abs(c) * abs(w[end + j + d]) for d, c in enumerate(P)), F(0))
 

@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -289,6 +290,30 @@ def test_verify_refuses_a_system_file_without_its_keys(tmp_path, capsys, part, k
                             f'{"extra" if extra else "missing"} key "{key}"\n')
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("truncation", 2, "truncation: need n + 1 < truncation <= 1024, got 2 at n = 1"),
+    ("truncation", 9, 'truncation: the window "0,1,0" has truncation 14, not 9'),
+    ("alphas", ["1", "1"], "alphas: evaluation points must be pairwise distinct"),
+    ("n", 0, "n: need an integer n >= 1, got 0"),
+])
+def test_verify_refuses_a_system_file_of_an_invalid_instance(tmp_path, capsys, field,
+                                                               value, message):
+    # a system file must hold an instance `build` accepts, with every window
+    # at the file's truncation: else verify exits 1 naming the field, before
+    # the contract runs
+    path = tmp_path / "system.json"
+    assert main(["build", *R2, "--alphas=1,2", "--n=1", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    assert data["truncation"] == 14
+    data[field] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--system", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hgpade verify: InvalidInput: --system: {message}\n"
+
+
 def test_verify_unreadable_system_exits_1(tmp_path, capsys):
     path = tmp_path / "nope.json"
     path.write_text("{not json")
@@ -442,6 +467,38 @@ def test_measure_reports_match_frozen(capsys):
         assert main(key.split()) == 0, key
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == frozen[key], key
+
+
+def test_min_beta_scales_each_weight_run_once_and_makes_no_term_fraction(capsys,
+                                                                         monkeypatch):
+    # the benchmark's min-beta op (r = 2, m = 1, n = 4..12, bound 1024)
+    # scales each run of psi weights once per system and range, shared by
+    # every ell, the terms and the sizes, and sums the terms as unreduced
+    # pairs: with `_weight_run` counted by (alpha, s, start, stop, width)
+    # and `_unscaled` made to fail, it still writes its frozen bytes.  The
+    # width tells the systems apart: a system's runs have width
+    # deg P_rm + 1 = 2n + 3, its build's one run for the P_{ell,i,s} 2n + 2
+    from hgpade import pade
+
+    calls = Counter()
+    weight_run = pade._weight_run
+
+    def counted(spec, alpha, s, start, stop, width):
+        calls[(alpha, s, start, stop, width)] += 1
+        return weight_run(spec, alpha, s, start, stop, width)
+
+    def unscaled(den, ints):
+        raise AssertionError("made a Fraction of a term row")
+
+    monkeypatch.setattr(pade, "_weight_run", counted)
+    monkeypatch.setattr(pade, "_unscaled", unscaled)
+    key = "min-beta --a=1/3,1/4 --b=1/2 --alphas=1 --search-bound=1024"
+    assert main(key.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == json.loads(_FROZEN.read_text())[key]
+    assert json.loads(out)["min_beta"] == 10
+    assert set(calls.values()) == {1}  # no range scaled twice
+    assert len(calls) == 174  # 18 builds and 156 runs; 862 calls before the runs were shared
 
 
 def test_eval_reduces_no_certified_value(capsys, monkeypatch):

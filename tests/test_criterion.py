@@ -596,5 +596,5 @@ def test_vp_remainder_reads_the_valuation_of_P_off_its_row(spec_r2, p):
             v_p(c, p) for c in system.P[ell] if c)
     beta = Fraction(1, p**10)
     for key in system.indices():
-        R = sum(system.terms(*key, k)[k] / beta ** (k + 1) for k in range(80))
+        R = sum(Fraction(*system.terms(*key, k)[k]) / beta ** (k + 1) for k in range(80))
         assert _vp_remainder(system, *key, beta, p) == v_p(R, p)

@@ -5,13 +5,14 @@ import decimal
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import head_filled, psi_weights
-from hgpade import numerics
+from hgpade import numerics, pade
 from hgpade.cli import main
 from hgpade.errors import (
     DivergentSeries,
@@ -794,12 +795,12 @@ def test_extension_entries_at_any_index_in_any_order(check_remainder_lists,
         assert remainder_state.head_filled(system, key) == filled
         assert not remainder_state.window_built(system, key)
     if filled:
-        # the window made now holds the head's own entries: none is
-        # computed a second time
+        # the window made now holds the head's own entries, read as
+        # rationals: none is computed a second time
         head = remainder_state.lists(system, key)[0][:end]
-        window = system.R[key]
-        assert [window.coeff(k + 1) for k in range(end)] == head
-        assert all(a is b for a, b in zip(window.coefficients, head[window.order - 1:]))
+        with mock.patch.object(pade, "_dot_rows", side_effect=AssertionError):
+            window = system.R[key]
+        assert [window.coeff(k + 1) for k in range(end)] == [F(*term) for term in head]
         assert remainder_state.stops(system, key) == (terms_stop, sizes_stop)
 
 
