@@ -4,9 +4,9 @@ At the canonical instance (a=1/3,1/4; b=1/2; alpha=1) the decay rate of the
 remainders beats the growth rate of the approximants once beta is large
 enough, and the gap V feeds straight into an explicit measure mu_eps and
 constant C_eps.  This demo runs the full measurement at beta = 10^6, shows
-the diagnostics the verdict rests on, then bisects for the smallest integer
-beta that still certifies and checks the finite places stay inside their
-worst-case budget.
+the diagnostics the verdict rests on, then bisects in log beta for the
+smallest integer beta that still certifies (V > 0 there and V <= 0 one
+below) and checks the finite places stay inside their worst-case budget.
 
 Takes about a second, building the systems of weight 4..16 exactly.
 

@@ -29,7 +29,6 @@ from .errors import HgpadeError, InvalidInput, RationalParseError, StepBudgetExc
 from .numerics import eval_F_family
 from .pade import PadeSystem, build_system, verify_system
 from .polyops import HypergeometricSpec
-from .suite import SUITE_SEED, run_suite
 from .wronskian import certify_nonvanishing
 
 # eval's work grows quadratically in the precision (4-6 s at 8192 bits for
@@ -112,8 +111,8 @@ FLAGS = {
     "--out": ("report file (default: stdout)", None, _text),
     "--format": ("json (default), csv or text", "json",
                  _checked(_text, ("json", "csv", "text").__contains__, "json, csv or text")),
-    "--seed": (f"seed of the randomized checks (default {SUITE_SEED})", SUITE_SEED,
-               _integer),
+    # suite.SUITE_SEED, written out so that only the suite command loads `suite`
+    "--seed": ("seed of the randomized checks (default 20260815)", 20260815, _integer),
     "--a": ("upper parameters, e.g. 1/3,1/4", (), _parameters),
     "--b": ("lower parameters, e.g. 1/2 (may be empty)", (), _parameters),
     "--c0": ("seed coefficient (default: prod a / prod b)", None, _rational),
@@ -444,6 +443,8 @@ def _cmd_eval(cfg: RunConfig) -> int:
 
 
 def _cmd_suite(cfg: RunConfig) -> int:
+    from .suite import run_suite
+
     def progress(res):
         mark = "ok " if res.passed else "FAIL"
         print(f"{mark} {res.check_id:24} {res.runtime:7.2f}s "

@@ -557,12 +557,19 @@ def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
 
 def min_beta(inst: Instance, v0: Place, search_bound: int) -> tuple:
     """(beta, V): the smallest integer beta <= search_bound with
-    V = V_emp(beta) > 0, or (None, None) if the bound is too small.
+    V = V_emp(beta) > 0, or (None, None) if V(search_bound) <= 0 or the bound
+    is under the floor int(max |alpha|) + 1.
 
-    V is affine in log beta with slope 1 (all else fixed), so plain integer
-    bisection applies. The instance's systems and remainder series serve
-    every candidate, and the height part of V is beta-independent for
-    integer beta, so it is fitted once: V is `criterion_V`'s, bit for bit.
+    What is certified: V(beta) > 0, and V(beta - 1) <= 0 unless beta is the
+    floor.  That beta is the smallest rests on V growing with beta: all else
+    fixed, V is close to affine in log beta with slope about 1 (1.06 between
+    beta = 10 and 1024 on r = 2, m = 1, alpha = 1, n = 4..12, and 1.24
+    between 9 and 10).  So the search bisects in log beta, at
+    isqrt(lo * hi), and evaluates the floor, where |alpha/beta| is largest
+    and the remainder sums are longest, only when the bracket closes on it.
+    The instance's systems and remainder series serve every candidate, and
+    the height part of V is beta-independent for integer beta, so it is
+    fitted once: V is `criterion_V`'s, bit for bit.
     """
     if not v0.is_archimedean:
         raise InvalidInput(
@@ -570,28 +577,29 @@ def min_beta(inst: Instance, v0: Place, search_bound: int) -> tuple:
             "holds at the archimedean place only"
         )
     search_bound = int(search_bound)
-    lo = int(max(abs(a) for a in inst.alphas)) + 1
-    if search_bound < lo:
+    floor = int(max(abs(a) for a in inst.alphas)) + 1
+    if search_bound < floor:
         return None, None
-    q_rate = height_fit_vec(inst, lo, v0).rate
+    q_rate = height_fit_vec(inst, floor, v0).rate
     seen = {}
 
     def value(b: int) -> float:
-        seen[b] = decay_fit_R(inst, b, v0).rate - q_rate
+        if b not in seen:
+            seen[b] = decay_fit_R(inst, b, v0).rate - q_rate
         return seen[b]
 
     if value(search_bound) <= 0:
         return None, None
-    if value(lo) > 0:
-        return lo, seen[lo]
-    hi = search_bound
-    # invariant: value(lo) <= 0 < value(hi)
+    lo, hi = floor, search_bound
+    # invariant: 0 < value(hi), and value(lo) <= 0 unless lo is the floor
     while hi - lo > 1:
-        mid = (lo + hi) // 2
+        mid = min(max(math.isqrt(lo * hi), lo + 1), hi - 1)
         if value(mid) > 0:
             hi = mid
         else:
             lo = mid
+    if lo == floor and value(lo) > 0:
+        return lo, seen[lo]
     return hi, seen[hi]
 
 

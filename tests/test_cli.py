@@ -498,7 +498,7 @@ def test_min_beta_scales_each_weight_run_once_and_makes_no_term_fraction(capsys,
     assert hashlib.sha256(out.encode()).hexdigest() == json.loads(_FROZEN.read_text())[key]
     assert json.loads(out)["min_beta"] == 10
     assert set(calls.values()) == {1}  # no range scaled twice
-    assert len(calls) == 174  # 18 builds and 156 runs; 862 calls before the runs were shared
+    assert len(calls) == 131  # 18 builds and 113 runs over the 6 betas probed
 
 
 def test_eval_reduces_no_certified_value(capsys, monkeypatch):
@@ -566,6 +566,20 @@ def test_each_system_is_built_once(monkeypatch, capsys, spec_r2):
     assert main(["criterion", *R2, "--alphas", "1", "--n-range=4:8"]) == 0
     capsys.readouterr()
     assert sorted(built) == [4, 5, 6, 7, 8]
+
+
+def test_min_beta_certifies_without_the_floor_that_cannot_converge(capsys, spec_r2):
+    # at alpha = 3 the remainder sums at the floor beta = 4 find no
+    # contracting tail-ratio bound (`InsufficientPrecision`); the answer does
+    # not depend on V there, and the search certifies V(89) <= 0 < V(90)
+    # without evaluating it
+    assert main(["min-beta", *R2, "--alphas=3", "--n-range=4:8",
+                 "--search-bound=1024"]) == 0
+    report = _json_out(capsys)
+    assert report["min_beta"] == 90
+    fresh = criterion.Instance(spec_r2, (Fraction(3),), range(4, 9))
+    assert criterion.criterion_V(fresh, Fraction(89), Place()) <= 0
+    assert report["V_emp"] == criterion.criterion_V(fresh, Fraction(90), Place()) > 0
 
 
 def test_min_beta_nothing_found_exit_1(capsys):
@@ -906,6 +920,26 @@ def test_the_runtime_is_standard_library_only():
     assert "hgpade" in loaded
     assert not {name for name in loaded
                 if name != "hgpade" and name not in sys.stdlib_module_names}
+
+
+def test_the_front_end_loads_suite_only_for_the_suite_command():
+    # `hgpade.suite` is loaded by `_cmd_suite` alone, so no other command
+    # pays for importing it; the --seed default is written out in the flag
+    # table and must stay the suite's own
+    import os
+    import subprocess
+    import sys
+
+    from hgpade.cli import FLAGS
+    from hgpade.suite import SUITE_SEED
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, hgpade.cli\nprint('hgpade.suite' in sys.modules)\n"
+    got = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert got.stdout.split() == ["False"]
+    assert FLAGS["--seed"][1] == SUITE_SEED
 
 
 def _unreferenced_functions(root: Path) -> list:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hgpade import criterion
 from hgpade.arith import Place, log_abs_fraction, log_int, v_p
 from hgpade.cli import _canonical
 from hgpade.criterion import (
@@ -20,6 +21,7 @@ from hgpade.criterion import (
     Instance,
     _row_lcm,
     criterion_V,
+    decay_fit_R,
     finite_place_budget,
     fit_rate,
     height_fit_vec,
@@ -403,6 +405,102 @@ def test_min_beta_none_when_bound_too_small(spec_r2):
     assert min_beta(inst, Place(), 1) == (None, None)
     # V(2) < 0, so a bound of 2 leaves nothing certified either
     assert min_beta(inst, Place(), 2) == (None, None)
+
+
+def _floor_first_bisection(inst, v0, search_bound):
+    """The oracle of `min_beta`: the same V, evaluated at the search bound,
+    then at the floor int(max |alpha|) + 1 before anything else, then at
+    arithmetic midpoints."""
+    lo = int(max(abs(a) for a in inst.alphas)) + 1
+    if search_bound < lo:
+        return None, None
+    q_rate = height_fit_vec(inst, lo, v0).rate
+    seen = {}
+
+    def value(b):
+        seen[b] = decay_fit_R(inst, b, v0).rate - q_rate
+        return seen[b]
+
+    if value(search_bound) <= 0:
+        return None, None
+    if value(lo) > 0:
+        return lo, seen[lo]
+    hi = search_bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if value(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi, seen[hi]
+
+
+# (a, b) by name, as text
+_SEARCH_SPECS = {
+    "r2": ("1/3,1/4", "1/2"),
+    "r2-signs": ("-1/3,1/4", "-1/2"),
+    "r3": ("1/3,1/4,1/5", "1/2,2/3"),
+    "r3-signs": ("-1/3,1/4,-1/5", "1/2,-2/3"),
+}
+
+
+@pytest.mark.parametrize("alphas", ["1", "1/10", "1,2", "-1,1/2"])
+@pytest.mark.parametrize("name", sorted(_SEARCH_SPECS))
+def test_min_beta_agrees_with_the_floor_first_bisection(name, alphas):
+    # the grid holds answers at the floor (r2, alpha = 1/10), inside the
+    # bracket (up to beta = 7530) and none; wherever the old search returns
+    # (it does on every point here), the new one returns the same (beta, V),
+    # and what it returns is certified on a fresh Instance: V(beta) > 0 and
+    # V(beta - 1) <= 0 unless beta is the floor
+    a, b = ([Fraction(x) for x in text.split(",")] for text in _SEARCH_SPECS[name])
+    alphas = tuple(Fraction(x) for x in alphas.split(","))
+    spec = HypergeometricSpec.from_ab(a, b)
+    # r * m = 6 fits over n = 4..7, the others over 4..8
+    ns = range(4, 8) if len(a) * len(alphas) > 4 else range(4, 9)
+    inst, fresh = Instance(spec, alphas, ns), Instance(spec, alphas, ns)
+    floor = int(max(abs(x) for x in alphas)) + 1
+    for bound in (2, 5, 64, 1024, 100000):
+        found = min_beta(inst, Place(), bound)
+        assert found == _floor_first_bisection(inst, Place(), bound), bound
+        beta, v = found
+        if beta is not None:
+            assert criterion_V(fresh, Fraction(beta), Place()) == v > 0
+            assert beta == floor or criterion_V(fresh, Fraction(beta - 1), Place()) <= 0
+
+
+def _probes(monkeypatch):
+    """The betas `min_beta` evaluates V at, in order."""
+    probes = []
+    real = criterion.decay_fit_R
+
+    def recorded(inst, beta, v0):
+        probes.append(beta)
+        return real(inst, beta, v0)
+
+    monkeypatch.setattr(criterion, "decay_fit_R", recorded)
+    return probes
+
+
+def test_min_beta_bisects_in_log_beta_and_skips_the_floor(spec_r2, monkeypatch):
+    # the benchmark's op: midpoints isqrt(lo * hi) from the bound down to
+    # the answer, and never V at the floor 2, the dearest beta
+    probes = _probes(monkeypatch)
+    found = min_beta(Instance(spec_r2, (Fraction(1),), range(4, 13)), Place(), 1024)
+    assert found[0] == 10
+    assert probes == [1024, 45, 9, 20, 13, 10]
+
+
+def test_min_beta_probes_the_floor_last(spec_r2, monkeypatch):
+    # at alpha = 1/10 V is positive already at the floor 1: the search
+    # closes its bracket on it and evaluates it last, once
+    probes = _probes(monkeypatch)
+    inst = Instance(spec_r2, (Fraction(1, 10),), SMALL_WINDOW)
+    assert min_beta(inst, Place(), 1024)[0] == 1
+    assert probes == [1024, 32, 5, 2, 1]
+    # a bound at the floor is one probe, not two
+    probes.clear()
+    assert min_beta(inst, Place(), 1)[0] == 1
+    assert probes == [1]
 
 
 def test_min_beta_is_archimedean_only(spec_r2):
