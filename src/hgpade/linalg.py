@@ -20,20 +20,26 @@ def det_bareiss(matrix: list[list[Fraction]]) -> Fraction:
 
     Each row is first scaled to integers over the lcm of its denominators
     (entry x becomes x.numerator * (d // x.denominator); int rows pass
-    through with d = 1), then the classic integer-preserving recurrence runs
-    without any rational division.
+    through with d = 1), each row's and then each column's gcd is divided
+    out, and the classic integer-preserving recurrence runs without any
+    rational division.
     """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise InvalidInput("determinant needs a square matrix")
-    scale = 1
+    scale, content = 1, 1
     m: list[list[int]] = []
     for row in matrix:
         d = math.lcm(*(x.denominator for x in row))
-        scale *= d
-        m.append([x.numerator * (d // x.denominator) for x in row])
+        ints = [x.numerator * (d // x.denominator) for x in row]
+        g = math.gcd(*ints) or 1
+        scale, content = scale * d, content * g
+        m.append([a // g for a in ints])
+    cols = [math.gcd(*col) or 1 for col in zip(*m)]
+    content *= math.prod(cols)
+    m = [[a // g for a, g in zip(row, cols)] for row in m]
 
     sign = 1
     prev = 1
@@ -51,7 +57,7 @@ def det_bareiss(matrix: list[list[Fraction]]) -> Fraction:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], scale)
+    return Fraction(sign * content * m[n - 1][n - 1], scale)
 
 
 def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

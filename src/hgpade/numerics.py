@@ -551,8 +551,9 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     ratio0 = _abs(x) * per_x
     if ratio0 >= 1:
         raise InsufficientPrecision(
-            "tail ratio bound not contracting; enlarge the truncation window"
-        )
+            f"tail ratio bound not contracting: it needs |alpha/beta| < 1/c ="
+            f" {1 / per_x}, got {_abs(x)}; take a larger --beta,"
+            f" |beta| > |alpha| c = {_abs(x * beta) * per_x}")
     geom = 1 / (1 - ratio0)
 
     p, q = beta.numerator, beta.denominator

@@ -41,10 +41,10 @@ this module splits a series at the window's end.
 
 One function, `contract_failures`, decides the system's contract, with one
 literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
-(`remainder`: its own integer loop over the rows, on a series table of its
-own, sharing no code with `_dot_rows`); `verify_system`, `build_system`'s
-cross-check, the hypotheses of `wronskian.delta_of_system` and the suite
-read it.  A generic exact null-space solver (`solve_pade_nullspace`)
+(`remainder`: its own integer loop over the rows, on the spec's integer
+row of the series, sharing no code with `_dot_rows`); `verify_system`,
+`build_system`'s cross-check, the hypotheses of `wronskian.delta_of_system`
+and the suite read it.  A generic exact null-space solver (`solve_pade_nullspace`)
 provides a construction-free oracle for the same approximation problem.
 """
 
@@ -63,12 +63,11 @@ from .numerics import _tail_ratio
 from .polyops import (
     HypergeometricSpec,
     LaurentTail,
-    Poly,
     _dot_rows,
     _psi_table,
     _scaled,
+    _series_row,
     _unscaled,
-    expand_F_s,
     poly_deg,
     poly_trim,
     term_table,
@@ -105,12 +104,12 @@ def check_truncation(n: int, truncation: int, name: str = "--truncation") -> Non
             f"got {truncation} at n = {n}")
 
 
-def base_polynomial(alphas, rn: int, ell: int) -> Poly:
-    """t^ell * prod_i (t - alpha_i)^{rn}.
+def base_polynomial(alphas, rn: int, ell: int) -> tuple:
+    """t^ell * prod_i (t - alpha_i)^{rn} as the integer row (den, ints).
 
     With alpha_i = p_i/q_i this is prod_i q_i^{-rn} (q_i t - p_i)^{rn}: each
     power comes from the binomial theorem on integers, the product runs on
-    integers, and the one division by prod_i q_i^{rn} comes last."""
+    integers, and den = prod_i q_i^{rn}."""
     g, den = [1], 1
     for al in map(Fraction, alphas):
         p, q = al.numerator, al.denominator
@@ -120,7 +119,7 @@ def base_polynomial(alphas, rn: int, ell: int) -> Poly:
             for k, y in enumerate(power):
                 out[d + k] += x * y
         g, den = out, den * q**rn
-    return [Fraction(0)] * ell + [Fraction(c, den) for c in g]
+    return den, [0] * ell + g
 
 
 def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
@@ -146,10 +145,9 @@ def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
     """
     alphas = [Fraction(a) for a in alphas]
     r = spec.r
-    db, bn = _scaled(base_polynomial(alphas, r * n, 0))
-    M0 = math.prod((spec.B_at(j) for j in range(1, n)), start=Fraction(1)) / (
-        spec.c0 * math.factorial(n - 1) ** r
-    )
+    db, bn = base_polynomial(alphas, r * n, 0)
+    M0 = (math.prod((spec.B_at(j) for j in range(1, n)), start=Fraction(1)) / (
+        spec.c0 * math.factorial(n - 1) ** r)).as_integer_ratio()
     M = [M0] + term_table(M0, 0, len(bn) - 1 + top, 1,
                           [z + n for z in spec.zeta], spec.eta)
     rows = []
@@ -170,10 +168,10 @@ def remainder(system: "PadeSystem", ell: int, i: int, s: int,
 
     Its exponents <= 0 vanish exactly when P_{ell,i,s} is the polynomial
     part of P_ell F_s, and its exponents >= 1 are the remainder R_{ell,i,s}.
-    It reads the rows of P_ell and P_{ell,i,s} and one scaled table of the
-    series (`expand_F_s`), in a loop of its own: it shares no code with the
-    stored window, which `PadeSystem.terms` fills from the psi weights by
-    `_dot_rows`.
+    It reads the rows of P_ell and P_{ell,i,s} and a prefix of the series
+    row (`_series_row`, long enough for every P of the system), in a loop
+    of its own: it shares no code with the stored window, which
+    `PadeSystem.terms` fills from the psi weights by `_dot_rows`.
     """
     if truncation is None:
         truncation = system.truncation
@@ -181,16 +179,17 @@ def remainder(system: "PadeSystem", ell: int, i: int, s: int,
     dp, Pn = system.P.rows[ell]
     dq, Qn = system.Pis.rows[(ell, i, s)]
     d = max(len(Pn) - 1, 0)
-    F = expand_F_s(system.spec, system.alphas[i - 1], s, truncation + d)
-    dc, cn = _scaled(F.coefficients)
-    # the product's 1/z^e coefficient, F.order - d <= e < truncation, is
-    # sum_j Pn[j] cn[e + j - F.order] / (dp dc); d zeros stand for the
-    # exponents below F's order that e + j reaches
-    cn = [0] * d + cn
-    order = min(F.order - d, 1 - len(Qn))
-    ints = [0] * (F.order - d - order) + [
+    width = max(len(ints) for _, ints in system.P.rows.values())
+    dc, cn = _series_row(system.spec, system.alphas[i - 1], s,
+                         truncation - 1 + max(d, width - 1))
+    # the product's 1/z^e coefficient, 1 - d <= e < truncation, is
+    # sum_j Pn[j] cn[e + j - 1] / (dp dc); d zeros stand for the exponents
+    # below the series' order 1 that e + j reaches
+    cn = [0] * d + cn[:truncation - 1 + d]
+    order = min(1 - d, 1 - len(Qn))
+    ints = [0] * (1 - d - order) + [
         sum(map(mul, Pn, cn[k:k + len(Pn)])) * dq
-        for k in range(truncation - F.order + d)]
+        for k in range(truncation - 1 + d)]
     for q, c in enumerate(Qn):
         ints[-q - order] -= c * dp * dc
     return order, dp * dc * dq, ints
@@ -440,7 +439,7 @@ class PadeSystem:
             return {keys[name]: got[name] for name in keys}
 
         def rows(part, keys):
-            return _Rows({key: _scaled([parse_rational(c) for c in p])
+            return _Rows({key: _scaled([parse_rational(c).as_integer_ratio() for c in p])
                           for key, p in entries(part, keys).items()})
 
         P, Pis = rows("P", tops), rows("Pis", index)

@@ -1,27 +1,24 @@
 """The exact kernel: polynomials over Q, hypergeometric term tables, the
-evaluation functionals psi_{i,s} / phi_{zeta,s}, truncated Laurent tails in
-1/z with exact order bookkeeping, and the instance data (parameter vectors,
-derived roots, seed coefficient, hypothesis flags).
+evaluation functional psi_{i,s}, truncated Laurent tails in 1/z with exact
+order bookkeeping, and the instance data (parameter vectors, derived roots,
+seed coefficient, hypothesis flags).
 
 Polynomials are plain coefficient lists (Fraction, low degree first, trailing
 zeros stripped); the zero polynomial is [] with degree -inf.
 
-Every exact weight table here -- c_k, the psi_{i,s} weights, the
-zeta-prefix weights, and the coefficient multipliers of P_ell in `pade` -- is
-a hypergeometric term t_{k+1}/t_k = x prod(k+u)/prod(k+d), stepped by one
-routine, `term_table`; the first three are kept append-only on the spec,
-per (alpha, s) where they depend on it, and grown on demand by one helper,
-`_grown`.  Every value psi_{i,s}(t^k p) is a correlation of p against the
-one weight table of (alpha_i, s), computed on integers scaled to common
-denominators by one kernel, `_dot_rows`, whose integer outputs share one
-denominator; a caller that reads rationals makes them (`_unscaled`), and a
-caller that reads such a row's polynomial at a rational point takes one
-integer Horner (`_row_value`).
-`pade.PadeSystem` feeds it its own integer forms, and `correlate` scales per
-call, for `psi` and the columns of the C_{u,m} moment matrix in
-`wronskian`.  The literal product that `pade.contract_failures` checks
-those values against (`pade.remainder`) runs a loop of its own on the
-integer rows, on a series table of its own (`expand_F_s`).
+The tables of c_k, of the psi_{i,s} weights and of the multipliers of
+P_ell in `pade` are hypergeometric terms, stepped by one routine,
+`term_table`, as reduced integer pairs; the first two are kept append-only
+on the spec and grown by one helper, `_grown`.  The tables of the
+Wronskian chain are integer rows (den, ints) from their closed forms: the
+zeta-prefix weights (`_zeta_row`) and the series of F_s (`_series_row`).
+Every value psi_{i,s}(t^k p) is a correlation of p against the weights of
+(alpha_i, s), computed on integers by one kernel, `_dot_rows`, whose
+outputs share one denominator; a caller that reads rationals makes them
+(`_unscaled`), and one that reads a row's polynomial at a rational point
+takes one integer Horner (`_row_value`).  The literal product that
+`pade.contract_failures` checks those values against (`pade.remainder`)
+runs a loop of its own on the series row.
 """
 
 from __future__ import annotations
@@ -183,10 +180,8 @@ class HypergeometricSpec:
     _c_cache: list = field(default_factory=list, repr=False, compare=False)
     # (alpha, s) -> psi_{i,s} weights from k = 0, append-only (`_psi_table`)
     _psi_tables: dict = field(default_factory=dict, repr=False, compare=False)
-    # (alpha, s) -> zeta-prefix weights from k = 0, append-only
-    _zeta_tables: dict = field(default_factory=dict, repr=False, compare=False)
-    # (alpha, s) -> coefficients of F_s(alpha/z) from 1/z, append-only (`expand_F_s`)
-    _series_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    # (alpha, s) -> the integer row of F_s(alpha/z) from 1/z (`_series_row`)
+    _series_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- constructors
 
@@ -260,10 +255,15 @@ class HypergeometricSpec:
     def B_at(self, x: Fraction) -> Fraction:
         return math.prod((Fraction(x) + z for z in self.zeta), start=Fraction(1))
 
+    def c_pairs(self, upto: int) -> list:
+        """The spec's table of c_k as reduced pairs, grown to hold entry
+        upto and not copied."""
+        return _grown(self._c_cache, upto, lambda: (
+            self.c0.as_integer_ratio(), 1, self.eta, [z + 1 for z in self.zeta]))
+
     def c(self, k: int) -> Fraction:
         """c_k by the recurrence, memoized."""
-        return _grown(self._c_cache, k, lambda: (
-            self.c0, 1, self.eta, [z + 1 for z in self.zeta]))[k]
+        return Fraction(*self.c_pairs(k)[k])
 
     # -- hypothesis flags (gate certification, not construction)
 
@@ -327,26 +327,30 @@ class HypergeometricSpec:
 # evaluation functionals
 
 
-def term_table(t: Fraction, k: int, count: int, x, upper, lower) -> list:
+def term_table(t: tuple, k: int, count: int, x, upper, lower) -> list:
     """[t_{k+1}, ..., t_{k+count}] of the hypergeometric term with t_k = t and
-    t_{j+1}/t_j = x * prod_u (j + u) / prod_d (j + d), exact.
+    t_{j+1}/t_j = x * prod_u (j + u) / prod_d (j + d), exact, as reduced
+    pairs (num, den), den > 0, t one too.
 
-    Each factor j + p/q enters as the small integer q*j + p, its q folded
-    into one constant, so a step is one product of t with a small reduced
-    ratio (Fraction multiplication cancels across, big-by-small gcds only).
+    Each factor j + p/q enters as the small integer q*j + p, so a step
+    multiplies t by a small reduced ratio a/b, cancelling across as
+    Fraction multiplication does (two big-by-small gcds).
     """
     x = Fraction(x)
     upper = [Fraction(u) for u in upper]
     lower = [Fraction(d) for d in lower]
     num0 = x.numerator * math.prod(d.denominator for d in lower)
     den0 = x.denominator * math.prod(u.denominator for u in upper)
+    num, den = t
     out = []
     for j in range(k, k + count):
-        t *= Fraction(
-            num0 * math.prod(u.denominator * j + u.numerator for u in upper),
-            den0 * math.prod(d.denominator * j + d.numerator for d in lower),
-        )
-        out.append(t)
+        a = num0 * math.prod(u.denominator * j + u.numerator for u in upper)
+        b = den0 * math.prod(d.denominator * j + d.numerator for d in lower)
+        g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+        a, b = a // g, b // g
+        g1, g2 = math.gcd(num, b), math.gcd(a, den)
+        num, den = (num // g1) * (a // g2), (den // g2) * (b // g1)
+        out.append((num, den))
     return out
 
 
@@ -364,25 +368,25 @@ def _grown(table: list, upto: int, term) -> list:
 
 def _psi_table(spec: HypergeometricSpec, i_alpha: Fraction, s: int, upto: int) -> list:
     """The values psi_{i,s}(t^k) = (k+gamma_1)...(k+gamma_s) c_k alpha^{k+1}
-    for k <= upto at least: the spec's own append-only weight table of
-    (alpha, s), one hypergeometric term in k, grown to hold entry upto and
-    not copied.  A caller slices the entries it reads, to the exact length
-    wherever the slice meets a correlation (entries past the end of a run
-    count as zero there)."""
+    for k <= upto at least, as reduced pairs: the spec's own append-only
+    weight table of (alpha, s), one hypergeometric term in k, grown to hold
+    entry upto and not copied.  A caller slices the entries it reads, to
+    the exact length wherever the slice meets a correlation (entries past
+    the end of a run count as zero there)."""
     alpha = Fraction(i_alpha)
     gam = spec.gamma[:s]
     return _grown(spec._psi_tables.setdefault((alpha, s), []), upto, lambda: (
-        math.prod(gam, start=Fraction(1)) * spec.c0 * alpha, alpha,
+        (math.prod(gam, start=Fraction(1)) * spec.c0 * alpha).as_integer_ratio(), alpha,
         spec.eta + tuple(g + 1 for g in gam),
         tuple(z + 1 for z in spec.zeta) + gam,
     ))
 
 
-def _scaled(values: list) -> tuple:
-    """(den, ints): the rationals `values` as the integers ints over their
-    lcm denominator den."""
-    den = math.lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
+def _scaled(pairs: list) -> tuple:
+    """(den, ints): the rationals of `pairs` (num, den), den > 0, as the
+    integers ints over the lcm den of their denominators."""
+    den = math.lcm(*(d for _, d in pairs))
+    return den, [a * (den // d) for a, d in pairs]
 
 
 def _unscaled(den: int, ints: list) -> list:
@@ -410,20 +414,6 @@ def _dot_rows(pi: list, wi: list, count: int) -> list:
     return [sum(map(mul, pi, wi[j:j + len(pi)])) for j in range(count)]
 
 
-def correlate(p: list, w: list, k0: int, k1: int) -> list:
-    """[sum_d p[d] * w[k + d] for k0 <= k < k1], exact; entries past the end
-    of w count as zero.
-
-    With w the weight table of psi_{i,s}, entry k is psi_{i,s}(t^k p).  p and
-    the window of w it meets are scaled to integers over their lcm
-    denominators (`_scaled`), so each output is one integer dot product and
-    one Fraction, equal to the Fraction sum it replaces.
-    """
-    dp, pi = _scaled(p)
-    dw, wi = _scaled(w[k0:k1 - 1 + len(p)])
-    return _unscaled(dp * dw, _dot_rows(pi, wi, k1 - k0))
-
-
 def psi(spec: HypergeometricSpec, alphas, i: int, s: int, p: Poly) -> Fraction:
     """The functional psi_{i,s} applied to p (1 <= i <= m, 0 <= s <= r-1)."""
     if not (1 <= i <= len(alphas)):
@@ -432,22 +422,9 @@ def psi(spec: HypergeometricSpec, alphas, i: int, s: int, p: Poly) -> Fraction:
         raise InvalidInput(f"s out of range: {s}")
     if not p:
         return Fraction(0)
-    # correlate reads exactly the len(p) weights below its one output
-    w = _psi_table(spec, Fraction(alphas[i - 1]), s, len(p) - 1)
-    return correlate(p, w, 0, 1)[0]
-
-
-def phi_zeta_s(zeta: Fraction, s: int, p: Poly) -> Fraction:
-    """phi_{zeta,s}: t^k -> 1/(k+zeta)^s, extended linearly."""
-    zeta = Fraction(zeta)
-    total = Fraction(0)
-    for k, c in enumerate(p):
-        if c == 0:
-            continue
-        if zeta + k == 0:
-            raise InvalidInput(f"pole: k + zeta = 0 at k = {k}")
-        total += c / (k + zeta) ** s
-    return total
+    dp, pi = _scaled([c.as_integer_ratio() for c in p])
+    dw, wi = _scaled(_psi_table(spec, Fraction(alphas[i - 1]), s, len(p) - 1)[:len(p)])
+    return Fraction(_dot_rows(pi, wi, 1)[0], dp * dw)
 
 
 def zeta_prefix_weights(spec: HypergeometricSpec, alpha: Fraction, s: int, upto: int) -> list:
@@ -455,46 +432,67 @@ def zeta_prefix_weights(spec: HypergeometricSpec, alpha: Fraction, s: int, upto:
 
     This is the normalized evaluation functional obtained from psi_{i,s} by
     stripping T_c and one alpha factor; the non-vanishing chain is built on it.
-    Kept in one table per (alpha, s) on the spec, like the psi weights
-    (`_psi_table`); the caller gets a fresh list of upto + 1 entries.
+    Each is its literal Fraction formula: the weights of the elimination
+    oracle of C_{u,m}, which shares no code with `_zeta_row`.
     """
     alpha = Fraction(alpha)
     zs = spec.zeta[: s + 1]
-    table = _grown(spec._zeta_tables.setdefault((alpha, s), []), upto, lambda: (
-        1 / math.prod(zs, start=Fraction(1)), alpha, zs, [z + 1 for z in zs]))
-    return table[:upto + 1]
+    return [alpha ** k / math.prod((k + z for z in zs), start=Fraction(1))
+            for k in range(upto + 1)]
+
+
+def _zeta_row(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -> tuple:
+    """(den, ints): the zeta-prefix weights for k < count (count >= 1) as
+    one integer row, each from its closed form.
+
+    With alpha = p/q and zeta_j = u_j/v_j the weight is
+    prod v_j p^k / (q^k E_k), E_k = prod_{j<=s+1} (v_j k + u_j), so over
+    den = L q^K, K = count - 1, L = lcm(E_k), it is prod v_j p^k q^(K-k)
+    (L / E_k); a negative E_k puts its sign into L // E_k.
+    """
+    p, q = Fraction(alpha).as_integer_ratio()
+    zs, K = [z.as_integer_ratio() for z in spec.zeta[: s + 1]], count - 1
+    E = [math.prod(v * k + u for u, v in zs) for k in range(count)]
+    L, v = math.lcm(*E), math.prod(v for _, v in zs)
+    return L * q ** K, [v * p ** k * q ** (K - k) * (L // e) for k, e in enumerate(E)]
 
 
 # ---------------------------------------------------------------------------
 # series of the contiguous family
 
 
-def f_s_coefficient(spec: HypergeometricSpec, s: int, k: int) -> Fraction:
-    """Coefficient of z^{k+1} in F_s(z) = sum (k+gamma_1)...(k+gamma_s) c_k z^{k+1}."""
-    w = Fraction(1)
-    for g in spec.gamma[:s]:
-        w *= k + g
-    return w * spec.c(k)
+def _series_row(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -> tuple:
+    """(den, ints): the coefficients g_s(k) c_k alpha^{k+1} of 1/z^{k+1} in
+    F_s(alpha/z), g_s(k) = (k+gamma_1)...(k+gamma_s), for k < count at
+    least, as one integer row; a prefix of it over den is exact too.
+
+    It is built by that product formula from the spec's c_k, never from the
+    psi weights: the literal product it feeds (`pade.remainder`) is the
+    oracle of the windows built from them.  With alpha = p/q,
+    gamma_j = u_j/v_j and c_k = a_k/b_k, over den = prod v_j C q^(K+1),
+    K = count - 1, C = lcm(b_k), the entry is
+    prod (v_j k + u_j) a_k (C / b_k) p^(k+1) q^(K-k).  One row per
+    (alpha, s) is kept on the spec, remade when a longer one is asked for.
+    """
+    alpha = Fraction(alpha)
+    row = spec._series_rows.get((alpha, s))
+    if row is None or len(row[1]) < count:
+        p, q = alpha.as_integer_ratio()
+        gam = spec.gamma[:s]
+        cs = spec.c_pairs(count - 1)[:count]
+        C, K = math.lcm(*(b for _, b in cs)), count - 1
+        ints = [math.prod(x.denominator * k + x.numerator for x in gam) * a * (C // b)
+                * p ** (k + 1) * q ** (K - k) for k, (a, b) in enumerate(cs)]
+        row = spec._series_rows[(alpha, s)] = (
+            math.prod(x.denominator for x in gam) * C * q ** (K + 1), ints)
+    return row
 
 
 def expand_F_s(spec: HypergeometricSpec, alpha: Fraction, s: int, truncation: int) -> LaurentTail:
-    """Tail of F_s(alpha/z) in powers of 1/z, exact up to `truncation`.
-
-    The coefficient of 1/z^{k+1} is f_s_coefficient(s, k) * alpha^{k+1}, kept
-    in one append-only table per (alpha, s) on the spec and grown on demand,
-    so every caller (each ell of a system's contract check) reads one
-    expansion.  The table is filled by that product formula alone, never
-    from the psi weights (`_psi_table` steps g_s(k) c_k alpha^{k+1} as one
-    term): the literal product it feeds is the independent oracle of the
-    remainder windows built from them.
-    """
-    alpha = Fraction(alpha)
+    """Tail of F_s(alpha/z) in powers of 1/z, exact up to `truncation`, made
+    from the spec's row (`_series_row`)."""
     if not (0 <= s <= spec.r - 1):
         raise InvalidInput(f"s out of range: {s}")
-    table = spec._series_tables.setdefault((alpha, s), [])
-    if len(table) < truncation - 1:
-        apow = alpha ** (len(table) + 1)
-        for k in range(len(table), truncation - 1):
-            table.append(f_s_coefficient(spec, s, k) * apow)
-            apow *= alpha
-    return LaurentTail(1, table[:max(0, truncation - 1)], truncation)
+    count = max(0, truncation - 1)
+    den, ints = _series_row(spec, alpha, s, count)
+    return LaurentTail(1, _unscaled(den, ints[:count]), truncation)

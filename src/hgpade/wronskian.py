@@ -21,11 +21,11 @@ argument's hypotheses through `pade.contract_failures`, one literal product
 per remainder over its window, and evaluates Delta at z = 0 and 1; the
 certify path builds windows only through 1/z^{n+1}, and without the
 cross-check, which would run the same contract again.  C_{u,m} is the
-moment determinant, whose columns are `correlate` runs.  The chain computes
-each distinct C_{u,m} value once and checks every link against its
-successor with the one link check that `reduction_check` also runs.  The
-subset elimination behind `C_um(..., route="eliminate")` is exponential in
-rm and is kept only as an oracle for small sizes.
+moment determinant, whose columns are `_dot_rows` runs on integer rows.
+The chain computes each distinct C_{u,m} value once and checks every link against its successor with the one link
+check that `reduction_check` also runs.  The subset elimination behind
+`C_um(..., route="eliminate")` is exponential in rm and is kept only as an
+oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from .pade import (
 from .polyops import (
     HypergeometricSpec,
     Poly,
-    correlate,
-    phi_zeta_s,
+    _dot_rows,
+    _unscaled,
+    _zeta_row,
     poly_from_roots,
     poly_mul,
     zeta_prefix_weights,
@@ -217,15 +218,6 @@ def a0s_change_of_basis(spec: HypergeometricSpec, n: int, s: int) -> Fraction:
 # the multivariate functional value C_{u,m}
 
 
-def _c_functionals(spec: HypergeometricSpec, alphas, upto: int):
-    """One weight table per auxiliary variable, in lexicographic (i, s) order."""
-    tables = []
-    for i in range(1, len(alphas) + 1):
-        for s in range(spec.r):
-            tables.append(zeta_prefix_weights(spec, alphas[i - 1], s, upto))
-    return tables
-
-
 def _eliminate(U: Poly, tables) -> Fraction:
     """Apply the product functional to prod_v U(t_v) * prod_{v<v'} (t_v' - t_v),
     one variable at a time, never materializing the full expansion.
@@ -268,27 +260,29 @@ def C_um(spec: HypergeometricSpec, alphas, n: int, u: int, route: str = "det") -
     route='det' (the primary, polynomial time) is the moment determinant
     det( psi~_v(t^{u+p} prod_j (t - alpha_j)^{rn}) ), p, v < rm, which
     Andreief's identity (Cauchy-Binet) gives for a product of functionals
-    against a Vandermonde.  Each of its columns is one `correlate` run of
-    the base polynomial against variable v's weight table, the same kernel
-    that computes every psi(t^k P).  route='eliminate' is the independent
-    oracle, on Fractions and sharing no code with `correlate`: it
-    collapses one variable at a time over 2^(rm-1-v) subsets, affordable
-    only for rm <= 4 or so.
+    against a Vandermonde.  Each of its columns is one `_dot_rows` run of
+    the base polynomial's integer row against variable v's (`_zeta_row`),
+    the kernel that computes every psi(t^k P).  route='eliminate' is the
+    independent oracle, on Fractions and sharing no code with `_dot_rows`:
+    it collapses one variable at a time over 2^(rm-1-v) subsets,
+    affordable only for rm <= 4 or so.
     """
     alphas = [Fraction(a) for a in alphas]
     if u < 0:
         raise InvalidInput("need u >= 0")
     r, m = spec.r, len(alphas)
     N = r * m
-    U = base_polynomial(alphas, r * n, u)
-    degU = len(U) - 1
-    tables = _c_functionals(spec, alphas, degU + N)
+    dU, Ui = base_polynomial(alphas, r * n, u)
+    count = len(Ui) - 1 + N  # the weights the columns meet
     if route == "eliminate":
-        return _eliminate(U, tables)
+        # one weight table per variable, in (i, s) order
+        return _eliminate(_unscaled(dU, Ui), [zeta_prefix_weights(spec, al, s, count)
+                                              for al in alphas for s in range(r)])
     if route == "det":
-        # row v holds column v of the moment matrix, psi~_v(t^{u+p} ...) for
-        # p < N; the determinant does not see the transpose
-        return det_bareiss([correlate(U, w, 0, N) for w in tables])
+        # row v holds column v over dU * dw; det does not see the transpose
+        weights = [_zeta_row(spec, al, s, count) for al in alphas for s in range(r)]
+        return (det_bareiss([_dot_rows(Ui, wi, N) for _, wi in weights])
+                / math.prod(dU * dw for dw, _ in weights))
     raise InvalidInput(f"unknown route {route!r}")
 
 
@@ -465,13 +459,9 @@ def _partial_fractions(spec: HypergeometricSpec, s: int):
     mult = [sum(1 for z in prefix if z == zh) for zh in zhat]
     pairs = [(j, k) for j in range(len(zhat)) if mult[j] for k in range(1, mult[j] + 1)]
     # multiply through by prod (X+zhat_j)^{mult_j}: 1 = sum p_{j,k} B_{j,k}(X)
-    cols = []
-    for j, k in pairs:
-        B = base_polynomial((-zhat[j],), mult[j] - k, 0)
-        for j2 in range(len(zhat)):
-            if j2 != j and mult[j2]:
-                B = poly_mul(B, base_polynomial((-zhat[j2],), mult[j2], 0))
-        cols.append(B)
+    cols = [poly_from_roots([zhat[j]] * (mult[j] - k) + [
+        zhat[j2] for j2 in range(len(zhat)) if j2 != j for _ in range(mult[j2])])
+        for j, k in pairs]
     size = s + 1
     mat = [[cols[c][row] if row < len(cols[c]) else Fraction(0) for c in range(len(pairs))]
            for row in range(size)]
@@ -489,17 +479,22 @@ def _grouped(zhat, mult) -> list:
 def final_det(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
     """The r x r determinant of phi-functionals on t^{u+ell}(t-1)^{rn}, rows
     grouped by distinct zeta value (j, then 1 <= k <= multiplicity).
-    L(u) = final_det_basis(spec) * final_det(spec, n, u)."""
+    L(u) = final_det_basis(spec) * final_det(spec, n, u).
+
+    phi_{zeta,k}(t^d) = v^k / (v d + w)^k for zeta = w/v, so with b the
+    binomial row of (t-1)^{rn}, row (j, k) is one `_dot_rows` run of b
+    against v^k L / (v d + w)^k over L, their lcm on the row."""
     r = spec.r
     zhat, mult = _zeta_groups(spec)
-    mat = []
+    _, b = base_polynomial((1,), r * n, 0)
+    rows, dens = [], []
     for j, k in _grouped(zhat, mult):
-        row = []
-        for ell in range(r):
-            p = base_polynomial((Fraction(1),), r * n, u + ell)
-            row.append(phi_zeta_s(zhat[j], k, p))
-        mat.append(row)
-    return det_bareiss(mat)
+        w, v = zhat[j].as_integer_ratio()
+        E = [(v * d + w) ** k for d in range(u, u + r + r * n)]
+        L = math.lcm(*E)
+        rows.append(_dot_rows(b, [v ** k * (L // e) for e in E], r))
+        dens.append(L)
+    return det_bareiss(rows) / math.prod(dens)
 
 
 def final_det_basis(spec: HypergeometricSpec) -> Fraction:

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers: the worked instances every test module leans
-on, one admissible-instance strategy and one way to corrupt a system."""
+on, one admissible-instance strategy, one way to corrupt a system, and the
+Fraction oracles of the package's integer tables (`correlate`,
+`f_s_coefficient`, `phi_zeta_s`)."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,7 +12,15 @@ from hypothesis import strategies as st
 
 from hgpade.arith import format_rational, parse_rational
 from hgpade.pade import PadeSystem, build_system
-from hgpade.polyops import HypergeometricSpec, LaurentTail, _psi_table
+from hgpade.errors import InvalidInput
+from hgpade.polyops import (
+    HypergeometricSpec,
+    LaurentTail,
+    _dot_rows,
+    _psi_table,
+    _scaled,
+    _unscaled,
+)
 
 F = Fraction
 
@@ -20,9 +30,45 @@ _small_fractions = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
 
 def psi_weights(spec, alpha, s, upto):
     """psi_{i,s}(t^k) for k = 0..upto, as a fresh list of exactly upto + 1
-    entries cut from the spec's weight table: `correlate` reads entries past
-    the end of a list as zero, so a longer list would change its results."""
-    return _psi_table(spec, alpha, s, upto)[:upto + 1]
+    Fractions cut from the spec's weight table of pairs: `correlate` reads
+    entries past the end of a list as zero, so a longer list would change
+    its results."""
+    return [F(*w) for w in _psi_table(spec, alpha, s, upto)[:upto + 1]]
+
+
+def correlate(p, w, k0, k1):
+    """[sum_d p[d] * w[k + d] for k0 <= k < k1], exact; entries past the end
+    of w count as zero.
+
+    With w the weight table of psi_{i,s}, entry k is psi_{i,s}(t^k p).  p and
+    the window of w it meets are scaled to integers over their lcm
+    denominators (`_scaled`), so each output is one integer dot product and
+    one Fraction, equal to the Fraction sum it replaces."""
+    dp, pi = _scaled([c.as_integer_ratio() for c in p])
+    dw, wi = _scaled([c.as_integer_ratio() for c in w[k0:k1 - 1 + len(p)]])
+    return _unscaled(dp * dw, _dot_rows(pi, wi, k1 - k0))
+
+
+def f_s_coefficient(spec, s, k):
+    """Coefficient of z^{k+1} in F_s(z) = sum (k+gamma_1)...(k+gamma_s) c_k
+    z^{k+1}, on Fractions."""
+    w = F(1)
+    for g in spec.gamma[:s]:
+        w *= k + g
+    return w * spec.c(k)
+
+
+def phi_zeta_s(zeta, s, p):
+    """phi_{zeta,s}: t^k -> 1/(k+zeta)^s, extended linearly, on Fractions."""
+    zeta = F(zeta)
+    total = F(0)
+    for k, c in enumerate(p):
+        if c == 0:
+            continue
+        if zeta + k == 0:
+            raise InvalidInput(f"pole: k + zeta = 0 at k = {k}")
+        total += c / (k + zeta) ** s
+    return total
 
 
 @st.composite

@@ -2,7 +2,8 @@
 arguments of the package by name: `truncation` and `cross_check` of
 `build_system`, `route` of `C_um`, and those of `remainder_value`.  A
 refactor that renames one breaks the traced run; this module runs one cheap
-op of each workload traced and reads its counts as `perfbench/run.py` does.
+op of each workload traced, and the certify op at r*m = 6, and reads their
+counts as `perfbench/run.py` does.
 It only reads `perfbench/`: no bytecode is written there."""
 
 import importlib
@@ -29,13 +30,15 @@ def bench():
         sys.path.remove(str(BENCH))
 
 
-# the min-beta op's remainder sums: a change to how they are computed
-# must neither add nor drop one
-REMAINDER_CALLS = {("measure", 2): 390}
+# counts a change to how the values are computed must neither raise nor
+# lower: the C_{u,m} evaluations of the r*m = 6 certify op (r3m2n2), and the
+# min-beta op's remainder sums
+PINNED_CALLS = {("certify", 0): {"wronskian.C_um.calls": 14},
+                ("measure", 2): {"numerics.remainder_value.calls": 390}}
 
 
 @pytest.mark.parametrize("workload, index", [
-    ("certify", 4), ("measure", 0), ("measure", 2), ("series", 1)])
+    ("certify", 0), ("certify", 4), ("measure", 0), ("measure", 2), ("series", 1)])
 def test_traced_op_runs_and_counts_its_layers(bench, workload, index):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     child = subprocess.run(
@@ -48,6 +51,5 @@ def test_traced_op_runs_and_counts_its_layers(bench, workload, index):
     names = (*bench.EXPECT_ZERO[workload], *bench.EXPECT_NONZERO[workload])
     layers = {name: bench.layer_value(name, record["trace"], 1.0) for name in names}
     assert bench.self_check(workload, layers) == []
-    calls = REMAINDER_CALLS.get((workload, index))
-    if calls is not None:
-        assert layers["numerics.remainder_value.calls"] == calls
+    for name, calls in PINNED_CALLS.get((workload, index), {}).items():
+        assert bench.layer_value(name, record["trace"], 1.0) == calls, name

@@ -530,6 +530,45 @@ def test_certify_reports_match_frozen(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == frozen[key], key
 
 
+@pytest.mark.parametrize("key", [
+    "wronskian --a=1/3,1/4 --b=1/2 --alphas=1,2 --n=3",
+    "wronskian --a=1/3,1/4,1/5 --b=1/2,2/3 --alphas=1,2 --n=2",
+])
+def test_the_wronskian_chain_makes_no_table_of_fractions(key, capsys, monkeypatch):
+    # every table the chain reads is an integer row from its closed form:
+    # with the Fraction routes of the series of F_s and of the zeta-prefix
+    # weights made to fail, the certify ops at r2m2n3 and r3m2n2 still write
+    # the report bytes the frozen table pins; the Fraction route of the
+    # phi-functionals is a test oracle and not in the package at all
+    import sys
+
+    def fraction_table(*args):
+        raise AssertionError("the chain made a table of Fractions")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hgpade"):
+            assert not hasattr(module, "phi_zeta_s"), name
+            for routine in ("expand_F_s", "zeta_prefix_weights"):
+                if hasattr(module, routine):
+                    monkeypatch.setattr(module, routine, fraction_table)
+    assert main(key.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == json.loads(_FROZEN.read_text())[key]
+
+
+def test_criterion_names_the_beta_that_the_ratio_bound_needs(capsys):
+    # |alpha/beta| = 3/4 < 1, but the ratio bound past the n = 4 window is
+    # c = 203/144 and |alpha/beta| c >= 1: the error names the bound and
+    # --beta, the one flag that meets it, and not the window, which no
+    # criterion flag sets
+    assert main(["criterion", *R2, "--alphas=3", "--beta=4", "--n-range=4:8"]) == 1
+    err = capsys.readouterr().err
+    assert "InsufficientPrecision" in err
+    assert "|alpha/beta| < 1/c = 144/203, got 3/4" in err
+    assert "--beta, |beta| > |alpha| c = 203/48" in err
+    assert "truncation" not in err
+
+
 def test_min_beta_report(capsys):
     code = main(["min-beta", *R2, "--alphas", "1",
                  "--search-bound", "64", "--n-range", "4:8"])

@@ -54,3 +54,52 @@ def test_det_bareiss_on_fraction_matrices(matrix):
     assert got == _leibniz_det(matrix)
     assert got == det_bareiss([[F(x) for x in row] for row in matrix])
     assert type(got) is F
+
+
+def _laplace_det(matrix):
+    """Expansion along the first row, recursively, on Fractions."""
+    if not matrix:
+        return F(1)
+    total = F(0)
+    for col, entry in enumerate(matrix[0]):
+        if entry:
+            minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
+            total += (-1) ** col * F(entry) * _laplace_det(minor)
+    return total
+
+
+@st.composite
+def _matrices_with_contents(draw):
+    # integer (or Fraction) rows with a common factor per row and per
+    # column, and some rows or columns zeroed
+    n = draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([st.integers(-6, 6), _fractions]))
+    matrix = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    for i in range(n):
+        f = draw(st.sampled_from([1, 2, 6, -15, 2**70]))
+        matrix[i] = [x * f for x in matrix[i]]
+    for j in range(n):
+        f = draw(st.sampled_from([1, 3, -4, 10**20]))
+        for row in matrix:
+            row[j] *= f
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        matrix[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=1)):
+        for row in matrix:
+            row[j] = 0
+    return matrix
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(_matrices_with_contents())
+@example([[0, 0], [0, 0]])                     # every row and column zero
+@example([[6, 4], [0, 0]])                     # a zero row last
+@example([[0, 2], [0, 3]])                     # a zero column first
+@example([[4, 6, 10], [6, 9, 15], [2, 3, 7]])  # contents 2 and 3, singular
+def test_det_bareiss_removes_contents_and_keeps_the_value(matrix):
+    # the determinant with every row's and column's content divided out
+    # first, against the Laplace expansion, on int rows, zero rows and zero
+    # columns
+    got = det_bareiss(matrix)
+    assert got == _laplace_det(matrix)
+    assert type(got) is F

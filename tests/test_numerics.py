@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import head_filled, psi_weights
+from conftest import correlate, f_s_coefficient, head_filled, psi_weights
 from hgpade import numerics, pade
 from hgpade.cli import main
 from hgpade.errors import (
@@ -30,12 +30,7 @@ from hgpade.numerics import (
     remainder_value,
 )
 from hgpade.pade import build_system
-from hgpade.polyops import (
-    HypergeometricSpec,
-    correlate,
-    f_s_coefficient,
-    poly_eval,
-)
+from hgpade.polyops import HypergeometricSpec, poly_eval
 
 F = Fraction
 

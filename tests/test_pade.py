@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_instances, corrupted, psi_weights
+from conftest import admissible_instances, correlate, corrupted, psi_weights
 from hgpade.errors import HypothesisViolation, InvalidInput, TheoryViolation
 from hgpade.pade import (
     MAX_TRUNCATION,
@@ -25,7 +25,7 @@ from hgpade.polyops import (
     HypergeometricSpec,
     LaurentTail,
     _scaled,
-    correlate,
+    _unscaled,
     expand_F_s,
     poly_deg,
     poly_eval,
@@ -97,13 +97,12 @@ def test_shortest_and_longest_truncations_build(toy_spec):
 
 
 def test_base_polynomial_of_one_point_is_a_binomial_power():
-    # (t + c)^e as base_polynomial((-c,), e, 0), the form the partial
-    # fractions of `wronskian` use
-    assert base_polynomial((F(2),), 3, 0) == poly_trim(
+    # (t + c)^e as base_polynomial((-c,), e, 0), an integer row over q^e
+    assert _unscaled(*base_polynomial((F(2),), 3, 0)) == poly_trim(
         poly_mul(poly_mul([F(-2), F(1)], [F(-2), F(1)]), [F(-2), F(1)])
     )
-    assert base_polynomial((F(-1, 2),), 2, 0) == [F(1, 4), F(1), F(1)]
-    assert base_polynomial((F(-5),), 0, 0) == [F(1)]
+    assert base_polynomial((F(-1, 2),), 2, 0) == (4, [1, 4, 4])
+    assert base_polynomial((F(-5),), 0, 0) == (1, [1])
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -116,9 +115,9 @@ def test_base_polynomial_equals_the_fraction_product(alphas, rn, ell):
     for al in alphas:
         for _ in range(rn):
             want = poly_mul(want, [-F(al), F(1)])
-    got = base_polynomial(alphas, rn, ell)
-    assert got == [F(0)] * ell + want
-    assert all(type(c) is F for c in got)
+    den, ints = base_polynomial(alphas, rn, ell)
+    assert _unscaled(den, ints) == [F(0)] * ell + want
+    assert all(type(a) is int for a in ints) and ints[-1] == den
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,8 @@ def test_build_P_equals_the_operator_chain(instance):
     # each row is `_scaled` of the chain's reduced Fractions: the same
     # polynomial, over the least common denominator
     for ell, row in enumerate(_P_family(spec, alphas, n, top)):
-        assert row == _scaled(_operator_chain_P(spec, alphas, n, ell))
+        assert row == _scaled([c.as_integer_ratio()
+                               for c in _operator_chain_P(spec, alphas, n, ell)])
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +257,7 @@ def test_product_route_does_not_use_the_kernel(spec_r2, monkeypatch):
     def kernel(*args):
         raise AssertionError("the product route called the kernel")
 
-    for name in ("_dot_rows", "correlate"):
-        monkeypatch.setattr(hgpade.polyops, name, kernel)
+    monkeypatch.setattr(hgpade.polyops, "_dot_rows", kernel)
     monkeypatch.setattr(hgpade.pade, "_dot_rows", kernel)
     for key in [(0, 1, 0), (4, 2, 1)]:
         b = _product(sys, *key)
@@ -269,26 +268,30 @@ def test_product_route_does_not_use_the_kernel(spec_r2, monkeypatch):
 
 
 def test_one_build_expands_each_series_coefficient_once(monkeypatch):
-    # every ell of the cross-check reads the one table of F_s(alpha/z) on
-    # the spec: one build computes each coefficient once per (alpha, s, k)
-    import hgpade.polyops
+    # every ell of the cross-check reads a prefix of the one row of
+    # F_s(alpha/z) on the spec: one build makes each row once per
+    # (alpha, s), as long as the longest P_ell needs, and `verify` after it
+    # makes none
+    import hgpade.pade
 
-    seen = []
-    coefficient = hgpade.polyops.f_s_coefficient
+    made = []
+    series_row = hgpade.pade._series_row
 
-    def counted(spec, s, k):
-        seen.append((s, k))
-        return coefficient(spec, s, k)
+    def counted(spec, alpha, s, count):
+        before = spec._series_rows.get((alpha, s))
+        row = series_row(spec, alpha, s, count)
+        if row is not before:
+            made.append((alpha, s, len(row[1])))
+        return row
 
-    monkeypatch.setattr(hgpade.polyops, "f_s_coefficient", counted)
+    monkeypatch.setattr(hgpade.pade, "_series_row", counted)
     spec = HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(1, 2),))
     alphas = (F(1), F(-1, 2))
     system = build_system(spec, alphas, 2)
     assert verify_system(system)["ok"]
     longest = system.truncation + len(system.P[system.r * system.m]) - 2
-    for s in range(spec.r):
-        assert sorted(k for t, k in seen if t == s) == sorted(
-            [*range(longest)] * len(alphas))
+    assert sorted(made) == sorted((alpha, s, longest) for alpha in alphas
+                                  for s in range(spec.r))
 
 
 def test_cross_check_off_matches(spec_r2, canonical_system):

@@ -7,18 +7,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import psi_weights
-from hgpade.errors import InsufficientPrecision, InvalidInput, SingularEigenvalue
+from conftest import correlate, f_s_coefficient, phi_zeta_s, psi_weights
+from hgpade.errors import (
+    HypothesisViolation,
+    InsufficientPrecision,
+    InvalidInput,
+    SingularEigenvalue,
+)
 from hgpade.polyops import (
     HypergeometricSpec,
     LaurentTail,
     _row_value,
     _scaled,
+    _series_row,
     _unscaled,
-    correlate,
+    _zeta_row,
     expand_F_s,
-    f_s_coefficient,
-    phi_zeta_s,
     poly_deg,
     poly_eval,
     poly_from_roots,
@@ -26,6 +30,7 @@ from hgpade.polyops import (
     poly_shift_up,
     poly_trim,
     psi,
+    term_table,
     zeta_prefix_weights,
 )
 from hgpade.suite import T_c, apply_H_theta, apply_H_theta_inverse
@@ -204,10 +209,13 @@ def test_remainder_equals_the_fraction_loop(spec_r2, p, q, alpha, s, truncation)
     # than P, and unequal denominators on every side
     from hgpade.pade import PadeSystem, _Rows, remainder
 
-    system = PadeSystem(spec_r2, (alpha,), 1, truncation, P=_Rows({0: _scaled(p)}),
-                        Pis=_Rows({(0, 1, s): _scaled(q)}))
+    system = PadeSystem(spec_r2, (alpha,), 1, truncation,
+                        P=_Rows({0: _scaled([c.as_integer_ratio() for c in p])}),
+                        Pis=_Rows({(0, 1, s): _scaled([c.as_integer_ratio() for c in q])}))
     d = max(len(p) - 1, 0)
-    product = _naive_mul_poly(expand_F_s(spec_r2, alpha, s, truncation + d), p)
+    series = LaurentTail(1, [f_s_coefficient(spec_r2, s, k) * alpha ** (k + 1)
+                             for k in range(truncation + d - 1)], truncation + d)
+    product = _naive_mul_poly(series, p)
     order, den, ints = remainder(system, 0, 1, s)
     assert order == min(1 - d, 1 - len(q)) and len(ints) == truncation - order
     for e in range(order, truncation):
@@ -490,52 +498,72 @@ def test_zeta_prefix_functional_literal(spec_r2):
     assert zeta_prefix_weights(spec_r2, F(2), 0, 1) == [F(2), F(2) / F(3, 2)]
 
 
-def test_zeta_prefix_weights_grow_one_table_per_alpha_and_s():
-    spec = HypergeometricSpec.from_ab((F(1, 3), F(-1, 4)), (F(1, 2),))
-
-    def naive(alpha, s, upto):
-        return [alpha ** k / math.prod((k + z for z in spec.zeta[:s + 1]), start=F(1))
-                for k in range(upto + 1)]
-
-    for alpha in (F(1), F(-2, 3)):
-        for s in (1, 0):
-            reached = -1
-            for upto in (3, 40, 3, 0, 41):
-                w = zeta_prefix_weights(spec, alpha, s, upto)
-                assert w == naive(alpha, s, upto)
-                reached = max(reached, upto)
-                stored = spec._zeta_tables[(alpha, s)]
-                assert w is not stored
-                assert len(stored) == reached + 1  # grown on demand, never cut
-                w[-1] = F(99)  # the caller's list is its own
-    assert zeta_prefix_weights(spec, 1, 1, 5) == naive(F(1), 1, 5)
-    assert len(spec._zeta_tables) == 4  # one table per (alpha, s)
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.lists(small_rationals, min_size=1, max_size=3), small_rationals.filter(bool),
+       st.integers(1, 40))
+@example([F(-1, 2), F(-7, 3)], F(-3, 4), 12)   # alpha < 0, q > 1, zeta < 0
+@example([F(1, 2)], F(1), 1)                   # one entry: den = L
+def test_zeta_row_is_the_literal_weight(b, alpha, count):
+    # the closed-form integer row of the zeta-prefix weights against the
+    # literal alpha^k / prod (k + zeta_j), Fraction by Fraction, at every
+    # level s; a negative k + zeta_j carries its sign into the row
+    assume(all(x.denominator > 1 for x in b))
+    spec = HypergeometricSpec.from_ab([F(1, 3)] * len(b) + [F(1, 5)], b)
+    for s in range(spec.r):
+        den, ints = _zeta_row(spec, alpha, s, count)
+        assert den > 0 and len(ints) == count
+        want = [alpha ** k / math.prod((k + z for z in spec.zeta[:s + 1]), start=F(1))
+                for k in range(count)]
+        assert _unscaled(den, ints) == want
+        assert zeta_prefix_weights(spec, alpha, s, count - 1) == want
 
 
-def test_C_um_steps_each_zeta_prefix_weight_once(monkeypatch):
-    # the tuples of one factorization share alpha values; the table of each
-    # (alpha, s) on the spec is stepped only past its end, so no weight
-    # alpha^k / prod (k + zeta_j) is computed twice
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(st.lists(small_rationals.filter(lambda x: x.denominator > 1), min_size=1,
+                max_size=3), small_rationals.filter(bool), st.integers(1, 30))
+@example([F(-1, 3), F(1, 4), F(-1, 5)], F(-3, 2), 20)
+def test_series_row_is_the_product_formula(a, alpha, count):
+    # the integer row of F_s(alpha/z) against f_s_coefficient * alpha^(k+1),
+    # built with the psi weights unreadable; a shorter request reads a
+    # prefix of the row kept on the spec, and a longer one remakes it
     import hgpade.polyops
-    from hgpade.wronskian import c_um_factor
 
-    spec = HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(1, 2),))
-    prefixes = {spec.zeta[:s + 1]: s for s in range(spec.r)}
-    stepped = []
-    step = hgpade.polyops.term_table
+    b = [F(1, 2), F(-2, 3)][:len(a) - 1]
+    try:
+        spec = HypergeometricSpec.from_ab(a, b)
+    except HypothesisViolation:
+        assume(False)
 
-    def counted(t, k, count, x, upper, lower):
-        s = prefixes.get(tuple(upper))
-        if s is not None:
-            stepped.extend((F(x), s, j) for j in range(k, k + count))
-        return step(t, k, count, x, upper, lower)
+    def weights(*args):
+        raise AssertionError("the series row read the psi weights")
 
-    monkeypatch.setattr(hgpade.polyops, "term_table", counted)
-    c_um_factor(spec, [F(1), F(2), F(3)], 2, 2)
-    # (1,2,3), (2,3,4), (3,4,5) and their doubles: alphas 1..6, 8 and 10
-    assert len(spec._zeta_tables) == 8 * spec.r
-    assert len(stepped) == len(set(stepped))
-    assert len(stepped) == sum(len(t) - 1 for t in spec._zeta_tables.values())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hgpade.polyops, "_psi_table", weights)
+        for s in range(spec.r):
+            den, ints = _series_row(spec, alpha, s, count)
+            want = [f_s_coefficient(spec, s, k) * alpha ** (k + 1) for k in range(count)]
+            assert _unscaled(den, ints[:count]) == want
+            assert _series_row(spec, alpha, s, count // 2) is spec._series_rows[(alpha, s)]
+            den, ints = _series_row(spec, alpha, s, count + 3)
+            assert len(ints) == count + 3
+            assert F(ints[-1], den) == f_s_coefficient(spec, s, count + 2) * alpha ** (count + 3)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(small_rationals.filter(bool), st.lists(small_rationals, max_size=3),
+       st.lists(small_rationals.filter(lambda x: x.denominator > 1), max_size=3),
+       small_rationals.filter(bool), st.integers(0, 5), st.integers(0, 25))
+@example(F(-5, 6), [F(-1, 2)], [F(-7, 3)], F(-9, 4), 0, 20)
+def test_term_table_steps_reduced_pairs(x, upper, lower, t, k, count):
+    # each entry is the reduced pair, den > 0, of the term stepped on
+    # Fractions: zero factors, negative ratios and unequal denominators
+    got = term_table(t.as_integer_ratio(), k, count, x, upper, lower)
+    want, value = [], t
+    for j in range(k, k + count):
+        value *= x * math.prod((j + u for u in upper), start=F(1)) / math.prod(
+            (j + d for d in lower), start=F(1))
+        want.append(value.as_integer_ratio())
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

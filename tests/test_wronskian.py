@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_instances, corrupted
+from conftest import admissible_instances, corrupted, phi_zeta_s
 from hgpade.cli import _canonical
 from hgpade.errors import FactorizationMismatch, NonconstantDeterminant
 from hgpade.linalg import det_bareiss
 from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec, LaurentTail, poly_eval
+from hgpade.polyops import HypergeometricSpec, LaurentTail, poly_eval, poly_mul
 from hgpade.wronskian import (
     C_um,
     a0s_change_of_basis,
@@ -23,6 +23,8 @@ from hgpade.wronskian import (
     delta_of_system,
     delta_route_check,
     _exact_power_of_2,
+    _grouped,
+    _zeta_groups,
     final_det,
     final_det_basis,
     homogeneity_degree,
@@ -131,6 +133,46 @@ def test_C_um_routes_agree(spec_r2, spec_r3):
                 assert C_um(spec, alphas, n, u, route="eliminate") == C_um(
                     spec, alphas, n, u, route="det"
                 )
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(admissible_instances(), st.integers(1, 2), st.integers(0, 6))
+def test_C_um_det_route_equals_elimination_on_random_instances(instance, n, u):
+    # the integer moment determinant against the Fraction elimination, whose
+    # weights are each their literal formula, on random admissible rm <= 4
+    spec, alphas = instance
+    assert C_um(spec, alphas, n, u, route="det") == C_um(spec, alphas, n, u,
+                                                         route="eliminate")
+
+
+def _final_det_by_phi(spec, n, u):
+    """The final determinant on Fractions: each entry phi_{zeta,k} of
+    t^{u+ell}(t-1)^{rn}, term by term (`conftest.phi_zeta_s`)."""
+    r = spec.r
+    zhat, mult = _zeta_groups(spec)
+    base = [F(1)]
+    for _ in range(r * n):
+        base = poly_mul(base, [F(-1), F(1)])
+    return det_bareiss([[phi_zeta_s(zhat[j], k, [F(0)] * (u + ell) + base)
+                         for ell in range(r)] for j, k in _grouped(zhat, mult)])
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(admissible_instances(), st.integers(1, 3), st.integers(0, 8))
+def test_final_det_equals_the_phi_route(instance, n, u):
+    # every entry one integer sum over the lcm of its row, against the
+    # Fraction sum of phi_{zeta,k}; negative zeta on random instances
+    spec = instance[0]
+    assert final_det(spec, n, u) == _final_det_by_phi(spec, n, u)
+
+
+@pytest.mark.parametrize("b", [(F(1, 2), F(1, 2)), (F(-1, 2), F(-1, 2)), (F(-3, 2), F(1))])
+def test_final_det_of_repeated_zeta_equals_the_phi_route(b):
+    # a zeta value of multiplicity 2 or 3 gives rows phi_{zeta,k}, k > 1
+    spec = HypergeometricSpec.from_roots((F(4, 3), F(5, 4), F(6, 5)), (*b, F(1)), F(1))
+    for n in (1, 2):
+        for u in (0, 3):
+            assert final_det(spec, n, u) == _final_det_by_phi(spec, n, u)
 
 
 @settings(deadline=None, derandomize=True)
