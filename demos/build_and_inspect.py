@@ -11,7 +11,7 @@ the weight grows.  Run it directly; it asserts everything it prints.
 from fractions import Fraction
 
 from hgpade.arith import format_rational
-from hgpade.pade import build_system, verify_system
+from hgpade.pade import build_system, verify_system, window_coeff, window_order
 from hgpade.polyops import HypergeometricSpec, poly_deg
 
 
@@ -34,12 +34,13 @@ def main() -> None:
         degs = {ell: poly_deg(p) for ell, p in system.P.items()}
         assert all(deg == r * m * n + ell for ell, deg in degs.items())
 
-        # order contract: every remainder vanishes to order >= n+1 at infinity
-        orders = sorted(tail.ord_infinity() for tail in system.R.values())
+        # order contract: every remainder vanishes to order >= n+1 at infinity;
+        # each stored window is an integer row (order, den, ints)
+        orders = sorted(window_order(window) for window in system.R.values())
         assert orders[0] >= n + 1
 
         # the remainder scale at a fixed index, to watch the decay
-        lead = system.R[(0, 1, 0)].coeff(orders[0])
+        lead = Fraction(*window_coeff(system.R[(0, 1, 0)], orders[0]))
         print(f"n={n}: deg P_ell = {sorted(degs.values())}, "
               f"min ord R = {orders[0]}, "
               f"|leading R_0,1,0| ~ {float(abs(lead)):.3e}  [verified ok]")

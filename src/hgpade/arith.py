@@ -24,7 +24,10 @@ Rational = Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'num/den' (or a plain integer string) into a Fraction."""
+    """Parse 'num/den' (or a plain integer string) into a Fraction; anything
+    else, a JSON number included, raises RationalParseError."""
+    if not isinstance(text, str):
+        raise RationalParseError(f"not a rational 'num/den' string: {text!r}")
     s = text.strip()
     try:
         if "/" in s:

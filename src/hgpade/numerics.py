@@ -29,7 +29,7 @@ the sizes of the bound, each read only where the sum needs it
 The terms and sizes are unreduced integer pairs over the denominators of
 weight runs that the system scales once per range for every ell, so the
 sum past the head makes no Fraction.  Both sums stop on one tail-ratio
-bound (`_tail_ratio`).
+bound (`polyops._tail_ratio`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
     InvalidInput,
     StepBudgetExceeded,
 )
-from .polyops import HypergeometricSpec, _row_value
+from .polyops import HypergeometricSpec, _row_value, _tail_ratio
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,25 +412,6 @@ def eval_pFq(a, b, z, bits: int) -> BigFloat:
         k0 *= 2
     return _sum_series(1, z, a, b + [Fraction(1)], (), k0, 1 / (1 - rho),
                        bits, 64 * bits + 4 * k0 + 64)
-
-
-def _tail_ratio(spec: HypergeometricSpec, s: int, k: int) -> tuple:
-    """(k0, c): k0 = max(k, 2 + floor max(|eta|, |1+zeta|, gmax)) with
-    gmax = max |gamma_1..gamma_s|, and |x| c bounds every ratio of
-    consecutive terms (j+gamma_1)...(j+gamma_s) c_j x^{j+1}, j >= k0, at any
-    x: c = prod (1 + |eta|/k0) / prod (1 - |1+zeta|/k0) * (1 + 1/(k0 - gmax))^s.
-    Neither k0 nor c depends on x, so a caller that sums at many x (the
-    remainder values of one system) computes them once."""
-    gmax = max([_abs(g) for g in spec.gamma[:s]], default=Fraction(0))
-    consts = [_abs(v) for v in spec.eta] + [_abs(1 + z) for z in spec.zeta] + [gmax]
-    k = max(k, 2 + int(max(consts)))
-    out = Fraction(1)
-    for v in spec.eta:
-        out *= 1 + _abs(v) / k
-    for zj in spec.zeta:
-        out /= 1 - _abs(1 + zj) / k
-    # (j+1+g)/(j+g) <= 1 + 1/(j - |g|), valid and decreasing past k
-    return k, out * (1 + 1 / (k - gmax)) ** s
 
 
 def _f_direct(spec: HypergeometricSpec, s: int, w: Fraction, bits: int) -> BigFloat:

@@ -28,12 +28,13 @@ read by key makes a fresh tuple of Fractions.
 Each remainder series is one append-only list on the system, read by
 exponent (`PadeSystem.terms`): its head, below the window's end, is filled
 on the first read inside it, and past the window it grows only as far as a
-caller reads.  The stored window (`PadeSystem.R`) is the
-`LaurentTail` of that head, made on its first read by the contract, Theta
-or `to_jsonable` (a loaded system holds its own); the p-adic sums read the
-head, and the archimedean sums neither (`numerics.remainder_value` starts
-from prefix sums of the weights,
-`PadeSystem.integer_weights`).  Past the window, the sizes that bound the
+caller reads.  The stored window (`PadeSystem.R`) is that head, in the
+form of the literal product `remainder`: the integer row (order, den,
+ints), kept on its first read by the contract, Theta or `to_jsonable` (a
+loaded system holds its own, parsed into the same form).  The p-adic sums
+read the head, and the archimedean sums neither (`numerics.remainder_value`
+starts from prefix sums of the weights, `PadeSystem.integer_weights`).
+Past the window, the sizes that bound the
 remainder sums are a second such list (`PadeSystem.size`), next to the
 beta-free part of their ratio bound (`PadeSystem.tail_ratio`).  Both lists
 hold unreduced integer pairs (a, den) over their run's denominator.  Only
@@ -42,10 +43,10 @@ this module splits a series at the window's end.
 One function, `contract_failures`, decides the system's contract, with one
 literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
 (`remainder`: its own integer loop over the rows, on the spec's integer
-row of the series, sharing no code with `_dot_rows`); `verify_system`,
-`build_system`'s cross-check, the hypotheses of `wronskian.delta_of_system`
-and the suite read it.  A generic exact null-space solver (`solve_pade_nullspace`)
-provides a construction-free oracle for the same approximation problem.
+row of the series, sharing no code with `_dot_rows`), compared with the
+stored window on integers; `verify_system`, `build_system`'s cross-check,
+the hypotheses of `wronskian.delta_of_system` and the suite read it.  A
+window becomes text only in `to_jsonable`.
 """
 
 from __future__ import annotations
@@ -57,16 +58,14 @@ from fractions import Fraction
 from operator import mul
 
 from .arith import format_rational, parse_rational
-from .errors import InvalidInput, TheoryViolation
-from .linalg import kernel_basis
-from .numerics import _tail_ratio
+from .errors import InvalidInput, RationalParseError, TheoryViolation
 from .polyops import (
     HypergeometricSpec,
-    LaurentTail,
     _dot_rows,
     _psi_table,
     _scaled,
     _series_row,
+    _tail_ratio,
     _unscaled,
     poly_deg,
     poly_trim,
@@ -234,24 +233,24 @@ class _Rows(Mapping):
 
 class _Windows(Mapping):
     """The stored remainder windows of a system by (ell, i, s), keyed by its
-    indices: those it was made with (`PadeSystem.from_jsonable`), never
-    rebuilt, so a loaded system is checked on its own data; else each is the
-    `LaurentTail` of the head of its term list, made on its first read."""
+    indices, each the integer row (order, den, ints) that `remainder`
+    returns: those it was made with (`PadeSystem.from_jsonable`), never
+    rebuilt, so a loaded system is checked on its own data; else the head
+    of its term list, whose pairs share one denominator, as (1, den, ints),
+    kept on its first read."""
 
     def __init__(self, system: "PadeSystem", given: dict):
         self._system, self._built = system, dict(given)
 
-    def __getitem__(self, key) -> LaurentTail:
+    def __getitem__(self, key) -> tuple:
         got = self._built.get(key)
         if got is None:
             system = self._system
             ell, i, s = key
             if not (ell in system.P.rows and 1 <= i <= system.m and 0 <= s < system.r):
                 raise KeyError(key)
-            end = system.truncation - 1
-            got = self._built[key] = LaurentTail(
-                1, [Fraction(a, den) for a, den in system.terms(ell, i, s, 0)[:end]],
-                system.truncation)
+            head = system.terms(ell, i, s, 0)[:system.truncation - 1]
+            got = self._built[key] = (1, head[0][1], [a for a, _ in head])
         return got
 
     def __iter__(self):
@@ -261,6 +260,56 @@ class _Windows(Mapping):
         return sum(1 for _ in self._system.indices())
 
 
+def window_coeff(window: tuple, e: int) -> tuple:
+    """The 1/z^e coefficient of a window row (order, den, ints) as the pair
+    (a, den): ints[e - order], and 0 below the order; e must lie below the
+    window's truncation, order + len(ints)."""
+    order, den, ints = window
+    return (ints[e - order] if e >= order else 0), den
+
+
+def window_order(window: tuple):
+    """The least exponent of 1/z with a nonzero coefficient in a window
+    row, exact below its truncation; None for a window zero throughout."""
+    order, _, ints = window
+    return next((e for e, a in enumerate(ints, order) if a), None)
+
+
+def _window_jsonable(window: tuple) -> dict:
+    # the text of a window row, its leading zeros folded into the order: a
+    # window zero throughout has order == truncation and no coefficients
+    order, den, ints = window
+    truncation = order + len(ints)
+    lead = next((e for e, a in enumerate(ints, order) if a), truncation)
+    return {"order": lead, "truncation": truncation,
+            "coefficients": [format_rational(Fraction(a, den)) for a in ints[lead - order:]]}
+
+
+def _window_row(name: str, data, truncation: int) -> tuple:
+    """The window "name" of a system file as its row (order, den, ints),
+    den the lcm of the denominators.  Its order and truncation must be
+    integers, the truncation the file's, and its coefficients a list of
+    truncation - order rationals; otherwise InvalidInput names the window
+    and the field."""
+    where = f'R "{name}"'
+    fields = data if isinstance(data, dict) else {}
+    order, trunc, coeffs = map(fields.get, ("order", "truncation", "coefficients"))
+    for part, value in (("order", order), ("truncation", trunc)):
+        if type(value) is not int:
+            raise InvalidInput(f"{where}: {part}: need an integer, got {value!r}")
+    if trunc != truncation:
+        raise InvalidInput(f'truncation: the window "{name}" has truncation {trunc}, '
+                           f"not {truncation}")
+    if not isinstance(coeffs, list) or len(coeffs) != trunc - order:
+        got = len(coeffs) if isinstance(coeffs, list) else coeffs
+        raise InvalidInput(f"{where}: coefficients: need a list of truncation - order "
+                           f"= {trunc - order} rationals, got {got!r}")
+    try:
+        return (order, *_scaled([parse_rational(c).as_integer_ratio() for c in coeffs]))
+    except RationalParseError as exc:
+        raise InvalidInput(f"{where}: coefficients: {exc}") from None
+
+
 @dataclass
 class PadeSystem:
     """One fully built instance: all P_ell, all P_{ell,i,s}, all remainders.
@@ -268,7 +317,8 @@ class PadeSystem:
     Its data is given once, when it is made, and never assigned: `P` maps
     ell to P_ell and `Pis` maps (ell, i, s) to P_{ell,i,s}, each an integer
     row (`P.rows`, `Pis.rows`, `_Rows`), and `R` maps (ell, i, s) to the
-    stored window of R_{ell,i,s}, given (`windows`) or made (`_Windows`).
+    stored window of R_{ell,i,s}, given (`windows`) or made (`_Windows`),
+    an integer row (order, den, ints) read by `window_coeff`.
     Everything else a remainder sum reads is beta-free and
     kept on the system on first use, each computed once: the ratio bound
     past the window (`tail_ratio`), per (i, s) and range the psi weights on
@@ -285,7 +335,7 @@ class PadeSystem:
     truncation: int
     P: _Rows                                        # ell -> P_ell (in z)
     Pis: _Rows                                      # (ell, i, s) -> P_{ell,i,s}
-    windows: InitVar[dict] = None                   # (ell, i, s) -> LaurentTail
+    windows: InitVar[dict] = None                   # (ell, i, s) -> window row
     R: _Windows = field(init=False, repr=False)
     # (tag, *index) -> the state of `_kept`; like `spec._psi_tables`, a
     # pure function of the system
@@ -314,7 +364,7 @@ class PadeSystem:
         return got
 
     def tail_ratio(self, s: int) -> tuple:
-        """(k0, c) of `numerics._tail_ratio` from the first index past the
+        """(k0, c) of `polyops._tail_ratio` from the first index past the
         window, k = truncation - 1: the remainder sums of this system at any
         beta stop-test from k0 on, against the ratio bound |alpha/beta| c.
         Computed once per s."""
@@ -402,18 +452,19 @@ class PadeSystem:
                 f"{ell},{i},{s}": [format_rational(c) for c in p]
                 for (ell, i, s), p in self.Pis.items()
             },
-            "R": {f"{ell},{i},{s}": t.to_jsonable() for (ell, i, s), t in self.R.items()},
+            "R": {f"{ell},{i},{s}": _window_jsonable(w) for (ell, i, s), w in self.R.items()},
         }
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PadeSystem":
-        """The system of a `to_jsonable` form, made with its own windows.
-        The instance must be one `build_system` accepts: distinct nonzero
-        alphas, n >= 1 and a truncation `check_truncation` passes, which
-        every window's truncation equals; and P, Pis and R hold exactly the
-        keys of ell = 0..rm and of the indices.  Otherwise InvalidInput
-        names the field (for the keys, the first missing, else the first
-        extra)."""
+        """The system of a `to_jsonable` form, made with its own windows,
+        each parsed into its row (`_window_row`).  The instance must be one
+        `build_system` accepts: distinct nonzero alphas, an integer n >= 1
+        and an integer truncation `check_truncation` passes (a JSON true is
+        neither), which every window's truncation equals; and P, Pis and R
+        hold exactly the keys of ell = 0..rm and of the indices.  Otherwise
+        InvalidInput names the field (for the keys, the first missing, else
+        the first extra; for a window, its key too)."""
         spec = HypergeometricSpec.from_jsonable(data["spec"])
         alphas = tuple(parse_rational(a) for a in data["alphas"])
         try:
@@ -421,8 +472,10 @@ class PadeSystem:
         except InvalidInput as exc:
             raise InvalidInput(f"alphas: {exc}") from None
         n, truncation = data["n"], data["truncation"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InvalidInput(f"n: need an integer n >= 1, got {n!r}")
+        if type(truncation) is not int:
+            raise InvalidInput(f"truncation: need an integer, got {truncation!r}")
         check_truncation(n, truncation, "truncation")
         r, m = spec.r, len(alphas)
         tops = {str(ell): ell for ell in range(r * m + 1)}
@@ -443,12 +496,8 @@ class PadeSystem:
                           for key, p in entries(part, keys).items()})
 
         P, Pis = rows("P", tops), rows("Pis", index)
-        windows = {key: LaurentTail.from_jsonable(t) for key, t in entries("R", index).items()}
-        for key, tail in windows.items():
-            if tail.truncation != truncation:
-                raise InvalidInput(
-                    f'truncation: the window "{",".join(map(str, key))}" has '
-                    f"truncation {tail.truncation}, not {truncation}")
+        windows = {key: _window_row(",".join(map(str, key)), t, truncation)
+                   for key, t in entries("R", index).items()}
         return cls(spec=spec, alphas=alphas, n=n, truncation=truncation,
                    P=P, Pis=Pis, windows=windows)
 
@@ -525,9 +574,10 @@ def contract_failures(system: PadeSystem) -> list:
 
     Together these are the paper's contract: the true remainder
     P_ell F_s(alpha_i/z) - P_{ell,i,s} has order >= n+1 at infinity.  The
-    degrees are read off the rows, and the product's integers a / den are
-    compared with the window's Fractions c by a c.den = c.num den, so the
-    contract makes no Fraction of P_ell, P_{ell,i,s} or the product.
+    degrees are read off the rows, and the product row and the window row
+    are compared entry by entry by cross-multiplying their denominators, so
+    the contract makes no Fraction of P_ell, P_{ell,i,s}, the product or
+    the window.
     """
     failures = []
     r, m, n = system.r, system.m, system.n
@@ -546,29 +596,31 @@ def contract_failures(system: PadeSystem) -> list:
             failures.append(
                 {"check": "deg_Pis", "index": [ell, i, s], "bound": bound, "got": str(got)}
             )
-        tail = system.R[(ell, i, s)]
-        if not tail.ord_at_least(n + 1):
+        # None for a window zero throughout, whose truncation is past n + 1
+        got = window_order(system.R[(ell, i, s)])
+        if got is not None and got < n + 1:
             failures.append(
-                {"check": "ord_R", "index": [ell, i, s], "bound": n + 1,
-                 "got": tail.ord_infinity()}
+                {"check": "ord_R", "index": [ell, i, s], "bound": n + 1, "got": got}
             )
     for ell, i, s in system.indices():
-        tail = system.R[(ell, i, s)]
-        order, den, ints = remainder(system, ell, i, s, tail.truncation)
+        # at the system's truncation, where every window ends
+        product = remainder(system, ell, i, s, system.truncation)
+        order, _, ints = product
         if any(ints[:1 - order]):
             failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
-        if not _is_window(tail, order, den, ints):
+        if not _is_window(system.R[(ell, i, s)], product):
             failures.append({"check": "remainder_coeffs", "index": [ell, i, s]})
     return failures
 
 
-def _is_window(tail: LaurentTail, order: int, den: int, ints: list) -> bool:
-    # whether the window is the product row's exponents >= 1, zero below
-    for e in range(min(tail.order, 1), tail.truncation):
-        c = tail.coeff(e)
-        if (ints[e - order] * c.denominator if e > 0 else 0) != c.numerator * den:
-            return False
-    return True
+def _is_window(window: tuple, product: tuple) -> bool:
+    # whether the window row is the product row's exponents >= 1, zero
+    # below, at every exponent of the window (both end at one truncation)
+    order, den, ints = window
+    porder, pden, pints = product
+    return all(
+        (pints[e - porder] if e > 0 else 0) * den == (ints[e - order] if e >= order else 0) * pden
+        for e in range(min(order, 1), order + len(ints)))
 
 
 def verify_system(system: PadeSystem) -> dict:
@@ -585,43 +637,3 @@ def verify_system(system: PadeSystem) -> dict:
         "m": system.m,
     }
 
-
-def solve_pade_nullspace(f, n_vec, M: int):
-    """Construction-free oracle: all (P0, P_1..P_N) with deg P0 <= M and
-    ord(P0 f_j - P_j) >= n_j + 1, by exact kernel computation.
-
-    f is a list of LaurentTail; the return value is a list of families, one
-    per kernel basis vector, each family being [P0, P_1, ..., P_N].
-    """
-    n_vec = list(n_vec)
-    if len(f) != len(n_vec):
-        raise InvalidInput("need one order target per tail")
-    if M < 0:
-        raise InvalidInput("need M >= 0")
-    need = max(n_vec, default=0) + M
-    for tail in f:
-        if tail.truncation <= need:
-            raise InvalidInput(
-                f"tails must carry exact coefficients up to 1/z^{need}"
-            )
-    rows = []
-    for j, tail in enumerate(f):
-        for e in range(1, n_vec[j] + 1):
-            rows.append([tail.coeff(e + d) for d in range(M + 1)])
-    basis = kernel_basis(rows, M + 1)
-    families = []
-    for vec in basis:
-        P0 = poly_trim(list(vec))
-        family = [P0]
-        for tail in f:
-            # polynomial part of P0 * f_j (exponents <= 0 of 1/z)
-            coeffs = []
-            for d in range(M + 1):
-                acc = Fraction(0)
-                for k in range(d, M + 1):
-                    if k < len(P0) and P0[k]:
-                        acc += P0[k] * tail.coeff(k - d)
-                coeffs.append(acc)
-            family.append(poly_trim(coeffs))
-        families.append(family)
-    return families

@@ -1,7 +1,7 @@
 """The exact kernel: polynomials over Q, hypergeometric term tables, the
-evaluation functional psi_{i,s}, truncated Laurent tails in 1/z with exact
-order bookkeeping, and the instance data (parameter vectors, derived roots,
-seed coefficient, hypothesis flags).
+evaluation functional psi_{i,s}, the series of F_s in 1/z and the ratio
+bound of their tails (`_tail_ratio`), and the instance data (parameter
+vectors, derived roots, seed coefficient, hypothesis flags).
 
 Polynomials are plain coefficient lists (Fraction, low degree first, trailing
 zeros stripped); the zero polynomial is [] with degree -inf.
@@ -18,7 +18,8 @@ outputs share one denominator; a caller that reads rationals makes them
 (`_unscaled`), and one that reads a row's polynomial at a rational point
 takes one integer Horner (`_row_value`).  The literal product that
 `pade.contract_failures` checks those values against (`pade.remainder`)
-runs a loop of its own on the series row.
+runs a loop of its own on the series row; the suite's null-space oracle
+reads the same row as a plain list of Fractions (`expand_F_s`).
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ from fractions import Fraction
 from operator import mul
 
 from .arith import format_rational, parse_rational
-from .errors import (
-    HypothesisViolation,
-    InsufficientPrecision,
-    InvalidInput,
-)
+from .errors import HypothesisViolation, InvalidInput
 
 Poly = list  # list[Fraction], low degree first
 
@@ -84,75 +81,6 @@ def poly_from_roots(roots) -> Poly:
     for rt in roots:
         out = poly_mul(out, [Fraction(rt), Fraction(1)])
     return out
-
-
-# ---------------------------------------------------------------------------
-# Laurent tails in 1/z
-
-
-@dataclass
-class LaurentTail:
-    """A truncated series sum_e coeff_e / z^e: identically zero below `order`,
-    stored exactly on order <= e < truncation, unknown from the truncation on.
-
-    Normalized so the first stored coefficient is nonzero (leading zeros are
-    absorbed into `order`); for a window that is zero throughout, order ==
-    truncation and the coefficient list is empty.  ord_infinity below the
-    truncation is therefore exact; when the window cannot decide it, we raise
-    InsufficientPrecision rather than guess.
-    """
-
-    order: int
-    coefficients: list  # Fraction, exponents order, order+1, ...
-    truncation: int
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.truncation - self.order:
-            raise InvalidInput("LaurentTail window does not match coefficients")
-        while self.coefficients and self.coefficients[0] == 0:
-            self.coefficients.pop(0)
-            self.order += 1
-
-    def coeff(self, e: int) -> Fraction:
-        if e < self.order:
-            return Fraction(0)
-        if e >= self.truncation:
-            raise InsufficientPrecision(
-                f"coefficient of 1/z^{e} is at or beyond the truncation {self.truncation}"
-            )
-        return self.coefficients[e - self.order]
-
-    def ord_infinity(self) -> int:
-        """Least exponent of 1/z with nonzero coefficient (exact)."""
-        if self.coefficients:
-            return self.order
-        raise InsufficientPrecision(
-            f"tail vanishes up to its truncation {self.truncation}; "
-            "the order is not determined by this window"
-        )
-
-    def ord_at_least(self, k: int) -> bool:
-        """Exact test ord_infinity >= k; needs the window to reach k."""
-        if not self.coefficients:
-            if k > self.truncation:
-                raise InsufficientPrecision("ord query beyond the truncation")
-            return True
-        return self.order >= k
-
-    def to_jsonable(self) -> dict:
-        return {
-            "order": self.order,
-            "truncation": self.truncation,
-            "coefficients": [format_rational(c) for c in self.coefficients],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "LaurentTail":
-        return cls(
-            data["order"],
-            [parse_rational(c) for c in data["coefficients"]],
-            data["truncation"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +416,29 @@ def _series_row(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -
     return row
 
 
-def expand_F_s(spec: HypergeometricSpec, alpha: Fraction, s: int, truncation: int) -> LaurentTail:
-    """Tail of F_s(alpha/z) in powers of 1/z, exact up to `truncation`, made
-    from the spec's row (`_series_row`)."""
+def expand_F_s(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -> list:
+    """The coefficients of 1/z, ..., 1/z^count in F_s(alpha/z), exact, as a
+    list of Fractions made from the spec's row (`_series_row`)."""
     if not (0 <= s <= spec.r - 1):
         raise InvalidInput(f"s out of range: {s}")
-    count = max(0, truncation - 1)
     den, ints = _series_row(spec, alpha, s, count)
-    return LaurentTail(1, _unscaled(den, ints[:count]), truncation)
+    return _unscaled(den, ints[:count])
+
+
+def _tail_ratio(spec: HypergeometricSpec, s: int, k: int) -> tuple:
+    """(k0, c): k0 = max(k, 2 + floor max(|eta|, |1+zeta|, gmax)) with
+    gmax = max |gamma_1..gamma_s|, and |x| c bounds every ratio of
+    consecutive terms (j+gamma_1)...(j+gamma_s) c_j x^{j+1}, j >= k0, at any
+    x: c = prod (1 + |eta|/k0) / prod (1 - |1+zeta|/k0) * (1 + 1/(k0 - gmax))^s.
+    Neither k0 nor c depends on x, so a caller that sums at many x (the
+    remainder values of one system) computes them once."""
+    gmax = max([abs(g) for g in spec.gamma[:s]], default=Fraction(0))
+    consts = [abs(v) for v in spec.eta] + [abs(1 + z) for z in spec.zeta] + [gmax]
+    k = max(k, 2 + int(max(consts)))
+    out = Fraction(1)
+    for v in spec.eta:
+        out *= 1 + abs(v) / k
+    for zj in spec.zeta:
+        out /= 1 - abs(1 + zj) / k
+    # (j+1+g)/(j+g) <= 1 + 1/(j - |g|), valid and decreasing past k
+    return k, out * (1 + 1 / (k - gmax)) ** s

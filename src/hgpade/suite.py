@@ -7,7 +7,9 @@ returns (passed, details); it never prints and never reads a clock, and
 its details keep rationals exact (`cli._canonical` writes them).
 `run_check` times one row and records a body that raises as a failed check;
 `run_suite` runs every row on one Desk.  Both the `hgpade suite` command and
-the test suite run the rows through `run_check`.  Failure details name the
+the test suite run the rows through `run_check`.  The construction-free
+null-space solver of the `nullspace-membership` check,
+`solve_pade_nullspace`, lives here with its one caller.  Failure details name the
 offending instance label, so a red run points straight at the broken link.
 """
 
@@ -22,9 +24,10 @@ from functools import cached_property
 
 from .arith import D_n_profile, Place, log_mu, totient
 from .criterion import Instance, criterion_V, decay_fit_R, measure, min_beta
-from .errors import SingularEigenvalue
+from .errors import InvalidInput, SingularEigenvalue
+from .linalg import kernel_basis
 from .numerics import _f_closed, _f_direct, check_remainder_identity
-from .pade import build_system, contract_failures, solve_pade_nullspace
+from .pade import build_system, contract_failures
 from .polyops import (
     HypergeometricSpec,
     expand_F_s,
@@ -154,11 +157,11 @@ def check_nullspace_membership(desk: Desk):
     for label, (spec, alphas, n, system) in sorted(desk.grid.items()):
         r, m = spec.r, len(alphas)
         M = r * m * n
-        tails = [expand_F_s(spec, alpha, s, n + M + 1)
+        tails = [expand_F_s(spec, alpha, s, n + M)
                  for alpha in alphas for s in range(r)]
         P0 = list(system.P[0]) + [Fraction(0)] * (M + 1 - len(system.P[0]))
         annihilated = all(
-            sum((P0[d] * tail.coeff(e + d) for d in range(M + 1)), Fraction(0)) == 0
+            sum((P0[d] * tail[e + d - 1] for d in range(M + 1)), Fraction(0)) == 0
             for tail in tails
             for e in range(1, n + 1)
         )
@@ -183,6 +186,36 @@ def check_nullspace_membership(desk: Desk):
              "kernel_dim_1_and_spanned": span_ok, "membership": member}
         )
     return ok, {"instances": rows}
+
+
+def solve_pade_nullspace(f, n_vec, M: int):
+    """Construction-free oracle: all (P0, P_1..P_N) with deg P0 <= M and
+    ord(P0 f_j - P_j) >= n_j + 1, by exact kernel computation.
+
+    Each f_j is a list of Fractions, f_j[e - 1] the coefficient of 1/z^e
+    (`expand_F_s`); the return value is a list of families, one per kernel
+    basis vector, each family being [P0, P_1, ..., P_N].
+    """
+    n_vec = list(n_vec)
+    if len(f) != len(n_vec):
+        raise InvalidInput("need one order target per tail")
+    if M < 0:
+        raise InvalidInput("need M >= 0")
+    need = max(n_vec, default=0) + M
+    if any(len(tail) < need for tail in f):
+        raise InvalidInput(f"tails must carry exact coefficients up to 1/z^{need}")
+    rows = [[tail[e + d - 1] for d in range(M + 1)]
+            for tail, n_j in zip(f, n_vec) for e in range(1, n_j + 1)]
+    families = []
+    for vec in kernel_basis(rows, M + 1):
+        P0 = poly_trim(list(vec))
+        # the polynomial part of P0 * f_j: its z^d coefficient is
+        # sum_{k > d} P0[k] f_j[k - d - 1]
+        families.append([P0] + [
+            poly_trim([sum((P0[k] * tail[k - d - 1] for k in range(d + 1, len(P0))),
+                           Fraction(0)) for d in range(M + 1)])
+            for tail in f])
+    return families
 
 
 def check_wronskian_routes(desk: Desk):

@@ -20,7 +20,10 @@ top row leaves lead(P_rm) * Theta.  `delta_of_system` checks the
 argument's hypotheses through `pade.contract_failures`, one literal product
 per remainder over its window, and evaluates Delta at z = 0 and 1; the
 certify path builds windows only through 1/z^{n+1}, and without the
-cross-check, which would run the same contract again.  C_{u,m} is the
+cross-check, which would run the same contract again.  Delta and Theta
+read the integer rows of the system and of its stored windows, and reach
+`det_bareiss` as integer rows, each scaled once over the lcm of its
+denominators (`_det_of_pairs`), with no Fraction per entry.  C_{u,m} is the
 moment determinant, whose columns are `_dot_rows` runs on integer rows.
 The chain computes each distinct C_{u,m} value once and checks every link against its successor with the one link
 check that `reduction_check` also runs.  The subset elimination behind
@@ -47,11 +50,13 @@ from .pade import (
     base_polynomial,
     build_system,
     contract_failures,
+    window_coeff,
 )
 from .polyops import (
     HypergeometricSpec,
     Poly,
     _dot_rows,
+    _scaled,
     _unscaled,
     _zeta_row,
     poly_from_roots,
@@ -109,8 +114,9 @@ def delta_of_system(system: PadeSystem) -> Fraction:
 
     Delta(0) and Delta(1) are then two Bareiss determinants, read off the
     integer rows (den, ints) of the system: p(0) = ints[0] / den and
-    p(1) = sum(ints) / den.  They must agree, and their value is returned.
-    `delta_route_check` compares it with lead(P_rm) * Theta.
+    p(1) = sum(ints) / den, each matrix row scaled once (`_det_of_pairs`).
+    They must agree, and their value is returned.  `delta_route_check`
+    compares it with lead(P_rm) * Theta.
     """
     failures = contract_failures(system)
     if failures:
@@ -121,9 +127,9 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     rows = [[system.P.rows[ell] for ell in range(N + 1)]]
     for i, s in _row_index_pairs(r, m):
         rows.append([system.Pis.rows[(ell, i, s)] for ell in range(N + 1)])
-    at_0 = det_bareiss([[Fraction(ints[0] if ints else 0, den) for den, ints in row]
-                        for row in rows])
-    at_1 = det_bareiss([[Fraction(sum(ints), den) for den, ints in row] for row in rows])
+    at_0 = _det_of_pairs([[(ints[0] if ints else 0, den) for den, ints in row]
+                          for row in rows])
+    at_1 = _det_of_pairs([[(sum(ints), den) for den, ints in row] for row in rows])
     if at_0 != at_1:
         raise NonconstantDeterminant(
             f"nonconstant determinant: Delta(0) = {at_0} != Delta(1) = {at_1}")
@@ -134,10 +140,18 @@ def theta_det(system: PadeSystem) -> Fraction:
     """det of the rm x rm matrix with entries psi_{i,s}(t^n P_ell(t)), each
     read off the stored remainder window as its 1/z^{n+1} coefficient."""
     r, m, n = system.r, system.m, system.n
-    return det_bareiss([
-        [system.R[(ell, i, s)].coeff(n + 1) for ell in range(r * m)]
+    return _det_of_pairs([
+        [window_coeff(system.R[(ell, i, s)], n + 1) for ell in range(r * m)]
         for i, s in _row_index_pairs(r, m)
     ])
+
+
+def _det_of_pairs(matrix: list) -> Fraction:
+    # the determinant of a matrix of rationals given as pairs (a, den),
+    # den > 0: each row is scaled once over the lcm of its denominators
+    # (`_scaled`), and `det_bareiss` runs on the integer rows
+    rows = [_scaled(row) for row in matrix]
+    return det_bareiss([ints for _, ints in rows]) / math.prod(den for den, _ in rows)
 
 
 def leading_coeff_P_rm(system: PadeSystem) -> Fraction:

@@ -11,11 +11,10 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from hgpade.arith import format_rational, parse_rational
-from hgpade.pade import PadeSystem, build_system
+from hgpade.pade import PadeSystem, build_system, window_coeff
 from hgpade.errors import InvalidInput
 from hgpade.polyops import (
     HypergeometricSpec,
-    LaurentTail,
     _dot_rows,
     _psi_table,
     _scaled,
@@ -87,17 +86,29 @@ def admissible_instances(draw, max_m=4):
     return spec, alphas
 
 
+def window_values(window) -> list:
+    """The coefficients of 1/z^e, e = 1, ..., truncation - 1, of a window
+    row (order, den, ints), as Fractions (zero below its order)."""
+    order, _, ints = window
+    return [F(*window_coeff(window, e)) for e in range(1, order + len(ints))]
+
+
 def corrupted(system, *edits):
     """The system loaded from its JSON form after the edits, each a triple
     (part, key, edit): the entry of "P", "Pis" or "R" at key becomes
     edit(entry), where a P_ell or P_{ell,i,s} is its list of Fractions and
-    a window is its `LaurentTail`."""
+    a window is the pair (order, coefficients), its Fractions from the
+    exponent order on; it is given with order 1, and the edit's pair is
+    written with the truncation order + len(coefficients)."""
     data = system.to_jsonable()
     for part, key, edit in edits:
         name = ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
         if part == "R":
-            tail = edit(LaurentTail.from_jsonable(data[part][name]))
-            data[part][name] = tail.to_jsonable()
+            text = data[part][name]
+            order, coeffs = edit((1, [F(0)] * (text["order"] - 1)
+                                  + [parse_rational(c) for c in text["coefficients"]]))
+            data[part][name] = {"order": order, "truncation": order + len(coeffs),
+                                "coefficients": [format_rational(c) for c in coeffs]}
         else:
             poly = edit([parse_rational(c) for c in data[part][name]])
             data[part][name] = [format_rational(c) for c in poly]
@@ -187,8 +198,7 @@ def _check_remainder_lists(system, key):
         assert terms[:end] == [None] * len(terms[:end])
         assert not window_built(system, key)
     elif window_built(system, key):
-        tail = system.R[key]
-        assert [F(*term) for term in terms[:end]] == [tail.coeff(k + 1) for k in range(end)]
+        assert [F(*term) for term in terms[:end]] == window_values(system.R[key])
     for k, term in enumerate(terms):
         if term is not None:
             assert F(*term) == sum((c * w[k + d] for d, c in enumerate(P)), F(0))

@@ -43,7 +43,7 @@ def test_parse_rational_forms():
     assert parse_rational("  5/10 ") == F(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "", "a/b", "1.5", "1/2/3", "--3"])
+@pytest.mark.parametrize("bad", ["1/0", "", "a/b", "1.5", "1/2/3", "--3", 5, None])
 def test_parse_rational_rejects(bad):
     with pytest.raises(RationalParseError):
         parse_rational(bad)

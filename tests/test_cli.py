@@ -107,14 +107,34 @@ def test_build_report_is_frozen(capsys):
 ])
 def test_verify_and_wronskian_read_no_companion_fraction(argv, digest, monkeypatch, capsys):
     # verify's contract and the contract behind certify's Delta read the
-    # integer rows of every P_ell and P_{ell,i,s}: with a read by key made
-    # to fail, each report keeps its bytes
-    from hgpade.pade import _Rows
+    # integer rows of every P_ell and P_{ell,i,s}, every stored window is
+    # an integer row, and Delta and Theta reach `det_bareiss` as integer
+    # rows: with a read by key made to fail, and a window or a determinant
+    # entry that is a Fraction made to fail, each report keeps its bytes
+    import hgpade.wronskian
+    from hgpade.pade import _Rows, _Windows
 
     def unreadable(rows, key):
         raise AssertionError(f"read {key} of a system as Fractions")
 
+    window_of = _Windows.__getitem__
+
+    def integer_window(windows, key):
+        order, den, ints = window = window_of(windows, key)
+        if not all(type(x) is int for x in (order, den, *ints)):
+            raise AssertionError(f"read the window {key} as Fractions")
+        return window
+
+    det = hgpade.wronskian.det_bareiss
+
+    def integer_det(matrix):
+        if not all(type(x) is int for row in matrix for x in row):
+            raise AssertionError("a determinant entry is a Fraction")
+        return det(matrix)
+
     monkeypatch.setattr(_Rows, "__getitem__", unreadable)
+    monkeypatch.setattr(_Windows, "__getitem__", integer_window)
+    monkeypatch.setattr(hgpade.wronskian, "det_bareiss", integer_det)
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -295,6 +315,10 @@ def test_verify_refuses_a_system_file_without_its_keys(tmp_path, capsys, part, k
     ("truncation", 9, 'truncation: the window "0,1,0" has truncation 14, not 9'),
     ("alphas", ["1", "1"], "alphas: evaluation points must be pairwise distinct"),
     ("n", 0, "n: need an integer n >= 1, got 0"),
+    # a JSON true is not an integer, though Python's bool is an int
+    ("n", True, "n: need an integer n >= 1, got True"),
+    ("truncation", True, "truncation: need an integer, got True"),
+    ("truncation", "14", "truncation: need an integer, got '14'"),
 ])
 def test_verify_refuses_a_system_file_of_an_invalid_instance(tmp_path, capsys, field,
                                                                value, message):
@@ -306,6 +330,40 @@ def test_verify_refuses_a_system_file_of_an_invalid_instance(tmp_path, capsys, f
     data = json.loads(path.read_text())
     assert data["truncation"] == 14
     data[field] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--system", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hgpade verify: InvalidInput: --system: {message}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("order", True, 'R "1,2,0": order: need an integer, got True'),
+    ("order", "2", "R \"1,2,0\": order: need an integer, got '2'"),
+    ("truncation", False, 'R "1,2,0": truncation: need an integer, got False'),
+    ("coefficients", "short",
+     'R "1,2,0": coefficients: need a list of truncation - order = 12 rationals, got 11'),
+    ("coefficients", "1/0",
+     'R "1,2,0": coefficients: not a rational \'num/den\' string: \'1/0\''),
+    ("coefficients", 5, 'R "1,2,0": coefficients: not a rational \'num/den\' string: 5'),
+])
+def test_verify_names_a_malformed_window(tmp_path, capsys, field, value, message):
+    # a window of a system file whose order or truncation is not an integer,
+    # whose coefficient list does not fill truncation - order, or holds an
+    # entry that is no rational string, exits 1 naming the window and the
+    # field
+    path = tmp_path / "system.json"
+    assert main(["build", *R2, "--alphas=1,2", "--n=1", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    window = data["R"]["1,2,0"]
+    assert (window["order"], window["truncation"], len(window["coefficients"])) == (2, 14, 12)
+    if value == "short":
+        window["coefficients"].pop()
+    elif field == "coefficients":
+        window["coefficients"][3] = value
+    else:
+        window[field] = value
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", "--system", str(path)]) == 1
@@ -959,6 +1017,24 @@ def test_the_runtime_is_standard_library_only():
     assert "hgpade" in loaded
     assert not {name for name in loaded
                 if name != "hgpade" and name not in sys.stdlib_module_names}
+
+
+def test_the_pade_module_loads_neither_numerics_nor_linalg():
+    # building and checking a system needs no series evaluation and no
+    # kernel solver: importing `hgpade.pade` in a fresh interpreter loads
+    # neither `hgpade.numerics` nor `hgpade.linalg`
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, hgpade.pade\nprint('\\n'.join(sys.modules))\n"
+    got = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    loaded = set(got.stdout.split())
+    assert "hgpade.pade" in loaded
+    assert not {"hgpade.numerics", "hgpade.linalg"} & loaded
 
 
 def test_the_front_end_loads_suite_only_for_the_suite_command():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import correlate, f_s_coefficient, head_filled, psi_weights
+from conftest import correlate, f_s_coefficient, head_filled, psi_weights, window_values
 from hgpade import numerics, pade
 from hgpade.cli import main
 from hgpade.errors import (
@@ -795,7 +795,7 @@ def test_extension_entries_at_any_index_in_any_order(check_remainder_lists,
         head = remainder_state.lists(system, key)[0][:end]
         with mock.patch.object(pade, "_dot_rows", side_effect=AssertionError):
             window = system.R[key]
-        assert [window.coeff(k + 1) for k in range(end)] == [F(*term) for term in head]
+        assert window_values(window) == [F(*term) for term in head]
         assert remainder_state.stops(system, key) == (terms_stop, sizes_stop)
 
 

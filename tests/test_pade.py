@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_instances, correlate, corrupted, psi_weights
+from conftest import (
+    admissible_instances,
+    correlate,
+    corrupted,
+    psi_weights,
+    window_values,
+)
 from hgpade.errors import HypothesisViolation, InvalidInput, TheoryViolation
 from hgpade.pade import (
     MAX_TRUNCATION,
@@ -18,12 +24,12 @@ from hgpade.pade import (
     contract_failures,
     default_truncation,
     remainder,
-    solve_pade_nullspace,
     verify_system,
+    window_coeff,
+    window_order,
 )
 from hgpade.polyops import (
     HypergeometricSpec,
-    LaurentTail,
     _scaled,
     _unscaled,
     expand_F_s,
@@ -32,6 +38,7 @@ from hgpade.polyops import (
     poly_mul,
     poly_trim,
 )
+from hgpade.suite import solve_pade_nullspace
 
 F = Fraction
 
@@ -91,7 +98,7 @@ def test_a_default_window_past_the_cap_is_refused_before_any_build(spec_r2, monk
 
 def test_shortest_and_longest_truncations_build(toy_spec):
     short = build_system(toy_spec, (F(1),), 1, truncation=3)
-    assert short.R[(0, 1, 0)].truncation == 3 and verify_system(short)["ok"]
+    assert len(window_values(short.R[(0, 1, 0)])) == 2 and verify_system(short)["ok"]
     assert build_system(toy_spec, (F(1),), 1, truncation=MAX_TRUNCATION,
                         cross_check=False).truncation == MAX_TRUNCATION
 
@@ -131,9 +138,11 @@ def test_toy_P0(toy_spec):
 
 def test_toy_remainder_vanishes(toy_spec):
     system = build_system(toy_spec, (F(1),), 1)
-    tail = system.R[(0, 1, 0)]
-    assert tail.coefficients == []  # 1 - 1 = 0, exactly, through the whole window
-    assert tail.ord_at_least(2)
+    window = system.R[(0, 1, 0)]
+    # 1 - 1 = 0, exactly, through the whole window
+    assert window_order(window) is None and window_values(window) == [F(0)] * 7
+    assert system.to_jsonable()["R"]["0,1,0"] == {
+        "order": 8, "truncation": 8, "coefficients": []}
 
 
 def test_toy_input_validation(toy_spec):
@@ -213,33 +222,24 @@ def test_degree_contract(canonical_system):
 
 
 def test_order_contract(canonical_system):
-    for key, tail in canonical_system.R.items():
-        assert tail.ord_at_least(canonical_system.n + 1), key
+    for key, window in canonical_system.R.items():
+        assert window_order(window) >= canonical_system.n + 1, key
 
 
-def _product(system, ell, i, s, truncation=None):
-    """The literal product `remainder` as the `LaurentTail` of its row."""
-    order, den, ints = remainder(system, ell, i, s, truncation)
-    return LaurentTail(order, [F(a, den) for a in ints], order + len(ints))
-
-
-def _functional(system, ell, i, s, truncation=None):
-    """The window psi_{i,s}(t^k P_ell) of R_{ell,i,s}, fresh from the weights
-    by one `correlate` call that scales its own inputs."""
-    truncation = truncation or system.truncation
+def _functional(system, ell, i, s):
+    """The coefficients of 1/z, ..., 1/z^{truncation - 1} of R_{ell,i,s},
+    psi_{i,s}(t^k P_ell), fresh from the weights by one `correlate` call
+    that scales its own inputs."""
     P = system.P[ell]
     w = psi_weights(system.spec, system.alphas[i - 1], s,
-                    truncation - 2 + max(0, len(P) - 1))
-    return LaurentTail(1, correlate(P, w, 0, truncation - 1), truncation)
+                    system.truncation - 2 + max(0, len(P) - 1))
+    return correlate(P, w, 0, system.truncation - 1)
 
 
 def test_remainder_routes_agree(canonical_system):
     sys = canonical_system
     for key in [(0, 1, 0), (2, 2, 1), (4, 1, 1)]:
-        a = _functional(sys, *key)
-        b = _product(sys, *key)
-        for e in range(1, min(a.truncation, b.truncation)):
-            assert a.coeff(e) == b.coeff(e)
+        assert window_values(remainder(sys, *key)) == _functional(sys, *key)
     with pytest.raises(InvalidInput):
         remainder(sys, 0, 1, 0, truncation=sys.n + 1)  # too short to certify
 
@@ -260,10 +260,7 @@ def test_product_route_does_not_use_the_kernel(spec_r2, monkeypatch):
     monkeypatch.setattr(hgpade.polyops, "_dot_rows", kernel)
     monkeypatch.setattr(hgpade.pade, "_dot_rows", kernel)
     for key in [(0, 1, 0), (4, 2, 1)]:
-        b = _product(sys, *key)
-        a = windows[key]
-        for e in range(1, min(a.truncation, b.truncation)):
-            assert a.coeff(e) == b.coeff(e)
+        assert window_values(remainder(sys, *key)) == window_values(windows[key])
     assert contract_failures(sys) == []  # the whole contract, kernel-free
 
 
@@ -388,8 +385,8 @@ def test_verify_names_a_zero_P(canonical_system):
 
 def test_verify_names_order_failure(canonical_system):
     trunc = canonical_system.truncation
-    broken = corrupted(canonical_system, ("R", (0, 1, 0), lambda t: LaurentTail(
-        1, [F(1)] + [F(0)] * (trunc - 2), trunc)))
+    broken = corrupted(canonical_system, ("R", (0, 1, 0), lambda w: (
+        1, [F(1)] + [F(0)] * (trunc - 2))))
     report = verify_system(broken)
     assert not report["ok"]
     checks = {f["check"] for f in report["failures"]}
@@ -397,8 +394,7 @@ def test_verify_names_order_failure(canonical_system):
     assert "remainder_coeffs" in checks  # the fresh recomputation disagrees too
     # the true window with a 1/z^0 term in front: the product's exponents
     # >= 1 still match, and the stored term below them is named
-    broken = corrupted(canonical_system, ("R", (0, 1, 0), lambda t: LaurentTail(
-        0, [F(1)] + [t.coeff(e) for e in range(1, trunc)], trunc)))
+    broken = corrupted(canonical_system, ("R", (0, 1, 0), lambda w: (0, [F(1)] + w[1])))
     assert [f["check"] for f in verify_system(broken)["failures"]] == [
         "ord_R", "remainder_coeffs"]
 
@@ -442,8 +438,7 @@ def _doubled(p):
     # P_0, every P_{0,i,s} and every stored window doubled: still a system
     ([("P", 0, _doubled)]
      + [("Pis", (0, i, s), _doubled) for i in (1, 2) for s in (0, 1)]
-     + [("R", (0, i, s), lambda t: LaurentTail(t.order, _doubled(t.coefficients),
-                                               t.truncation))
+     + [("R", (0, i, s), lambda w: (w[0], _doubled(w[1])))
         for i in (1, 2) for s in (0, 1)], True),
 ])
 def test_verify_and_the_remainder_identity_agree(canonical_system, edits, ok):
@@ -464,7 +459,11 @@ def test_json_round_trip(canonical_system):
     assert back.truncation == canonical_system.truncation
     assert back.P == canonical_system.P
     assert back.Pis == canonical_system.Pis
-    assert back.R == canonical_system.R
+    # a window is read back over the lcm of its denominators, its leading
+    # zeros folded into its order: the same coefficients, and the same text
+    assert all(window_values(back.R[key]) == window_values(canonical_system.R[key])
+               for key in back.indices())
+    assert back.to_jsonable() == canonical_system.to_jsonable()
     assert verify_system(back)["ok"]
 
 
@@ -474,13 +473,13 @@ def test_json_round_trip(canonical_system):
 
 def test_nullspace_toy():
     # f = 1/z alone: order >= 2 with deg P0 <= 1 forces P0 = z, P_1 = 1
-    f = [LaurentTail(1, [F(1)] + [F(0)] * 4, 6)]
+    f = [[F(1)] + [F(0)] * 4]
     families = solve_pade_nullspace(f, [1], 1)
     assert families == [[[F(0), F(1)], [F(1)]]]
 
 
 def test_nullspace_requires_window():
-    f = [LaurentTail(1, [F(1)], 2)]
+    f = [[F(1)]]
     with pytest.raises(InvalidInput):
         solve_pade_nullspace(f, [1], 1)  # window too short for the constraints
     with pytest.raises(InvalidInput):
@@ -493,7 +492,7 @@ def test_constructed_column_is_the_kernel(canonical_m1):
     rm, n = sys.r * sys.m, sys.n
     need = n + rm * n + 1
     tails = [
-        expand_F_s(sys.spec, alpha, s, need + 1)
+        expand_F_s(sys.spec, alpha, s, need)
         for alpha in sys.alphas
         for s in range(sys.r)
     ]
@@ -515,10 +514,10 @@ def test_membership_all_columns(canonical_system):
     # the weights give, and the contract names no failure
     sys = canonical_system
     for key in sys.indices():
-        product, window = _product(sys, *key), _functional(sys, *key)
-        assert product.ord_at_least(sys.n + 1), key
-        assert product.coefficients == window.coefficients, key
-        assert product.order == window.order, key
+        order, _, ints = product = remainder(sys, *key)
+        assert not any(ints[:1 - order]), key  # nothing at exponents <= 0
+        assert window_order(product) >= sys.n + 1, key
+        assert window_values(product) == _functional(sys, *key), key
     assert contract_failures(sys) == []
 
 
@@ -528,7 +527,7 @@ def test_psi_weights_agree_with_remainder(canonical_m1):
     P = sys.P[0]
     w = psi_weights(sys.spec, sys.alphas[0], 1, sys.n + len(P))
     acc = sum(c * w[sys.n + d] for d, c in enumerate(P))
-    assert sys.R[(0, 1, 1)].coeff(sys.n + 1) == acc
+    assert F(*window_coeff(sys.R[(0, 1, 1)], sys.n + 1)) == acc
 
 
 # ---------------------------------------------------------------------------
@@ -554,19 +553,19 @@ def _two_route_failures(system):
         if got > bound:
             failures.append({"check": "deg_Pis", "index": [ell, i, s],
                              "bound": bound, "got": str(got)})
-        tail = system.R[(ell, i, s)]
-        if not tail.ord_at_least(n + 1):
+        got = window_order(system.R[(ell, i, s)])
+        if got is not None and got < n + 1:
             failures.append({"check": "ord_R", "index": [ell, i, s], "bound": n + 1,
-                             "got": tail.ord_infinity()})
+                             "got": got})
     for ell, i, s in system.indices():
         P = system.P[ell]
         w = psi_weights(system.spec, system.alphas[i - 1], s, len(P) - 2)
         if poly_trim(list(system.Pis[(ell, i, s)])) != divided_difference_image(P, w):
             failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
-        tail = system.R[(ell, i, s)]
-        fresh = _functional(system, ell, i, s, tail.truncation)
-        window = range(min(tail.order, fresh.order), min(tail.truncation, fresh.truncation))
-        if any(tail.coeff(e) != fresh.coeff(e) for e in window):
+        window = system.R[(ell, i, s)]
+        start = min(window[0], 1)
+        fresh = [F(0)] * (1 - start) + _functional(system, ell, i, s)
+        if [F(*window_coeff(window, e)) for e in range(start, system.truncation)] != fresh:
             failures.append({"check": "remainder_coeffs", "index": [ell, i, s]})
     return failures
 
@@ -584,10 +583,9 @@ def _corrupted_systems(draw):
     delta = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
 
     def moved(entry):
-        coeffs = ([entry.coeff(e) for e in range(1, entry.truncation)] if part == "R"
-                  else list(entry))
+        coeffs = list(entry[1] if part == "R" else entry)
         coeffs[draw(st.integers(0, len(coeffs) - 1))] += delta
-        return LaurentTail(1, coeffs, entry.truncation) if part == "R" else coeffs
+        return (1, coeffs) if part == "R" else coeffs
 
     return system, corrupted(system, (part, key, moved))
 
@@ -628,11 +626,11 @@ def test_every_psi_value_of_the_kernel_is_its_fraction_sum(system):
         P = system.P[ell]
         w = psi_weights(system.spec, system.alphas[i - 1], s, end + len(P))
         assert list(system.Pis[(ell, i, s)]) == divided_difference_image(P, w)
-        window = system.R[(ell, i, s)]
-        assert window.truncation == system.truncation
+        window = window_values(system.R[(ell, i, s)])
+        assert len(window) == end
         for k in range(end):
             want = F(0)
             for d, c in enumerate(P):
                 want += c * w[k + d]
-            assert window.coeff(k + 1) == want, (ell, i, s, k)
+            assert window[k] == want, (ell, i, s, k)
     assert contract_failures(system) == []

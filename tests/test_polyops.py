@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from conftest import correlate, f_s_coefficient, phi_zeta_s, psi_weights
 from hgpade.errors import (
     HypothesisViolation,
-    InsufficientPrecision,
     InvalidInput,
     SingularEigenvalue,
 )
+from hgpade.pade import _window_jsonable, _window_row, window_coeff, window_order
 from hgpade.polyops import (
     HypergeometricSpec,
-    LaurentTail,
     _row_value,
     _scaled,
     _series_row,
@@ -128,70 +127,39 @@ def test_poly_pow_matches_repeated_mul(p, e):
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent tails
+# remainder windows as integer rows (order, den, ints)
 
 
 def test_tail_normalization_and_coeff():
-    t = LaurentTail(1, [F(0), F(0), F(5), F(7), F(0)], 6)
-    assert t.order == 3  # leading zeros fold into the order
-    assert t.coeff(3) == 5
-    assert t.coeff(4) == 7
-    assert t.coeff(5) == 0
-    assert t.coeff(1) == 0  # below the order: exactly zero
-    with pytest.raises(InsufficientPrecision):
-        t.coeff(6)  # at/past the truncation nothing is known
-    with pytest.raises(InvalidInput):
-        LaurentTail(1, [F(5)], 7)  # window size must match the coefficients
+    # a window row is zero below its order, its text folds leading zeros
+    # into the order, and a file's window holds truncation - order entries
+    window = (1, 3, [0, 0, 15, 21, 0])
+    assert window_coeff(window, 3) == (15, 3)
+    assert window_coeff(window, 4) == (21, 3)
+    assert window_coeff(window, 5) == (0, 3)
+    assert window_coeff((3, 1, [5, 7, 0]), 1) == (0, 1)  # below the order: exactly zero
+    assert _window_jsonable(window) == {"order": 3, "truncation": 6,
+                                        "coefficients": ["5", "7", "0"]}
+    with pytest.raises(InvalidInput, match='^R "0,1,0": coefficients: .* = 6 rationals, got 1$'):
+        _window_row("0,1,0", {"order": 1, "truncation": 7, "coefficients": ["5"]}, 7)
 
 
 def test_tail_order_queries():
-    t = LaurentTail(2, [F(1), F(0), F(0)], 5)
-    assert t.ord_infinity() == 2
-    assert t.ord_at_least(2)
-    assert not t.ord_at_least(3)
-    zero = LaurentTail(1, [F(0)] * 5, 6)
-    assert zero.coefficients == []
-    assert zero.ord_at_least(5)
-    with pytest.raises(InsufficientPrecision):
-        zero.ord_infinity()  # a zero window cannot locate the order
-    with pytest.raises(InsufficientPrecision):
-        zero.ord_at_least(7)  # nor answer queries past its truncation
+    assert window_order((2, 1, [1, 0, 0])) == 2
+    assert window_order((1, 5, [0, 0, 4])) == 3
+    assert window_order((0, 2, [3, 1])) == 0
+    zero = (1, 7, [0] * 5)
+    assert window_order(zero) is None  # zero up to its truncation: no order found
+    assert _window_jsonable(zero) == {"order": 6, "truncation": 6, "coefficients": []}
 
 
-def _tail_add(a: LaurentTail, b: LaurentTail) -> LaurentTail:
-    start = min(a.order, b.order)
-    trunc = min(a.truncation, b.truncation)
-    return LaurentTail(start, [a.coeff(e) + b.coeff(e) for e in range(start, trunc)],
-                       trunc)
-
-
-def _tail_scale(t: LaurentTail, c) -> LaurentTail:
-    return LaurentTail(t.order, [F(c) * x for x in t.coefficients], t.truncation)
-
-
-def test_tail_arithmetic():
-    a = LaurentTail(1, [F(1), F(2), F(0), F(0)], 5)
-    b = LaurentTail(2, [F(3), F(0), F(0)], 5)
-    s = _tail_add(a, b)
-    assert [s.coeff(e) for e in range(1, 5)] == [F(1), F(5), F(0), F(0)]
-    assert _tail_scale(a, F(2)).coeff(2) == 4
-
-
-def _naive_mul_poly(tail, p):
-    """The product of a window and a polynomial in z, taken Fraction by
-    Fraction: the coefficient of 1/z^e is sum_j p[j] * coeff(e + j)."""
-    if not p:
-        return LaurentTail(tail.order, [], tail.order)
-    d = len(p) - 1
-    start, trunc = tail.order - d, tail.truncation - d
-    coeffs = []
-    for e in range(start, trunc):
-        s = F(0)
-        for j, pj in enumerate(p):
-            if pj != 0 and e + j >= tail.order:
-                s += pj * tail.coeff(e + j)
-        coeffs.append(s)
-    return LaurentTail(start, coeffs, trunc)
+def _naive_mul_poly(series, p, start, stop):
+    """The coefficients of 1/z^e, start <= e < stop, of the product of a
+    series in 1/z (series[e - 1] the coefficient of 1/z^e) and a polynomial
+    p in z, taken Fraction by Fraction: sum_j p[j] * series[e + j - 1] over
+    the j with e + j >= 1."""
+    return [sum((pj * series[e + j - 1] for j, pj in enumerate(p) if pj and e + j >= 1), F(0))
+            for e in range(start, stop)]
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
@@ -213,20 +181,23 @@ def test_remainder_equals_the_fraction_loop(spec_r2, p, q, alpha, s, truncation)
                         P=_Rows({0: _scaled([c.as_integer_ratio() for c in p])}),
                         Pis=_Rows({(0, 1, s): _scaled([c.as_integer_ratio() for c in q])}))
     d = max(len(p) - 1, 0)
-    series = LaurentTail(1, [f_s_coefficient(spec_r2, s, k) * alpha ** (k + 1)
-                             for k in range(truncation + d - 1)], truncation + d)
-    product = _naive_mul_poly(series, p)
+    series = [f_s_coefficient(spec_r2, s, k) * alpha ** (k + 1)
+              for k in range(truncation + d - 1)]
     order, den, ints = remainder(system, 0, 1, s)
     assert order == min(1 - d, 1 - len(q)) and len(ints) == truncation - order
+    product = _naive_mul_poly(series, p, order, truncation)
     for e in range(order, truncation):
-        want = (product.coeff(e) if p else 0) - (q[-e] if -len(q) < e <= 0 else 0)
+        want = product[e - order] - (q[-e] if -len(q) < e <= 0 else 0)
         assert F(ints[e - order], den) == want, e
 
 
 def test_tail_json_round_trip():
-    t = LaurentTail(2, [F(1, 3), F(0), F(7)], 5)
-    back = LaurentTail.from_jsonable(t.to_jsonable())
-    assert back == t
+    # a file's window is read over the lcm of its denominators and written
+    # back as the same text
+    text = {"order": 2, "truncation": 5, "coefficients": ["1/3", "0", "7"]}
+    window = _window_row("1,1,0", text, 5)
+    assert window == (2, 3, [1, 0, 21])
+    assert _window_jsonable(window) == text
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +562,7 @@ def test_expand_F_s_matches_psi_weights(spec_r2, monkeypatch):
     alpha = F(2)
     with monkeypatch.context() as patch:
         patch.setattr(hgpade.polyops, "_psi_table", weights)
-        short = expand_F_s(spec, alpha, 1, 4)
-        tail = expand_F_s(spec, alpha, 1, 8)
+        short = expand_F_s(spec, alpha, 1, 3)
+        tail = expand_F_s(spec, alpha, 1, 7)
     w = psi_weights(spec, alpha, 1, 6)
-    assert short.order == tail.order == 1
-    assert (short.truncation, tail.truncation) == (4, 8)
-    for k in range(7):
-        assert tail.coeff(k + 1) == w[k]
-        if k < 3:
-            assert short.coeff(k + 1) == w[k]
+    assert tail == w and short == w[:3]

@@ -13,7 +13,7 @@ from hgpade.cli import _canonical
 from hgpade.errors import FactorizationMismatch, NonconstantDeterminant
 from hgpade.linalg import det_bareiss
 from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec, LaurentTail, poly_eval, poly_mul
+from hgpade.polyops import HypergeometricSpec, poly_eval, poly_mul
 from hgpade.wronskian import (
     C_um,
     a0s_change_of_basis,
@@ -419,10 +419,10 @@ def test_certify_degenerate_n2_zero_ledger():
     assert "a0s" in report.zero_links
 
 
-def _window_with(tail, e, value):
-    coeffs = [tail.coeff(k) for k in range(tail.order, tail.truncation)]
-    coeffs[e - tail.order] = value
-    return LaurentTail(tail.order, coeffs, tail.truncation)
+def _window_plus_one(window, e):
+    # the window (order, coefficients) of `corrupted`, 1 added at 1/z^e
+    order, coeffs = window
+    return order, [c + (k == e) for k, c in enumerate(coeffs, order)]
 
 
 def test_nonconstant_determinant_raises(canonical_system):
@@ -443,7 +443,7 @@ def test_nonconstant_determinant_raises(canonical_system):
     # a constant term in P_{0,1,0}: the product has order 0
     ("Pis", (0, 1, 0), lambda p: [p[0] + 1, *p[1:]], "order >= n+1"),
     # the product is untouched, the window entry Theta reads is not
-    ("R", (1, 2, 1), lambda t: _window_with(t, 2, t.coeff(2) + 1),
+    ("R", (1, 2, 1), lambda w: _window_plus_one(w, 2),
      "product coefficient"),
     # a stored leading 0: deg P_4 = rmn + 3, whatever the list's length
     ("P", 4, lambda p: [*p[:-1], F(0)], "deg P_ell"),
