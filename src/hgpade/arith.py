@@ -41,6 +41,16 @@ def parse_rational(text: str) -> Fraction:
         raise RationalParseError(f"not a rational 'num/den' string: {text!r}") from None
 
 
+def parse_rationals(where: str, values) -> list:
+    """The Fractions of a list of 'num/den' strings, else InvalidInput."""
+    if not isinstance(values, list):
+        raise InvalidInput(f"{where}: need a list of rationals, got {values!r}")
+    try:
+        return [parse_rational(v) for v in values]
+    except RationalParseError as exc:
+        raise InvalidInput(f"{where}: {exc}") from None
+
+
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:

@@ -148,10 +148,6 @@ def _agrees_exactly(x: BigFloat, y: BigFloat) -> bool:
             <= (x.err * y.err_den + y.err * x.err_den) * x.den * y.den)
 
 
-def _abs(x: Fraction) -> Fraction:
-    return -x if x < 0 else x
-
-
 def _linear(roots) -> list:
     """Each factor k + p/q as the integer pair (q, p) of q*k + p."""
     return [(Fraction(x).denominator, Fraction(x).numerator) for x in roots]
@@ -309,7 +305,7 @@ def _sum_series(t0, x, upper, lower, weight, k0: int, tail_factor: Fraction,
             if _budget_cannot_certify(x, upper, lower, weight, k, gt, N, D,
                                       tail_factor, bits, max_k + 1 - k):
                 raise StepBudgetExceeded(
-                    f"|z| = {_abs(x)}: the terms provably stay above 2^-{bits} "
+                    f"|z| = {abs(x)}: the terms provably stay above 2^-{bits} "
                     f"through the step budget of {max_k} terms"
                 )
             check_at = 2 * k + 1
@@ -349,11 +345,11 @@ def _budget_cannot_certify(x, upper, lower, weight, K: int, gt: int, N: int,
     the caller's ratio bound.  With lam = P/Q, ln(Q/P) <= (Q-P)/P and
     1/ln 2 < 1443/1000, so everything is decided on integer bit lengths.
     """
-    upper, lower, weight = ([_abs(Fraction(v)) for v in vs]
+    upper, lower, weight = ([abs(Fraction(v)) for v in vs]
                             for vs in (upper, lower, weight))
     if len(upper) != len(lower) or K <= max(upper + weight, default=0):
         return False  # no geometric lower bound on the ratio from K on
-    lam = _abs(Fraction(x))
+    lam = abs(Fraction(x))
     for u, d in zip(upper, lower):
         lam *= (K - u) / (K + d)
     for g in weight:
@@ -385,26 +381,26 @@ def eval_pFq(a, b, z, bits: int) -> BigFloat:
     for bj in b:
         if bj.denominator == 1 and bj <= 0:
             raise InvalidInput(f"lower parameter {bj} is a non-positive integer")
-    if len(a) == len(b) + 1 and _abs(z) >= 1:
+    if len(a) == len(b) + 1 and abs(z) >= 1:
         raise DivergentSeries("need |z| < 1 on the G-function disk")
     if len(a) > len(b) + 1 and z != 0:
         raise DivergentSeries("series diverges for p > q+1")
     if z == 0:
         return BigFloat(1, 1, 0, 1, bits)
 
-    rho = (1 + _abs(z)) / 2 if len(a) == len(b) + 1 else Fraction(1, 2)
+    rho = (1 + abs(z)) / 2 if len(a) == len(b) + 1 else Fraction(1, 2)
     kmin = 1 + max(
-        [0] + [int(_abs(x)) + 1 for x in b] + [int(_abs(x)) + 1 for x in a]
+        [0] + [int(abs(x)) + 1 for x in b] + [int(abs(x)) + 1 for x in a]
     )
 
     def ratio_bound(k: int) -> Fraction:
         # |term_{k+1}/term_k| = |z| prod|a+k| / ((k+1) prod|b+k|); bounding
         # each factor by k(1 +- |.|/k) leaves k^(p-q-1) from the degree gap
-        out = _abs(z) * Fraction(k) ** (len(a) - len(b) - 1)
+        out = abs(z) * Fraction(k) ** (len(a) - len(b) - 1)
         for x in a:
-            out *= 1 + _abs(x) / k
+            out *= 1 + abs(x) / k
         for x in b:
-            out /= 1 - _abs(x) / k
+            out /= 1 - abs(x) / k
         return out
 
     k0 = kmin
@@ -419,13 +415,13 @@ def _f_direct(spec: HypergeometricSpec, s: int, w: Fraction, bits: int) -> BigFl
     from c_0 and c_{k+1}/c_k = prod(k+eta)/prod(k+1+zeta), by `_sum_series`
     with tail factor 1/(1-rho) and the stop decided exactly."""
     w = Fraction(w)
-    if _abs(w) >= 1:
+    if abs(w) >= 1:
         raise DivergentSeries("need |w| < 1")
     if w == 0:
         return BigFloat(0, 1, 0, 1, bits)
-    rho = (1 + _abs(w)) / 2
+    rho = (1 + abs(w)) / 2
     k0, c = _tail_ratio(spec, s, 0)
-    while _abs(w) * c > rho:
+    while abs(w) * c > rho:
         k0, c = _tail_ratio(spec, s, 2 * k0)
     return _sum_series(spec.c0 * w, w, spec.eta, [1 + z for z in spec.zeta],
                        spec.gamma[:s], k0, 1 / (1 - rho), bits,
@@ -526,15 +522,15 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     """
     beta = Fraction(beta)
     x = Fraction(system.alphas[i - 1]) / beta
-    if _abs(x) >= 1:
+    if abs(x) >= 1:
         raise DivergentSeries("need |alpha/beta| < 1")
     kmin, per_x = system.tail_ratio(s)
-    ratio0 = _abs(x) * per_x
+    ratio0 = abs(x) * per_x
     if ratio0 >= 1:
         raise InsufficientPrecision(
             f"tail ratio bound not contracting: it needs |alpha/beta| < 1/c ="
-            f" {1 / per_x}, got {_abs(x)}; take a larger --beta,"
-            f" |beta| > |alpha| c = {_abs(x * beta) * per_x}")
+            f" {1 / per_x}, got {abs(x)}; take a larger --beta,"
+            f" |beta| > |alpha| c = {abs(x * beta) * per_x}")
     geom = 1 / (1 - ratio0)
 
     p, q = beta.numerator, beta.denominator
@@ -651,7 +647,7 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
         Pb = P_at[ell]
         Pisb = _row_value(*system.Pis.rows[(ell, i, s)], beta)
         Fv = F_at[i][s]
-        v, e = Pb * Fv.value - Pisb, _abs(Pb) * Fv.error
+        v, e = Pb * Fv.value - Pisb, abs(Pb) * Fv.error
         lhs = BigFloat(v.numerator, v.denominator, e.numerator, e.denominator,
                        bits)
         rhs = remainder_value(system, ell, i, s, beta, bits)

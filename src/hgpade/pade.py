@@ -57,8 +57,8 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .arith import format_rational, parse_rational
-from .errors import InvalidInput, RationalParseError, TheoryViolation
+from .arith import format_rational, parse_rationals
+from .errors import InvalidInput, TheoryViolation
 from .polyops import (
     HypergeometricSpec,
     _dot_rows,
@@ -304,10 +304,8 @@ def _window_row(name: str, data, truncation: int) -> tuple:
         got = len(coeffs) if isinstance(coeffs, list) else coeffs
         raise InvalidInput(f"{where}: coefficients: need a list of truncation - order "
                            f"= {trunc - order} rationals, got {got!r}")
-    try:
-        return (order, *_scaled([parse_rational(c).as_integer_ratio() for c in coeffs]))
-    except RationalParseError as exc:
-        raise InvalidInput(f"{where}: coefficients: {exc}") from None
+    return (order, *_scaled([c.as_integer_ratio()
+                             for c in parse_rationals(f"{where}: coefficients", coeffs)]))
 
 
 @dataclass
@@ -462,11 +460,15 @@ class PadeSystem:
         `build_system` accepts: distinct nonzero alphas, an integer n >= 1
         and an integer truncation `check_truncation` passes (a JSON true is
         neither), which every window's truncation equals; and P, Pis and R
-        hold exactly the keys of ell = 0..rm and of the indices.  Otherwise
-        InvalidInput names the field (for the keys, the first missing, else
-        the first extra; for a window, its key too)."""
-        spec = HypergeometricSpec.from_jsonable(data["spec"])
-        alphas = tuple(parse_rational(a) for a in data["alphas"])
+        hold exactly the keys of ell = 0..rm and of the indices, each entry
+        a list of rationals.  Otherwise InvalidInput names the field (for
+        the keys, the first missing, else the first extra; for an entry,
+        its key too; for the spec, its own field)."""
+        try:
+            spec = HypergeometricSpec.from_jsonable(data["spec"])
+        except InvalidInput as exc:
+            raise InvalidInput(f"spec: {exc}") from None
+        alphas = tuple(parse_rationals("alphas", data["alphas"]))
         try:
             _check_alphas(alphas)
         except InvalidInput as exc:
@@ -482,22 +484,23 @@ class PadeSystem:
         index = {f"{ell},{i},{s}": (ell, i, s) for ell, i, s in _indices(r, m)}
 
         def entries(part, keys):
-            # data[part] by key, its names exactly those of keys
+            # (name, key, entry) of data[part], its names exactly those of keys
             got = data[part]
             missing = [name for name in keys if name not in got]
             extra = [name for name in got if name not in keys]
             if missing or extra:
                 raise InvalidInput(f'{part}: {"missing" if missing else "extra"} '
                                    f'key "{(missing or extra)[0]}"')
-            return {keys[name]: got[name] for name in keys}
+            return [(name, keys[name], got[name]) for name in keys]
 
         def rows(part, keys):
-            return _Rows({key: _scaled([parse_rational(c).as_integer_ratio() for c in p])
-                          for key, p in entries(part, keys).items()})
+            return _Rows({key: _scaled([c.as_integer_ratio()
+                                        for c in parse_rationals(f'{part} "{name}"', p)])
+                          for name, key, p in entries(part, keys)})
 
         P, Pis = rows("P", tops), rows("Pis", index)
-        windows = {key: _window_row(",".join(map(str, key)), t, truncation)
-                   for key, t in entries("R", index).items()}
+        windows = {key: _window_row(name, t, truncation)
+                   for name, key, t in entries("R", index)}
         return cls(spec=spec, alphas=alphas, n=n, truncation=truncation,
                    P=P, Pis=Pis, windows=windows)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .arith import format_rational, parse_rational
+from .arith import format_rational, parse_rationals
 from .errors import HypothesisViolation, InvalidInput
 
 Poly = list  # list[Fraction], low degree first
@@ -244,11 +244,10 @@ class HypergeometricSpec:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "HypergeometricSpec":
-        return cls.from_roots(
-            [parse_rational(x) for x in data["eta"]],
-            [parse_rational(x) for x in data["zeta"]],
-            parse_rational(data["c0"]),
-        )
+        """The spec of a `to_jsonable` form; InvalidInput names a bad field."""
+        return cls.from_roots(parse_rationals("eta", data["eta"]),
+                              parse_rationals("zeta", data["zeta"]),
+                              *parse_rationals("c0", [data["c0"]]))
 
 
 # ---------------------------------------------------------------------------

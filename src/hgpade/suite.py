@@ -41,6 +41,7 @@ from .wronskian import (
     C_um,
     a0s_change_of_basis,
     a0s_values,
+    alpha_exponent,
     c_um_factor,
     delta_route_check,
     final_det,
@@ -246,15 +247,10 @@ def check_factorization(desk: Desk):
     s3 = spec_r3()
     details, ok = {}, True
 
-    def expo(r, m, n, u):
-        return r * u + r * r * n + r * (r - 1) // 2
-
-    def hom_degree(r, m, n, u):
-        return m * expo(r, m, n, u) + (m * (m - 1) // 2) * (2 * n + 1) * r * r
-
     hom_rows = []
     for n, u in ((1, 0), (1, 1), (2, 1)):
-        want = hom_degree(2, 2, n, u)
+        # m e(u) + binom(m, 2) (2n+1) r^2 at r = m = 2
+        want = 2 * alpha_exponent(2, n, u) + (2 * n + 1) * 4
         got = homogeneity_degree(s2, (Fraction(1), Fraction(2)), n, u)
         hom_rows.append({"n": n, "u": u, "measured": got, "expected": want})
         ok = ok and got == want
@@ -286,7 +282,7 @@ def check_factorization(desk: Desk):
     ):
         # c_um_factor itself enforces (c, e) agreement across >= 3 tuples
         c, e = c_um_factor(spec, alphas, n, u)
-        want = expo(spec.r, len(alphas), n, u)
+        want = alpha_exponent(spec.r, n, u)
         exp_rows.append(
             {"r": spec.r, "m": len(alphas), "n": n, "u": u,
              "measured_e": e, "expected_e": want, "c": c}

@@ -5,7 +5,7 @@ constant in z and computed exactly), its reduction to the rm x rm numeric
 determinant Theta of functional values, the explicit constants a_{0,s}, the
 multivariate value C_{u,m} (a product of one evaluation functional per
 auxiliary variable, applied to a discriminant-like polynomial), its
-factorization into alpha-powers and Vandermonde factors with a measured
+factorization into alpha-powers and Vandermonde factors with a stated
 exponent, the reduction from m points to m-1, and the final r x r determinant
 of partial-fraction functionals which is checked nonzero directly.
 
@@ -25,14 +25,16 @@ read the integer rows of the system and of its stored windows, and reach
 `det_bareiss` as integer rows, each scaled once over the lcm of its
 denominators (`_det_of_pairs`), with no Fraction per entry.  C_{u,m} is the
 moment determinant, whose columns are `_dot_rows` runs on integer rows.
-The chain computes each distinct C_{u,m} value once and checks every link against its successor with the one link
-check that `reduction_check` also runs.  The subset elimination behind
-`C_um(..., route="eliminate")` is exponential in rm and is kept only as an
-oracle for small sizes.
+The chain's constants are stated, from c_{u,0} = 1 by the paper's link, and
+each level is checked once at the instance's own points; `c_um_factor` and
+`reduction_check` measure (c, e) on sample tuples as its oracle.  The
+subset elimination behind `C_um(..., route="eliminate")` is exponential in
+rm and is kept only as an oracle for small sizes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -301,7 +303,13 @@ def C_um(spec: HypergeometricSpec, alphas, n: int, u: int, route: str = "det") -
 
 
 # ---------------------------------------------------------------------------
-# factorization of C_{u,m} and the measured exponent
+# factorization of C_{u,m}: the stated exponent and its measured oracle
+
+
+def alpha_exponent(r: int, n: int, u: int) -> int:
+    """The alpha-exponent e(u) = r u + r^2 n + r(r-1)/2 of the factorization
+    C_{u,k}(alpha) = c_{u,k} prod(alpha)^{e(u)} V(alpha)^{(2n+1) r^2}."""
+    return r * u + r * r * n + r * (r - 1) // 2
 
 
 def vandermonde(alphas) -> Fraction:
@@ -332,9 +340,11 @@ def _factor_tuples(m: int):
 def c_um_factor(spec: HypergeometricSpec, alphas, n: int, u: int) -> tuple:
     """Measure the factorization C = c * prod alpha_i^e * Vandermonde^{(2n+1)r^2}.
 
-    The alpha-exponent e is measured (never assumed): scale a tuple by 2 and
-    read the exact power of 2 in the quotient.  The constant c must then be
-    identical across every test tuple; any drift raises FactorizationMismatch.
+    The oracle of the chain `certify_nonvanishing` states: the alpha-exponent
+    e is measured (never assumed), by scaling a sample tuple by 2 and reading
+    the exact power of 2 in the quotient.  The constant c must then be
+    identical across every sample tuple; any drift raises
+    FactorizationMismatch.
     """
     alphas = [Fraction(a) for a in alphas]
     r, m = spec.r, len(alphas)
@@ -397,9 +407,7 @@ def vanishing_order_at_equal_alphas(spec: HypergeometricSpec, n: int, u: int,
     nonzero coefficient's index."""
     if m < 2:
         raise InvalidInput("need at least two evaluation points")
-    r = spec.r
-    comb2 = r * (r - 1) // 2
-    degree = m * (r * u + r * r * n + comb2) + (m * (m - 1) // 2) * (2 * n + 1) * r * r
+    degree = m * alpha_exponent(spec.r, n, u) + math.comb(m, 2) * (2 * n + 1) * spec.r ** 2
     base = [Fraction(i) for i in range(1, m)]
     xs, ys = [], []
     for j in range(1, degree + 2):
@@ -424,12 +432,15 @@ def l_factor(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
     return C_um(spec, (Fraction(1),), n, u)
 
 
+def _link_sign(r: int, n: int, m: int) -> int:
+    return -1 if (r * r * n * (m - 1)) % 2 else 1
+
+
 def _link(spec: HypergeometricSpec, n: int, m: int, c_here: Fraction,
           c_next: Fraction, L: Fraction) -> dict:
     """One chain link, c_{u,m} = (-1)^{r^2 n (m-1)} c_{u + r(n+1), m-1} * L(u),
     checked on given constants (c_{u,0} = 1 closes the chain)."""
-    r = spec.r
-    sign = -1 if (r * r * n * (m - 1)) % 2 else 1
+    sign = _link_sign(spec.r, n, m)
     rhs = sign * c_next * L
     return {"lhs": c_here, "rhs": rhs, "c_next": c_next, "L": L, "sign": sign,
             "equal": c_here == rhs}
@@ -567,6 +578,11 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     hypothesis flags pass, any exact zero (or any broken link identity) is a
     theory violation and raises; when they fail, the report instead records
     where the zero enters.
+
+    Levels k = m..1 sit at u_m = n, u_{k-1} = u_k + r(n+1); their constants
+    follow from c_{u,0} = 1 by `_link`'s identity, L(u) = C_{u,1}(1), and
+    each level is checked once: C_{u_k,k}(alpha_1..alpha_k) = c_{u_k,k}
+    prod(alpha)^{e(u_k)} V^{(2n+1)r^2}, with e from `alpha_exponent`.
     """
     alphas = [Fraction(a) for a in alphas]
     r, m = spec.r, len(alphas)
@@ -588,59 +604,37 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     if not a0s["all_nonzero"]:
         zero_links.append("a0s")
 
-    # C_{n,m} is the first chain constant's own value at alpha:
-    # c_um_factor checked C(alpha) = c prod(alpha)^e V(alpha)^{(2n+1)r^2}
-    # exactly, so C is rebuilt from (c, e) rather than recomputed
-    first = None
-    if a0s["all_nonzero"]:
-        try:
-            first = c_um_factor(spec, alphas, n, n)
-        except FactorizationMismatch:
-            if C_um(spec, alphas, n, n) != 0:
-                raise
-    if first is None:
-        C = C_um(spec, alphas, n, n)
-    else:
-        C = (first[0] * math.prod(alphas, start=Fraction(1)) ** first[1]
-             * vandermonde(alphas) ** ((2 * n + 1) * r * r))
+    # each distinct C_{u,k}(points) once: at alpha_1 = 1, level 1's check
+    # reads L(u_1), and at m = 1 so does the Theta identity
+    C_at = functools.cache(lambda points, u: C_um(spec, points, n, u))
+    C = C_at(tuple(alphas), n)
     if C == 0:
         zero_links.append("C_um")
     checks["theta_chain_identity"] = theta_chain_holds(
         spec, alphas, n, theta, a0s["values"], C)
 
-    chain = []
-    exponent_e = None
-    fdet_value = Fraction(0)
-    if first is not None:
-        # c_{u_k,k} for k = m..1 with u_m = n and u_{k-1} = u_k + r(n+1):
-        # each constant is computed once and checked against its successor
-        u = n
-        c_here, exponent_e = first
+    chain, fdet_value = [], Fraction(0)
+    if a0s["all_nonzero"] and C != 0:
+        us = [n + (m - k) * r * (n + 1) for k in range(m + 1)]  # us[k] = u_k
+        L = {k: C_at((1,), us[k]) for k in range(m, 0, -1)}
+        fdets = {k: final_det(spec, n, us[k]) for k in L}
+        for k in L:
+            if L[k] == 0:
+                zero_links.append(f"L(u={us[k]})")
+            if fdets[k] == 0:
+                zero_links.append(f"final_det(u={us[k]})")
         E = final_det_basis(spec)
-        chain.append(c_here)
-        ok_all = True
-        for k in range(m, 0, -1):
-            u_next = u + r * (n + 1)
-            c_next = Fraction(1)
-            if k > 1:
-                c_next, _ = c_um_factor(spec, alphas[:k - 1], n, u_next)
-            # L(u) is C_{u,1} at alpha = 1, the first tuple of every m = 1
-            # factorization, so the last link's L is its c_{u,1}
-            L = l_factor(spec, n, u) if k > 1 else c_here
-            link = _link(spec, n, k, c_here, c_next, L)
-            ok_all = ok_all and link["equal"]
-            if L == 0:
-                zero_links.append(f"L(u={u})")
-            fdet_value = final_det(spec, n, u)
-            checks.setdefault("final_det_basis_links", True)
-            if L != E * fdet_value:
-                checks["final_det_basis_links"] = False
-            if fdet_value == 0:
-                zero_links.append(f"final_det(u={u})")
-            chain.append(c_next)
-            u, c_here = u_next, c_next
-        checks["reduction_chain"] = ok_all
-        if chain and chain[0] == 0:
+        checks["final_det_basis_links"] = all(L[k] == E * fdets[k] for k in L)
+        fdet_value = fdets[1]
+        chain = [Fraction(1)]  # [c_{u_m,m}, ..., c_{u_1,1}, c_{u_0,0} = 1]
+        for k in range(1, m + 1):
+            chain.insert(0, _link_sign(r, n, k) * chain[0] * L[k])
+        checks["reduction_chain"] = all(
+            C_at(tuple(alphas[:k]), us[k]) == chain[m - k]
+            * math.prod(alphas[:k]) ** alpha_exponent(r, n, us[k])
+            * vandermonde(alphas[:k]) ** ((2 * n + 1) * r * r)
+            for k in L)
+        if chain[0] == 0:
             zero_links.append("c_um")
     verdict = "certified nonzero" if delta != 0 else "zero determinant"
 
@@ -651,15 +645,16 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
         leading_coeff_Prm=route["leading_coeff_Prm"],
         c_um_chain=chain,
         final_det=fdet_value,
-        exponent_e=exponent_e if exponent_e is not None else 0,
+        exponent_e=alpha_exponent(r, n, n) if chain else 0,
         verdict=verdict,
         hypothesis_flags={k: ok for k, (ok, _) in flags.items()},
         checks=checks,
         zero_links=zero_links,
     )
     if flags_pass and (zero_links or not all(checks.values())):
+        failed = [name for name, ok in checks.items() if not ok]
         raise TheoryViolation(
             "certification chain broke with hypothesis flags passing: "
-            f"zero links {zero_links}, checks {checks}"
+            f"zero links {zero_links}, failed checks {failed}"
         )
     return report

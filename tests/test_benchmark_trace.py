@@ -33,7 +33,7 @@ def bench():
 # counts a change to how the values are computed must neither raise nor
 # lower: the C_{u,m} evaluations of the r*m = 6 certify op (r3m2n2), and the
 # min-beta op's remainder sums
-PINNED_CALLS = {("certify", 0): {"wronskian.C_um.calls": 14},
+PINNED_CALLS = {("certify", 0): {"wronskian.C_um.calls": 3},
                 ("measure", 2): {"numerics.remainder_value.calls": 390}}
 
 

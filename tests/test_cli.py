@@ -372,6 +372,34 @@ def test_verify_names_a_malformed_window(tmp_path, capsys, field, value, message
     assert captured.err == f"hgpade verify: InvalidInput: --system: {message}\n"
 
 
+@pytest.mark.parametrize("where, value, message", [
+    (("P", "0", 1), "1/0", 'P "0": not a rational \'num/den\' string: \'1/0\''),
+    (("P", "0"), 7, 'P "0": need a list of rationals, got 7'),
+    (("Pis", "0,1,0", 0), "1/0", 'Pis "0,1,0": not a rational \'num/den\' string: \'1/0\''),
+    (("alphas", 1), "x", "alphas: not a rational 'num/den' string: 'x'"),
+    (("spec", "eta"), 5, "spec: eta: need a list of rationals, got 5"),
+    (("spec", "c0"), 3, "spec: c0: not a rational 'num/den' string: 3"),
+])
+def test_verify_names_a_malformed_entry(tmp_path, capsys, where, value, message):
+    # a P or Pis entry, an alpha or a spec field of a system file that is
+    # no rational string, or no list where a list belongs, exits 1 naming
+    # the field (and the key of an entry)
+    path = tmp_path / "system.json"
+    assert main(["build", *R2, "--alphas=1,2", "--n=1", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    *parents, last = where
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--system", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hgpade verify: InvalidInput: --system: {message}\n"
+
+
 def test_verify_unreadable_system_exits_1(tmp_path, capsys):
     path = tmp_path / "nope.json"
     path.write_text("{not json")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import admissible_instances, corrupted, phi_zeta_s
 from hgpade.cli import _canonical
-from hgpade.errors import FactorizationMismatch, NonconstantDeterminant
+from hgpade.errors import FactorizationMismatch, NonconstantDeterminant, TheoryViolation
 from hgpade.linalg import det_bareiss
 from hgpade.pade import build_system
 from hgpade.polyops import HypergeometricSpec, poly_eval, poly_mul
@@ -199,13 +199,16 @@ def test_delta_equals_the_evaluation_oracle(instance, n):
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
-@given(admissible_instances(max_m=2))
-def test_chain_constants_are_the_reduction_check_sides(instance):
-    # the certified chain [c_{u_m,m}, ..., c_{u_1,1}, 1], computed once per
-    # link, against reduction_check, which recomputes both ends of each link
+@given(admissible_instances(max_m=2), st.integers(1, 2))
+def test_chain_constants_are_the_reduction_check_sides(instance, n):
+    # the certified chain [c_{u_m,m}, ..., c_{u_1,1}, 1], stated from
+    # c_{u,0} = 1 by the link, and its stated exponent, against
+    # reduction_check, which measures both ends of each link on sample tuples
+    # with c_um_factor
     spec, alphas = instance
-    n, r, m = 1, spec.r, len(alphas)
-    chain = certify_nonvanishing(spec, alphas, n).c_um_chain
+    r, m = spec.r, len(alphas)
+    report = certify_nonvanishing(spec, alphas, n)
+    chain = report.c_um_chain
     assert len(chain) == m + 1
     u = n
     for k in range(m, 0, -1):
@@ -213,41 +216,38 @@ def test_chain_constants_are_the_reduction_check_sides(instance):
         assert red["equal"]
         assert red["lhs"] == chain[m - k]
         assert red["c_next"] == chain[m - k + 1]
+        if k == m:
+            assert red["exponent_here"] == report.exponent_e
         u += r * (n + 1)
 
 
-@pytest.mark.parametrize("spec_name, alphas, n, calls", [
-    ("spec_r2", (1, 2, 3), 2, 3),
-    ("spec_r3", (1,), 2, 1),
+@pytest.mark.parametrize("spec_name, alphas, n", [
+    ("spec_r2", (1, 2, 3), 2),
+    ("spec_r3", (1,), 2),
 ])
-def test_each_chain_link_factor_is_computed_once(spec_name, alphas, n, calls,
-                                                 request, monkeypatch):
+def test_certify_calls_no_c_um_factor(spec_name, alphas, n, request, monkeypatch):
+    # the chain's constants and exponent are stated, not measured
     import hgpade.wronskian
 
-    seen = []
-    factor = hgpade.wronskian.c_um_factor
+    def refused(*args):
+        raise AssertionError("certify measured (c, e)")
 
-    def counted(spec, alphas, n, u):
-        seen.append((tuple(alphas), u))
-        return factor(spec, alphas, n, u)
-
-    monkeypatch.setattr(hgpade.wronskian, "c_um_factor", counted)
+    monkeypatch.setattr(hgpade.wronskian, "c_um_factor", refused)
     report = certify_nonvanishing(request.getfixturevalue(spec_name),
                                   [F(a) for a in alphas], n)
     assert report.verdict == "certified nonzero"
     assert all(report.checks.values())
-    assert len(seen) == calls
-    assert len(set(seen)) == calls
 
 
 @pytest.mark.parametrize("spec_name, alphas, n, calls", [
-    ("spec_r2", (1, 2, 3), 2, 21),
-    ("spec_r3", (1,), 2, 7),
+    ("spec_r2", (1, 2, 3), 2, 5),
+    ("spec_r3", (1,), 2, 1),
 ])
 def test_each_C_um_value_is_computed_once(spec_name, alphas, n, calls,
                                           request, monkeypatch):
-    # the Theta identity's C_{n,m}, the doubled (1) of an m = 1 factorization
-    # and the last link's L(u) all repeat values the chain already has
+    # one L(u) per level and one check per level at the instance's points;
+    # at alpha_1 = 1 level 1's check reads L(u_1), and at m = 1 the Theta
+    # identity's C_{n,1} is that same value
     import hgpade.wronskian
 
     seen = []
@@ -264,6 +264,32 @@ def test_each_C_um_value_is_computed_once(spec_name, alphas, n, calls,
     assert all(report.checks.values())
     assert len(seen) == calls
     assert len(set(seen)) == calls
+
+
+@pytest.mark.parametrize("target, failed", [
+    ("final_det", "final_det_basis_links"),
+    ("C_um", "reduction_chain"),
+])
+def test_certify_raises_when_one_link_is_broken(spec_r2, monkeypatch, target, failed):
+    # with the flags passing, one wrong final_det(u) or one wrong C value at
+    # a level's own points breaks the chain and names the check that failed
+    import hgpade.wronskian
+
+    alphas, n = (F(1), F(2), F(3)), 1
+    assert spec_r2.flags_pass()
+    assert certify_nonvanishing(spec_r2, alphas, n).verdict == "certified nonzero"
+    real = getattr(hgpade.wronskian, target)
+    if target == "final_det":
+        def broken(spec, n, u):
+            return real(spec, n, u) * (2 if u == n + 2 * (n + 1) else 1)
+    else:
+        # level 2 at alpha_1, alpha_2 and u_2 = n + r(n+1)
+        def broken(spec, points, n, u, route="det"):
+            value = real(spec, points, n, u, route)
+            return value * 2 if (tuple(points), u) == ((1, 2), n + 2 * (n + 1)) else value
+    monkeypatch.setattr(hgpade.wronskian, target, broken)
+    with pytest.raises(TheoryViolation, match=rf"failed checks \['{failed}'\]"):
+        certify_nonvanishing(spec_r2, alphas, n)
 
 
 def test_certify_takes_one_literal_product_per_remainder(spec_r3, monkeypatch):
