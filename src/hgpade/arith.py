@@ -51,6 +51,17 @@ def parse_rationals(where: str, values) -> list:
         raise InvalidInput(f"{where}: {exc}") from None
 
 
+def json_fields(data, keys) -> list:
+    """The values of keys in the JSON object data; InvalidInput when data
+    is no object, or names the first key it lacks."""
+    if not isinstance(data, dict):
+        raise InvalidInput(f"need an object, got {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise InvalidInput(f'missing key "{missing[0]}"')
+    return [data[key] for key in keys]
+
+
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:

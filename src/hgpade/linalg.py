@@ -1,10 +1,10 @@
-"""Exact linear algebra over Fraction: Bareiss determinants, kernels,
-linear solves, and Newton interpolation.
+"""Exact linear algebra over Fraction: Bareiss determinants, kernels and
+Newton interpolation.
 
 Matrices are lists of equal-length lists of Fractions (ints are accepted
 too).  Every determinant of the Wronskian chain goes through `det_bareiss`,
-O(N^3) exact integer operations: Delta's (rm+1) x (rm+1) matrix at z = 0
-and z = 1, the moment matrix of C_{u,m}, and Theta.
+O(N^3) exact integer operations: Delta's (rm+1) x (rm+1) matrix at z = 0,
+Theta, the moment matrix of C_{u,m}, and the final determinant.
 """
 
 from __future__ import annotations
@@ -58,24 +58,6 @@ def det_bareiss(matrix: list[list[Fraction]]) -> Fraction:
             m[i][k] = 0
         prev = m[k][k]
     return Fraction(sign * content * m[n - 1][n - 1], scale)
-
-
-def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly (Gauss with partial pivot)."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise InvalidInput("singular system in solve_linear")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
 
 
 def kernel_basis(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -57,7 +57,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .arith import format_rational, parse_rationals
+from .arith import format_rational, json_fields, parse_rationals
 from .errors import InvalidInput, TheoryViolation
 from .polyops import (
     HypergeometricSpec,
@@ -461,19 +461,21 @@ class PadeSystem:
         and an integer truncation `check_truncation` passes (a JSON true is
         neither), which every window's truncation equals; and P, Pis and R
         hold exactly the keys of ell = 0..rm and of the indices, each entry
-        a list of rationals.  Otherwise InvalidInput names the field (for
-        the keys, the first missing, else the first extra; for an entry,
-        its key too; for the spec, its own field)."""
+        a list of rationals; the form, each part and the spec are JSON
+        objects, with all their keys.  Otherwise InvalidInput names the
+        field (for the keys, the first missing, else the first extra; for
+        an entry, its key too; for the spec, its own field)."""
+        spec_data, alphas, n, truncation, *_ = json_fields(
+            data, ("spec", "alphas", "n", "truncation", "P", "Pis", "R"))
         try:
-            spec = HypergeometricSpec.from_jsonable(data["spec"])
+            spec = HypergeometricSpec.from_jsonable(spec_data)
         except InvalidInput as exc:
             raise InvalidInput(f"spec: {exc}") from None
-        alphas = tuple(parse_rationals("alphas", data["alphas"]))
+        alphas = tuple(parse_rationals("alphas", alphas))
         try:
             _check_alphas(alphas)
         except InvalidInput as exc:
             raise InvalidInput(f"alphas: {exc}") from None
-        n, truncation = data["n"], data["truncation"]
         if type(n) is not int or n < 1:
             raise InvalidInput(f"n: need an integer n >= 1, got {n!r}")
         if type(truncation) is not int:
@@ -486,6 +488,8 @@ class PadeSystem:
         def entries(part, keys):
             # (name, key, entry) of data[part], its names exactly those of keys
             got = data[part]
+            if not isinstance(got, dict):
+                raise InvalidInput(f"{part}: need an object, got {type(got).__name__}")
             missing = [name for name in keys if name not in got]
             extra = [name for name in got if name not in keys]
             if missing or extra:

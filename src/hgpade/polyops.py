@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .arith import format_rational, parse_rationals
+from .arith import format_rational, json_fields, parse_rationals
 from .errors import HypothesisViolation, InvalidInput
 
 Poly = list  # list[Fraction], low degree first
@@ -244,10 +244,11 @@ class HypergeometricSpec:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "HypergeometricSpec":
-        """The spec of a `to_jsonable` form; InvalidInput names a bad field."""
-        return cls.from_roots(parse_rationals("eta", data["eta"]),
-                              parse_rationals("zeta", data["zeta"]),
-                              *parse_rationals("c0", [data["c0"]]))
+        """The spec of a `to_jsonable` form; InvalidInput names a bad or a
+        missing field, or says the form is no JSON object."""
+        eta, zeta, c0 = json_fields(data, ("eta", "zeta", "c0"))
+        return cls.from_roots(parse_rationals("eta", eta), parse_rationals("zeta", zeta),
+                              *parse_rationals("c0", [c0]))
 
 
 # ---------------------------------------------------------------------------

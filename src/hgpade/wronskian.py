@@ -18,16 +18,20 @@ through `det_bareiss`.  Delta is constant by the paper's cofactor argument:
 every remainder has order >= n+1 at infinity, so the expansion along the
 top row leaves lead(P_rm) * Theta.  `delta_of_system` checks the
 argument's hypotheses through `pade.contract_failures`, one literal product
-per remainder over its window, and evaluates Delta at z = 0 and 1; the
-certify path builds windows only through 1/z^{n+1}, and without the
-cross-check, which would run the same contract again.  Delta and Theta
-read the integer rows of the system and of its stored windows, and reach
-`det_bareiss` as integer rows, each scaled once over the lcm of its
-denominators (`_det_of_pairs`), with no Fraction per entry.  C_{u,m} is the
+per remainder over its window, and then evaluates Delta once, at z = 0:
+given the hypotheses its constancy is a theorem, and `delta_route_check`
+compares that value with lead(P_rm) * Theta.  The certify path builds
+windows only through 1/z^{n+1}, and without the cross-check, which would
+run the same contract again.  Delta and Theta read the integer rows of the
+system and of its stored windows, and reach `det_bareiss` as integer rows,
+each scaled once over the lcm of its denominators (`_det_of_pairs`), with
+no Fraction per entry.  C_{u,m} is the
 moment determinant, whose columns are `_dot_rows` runs on integer rows.
 The chain's constants are stated, from c_{u,0} = 1 by the paper's link, and
 each level is checked once at the instance's own points; `c_um_factor` and
 `reduction_check` measure (c, e) on sample tuples as its oracle.  The
+change of basis E of the final determinant is a product over pairs of
+zeta values, by the cover-up rule (`final_det_basis`).  The
 subset elimination behind `C_um(..., route="eliminate")` is exponential in
 rm and is kept only as an oracle for small sizes.
 """
@@ -46,7 +50,7 @@ from .errors import (
     NonconstantDeterminant,
     TheoryViolation,
 )
-from .linalg import det_bareiss, newton_interpolate, solve_linear
+from .linalg import det_bareiss, newton_interpolate
 from .pade import (
     PadeSystem,
     base_polynomial,
@@ -114,11 +118,11 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     builds at it: the order hypotheses read exponents 1..n, Theta reads
     n+1, and the product's exponents <= 0 are checked at any truncation.
 
-    Delta(0) and Delta(1) are then two Bareiss determinants, read off the
-    integer rows (den, ints) of the system: p(0) = ints[0] / den and
-    p(1) = sum(ints) / den, each matrix row scaled once (`_det_of_pairs`).
-    They must agree, and their value is returned.  `delta_route_check`
-    compares it with lead(P_rm) * Theta.
+    With the hypotheses holding, Delta is constant, so it is evaluated
+    once, at z = 0: one Bareiss determinant of p(0) = ints[0] / den, read
+    off the integer rows (den, ints) of the system, each matrix row scaled
+    once (`_det_of_pairs`).  `delta_route_check` compares it with
+    lead(P_rm) * Theta.
     """
     failures = contract_failures(system)
     if failures:
@@ -129,13 +133,8 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     rows = [[system.P.rows[ell] for ell in range(N + 1)]]
     for i, s in _row_index_pairs(r, m):
         rows.append([system.Pis.rows[(ell, i, s)] for ell in range(N + 1)])
-    at_0 = _det_of_pairs([[(ints[0] if ints else 0, den) for den, ints in row]
+    return _det_of_pairs([[(ints[0] if ints else 0, den) for den, ints in row]
                           for row in rows])
-    at_1 = _det_of_pairs([[(sum(ints), den) for den, ints in row] for row in rows])
-    if at_0 != at_1:
-        raise NonconstantDeterminant(
-            f"nonconstant determinant: Delta(0) = {at_0} != Delta(1) = {at_1}")
-    return at_0
 
 
 def theta_det(system: PadeSystem) -> Fraction:
@@ -162,8 +161,9 @@ def leading_coeff_P_rm(system: PadeSystem) -> Fraction:
 
 
 def delta_route_check(system: PadeSystem) -> dict:
-    """Both computations of Delta: the determinant evaluated in z, and the
-    expansion along the top row, Delta = (leading coeff of P_rm) * Theta."""
+    """Both computations of Delta: the determinant evaluated at z = 0, and
+    the expansion along the top row, Delta = (leading coeff of P_rm) *
+    Theta."""
     delta = delta_of_system(system)
     theta = theta_det(system)
     lead = leading_coeff_P_rm(system)
@@ -425,13 +425,6 @@ def vanishing_order_at_equal_alphas(spec: HypergeometricSpec, n: int, u: int,
 # reduction to fewer points, and the final determinant
 
 
-def l_factor(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
-    """det( psi_s(t^{u+ell} (t-1)^{rn}) ), s and ell running over 0..r-1,
-    where psi_s is the alpha = 1 evaluation functional at level s.  This is
-    the transposed moment matrix of C_{u,1} at alpha = 1."""
-    return C_um(spec, (Fraction(1),), n, u)
-
-
 def _link_sign(r: int, n: int, m: int) -> int:
     return -1 if (r * r * n * (m - 1)) % 2 else 1
 
@@ -447,7 +440,8 @@ def _link(spec: HypergeometricSpec, n: int, m: int, c_here: Fraction,
 
 
 def reduction_check(spec: HypergeometricSpec, alphas, n: int, u: int) -> dict:
-    """Both sides of c_{u,m} = (-1)^{r^2 n (m-1)} c_{u + r(n+1), m-1} * L(u)."""
+    """Both sides of c_{u,m} = (-1)^{r^2 n (m-1)} c_{u + r(n+1), m-1} * L(u),
+    L(u) = C_{u,1}(1)."""
     alphas = [Fraction(a) for a in alphas]
     r, m = spec.r, len(alphas)
     if m < 1:
@@ -457,7 +451,7 @@ def reduction_check(spec: HypergeometricSpec, alphas, n: int, u: int) -> dict:
         c_next, e_next = Fraction(1), None
     else:
         c_next, e_next = c_um_factor(spec, alphas[:-1], n, u + r * (n + 1))
-    return {**_link(spec, n, m, c_here, c_next, l_factor(spec, n, u)),
+    return {**_link(spec, n, m, c_here, c_next, C_um(spec, (1,), n, u)),
             "exponent_here": e_here, "exponent_next": e_next}
 
 
@@ -471,28 +465,6 @@ def _zeta_groups(spec: HypergeometricSpec):
             zhat.append(z)
             mult.append(1)
     return zhat, mult
-
-
-def _partial_fractions(spec: HypergeometricSpec, s: int):
-    """Exact decomposition 1/prod_{j<=s+1}(X+zeta_j) = sum p_{j,k}/(X+zhat_j)^k.
-
-    Returns {(j, k): p_{j,k}} with j indexing the distinct-value groups and
-    1 <= k <= multiplicity of zhat_j within the first s+1 entries of zeta.
-    """
-    zhat, _ = _zeta_groups(spec)
-    prefix = spec.zeta[: s + 1]
-    mult = [sum(1 for z in prefix if z == zh) for zh in zhat]
-    pairs = [(j, k) for j in range(len(zhat)) if mult[j] for k in range(1, mult[j] + 1)]
-    # multiply through by prod (X+zhat_j)^{mult_j}: 1 = sum p_{j,k} B_{j,k}(X)
-    cols = [poly_from_roots([zhat[j]] * (mult[j] - k) + [
-        zhat[j2] for j2 in range(len(zhat)) if j2 != j for _ in range(mult[j2])])
-        for j, k in pairs]
-    size = s + 1
-    mat = [[cols[c][row] if row < len(cols[c]) else Fraction(0) for c in range(len(pairs))]
-           for row in range(size)]
-    rhs = [Fraction(1)] + [Fraction(0)] * (size - 1)
-    sol = solve_linear(mat, rhs)
-    return {pair: sol[idx] for idx, pair in enumerate(pairs)}
 
 
 def _grouped(zhat, mult) -> list:
@@ -524,30 +496,27 @@ def final_det(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
 
 def final_det_basis(spec: HypergeometricSpec) -> Fraction:
     """The exact change-of-basis scalar E with L(u) = E * final_det for every
-    n and u.
+    n and u:
 
-    E is the product of the partial-fraction coefficients of the term that
-    each prefix level introduces, times the sign of the reordering from
-    introduction order to grouped order.
+        E = prod_{t<s, zeta_t != zeta_s} eps_ts / (zeta_t - zeta_s),
+
+    eps_ts = -1 when the value zeta_t first occurs after zeta_s, else +1.
+
+    Level s brings in the top-order term of 1/prod_{t<=s}(X + zeta_t) at
+    its pole zhat = zeta_s, of multiplicity mu in the prefix; by the
+    cover-up rule (multiply through by (X + zhat)^mu and set X = -zhat) its
+    coefficient is 1/prod_{t<s, zeta_t != zhat}(zeta_t - zhat).  E is the
+    product of these coefficients times the sign of the reordering from
+    that order of introduction to the grouped rows of `final_det`: a pair
+    t < s of distinct values is inverted exactly when zeta_t's value first
+    occurs after zeta_s's, and a pair of equal values never is.
     """
-    r = spec.r
-    zhat, mult = _zeta_groups(spec)
-    grouped = _grouped(zhat, mult)
-    # introduction order: level s first brings in (group of zeta_{s+1}, count so far)
-    counts = [0] * len(zhat)
-    intro = []
+    first = spec.zeta.index
     E = Fraction(1)
-    for s in range(r):
-        j = zhat.index(spec.zeta[s])
-        counts[j] += 1
-        intro.append((j, counts[j]))
-        E *= _partial_fractions(spec, s)[(j, counts[j])]
-    perm = [grouped.index(pair) for pair in intro]
-    sign = 1
-    for x, y in combinations(range(r), 2):
-        if perm[x] > perm[y]:
-            sign = -sign
-    return E * sign
+    for zt, zs in combinations(spec.zeta, 2):
+        if zt != zs:
+            E *= (-1 if first(zt) > first(zs) else 1) / (zt - zs)
+    return E
 
 
 # ---------------------------------------------------------------------------

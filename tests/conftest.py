@@ -1,7 +1,9 @@
 """Shared fixtures and helpers: the worked instances every test module leans
-on, one admissible-instance strategy, one way to corrupt a system, and the
+on, one admissible-instance strategy, one way to corrupt a system, the
 Fraction oracles of the package's integer tables (`correlate`,
-`f_s_coefficient`, `phi_zeta_s`)."""
+`f_s_coefficient`, `phi_zeta_s`), and the partial fractions of
+1/prod(X + zeta_t) by a linear solve (`partial_fractions`), the oracle of
+the closed-form change of basis E."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -19,7 +21,9 @@ from hgpade.polyops import (
     _psi_table,
     _scaled,
     _unscaled,
+    poly_from_roots,
 )
+from hgpade.wronskian import _zeta_groups
 
 F = Fraction
 
@@ -68,6 +72,47 @@ def phi_zeta_s(zeta, s, p):
             raise InvalidInput(f"pole: k + zeta = 0 at k = {k}")
         total += c / (k + zeta) ** s
     return total
+
+
+def solve_linear(matrix, rhs):
+    """Solve a square nonsingular system exactly (Gauss with partial pivot)."""
+    n = len(matrix)
+    a = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(matrix)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            raise InvalidInput("singular system in solve_linear")
+        a[k], a[piv] = a[piv], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [a[i][n] for i in range(n)]
+
+
+def partial_fractions(spec, s):
+    """Exact decomposition 1/prod_{j<=s+1}(X+zeta_j) = sum p_{j,k}/(X+zhat_j)^k,
+    by one linear solve.
+
+    Returns {(j, k): p_{j,k}} with j indexing the distinct-value groups and
+    1 <= k <= multiplicity of zhat_j within the first s+1 entries of zeta.
+    """
+    zhat, _ = _zeta_groups(spec)
+    prefix = spec.zeta[: s + 1]
+    mult = [sum(1 for z in prefix if z == zh) for zh in zhat]
+    pairs = [(j, k) for j in range(len(zhat)) if mult[j] for k in range(1, mult[j] + 1)]
+    # multiply through by prod (X+zhat_j)^{mult_j}: 1 = sum p_{j,k} B_{j,k}(X)
+    cols = [poly_from_roots([zhat[j]] * (mult[j] - k) + [
+        zhat[j2] for j2 in range(len(zhat)) if j2 != j for _ in range(mult[j2])])
+        for j, k in pairs]
+    size = s + 1
+    mat = [[cols[c][row] if row < len(cols[c]) else F(0) for c in range(len(pairs))]
+           for row in range(size)]
+    rhs = [F(1)] + [F(0)] * (size - 1)
+    sol = solve_linear(mat, rhs)
+    return {pair: sol[idx] for idx, pair in enumerate(pairs)}
 
 
 @st.composite

@@ -379,11 +379,19 @@ def test_verify_names_a_malformed_window(tmp_path, capsys, field, value, message
     (("alphas", 1), "x", "alphas: not a rational 'num/den' string: 'x'"),
     (("spec", "eta"), 5, "spec: eta: need a list of rationals, got 5"),
     (("spec", "c0"), 3, "spec: c0: not a rational 'num/den' string: 3"),
+    # a whole part of the wrong JSON type, or a file or a spec without a
+    # field
+    (("spec",), 5, "spec: need an object, got int"),
+    (("P",), 5, "P: need an object, got int"),
+    (("R",), [], "R: need an object, got list"),
+    (("spec", "zeta"), None, 'spec: missing key "zeta"'),
+    (("n",), None, 'missing key "n"'),
 ])
 def test_verify_names_a_malformed_entry(tmp_path, capsys, where, value, message):
     # a P or Pis entry, an alpha or a spec field of a system file that is
-    # no rational string, or no list where a list belongs, exits 1 naming
-    # the field (and the key of an entry)
+    # no rational string, no list where a list belongs, no object where an
+    # object belongs, or missing (value None), exits 1 naming the field
+    # (and the key of an entry)
     path = tmp_path / "system.json"
     assert main(["build", *R2, "--alphas=1,2", "--n=1", "--out", str(path)]) == 0
     data = json.loads(path.read_text())
@@ -391,7 +399,10 @@ def test_verify_names_a_malformed_entry(tmp_path, capsys, where, value, message)
     target = data
     for key in parents:
         target = target[key]
-    target[last] = value
+    if value is None:
+        del target[last]
+    else:
+        target[last] = value
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", "--system", str(path)]) == 1

@@ -1,5 +1,6 @@
 """Determinant routes, factor extraction, reduction, and the zero ledger."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_instances, corrupted, phi_zeta_s
+from conftest import admissible_instances, corrupted, partial_fractions, phi_zeta_s
 from hgpade.cli import _canonical
 from hgpade.errors import FactorizationMismatch, NonconstantDeterminant, TheoryViolation
 from hgpade.linalg import det_bareiss
@@ -28,7 +29,6 @@ from hgpade.wronskian import (
     final_det,
     final_det_basis,
     homogeneity_degree,
-    l_factor,
     leading_coeff_P_rm,
     reduction_check,
     theta_det,
@@ -48,20 +48,47 @@ def test_vandermonde():
 # Delta: frozen exact values across the grid
 
 
-def _delta_by_evaluation(system):
-    """Oracle for Delta that assumes nothing of the cofactor argument: the
-    values of the determinant at z = 0..D, where D (the sum over columns of
-    the largest entry degree) bounds deg Delta.  Delta is constant exactly
-    when they all agree; the list is returned for the caller to check."""
+def _delta_rows(system):
+    """The matrix of Delta(z), its entries the system's polynomials as
+    Fraction lists: the top row P_ell, then the row of P_{ell,i,s} for i
+    ascending and s descending."""
     r, m = system.r, system.m
     cols = range(r * m + 1)
     rows = [[system.P[ell] for ell in cols]]
     for i in range(1, m + 1):
         for s in range(r - 1, -1, -1):
             rows.append([system.Pis[(ell, i, s)] for ell in cols])
-    D = sum(max(max(len(row[ell]) for row in rows) - 1, 0) for ell in cols)
+    return rows
+
+
+def _delta_by_evaluation(system):
+    """Oracle for Delta that assumes nothing of the cofactor argument: the
+    values of the determinant at z = 0..D, where D (the sum over columns of
+    the largest entry degree) bounds deg Delta.  Delta is constant exactly
+    when they all agree; the list is returned for the caller to check."""
+    rows = _delta_rows(system)
+    D = sum(max(max(len(row[ell]) for row in rows) - 1, 0) for ell in range(len(rows)))
     return [det_bareiss([[poly_eval(p, F(z)) for p in row] for row in rows])
             for z in range(D + 1)]
+
+
+def _delta_by_sympy(system):
+    """Oracle for Delta that shares no code with the package: Delta(z) as
+    the determinant of a matrix over QQ[z] (sympy's DomainMatrix, whose
+    det is fast where Matrix.det() is not), returned as a sympy Poly."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    z = sympy.Symbol("z")
+    ring = sympy.QQ[z]
+
+    def entry(p):
+        return ring.from_sympy(sum((sympy.Rational(c.numerator, c.denominator) * z ** d
+                                    for d, c in enumerate(p)), sympy.S.Zero))
+
+    rows = [[entry(p) for p in row] for row in _delta_rows(system)]
+    det = DomainMatrix(rows, (len(rows), len(rows)), ring).det()
+    return sympy.Poly(ring.to_sympy(det), z)
 
 
 @pytest.mark.parametrize(
@@ -198,6 +225,20 @@ def test_delta_equals_the_evaluation_oracle(instance, n):
     assert delta_of_system(system) == values[0]
 
 
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(admissible_instances(), st.integers(1, 2))
+def test_delta_equals_the_sympy_determinant(instance, n):
+    # Delta(z) computed by sympy over QQ[z] is a polynomial of degree 0, and
+    # its constant is the package's Delta, on random admissible rm <= 4
+    # and n <= 2
+    spec, alphas = instance
+    system = build_system(spec, alphas, n)
+    delta = _delta_by_sympy(system)
+    assert delta.degree() == 0
+    constant = delta.LC()
+    assert delta_of_system(system) == F(int(constant.p), int(constant.q))
+
+
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(admissible_instances(max_m=2), st.integers(1, 2))
 def test_chain_constants_are_the_reduction_check_sides(instance, n):
@@ -322,7 +363,36 @@ def test_final_det_canonical(spec_r2):
     for u in range(0, 9):
         v = final_det(spec_r2, 1, u)
         assert v != 0, u
-        assert l_factor(spec_r2, 1, u) == E * v, u
+        assert C_um(spec_r2, (F(1),), 1, u) == E * v, u
+
+
+def _final_det_basis_by_partial_fractions(spec):
+    """E as the product of the partial-fraction coefficients of the term
+    each level s introduces, (group of zeta_s, its count so far), each read
+    off one linear solve (`conftest.partial_fractions`), times the sign of
+    the permutation from that order of introduction to the grouped rows."""
+    zhat, mult = _zeta_groups(spec)
+    counts = [0] * len(zhat)
+    intro = []
+    E = F(1)
+    for s in range(spec.r):
+        j = zhat.index(spec.zeta[s])
+        counts[j] += 1
+        intro.append((j, counts[j]))
+        E *= partial_fractions(spec, s)[(j, counts[j])]
+    perm = [_grouped(zhat, mult).index(pair) for pair in intro]
+    inversions = sum(perm[x] > perm[y] for x, y in itertools.combinations(range(spec.r), 2))
+    return E * (-1) ** inversions
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(st.lists(st.sampled_from([F(-5, 2), F(-1, 3), F(1, 2), F(1), F(7, 4)]),
+                min_size=1, max_size=5))
+def test_final_det_basis_equals_the_partial_fraction_route(zeta):
+    # the cover-up product against one linear solve per level, on r <= 5
+    # zeta drawn from five values, so most draws repeat one
+    spec = HypergeometricSpec.from_roots([F(4, 3)] * len(zeta), zeta, F(1))
+    assert final_det_basis(spec) == _final_det_basis_by_partial_fractions(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +464,7 @@ def test_reduction_two_to_one(spec_r2):
         red = reduction_check(spec_r2, (F(1), F(2)), 1, u)
         assert red["equal"]
         assert red["lhs"] == red["rhs"]
-        assert red["L"] == l_factor(spec_r2, 1, u)
+        assert red["L"] == C_um(spec_r2, (F(1),), 1, u)
         # the chain continues at u + r(n+1): the alpha-exponent steps by r^2(n+1)
         assert red["exponent_next"] - red["exponent_here"] == 4 * 2
         assert red["sign"] == 1  # (-1)^(r^2 n (m-1)) = +1 here
@@ -480,18 +550,40 @@ def test_each_failed_hypothesis_is_named(canonical_system, part, key, edit, name
         delta_of_system(broken)
 
 
-def test_delta_at_0_and_1_must_agree(canonical_system, monkeypatch):
-    # with every hypothesis holding, only a broken determinant can make the
-    # two values differ: feed the check one whose value moves per call
+def test_delta_is_one_determinant(canonical_system, monkeypatch):
+    # the hypotheses hold, so Delta is evaluated once, at z = 0
+    import hgpade.wronskian
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return det_bareiss(matrix)
+
+    monkeypatch.setattr(hgpade.wronskian, "det_bareiss", counted)
+    assert delta_of_system(canonical_system) == F(3981312, 146652240109375)
+    assert calls == [5]  # rm + 1 at r = m = 2
+
+
+@pytest.mark.parametrize("drifts, failed", [
+    (1, ["delta_equals_lead_times_theta"]),
+    (2, ["delta_equals_lead_times_theta", "theta_chain_identity"]),
+])
+def test_certify_raises_when_delta_or_theta_drifts(spec_r2, monkeypatch, drifts, failed):
+    # with the flags passing, a determinant that drifts on the Delta call
+    # (the first) or the Theta call (the second) breaks
+    # Delta = lead(P_rm) * Theta, and certify names that check; a wrong
+    # Theta breaks the Theta chain identity too
     import hgpade.wronskian
 
     calls = []
 
     def drifting(matrix):
-        calls.append(None)
-        return det_bareiss(matrix) + len(calls)
+        calls.append(len(matrix))
+        return det_bareiss(matrix) + (len(calls) == drifts)
 
     monkeypatch.setattr(hgpade.wronskian, "det_bareiss", drifting)
-    with pytest.raises(NonconstantDeterminant, match=re.escape("Delta(0)")):
-        delta_of_system(canonical_system)
-    assert len(calls) == 2
+    assert spec_r2.flags_pass()
+    with pytest.raises(TheoryViolation, match=re.escape(f"failed checks {failed}")):
+        certify_nonvanishing(spec_r2, (F(1), F(2)), 1)
+    assert calls[:2] == [5, 4]  # Delta's (rm + 1) x (rm + 1), then Theta's rm x rm
