@@ -30,8 +30,9 @@ def main() -> None:
         report = verify_system(system)
         assert report["ok"], report["failures"]
 
-        # degree contract: deg P_ell = r*m*n + ell, one family per ell
-        degs = {ell: poly_deg(p) for ell, p in system.P.items()}
+        # degree contract: deg P_ell = r*m*n + ell, one family per ell, each
+        # P_ell an integer row (den, ints) of coefficients ints / den
+        degs = {ell: poly_deg(ints) for ell, (_, ints) in system.P.items()}
         assert all(deg == r * m * n + ell for ell, deg in degs.items())
 
         # order contract: every remainder vanishes to order >= n+1 at infinity;

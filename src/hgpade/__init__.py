@@ -7,7 +7,3 @@ logarithmic growth rates and certified-precision reports.
 """
 
 __version__ = "0.1.0"
-
-from .arith import Place, Rational, parse_rational, format_rational  # noqa: F401
-from .polyops import HypergeometricSpec  # noqa: F401
-from .pade import PadeSystem, build_system  # noqa: F401

@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .errors import InvalidInput, RationalParseError
 
-Rational = Fraction
-
 # ---------------------------------------------------------------------------
 # parsing / formatting ("num/den" strings, den omitted when 1)
 

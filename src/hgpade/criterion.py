@@ -221,7 +221,7 @@ def growth_fit_P(inst: Instance, beta, v: Place) -> FitResult:
     beta = Fraction(beta)
     ns, ys = [], []
     for n, sysn in inst.systems.items():
-        vals = [_row_value(den, ints, beta) for den, ints in sysn.P.rows.values()]
+        vals = [_row_value(den, ints, beta) for den, ints in sysn.P.values()]
         ys.append(max(log_abs_at_place(x, v) for x in vals if x != 0))
         ns.append(n)
     return fit_rate(ns, ys)
@@ -266,7 +266,7 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     row (den, a) of P_ell as min_d v_p(a_d) - v_p(den).
     """
     spec = system.spec
-    den, Pn = system.P.rows[ell]
+    den, Pn = system.P[ell]
     D = len(Pn) - 1
     alpha = Fraction(system.alphas[i - 1])
     beta = Fraction(beta)
@@ -378,7 +378,7 @@ def height_fit_vec(inst: Instance, beta, v0: Place) -> FitResult:
     vector vec_n of the matrix row polynomials P_ell, P_{ell,i,s}: the
     coefficient vector whose height controls the matrix rows at all places
     at once.  It is read from the integer rows the system keeps
-    (`PadeSystem.P.rows`, `PadeSystem.Pis.rows`), so no P_ell or P_{ell,i,s}
+    (`PadeSystem.P`, `PadeSystem.Pis`), so no P_ell or P_{ell,i,s}
     is made into Fractions.
 
     Evaluating a row polynomial at beta multiplies its size away from v0 by
@@ -391,7 +391,7 @@ def height_fit_vec(inst: Instance, beta, v0: Place) -> FitResult:
     ns, qs = [], []
     for n, sysn in inst.systems.items():
         deg = rm * n + rm
-        rows = [*sysn.P.rows.values(), *sysn.Pis.rows.values()]
+        rows = [*sysn.P.values(), *sysn.Pis.values()]
         qs.append(
             _height_excluding(rows, v0)
             + deg * beta_part
@@ -518,7 +518,7 @@ def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
     special_ok = (
         spec2.to_jsonable() == spec.to_jsonable()
         and dict(enumerate(_P_family(spec2, alphas, n_top, rm)))
-        == inst.systems[n_top].P.rows
+        == inst.systems[n_top].P
     )
 
     return MeasureReport(

@@ -1,10 +1,13 @@
-"""Exact linear algebra over Fraction: Bareiss determinants, kernels and
-Newton interpolation.
+"""Exact linear algebra: Bareiss determinants of integer matrices, and
+kernels and Newton interpolation over Fraction.
 
-Matrices are lists of equal-length lists of Fractions (ints are accepted
-too).  Every determinant of the Wronskian chain goes through `det_bareiss`,
-O(N^3) exact integer operations: Delta's (rm+1) x (rm+1) matrix at z = 0,
-Theta, the moment matrix of C_{u,m}, and the final determinant.
+Matrices are lists of equal-length rows.  `det_bareiss` takes integer rows
+and returns an int, in O(N^3) exact integer operations; every determinant
+of the Wronskian chain goes through it (Delta's (rm+1) x (rm+1) matrix at
+z = 0, Theta, the moment matrix of C_{u,m}, and the final determinant),
+each row an integer row (den, ints) whose denominators the caller divides
+out (`wronskian._det`).  `kernel_basis` and `newton_interpolate` take
+Fractions (ints are accepted too).
 """
 
 from __future__ import annotations
@@ -15,30 +18,23 @@ from fractions import Fraction
 from .errors import InvalidInput
 
 
-def det_bareiss(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination.
+def det_bareiss(matrix: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free Bareiss
+    elimination.
 
-    Each row is first scaled to integers over the lcm of its denominators
-    (entry x becomes x.numerator * (d // x.denominator); int rows pass
-    through with d = 1), each row's and then each column's gcd is divided
-    out, and the classic integer-preserving recurrence runs without any
-    rational division.
+    Each row's and then each column's gcd is divided out of a copy, and the
+    classic integer-preserving recurrence runs on it: every division in it
+    is exact.
     """
     n = len(matrix)
     if n == 0:
-        return Fraction(1)
+        return 1
     if any(len(row) != n for row in matrix):
         raise InvalidInput("determinant needs a square matrix")
-    scale, content = 1, 1
-    m: list[list[int]] = []
-    for row in matrix:
-        d = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (d // x.denominator) for x in row]
-        g = math.gcd(*ints) or 1
-        scale, content = scale * d, content * g
-        m.append([a // g for a in ints])
+    rows = [math.gcd(*row) or 1 for row in matrix]
+    m = [[a // g for a in row] for row, g in zip(matrix, rows)]
     cols = [math.gcd(*col) or 1 for col in zip(*m)]
-    content *= math.prod(cols)
+    content = math.prod(rows) * math.prod(cols)
     m = [[a // g for a, g in zip(row, cols)] for row in m]
 
     sign = 1
@@ -51,13 +47,13 @@ def det_bareiss(matrix: list[list[Fraction]]) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * content * m[n - 1][n - 1], scale)
+    return sign * content * m[n - 1][n - 1]
 
 
 def kernel_basis(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -9,9 +9,11 @@ certified quantity; floats appear only when a caller formats or fits rates,
 and in the stop guess of `_sum_series`, which decides nothing.
 
 Both series routes (`eval_pFq` and the direct sum of F_s) run on one kernel,
-`_sum_series`: it multiplies the steps of the term recurrence out by binary
-splitting, one product tree per range of steps, and reaches exactly the
-unreduced integers (term, numerator, denominator) a step-by-step sum would.
+`_sum_series`, called by one helper that places their first stop test
+(`_sum_bounded`).  The kernel multiplies the steps of the term recurrence
+out by binary splitting, one product tree per range of steps, and reaches
+exactly the unreduced integers (term, numerator, denominator) a
+step-by-step sum would.
 A range is taken only where one exact comparison at its end proves that no
 stop test inside it can pass (the margin lemma of `_sum_series`), and the
 stopping test is decided exactly on those integers, so the certified value
@@ -25,11 +27,12 @@ stored window), and from there in one loop over the system's terms by
 exponent.  Their beta-free set-up lives on the system: the ratio bound's
 part without |alpha/beta|, P_ell and the weights on integers, the terms and
 the sizes of the bound, each read only where the sum needs it
-(`PadeSystem.tail_ratio`, `P.rows`, `integer_weights`, `terms`, `size`).
+(`PadeSystem.tail_ratio`, `P`, `integer_weights`, `terms`, `size`).
 The terms and sizes are unreduced integer pairs over the denominators of
 weight runs that the system scales once per range for every ell, so the
-sum past the head makes no Fraction.  Both sums stop on one tail-ratio
-bound (`polyops._tail_ratio`).
+sum past the head makes no Fraction.  All three sums stop on one tail-ratio
+bound, `polyops._tail_ratio` over the parameter lists of their terms; the
+k! of `eval_pFq` enters it as a lower parameter 0.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .errors import (
     InvalidInput,
     StepBudgetExceeded,
 )
-from .polyops import HypergeometricSpec, _row_value, _tail_ratio
+from .polyops import HypergeometricSpec, _row_value, _series_params, _tail_ratio
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,15 +369,28 @@ def _budget_cannot_certify(x, upper, lower, weight, K: int, gt: int, N: int,
     return (low + bits - high) * 1000 * P > steps * max(Q - P, 0) * 1443
 
 
+def _sum_bounded(t0, x, terms: tuple, bound: tuple, bits: int) -> BigFloat:
+    """`_sum_series` of the terms from t0 whose (upper, lower, weight) are
+    `terms`, its stop tests from the first k0 = floor * 2^j at which the
+    ratio bound |x| c of `_tail_ratio` over the parameter lists `bound` is
+    at most rho: (1 + |x|)/2 when they have as many upper as lower
+    parameters, 1/2 otherwise.  The tail factor is 1/(1 - rho): the
+    discarded tail starts with the term the stop is tested on."""
+    rho = (1 + abs(x)) / 2 if len(bound[0]) == len(bound[1]) else Fraction(1, 2)
+    k0, c = _tail_ratio(*bound, 0)
+    while abs(x) * c > rho:
+        k0, c = _tail_ratio(*bound, 2 * k0)
+    return _sum_series(t0, x, *terms, k0, 1 / (1 - rho), bits, 64 * bits + 4 * k0 + 64)
+
+
 def eval_pFq(a, b, z, bits: int) -> BigFloat:
     """Generalized hypergeometric sum_k prod(a)_k/prod(b)_k * z^k/k!, with a
     certified geometric tail bound.  Requires |z| < 1 when len(a) == len(b)+1.
 
-    The terms are summed by `_sum_series` on unreduced integers (term ratio
-    z prod(k+a)/((k+1) prod(k+b)), tail factor 1/(1-rho): the discarded tail
-    starts with the term the stop is tested on); the stop at the
-    first k >= k0 whose tail bound is under 2^-bits max(1, |sum|) is decided
-    exactly."""
+    The terms are summed by `_sum_bounded` on unreduced integers (term ratio
+    z prod(k+a)/((k+1) prod(k+b))); in the ratio bound the k! enters as a
+    lower parameter 0, since k + 1 >= k.  The stop at the first k >= k0
+    whose tail bound is under 2^-bits max(1, |sum|) is decided exactly."""
     a = [Fraction(x) for x in a]
     b = [Fraction(x) for x in b]
     z = Fraction(z)
@@ -387,45 +403,20 @@ def eval_pFq(a, b, z, bits: int) -> BigFloat:
         raise DivergentSeries("series diverges for p > q+1")
     if z == 0:
         return BigFloat(1, 1, 0, 1, bits)
-
-    rho = (1 + abs(z)) / 2 if len(a) == len(b) + 1 else Fraction(1, 2)
-    kmin = 1 + max(
-        [0] + [int(abs(x)) + 1 for x in b] + [int(abs(x)) + 1 for x in a]
-    )
-
-    def ratio_bound(k: int) -> Fraction:
-        # |term_{k+1}/term_k| = |z| prod|a+k| / ((k+1) prod|b+k|); bounding
-        # each factor by k(1 +- |.|/k) leaves k^(p-q-1) from the degree gap
-        out = abs(z) * Fraction(k) ** (len(a) - len(b) - 1)
-        for x in a:
-            out *= 1 + abs(x) / k
-        for x in b:
-            out /= 1 - abs(x) / k
-        return out
-
-    k0 = kmin
-    while ratio_bound(k0) > rho:
-        k0 *= 2
-    return _sum_series(1, z, a, b + [Fraction(1)], (), k0, 1 / (1 - rho),
-                       bits, 64 * bits + 4 * k0 + 64)
+    return _sum_bounded(1, z, (a, b + [Fraction(1)], ()), (a, b + [Fraction(0)], ()), bits)
 
 
 def _f_direct(spec: HypergeometricSpec, s: int, w: Fraction, bits: int) -> BigFloat:
     """F_s(w) by direct summation of (k+gamma_1)...(k+gamma_s) c_k w^{k+1},
-    from c_0 and c_{k+1}/c_k = prod(k+eta)/prod(k+1+zeta), by `_sum_series`
-    with tail factor 1/(1-rho) and the stop decided exactly."""
+    from c_0 and c_{k+1}/c_k = prod(k+eta)/prod(k+1+zeta), by `_sum_bounded`
+    with the stop decided exactly."""
     w = Fraction(w)
     if abs(w) >= 1:
         raise DivergentSeries("need |w| < 1")
     if w == 0:
         return BigFloat(0, 1, 0, 1, bits)
-    rho = (1 + abs(w)) / 2
-    k0, c = _tail_ratio(spec, s, 0)
-    while abs(w) * c > rho:
-        k0, c = _tail_ratio(spec, s, 2 * k0)
-    return _sum_series(spec.c0 * w, w, spec.eta, [1 + z for z in spec.zeta],
-                       spec.gamma[:s], k0, 1 / (1 - rho), bits,
-                       64 * bits + 4 * k0 + 64)
+    params = _series_params(spec, s)
+    return _sum_bounded(spec.c0 * w, w, params, params, bits)
 
 
 def _f_closed(spec: HypergeometricSpec, s: int, w: Fraction, bits: int):
@@ -580,14 +571,14 @@ def _head_sum(system, ell: int, i: int, s: int, p: int, q: int, K: int) -> tuple
 
     Reordered by y = k + d, the sum is sum_d P_d beta^d (W_{K+d} - W_d) with
     W_y = sum_{x<y} w_x beta^{-x-1}, D = deg P_ell.  On the system's integer
-    forms P_d = Pn_d / dp and w_x = wn_x / V (the row `PadeSystem.P.rows`,
+    forms P_d = Pn_d / dp and w_x = wn_x / V (the row `PadeSystem.P`,
     `integer_weights`), U_y = V p^y W_y steps as U_0 = 0,
     U_{y+1} = U_y p + wn_y q^{y+1}, so
     N = sum_d Pn_d q^{D-d} (U_{K+d} - p^K U_d) over L = dp V q^D, the sign
     moved onto N.  That is the same rational as the sum of the
     coefficients, which are the window's from its order on and exact zeros
     below it."""
-    dp, Pn = system.P.rows[ell]
+    dp, Pn = system.P[ell]
     V, wn = system.integer_weights(i, s)
     D = len(Pn) - 1
     U, u, qy = [0], 0, q
@@ -631,7 +622,7 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
     `pade.verify_system`, which is the contract."""
     beta = Fraction(beta)
     spec = system.spec
-    P_at = {ell: _row_value(*row, beta) for ell, row in system.P.rows.items()}
+    P_at = {ell: _row_value(*row, beta) for ell, row in system.P.items()}
     headroom = max(map(_log2_abs, P_at.values()))
     eff_bits = bits + max(0, headroom) + 16
     F_at = {}
@@ -645,7 +636,7 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
     rows_acc = {}
     for ell, i, s in system.indices():
         Pb = P_at[ell]
-        Pisb = _row_value(*system.Pis.rows[(ell, i, s)], beta)
+        Pisb = _row_value(*system.Pis[(ell, i, s)], beta)
         Fv = F_at[i][s]
         v, e = Pb * Fv.value - Pisb, abs(Pb) * Fv.error
         lhs = BigFloat(v.numerator, v.denominator, e.numerator, e.denominator,

@@ -22,9 +22,10 @@ system scales the weights of one range of exponents once, at the width of
 its longest row (`PadeSystem.weight_run`), and every ell reads a prefix of
 that run.  A Fraction is made only where a caller reads a
 rational.  A system is given its data once, when it is made: each P_ell
-and each P_{ell,i,s} is only its integer row over one denominator
-(`PadeSystem.P.rows`, `PadeSystem.Pis.rows`), which every reader reads; a
-read by key makes a fresh tuple of Fractions.
+and each P_{ell,i,s} is only its integer row (den, ints) over one
+denominator, ints a tuple, in a read-only mapping (`PadeSystem.P`,
+`PadeSystem.Pis`); a reader that wants rationals makes them
+(`polyops._unscaled`).
 Each remainder series is one append-only list on the system, read by
 exponent (`PadeSystem.terms`): its head, below the window's end, is filled
 on the first read inside it, and past the window it grows only as far as a
@@ -56,6 +57,7 @@ from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import mul
+from types import MappingProxyType
 
 from .arith import format_rational, json_fields, parse_rationals
 from .errors import InvalidInput, TheoryViolation
@@ -64,9 +66,9 @@ from .polyops import (
     _dot_rows,
     _psi_table,
     _scaled,
+    _series_params,
     _series_row,
     _tail_ratio,
-    _unscaled,
     poly_deg,
     poly_trim,
     term_table,
@@ -123,7 +125,8 @@ def base_polynomial(alphas, rn: int, ell: int) -> tuple:
 
 def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
     """[P_0, ..., P_top] of weight n, exact, each as its integer row
-    (den, ints) of `_scaled`; P_ell has degree r*m*n + ell.
+    (den, ints) of `_scaled`, ints a tuple as `PadeSystem.P` holds it;
+    P_ell has degree r*m*n + ell.
 
     The paper's formula is
         P_ell = T_c^{-1} prod_{j=1}^{n-1} B(theta+j) [t^ell prod_i (t-alpha_i)^{rn}]
@@ -154,16 +157,15 @@ def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
         dm, mn = _scaled(M[ell:ell + len(bn)])
         ints = [0] * ell + list(map(mul, bn, mn))
         g = math.gcd(db * dm, *ints)
-        rows.append((db * dm // g, [a // g for a in ints]))
+        rows.append((db * dm // g, tuple(a // g for a in ints)))
     return rows
 
 
-def remainder(system: "PadeSystem", ell: int, i: int, s: int,
-              truncation: int = None) -> tuple:
+def remainder(system: "PadeSystem", ell: int, i: int, s: int) -> tuple:
     """The literal product P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z), exact
-    up to `truncation` (the system's by default), as the integer row
-    (order, den, ints): the coefficient of 1/z^e is ints[e - order] / den
-    for order <= e < truncation, and order <= 1.
+    up to the system's truncation, where every stored window ends, as the
+    integer row (order, den, ints): the coefficient of 1/z^e is
+    ints[e - order] / den for order <= e < truncation, and order <= 1.
 
     Its exponents <= 0 vanish exactly when P_{ell,i,s} is the polynomial
     part of P_ell F_s, and its exponents >= 1 are the remainder R_{ell,i,s}.
@@ -172,13 +174,11 @@ def remainder(system: "PadeSystem", ell: int, i: int, s: int,
     of its own: it shares no code with the stored window, which
     `PadeSystem.terms` fills from the psi weights by `_dot_rows`.
     """
-    if truncation is None:
-        truncation = system.truncation
-    check_truncation(system.n, truncation)
-    dp, Pn = system.P.rows[ell]
-    dq, Qn = system.Pis.rows[(ell, i, s)]
+    truncation = system.truncation
+    dp, Pn = system.P[ell]
+    dq, Qn = system.Pis[(ell, i, s)]
     d = max(len(Pn) - 1, 0)
-    width = max(len(ints) for _, ints in system.P.rows.values())
+    width = max(len(ints) for _, ints in system.P.values())
     dc, cn = _series_row(system.spec, system.alphas[i - 1], s,
                          truncation - 1 + max(d, width - 1))
     # the product's 1/z^e coefficient, 1 - d <= e < truncation, is
@@ -211,26 +211,6 @@ def _indices(r: int, m: int):
                 yield ell, i, s
 
 
-class _Rows(Mapping):
-    """The P_ell of a system by ell, or its P_{ell,i,s} by (ell, i, s),
-    each kept only as its integer row (den, ints) in `rows`, den > 0: the
-    one form every reader of the data reads.  A read by key makes the tuple
-    of Fractions ints / den afresh, so no reader edits the data through it,
-    and nothing assigns to it: a system is given its rows when it is made."""
-
-    def __init__(self, rows: dict):
-        self.rows = rows
-
-    def __getitem__(self, key) -> tuple:
-        return tuple(_unscaled(*self.rows[key]))
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 class _Windows(Mapping):
     """The stored remainder windows of a system by (ell, i, s), keyed by its
     indices, each the integer row (order, den, ints) that `remainder`
@@ -247,7 +227,7 @@ class _Windows(Mapping):
         if got is None:
             system = self._system
             ell, i, s = key
-            if not (ell in system.P.rows and 1 <= i <= system.m and 0 <= s < system.r):
+            if not (ell in system.P and 1 <= i <= system.m and 0 <= s < system.r):
                 raise KeyError(key)
             head = system.terms(ell, i, s, 0)[:system.truncation - 1]
             got = self._built[key] = (1, head[0][1], [a for a, _ in head])
@@ -275,6 +255,11 @@ def window_order(window: tuple):
     return next((e for e, a in enumerate(ints, order) if a), None)
 
 
+def _row_text(den: int, ints) -> list:
+    # the rationals ints / den as text
+    return [format_rational(Fraction(a, den)) for a in ints]
+
+
 def _window_jsonable(window: tuple) -> dict:
     # the text of a window row, its leading zeros folded into the order: a
     # window zero throughout has order == truncation and no coefficients
@@ -282,7 +267,7 @@ def _window_jsonable(window: tuple) -> dict:
     truncation = order + len(ints)
     lead = next((e for e, a in enumerate(ints, order) if a), truncation)
     return {"order": lead, "truncation": truncation,
-            "coefficients": [format_rational(Fraction(a, den)) for a in ints[lead - order:]]}
+            "coefficients": _row_text(den, ints[lead - order:])}
 
 
 def _window_row(name: str, data, truncation: int) -> tuple:
@@ -313,10 +298,11 @@ class PadeSystem:
     """One fully built instance: all P_ell, all P_{ell,i,s}, all remainders.
 
     Its data is given once, when it is made, and never assigned: `P` maps
-    ell to P_ell and `Pis` maps (ell, i, s) to P_{ell,i,s}, each an integer
-    row (`P.rows`, `Pis.rows`, `_Rows`), and `R` maps (ell, i, s) to the
-    stored window of R_{ell,i,s}, given (`windows`) or made (`_Windows`),
-    an integer row (order, den, ints) read by `window_coeff`.
+    ell to P_ell and `Pis` maps (ell, i, s) to P_{ell,i,s}, read-only
+    mappings of integer rows (den, ints), den > 0 and ints a tuple, and `R`
+    maps (ell, i, s) to the stored window of R_{ell,i,s}, given (`windows`)
+    or made (`_Windows`), an integer row (order, den, ints) read by
+    `window_coeff`.
     Everything else a remainder sum reads is beta-free and
     kept on the system on first use, each computed once: the ratio bound
     past the window (`tail_ratio`), per (i, s) and range the psi weights on
@@ -331,8 +317,8 @@ class PadeSystem:
     alphas: tuple
     n: int
     truncation: int
-    P: _Rows                                        # ell -> P_ell (in z)
-    Pis: _Rows                                      # (ell, i, s) -> P_{ell,i,s}
+    P: Mapping                                      # ell -> row of P_ell (in z)
+    Pis: Mapping                                    # (ell, i, s) -> row of P_{ell,i,s}
     windows: InitVar[dict] = None                   # (ell, i, s) -> window row
     R: _Windows = field(init=False, repr=False)
     # (tag, *index) -> the state of `_kept`; like `spec._psi_tables`, a
@@ -367,7 +353,7 @@ class PadeSystem:
         beta stop-test from k0 on, against the ratio bound |alpha/beta| c.
         Computed once per s."""
         return self._kept(("ratio", s), lambda: _tail_ratio(
-            self.spec, s, self.truncation - 1))
+            *_series_params(self.spec, s), self.truncation - 1))
 
     def integer_weights(self, i: int, s: int) -> tuple:
         """(V, wn): the psi_{i,s} weights w_x = wn_x / V on integers over
@@ -386,13 +372,13 @@ class PadeSystem:
         that range.  Scaled once per (i, s, start, stop)."""
         return self._kept(("run", i, s, start, stop), lambda: _weight_run(
             self.spec, self.alphas[i - 1], s, start, stop,
-            max(len(ints) for _, ints in self.P.rows.values())))
+            max(len(ints) for _, ints in self.P.values())))
 
     def terms(self, ell: int, i: int, s: int, k: int) -> list:
         """The coefficients of R_{ell,i,s} by exponent, grown to hold index k:
         terms[k] = psi_{i,s}(t^k P_ell), the coefficient of 1/z^{k+1}, for
         every k >= 0, as the unreduced pair (a, den) of its integer sum over
-        its run's denominator dp * dw (`P.rows`, `weight_run`), the form of
+        its run's denominator dp * dw (`P`, `weight_run`), the form of
         `size`: no Fraction is made.  The head, below the window's end
         truncation - 1, holds None until a read inside it fills the whole
         head, from which the stored window `R` is made; a read past the end
@@ -431,7 +417,7 @@ class PadeSystem:
         # (with `absolute`, the sizes sum_d |P_d| |w_{k+d}|), one `_dot_rows`
         # call over the row of P_ell and the prefix of the shared weight run
         # that it meets
-        dp, Pn = self.P.rows[ell]
+        dp, Pn = self.P[ell]
         dw, wi = self.weight_run(i, s, start, stop)
         if absolute:
             Pn = [abs(c) for c in Pn]
@@ -445,11 +431,9 @@ class PadeSystem:
             "alphas": [format_rational(a) for a in self.alphas],
             "n": self.n,
             "truncation": self.truncation,
-            "P": {str(ell): [format_rational(c) for c in p] for ell, p in self.P.items()},
-            "Pis": {
-                f"{ell},{i},{s}": [format_rational(c) for c in p]
-                for (ell, i, s), p in self.Pis.items()
-            },
+            "P": {str(ell): _row_text(*row) for ell, row in self.P.items()},
+            "Pis": {f"{ell},{i},{s}": _row_text(*row)
+                    for (ell, i, s), row in self.Pis.items()},
             "R": {f"{ell},{i},{s}": _window_jsonable(w) for (ell, i, s), w in self.R.items()},
         }
 
@@ -498,9 +482,12 @@ class PadeSystem:
             return [(name, keys[name], got[name]) for name in keys]
 
         def rows(part, keys):
-            return _Rows({key: _scaled([c.as_integer_ratio()
-                                        for c in parse_rationals(f'{part} "{name}"', p)])
-                          for name, key, p in entries(part, keys)})
+            # each entry over the lcm of its denominators, as a system holds it
+            scaled = {key: _scaled([c.as_integer_ratio()
+                                    for c in parse_rationals(f'{part} "{name}"', p)])
+                      for name, key, p in entries(part, keys)}
+            return MappingProxyType({key: (den, tuple(ints))
+                                     for key, (den, ints) in scaled.items()})
 
         P, Pis = rows("P", tops), rows("Pis", index)
         windows = {key: _window_row(name, t, truncation)
@@ -554,9 +541,10 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
             dw, wn = _weight_run(spec, alphas[i - 1], s, 0, 1, top)
             for ell, (dp, Pn) in P.items():
                 deg = len(Pn) - 1
-                Pis[(ell, i, s)] = dp * dw, poly_trim(_dot_rows(wn[:deg], Pn[1:], deg))
+                Pis[(ell, i, s)] = (dp * dw,
+                                    tuple(poly_trim(_dot_rows(wn[:deg], Pn[1:], deg))))
     system = PadeSystem(spec=spec, alphas=alphas, n=n, truncation=truncation,
-                        P=_Rows(P), Pis=_Rows(Pis))
+                        P=MappingProxyType(P), Pis=MappingProxyType(Pis))
     if cross_check:
         failures = contract_failures(system)
         if failures:
@@ -590,7 +578,7 @@ def contract_failures(system: PadeSystem) -> list:
     r, m, n = system.r, system.m, system.n
     for ell in range(r * m + 1):
         want = r * m * n + ell
-        got = poly_deg(poly_trim(list(system.P.rows[ell][1])))
+        got = poly_deg(poly_trim(list(system.P[ell][1])))
         if got != want:
             failures.append(
                 {"check": "deg_P", "index": [ell], "expected": want, "got": str(got)}
@@ -598,7 +586,7 @@ def contract_failures(system: PadeSystem) -> list:
     for ell, i, s in system.indices():
         bound = r * m * n + ell
         # -inf for the zero polynomial
-        got = poly_deg(poly_trim(list(system.Pis.rows[(ell, i, s)][1])))
+        got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)][1])))
         if got > bound:
             failures.append(
                 {"check": "deg_Pis", "index": [ell, i, s], "bound": bound, "got": str(got)}
@@ -610,8 +598,7 @@ def contract_failures(system: PadeSystem) -> list:
                 {"check": "ord_R", "index": [ell, i, s], "bound": n + 1, "got": got}
             )
     for ell, i, s in system.indices():
-        # at the system's truncation, where every window ends
-        product = remainder(system, ell, i, s, system.truncation)
+        product = remainder(system, ell, i, s)
         order, _, ints = product
         if any(ints[:1 - order]):
             failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})

@@ -1,7 +1,9 @@
 """The exact kernel: polynomials over Q, hypergeometric term tables, the
-evaluation functional psi_{i,s}, the series of F_s in 1/z and the ratio
-bound of their tails (`_tail_ratio`), and the instance data (parameter
-vectors, derived roots, seed coefficient, hypothesis flags).
+evaluation functional psi_{i,s}, the series of F_s in 1/z, the ratio bound
+of a hypergeometric tail on the parameter lists of its terms
+(`_tail_ratio`, which every certified sum stops on; `_series_params` gives
+those of F_s), and the instance data (parameter vectors, derived roots,
+seed coefficient, hypothesis flags).
 
 Polynomials are plain coefficient lists (Fraction, low degree first, trailing
 zeros stripped); the zero polynomial is [] with degree -inf.
@@ -425,20 +427,32 @@ def expand_F_s(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) ->
     return _unscaled(den, ints[:count])
 
 
-def _tail_ratio(spec: HypergeometricSpec, s: int, k: int) -> tuple:
-    """(k0, c): k0 = max(k, 2 + floor max(|eta|, |1+zeta|, gmax)) with
-    gmax = max |gamma_1..gamma_s|, and |x| c bounds every ratio of
-    consecutive terms (j+gamma_1)...(j+gamma_s) c_j x^{j+1}, j >= k0, at any
-    x: c = prod (1 + |eta|/k0) / prod (1 - |1+zeta|/k0) * (1 + 1/(k0 - gmax))^s.
+def _series_params(spec: HypergeometricSpec, s: int) -> tuple:
+    """(upper, lower, weight) of the terms (k+gamma_1)...(k+gamma_s) c_k
+    x^{k+1} of F_s(x): the term ratio is x prod(k + eta)/prod(k + 1 + zeta)
+    times the weight prod(k + gamma) over gamma_1..gamma_s, see
+    `_tail_ratio`."""
+    return spec.eta, [1 + z for z in spec.zeta], spec.gamma[:s]
+
+
+def _tail_ratio(upper, lower, weight, k: int) -> tuple:
+    """(k0, c) for the terms G(j) t_j, G(j) = prod(j + g) over `weight` and
+    t_{j+1}/t_j = x prod(j + u)/prod(j + d) over `upper` and `lower`:
+    k0 = max(k, 1, 2 + floor |v|) over the nonzero parameters v (a zero
+    one adds nothing: j + 0 >= j >= 1), and |x| c bounds every ratio of
+    consecutive terms at j >= k0, at any x:
+
+        c = k0^(#upper - #lower) prod (1 + |u|/k0) / prod (1 - |d|/k0)
+            * (1 + 1/(k0 - gmax))^#weight,   gmax = max |g|.
+
     Neither k0 nor c depends on x, so a caller that sums at many x (the
     remainder values of one system) computes them once."""
-    gmax = max([abs(g) for g in spec.gamma[:s]], default=Fraction(0))
-    consts = [abs(v) for v in spec.eta] + [abs(1 + z) for z in spec.zeta] + [gmax]
-    k = max(k, 2 + int(max(consts)))
-    out = Fraction(1)
-    for v in spec.eta:
-        out *= 1 + abs(v) / k
-    for zj in spec.zeta:
-        out /= 1 - abs(1 + zj) / k
+    gmax = max([abs(g) for g in weight], default=Fraction(0))
+    k = max(k, 1, *(2 + int(abs(v)) for v in (*upper, *lower, *weight) if v))
+    out = Fraction(k) ** (len(upper) - len(lower))
+    for u in upper:
+        out *= 1 + abs(u) / k
+    for d in lower:
+        out /= 1 - abs(d) / k
     # (j+1+g)/(j+g) <= 1 + 1/(j - |g|), valid and decreasing past k
-    return k, out * (1 + 1 / (k - gmax)) ** s
+    return k, out * (1 + 1 / (k - gmax)) ** len(weight)

@@ -30,6 +30,7 @@ from .numerics import _f_closed, _f_direct, check_remainder_identity
 from .pade import build_system, contract_failures
 from .polyops import (
     HypergeometricSpec,
+    _unscaled,
     expand_F_s,
     poly_deg,
     poly_eval,
@@ -153,16 +154,17 @@ def check_nullspace_membership(desk: Desk):
     rows, spans the (1-dimensional) kernel the solver finds at M = rmn, and
     every column passes the system contract (`contract_failures`).  The
     series F_s(alpha_i/z) come from their product formula (`expand_F_s`),
-    not from the construction's psi weights."""
+    not from the construction's psi weights, and the system's rows are read
+    as Fractions (`_unscaled`)."""
     rows, ok = [], True
     for label, (spec, alphas, n, system) in sorted(desk.grid.items()):
         r, m = spec.r, len(alphas)
         M = r * m * n
         tails = [expand_F_s(spec, alpha, s, n + M)
                  for alpha in alphas for s in range(r)]
-        P0 = list(system.P[0]) + [Fraction(0)] * (M + 1 - len(system.P[0]))
+        P0 = _unscaled(*system.P[0])
         annihilated = all(
-            sum((P0[d] * tail[e + d - 1] for d in range(M + 1)), Fraction(0)) == 0
+            sum((c * tail[e + d - 1] for d, c in enumerate(P0)), Fraction(0)) == 0
             for tail in tails
             for e in range(1, n + 1)
         )
@@ -171,12 +173,12 @@ def check_nullspace_membership(desk: Desk):
         if span_ok:
             # same solution up to the one free scalar, all components at once
             Q0 = families[0][0]
-            span_ok = poly_deg(Q0) == poly_deg(system.P[0])
-            lam = system.P[0][-1] / Q0[-1] if span_ok else None
+            span_ok = poly_deg(Q0) == poly_deg(P0)
+            lam = P0[-1] / Q0[-1] if span_ok else None
             if span_ok:
                 keys = [(0, i, s) for i in range(1, m + 1) for s in range(r)]
-                span_ok = [c * lam for c in Q0] == list(system.P[0]) and all(
-                    [c * lam for c in families[0][1 + j]] == list(system.Pis[key])
+                span_ok = [c * lam for c in Q0] == P0 and all(
+                    [c * lam for c in families[0][1 + j]] == _unscaled(*system.Pis[key])
                     for j, key in enumerate(keys)
                 )
         member = not desk.contracts[label]

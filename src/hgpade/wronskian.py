@@ -14,18 +14,18 @@ links together is asserted with exact equality — a failure is a theory
 violation, never a tolerance event.
 
 Each quantity has one polynomial-time route, and every determinant goes
-through `det_bareiss`.  Delta is constant by the paper's cofactor argument:
-every remainder has order >= n+1 at infinity, so the expansion along the
-top row leaves lead(P_rm) * Theta.  `delta_of_system` checks the
+through `det_bareiss`, on integer rows (den, ints) whose denominators one
+helper divides out (`_det`).  Delta is constant by the paper's cofactor
+argument: every remainder has order >= n+1 at infinity, so the expansion
+along the top row leaves lead(P_rm) * Theta.  `delta_of_system` checks the
 argument's hypotheses through `pade.contract_failures`, one literal product
 per remainder over its window, and then evaluates Delta once, at z = 0:
 given the hypotheses its constancy is a theorem, and `delta_route_check`
 compares that value with lead(P_rm) * Theta.  The certify path builds
 windows only through 1/z^{n+1}, and without the cross-check, which would
 run the same contract again.  Delta and Theta read the integer rows of the
-system and of its stored windows, and reach `det_bareiss` as integer rows,
-each scaled once over the lcm of its denominators (`_det_of_pairs`), with
-no Fraction per entry.  C_{u,m} is the
+system and of its stored windows, each matrix row scaled once over the lcm
+of its denominators, with no Fraction per entry.  C_{u,m} is the
 moment determinant, whose columns are `_dot_rows` runs on integer rows.
 The chain's constants are stated, from c_{u,0} = 1 by the paper's link, and
 each level is checked once at the instance's own points; `c_um_factor` and
@@ -121,7 +121,7 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     With the hypotheses holding, Delta is constant, so it is evaluated
     once, at z = 0: one Bareiss determinant of p(0) = ints[0] / den, read
     off the integer rows (den, ints) of the system, each matrix row scaled
-    once (`_det_of_pairs`).  `delta_route_check` compares it with
+    once (`_det`).  `delta_route_check` compares it with
     lead(P_rm) * Theta.
     """
     failures = contract_failures(system)
@@ -130,33 +130,33 @@ def delta_of_system(system: PadeSystem) -> Fraction:
             f"hypothesis {_HYPOTHESES[failures[0]['check']]} fails: {failures[0]}")
     r, m = system.r, system.m
     N = r * m
-    rows = [[system.P.rows[ell] for ell in range(N + 1)]]
+    rows = [[system.P[ell] for ell in range(N + 1)]]
     for i, s in _row_index_pairs(r, m):
-        rows.append([system.Pis.rows[(ell, i, s)] for ell in range(N + 1)])
-    return _det_of_pairs([[(ints[0] if ints else 0, den) for den, ints in row]
-                          for row in rows])
+        rows.append([system.Pis[(ell, i, s)] for ell in range(N + 1)])
+    return _det([_scaled([(ints[0] if ints else 0, den) for den, ints in row])
+                 for row in rows])
 
 
 def theta_det(system: PadeSystem) -> Fraction:
     """det of the rm x rm matrix with entries psi_{i,s}(t^n P_ell(t)), each
     read off the stored remainder window as its 1/z^{n+1} coefficient."""
     r, m, n = system.r, system.m, system.n
-    return _det_of_pairs([
-        [window_coeff(system.R[(ell, i, s)], n + 1) for ell in range(r * m)]
+    return _det([
+        _scaled([window_coeff(system.R[(ell, i, s)], n + 1) for ell in range(r * m)])
         for i, s in _row_index_pairs(r, m)
     ])
 
 
-def _det_of_pairs(matrix: list) -> Fraction:
-    # the determinant of a matrix of rationals given as pairs (a, den),
-    # den > 0: each row is scaled once over the lcm of its denominators
-    # (`_scaled`), and `det_bareiss` runs on the integer rows
-    rows = [_scaled(row) for row in matrix]
-    return det_bareiss([ints for _, ints in rows]) / math.prod(den for den, _ in rows)
+def _det(rows: list) -> Fraction:
+    # the determinant of the matrix whose row j is the integer row
+    # (den_j, ints_j), den_j > 0, that is ints_j / den_j: `det_bareiss` of
+    # the ints over the product of the denominators
+    return Fraction(det_bareiss([ints for _, ints in rows]),
+                    math.prod(den for den, _ in rows))
 
 
 def leading_coeff_P_rm(system: PadeSystem) -> Fraction:
-    den, ints = system.P.rows[system.r * system.m]
+    den, ints = system.P[system.r * system.m]
     return Fraction(ints[-1], den)
 
 
@@ -297,8 +297,7 @@ def C_um(spec: HypergeometricSpec, alphas, n: int, u: int, route: str = "det") -
     if route == "det":
         # row v holds column v over dU * dw; det does not see the transpose
         weights = [_zeta_row(spec, al, s, count) for al in alphas for s in range(r)]
-        return (det_bareiss([_dot_rows(Ui, wi, N) for _, wi in weights])
-                / math.prod(dU * dw for dw, _ in weights))
+        return _det([(dU * dw, _dot_rows(Ui, wi, N)) for dw, wi in weights])
     raise InvalidInput(f"unknown route {route!r}")
 
 
@@ -484,14 +483,13 @@ def final_det(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
     r = spec.r
     zhat, mult = _zeta_groups(spec)
     _, b = base_polynomial((1,), r * n, 0)
-    rows, dens = [], []
+    rows = []
     for j, k in _grouped(zhat, mult):
         w, v = zhat[j].as_integer_ratio()
         E = [(v * d + w) ** k for d in range(u, u + r + r * n)]
         L = math.lcm(*E)
-        rows.append(_dot_rows(b, [v ** k * (L // e) for e in E], r))
-        dens.append(L)
-    return det_bareiss(rows) / math.prod(dens)
+        rows.append((L, _dot_rows(b, [v ** k * (L // e) for e in E], r)))
+    return _det(rows)
 
 
 def final_det_basis(spec: HypergeometricSpec) -> Fraction:

@@ -1,10 +1,13 @@
 """Shared fixtures and helpers: the worked instances every test module leans
 on, one admissible-instance strategy, one way to corrupt a system, the
 Fraction oracles of the package's integer tables (`correlate`,
-`f_s_coefficient`, `phi_zeta_s`), and the partial fractions of
-1/prod(X + zeta_t) by a linear solve (`partial_fractions`), the oracle of
-the closed-form change of basis E."""
+`f_s_coefficient`, `phi_zeta_s`), a system's integer rows and a matrix
+of rationals read as Fractions (`row_values`, `window_values`,
+`fraction_det`), and the partial fractions of 1/prod(X + zeta_t) by a
+linear solve (`partial_fractions`), the oracle of the closed-form change
+of basis E."""
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,6 +16,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from hgpade.arith import format_rational, parse_rational
+from hgpade.linalg import det_bareiss
 from hgpade.pade import PadeSystem, build_system, window_coeff
 from hgpade.errors import InvalidInput
 from hgpade.polyops import (
@@ -131,6 +135,26 @@ def admissible_instances(draw, max_m=4):
     return spec, alphas
 
 
+def fraction_det(matrix) -> Fraction:
+    """The determinant of a square matrix of rationals: `det_bareiss` of
+    its rows, each scaled to integers over the lcm of its denominators,
+    divided by the product of those lcms."""
+    rows, scale = [], 1
+    for row in matrix:
+        row = [F(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return F(det_bareiss(rows), scale)
+
+
+def row_values(row) -> list:
+    """The coefficients of an integer row (den, ints) of a system, low
+    degree first, as Fractions."""
+    den, ints = row
+    return [F(a, den) for a in ints]
+
+
 def window_values(window) -> list:
     """The coefficients of 1/z^e, e = 1, ..., truncation - 1, of a window
     row (order, den, ints), as Fractions (zero below its order)."""
@@ -235,7 +259,7 @@ def _check_remainder_lists(system, key):
     terms, sizes = terms or [], sizes or []
     end = system.truncation - 1
     ell, i, s = key
-    P = system.P[ell]
+    P = row_values(system.P[ell])
     w = psi_weights(system.spec, system.alphas[i - 1], s,
                     max(len(terms), end + len(sizes)) + len(P))
     assert not terms or len(terms) >= end

@@ -5,6 +5,7 @@ stdout reports and stderr messages are all observable without spawning
 subprocesses.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -106,16 +107,12 @@ def test_build_report_is_frozen(capsys):
      "e436543b4c3138dfa8d966eace68353b6b61ed12857e741635b67c55d1c7599f"),
 ])
 def test_verify_and_wronskian_read_no_companion_fraction(argv, digest, monkeypatch, capsys):
-    # verify's contract and the contract behind certify's Delta read the
-    # integer rows of every P_ell and P_{ell,i,s}, every stored window is
-    # an integer row, and Delta and Theta reach `det_bareiss` as integer
-    # rows: with a read by key made to fail, and a window or a determinant
-    # entry that is a Fraction made to fail, each report keeps its bytes
+    # a system holds only the integer rows of every P_ell and P_{ell,i,s},
+    # every stored window is an integer row, and Delta and Theta reach
+    # `det_bareiss` as integer rows: with a window or a determinant entry
+    # that is a Fraction made to fail, each report keeps its bytes
     import hgpade.wronskian
-    from hgpade.pade import _Rows, _Windows
-
-    def unreadable(rows, key):
-        raise AssertionError(f"read {key} of a system as Fractions")
+    from hgpade.pade import _Windows
 
     window_of = _Windows.__getitem__
 
@@ -132,7 +129,6 @@ def test_verify_and_wronskian_read_no_companion_fraction(argv, digest, monkeypat
             raise AssertionError("a determinant entry is a Fraction")
         return det(matrix)
 
-    monkeypatch.setattr(_Rows, "__getitem__", unreadable)
     monkeypatch.setattr(_Windows, "__getitem__", integer_window)
     monkeypatch.setattr(hgpade.wronskian, "det_bareiss", integer_det)
     assert main(argv) == 0
@@ -571,10 +567,11 @@ def test_min_beta_scales_each_weight_run_once_and_makes_no_term_fraction(capsys,
     # the benchmark's min-beta op (r = 2, m = 1, n = 4..12, bound 1024)
     # scales each run of psi weights once per system and range, shared by
     # every ell, the terms and the sizes, and sums the terms as unreduced
-    # pairs: with `_weight_run` counted by (alpha, s, start, stop, width)
-    # and `_unscaled` made to fail, it still writes its frozen bytes.  The
-    # width tells the systems apart: a system's runs have width
-    # deg P_rm + 1 = 2n + 3, its build's one run for the P_{ell,i,s} 2n + 2
+    # pairs (`pade` has no `_unscaled` to make a Fraction of a row): with
+    # `_weight_run` counted by (alpha, s, start, stop, width), it still
+    # writes its frozen bytes.  The width tells the systems apart: a
+    # system's runs have width deg P_rm + 1 = 2n + 3, its build's one run
+    # for the P_{ell,i,s} 2n + 2
     from hgpade import pade
 
     calls = Counter()
@@ -584,11 +581,8 @@ def test_min_beta_scales_each_weight_run_once_and_makes_no_term_fraction(capsys,
         calls[(alpha, s, start, stop, width)] += 1
         return weight_run(spec, alpha, s, start, stop, width)
 
-    def unscaled(den, ints):
-        raise AssertionError("made a Fraction of a term row")
-
+    assert not hasattr(pade, "_unscaled")
     monkeypatch.setattr(pade, "_weight_run", counted)
-    monkeypatch.setattr(pade, "_unscaled", unscaled)
     key = "min-beta --a=1/3,1/4 --b=1/2 --alphas=1 --search-bound=1024"
     assert main(key.split()) == 0
     out = capsys.readouterr().out
@@ -1096,21 +1090,31 @@ def test_the_front_end_loads_suite_only_for_the_suite_command():
     assert FLAGS["--seed"][1] == SUITE_SEED
 
 
-def _unreferenced_functions(root: Path) -> list:
-    """The module-level functions of src/hgpade that no code in src/ or
-    demos/ reads, outside their own body, as a name or as an attribute; and
-    the methods of its classes, dunders aside, that no such code reads as
-    an attribute outside their own body."""
-    import ast
+def _module_names(node) -> list:
+    # the names a module-level statement defines: a function's or a class's,
+    # or the plain names it assigns to
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [target.id for target in targets if isinstance(target, ast.Name)]
 
+
+def _unreferenced_functions(root: Path) -> list:
+    """The module-level functions, classes and assigned names of src/hgpade,
+    dunders aside, that no code in src/ or demos/ reads, outside their own
+    statement, as a name or as an attribute; and the methods of its
+    classes, dunders aside, that no such code reads as an attribute outside
+    their own body."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs, reads = [], []
     for path in sorted([*root.glob("src/hgpade/*.py"), *root.glob("demos/*.py")]):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.parent.name == "hgpade":
-            defs += [(path, f"{path.stem}.{node.name}", node, True)
-                     for node in tree.body if isinstance(node, functions)]
-            defs += [(path, f"{path.stem}.{cls.name}.{node.name}", node, False)
+            defs += [(path, f"{path.stem}.{name}", name, node, True)
+                     for node in tree.body for name in _module_names(node)
+                     if not name.startswith("__")]
+            defs += [(path, f"{path.stem}.{cls.name}.{node.name}", node.name, node, False)
                      for cls in tree.body if isinstance(cls, ast.ClassDef)
                      for node in cls.body if isinstance(node, functions)
                      and not node.name.startswith("__")]
@@ -1120,31 +1124,34 @@ def _unreferenced_functions(root: Path) -> list:
             elif isinstance(node, ast.Attribute):
                 reads.append((node.attr, True, path, node.lineno))
     return sorted(
-        label for path, label, fn, by_name in defs
-        if not any(name == fn.name and (by_name or attribute)
-                   and not (where == path and fn.lineno <= line <= fn.end_lineno)
+        label for path, label, defined, node, by_name in defs
+        if not any(name == defined and (by_name or attribute)
+                   and not (where == path and node.lineno <= line <= node.end_lineno)
                    for name, attribute, where, line in reads))
 
 
 def test_code_only_the_tests_use_leaves_src(tmp_path):
-    # every module-level function and every method of the package is read
-    # by the package or its demos; one that only the tests read belongs in
-    # the tests
+    # every module-level function, class and assigned name and every method
+    # of the package is read by the package or its demos; one that only the
+    # tests read belongs in the tests
     root = Path(__file__).resolve().parents[1]
     assert _unreferenced_functions(root) == []
-    # the guard sees a function or a method that only its own body reads,
-    # and a method read only as a bare name
+    # the guard sees a function or a method that only its own body reads, a
+    # method read only as a bare name, and a class or an assigned name that
+    # nothing reads, dunders aside
     (tmp_path / "src" / "hgpade").mkdir(parents=True)
     (tmp_path / "src" / "hgpade" / "lone.py").write_text(
+        "__all__ = ['used']\n\n\n"
         "def lone(k):\n    return lone(k - 1) if k else 0\n\n\n"
         "def used():\n    return 1\n\n\n"
         "class Box:\n    def __init__(self):\n        self.k = 0\n\n"
         "    def spin(self, k):\n        return self.spin(k - 1) if k else 0\n\n"
         "    def named(self):\n        return 1\n\n"
         "    def read(self):\n        return used()\n\n\n"
+        "class Spare(Box):\n    pass\n\n\n"
         "VALUE = Box().read() + named\n")
     assert _unreferenced_functions(tmp_path) == ["lone.Box.named", "lone.Box.spin",
-                                                 "lone.lone"]
+                                                 "lone.Spare", "lone.VALUE", "lone.lone"]
 
 
 def test_suite_failure_names_its_details_in_report_text(monkeypatch, capsys):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import row_values
 from hgpade import criterion
 from hgpade.arith import Place, log_abs_fraction, log_int, v_p
 from hgpade.cli import _canonical
@@ -37,7 +38,6 @@ from hgpade.errors import (
     InconclusiveComparison,
     InvalidInput,
 )
-from hgpade.pade import _Rows
 from hgpade.polyops import HypergeometricSpec
 
 # a small fitting window keeps the failure-path tests fast; the canonical
@@ -197,32 +197,25 @@ def _fraction_route_height(vec, v0: Place) -> float:
     return arch + finite - v_p(Fraction(big_lcm), v0.p) * math.log(v0.p)
 
 
-def _unreadable(rows, key):
-    raise AssertionError(f"read {key} of a system as Fractions")
-
-
 def _matrix_coefficients(system) -> list:
     # every z-coefficient of every P_ell and P_{ell,i,s}, as Fractions
     coeffs = []
     for ell in sorted(system.P):
-        coeffs.extend(system.P[ell])
+        coeffs.extend(row_values(system.P[ell]))
     for key in sorted(system.Pis):
-        coeffs.extend(system.Pis[key])
+        coeffs.extend(row_values(system.Pis[key]))
     return coeffs
 
 
 @pytest.mark.parametrize("alphas", [(Fraction(1),), (Fraction(1), Fraction(2))])
-def test_height_fit_from_rows_equals_the_fraction_route(spec_r2, alphas, monkeypatch):
+def test_height_fit_from_rows_equals_the_fraction_route(spec_r2, alphas):
     # r = 2, m = 1 and m = 2, at infinity, p = 5 and p = 3: the fit from
-    # the integer rows equals, bit for bit, the fit of the Fraction route,
-    # and reads no P_ell or P_{ell,i,s} as Fractions
+    # the integer rows equals, bit for bit, the fit of the Fraction route
     inst = Instance(spec_r2, alphas, range(4, 8))
     rm = spec_r2.r * len(alphas)
     for beta, v0 in [(Fraction(10**9), Place()), (Fraction(1, 5**10), Place(5)),
                      (Fraction(-2, 3**7), Place(3))]:
-        with monkeypatch.context() as patch:
-            patch.setattr(_Rows, "__getitem__", _unreadable)
-            got = height_fit_vec(inst, beta, v0)
+        got = height_fit_vec(inst, beta, v0)
         beta_part = _fraction_route_height([beta], v0)
         want = fit_rate(list(inst.systems), [
             _fraction_route_height(_matrix_coefficients(system), v0)
@@ -556,7 +549,7 @@ def test_vp_remainder_matches_an_exact_partial_sum(spec_r2):
         c.append(c[-1] * math.prod(k + e for e in spec_r2.eta)
                  / math.prod(k + 1 + z for z in spec_r2.zeta))
     for ell, i, s in system.indices():
-        P = system.P[ell]
+        P = row_values(system.P[ell])
         alpha = system.alphas[i - 1]
         w = [math.prod((k + g for g in gam[:s]), start=Fraction(1)) * c[k]
              * alpha ** (k + 1) for k in range(terms + len(P))]
@@ -651,31 +644,27 @@ def test_remainder_sums_grow_only_what_they_read(spec_r2, check_remainder_lists,
         assert _vp_remainder(system, *key, Fraction(1, 5**10), 5) == 49
 
 
-def test_archimedean_measure_builds_no_window(spec_r2, remainder_state, monkeypatch):
+def test_archimedean_measure_builds_no_window(spec_r2, remainder_state):
     # every archimedean remainder sum starts at its first stop test from
-    # prefix sums of the weights, and the growth and height fits read the
-    # integer rows of the P_ell and P_{ell,i,s}: a whole criterion run on
-    # r = 2, m = 2 at beta = 10^9 fills no head, makes no stored window and
-    # reads no P_ell or P_{ell,i,s} as Fractions
-    monkeypatch.setattr(_Rows, "__getitem__", _unreadable)
+    # prefix sums of the weights: a whole criterion run on r = 2, m = 2 at
+    # beta = 10^9 fills no head and makes no stored window
     inst = Instance(spec_r2, (Fraction(1), Fraction(2)), range(4, 8))
     measure(inst, Fraction(10**9), Place(), 0.1)
     assert len(inst.systems) == 4
     for system in inst.systems.values():
         assert not system.R._built
-        assert sorted(system.Pis.rows) == sorted(system.indices())
-        assert sorted(system.P.rows) == list(range(5))
+        assert sorted(system.Pis) == sorted(system.indices())
+        assert sorted(system.P) == list(range(5))
         for key in system.indices():
             assert not remainder_state.head_filled(system, key)
-    # the p-adic criterion fills heads but reads P_ell off its row, and
-    # min-beta runs the archimedean sums at every beta it tries: neither
-    # reads a P_ell Fraction either
+    # the p-adic criterion fills heads, and min-beta runs the archimedean
+    # sums at every beta it tries
     for run in (lambda inst: measure(inst, Fraction(1, 5**10), Place(5), 0.1),
                 lambda inst: min_beta(inst, Place(), 1024)):
         inst = Instance(spec_r2, (Fraction(1),), range(4, 8))
         run(inst)
         for system in inst.systems.values():
-            assert sorted(system.P.rows) == [0, 1, 2]
+            assert sorted(system.P) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -689,9 +678,9 @@ def test_vp_remainder_reads_the_valuation_of_P_off_its_row(spec_r2, p):
     from hgpade.pade import build_system
 
     system = build_system(spec_r2, (Fraction(1), Fraction(2)), 3, cross_check=False)
-    for ell, (den, ints) in system.P.rows.items():
+    for den, ints in system.P.values():
         assert min(v_p(a, p) for a in ints if a) - v_p(den, p) == min(
-            v_p(c, p) for c in system.P[ell] if c)
+            v_p(c, p) for c in row_values((den, ints)) if c)
     beta = Fraction(1, p**10)
     for key in system.indices():
         R = sum(Fraction(*system.terms(*key, k)[k]) / beta ** (k + 1) for k in range(80))

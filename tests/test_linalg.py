@@ -1,4 +1,5 @@
-"""Exact linear algebra: the Bareiss determinant against a Leibniz sum."""
+"""Exact linear algebra: the Bareiss determinant of integer rows against a
+Leibniz sum."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -6,6 +7,7 @@ from itertools import permutations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_det
 from hgpade.linalg import det_bareiss
 
 F = Fraction
@@ -41,7 +43,7 @@ _fractions = st.fractions(min_value=-40, max_value=40, max_denominator=30)
 def test_det_bareiss_on_int_matrices(matrix):
     got = det_bareiss(matrix)
     assert got == _leibniz_det(matrix)
-    assert type(got) is F
+    assert type(got) is int
 
 
 @settings(deadline=None, derandomize=True, max_examples=100)
@@ -49,10 +51,10 @@ def test_det_bareiss_on_int_matrices(matrix):
 @example([[F(0), F(1, 3)], [F(-2, 7), F(5, 6)]])
 @example([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]])  # singular, unequal denominators
 def test_det_bareiss_on_fraction_matrices(matrix):
-    # rows may mix ints and Fractions
-    got = det_bareiss(matrix)
+    # rows may mix ints and Fractions: each is scaled to an integer row
+    # over the lcm of its denominators, the form every caller passes
+    got = fraction_det(matrix)
     assert got == _leibniz_det(matrix)
-    assert got == det_bareiss([[F(x) for x in row] for row in matrix])
     assert type(got) is F
 
 
@@ -70,10 +72,10 @@ def _laplace_det(matrix):
 
 @st.composite
 def _matrices_with_contents(draw):
-    # integer (or Fraction) rows with a common factor per row and per
-    # column, and some rows or columns zeroed
+    # integer rows with a common factor per row and per column, and some
+    # rows or columns zeroed
     n = draw(st.integers(1, 5))
-    entries = draw(st.sampled_from([st.integers(-6, 6), _fractions]))
+    entries = st.integers(-6, 6)
     matrix = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
     for i in range(n):
         f = draw(st.sampled_from([1, 2, 6, -15, 2**70]))
@@ -102,4 +104,4 @@ def test_det_bareiss_removes_contents_and_keeps_the_value(matrix):
     # columns
     got = det_bareiss(matrix)
     assert got == _laplace_det(matrix)
-    assert type(got) is F
+    assert type(got) is int

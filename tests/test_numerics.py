@@ -11,7 +11,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import correlate, f_s_coefficient, head_filled, psi_weights, window_values
+from conftest import (
+    correlate,
+    f_s_coefficient,
+    head_filled,
+    psi_weights,
+    row_values,
+    window_values,
+)
 from hgpade import numerics, pade
 from hgpade.cli import main
 from hgpade.errors import (
@@ -390,9 +397,10 @@ def test_series_equal_the_reference_sums(spec, z, bits):
     ((), (F(1, 3),), F(-5, 2)),               # p < q + 1, large |z|
     ((F(1, 2),), (F(-3, 2), F(2, 5)), F(3)),  # p < q + 1, negative lower factors
     ((F(-3), F(1, 2)), (F(1, 3),), F(1, 2)),  # terminates: the terms reach zero
+    ((), (), F(1, 4)),                        # p < q + 1: no parameter but the k!
 ])
 def test_pFq_equals_the_reference_sum(a, b, z):
-    for bits in (8, 96):
+    for bits in (1, 8, 96):  # at 1 bit 0F0 at z = 1/4 stops at its floor
         assert _same(eval_pFq(a, b, z, bits), _naive_pFq(a, b, z, bits))
 
 
@@ -669,14 +677,11 @@ def test_remainder_value_matches_direct_route(system_n4):
     # interval of the tail-sum route
     beta = F(2)
     vals = eval_F_family(system_n4.spec, F(1) / beta, 256)
+    P0b = poly_eval(row_values(system_n4.P[0]), beta)
     for s in (0, 1):
-        direct = poly_eval(system_n4.P[0], beta) * vals[s].value - poly_eval(
-            system_n4.Pis[(0, 1, s)], beta
-        )
+        direct = P0b * vals[s].value - poly_eval(row_values(system_n4.Pis[(0, 1, s)]), beta)
         tail_route = remainder_value(system_n4, 0, 1, s, beta, 128)
-        assert abs(direct - tail_route.value) <= tail_route.error + vals[s].error * abs(
-            poly_eval(system_n4.P[0], beta)
-        )
+        assert abs(direct - tail_route.value) <= tail_route.error + vals[s].error * abs(P0b)
 
 
 def test_remainder_value_guards(system_n4):
@@ -811,7 +816,7 @@ def _naive_remainder_sum(system, ell, i, s, beta, bits):
     alpha = F(system.alphas[i - 1])
     if abs(alpha / beta) >= 1:
         raise DivergentSeries("need |alpha/beta| < 1")
-    P = system.P[ell]
+    P = row_values(system.P[ell])
     kfirst = system.truncation - 1
     # the terms below the window's end, each its own Fraction sum (this
     # reads neither the system's window nor its lists)

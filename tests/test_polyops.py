@@ -175,11 +175,17 @@ def test_remainder_equals_the_fraction_loop(spec_r2, p, q, alpha, s, truncation)
     # on a system given P as P_0 and Q as P_{0,1,s}, against the Fraction
     # product of the series and P less Q: zero and trailing-zero P, Q longer
     # than P, and unequal denominators on every side
-    from hgpade.pade import PadeSystem, _Rows, remainder
+    from types import MappingProxyType
+
+    from hgpade.pade import PadeSystem, remainder
+
+    def rows(key, coeffs):
+        # the one row of a system's mapping, as a built system holds it
+        den, ints = _scaled([c.as_integer_ratio() for c in coeffs])
+        return MappingProxyType({key: (den, tuple(ints))})
 
     system = PadeSystem(spec_r2, (alpha,), 1, truncation,
-                        P=_Rows({0: _scaled([c.as_integer_ratio() for c in p])}),
-                        Pis=_Rows({(0, 1, s): _scaled([c.as_integer_ratio() for c in q])}))
+                        P=rows(0, p), Pis=rows((0, 1, s), q))
     d = max(len(p) - 1, 0)
     series = [f_s_coefficient(spec_r2, s, k) * alpha ** (k + 1)
               for k in range(truncation + d - 1)]
