@@ -3,10 +3,10 @@ kernels and Newton interpolation over Fraction.
 
 Matrices are lists of equal-length rows.  `det_bareiss` takes integer rows
 and returns an int, in O(N^3) exact integer operations; every determinant
-of the Wronskian chain goes through it (Delta's (rm+1) x (rm+1) matrix at
-z = 0, Theta, the moment matrix of C_{u,m}, and the final determinant),
-each row an integer row (den, ints) whose denominators the caller divides
-out (`wronskian._det`).  `kernel_basis` and `newton_interpolate` take
+the Wronskian chain evaluates goes through it (Delta's (rm+1) x (rm+1)
+matrix at z = 0, Theta and the moment matrix of C_{u,m}), each row an
+integer row (den, ints) whose denominators the caller divides out
+(`wronskian._det`).  `kernel_basis` and `newton_interpolate` take
 Fractions (ints are accepted too).
 """
 

@@ -27,7 +27,7 @@ stored window), and from there in one loop over the system's terms by
 exponent.  Their beta-free set-up lives on the system: the ratio bound's
 part without |alpha/beta|, P_ell and the weights on integers, the terms and
 the sizes of the bound, each read only where the sum needs it
-(`PadeSystem.tail_ratio`, `P`, `integer_weights`, `terms`, `size`).
+(`PadeSystem.tail_ratio`, `P`, `weight_run`, `terms`, `size`).
 The terms and sizes are unreduced integer pairs over the denominators of
 weight runs that the system scales once per range for every ell, so the
 sum past the head makes no Fraction.  All three sums stop on one tail-ratio
@@ -572,14 +572,14 @@ def _head_sum(system, ell: int, i: int, s: int, p: int, q: int, K: int) -> tuple
     Reordered by y = k + d, the sum is sum_d P_d beta^d (W_{K+d} - W_d) with
     W_y = sum_{x<y} w_x beta^{-x-1}, D = deg P_ell.  On the system's integer
     forms P_d = Pn_d / dp and w_x = wn_x / V (the row `PadeSystem.P`,
-    `integer_weights`), U_y = V p^y W_y steps as U_0 = 0,
+    `weight_run(i, s, 0, K)`), U_y = V p^y W_y steps as U_0 = 0,
     U_{y+1} = U_y p + wn_y q^{y+1}, so
     N = sum_d Pn_d q^{D-d} (U_{K+d} - p^K U_d) over L = dp V q^D, the sign
     moved onto N.  That is the same rational as the sum of the
     coefficients, which are the window's from its order on and exact zeros
     below it."""
     dp, Pn = system.P[ell]
-    V, wn = system.integer_weights(i, s)
+    V, wn = system.weight_run(i, s, 0, K)
     D = len(Pn) - 1
     U, u, qy = [0], 0, q
     for y in range(K + D):

@@ -34,7 +34,7 @@ form of the literal product `remainder`: the integer row (order, den,
 ints), kept on its first read by the contract, Theta or `to_jsonable` (a
 loaded system holds its own, parsed into the same form).  The p-adic sums
 read the head, and the archimedean sums neither (`numerics.remainder_value`
-starts from prefix sums of the weights, `PadeSystem.integer_weights`).
+starts from prefix sums of the weights, `PadeSystem.weight_run`).
 Past the window, the sizes that bound the
 remainder sums are a second such list (`PadeSystem.size`), next to the
 beta-free part of their ratio bound (`PadeSystem.tail_ratio`).  Both lists
@@ -293,9 +293,11 @@ def _window_row(name: str, data, truncation: int) -> tuple:
                              for c in parse_rationals(f"{where}: coefficients", coeffs)]))
 
 
-@dataclass
+@dataclass(eq=False)
 class PadeSystem:
     """One fully built instance: all P_ell, all P_{ell,i,s}, all remainders.
+    A system equals only itself, as a `BigFloat` does: comparing the data
+    would build every window.
 
     Its data is given once, when it is made, and never assigned: `P` maps
     ell to P_ell and `Pis` maps (ell, i, s) to P_{ell,i,s}, read-only
@@ -306,7 +308,7 @@ class PadeSystem:
     Everything else a remainder sum reads is beta-free and
     kept on the system on first use, each computed once: the ratio bound
     past the window (`tail_ratio`), per (i, s) and range the psi weights on
-    integers (`weight_run`, `integer_weights`), shared by every ell, and per
+    integers (`weight_run`), shared by every ell, and per
     (ell, i, s) the coefficients by exponent (`terms`) and the sizes that
     bound them (`size`), two lists of unreduced integer pairs that grow only
     as far as they are read, both from the kernel `_dot_rows` on the row of
@@ -354,15 +356,6 @@ class PadeSystem:
         Computed once per s."""
         return self._kept(("ratio", s), lambda: _tail_ratio(
             *_series_params(self.spec, s), self.truncation - 1))
-
-    def integer_weights(self, i: int, s: int) -> tuple:
-        """(V, wn): the psi_{i,s} weights w_x = wn_x / V on integers over
-        their lcm V, for x below k0 + deg P_rm with k0 of `tail_ratio(s)`:
-        every weight that a remainder sum up to its first stop test meets.
-        It is the run `weight_run(i, s, 0, k0)`; at the default truncation
-        k0 is the window's end, so the head of every term list reads it
-        too."""
-        return self.weight_run(i, s, 0, self.tail_ratio(s)[0])
 
     def weight_run(self, i: int, s: int, start: int, stop: int) -> tuple:
         """(dw, wi): the psi_{i,s} weights that outputs start..stop-1 of a

@@ -7,7 +7,7 @@ multivariate value C_{u,m} (a product of one evaluation functional per
 auxiliary variable, applied to a discriminant-like polynomial), its
 factorization into alpha-powers and Vandermonde factors with a stated
 exponent, the reduction from m points to m-1, and the final r x r determinant
-of partial-fraction functionals which is checked nonzero directly.
+of partial-fraction functionals, a closed product with no zero factor.
 
 Every link is computed over exact rationals, and every identity that ties two
 links together is asserted with exact equality — a failure is a theory
@@ -28,17 +28,16 @@ system and of its stored windows, each matrix row scaled once over the lcm
 of its denominators, with no Fraction per entry.  C_{u,m} is the
 moment determinant, whose columns are `_dot_rows` runs on integer rows.
 The chain's constants are stated, from c_{u,0} = 1 by the paper's link, and
-each level is checked once at the instance's own points; `c_um_factor` and
-`reduction_check` measure (c, e) on sample tuples as its oracle.  The
-change of basis E of the final determinant is a product over pairs of
-zeta values, by the cover-up rule (`final_det_basis`).  The
-subset elimination behind `C_um(..., route="eliminate")` is exponential in
-rm and is kept only as an oracle for small sizes.
+each level is checked once at the instance's own points, by one C_{u,k};
+`c_um_factor` and `reduction_check` measure (c, e) on sample tuples as its
+oracle.  `final_det`, L(u) = C_{u,1}(1) (`link_value`) and the change of
+basis E between them (`final_det_basis`) are products, proved in the
+README.  The subset elimination behind `C_um(..., route="eliminate")` is
+exponential in rm and is kept only as an oracle for small sizes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -466,48 +465,56 @@ def _zeta_groups(spec: HypergeometricSpec):
     return zhat, mult
 
 
-def _grouped(zhat, mult) -> list:
-    """The rows of `final_det`: (j, k) by distinct zeta value j, then
-    1 <= k <= its multiplicity."""
-    return [(j, k) for j in range(len(zhat)) for k in range(1, mult[j] + 1)]
+def _pochhammer(x: Fraction, k: int) -> Fraction:
+    # the rising factorial (x)_k = x (x+1) ... (x+k-1), on integers
+    w, v = x.as_integer_ratio()
+    return Fraction(math.prod(w + v * i for i in range(k)), v ** k)
+
+
+def _moment_scalar(r: int, N: int) -> int:
+    # (N!)^r prod_{0<=i<j<r} (N + j - i), shared by `final_det` and L(u)
+    return math.factorial(N) ** r * math.prod(
+        N + j - i for i, j in combinations(range(r), 2))
 
 
 def final_det(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
-    """The r x r determinant of phi-functionals on t^{u+ell}(t-1)^{rn}, rows
-    grouped by distinct zeta value (j, then 1 <= k <= multiplicity).
-    L(u) = final_det_basis(spec) * final_det(spec, n, u).
+    """The r x r determinant of phi_{zeta,k}(t^d) = 1/(d + zeta)^k on
+    t^{u+ell}(t-1)^{rn}, rows (j, k) by distinct zeta value zhat_j in order
+    of first occurrence, then 1 <= k <= its multiplicity mu_j.  With N = rn
+    and x_j = u + zhat_j it is the product (proof in the README)
 
-    phi_{zeta,k}(t^d) = v^k / (v d + w)^k for zeta = w/v, so with b the
-    binomial row of (t-1)^{rn}, row (j, k) is one `_dot_rows` run of b
-    against v^k L / (v d + w)^k over L, their lcm on the row."""
-    r = spec.r
+        (-1)^{rN + sum_j mu_j(mu_j-1)/2} (N!)^r prod_{i<j}(N + j - i)
+          prod_{a<b} (zhat_b - zhat_a)^{mu_a mu_b} / prod_j ((x_j)_{N+r})^{mu_j},
+
+    never 0 under (AB).  L(u) = final_det_basis(spec) * final_det."""
+    r, N = spec.r, spec.r * n
     zhat, mult = _zeta_groups(spec)
-    _, b = base_polynomial((1,), r * n, 0)
-    rows = []
-    for j, k in _grouped(zhat, mult):
-        w, v = zhat[j].as_integer_ratio()
-        E = [(v * d + w) ** k for d in range(u, u + r + r * n)]
-        L = math.lcm(*E)
-        rows.append((L, _dot_rows(b, [v ** k * (L // e) for e in E], r)))
-    return _det(rows)
+    value = Fraction((-1) ** (r * N + sum(mu * (mu - 1) // 2 for mu in mult))
+                     * _moment_scalar(r, N))
+    for (za, ma), (zb, mb) in combinations(zip(zhat, mult), 2):
+        value *= (zb - za) ** (ma * mb)
+    for z, mu in zip(zhat, mult):
+        value /= _pochhammer(u + z, N + r) ** mu
+    return value
+
+
+def link_value(spec: HypergeometricSpec, n: int, u: int) -> Fraction:
+    """L(u) = C_{u,1}(1), the factor of each link, as the product (proof in
+    the README), with N = rn:
+
+        (-1)^{rN + r(r-1)/2} (N!)^r prod_{i<j}(N + j - i) / prod_t (u + zeta_t)_{N+r}."""
+    r, N = spec.r, spec.r * n
+    return ((-1) ** (r * N + r * (r - 1) // 2) * _moment_scalar(r, N)
+            / math.prod((_pochhammer(u + z, N + r) for z in spec.zeta), start=Fraction(1)))
 
 
 def final_det_basis(spec: HypergeometricSpec) -> Fraction:
     """The exact change-of-basis scalar E with L(u) = E * final_det for every
-    n and u:
+    n and u, by the cover-up rule (proof in the README):
 
         E = prod_{t<s, zeta_t != zeta_s} eps_ts / (zeta_t - zeta_s),
 
     eps_ts = -1 when the value zeta_t first occurs after zeta_s, else +1.
-
-    Level s brings in the top-order term of 1/prod_{t<=s}(X + zeta_t) at
-    its pole zhat = zeta_s, of multiplicity mu in the prefix; by the
-    cover-up rule (multiply through by (X + zhat)^mu and set X = -zhat) its
-    coefficient is 1/prod_{t<s, zeta_t != zhat}(zeta_t - zhat).  E is the
-    product of these coefficients times the sign of the reordering from
-    that order of introduction to the grouped rows of `final_det`: a pair
-    t < s of distinct values is inverted exactly when zeta_t's value first
-    occurs after zeta_s's, and a pair of equal values never is.
     """
     first = spec.zeta.index
     E = Fraction(1)
@@ -547,9 +554,9 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     where the zero enters.
 
     Levels k = m..1 sit at u_m = n, u_{k-1} = u_k + r(n+1); their constants
-    follow from c_{u,0} = 1 by `_link`'s identity, L(u) = C_{u,1}(1), and
-    each level is checked once: C_{u_k,k}(alpha_1..alpha_k) = c_{u_k,k}
-    prod(alpha)^{e(u_k)} V^{(2n+1)r^2}, with e from `alpha_exponent`.
+    follow from c_{u,0} = 1 by `_link`'s identity, L(u) = `link_value`, and
+    each level is checked once, by one C_um: C_{u_k,k}(alpha_1..alpha_k) =
+    c_{u_k,k} prod(alpha)^{e(u_k)} V^{(2n+1)r^2}, e from `alpha_exponent`.
     """
     alphas = [Fraction(a) for a in alphas]
     r, m = spec.r, len(alphas)
@@ -571,10 +578,7 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     if not a0s["all_nonzero"]:
         zero_links.append("a0s")
 
-    # each distinct C_{u,k}(points) once: at alpha_1 = 1, level 1's check
-    # reads L(u_1), and at m = 1 so does the Theta identity
-    C_at = functools.cache(lambda points, u: C_um(spec, points, n, u))
-    C = C_at(tuple(alphas), n)
+    C = C_um(spec, alphas, n, n)
     if C == 0:
         zero_links.append("C_um")
     checks["theta_chain_identity"] = theta_chain_holds(
@@ -583,26 +587,20 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     chain, fdet_value = [], Fraction(0)
     if a0s["all_nonzero"] and C != 0:
         us = [n + (m - k) * r * (n + 1) for k in range(m + 1)]  # us[k] = u_k
-        L = {k: C_at((1,), us[k]) for k in range(m, 0, -1)}
+        L = {k: link_value(spec, n, us[k]) for k in range(m, 0, -1)}
         fdets = {k: final_det(spec, n, us[k]) for k in L}
-        for k in L:
-            if L[k] == 0:
-                zero_links.append(f"L(u={us[k]})")
-            if fdets[k] == 0:
-                zero_links.append(f"final_det(u={us[k]})")
         E = final_det_basis(spec)
         checks["final_det_basis_links"] = all(L[k] == E * fdets[k] for k in L)
         fdet_value = fdets[1]
         chain = [Fraction(1)]  # [c_{u_m,m}, ..., c_{u_1,1}, c_{u_0,0} = 1]
         for k in range(1, m + 1):
             chain.insert(0, _link_sign(r, n, k) * chain[0] * L[k])
+        # level m's C is the Theta identity's; each lower level is one C_um
         checks["reduction_chain"] = all(
-            C_at(tuple(alphas[:k]), us[k]) == chain[m - k]
+            (C if k == m else C_um(spec, alphas[:k], n, us[k])) == chain[m - k]
             * math.prod(alphas[:k]) ** alpha_exponent(r, n, us[k])
             * vandermonde(alphas[:k]) ** ((2 * n + 1) * r * r)
             for k in L)
-        if chain[0] == 0:
-            zero_links.append("c_um")
     verdict = "certified nonzero" if delta != 0 else "zero determinant"
 
     report = WronskianReport(

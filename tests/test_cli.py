@@ -491,6 +491,29 @@ def test_wronskian_certifies_r4_m6_with_its_report_frozen(capsys):
         "86685229c860dcc417c26f42352483117b5f002ba7ddefeb9bf16c95cee54ac4")
 
 
+def test_wronskian_certifies_r5_m5_with_one_C_um_per_level(capsys, monkeypatch):
+    # r*m = 25: L(u) and final_det are products, so the chain evaluates one
+    # moment determinant per level, C_{u_k,k} at alpha_1..alpha_k, m in all
+    from hgpade import wronskian
+
+    calls = []
+    c_um = wronskian.C_um
+
+    def counted(spec, alphas, n, u, route="det"):
+        calls.append((tuple(alphas), u))
+        return c_um(spec, alphas, n, u, route)
+
+    monkeypatch.setattr(wronskian, "C_um", counted)
+    code = main(["wronskian", "--a=1/3,1/4,1/5,1/7,1/9", "--b=1/2,2/3,3/4,4/5",
+                 "--alphas=1,2,3,4,5", "--n=1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["verdict"] == "certified nonzero"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "072e4d42c8f949d490ef38c9233f66008c970469f48c797cbb774b0b5f10be8a")
+    assert [len(points) for points, _ in calls] == [5, 4, 3, 2, 1]
+
+
 def test_eval_reports_certified_decimals(capsys):
     code = main(["eval", *R2, "--z", "1/7", "--bits", "512"])
     assert code == 0

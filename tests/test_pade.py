@@ -483,6 +483,17 @@ def test_json_round_trip(canonical_system):
     assert verify_system(back)["ok"]
 
 
+def test_comparing_two_systems_builds_no_window(spec_r2, monkeypatch):
+    # a system is equal only to itself: comparing two builds of one
+    # instance reads neither a window nor a term list of either
+    def refused(*args):
+        raise AssertionError("comparing systems built a window")
+
+    s, t = (build_system(spec_r2, (F(1), F(2)), 2, cross_check=False) for _ in range(2))
+    monkeypatch.setattr(PadeSystem, "terms", refused)
+    assert s == s and s != t
+
+
 # ---------------------------------------------------------------------------
 # construction-free nullspace oracle
 

@@ -31,12 +31,12 @@ from hgpade.wronskian import (
     delta_of_system,
     delta_route_check,
     _exact_power_of_2,
-    _grouped,
     _zeta_groups,
     final_det,
     final_det_basis,
     homogeneity_degree,
     leading_coeff_P_rm,
+    link_value,
     reduction_check,
     theta_det,
     vandermonde,
@@ -179,6 +179,12 @@ def test_C_um_det_route_equals_elimination_on_random_instances(instance, n, u):
                                                          route="eliminate")
 
 
+def _grouped(zhat, mult):
+    """The rows of the final determinant: (j, k) by distinct zeta value j,
+    then 1 <= k <= its multiplicity."""
+    return [(j, k) for j in range(len(zhat)) for k in range(1, mult[j] + 1)]
+
+
 def _final_det_by_phi(spec, n, u):
     """The final determinant on Fractions: each entry phi_{zeta,k} of
     t^{u+ell}(t-1)^{rn}, term by term (`conftest.phi_zeta_s`)."""
@@ -288,14 +294,14 @@ def test_certify_calls_no_c_um_factor(spec_name, alphas, n, request, monkeypatch
 
 
 @pytest.mark.parametrize("spec_name, alphas, n, calls", [
-    ("spec_r2", (1, 2, 3), 2, 5),
+    ("spec_r2", (1, 2, 3), 2, 3),
     ("spec_r3", (1,), 2, 1),
 ])
 def test_each_C_um_value_is_computed_once(spec_name, alphas, n, calls,
                                           request, monkeypatch):
-    # one L(u) per level and one check per level at the instance's points;
-    # at alpha_1 = 1 level 1's check reads L(u_1), and at m = 1 the Theta
-    # identity's C_{n,1} is that same value
+    # one check per level at the instance's points, m in all: level m's is
+    # the Theta identity's C_{n,m}, and each L(u) is the product
+    # `link_value`, not a moment determinant
     import hgpade.wronskian
 
     seen = []
@@ -316,18 +322,20 @@ def test_each_C_um_value_is_computed_once(spec_name, alphas, n, calls,
 
 @pytest.mark.parametrize("target, failed", [
     ("final_det", "final_det_basis_links"),
+    ("link_value", "final_det_basis_links, reduction_chain"),
     ("C_um", "reduction_chain"),
 ])
 def test_certify_raises_when_one_link_is_broken(spec_r2, monkeypatch, target, failed):
-    # with the flags passing, one wrong final_det(u) or one wrong C value at
-    # a level's own points breaks the chain and names the check that failed
+    # with the flags passing, one wrong final_det(u), one wrong L(u) or one
+    # wrong C value at a level's own points breaks the chain and names the
+    # checks that failed: L(u_2) enters the constants of levels 2 and 3
     import hgpade.wronskian
 
     alphas, n = (F(1), F(2), F(3)), 1
     assert spec_r2.flags_pass()
     assert certify_nonvanishing(spec_r2, alphas, n).verdict == "certified nonzero"
     real = getattr(hgpade.wronskian, target)
-    if target == "final_det":
+    if target in ("final_det", "link_value"):
         def broken(spec, n, u):
             return real(spec, n, u) * (2 if u == n + 2 * (n + 1) else 1)
     else:
@@ -336,7 +344,8 @@ def test_certify_raises_when_one_link_is_broken(spec_r2, monkeypatch, target, fa
             value = real(spec, points, n, u, route)
             return value * 2 if (tuple(points), u) == ((1, 2), n + 2 * (n + 1)) else value
     monkeypatch.setattr(hgpade.wronskian, target, broken)
-    with pytest.raises(TheoryViolation, match=rf"failed checks \['{failed}'\]"):
+    with pytest.raises(TheoryViolation,
+                       match=re.escape(f"failed checks {failed.split(', ')}")):
         certify_nonvanishing(spec_r2, alphas, n)
 
 
@@ -401,6 +410,21 @@ def test_final_det_basis_equals_the_partial_fraction_route(zeta):
     # zeta drawn from five values, so most draws repeat one
     spec = HypergeometricSpec.from_roots([F(4, 3)] * len(zeta), zeta, F(1))
     assert final_det_basis(spec) == _final_det_basis_by_partial_fractions(spec)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(st.lists(st.sampled_from([F(-5, 2), F(-1, 3), F(1, 2), F(1), F(7, 4)]),
+                min_size=1, max_size=5), st.integers(1, 3), st.integers(0, 12))
+def test_final_det_and_link_value_equal_their_determinant_routes(zeta, n, u):
+    # the two closed products against the phi-route determinant and the
+    # moment determinant C_{u,1}(1), on r <= 5 with zeta drawn from five
+    # values, so most draws repeat one, n <= 3 and u <= 12
+    spec = HypergeometricSpec.from_roots([F(4, 3)] * len(zeta), zeta, F(1))
+    fdet = final_det(spec, n, u)
+    assert fdet == _final_det_by_phi(spec, n, u)
+    L = link_value(spec, n, u)
+    assert L == C_um(spec, (F(1),), n, u) == final_det_basis(spec) * fdet
+    assert fdet != 0 and L != 0
 
 
 # ---------------------------------------------------------------------------
