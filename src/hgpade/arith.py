@@ -284,19 +284,6 @@ def _profile_from_terms(terms) -> DenominatorProfile:
     return DenominatorProfile(n, values, rate)
 
 
-def D_n_profile(a: Fraction, b: Fraction, N: int) -> DenominatorProfile:
-    """den((a)_k/(b)_k : k <= K) for K = 0..N, exact (N+1 values)."""
-    a, b = Fraction(a), Fraction(b)
-    if b.denominator == 1 and b <= 0:
-        raise InvalidInput("b must not be a non-positive integer ((b)_k vanishes)")
-    terms = []
-    ratio = Fraction(1)
-    for k in range(N + 1):
-        terms.append(ratio)
-        ratio *= (a + k) / (b + k)
-    return _profile_from_terms(terms)
-
-
 def D_c_profiles(eta, zeta, N: int) -> tuple[DenominatorProfile, DenominatorProfile]:
     """Denominator profiles of prod_j (1+zeta_j)_k / prod_i (eta_i)_k and its reciprocal."""
     eta = [Fraction(e) for e in eta]

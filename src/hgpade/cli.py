@@ -1,10 +1,10 @@
 """Command-line front end: build, verify, wronskian, criterion, min-beta,
-eval, suite.
+eval.
 
 Reports are bit-stable: rationals as canonical "num/den" strings, floats via
 shortest round-trip repr, keys sorted, one trailing newline.  The same config
-and seed always produce byte-identical report files; wall-clock timings only
-ever appear in the human text format.
+always produces byte-identical report files, and no report holds a
+wall-clock timing.
 
 Each flag is declared once, in `FLAGS`, with its help text, its default
 and the one function that parses and checks its text, from argv or from
@@ -111,8 +111,6 @@ FLAGS = {
     "--out": ("report file (default: stdout)", None, _text),
     "--format": ("json (default), csv or text", "json",
                  _checked(_text, ("json", "csv", "text").__contains__, "json, csv or text")),
-    # suite.SUITE_SEED, written out so that only the suite command loads `suite`
-    "--seed": ("seed of the randomized checks (default 20260815)", 20260815, _integer),
     "--a": ("upper parameters, e.g. 1/3,1/4", (), _parameters),
     "--b": ("lower parameters, e.g. 1/2 (may be empty)", (), _parameters),
     "--c0": ("seed coefficient (default: prod a / prod b)", None, _rational),
@@ -163,7 +161,6 @@ COMMANDS = {
                  (*_COMMON, *_SPEC, "--alphas", "--place", "--search-bound",
                   "--n-range")),
     "eval": ("certified values F_0(z)..F_{r-1}(z)", (*_COMMON, *_SPEC, "--z", "--bits")),
-    "suite": ("run the desk-scale acceptance matrix", (*_COMMON, "--seed")),
 }
 
 
@@ -330,7 +327,7 @@ def emit_report(report, fmt: str = "json", path: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the seven commands
+# the six commands
 
 
 def _flags_exit(spec: HypergeometricSpec) -> int:
@@ -442,32 +439,6 @@ def _cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_suite(cfg: RunConfig) -> int:
-    from .suite import run_suite
-
-    def progress(res):
-        mark = "ok " if res.passed else "FAIL"
-        print(f"{mark} {res.check_id:24} {res.runtime:7.2f}s "
-              f"(budget {res.budget_s:.0f}s)", file=sys.stderr)
-
-    results = run_suite(seed=cfg.seed, progress=progress)
-    all_passed = all(r.passed for r in results)
-    with_timing = cfg.format == "text"  # timings are measurement, not data
-    report = {
-        "level": "desk",
-        "seed": cfg.seed,
-        "all_passed": all_passed,
-        "checks": [r.to_jsonable(with_timing=with_timing) for r in results],
-    }
-    emit_report(report, cfg.format, cfg.out)
-    if not all_passed:
-        for r in results:
-            if not r.passed:
-                print(f"suite failure: {r.check_id}: {_canonical(r.details)}", file=sys.stderr)
-        return 3
-    return 0
-
-
 _DISPATCH = {
     "build": _cmd_build,
     "verify": _cmd_verify,
@@ -475,7 +446,6 @@ _DISPATCH = {
     "criterion": _cmd_criterion,
     "min-beta": _cmd_min_beta,
     "eval": _cmd_eval,
-    "suite": _cmd_suite,
 }
 
 

@@ -400,12 +400,6 @@ def height_fit_vec(inst: Instance, beta, v0: Place) -> FitResult:
     return fit_rate(ns, qs)
 
 
-def criterion_V(inst: Instance, beta, v0: Place) -> float:
-    """The criterion value at v0: A_emp minus the fitted growth of the
-    coefficient vector's height away from v0."""
-    return decay_fit_R(inst, beta, v0).rate - height_fit_vec(inst, beta, v0).rate
-
-
 # ---------------------------------------------------------------------------
 # the measure report
 # ---------------------------------------------------------------------------

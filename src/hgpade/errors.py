@@ -3,7 +3,8 @@
 The CLI maps these onto process exit codes: bad input/parsing -> 1,
 violated instance hypotheses -> 2, and internal theory violations
 (a quantity certified nonzero evaluating to zero, a "constant"
-determinant growing a z-degree, ...) -> 3.
+determinant growing a z-degree, ...) -> 3.  The errors that only the
+test oracles raise are defined with them, in the tests.
 """
 
 
@@ -39,18 +40,6 @@ class TheoryViolation(HgpadeError):
 
 class NonconstantDeterminant(TheoryViolation):
     """The generalized Wronskian determinant had positive z-degree."""
-
-
-class FactorizationMismatch(HgpadeError):
-    """The alpha-factorization quotient varied across evaluation tuples."""
-
-    exit_code = 3
-
-
-class SingularEigenvalue(HgpadeError):
-    """Inverting a diagonal operator hit a zero eigenvalue on a live degree."""
-
-    exit_code = 1
 
 
 class InsufficientPrecision(HgpadeError):

@@ -1,5 +1,5 @@
 """Certified evaluation of the hypergeometric series and the remainder
-identities at rational arguments.
+values at rational arguments.
 
 Everything is interval arithmetic in disguise: a BigFloat is an exact rational
 partial sum plus an exact rational bound on the discarded tail, so all error
@@ -49,7 +49,7 @@ from .errors import (
     InvalidInput,
     StepBudgetExceeded,
 )
-from .polyops import HypergeometricSpec, _row_value, _series_params, _tail_ratio
+from .polyops import HypergeometricSpec, _series_params, _tail_ratio
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +61,9 @@ class BigFloat:
     positive denominator (the constructor moves a sign onto the
     numerator), so no gcd is taken on the way: `agrees_with`, `to_decimal`
     and `error_exponent` depend only on the two rationals, not on their
-    forms.  `value` and `error` are the reduced Fractions, each made on its
-    first read, for the readers that need a reduced form.  Equality is
-    identity (eq=False): compare values, not the pairs."""
+    forms.  `value` is the reduced Fraction, made on its first read, for
+    the readers that need a reduced form.  Equality is identity
+    (eq=False): compare values, not the pairs."""
 
     num: int
     den: int
@@ -84,10 +84,6 @@ class BigFloat:
     @cached_property
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    @cached_property
-    def error(self) -> Fraction:
-        return Fraction(self.err, self.err_den)
 
     def agrees_with(self, other: "BigFloat") -> bool:
         """True iff the certified intervals intersect: |x1 - x2| <= e1 + e2
@@ -596,71 +592,3 @@ def _head_sum(system, ell: int, i: int, s: int, p: int, q: int, K: int) -> tuple
         qd *= q
     N, L = top - p ** K * low, dp * V * q ** max(D, 0)
     return (-N, -L) if L < 0 else (N, L)
-
-
-def _log2_abs(x: Fraction) -> int:
-    if x == 0:
-        return 0
-    return x.numerator.bit_length() - x.denominator.bit_length()
-
-
-def check_remainder_identity(system, beta, bits: int = 128) -> dict:
-    """For every (ell, i, s): P_ell(beta) F_s(alpha_i/beta) - P_{ell,i,s}(beta)
-    must agree with the remainder's certified value within the certified
-    errors; also aggregates each row ell into the linear-form identity.
-
-    The product P_ell(beta) * F_s cancels to the tiny remainder, so F is
-    evaluated with enough extra precision to survive the cancellation and
-    leave a budget of order 2^-bits on the difference itself.  Every
-    polynomial is evaluated on its integer row (`polyops._row_value`).
-
-    This is a numerical cross-check of the rows, not the system's contract:
-    it reads no stored window (`PadeSystem.R`) and checks no order at
-    infinity, so a loaded system whose windows disagree with its rows, or
-    whose P_ell carries an added constant that leaves P_{ell,i,s} the
-    polynomial part of P_ell F_s, can pass it and still fail
-    `pade.verify_system`, which is the contract."""
-    beta = Fraction(beta)
-    spec = system.spec
-    P_at = {ell: _row_value(*row, beta) for ell, row in system.P.items()}
-    headroom = max(map(_log2_abs, P_at.values()))
-    eff_bits = bits + max(0, headroom) + 16
-    F_at = {}
-    for i in range(1, system.m + 1):
-        w = Fraction(system.alphas[i - 1]) / beta
-        F_at[i] = eval_F_family(spec, w, eff_bits)
-    entries = []
-    ok_all = True
-    # per row ell, the linear form sum_{i,s} P_ell(b) F_s(a_i/b) - sum Pis(b)
-    # must land on sum_{i,s} R(b) within the summed certified errors
-    rows_acc = {}
-    for ell, i, s in system.indices():
-        Pb = P_at[ell]
-        Pisb = _row_value(*system.Pis[(ell, i, s)], beta)
-        Fv = F_at[i][s]
-        v, e = Pb * Fv.value - Pisb, abs(Pb) * Fv.error
-        lhs = BigFloat(v.numerator, v.denominator, e.numerator, e.denominator,
-                       bits)
-        rhs = remainder_value(system, ell, i, s, beta, bits)
-        ok = lhs.agrees_with(rhs)
-        ok_all = ok_all and ok
-        entries.append({
-            "ell": ell, "i": i, "s": s, "ok": ok,
-            "gap": float(abs(lhs.value - rhs.value)),
-            "budget": float(lhs.error + rhs.error),
-        })
-        acc = rows_acc.setdefault(ell, [Fraction(0)] * 4)
-        acc[0] += lhs.value
-        acc[1] += lhs.error
-        acc[2] += rhs.value
-        acc[3] += rhs.error
-    rows = {
-        ell: abs(a[0] - a[2]) <= a[1] + a[3] for ell, a in rows_acc.items()
-    }
-    return {
-        "beta": beta,
-        "bits": bits,
-        "ok": ok_all and all(rows.values()),
-        "entries": entries,
-        "linear_form_rows": rows,
-    }

@@ -45,9 +45,9 @@ One function, `contract_failures`, decides the system's contract, with one
 literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
 (`remainder`: its own integer loop over the rows, on the spec's integer
 row of the series, sharing no code with `_dot_rows`), compared with the
-stored window on integers; `verify_system`, `build_system`'s cross-check,
-the hypotheses of `wronskian.delta_of_system` and the suite read it.  A
-window becomes text only in `to_jsonable`.
+stored window on integers; `verify_system`, `build_system`'s cross-check
+and the hypotheses of `wronskian.delta_of_system` read it.  A window
+becomes text only in `to_jsonable`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""The exact kernel: polynomials over Q, hypergeometric term tables, the
-evaluation functional psi_{i,s}, the series of F_s in 1/z, the ratio bound
-of a hypergeometric tail on the parameter lists of its terms
-(`_tail_ratio`, which every certified sum stops on; `_series_params` gives
-those of F_s), and the instance data (parameter vectors, derived roots,
-seed coefficient, hypothesis flags).
+"""The exact kernel: the degree of a polynomial over Q, hypergeometric term
+tables, the weights of the evaluation functional psi_{i,s}, the series of
+F_s in 1/z, the ratio bound of a hypergeometric tail on the parameter lists
+of its terms (`_tail_ratio`, which every certified sum stops on;
+`_series_params` gives those of F_s), and the instance data (parameter
+vectors, derived roots, seed coefficient, hypothesis flags).
 
 Polynomials are plain coefficient lists (Fraction, low degree first, trailing
 zeros stripped); the zero polynomial is [] with degree -inf.
@@ -20,8 +20,9 @@ outputs share one denominator; a caller that reads rationals makes them
 (`_unscaled`), and one that reads a row's polynomial at a rational point
 takes one integer Horner (`_row_value`).  The literal product that
 `pade.contract_failures` checks those values against (`pade.remainder`)
-runs a loop of its own on the series row; the suite's null-space oracle
-reads the same row as a plain list of Fractions (`expand_F_s`).
+runs a loop of its own on the series row.  The dense polynomial
+arithmetic, psi on a polynomial and the series as Fractions are test
+oracles, in the tests.
 """
 
 from __future__ import annotations
@@ -51,38 +52,6 @@ def poly_trim(p: Poly) -> Poly:
 def poly_deg(p: Poly):
     """Degree; the zero polynomial gets the distinguished value -inf."""
     return len(p) - 1 if p else NEG_INF
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_shift_up(p: Poly, k: int) -> Poly:
-    """Multiply by t^k."""
-    return [Fraction(0)] * k + list(p) if p else []
-
-
-def poly_from_roots(roots) -> Poly:
-    """prod over the roots of (X + root): roots enter with a plus sign."""
-    out = [Fraction(1)]
-    for rt in roots:
-        out = poly_mul(out, [Fraction(rt), Fraction(1)])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +140,6 @@ class HypergeometricSpec:
     def gamma(self) -> tuple:
         """gamma_w = zeta_{r+1-w} for w = 1..r-1 (zeta reversed, last dropped)."""
         return tuple(reversed(self.zeta))[:-1]
-
-    def gamma_ext(self, w: int) -> Fraction:
-        """gamma extended r-periodically to every index w >= 0."""
-        return self.zeta[(self.r - w) % self.r]
-
-    def A_poly(self) -> Poly:
-        return poly_from_roots(self.eta)
-
-    def B_poly(self) -> Poly:
-        return poly_from_roots(self.zeta)
 
     def B_at(self, x: Fraction) -> Fraction:
         return math.prod((Fraction(x) + z for z in self.zeta), start=Fraction(1))
@@ -344,19 +303,6 @@ def _dot_rows(pi: list, wi: list, count: int) -> list:
     return [sum(map(mul, pi, wi[j:j + len(pi)])) for j in range(count)]
 
 
-def psi(spec: HypergeometricSpec, alphas, i: int, s: int, p: Poly) -> Fraction:
-    """The functional psi_{i,s} applied to p (1 <= i <= m, 0 <= s <= r-1)."""
-    if not (1 <= i <= len(alphas)):
-        raise InvalidInput(f"i out of range: {i}")
-    if not (0 <= s <= spec.r - 1):
-        raise InvalidInput(f"s out of range: {s}")
-    if not p:
-        return Fraction(0)
-    dp, pi = _scaled([c.as_integer_ratio() for c in p])
-    dw, wi = _scaled(_psi_table(spec, Fraction(alphas[i - 1]), s, len(p) - 1)[:len(p)])
-    return Fraction(_dot_rows(pi, wi, 1)[0], dp * dw)
-
-
 def zeta_prefix_weights(spec: HypergeometricSpec, alpha: Fraction, s: int, upto: int) -> list:
     """Values alpha^k / ((k+zeta_1)...(k+zeta_{s+1})) on t^k, k = 0..upto.
 
@@ -416,15 +362,6 @@ def _series_row(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -
         row = spec._series_rows[(alpha, s)] = (
             math.prod(x.denominator for x in gam) * C * q ** (K + 1), ints)
     return row
-
-
-def expand_F_s(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -> list:
-    """The coefficients of 1/z, ..., 1/z^count in F_s(alpha/z), exact, as a
-    list of Fractions made from the spec's row (`_series_row`)."""
-    if not (0 <= s <= spec.r - 1):
-        raise InvalidInput(f"s out of range: {s}")
-    den, ints = _series_row(spec, alpha, s, count)
-    return _unscaled(den, ints[:count])
 
 
 def _series_params(spec: HypergeometricSpec, s: int) -> tuple:

@@ -29,8 +29,8 @@ of its denominators, with no Fraction per entry.  C_{u,m} is the
 moment determinant, whose columns are `_dot_rows` runs on integer rows.
 The chain's constants are stated, from c_{u,0} = 1 by the paper's link, and
 each level is checked once at the instance's own points, by one C_{u,k};
-`c_um_factor` and `reduction_check` measure (c, e) on sample tuples as its
-oracle.  `final_det`, L(u) = C_{u,1}(1) (`link_value`) and the change of
+the oracle that measures (c, e) on sample tuples is in the tests.
+`final_det`, L(u) = C_{u,1}(1) (`link_value`) and the change of
 basis E between them (`final_det_basis`) are products, proved in the
 README.  The subset elimination behind `C_um(..., route="eliminate")` is
 exponential in rm and is kept only as an oracle for small sizes.
@@ -43,13 +43,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (
-    FactorizationMismatch,
-    InvalidInput,
-    NonconstantDeterminant,
-    TheoryViolation,
-)
-from .linalg import det_bareiss, newton_interpolate
+from .errors import InvalidInput, NonconstantDeterminant, TheoryViolation
+from .linalg import det_bareiss
 from .pade import (
     PadeSystem,
     base_polynomial,
@@ -64,8 +59,6 @@ from .polyops import (
     _scaled,
     _unscaled,
     _zeta_row,
-    poly_from_roots,
-    poly_mul,
     zeta_prefix_weights,
 )
 
@@ -205,30 +198,6 @@ def a0s_values(spec: HypergeometricSpec, n: int) -> dict:
     return {"values": values, "all_nonzero": not zero_at, "zero_at": zero_at}
 
 
-def a0s_change_of_basis(spec: HypergeometricSpec, n: int, s: int) -> Fraction:
-    """Independent route: expand prod_{j=1}^n A(X - j) in the falling basis
-    B_k(X) = prod_{w=1}^k (X + gamma_{r-s-1+w}) (gamma extended periodically)
-    and return the constant-term coordinate."""
-    prod = [Fraction(1)]
-    for j in range(1, n + 1):
-        # A(X - j) = prod_i (X + eta_i - j)
-        prod = poly_mul(prod, poly_from_roots([e - j for e in spec.eta]))
-    basis = [[Fraction(1)]]
-    for k in range(1, len(prod)):
-        g = spec.gamma_ext(spec.r - s - 1 + k)
-        basis.append(poly_mul(basis[-1], [g, Fraction(1)]))
-    coords = [Fraction(0)] * len(prod)
-    rest = list(prod)
-    for k in range(len(prod) - 1, -1, -1):
-        coords[k] = rest[k] if k < len(rest) else Fraction(0)
-        if coords[k]:
-            for idx, c in enumerate(basis[k]):
-                rest[idx] -= coords[k] * c
-    if any(c != 0 for c in rest):
-        raise TheoryViolation("falling-basis expansion failed to terminate")
-    return coords[0]
-
-
 # ---------------------------------------------------------------------------
 # the multivariate functional value C_{u,m}
 
@@ -301,7 +270,7 @@ def C_um(spec: HypergeometricSpec, alphas, n: int, u: int, route: str = "det") -
 
 
 # ---------------------------------------------------------------------------
-# factorization of C_{u,m}: the stated exponent and its measured oracle
+# factorization of C_{u,m}: the stated exponent
 
 
 def alpha_exponent(r: int, n: int, u: int) -> int:
@@ -317,140 +286,12 @@ def vandermonde(alphas) -> Fraction:
     return out
 
 
-def _exact_power_of_2(ratio: Fraction) -> int:
-    """g with ratio == 2**g, or raise FactorizationMismatch.  A reduced
-    ratio is a power of 2 iff its numerator and denominator both are."""
-    num, den = ratio.numerator, ratio.denominator
-    if num <= 0 or num & (num - 1) or den & (den - 1):
-        raise FactorizationMismatch(f"ratio {ratio} is not a power of 2")
-    return num.bit_length() - den.bit_length()
-
-
-def _factor_tuples(m: int):
-    if m == 1:
-        return [(Fraction(1),), (Fraction(2),), (Fraction(3),), (Fraction(5),)]
-    return [
-        tuple(Fraction(j + d) for j in range(1, m + 1))
-        for d in (0, 1, 2)
-    ]
-
-
-def c_um_factor(spec: HypergeometricSpec, alphas, n: int, u: int) -> tuple:
-    """Measure the factorization C = c * prod alpha_i^e * Vandermonde^{(2n+1)r^2}.
-
-    The oracle of the chain `certify_nonvanishing` states: the alpha-exponent
-    e is measured (never assumed), by scaling a sample tuple by 2 and reading
-    the exact power of 2 in the quotient.  The constant c must then be
-    identical across every sample tuple; any drift raises
-    FactorizationMismatch.
-    """
-    alphas = [Fraction(a) for a in alphas]
-    r, m = spec.r, len(alphas)
-    vpow = (2 * n + 1) * r * r
-    tuples = _factor_tuples(m)
-    if tuple(alphas) not in tuples:
-        tuples.append(tuple(alphas))
-
-    values = {}  # tuple -> Q(tuple): at m = 1 the doubled (1) is the base (2)
-
-    def Q(t):
-        if t not in values:
-            C = C_um(spec, t, n, u)
-            values[t] = C / vandermonde(t) ** vpow if m > 1 else C
-        return values[t]
-
-    e = None
-    c = None
-    for t in tuples:
-        q1 = Q(t)
-        if q1 == 0:
-            raise FactorizationMismatch(
-                f"C vanishes at alpha = {t}; nothing to factor"
-            )
-        q2 = Q(tuple(2 * a for a in t))
-        g = _exact_power_of_2(q2 / q1)
-        if g % m:
-            raise FactorizationMismatch(
-                f"power of 2 in the scaled quotient ({g}) is not divisible by m = {m}"
-            )
-        e_here = g // m
-        c_here = q1 / math.prod(t, start=Fraction(1)) ** e_here
-        if e is None:
-            e, c = e_here, c_here
-        elif e != e_here or c != c_here:
-            raise FactorizationMismatch(
-                f"(c, e) = ({c_here}, {e_here}) at alpha = {t} "
-                f"disagrees with ({c}, {e})"
-            )
-    if e < 0:
-        raise FactorizationMismatch(f"measured exponent e = {e} is negative")
-    return c, e
-
-
-def homogeneity_degree(spec: HypergeometricSpec, alphas, n: int, u: int) -> int:
-    """Measured integer D with C(2 alpha) = 2^D C(alpha), exact."""
-    alphas = [Fraction(a) for a in alphas]
-    base = C_um(spec, alphas, n, u)
-    if base == 0:
-        raise FactorizationMismatch("C vanishes; homogeneity degree undefined")
-    scaled = C_um(spec, [2 * a for a in alphas], n, u)
-    return _exact_power_of_2(scaled / base)
-
-
-def vanishing_order_at_equal_alphas(spec: HypergeometricSpec, n: int, u: int,
-                                    m: int = 2) -> int:
-    """Order of vanishing of C at alpha_m = alpha_{m-1}, read off an exact
-    interpolation: evaluate at alpha = (1, 2, ..., m-1, alpha_{m-1} + j) on
-    enough nodes to pin the polynomial in j completely, then take the lowest
-    nonzero coefficient's index."""
-    if m < 2:
-        raise InvalidInput("need at least two evaluation points")
-    degree = m * alpha_exponent(spec.r, n, u) + math.comb(m, 2) * (2 * n + 1) * spec.r ** 2
-    base = [Fraction(i) for i in range(1, m)]
-    xs, ys = [], []
-    for j in range(1, degree + 2):
-        t = base + [base[-1] + j]
-        xs.append(Fraction(j))
-        ys.append(C_um(spec, t, n, u))
-    coeffs = newton_interpolate(xs, ys)
-    for idx, cval in enumerate(coeffs):
-        if cval != 0:
-            return idx
-    return len(coeffs)  # identically zero on all nodes
-
-
 # ---------------------------------------------------------------------------
 # reduction to fewer points, and the final determinant
 
 
 def _link_sign(r: int, n: int, m: int) -> int:
     return -1 if (r * r * n * (m - 1)) % 2 else 1
-
-
-def _link(spec: HypergeometricSpec, n: int, m: int, c_here: Fraction,
-          c_next: Fraction, L: Fraction) -> dict:
-    """One chain link, c_{u,m} = (-1)^{r^2 n (m-1)} c_{u + r(n+1), m-1} * L(u),
-    checked on given constants (c_{u,0} = 1 closes the chain)."""
-    sign = _link_sign(spec.r, n, m)
-    rhs = sign * c_next * L
-    return {"lhs": c_here, "rhs": rhs, "c_next": c_next, "L": L, "sign": sign,
-            "equal": c_here == rhs}
-
-
-def reduction_check(spec: HypergeometricSpec, alphas, n: int, u: int) -> dict:
-    """Both sides of c_{u,m} = (-1)^{r^2 n (m-1)} c_{u + r(n+1), m-1} * L(u),
-    L(u) = C_{u,1}(1)."""
-    alphas = [Fraction(a) for a in alphas]
-    r, m = spec.r, len(alphas)
-    if m < 1:
-        raise InvalidInput("need m >= 1")
-    c_here, e_here = c_um_factor(spec, alphas, n, u)
-    if m == 1:
-        c_next, e_next = Fraction(1), None
-    else:
-        c_next, e_next = c_um_factor(spec, alphas[:-1], n, u + r * (n + 1))
-    return {**_link(spec, n, m, c_here, c_next, C_um(spec, (1,), n, u)),
-            "exponent_here": e_here, "exponent_next": e_next}
 
 
 def _zeta_groups(spec: HypergeometricSpec):
@@ -554,7 +395,8 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
     where the zero enters.
 
     Levels k = m..1 sit at u_m = n, u_{k-1} = u_k + r(n+1); their constants
-    follow from c_{u,0} = 1 by `_link`'s identity, L(u) = `link_value`, and
+    follow from c_{u,0} = 1 by the link c_{u,k} = (-1)^{r^2 n (k-1)}
+    c_{u + r(n+1), k-1} L(u) (`_link_sign`), L(u) = `link_value`, and
     each level is checked once, by one C_um: C_{u_k,k}(alpha_1..alpha_k) =
     c_{u_k,k} prod(alpha)^{e(u_k)} V^{(2n+1)r^2}, e from `alpha_exponent`.
     """

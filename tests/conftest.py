@@ -5,7 +5,16 @@ Fraction oracles of the package's integer tables (`correlate`,
 of rationals read as Fractions (`row_values`, `window_values`,
 `fraction_det`), and the partial fractions of 1/prod(X + zeta_t) by a
 linear solve (`partial_fractions`), the oracle of the closed-form change
-of basis E."""
+of basis E, and the final determinant as the determinant of its
+phi-functionals (`final_det_by_phi`).
+
+The second half holds the oracles that two or more test modules read and
+the package does not: dense polynomials over Q, the functional psi_{i,s}
+on a polynomial, the series of F_s as Fractions, the diagonal operators
+H(theta) and T_c, the construction-free null-space solver, the remainder
+identity at a rational beta, the denominator profile of (a)_k/(b)_k, the
+criterion value V, and the measured (c, e) factorization of C_{u,m} with
+the homogeneity, vanishing-order and reduction checks built on it."""
 
 import math
 from fractions import Fraction
@@ -15,19 +24,23 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from hgpade.arith import format_rational, parse_rational
+from hgpade.arith import _profile_from_terms, format_rational, parse_rational
+from hgpade.criterion import decay_fit_R, height_fit_vec
+from hgpade.errors import HgpadeError, InvalidInput, TheoryViolation
 from hgpade.linalg import det_bareiss
+from hgpade.numerics import BigFloat, eval_F_family, remainder_value
 from hgpade.pade import PadeSystem, build_system, window_coeff
-from hgpade.errors import InvalidInput
 from hgpade.polyops import (
     HypergeometricSpec,
     _dot_rows,
     _psi_table,
+    _row_value,
     _scaled,
+    _series_row,
     _unscaled,
-    poly_from_roots,
+    poly_trim,
 )
-from hgpade.wronskian import _zeta_groups
+from hgpade.wronskian import C_um, _link_sign, _zeta_groups, alpha_exponent, vandermonde
 
 F = Fraction
 
@@ -78,27 +91,9 @@ def phi_zeta_s(zeta, s, p):
     return total
 
 
-def solve_linear(matrix, rhs):
-    """Solve a square nonsingular system exactly (Gauss with partial pivot)."""
-    n = len(matrix)
-    a = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(matrix)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise InvalidInput("singular system in solve_linear")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
-
-
 def partial_fractions(spec, s):
     """Exact decomposition 1/prod_{j<=s+1}(X+zeta_j) = sum p_{j,k}/(X+zhat_j)^k,
-    by one linear solve.
+    by one linear solve (`kernel_basis`).
 
     Returns {(j, k): p_{j,k}} with j indexing the distinct-value groups and
     1 <= k <= multiplicity of zhat_j within the first s+1 entries of zeta.
@@ -111,12 +106,31 @@ def partial_fractions(spec, s):
     cols = [poly_from_roots([zhat[j]] * (mult[j] - k) + [
         zhat[j2] for j2 in range(len(zhat)) if j2 != j for _ in range(mult[j2])])
         for j, k in pairs]
-    size = s + 1
-    mat = [[cols[c][row] if row < len(cols[c]) else F(0) for c in range(len(pairs))]
-           for row in range(size)]
-    rhs = [F(1)] + [F(0)] * (size - 1)
-    sol = solve_linear(mat, rhs)
+    # A p = e_0 for the square matrix A of those coefficients: the kernel
+    # of [A | -e_0] is spanned by (p, 1) when A is nonsingular
+    (sol,) = kernel_basis([[cols[c][row] if row < len(cols[c]) else F(0)
+                            for c in range(len(pairs))] + [-F(row == 0)]
+                           for row in range(s + 1)], len(pairs) + 1)
+    assert sol[-1] == 1
     return {pair: sol[idx] for idx, pair in enumerate(pairs)}
+
+
+def final_det_rows(zhat, mult):
+    """The rows of the final determinant: (j, k) by distinct zeta value j,
+    then 1 <= k <= its multiplicity."""
+    return [(j, k) for j in range(len(zhat)) for k in range(1, mult[j] + 1)]
+
+
+def final_det_by_phi(spec, n, u):
+    """The final determinant on Fractions: each entry phi_{zeta,k} of
+    t^{u+ell}(t-1)^{rn}, term by term (`phi_zeta_s`)."""
+    r = spec.r
+    zhat, mult = _zeta_groups(spec)
+    base = [F(1)]
+    for _ in range(r * n):
+        base = poly_mul(base, [F(-1), F(1)])
+    return fraction_det([[phi_zeta_s(zhat[j], k, [F(0)] * (u + ell) + base)
+                          for ell in range(r)] for j, k in final_det_rows(zhat, mult)])
 
 
 @st.composite
@@ -182,6 +196,433 @@ def corrupted(system, *edits):
             poly = edit([parse_rational(c) for c in data[part][name]])
             data[part][name] = [format_rational(c) for c in poly]
     return PadeSystem.from_jsonable(data)
+
+
+# ---------------------------------------------------------------------------
+# oracles that two or more test modules read: dense polynomials over Q
+
+
+def poly_mul(p, q):
+    if not p or not q:
+        return []
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly_trim(out)
+
+
+def poly_eval(p, x):
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def poly_shift_up(p, k: int):
+    """Multiply by t^k."""
+    return [F(0)] * k + list(p) if p else []
+
+
+def poly_from_roots(roots):
+    """prod over the roots of (X + root): roots enter with a plus sign."""
+    out = [F(1)]
+    for rt in roots:
+        out = poly_mul(out, [F(rt), F(1)])
+    return out
+
+
+def A_poly(spec):
+    """A(X) = prod (X + eta_i)."""
+    return poly_from_roots(spec.eta)
+
+
+def B_poly(spec):
+    """B(X) = prod (X + zeta_j)."""
+    return poly_from_roots(spec.zeta)
+
+
+def gamma_ext(spec, w: int):
+    """gamma extended r-periodically to every index w >= 0."""
+    return spec.zeta[(spec.r - w) % spec.r]
+
+
+# ---------------------------------------------------------------------------
+# the functional psi_{i,s}, the series of F_s, and the diagonal operators
+
+
+def psi(spec, alphas, i: int, s: int, p):
+    """The functional psi_{i,s} applied to p (1 <= i <= m, 0 <= s <= r-1)."""
+    if not (1 <= i <= len(alphas)):
+        raise InvalidInput(f"i out of range: {i}")
+    if not (0 <= s <= spec.r - 1):
+        raise InvalidInput(f"s out of range: {s}")
+    if not p:
+        return F(0)
+    dp, pi = _scaled([c.as_integer_ratio() for c in p])
+    dw, wi = _scaled(_psi_table(spec, F(alphas[i - 1]), s, len(p) - 1)[:len(p)])
+    return F(_dot_rows(pi, wi, 1)[0], dp * dw)
+
+
+def expand_F_s(spec, alpha, s: int, count: int):
+    """The coefficients of 1/z, ..., 1/z^count in F_s(alpha/z), exact, as a
+    list of Fractions made from the spec's row (`_series_row`), which is
+    built from the c_k and never from the psi weights."""
+    if not (0 <= s <= spec.r - 1):
+        raise InvalidInput(f"s out of range: {s}")
+    den, ints = _series_row(spec, alpha, s, count)
+    return _unscaled(den, ints[:count])
+
+
+class SingularEigenvalue(HgpadeError):
+    """Inverting a diagonal operator hit a zero eigenvalue on a live degree."""
+
+
+# The diagonal operators of the paper's construction; `pade` builds P_ell
+# from their closed form instead.
+
+
+def apply_H_theta(H, p, shift=F(0)):
+    """H(theta_t + shift): multiply the t^k coefficient by H(k + shift)."""
+    shift = F(shift)
+    return poly_trim([c * poly_eval(H, k + shift) for k, c in enumerate(p)])
+
+
+def apply_H_theta_inverse(H, p, shift=F(0)):
+    """Coefficientwise division by H(k + shift); exact or loudly singular."""
+    shift = F(shift)
+    out = []
+    for k, c in enumerate(p):
+        lam = poly_eval(H, k + shift)
+        if lam == 0:
+            if c != 0:
+                raise SingularEigenvalue(
+                    f"singular eigenvalue at degree {k} for H(theta+{shift})")
+            out.append(F(0))
+        else:
+            out.append(c / lam)
+    return poly_trim(out)
+
+
+def T_c(spec, p):
+    """T_c: t^k -> t^k / c_k."""
+    return poly_trim([c / spec.c(k) for k, c in enumerate(p)])
+
+
+# ---------------------------------------------------------------------------
+# the construction-free null-space solver
+
+
+def kernel_basis(matrix, ncols: int):
+    """Basis of the right kernel of a (possibly rectangular) matrix of
+    rationals, by Gauss-Jordan elimination."""
+    rows = [[F(x) for x in row] for row in matrix]
+    nrows = len(rows)
+    pivots = {}  # column -> row
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots[c] = r
+        r += 1
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for c, pr in pivots.items():
+            vec[c] = -rows[pr][fc]
+        basis.append(vec)
+    return basis
+
+
+def solve_pade_nullspace(f, n_vec, M: int):
+    """Construction-free oracle: all (P0, P_1..P_N) with deg P0 <= M and
+    ord(P0 f_j - P_j) >= n_j + 1, by exact kernel computation.
+
+    Each f_j is a list of Fractions, f_j[e - 1] the coefficient of 1/z^e
+    (`expand_F_s`); the return value is a list of families, one per kernel
+    basis vector, each family being [P0, P_1, ..., P_N].
+    """
+    n_vec = list(n_vec)
+    if len(f) != len(n_vec):
+        raise InvalidInput("need one order target per tail")
+    if M < 0:
+        raise InvalidInput("need M >= 0")
+    need = max(n_vec, default=0) + M
+    if any(len(tail) < need for tail in f):
+        raise InvalidInput(f"tails must carry exact coefficients up to 1/z^{need}")
+    rows = [[tail[e + d - 1] for d in range(M + 1)]
+            for tail, n_j in zip(f, n_vec) for e in range(1, n_j + 1)]
+    families = []
+    for vec in kernel_basis(rows, M + 1):
+        P0 = poly_trim(list(vec))
+        # the polynomial part of P0 * f_j: its z^d coefficient is
+        # sum_{k > d} P0[k] f_j[k - d - 1]
+        families.append([P0] + [
+            poly_trim([sum((P0[k] * tail[k - d - 1] for k in range(d + 1, len(P0))),
+                           F(0)) for d in range(M + 1)])
+            for tail in f])
+    return families
+
+
+# ---------------------------------------------------------------------------
+# certified values, the remainder identity, denominators and V
+
+
+def error_of(x: BigFloat) -> Fraction:
+    """The certified error bound of x, as one reduced Fraction."""
+    return F(x.err, x.err_den)
+
+
+def check_remainder_identity(system, beta, bits: int = 128) -> dict:
+    """For every (ell, i, s): P_ell(beta) F_s(alpha_i/beta) - P_{ell,i,s}(beta)
+    must agree with the remainder's certified value within the certified
+    errors; also aggregates each row ell into the linear-form identity.
+
+    The product P_ell(beta) * F_s cancels to the tiny remainder, so F is
+    evaluated with enough extra precision to survive the cancellation and
+    leave a budget of order 2^-bits on the difference itself.  Every
+    polynomial is evaluated on its integer row (`polyops._row_value`).
+
+    This is a numerical cross-check of the rows, not the system's contract:
+    it reads no stored window (`PadeSystem.R`) and checks no order at
+    infinity, so a loaded system whose windows disagree with its rows, or
+    whose P_ell carries an added constant that leaves P_{ell,i,s} the
+    polynomial part of P_ell F_s, can pass it and still fail
+    `pade.verify_system`, which is the contract."""
+    beta = F(beta)
+    spec = system.spec
+    P_at = {ell: _row_value(*row, beta) for ell, row in system.P.items()}
+    # log2 |P_ell(beta)|, to within one
+    headroom = max(x.numerator.bit_length() - x.denominator.bit_length() if x else 0
+                   for x in P_at.values())
+    eff_bits = bits + max(0, headroom) + 16
+    F_at = {i: eval_F_family(spec, F(system.alphas[i - 1]) / beta, eff_bits)
+            for i in range(1, system.m + 1)}
+    entries = []
+    ok_all = True
+    # per row ell, the linear form sum_{i,s} P_ell(b) F_s(a_i/b) - sum Pis(b)
+    # must land on sum_{i,s} R(b) within the summed certified errors
+    rows_acc = {}
+    for ell, i, s in system.indices():
+        Pb = P_at[ell]
+        Pisb = _row_value(*system.Pis[(ell, i, s)], beta)
+        Fv = F_at[i][s]
+        v, e = Pb * Fv.value - Pisb, abs(Pb) * error_of(Fv)
+        lhs = BigFloat(v.numerator, v.denominator, e.numerator, e.denominator, bits)
+        rhs = remainder_value(system, ell, i, s, beta, bits)
+        ok = lhs.agrees_with(rhs)
+        ok_all = ok_all and ok
+        entries.append({
+            "ell": ell, "i": i, "s": s, "ok": ok,
+            "gap": float(abs(lhs.value - rhs.value)),
+            "budget": float(error_of(lhs) + error_of(rhs)),
+        })
+        acc = rows_acc.setdefault(ell, [F(0)] * 4)
+        acc[0] += lhs.value
+        acc[1] += error_of(lhs)
+        acc[2] += rhs.value
+        acc[3] += error_of(rhs)
+    rows = {ell: abs(a[0] - a[2]) <= a[1] + a[3] for ell, a in rows_acc.items()}
+    return {
+        "beta": beta,
+        "bits": bits,
+        "ok": ok_all and all(rows.values()),
+        "entries": entries,
+        "linear_form_rows": rows,
+    }
+
+
+def D_n_profile(a, b, N: int):
+    """den((a)_k/(b)_k : k <= K) for K = 0..N, exact (N+1 values)."""
+    a, b = F(a), F(b)
+    if b.denominator == 1 and b <= 0:
+        raise InvalidInput("b must not be a non-positive integer ((b)_k vanishes)")
+    terms = []
+    ratio = F(1)
+    for k in range(N + 1):
+        terms.append(ratio)
+        ratio *= (a + k) / (b + k)
+    return _profile_from_terms(terms)
+
+
+def criterion_V(inst, beta, v0) -> float:
+    """The criterion value at v0: A_emp minus the fitted growth of the
+    coefficient vector's height away from v0."""
+    return decay_fit_R(inst, beta, v0).rate - height_fit_vec(inst, beta, v0).rate
+
+
+# ---------------------------------------------------------------------------
+# the factorization of C_{u,m}, measured: the oracle of the chain that
+# `wronskian.certify_nonvanishing` states
+
+
+class FactorizationMismatch(HgpadeError):
+    """The alpha-factorization quotient varied across evaluation tuples."""
+
+    exit_code = 3
+
+
+def a0s_change_of_basis(spec, n: int, s: int):
+    """Independent route to a_{0,s}: expand prod_{j=1}^n A(X - j) in the
+    falling basis B_k(X) = prod_{w=1}^k (X + gamma_{r-s-1+w}) (gamma
+    extended periodically) and return the constant-term coordinate."""
+    prod = [F(1)]
+    for j in range(1, n + 1):
+        # A(X - j) = prod_i (X + eta_i - j)
+        prod = poly_mul(prod, poly_from_roots([e - j for e in spec.eta]))
+    basis = [[F(1)]]
+    for k in range(1, len(prod)):
+        basis.append(poly_mul(basis[-1], [gamma_ext(spec, spec.r - s - 1 + k), F(1)]))
+    coords = [F(0)] * len(prod)
+    rest = list(prod)
+    for k in range(len(prod) - 1, -1, -1):
+        coords[k] = rest[k] if k < len(rest) else F(0)
+        if coords[k]:
+            for idx, c in enumerate(basis[k]):
+                rest[idx] -= coords[k] * c
+    if any(c != 0 for c in rest):
+        raise TheoryViolation("falling-basis expansion failed to terminate")
+    return coords[0]
+
+
+def _exact_power_of_2(ratio) -> int:
+    """g with ratio == 2**g, or raise FactorizationMismatch.  A reduced
+    ratio is a power of 2 iff its numerator and denominator both are."""
+    num, den = ratio.numerator, ratio.denominator
+    if num <= 0 or num & (num - 1) or den & (den - 1):
+        raise FactorizationMismatch(f"ratio {ratio} is not a power of 2")
+    return num.bit_length() - den.bit_length()
+
+
+def _factor_tuples(m: int):
+    if m == 1:
+        return [(F(1),), (F(2),), (F(3),), (F(5),)]
+    return [tuple(F(j + d) for j in range(1, m + 1)) for d in (0, 1, 2)]
+
+
+def c_um_factor(spec, alphas, n: int, u: int) -> tuple:
+    """Measure the factorization C = c * prod alpha_i^e * Vandermonde^{(2n+1)r^2}.
+
+    The alpha-exponent e is measured (never assumed), by scaling a sample
+    tuple by 2 and reading the exact power of 2 in the quotient.  The
+    constant c must then be identical across every sample tuple; any drift
+    raises FactorizationMismatch.
+    """
+    alphas = [F(a) for a in alphas]
+    r, m = spec.r, len(alphas)
+    vpow = (2 * n + 1) * r * r
+    tuples = _factor_tuples(m)
+    if tuple(alphas) not in tuples:
+        tuples.append(tuple(alphas))
+
+    values = {}  # tuple -> Q(tuple): at m = 1 the doubled (1) is the base (2)
+
+    def Q(t):
+        if t not in values:
+            C = C_um(spec, t, n, u)
+            values[t] = C / vandermonde(t) ** vpow if m > 1 else C
+        return values[t]
+
+    e = None
+    c = None
+    for t in tuples:
+        q1 = Q(t)
+        if q1 == 0:
+            raise FactorizationMismatch(f"C vanishes at alpha = {t}; nothing to factor")
+        g = _exact_power_of_2(Q(tuple(2 * a for a in t)) / q1)
+        if g % m:
+            raise FactorizationMismatch(
+                f"power of 2 in the scaled quotient ({g}) is not divisible by m = {m}")
+        e_here = g // m
+        c_here = q1 / math.prod(t, start=F(1)) ** e_here
+        if e is None:
+            e, c = e_here, c_here
+        elif e != e_here or c != c_here:
+            raise FactorizationMismatch(
+                f"(c, e) = ({c_here}, {e_here}) at alpha = {t} disagrees with ({c}, {e})")
+    if e < 0:
+        raise FactorizationMismatch(f"measured exponent e = {e} is negative")
+    return c, e
+
+
+def homogeneity_degree(spec, alphas, n: int, u: int) -> int:
+    """Measured integer D with C(2 alpha) = 2^D C(alpha), exact."""
+    alphas = [F(a) for a in alphas]
+    base = C_um(spec, alphas, n, u)
+    if base == 0:
+        raise FactorizationMismatch("C vanishes; homogeneity degree undefined")
+    return _exact_power_of_2(C_um(spec, [2 * a for a in alphas], n, u) / base)
+
+
+def newton_interpolate(xs, ys):
+    """Coefficients (low to high) of the unique interpolating polynomial."""
+    if len(xs) != len(ys) or not xs:
+        raise InvalidInput("interpolation needs matching non-empty node/value lists")
+    n = len(xs)
+    # divided differences
+    dd = [F(y) for y in ys]
+    coeffs = [dd[0]]
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
+        coeffs.append(dd[level])
+    # expand the Newton form into monomial coefficients
+    poly = [F(0)] * n
+    acc = [F(1)]  # prod_{j<level} (x - xs[j])
+    for level, c in enumerate(coeffs):
+        for j, a in enumerate(acc):
+            poly[j] += c * a
+        if level < n - 1:
+            # acc *= (x - xs[level])
+            acc = [F(0)] + acc
+            for j in range(len(acc) - 1):
+                acc[j] -= xs[level] * acc[j + 1]
+    return poly_trim(poly)
+
+
+def vanishing_order_at_equal_alphas(spec, n: int, u: int, m: int = 2) -> int:
+    """Order of vanishing of C at alpha_m = alpha_{m-1}, read off an exact
+    interpolation: evaluate at alpha = (1, 2, ..., m-1, alpha_{m-1} + j) on
+    enough nodes to pin the polynomial in j completely, then take the lowest
+    nonzero coefficient's index."""
+    if m < 2:
+        raise InvalidInput("need at least two evaluation points")
+    degree = m * alpha_exponent(spec.r, n, u) + math.comb(m, 2) * (2 * n + 1) * spec.r ** 2
+    base = [F(i) for i in range(1, m)]
+    xs = [F(j) for j in range(1, degree + 2)]
+    coeffs = newton_interpolate(xs, [C_um(spec, base + [base[-1] + x], n, u) for x in xs])
+    return next((idx for idx, c in enumerate(coeffs) if c != 0), len(coeffs))
+
+
+def reduction_check(spec, alphas, n: int, u: int) -> dict:
+    """Both sides of the link c_{u,m} = (-1)^{r^2 n (m-1)} c_{u + r(n+1), m-1} * L(u),
+    L(u) = C_{u,1}(1), each constant measured by `c_um_factor` (c_{u,0} = 1
+    closes the chain)."""
+    alphas = [F(a) for a in alphas]
+    r, m = spec.r, len(alphas)
+    if m < 1:
+        raise InvalidInput("need m >= 1")
+    c_here, e_here = c_um_factor(spec, alphas, n, u)
+    if m == 1:
+        c_next, e_next = F(1), None
+    else:
+        c_next, e_next = c_um_factor(spec, alphas[:-1], n, u + r * (n + 1))
+    L = C_um(spec, (1,), n, u)
+    sign = _link_sign(r, n, m)
+    rhs = sign * c_next * L
+    return {"lhs": c_here, "rhs": rhs, "c_next": c_next, "L": L, "sign": sign,
+            "equal": c_here == rhs, "exponent_here": e_here, "exponent_next": e_next}
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import D_n_profile
 from hgpade.arith import (
     D_c_profiles,
-    D_n_profile,
     Place,
     abs_at_place,
     factorize,

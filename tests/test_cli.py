@@ -6,8 +6,10 @@ subprocesses.
 """
 
 import ast
+import builtins
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 from collections import Counter
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import criterion_V
 from hgpade import criterion
 from hgpade.arith import Place, format_rational, parse_rational
 from hgpade.cli import COMMANDS, MAX_N, emit_report, main
@@ -43,8 +46,13 @@ def test_no_command_exits_1(capsys):
 
 
 def test_unknown_command_exits_1(capsys):
-    # argparse would exit 2; the contract reserves 2 for hypothesis flags
-    assert main(["frobnicate"]) == 1
+    # argparse would exit 2; the contract reserves 2 for hypothesis flags.
+    # `suite`, a command no longer, is refused like any unknown name
+    for command in ("frobnicate", "suite"):
+        assert main([command]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid choice: {command!r}" in err
+        assert "Traceback" not in err
 
 
 def test_help_exits_0(capsys):
@@ -617,13 +625,14 @@ def test_min_beta_scales_each_weight_run_once_and_makes_no_term_fraction(capsys,
 
 def test_eval_reduces_no_certified_value(capsys, monkeypatch):
     # `eval` reads its values only as the unreduced pairs the sums reach:
-    # with the reduced forms unreadable, the benchmark's 4096-bit op still
-    # writes the report bytes its frozen table pins
+    # with the reduced value unreadable, the benchmark's 4096-bit op still
+    # writes the report bytes its frozen table pins; the package makes no
+    # reduced error at all
     def unreadable(self):
         raise AssertionError("the eval path reduced a BigFloat")
 
+    assert not hasattr(BigFloat, "error")
     monkeypatch.setattr(BigFloat, "value", property(unreadable))
-    monkeypatch.setattr(BigFloat, "error", property(unreadable))
     key = "eval --a=1/3,1/4,1/5 --b=1/2,2/3 --z=1/3 --bits=4096"
     assert main(key.split()) == 0
     out = capsys.readouterr().out
@@ -650,10 +659,10 @@ def test_certify_reports_match_frozen(capsys):
 ])
 def test_the_wronskian_chain_makes_no_table_of_fractions(key, capsys, monkeypatch):
     # every table the chain reads is an integer row from its closed form:
-    # with the Fraction routes of the series of F_s and of the zeta-prefix
-    # weights made to fail, the certify ops at r2m2n3 and r3m2n2 still write
-    # the report bytes the frozen table pins; the Fraction route of the
-    # phi-functionals is a test oracle and not in the package at all
+    # with the Fraction route of the zeta-prefix weights made to fail, the
+    # certify ops at r2m2n3 and r3m2n2 still write the report bytes the
+    # frozen table pins; the Fraction routes of the phi-functionals and of
+    # the series of F_s are test oracles and not in the package at all
     import sys
 
     def fraction_table(*args):
@@ -662,9 +671,9 @@ def test_the_wronskian_chain_makes_no_table_of_fractions(key, capsys, monkeypatc
     for name, module in list(sys.modules.items()):
         if name.startswith("hgpade"):
             assert not hasattr(module, "phi_zeta_s"), name
-            for routine in ("expand_F_s", "zeta_prefix_weights"):
-                if hasattr(module, routine):
-                    monkeypatch.setattr(module, routine, fraction_table)
+            assert not hasattr(module, "expand_F_s"), name
+            if hasattr(module, "zeta_prefix_weights"):
+                monkeypatch.setattr(module, "zeta_prefix_weights", fraction_table)
     assert main(key.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == json.loads(_FROZEN.read_text())[key]
@@ -712,7 +721,7 @@ def test_each_system_is_built_once(monkeypatch, capsys, spec_r2):
     report = _json_out(capsys)
     assert sorted(built) == [4, 5, 6, 7, 8]
     fresh = criterion.Instance(spec_r2, (Fraction(1),), range(4, 9))
-    assert report["V_emp"] == criterion.criterion_V(
+    assert report["V_emp"] == criterion_V(
         fresh, Fraction(report["min_beta"]), Place())
 
     built.clear()
@@ -731,8 +740,8 @@ def test_min_beta_certifies_without_the_floor_that_cannot_converge(capsys, spec_
     report = _json_out(capsys)
     assert report["min_beta"] == 90
     fresh = criterion.Instance(spec_r2, (Fraction(3),), range(4, 9))
-    assert criterion.criterion_V(fresh, Fraction(89), Place()) <= 0
-    assert report["V_emp"] == criterion.criterion_V(fresh, Fraction(90), Place()) > 0
+    assert criterion_V(fresh, Fraction(89), Place()) <= 0
+    assert report["V_emp"] == criterion_V(fresh, Fraction(90), Place()) > 0
 
 
 def test_min_beta_nothing_found_exit_1(capsys):
@@ -814,7 +823,7 @@ def test_cli_flags_override_config(tmp_path, capsys):
     (["build", *R2, "--alphas=1", "--n=1"], {"bits": 64}, "bits"),
     (["eval", *R2, "--z=1/7"], {"n": 1}, "n"),
     (["wronskian", *R2, "--alphas=1", "--n=1"], {"n_range": "4:7"}, "n_range"),
-    (["suite"], {"seed": 0, "a": "1/3"}, "a"),
+    (["wronskian", *R2, "--alphas=1", "--n=1"], {"seed": 0}, "seed"),
     (["criterion", *R2, "--alphas=1"], {"command": "eval"}, "command"),
     (["build", *R2, "--alphas=1", "--n=1"], {"config": "other.json"}, "config"),
 ])
@@ -889,6 +898,9 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
     (["criterion", *R2, "--alphas", "1"], {"format": "yaml"}, "--format"),
     # flags are never abbreviated: --n is not criterion's --n-range
     (["criterion", *R2, "--alphas", "1", "--n=4:7"], None, "unrecognized arguments: --n="),
+    # no command takes a seed
+    (["wronskian", *R2, "--alphas=1", "--n=1", "--seed=0"], None,
+     "unrecognized arguments: --seed=0"),
 ])
 def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -926,7 +938,6 @@ _VALID = {
     "--z": ("1/7", "-1/3"),
     "--n-range": ("4:7",),
     "--search-bound": ("5", "16"),
-    "--seed": ("0",),
     "--format": ("json", "text", "csv"),
 }
 _ODD = {
@@ -943,7 +954,6 @@ _ODD = {
     "--z": ("1", _HUGE, "-999999999/1000000000"),
     "--n-range": ("7:4", "0:7", "4:5", _HUGE, "4:" + _HUGE),
     "--search-bound": ("-" + _HUGE,),
-    "--seed": (_HUGE,),
     "--format": ("yaml",),
     "--system": ("no-such-system.json",),
     "--config": ("no-such-config.json",),
@@ -966,11 +976,9 @@ def _exits_cleanly(argv):
 
 
 @pytest.mark.parametrize("command", sorted(_FLAGS))
-def test_each_bad_value_exits_cleanly(command, monkeypatch):
+def test_each_bad_value_exits_cleanly(command):
     # every bad value of every flag, the other flags at a cheap valid value
-    # (r = 1); with no checks, a valid suite argv exits 0 at once instead of
-    # running the whole suite
-    monkeypatch.setattr("hgpade.suite.CHECKS", ())
+    # (r = 1)
     flags = _FLAGS[command]
     base = {"--a": "1/3", "--b": ""}
     base.update((flag, values[0]) for flag, values in _VALID.items())
@@ -1005,51 +1013,7 @@ def _argvs(draw):
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(_argvs())
 def test_fuzzed_argv_never_tracebacks(argv):
-    # as above, no suite checks; hypothesis runs no function-scoped fixture
-    # per example
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("hgpade.suite.CHECKS", ())
-        _exits_cleanly(argv)
-
-
-# ---------------------------------------------------------------------------
-# the acceptance suite through the CLI
-# ---------------------------------------------------------------------------
-
-
-def test_suite_command_runs_green(monkeypatch, capsys):
-    import hgpade.pade
-
-    calls = []
-    remainder = hgpade.pade.remainder
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return remainder(*args, **kwargs)
-
-    monkeypatch.setattr(hgpade.pade, "remainder", counted)
-    code = main(["suite"])
-    assert code == 0
-    # one literal product per (ell, i, s) of the 108 on the grid for the
-    # shared contract of pade-contract and nullspace-membership, one more
-    # for Delta's own hypotheses, and one per (ell, i, s) of the 6 of the
-    # n = 4 system whose windows numerical-shadow checks
-    assert len(calls) == 216 + 6
-    captured = capsys.readouterr()
-    # every check's details, byte for byte
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
-        "d41528876d4ee5ce20c278496c19541e59e3d2c961453f72ef5ccf6a9064c244"
-    )
-    report = json.loads(captured.out)
-    assert report["all_passed"] is True
-    assert report["level"] == "desk"
-    assert len(report["checks"]) == 10
-    # wall-clock timings never leak into the machine-readable format
-    assert all("runtime_s" not in c for c in report["checks"])
-    # progress goes to stderr, one line per check
-    progress = [l for l in captured.err.splitlines() if l.startswith(("ok", "FAIL"))]
-    assert len(progress) == 10
-    assert all(l.startswith("ok") for l in progress)
+    _exits_cleanly(argv)
 
 
 def test_the_runtime_is_standard_library_only():
@@ -1093,26 +1057,6 @@ def test_the_pade_module_loads_neither_numerics_nor_linalg():
     assert not {"hgpade.numerics", "hgpade.linalg"} & loaded
 
 
-def test_the_front_end_loads_suite_only_for_the_suite_command():
-    # `hgpade.suite` is loaded by `_cmd_suite` alone, so no other command
-    # pays for importing it; the --seed default is written out in the flag
-    # table and must stay the suite's own
-    import os
-    import subprocess
-    import sys
-
-    from hgpade.cli import FLAGS
-    from hgpade.suite import SUITE_SEED
-
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, hgpade.cli\nprint('hgpade.suite' in sys.modules)\n"
-    got = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": str(src)})
-    assert got.stdout.split() == ["False"]
-    assert FLAGS["--seed"][1] == SUITE_SEED
-
-
 def _module_names(node) -> list:
     # the names a module-level statement defines: a function's or a class's,
     # or the plain names it assigns to
@@ -1123,12 +1067,36 @@ def _module_names(node) -> list:
     return [target.id for target in targets if isinstance(target, ast.Name)]
 
 
+def _outside_bases(cls: ast.ClassDef, tree: ast.Module) -> list:
+    """The direct bases of a class statement that come from outside the
+    package, imported: a base written as module.Name after `import module`,
+    or as a name from `from module import Name` or from the builtins."""
+    modules = {alias.asname or alias.name: alias.name for node in tree.body
+               if isinstance(node, ast.Import) for alias in node.names}
+    names = {alias.asname or alias.name: (node.module, alias.name) for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 0
+             for alias in node.names}
+    bases = []
+    for base in cls.bases:
+        if (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+                and base.value.id in modules):
+            bases.append(getattr(importlib.import_module(modules[base.value.id]), base.attr))
+        elif isinstance(base, ast.Name) and base.id in names:
+            module, name = names[base.id]
+            bases.append(getattr(importlib.import_module(module), name))
+        elif isinstance(base, ast.Name) and hasattr(builtins, base.id):
+            bases.append(getattr(builtins, base.id))
+    return bases
+
+
 def _unreferenced_functions(root: Path) -> list:
     """The module-level functions, classes and assigned names of src/hgpade,
     dunders aside, that no code in src/ or demos/ reads, outside their own
     statement, as a name or as an attribute; and the methods of its
     classes, dunders aside, that no such code reads as an attribute outside
-    their own body."""
+    their own body.  A method that overrides a method of a base class from
+    outside the package (`_outside_bases`) is read by that base, as
+    argparse calls `error` on a parser."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs, reads = [], []
     for path in sorted([*root.glob("src/hgpade/*.py"), *root.glob("demos/*.py")]):
@@ -1137,10 +1105,14 @@ def _unreferenced_functions(root: Path) -> list:
             defs += [(path, f"{path.stem}.{name}", name, node, True)
                      for node in tree.body for name in _module_names(node)
                      if not name.startswith("__")]
-            defs += [(path, f"{path.stem}.{cls.name}.{node.name}", node.name, node, False)
-                     for cls in tree.body if isinstance(cls, ast.ClassDef)
-                     for node in cls.body if isinstance(node, functions)
-                     and not node.name.startswith("__")]
+            for cls in tree.body:
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                outside = _outside_bases(cls, tree)
+                defs += [(path, f"{path.stem}.{cls.name}.{node.name}", node.name, node, False)
+                         for node in cls.body if isinstance(node, functions)
+                         and not node.name.startswith("__")
+                         and not any(hasattr(base, node.name) for base in outside)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.append((node.id, False, path, node.lineno))
@@ -1161,10 +1133,12 @@ def test_code_only_the_tests_use_leaves_src(tmp_path):
     assert _unreferenced_functions(root) == []
     # the guard sees a function or a method that only its own body reads, a
     # method read only as a bare name, and a class or an assigned name that
-    # nothing reads, dunders aside
+    # nothing reads, dunders aside; an override of a method of a base from
+    # outside the package is read by that base, and the same name on a
+    # plain class is not
     (tmp_path / "src" / "hgpade").mkdir(parents=True)
     (tmp_path / "src" / "hgpade" / "lone.py").write_text(
-        "__all__ = ['used']\n\n\n"
+        "import argparse\n\n__all__ = ['used']\n\n\n"
         "def lone(k):\n    return lone(k - 1) if k else 0\n\n\n"
         "def used():\n    return 1\n\n\n"
         "class Box:\n    def __init__(self):\n        self.k = 0\n\n"
@@ -1172,19 +1146,10 @@ def test_code_only_the_tests_use_leaves_src(tmp_path):
         "    def named(self):\n        return 1\n\n"
         "    def read(self):\n        return used()\n\n\n"
         "class Spare(Box):\n    pass\n\n\n"
-        "VALUE = Box().read() + named\n")
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        raise SystemExit(1)\n\n\n"
+        "class Plain:\n    def error(self, message):\n        return message\n\n\n"
+        "VALUE = (Box().read() + named, Parser, Plain)\n")
     assert _unreferenced_functions(tmp_path) == ["lone.Box.named", "lone.Box.spin",
-                                                 "lone.Spare", "lone.VALUE", "lone.lone"]
-
-
-def test_suite_failure_names_its_details_in_report_text(monkeypatch, capsys):
-    # a check's details keep rationals exact; a red run writes them on
-    # stderr as the report does, not as Python reprs
-    def red(desk):
-        return False, {"instance": "r2m1n1", "delta": Fraction(-3, 8)}
-
-    monkeypatch.setattr("hgpade.suite.CHECKS", (("red", "always fails", 5.0, red),))
-    assert main(["suite"]) == 3
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["checks"][0]["details"]["delta"] == "-3/8"
-    assert "suite failure: red: {'delta': '-3/8', 'instance': 'r2m1n1'}" in captured.err
+                                                 "lone.Plain.error", "lone.Spare",
+                                                 "lone.VALUE", "lone.lone"]

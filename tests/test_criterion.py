@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import row_values
+from conftest import criterion_V, error_of, row_values
 from hgpade import criterion
 from hgpade.arith import Place, log_abs_fraction, log_int, v_p
 from hgpade.cli import _canonical
@@ -21,7 +21,6 @@ from hgpade.criterion import (
     HeightData,
     Instance,
     _row_lcm,
-    criterion_V,
     decay_fit_R,
     finite_place_budget,
     fit_rate,
@@ -593,7 +592,7 @@ def test_vp_remainder_and_remainder_value_share_one_table(spec_r2, check_remaind
         assert again[0] is terms and again[1] is not None
         assert terms[:len(seen)] == seen
         want = remainder_value(fresh(), *key, far, 256)
-        assert (got.value, got.error) == (want.value, want.error)
+        assert (got.value, error_of(got)) == (want.value, error_of(want))
         check_remainder_lists(system, key)
         # on its own, the sum at 10^6 and 32 bits stops at its first test:
         # one size, no term, no head, no window

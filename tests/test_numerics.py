@@ -12,9 +12,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    check_remainder_identity,
     correlate,
+    error_of,
     f_s_coefficient,
     head_filled,
+    poly_eval,
     psi_weights,
     row_values,
     window_values,
@@ -31,13 +34,12 @@ from hgpade.errors import (
 from hgpade.numerics import (
     BigFloat,
     _f_direct,
-    check_remainder_identity,
     eval_F_family,
     eval_pFq,
     remainder_value,
 )
 from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec, poly_eval
+from hgpade.polyops import HypergeometricSpec
 
 F = Fraction
 
@@ -64,14 +66,14 @@ def _cmp(x: BigFloat, other) -> int:
     """-1, 0, +1 of x against a rational or another BigFloat; raises when
     the certified intervals overlap without coinciding."""
     if isinstance(other, BigFloat):
-        lo = (other.value - other.error, other.value + other.error)
+        lo = (other.value - error_of(other), other.value + error_of(other))
     else:
         lo = (F(other), F(other))
-    if x.value + x.error < lo[0]:
+    if x.value + error_of(x) < lo[0]:
         return -1
-    if x.value - x.error > lo[1]:
+    if x.value - error_of(x) > lo[1]:
         return 1
-    if x.error == 0 and lo[0] == lo[1] == x.value:
+    if error_of(x) == 0 and lo[0] == lo[1] == x.value:
         return 0
     raise InsufficientPrecision("certified intervals overlap")
 
@@ -92,9 +94,9 @@ def test_bigfloat_invariants():
     # a sign moves onto the numerator; the pairs stay unreduced
     y = BigFloat(2, -6, -2, -2000, 64)
     assert (y.num, y.den, y.err, y.err_den) == (-2, 6, 2, 2000)
-    assert (y.value, y.error) == (F(-1, 3), F(1, 1000))
-    # the reduced forms are made once, and cannot be assigned
-    assert y.value is y.value and y.error is y.error
+    assert (y.value, error_of(y)) == (F(-1, 3), F(1, 1000))
+    # the reduced value is made once, and cannot be assigned
+    assert y.value is y.value
     with pytest.raises(dataclasses.FrozenInstanceError):
         y.value = F(0)
 
@@ -234,7 +236,7 @@ def test_agreement_near_the_fast_path_bounds(exact_calls):
                     for x, s in zip((x1, x2), sides))
             before = len(exact_calls)
             got = a.agrees_with(b)
-            assert got == (abs(x1 - x2) <= sides[0].error + sides[1].error)
+            assert got == (abs(x1 - x2) <= error_of(sides[0]) + error_of(sides[1]))
             assert (len(exact_calls) > before) == (-2 <= delta <= 1), delta
             if delta < 1:
                 band.add(got)
@@ -376,7 +378,7 @@ def _admissible_specs(draw):
 
 
 def _same(got: BigFloat, want: BigFloat) -> bool:
-    return (got.value, got.error, got.bits) == (want.value, want.error, want.bits)
+    return (got.value, error_of(got), got.bits) == (want.value, error_of(want), want.bits)
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -423,7 +425,7 @@ def test_pFq_interval_contains_the_mpmath_value(a, b):
         for bits in (1, 8):
             got = eval_pFq(a, b, z, bits)
             slack = mp.mpf(2) ** -1100 * max(1, abs(truth))  # the oracle's rounding
-            assert abs(q(got.value) - truth) <= q(got.error) + slack, (z, bits)
+            assert abs(q(got.value) - truth) <= q(error_of(got)) + slack, (z, bits)
 
 
 def test_from_roots_spec_equals_the_reference_sum():
@@ -562,7 +564,7 @@ def test_2F1_log():
     got = eval_pFq((F(1), F(1)), (F(2),), F(1, 2), 160)
     want = 2 * decimal.Decimal(2).ln()
     assert abs(_as_decimal(got.value) - want) < decimal.Decimal(10) ** -40
-    assert got.error <= F(1, 2**155)
+    assert error_of(got) <= F(1, 2**155)
 
 
 def test_1F0_binomial():
@@ -647,7 +649,7 @@ def test_family_intervals_contain_mpmath_values(spec, z):
     for v, t in zip(got, truth):
         # the oracle's own rounding is far below 2^-256
         slack = mp.mpf(2) ** -520 * max(1, abs(t))
-        assert abs(q(v.value) - t) <= q(v.error) + slack
+        assert abs(q(v.value) - t) <= q(error_of(v)) + slack
 
 
 def test_family_rejects_outside_disk(spec_r2):
@@ -669,7 +671,7 @@ def test_remainder_value_frozen(system_n4):
     # R_{0,1,0}(2), frozen (matches the direct-product route)
     got = remainder_value(system_n4, 0, 1, 0, F(2), 128)
     assert float(got.value) == pytest.approx(-6.567703164992704e-04, rel=1e-12)
-    assert got.error <= F(1, 2**100)  # certified well past float precision
+    assert error_of(got) <= F(1, 2**100)  # certified well past float precision
 
 
 def test_remainder_value_matches_direct_route(system_n4):
@@ -681,7 +683,7 @@ def test_remainder_value_matches_direct_route(system_n4):
     for s in (0, 1):
         direct = P0b * vals[s].value - poly_eval(row_values(system_n4.Pis[(0, 1, s)]), beta)
         tail_route = remainder_value(system_n4, 0, 1, s, beta, 128)
-        assert abs(direct - tail_route.value) <= tail_route.error + vals[s].error * abs(P0b)
+        assert abs(direct - tail_route.value) <= error_of(tail_route) + error_of(vals[s]) * abs(P0b)
 
 
 def test_remainder_value_guards(system_n4):
@@ -715,7 +717,7 @@ def test_remainder_value_cache_consistent(spec_r2, check_remainder_lists,
         assert not remainder_state.head_filled(reused, key)
         assert not remainder_state.window_built(reused, key)
         want, kmin, K = _naive_remainder_sum(reused, *key, beta, bits)
-        assert (got.value, got.error, got.bits) == (want.value, want.error, want.bits)
+        assert (got.value, error_of(got), got.bits) == (want.value, error_of(want), want.bits)
         for k in range(kmin, K):
             terms_stop = _grown(terms_stop, end, k)
         for k in range(kmin, K + 1):
@@ -776,7 +778,7 @@ def test_extension_entries_at_any_index_in_any_order(check_remainder_lists,
             beta, bits = arg
             got = remainder_value(system, *key, beta, bits)
             want, kmin, K = _naive_remainder_sum(system, *key, beta, bits)
-            assert (got.value, got.error) == (want.value, want.error)
+            assert (got.value, error_of(got)) == (want.value, error_of(want))
             for k in range(kmin, K):
                 terms_stop = _grown(terms_stop, end, k)
             for k in range(kmin, K + 1):
@@ -879,7 +881,7 @@ def _outcome(fn, *args, **kwargs):
         got = fn(*args, **kwargs)
     except (DivergentSeries, InsufficientPrecision) as exc:
         return type(exc)
-    return got.value, got.error, got.bits
+    return got.value, error_of(got), got.bits
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool)

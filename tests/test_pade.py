@@ -8,11 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    B_poly,
     admissible_instances,
+    check_remainder_identity,
     correlate,
     corrupted,
+    expand_F_s,
+    poly_eval,
+    poly_mul,
     psi_weights,
     row_values,
+    solve_pade_nullspace,
     window_values,
 )
 from hgpade.errors import HypothesisViolation, InvalidInput, TheoryViolation
@@ -33,13 +39,9 @@ from hgpade.polyops import (
     HypergeometricSpec,
     _scaled,
     _unscaled,
-    expand_F_s,
     poly_deg,
-    poly_eval,
-    poly_mul,
     poly_trim,
 )
-from hgpade.suite import solve_pade_nullspace
 
 F = Fraction
 
@@ -168,7 +170,7 @@ def _operator_chain_P(spec, alphas, n, ell):
         for _ in range(spec.r * n):
             g = poly_mul(g, [-F(al), F(1)])
     g = [F(0)] * ell + g
-    B = spec.B_poly()
+    B = B_poly(spec)
     for j in range(1, n):
         g = [c * poly_eval(B, k + j) for k, c in enumerate(g)]
     c = spec.c0
@@ -458,8 +460,6 @@ def test_verify_and_the_remainder_identity_on_edited_files(canonical_system, edi
     # the contract and the remainder identity read the one form a system
     # holds; the identity checks less (no window, no order), so an edit
     # that breaks only the stored windows fails the contract alone
-    from hgpade.numerics import check_remainder_identity
-
     broken = corrupted(canonical_system, *edits)
     assert verify_system(broken)["ok"] is verified
     assert check_remainder_identity(broken, 10**6, 64)["ok"] is identity

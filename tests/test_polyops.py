@@ -7,12 +7,26 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import correlate, f_s_coefficient, phi_zeta_s, psi_weights
-from hgpade.errors import (
-    HypothesisViolation,
-    InvalidInput,
+from conftest import (
+    A_poly,
+    B_poly,
     SingularEigenvalue,
+    T_c,
+    apply_H_theta,
+    apply_H_theta_inverse,
+    correlate,
+    expand_F_s,
+    f_s_coefficient,
+    gamma_ext,
+    phi_zeta_s,
+    poly_eval,
+    poly_from_roots,
+    poly_mul,
+    poly_shift_up,
+    psi,
+    psi_weights,
 )
+from hgpade.errors import HypothesisViolation, InvalidInput
 from hgpade.pade import _window_jsonable, _window_row, window_coeff, window_order
 from hgpade.polyops import (
     HypergeometricSpec,
@@ -21,18 +35,11 @@ from hgpade.polyops import (
     _series_row,
     _unscaled,
     _zeta_row,
-    expand_F_s,
     poly_deg,
-    poly_eval,
-    poly_from_roots,
-    poly_mul,
-    poly_shift_up,
     poly_trim,
-    psi,
     term_table,
     zeta_prefix_weights,
 )
-from hgpade.suite import T_c, apply_H_theta, apply_H_theta_inverse
 
 F = Fraction
 
@@ -93,7 +100,7 @@ def test_poly_from_roots_and_divexact():
 @given(st.lists(small_rationals, max_size=4), small_rationals)
 def test_poly_from_roots_of_shifted_roots_is_the_shifted_polynomial(roots, h):
     # prod (X + root + h) = A(X + h) for A = prod (X + root), the form in
-    # which `wronskian.a0s_change_of_basis` takes A(X - j): two monic
+    # which `conftest.a0s_change_of_basis` takes A(X - j): two monic
     # polynomials of degree d that agree at d + 1 points
     shifted, A = poly_from_roots([rt + h for rt in roots]), poly_from_roots(roots)
     assert len(shifted) == len(A)
@@ -239,14 +246,14 @@ def test_gamma_is_reversed_zeta(spec_r3):
     # gamma_w = zeta_{r+1-w} for w = 1..r-1: the appended 1 comes first
     assert spec_r3.gamma == (F(1), F(2, 3))
     for w in range(1, spec_r3.r):
-        assert spec_r3.gamma_ext(w) == spec_r3.gamma[w - 1]
-        assert spec_r3.gamma_ext(w) == spec_r3.gamma_ext(w + spec_r3.r)
+        assert gamma_ext(spec_r3, w) == spec_r3.gamma[w - 1]
+        assert gamma_ext(spec_r3, w) == gamma_ext(spec_r3, w + spec_r3.r)
 
 
 def test_A_B_polys(spec_r2):
-    assert poly_eval(spec_r2.A_poly(), F(0)) == F(4, 3) * F(5, 4)
-    assert poly_deg(spec_r2.A_poly()) == 2
-    assert poly_deg(spec_r2.B_poly()) == 2
+    assert poly_eval(A_poly(spec_r2), F(0)) == F(4, 3) * F(5, 4)
+    assert poly_deg(A_poly(spec_r2)) == 2
+    assert poly_deg(B_poly(spec_r2)) == 2
     assert spec_r2.B_at(F(-1)) == 0  # zeta contains 1
 
 
@@ -362,9 +369,9 @@ def test_twist_identity(p, k):
     lhs = poly_shift_up(T_c(spec, p), k)
     q = poly_shift_up(p, k)
     for j in range(1, k + 1):
-        q = apply_H_theta(spec.A_poly(), q, shift=F(-j))
+        q = apply_H_theta(A_poly(spec), q, shift=F(-j))
     for j in range(k):
-        q = apply_H_theta_inverse(spec.B_poly(), q, shift=F(-j))
+        q = apply_H_theta_inverse(B_poly(spec), q, shift=F(-j))
     assert T_c(spec, q) == poly_trim(lhs)
 
 

@@ -10,37 +10,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FactorizationMismatch,
+    _exact_power_of_2,
+    a0s_change_of_basis,
     admissible_instances,
+    c_um_factor,
     corrupted,
     fraction_det,
+    homogeneity_degree,
+    final_det_by_phi,
+    final_det_rows,
     partial_fractions,
-    phi_zeta_s,
+    poly_eval,
+    reduction_check,
     row_values,
+    vanishing_order_at_equal_alphas,
 )
 from hgpade.cli import _canonical
-from hgpade.errors import FactorizationMismatch, NonconstantDeterminant, TheoryViolation
+from hgpade.errors import NonconstantDeterminant, TheoryViolation
 from hgpade.linalg import det_bareiss
 from hgpade.pade import build_system
-from hgpade.polyops import HypergeometricSpec, poly_eval, poly_mul
+from hgpade.polyops import HypergeometricSpec
 from hgpade.wronskian import (
     C_um,
-    a0s_change_of_basis,
     a0s_values,
-    c_um_factor,
     certify_nonvanishing,
     delta_of_system,
     delta_route_check,
-    _exact_power_of_2,
     _zeta_groups,
     final_det,
     final_det_basis,
-    homogeneity_degree,
     leading_coeff_P_rm,
     link_value,
-    reduction_check,
     theta_det,
     vandermonde,
-    vanishing_order_at_equal_alphas,
 )
 
 F = Fraction
@@ -179,31 +182,13 @@ def test_C_um_det_route_equals_elimination_on_random_instances(instance, n, u):
                                                          route="eliminate")
 
 
-def _grouped(zhat, mult):
-    """The rows of the final determinant: (j, k) by distinct zeta value j,
-    then 1 <= k <= its multiplicity."""
-    return [(j, k) for j in range(len(zhat)) for k in range(1, mult[j] + 1)]
-
-
-def _final_det_by_phi(spec, n, u):
-    """The final determinant on Fractions: each entry phi_{zeta,k} of
-    t^{u+ell}(t-1)^{rn}, term by term (`conftest.phi_zeta_s`)."""
-    r = spec.r
-    zhat, mult = _zeta_groups(spec)
-    base = [F(1)]
-    for _ in range(r * n):
-        base = poly_mul(base, [F(-1), F(1)])
-    return fraction_det([[phi_zeta_s(zhat[j], k, [F(0)] * (u + ell) + base)
-                          for ell in range(r)] for j, k in _grouped(zhat, mult)])
-
-
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(admissible_instances(), st.integers(1, 3), st.integers(0, 8))
 def test_final_det_equals_the_phi_route(instance, n, u):
     # every entry one integer sum over the lcm of its row, against the
     # Fraction sum of phi_{zeta,k}; negative zeta on random instances
     spec = instance[0]
-    assert final_det(spec, n, u) == _final_det_by_phi(spec, n, u)
+    assert final_det(spec, n, u) == final_det_by_phi(spec, n, u)
 
 
 @pytest.mark.parametrize("b", [(F(1, 2), F(1, 2)), (F(-1, 2), F(-1, 2)), (F(-3, 2), F(1))])
@@ -212,7 +197,7 @@ def test_final_det_of_repeated_zeta_equals_the_phi_route(b):
     spec = HypergeometricSpec.from_roots((F(4, 3), F(5, 4), F(6, 5)), (*b, F(1)), F(1))
     for n in (1, 2):
         for u in (0, 3):
-            assert final_det(spec, n, u) == _final_det_by_phi(spec, n, u)
+            assert final_det(spec, n, u) == final_det_by_phi(spec, n, u)
 
 
 @settings(deadline=None, derandomize=True)
@@ -280,17 +265,26 @@ def test_chain_constants_are_the_reduction_check_sides(instance, n):
     ("spec_r3", (1,), 2),
 ])
 def test_certify_calls_no_c_um_factor(spec_name, alphas, n, request, monkeypatch):
-    # the chain's constants and exponent are stated, not measured
+    # the chain's constants and exponent are stated, not measured: the
+    # measuring oracle is not in the package, and every C_um that certify
+    # evaluates is at a prefix of the instance's own points, never at a
+    # sample tuple of the measurement or its double
     import hgpade.wronskian
 
-    def refused(*args):
-        raise AssertionError("certify measured (c, e)")
+    assert not hasattr(hgpade.wronskian, "c_um_factor")
+    seen = []
+    real = hgpade.wronskian.C_um
 
-    monkeypatch.setattr(hgpade.wronskian, "c_um_factor", refused)
-    report = certify_nonvanishing(request.getfixturevalue(spec_name),
-                                  [F(a) for a in alphas], n)
+    def recorded(spec, at, *args, **kwargs):
+        seen.append(list(at))
+        return real(spec, at, *args, **kwargs)
+
+    monkeypatch.setattr(hgpade.wronskian, "C_um", recorded)
+    points = [F(a) for a in alphas]
+    report = certify_nonvanishing(request.getfixturevalue(spec_name), points, n)
     assert report.verdict == "certified nonzero"
     assert all(report.checks.values())
+    assert seen and all(at == points[:len(at)] for at in seen)
 
 
 @pytest.mark.parametrize("spec_name, alphas, n, calls", [
@@ -397,7 +391,7 @@ def _final_det_basis_by_partial_fractions(spec):
         counts[j] += 1
         intro.append((j, counts[j]))
         E *= partial_fractions(spec, s)[(j, counts[j])]
-    perm = [_grouped(zhat, mult).index(pair) for pair in intro]
+    perm = [final_det_rows(zhat, mult).index(pair) for pair in intro]
     inversions = sum(perm[x] > perm[y] for x, y in itertools.combinations(range(spec.r), 2))
     return E * (-1) ** inversions
 
@@ -421,7 +415,7 @@ def test_final_det_and_link_value_equal_their_determinant_routes(zeta, n, u):
     # values, so most draws repeat one, n <= 3 and u <= 12
     spec = HypergeometricSpec.from_roots([F(4, 3)] * len(zeta), zeta, F(1))
     fdet = final_det(spec, n, u)
-    assert fdet == _final_det_by_phi(spec, n, u)
+    assert fdet == final_det_by_phi(spec, n, u)
     L = link_value(spec, n, u)
     assert L == C_um(spec, (F(1),), n, u) == final_det_basis(spec) * fdet
     assert fdet != 0 and L != 0
