@@ -157,9 +157,8 @@ COMMANDS = {
     "criterion": ("measure the effective irrationality criterion",
                   (*_COMMON, *_SPEC, "--alphas", "--beta", "--place", "--epsilon",
                    "--n-range")),
-    "min-beta": ("smallest integer beta certifying V > 0",
-                 (*_COMMON, *_SPEC, "--alphas", "--place", "--search-bound",
-                  "--n-range")),
+    "min-beta": ("smallest integer beta certifying V > 0 at the archimedean place",
+                 (*_COMMON, *_SPEC, "--alphas", "--search-bound", "--n-range")),
     "eval": ("certified values F_0(z)..F_{r-1}(z)", (*_COMMON, *_SPEC, "--z", "--bits")),
 }
 
@@ -403,11 +402,11 @@ def _cmd_min_beta(cfg: RunConfig) -> int:
         raise InvalidInput("--search-bound is required")
     n_range = cfg.n_range or range(4, 13)
     inst = Instance(spec, cfg.alphas, n_range)
-    found, v_emp = min_beta(inst, cfg.place, cfg.search_bound)
+    found, v_emp = min_beta(inst, cfg.search_bound)
     report = {
         "search_bound": cfg.search_bound,
         "n_range": [n_range[0], n_range[-1]],
-        "place": cfg.place,
+        "place": Place(),
         "min_beta": found,
         "V_emp": v_emp,
     }

@@ -24,8 +24,7 @@ that run.  A Fraction is made only where a caller reads a
 rational.  A system is given its data once, when it is made: each P_ell
 and each P_{ell,i,s} is only its integer row (den, ints) over one
 denominator, ints a tuple, in a read-only mapping (`PadeSystem.P`,
-`PadeSystem.Pis`); a reader that wants rationals makes them
-(`polyops._unscaled`).
+`PadeSystem.Pis`); a reader that wants rationals makes them.
 Each remainder series is one append-only list on the system, read by
 exponent (`PadeSystem.terms`): its head, below the window's end, is filled
 on the first read inside it, and past the window it grows only as far as a
@@ -614,11 +613,10 @@ def verify_system(system: PadeSystem) -> dict:
     """The system's `contract_failures` as a report, with the instance's
     hypothesis flags and its shape."""
     failures = contract_failures(system)
-    flags = system.spec.hypothesis_flags()
     return {
         "ok": not failures,
         "failures": failures,
-        "hypothesis_flags": {k: ok for k, (ok, _) in flags.items()},
+        "hypothesis_flags": system.spec.hypothesis_flags(),
         "n": system.n,
         "r": system.r,
         "m": system.m,

@@ -16,11 +16,10 @@ Wronskian chain are integer rows (den, ints) from their closed forms: the
 zeta-prefix weights (`_zeta_row`) and the series of F_s (`_series_row`).
 Every value psi_{i,s}(t^k p) is a correlation of p against the weights of
 (alpha_i, s), computed on integers by one kernel, `_dot_rows`, whose
-outputs share one denominator; a caller that reads rationals makes them
-(`_unscaled`), and one that reads a row's polynomial at a rational point
-takes one integer Horner (`_row_value`).  The literal product that
-`pade.contract_failures` checks those values against (`pade.remainder`)
-runs a loop of its own on the series row.  The dense polynomial
+outputs share one denominator; a caller that reads a row's polynomial at
+a rational point takes one integer Horner (`_row_value`).  The literal
+product that `pade.contract_failures` checks those values against
+(`pade.remainder`) runs a loop of its own on the series row.  The dense polynomial
 arithmetic, psi on a polynomial and the series as Fractions are test
 oracles, in the tests.
 """
@@ -157,42 +156,23 @@ class HypergeometricSpec:
     # -- hypothesis flags (gate certification, not construction)
 
     def hypothesis_flags(self) -> dict:
-        """Named instance hypotheses; each maps to (ok, detail)."""
-        flags = {}
-        bad = [x for x in self.eta + self.zeta if x.denominator == 1 and x <= 0]
-        flags["assumption_AB"] = (not bad, "A(k)B(k) != 0 for k >= 0")
-        viol = [x for x in self.a if x.denominator == 1 and x > 0]
-        flags["a_not_positive_integer"] = (
-            not viol,
-            "violated by a = " + ", ".join(map(format_rational, viol)) if viol else "a_k not in Z_{>0}",
-        )
-        pairs = [
-            (ak, bj)
-            for ak in self.a
-            for bj in self.b
-            if (ak + 1 - bj).denominator == 1 and ak + 1 - bj > 0
-        ]
-        flags["a_plus_one_minus_b_not_positive_integer"] = (
-            not pairs,
-            f"violated by pairs {pairs}" if pairs else "a_k+1-b_j not in Z_{>0}",
-        )
-        diffs = [
-            (e, z)
-            for e in self.eta
-            for z in self.zeta
-            if (e - z).denominator == 1 and e - z >= 0
-        ]
-        flags["eta_minus_zeta_not_natural"] = (
-            not diffs,
-            f"violated by pairs {diffs}" if diffs else "eta_i - zeta_j not in N",
-        )
-        return flags
+        """Named instance hypotheses, each mapped to whether it holds."""
+        return {
+            "assumption_AB": not any(x.denominator == 1 and x <= 0
+                                     for x in self.eta + self.zeta),
+            "a_not_positive_integer": not any(x.denominator == 1 and x > 0 for x in self.a),
+            "a_plus_one_minus_b_not_positive_integer": not any(
+                (ak + 1 - bj).denominator == 1 and ak + 1 - bj > 0
+                for ak in self.a for bj in self.b),
+            "eta_minus_zeta_not_natural": not any(
+                (e - z).denominator == 1 and e - z >= 0 for e in self.eta for z in self.zeta),
+        }
 
     def flags_pass(self) -> bool:
-        return all(ok for ok, _ in self.hypothesis_flags().values())
+        return all(self.hypothesis_flags().values())
 
     def violated_hypotheses(self) -> list:
-        return [name for name, (ok, _) in self.hypothesis_flags().items() if not ok]
+        return [name for name, ok in self.hypothesis_flags().items() if not ok]
 
     def to_jsonable(self) -> dict:
         return {
@@ -278,12 +258,6 @@ def _scaled(pairs: list) -> tuple:
     return den, [a * (den // d) for a, d in pairs]
 
 
-def _unscaled(den: int, ints: list) -> list:
-    """The rationals ints / den, one reduced Fraction each: the inverse of
-    `_scaled`."""
-    return [Fraction(a, den) for a in ints]
-
-
 def _row_value(den: int, ints: list, x: Fraction) -> Fraction:
     """The polynomial sum_d ints[d] / den * x^d at x = p/q, as one Fraction:
     the integer Horner sum_d ints[d] p^d q^{D-d} over den q^D, D = deg."""
@@ -301,20 +275,6 @@ def _dot_rows(pi: list, wi: list, count: int) -> list:
     """[sum_d pi[d] * wi[j + d] for 0 <= j < count], integer dot products;
     entries past the end of wi count as zero."""
     return [sum(map(mul, pi, wi[j:j + len(pi)])) for j in range(count)]
-
-
-def zeta_prefix_weights(spec: HypergeometricSpec, alpha: Fraction, s: int, upto: int) -> list:
-    """Values alpha^k / ((k+zeta_1)...(k+zeta_{s+1})) on t^k, k = 0..upto.
-
-    This is the normalized evaluation functional obtained from psi_{i,s} by
-    stripping T_c and one alpha factor; the non-vanishing chain is built on it.
-    Each is its literal Fraction formula: the weights of the elimination
-    oracle of C_{u,m}, which shares no code with `_zeta_row`.
-    """
-    alpha = Fraction(alpha)
-    zs = spec.zeta[: s + 1]
-    return [alpha ** k / math.prod((k + z for z in zs), start=Fraction(1))
-            for k in range(upto + 1)]
 
 
 def _zeta_row(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -> tuple:

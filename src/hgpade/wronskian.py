@@ -32,8 +32,8 @@ each level is checked once at the instance's own points, by one C_{u,k};
 the oracle that measures (c, e) on sample tuples is in the tests.
 `final_det`, L(u) = C_{u,1}(1) (`link_value`) and the change of
 basis E between them (`final_det_basis`) are products, proved in the
-README.  The subset elimination behind `C_um(..., route="eliminate")` is
-exponential in rm and is kept only as an oracle for small sizes.
+README.  The subset elimination that checks `C_um` is exponential in rm
+and lives in the tests, as an oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -52,15 +52,7 @@ from .pade import (
     contract_failures,
     window_coeff,
 )
-from .polyops import (
-    HypergeometricSpec,
-    Poly,
-    _dot_rows,
-    _scaled,
-    _unscaled,
-    _zeta_row,
-    zeta_prefix_weights,
-)
+from .polyops import HypergeometricSpec, _dot_rows, _scaled, _zeta_row
 
 # ---------------------------------------------------------------------------
 # Delta and Theta
@@ -202,55 +194,20 @@ def a0s_values(spec: HypergeometricSpec, n: int) -> dict:
 # the multivariate functional value C_{u,m}
 
 
-def _eliminate(U: Poly, tables) -> Fraction:
-    """Apply the product functional to prod_v U(t_v) * prod_{v<v'} (t_v' - t_v),
-    one variable at a time, never materializing the full expansion.
-
-    `tables[v][k]` is the value of variable v's functional on t^k.  The sparse
-    accumulator maps exponent tuples of the remaining variables to rationals.
-    """
-    N = len(tables)
-    acc = {(0,) * N: Fraction(1)}
-    for v in range(N):
-        rest_count = N - 1 - v
-        nxt = {}
-        for exps, coeff in acc.items():
-            e0, rest = exps[0], exps[1:]
-            for d, ud in enumerate(U):
-                if not ud:
-                    continue
-                base = coeff * ud
-                for mask in range(1 << rest_count):
-                    popcount = bin(mask).count("1")
-                    k = e0 + d + rest_count - popcount
-                    w = tables[v][k]
-                    if not w:
-                        continue
-                    term = base * w
-                    if (rest_count - popcount) % 2:
-                        term = -term
-                    key = tuple(
-                        rest[j] + ((mask >> j) & 1) for j in range(rest_count)
-                    )
-                    nxt[key] = nxt.get(key, Fraction(0)) + term
-        acc = {k: c for k, c in nxt.items() if c} or {(0,) * rest_count: Fraction(0)}
-    return acc.get((), Fraction(0))
-
-
 def C_um(spec: HypergeometricSpec, alphas, n: int, u: int, route: str = "det") -> Fraction:
     """The functional value C_{u,m}: one evaluation functional per variable
     applied to prod_v t_v^u prod_j (t_v - alpha_j)^{rn} * Vandermonde(t).
 
-    route='det' (the primary, polynomial time) is the moment determinant
-    det( psi~_v(t^{u+p} prod_j (t - alpha_j)^{rn}) ), p, v < rm, which
-    Andreief's identity (Cauchy-Binet) gives for a product of functionals
-    against a Vandermonde.  Each of its columns is one `_dot_rows` run of
-    the base polynomial's integer row against variable v's (`_zeta_row`),
-    the kernel that computes every psi(t^k P).  route='eliminate' is the
-    independent oracle, on Fractions and sharing no code with `_dot_rows`:
-    it collapses one variable at a time over 2^(rm-1-v) subsets,
-    affordable only for rm <= 4 or so.
+    It is the moment determinant det( psi~_v(t^{u+p} prod_j (t -
+    alpha_j)^{rn}) ), p, v < rm, which Andreief's identity (Cauchy-Binet)
+    gives for a product of functionals against a Vandermonde, in polynomial
+    time.  Each of its columns is one `_dot_rows` run of the base
+    polynomial's integer row against variable v's (`_zeta_row`), the kernel
+    that computes every psi(t^k P).  `route` has the one value 'det'; any
+    other raises InvalidInput.
     """
+    if route != "det":
+        raise InvalidInput(f"unknown route {route!r}")
     alphas = [Fraction(a) for a in alphas]
     if u < 0:
         raise InvalidInput("need u >= 0")
@@ -258,15 +215,9 @@ def C_um(spec: HypergeometricSpec, alphas, n: int, u: int, route: str = "det") -
     N = r * m
     dU, Ui = base_polynomial(alphas, r * n, u)
     count = len(Ui) - 1 + N  # the weights the columns meet
-    if route == "eliminate":
-        # one weight table per variable, in (i, s) order
-        return _eliminate(_unscaled(dU, Ui), [zeta_prefix_weights(spec, al, s, count)
-                                              for al in alphas for s in range(r)])
-    if route == "det":
-        # row v holds column v over dU * dw; det does not see the transpose
-        weights = [_zeta_row(spec, al, s, count) for al in alphas for s in range(r)]
-        return _det([(dU * dw, _dot_rows(Ui, wi, N)) for dw, wi in weights])
-    raise InvalidInput(f"unknown route {route!r}")
+    # row v holds column v over dU * dw; det does not see the transpose
+    weights = [_zeta_row(spec, al, s, count) for al in alphas for s in range(r)]
+    return _det([(dU * dw, _dot_rows(Ui, wi, N)) for dw, wi in weights])
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +405,7 @@ def certify_nonvanishing(spec: HypergeometricSpec, alphas, n: int) -> WronskianR
         final_det=fdet_value,
         exponent_e=alpha_exponent(r, n, n) if chain else 0,
         verdict=verdict,
-        hypothesis_flags={k: ok for k, (ok, _) in flags.items()},
+        hypothesis_flags=flags,
         checks=checks,
         zero_links=zero_links,
     )

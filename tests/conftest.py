@@ -1,7 +1,9 @@
 """Shared fixtures and helpers: the worked instances every test module leans
 on, one admissible-instance strategy, one way to corrupt a system, the
 Fraction oracles of the package's integer tables (`correlate`,
-`f_s_coefficient`, `phi_zeta_s`), a system's integer rows and a matrix
+`f_s_coefficient`, `phi_zeta_s`, `zeta_prefix_weights`), the subset
+elimination oracle of the moment determinant C_{u,m}
+(`C_um_by_elimination`), a system's integer rows and a matrix
 of rationals read as Fractions (`row_values`, `window_values`,
 `fraction_det`), and the partial fractions of 1/prod(X + zeta_t) by a
 linear solve (`partial_fractions`), the oracle of the closed-form change
@@ -29,7 +31,7 @@ from hgpade.criterion import decay_fit_R, height_fit_vec
 from hgpade.errors import HgpadeError, InvalidInput, TheoryViolation
 from hgpade.linalg import det_bareiss
 from hgpade.numerics import BigFloat, eval_F_family, remainder_value
-from hgpade.pade import PadeSystem, build_system, window_coeff
+from hgpade.pade import PadeSystem, base_polynomial, build_system, window_coeff
 from hgpade.polyops import (
     HypergeometricSpec,
     _dot_rows,
@@ -37,7 +39,6 @@ from hgpade.polyops import (
     _row_value,
     _scaled,
     _series_row,
-    _unscaled,
     poly_trim,
 )
 from hgpade.wronskian import C_um, _link_sign, _zeta_groups, alpha_exponent, vandermonde
@@ -66,7 +67,7 @@ def correlate(p, w, k0, k1):
     one Fraction, equal to the Fraction sum it replaces."""
     dp, pi = _scaled([c.as_integer_ratio() for c in p])
     dw, wi = _scaled([c.as_integer_ratio() for c in w[k0:k1 - 1 + len(p)]])
-    return _unscaled(dp * dw, _dot_rows(pi, wi, k1 - k0))
+    return row_values((dp * dw, _dot_rows(pi, wi, k1 - k0)))
 
 
 def f_s_coefficient(spec, s, k):
@@ -89,6 +90,61 @@ def phi_zeta_s(zeta, s, p):
             raise InvalidInput(f"pole: k + zeta = 0 at k = {k}")
         total += c / (k + zeta) ** s
     return total
+
+
+def zeta_prefix_weights(spec, alpha, s: int, upto: int) -> list:
+    """Values alpha^k / ((k+zeta_1)...(k+zeta_{s+1})) on t^k, k = 0..upto:
+    the normalized evaluation functional obtained from psi_{i,s} by
+    stripping T_c and one alpha factor, each by its literal Fraction
+    formula, sharing no code with `polyops._zeta_row`."""
+    alpha = F(alpha)
+    zs = spec.zeta[: s + 1]
+    return [alpha ** k / math.prod((k + z for z in zs), start=F(1))
+            for k in range(upto + 1)]
+
+
+def C_um_by_elimination(spec, alphas, n: int, u: int) -> Fraction:
+    """C_{u,m} by subset elimination, the oracle of `wronskian.C_um`: the
+    product functional, one zeta-prefix weight table per variable in (i, s)
+    order (`zeta_prefix_weights`), applied to prod_v U(t_v) * prod_{v<v'}
+    (t_v' - t_v), U = t^u prod_j (t - alpha_j)^{rn}, one variable at a
+    time, never materializing the full expansion.  It runs on Fractions
+    and shares no code with `_dot_rows`; it collapses each variable v over
+    2^(rm-1-v) subsets, affordable only for rm <= 4 or so.
+
+    The sparse accumulator maps exponent tuples of the remaining variables
+    to rationals, and `tables[v][k]` is variable v's functional on t^k."""
+    alphas = [F(a) for a in alphas]
+    r = spec.r
+    U = row_values(base_polynomial(alphas, r * n, u))
+    count = len(U) - 1 + r * len(alphas)  # the weights the product meets
+    tables = [zeta_prefix_weights(spec, al, s, count) for al in alphas for s in range(r)]
+    N = len(tables)
+    acc = {(0,) * N: F(1)}
+    for v in range(N):
+        rest_count = N - 1 - v
+        nxt = {}
+        for exps, coeff in acc.items():
+            e0, rest = exps[0], exps[1:]
+            for d, ud in enumerate(U):
+                if not ud:
+                    continue
+                base = coeff * ud
+                for mask in range(1 << rest_count):
+                    popcount = bin(mask).count("1")
+                    k = e0 + d + rest_count - popcount
+                    w = tables[v][k]
+                    if not w:
+                        continue
+                    term = base * w
+                    if (rest_count - popcount) % 2:
+                        term = -term
+                    key = tuple(
+                        rest[j] + ((mask >> j) & 1) for j in range(rest_count)
+                    )
+                    nxt[key] = nxt.get(key, F(0)) + term
+        acc = {k: c for k, c in nxt.items() if c} or {(0,) * rest_count: F(0)}
+    return acc.get((), F(0))
 
 
 def partial_fractions(spec, s):
@@ -273,7 +329,7 @@ def expand_F_s(spec, alpha, s: int, count: int):
     if not (0 <= s <= spec.r - 1):
         raise InvalidInput(f"s out of range: {s}")
     den, ints = _series_row(spec, alpha, s, count)
-    return _unscaled(den, ints[:count])
+    return row_values((den, ints[:count]))
 
 
 class SingularEigenvalue(HgpadeError):

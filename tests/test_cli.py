@@ -657,23 +657,19 @@ def test_certify_reports_match_frozen(capsys):
     "wronskian --a=1/3,1/4 --b=1/2 --alphas=1,2 --n=3",
     "wronskian --a=1/3,1/4,1/5 --b=1/2,2/3 --alphas=1,2 --n=2",
 ])
-def test_the_wronskian_chain_makes_no_table_of_fractions(key, capsys, monkeypatch):
+def test_the_wronskian_chain_makes_no_table_of_fractions(key, capsys):
     # every table the chain reads is an integer row from its closed form:
-    # with the Fraction route of the zeta-prefix weights made to fail, the
-    # certify ops at r2m2n3 and r3m2n2 still write the report bytes the
-    # frozen table pins; the Fraction routes of the phi-functionals and of
-    # the series of F_s are test oracles and not in the package at all
+    # the Fraction routes of the zeta-prefix weights, the phi-functionals
+    # and the series of F_s are test oracles and not in the package at
+    # all, and the certify ops at r2m2n3 and r3m2n2 write the report bytes
+    # the frozen table pins
     import sys
-
-    def fraction_table(*args):
-        raise AssertionError("the chain made a table of Fractions")
 
     for name, module in list(sys.modules.items()):
         if name.startswith("hgpade"):
             assert not hasattr(module, "phi_zeta_s"), name
             assert not hasattr(module, "expand_F_s"), name
-            if hasattr(module, "zeta_prefix_weights"):
-                monkeypatch.setattr(module, "zeta_prefix_weights", fraction_table)
+            assert not hasattr(module, "zeta_prefix_weights"), name
     assert main(key.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == json.loads(_FROZEN.read_text())[key]
@@ -901,6 +897,14 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
     # no command takes a seed
     (["wronskian", *R2, "--alphas=1", "--n=1", "--seed=0"], None,
      "unrecognized arguments: --seed=0"),
+    # min-beta bisects in log beta, and V grows in log|beta| at the
+    # archimedean place alone: it takes no --place, from argv or --config
+    (["min-beta", *R2, "--alphas=1", "--search-bound=16", "--place", "inf"], None,
+     "unrecognized arguments: --place inf"),
+    (["min-beta", *R2, "--alphas=1", "--search-bound=16", "--place=5"], None,
+     "unrecognized arguments: --place=5"),
+    (["min-beta", *R2, "--alphas=1", "--search-bound=16"], {"place": "inf"},
+     "--config: 'place' is not a flag of min-beta"),
 ])
 def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys):
     if config is not None:

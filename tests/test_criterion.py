@@ -373,7 +373,7 @@ def test_measure_checks_spec_hypotheses_first():
 
 def test_min_beta_small_window(spec_r2):
     inst = Instance(spec_r2, (Fraction(1),), SMALL_WINDOW)
-    mb, v_found = min_beta(inst, Place(), 64)
+    mb, v_found = min_beta(inst, 64)
     assert mb == 5
     # bracketing: V flips sign exactly at the reported threshold, and the
     # V handed back is criterion_V's at it, to the bit
@@ -387,16 +387,16 @@ def test_min_beta_small_window(spec_r2):
 
 def test_min_beta_canonical_window(spec_r2):
     # default fitting window, the value quoted in the docs
-    found, v = min_beta(Instance(spec_r2, (Fraction(1),), range(4, 13)), Place(), 1024)
+    found, v = min_beta(Instance(spec_r2, (Fraction(1),), range(4, 13)), 1024)
     assert found == 10 and v > 0
 
 
 def test_min_beta_none_when_bound_too_small(spec_r2):
     # the search floor is int(max |alpha|) + 1 = 2
     inst = Instance(spec_r2, (Fraction(1),), SMALL_WINDOW)
-    assert min_beta(inst, Place(), 1) == (None, None)
+    assert min_beta(inst, 1) == (None, None)
     # V(2) < 0, so a bound of 2 leaves nothing certified either
-    assert min_beta(inst, Place(), 2) == (None, None)
+    assert min_beta(inst, 2) == (None, None)
 
 
 def _floor_first_bisection(inst, v0, search_bound):
@@ -452,7 +452,7 @@ def test_min_beta_agrees_with_the_floor_first_bisection(name, alphas):
     inst, fresh = Instance(spec, alphas, ns), Instance(spec, alphas, ns)
     floor = int(max(abs(x) for x in alphas)) + 1
     for bound in (2, 5, 64, 1024, 100000):
-        found = min_beta(inst, Place(), bound)
+        found = min_beta(inst, bound)
         assert found == _floor_first_bisection(inst, Place(), bound), bound
         beta, v = found
         if beta is not None:
@@ -477,7 +477,7 @@ def test_min_beta_bisects_in_log_beta_and_skips_the_floor(spec_r2, monkeypatch):
     # the benchmark's op: midpoints isqrt(lo * hi) from the bound down to
     # the answer, and never V at the floor 2, the dearest beta
     probes = _probes(monkeypatch)
-    found = min_beta(Instance(spec_r2, (Fraction(1),), range(4, 13)), Place(), 1024)
+    found = min_beta(Instance(spec_r2, (Fraction(1),), range(4, 13)), 1024)
     assert found[0] == 10
     assert probes == [1024, 45, 9, 20, 13, 10]
 
@@ -487,34 +487,40 @@ def test_min_beta_probes_the_floor_last(spec_r2, monkeypatch):
     # closes its bracket on it and evaluates it last, once
     probes = _probes(monkeypatch)
     inst = Instance(spec_r2, (Fraction(1, 10),), SMALL_WINDOW)
-    assert min_beta(inst, Place(), 1024)[0] == 1
+    assert min_beta(inst, 1024)[0] == 1
     assert probes == [1024, 32, 5, 2, 1]
     # a bound at the floor is one probe, not two
     probes.clear()
-    assert min_beta(inst, Place(), 1)[0] == 1
+    assert min_beta(inst, 1)[0] == 1
     assert probes == [1]
 
 
-def test_min_beta_is_archimedean_only(spec_r2):
-    with pytest.raises(InvalidInput, match="archimedean"):
-        min_beta(Instance(spec_r2, (Fraction(25),), range(4, 13)), Place(5), 100)
-
-
 # ---------------------------------------------------------------------------
-# finite-place sanity: measured mass stays under the budget
+# finite places: measured mass against the closed-form budget
 # ---------------------------------------------------------------------------
 
 
 def test_place_consistency_frozen(spec_r2):
-    pc = place_consistency(spec_r2, 200)
+    pc = place_consistency(spec_r2)
     assert pc["N"] == 200
     assert pc["measured"] == pytest.approx(7.901078214951886, rel=1e-9)
     assert pc["budget"] == pytest.approx(11.499948696921782, rel=1e-9)
     assert pc["relative_gap"] == pytest.approx(0.3129466553997075, rel=1e-9)
-    # the budget is a worst-case majorant: the finite-N mass sits well below
-    # it (not within 5%), and the one-sided bound holds
+    # on the canonical instance the finite-N mass sits well below the
+    # budget (not within 5%)
     assert pc["within_5pct"] is False
-    assert pc["upper_bound_ok"] is True
+    assert pc["measured_le_budget"] is True
+
+
+def test_place_consistency_budget_is_no_bound():
+    # the budget is a closed-form estimate, not a bound: at a = 1/5, 2/7,
+    # b = 1/2 the mass at N = 200 exceeds it, and the comparison, with no
+    # slack, says so
+    spec = HypergeometricSpec.from_ab((Fraction(1, 5), Fraction(2, 7)), (Fraction(1, 2),))
+    pc = place_consistency(spec)
+    assert pc["measured"] == pytest.approx(11.710865816640695, rel=1e-9)
+    assert pc["budget"] == pytest.approx(10.721281286680274, rel=1e-9)
+    assert pc["measured_le_budget"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +665,7 @@ def test_archimedean_measure_builds_no_window(spec_r2, remainder_state):
     # the p-adic criterion fills heads, and min-beta runs the archimedean
     # sums at every beta it tries
     for run in (lambda inst: measure(inst, Fraction(1, 5**10), Place(5), 0.1),
-                lambda inst: min_beta(inst, Place(), 1024)):
+                lambda inst: min_beta(inst, 1024)):
         inst = Instance(spec_r2, (Fraction(1),), range(4, 8))
         run(inst)
         for system in inst.systems.values():

@@ -38,7 +38,6 @@ from hgpade.pade import (
 from hgpade.polyops import (
     HypergeometricSpec,
     _scaled,
-    _unscaled,
     poly_deg,
     poly_trim,
 )
@@ -108,7 +107,7 @@ def test_shortest_and_longest_truncations_build(toy_spec):
 
 def test_base_polynomial_of_one_point_is_a_binomial_power():
     # (t + c)^e as base_polynomial((-c,), e, 0), an integer row over q^e
-    assert _unscaled(*base_polynomial((F(2),), 3, 0)) == poly_trim(
+    assert row_values(base_polynomial((F(2),), 3, 0)) == poly_trim(
         poly_mul(poly_mul([F(-2), F(1)], [F(-2), F(1)]), [F(-2), F(1)])
     )
     assert base_polynomial((F(-1, 2),), 2, 0) == (4, [1, 4, 4])
@@ -126,7 +125,7 @@ def test_base_polynomial_equals_the_fraction_product(alphas, rn, ell):
         for _ in range(rn):
             want = poly_mul(want, [-F(al), F(1)])
     den, ints = base_polynomial(alphas, rn, ell)
-    assert _unscaled(den, ints) == [F(0)] * ell + want
+    assert row_values((den, ints)) == [F(0)] * ell + want
     assert all(type(a) is int for a in ints) and ints[-1] == den
 
 

@@ -25,6 +25,8 @@ from conftest import (
     poly_shift_up,
     psi,
     psi_weights,
+    row_values,
+    zeta_prefix_weights,
 )
 from hgpade.errors import HypothesisViolation, InvalidInput
 from hgpade.pade import _window_jsonable, _window_row, window_coeff, window_order
@@ -33,12 +35,10 @@ from hgpade.polyops import (
     _row_value,
     _scaled,
     _series_row,
-    _unscaled,
     _zeta_row,
     poly_deg,
     poly_trim,
     term_table,
-    zeta_prefix_weights,
 )
 
 F = Fraction
@@ -116,7 +116,7 @@ def test_row_value_is_poly_eval_of_the_rows_fractions(ints, den, p, q):
     # the integer Horner over den q^D is the polynomial ints / den at p/q
     x = F(p, q)
     assume(x.denominator > 1)
-    assert _row_value(den, ints, x) == poly_eval(_unscaled(den, ints), x)
+    assert _row_value(den, ints, x) == poly_eval(row_values((den, ints)), x)
 
 
 @given(polys, polys)
@@ -498,7 +498,7 @@ def test_zeta_row_is_the_literal_weight(b, alpha, count):
         assert den > 0 and len(ints) == count
         want = [alpha ** k / math.prod((k + z for z in spec.zeta[:s + 1]), start=F(1))
                 for k in range(count)]
-        assert _unscaled(den, ints) == want
+        assert row_values((den, ints)) == want
         assert zeta_prefix_weights(spec, alpha, s, count - 1) == want
 
 
@@ -526,7 +526,7 @@ def test_series_row_is_the_product_formula(a, alpha, count):
         for s in range(spec.r):
             den, ints = _series_row(spec, alpha, s, count)
             want = [f_s_coefficient(spec, s, k) * alpha ** (k + 1) for k in range(count)]
-            assert _unscaled(den, ints[:count]) == want
+            assert row_values((den, ints[:count])) == want
             assert _series_row(spec, alpha, s, count // 2) is spec._series_rows[(alpha, s)]
             den, ints = _series_row(spec, alpha, s, count + 3)
             assert len(ints) == count + 3

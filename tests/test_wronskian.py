@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    C_um_by_elimination,
     FactorizationMismatch,
     _exact_power_of_2,
     a0s_change_of_basis,
@@ -27,7 +28,7 @@ from conftest import (
     vanishing_order_at_equal_alphas,
 )
 from hgpade.cli import _canonical
-from hgpade.errors import NonconstantDeterminant, TheoryViolation
+from hgpade.errors import InvalidInput, NonconstantDeterminant, TheoryViolation
 from hgpade.linalg import det_bareiss
 from hgpade.pade import build_system
 from hgpade.polyops import HypergeometricSpec
@@ -167,9 +168,7 @@ def test_C_um_routes_agree(spec_r2, spec_r3):
         r = spec.r
         for n in (1, 2):
             for u in sorted({0, 1, n, n + r * (n + 1)}):
-                assert C_um(spec, alphas, n, u, route="eliminate") == C_um(
-                    spec, alphas, n, u, route="det"
-                )
+                assert C_um_by_elimination(spec, alphas, n, u) == C_um(spec, alphas, n, u)
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -178,8 +177,14 @@ def test_C_um_det_route_equals_elimination_on_random_instances(instance, n, u):
     # the integer moment determinant against the Fraction elimination, whose
     # weights are each their literal formula, on random admissible rm <= 4
     spec, alphas = instance
-    assert C_um(spec, alphas, n, u, route="det") == C_um(spec, alphas, n, u,
-                                                         route="eliminate")
+    assert C_um(spec, alphas, n, u) == C_um_by_elimination(spec, alphas, n, u)
+
+
+def test_C_um_refuses_any_route_but_the_moment_determinant(spec_r2):
+    # the elimination route is a test oracle (`C_um_by_elimination`): the
+    # package's `route` has the one value "det"
+    with pytest.raises(InvalidInput, match="eliminate"):
+        C_um(spec_r2, (F(1),), 1, 1, route="eliminate")
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -205,7 +210,7 @@ def test_final_det_of_repeated_zeta_equals_the_phi_route(b):
 def test_chain_contracts_on_random_instances(instance):
     spec, alphas = instance
     n = 1
-    assert C_um(spec, alphas, n, n) == C_um(spec, alphas, n, n, route="eliminate")
+    assert C_um(spec, alphas, n, n) == C_um_by_elimination(spec, alphas, n, n)
     system = build_system(spec, alphas, n)
     delta = delta_of_system(system)  # raises NonconstantDeterminant otherwise
     assert delta == leading_coeff_P_rm(system) * theta_det(system)
