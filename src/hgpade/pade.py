@@ -24,7 +24,10 @@ that run.  A Fraction is made only where a caller reads a
 rational.  A system is given its data once, when it is made: each P_ell
 and each P_{ell,i,s} is only its integer row (den, ints) over one
 denominator, ints a tuple, in a read-only mapping (`PadeSystem.P`,
-`PadeSystem.Pis`); a reader that wants rationals makes them.
+`PadeSystem.Pis`); a reader that wants rationals makes them.  A built
+system makes each P_{ell,i,s} row on its first read, and Delta, which
+reads only the constant terms, takes them one dot product each
+(`constant_term`).
 Each remainder series is one append-only list on the system, read by
 exponent (`PadeSystem.terms`): its head, below the window's end, is filled
 on the first read inside it, and past the window it grows only as far as a
@@ -40,13 +43,16 @@ beta-free part of their ratio bound (`PadeSystem.tail_ratio`).  Both lists
 hold unreduced integer pairs (a, den) over their run's denominator.  Only
 this module splits a series at the window's end.
 
-One function, `contract_failures`, decides the system's contract, with one
-literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per (ell, i, s)
-(`remainder`: its own integer loop over the rows, on the spec's integer
-row of the series, sharing no code with `_dot_rows`), compared with the
-stored window on integers; `verify_system`, `build_system`'s cross-check
-and the hypotheses of `wronskian.delta_of_system` read it.  A window
-becomes text only in `to_jsonable`.
+One function, `contract_failures`, decides the contract of any system
+with one literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per
+(ell, i, s) (`remainder`: its own integer loop over the rows, on the
+spec's integer row of the series, sharing no code with `_dot_rows`),
+compared with the stored window on integers; `verify_system`,
+`build_system`'s cross-check and Delta's hypotheses on a loaded system
+read it.  A built system's contract is proved by construction, with one
+comparison of the psi weights with the series row per (i, s) in place of
+the products (`construction_failures`).  A window becomes text only in
+`to_jsonable`.
 """
 
 from __future__ import annotations
@@ -210,15 +216,13 @@ def _indices(r: int, m: int):
                 yield ell, i, s
 
 
-class _Windows(Mapping):
-    """The stored remainder windows of a system by (ell, i, s), keyed by its
-    indices, each the integer row (order, den, ints) that `remainder`
-    returns: those it was made with (`PadeSystem.from_jsonable`), never
-    rebuilt, so a loaded system is checked on its own data; else the head
-    of its term list, whose pairs share one denominator, as (1, den, ints),
-    kept on its first read."""
+class _Made(Mapping):
+    """Rows of a system by (ell, i, s), keyed by its indices: those it was
+    given (`PadeSystem.from_jsonable`), never rebuilt, so a loaded system is
+    checked on its own data; else each made on its first read (`_make`)
+    and kept."""
 
-    def __init__(self, system: "PadeSystem", given: dict):
+    def __init__(self, system: "PadeSystem", given):
         self._system, self._built = system, dict(given)
 
     def __getitem__(self, key) -> tuple:
@@ -228,8 +232,7 @@ class _Windows(Mapping):
             ell, i, s = key
             if not (ell in system.P and 1 <= i <= system.m and 0 <= s < system.r):
                 raise KeyError(key)
-            head = system.terms(ell, i, s, 0)[:system.truncation - 1]
-            got = self._built[key] = (1, head[0][1], [a for a, _ in head])
+            got = self._built[key] = self._make(ell, i, s)
         return got
 
     def __iter__(self):
@@ -237,6 +240,31 @@ class _Windows(Mapping):
 
     def __len__(self) -> int:
         return sum(1 for _ in self._system.indices())
+
+
+class _Windows(_Made):
+    """The stored remainder windows, each the integer row (order, den,
+    ints) that `remainder` returns; a made one is the head of its term
+    list, whose pairs share one denominator, as (1, den, ints)."""
+
+    def _make(self, ell: int, i: int, s: int) -> tuple:
+        system = self._system
+        head = system.terms(ell, i, s, 0)[:system.truncation - 1]
+        return 1, head[0][1], [a for a, _ in head]
+
+
+class _PisRows(_Made):
+    """The P_{ell,i,s}, each the integer row (den, ints), ints a tuple.  A
+    made one is the psi_{i,s}-image of the divided difference of P_ell: its
+    z^j coefficient is sum_k w_k P_ell[j+1+k], one `_dot_rows` call on the
+    row of P_ell past its constant against the system's run of the weights
+    below deg P_rm, over dp * dw, trailing zeros trimmed."""
+
+    def _make(self, ell: int, i: int, s: int) -> tuple:
+        dp, Pn = self._system.P[ell]
+        dw, wn = self._system.weight_run(i, s, 0, 0)
+        deg = len(Pn) - 1
+        return dp * dw, tuple(poly_trim(_dot_rows(wn[:deg], Pn[1:], deg)))
 
 
 def window_coeff(window: tuple, e: int) -> tuple:
@@ -294,16 +322,18 @@ def _window_row(name: str, data, truncation: int) -> tuple:
 
 @dataclass(eq=False)
 class PadeSystem:
-    """One fully built instance: all P_ell, all P_{ell,i,s}, all remainders.
-    A system equals only itself, as a `BigFloat` does: comparing the data
-    would build every window.
+    """One instance: its P_ell, and its P_{ell,i,s} and remainder windows,
+    given or made on first read.  A system equals only itself, as a
+    `BigFloat` does: comparing the data would build every row and window.
 
     Its data is given once, when it is made, and never assigned: `P` maps
     ell to P_ell and `Pis` maps (ell, i, s) to P_{ell,i,s}, read-only
     mappings of integer rows (den, ints), den > 0 and ints a tuple, and `R`
-    maps (ell, i, s) to the stored window of R_{ell,i,s}, given (`windows`)
-    or made (`_Windows`), an integer row (order, den, ints) read by
-    `window_coeff`.
+    maps (ell, i, s) to the stored window of R_{ell,i,s}, an integer row
+    (order, den, ints) read by `window_coeff`.  `Pis` and `R` hold what was
+    given (`from_jsonable`) and make the rest on first read from P and the
+    psi weights (`_PisRows`, `_Windows`); a system given neither is `built`,
+    its contract a proof by construction (`construction_failures`).
     Everything else a remainder sum reads is beta-free and
     kept on the system on first use, each computed once: the ratio bound
     past the window (`tail_ratio`), per (i, s) and range the psi weights on
@@ -319,15 +349,19 @@ class PadeSystem:
     n: int
     truncation: int
     P: Mapping                                      # ell -> row of P_ell (in z)
-    Pis: Mapping                                    # (ell, i, s) -> row of P_{ell,i,s}
+    Pis: Mapping = None                             # (ell, i, s) -> row of P_{ell,i,s}
     windows: InitVar[dict] = None                   # (ell, i, s) -> window row
     R: _Windows = field(init=False, repr=False)
+    # whether Pis and R are made here, none given (`build_system`)
+    built: bool = field(init=False)
     # (tag, *index) -> the state of `_kept`; like `spec._psi_tables`, a
     # pure function of the system
     _state: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __post_init__(self, windows):
+        self.built = self.Pis is None and windows is None
+        self.Pis = _PisRows(self, self.Pis or {})
         self.R = _Windows(self, windows or {})
 
     @property
@@ -361,7 +395,9 @@ class PadeSystem:
         correlation with the longest row, P_rm, meet, on integers over
         their lcm dw (`_weight_run`).  Every shorter P_ell meets a prefix of
         them, so one run serves the terms and the sizes of every ell over
-        that range.  Scaled once per (i, s, start, stop)."""
+        that range; start = stop = 0 gives the weights below deg P_rm,
+        those the P_{ell,i,s} meet (`_PisRows`).  Scaled once per (i, s,
+        start, stop)."""
         return self._kept(("run", i, s, start, stop), lambda: _weight_run(
             self.spec, self.alphas[i - 1], s, start, stop,
             max(len(ints) for _, ints in self.P.values())))
@@ -498,23 +534,16 @@ def _weight_run(spec: HypergeometricSpec, alpha, s: int, start: int, stop: int,
 
 def build_system(spec: HypergeometricSpec, alphas, n: int,
                  truncation: int = None, cross_check: bool = True) -> PadeSystem:
-    """Build every P_ell and P_{ell,i,s} of the instance; each remainder
-    window is made on its first read (`PadeSystem.R`).
-
-    All P_ell come from one multiplier table, as integer rows
-    (`_P_family`, kept in `PadeSystem.P`).  The z^j coefficient of
-    P_{ell,i,s} is sum_k w_k P_ell[j+1+k], the Horner form of the divided
-    difference: one `_dot_rows` call on the row of P_ell past its constant,
-    against the weights below deg P_rm, scaled once per (i, s).  Each is
-    kept as that integer row over dp * dw, trailing zeros trimmed
-    (`PadeSystem.Pis`); no Fraction is made here.  The window
+    """Build every P_ell of the instance, as integer rows from one
+    multiplier table (`_P_family`); each P_{ell,i,s} and each remainder
+    window is made on its first read (`PadeSystem.Pis`, `.R`).  The window
     is checked before anything is built: a given truncation by
     `check_truncation`, the default one by `default_truncation`.
     When cross_check is set (the default), the built system must pass
     `contract_failures`, one literal product per (ell, i, s) over the whole
     window; any failure is a theory violation, not a warning.  A caller that
-    runs the contract itself (`wronskian.certify_nonvanishing`, through
-    Delta) builds without it.
+    proves the contract by construction (`wronskian.certify_nonvanishing`,
+    through Delta's `construction_failures`) builds without it.
     """
     alphas = tuple(Fraction(a) for a in alphas)
     _check_alphas(alphas)
@@ -526,17 +555,8 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     else:
         check_truncation(n, truncation)
     P = dict(enumerate(_P_family(spec, alphas, n, r * m)))
-    top = len(P[r * m][1]) - 1
-    Pis = {}
-    for i in range(1, m + 1):
-        for s in range(r):
-            dw, wn = _weight_run(spec, alphas[i - 1], s, 0, 1, top)
-            for ell, (dp, Pn) in P.items():
-                deg = len(Pn) - 1
-                Pis[(ell, i, s)] = (dp * dw,
-                                    tuple(poly_trim(_dot_rows(wn[:deg], Pn[1:], deg))))
     system = PadeSystem(spec=spec, alphas=alphas, n=n, truncation=truncation,
-                        P=MappingProxyType(P), Pis=MappingProxyType(Pis))
+                        P=MappingProxyType(P))
     if cross_check:
         failures = contract_failures(system)
         if failures:
@@ -544,6 +564,43 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
                 f"the built system breaks its contract: {failures[0]}"
                 f" ({len(failures)} failures)")
     return system
+
+
+def constant_term(system: PadeSystem, ell: int, i: int, s: int) -> tuple:
+    """The constant term of P_{ell,i,s} as the pair (a, den).  On a built
+    system it is the one dot product sum_k w_k P_ell[1+k] over the run its
+    row reads (`_PisRows`), and no row is made; else it is read off the
+    given row."""
+    if not system.built:
+        den, ints = system.Pis[(ell, i, s)]
+        return (ints[0] if ints else 0), den
+    dp, Pn = system.P[ell]
+    dw, wn = system.weight_run(i, s, 0, 0)
+    return sum(map(mul, wn, Pn[1:])), dp * dw
+
+
+def _degree_failures(system: PadeSystem) -> list:
+    # the check deg_P of both contracts: deg P_ell = rmn + ell
+    failures = []
+    rm = system.r * system.m
+    rmn = rm * system.n
+    for ell in range(rm + 1):
+        got = poly_deg(poly_trim(list(system.P[ell][1])))
+        if got != rmn + ell:
+            failures.append(
+                {"check": "deg_P", "index": [ell], "expected": rmn + ell, "got": str(got)}
+            )
+    return failures
+
+
+def _order_failures(system: PadeSystem, ell: int, i: int, s: int) -> list:
+    # the check ord_R of both contracts: the stored window of R_{ell,i,s}
+    # has order >= n+1; window_order is None for a window zero throughout,
+    # whose truncation is past n + 1
+    got = window_order(system.R[(ell, i, s)])
+    if got is not None and got < system.n + 1:
+        return [{"check": "ord_R", "index": [ell, i, s], "bound": system.n + 1, "got": got}]
+    return []
 
 
 def contract_failures(system: PadeSystem) -> list:
@@ -566,29 +623,15 @@ def contract_failures(system: PadeSystem) -> list:
     the contract makes no Fraction of P_ell, P_{ell,i,s}, the product or
     the window.
     """
-    failures = []
-    r, m, n = system.r, system.m, system.n
-    for ell in range(r * m + 1):
-        want = r * m * n + ell
-        got = poly_deg(poly_trim(list(system.P[ell][1])))
-        if got != want:
-            failures.append(
-                {"check": "deg_P", "index": [ell], "expected": want, "got": str(got)}
-            )
+    failures = _degree_failures(system)
+    rmn = system.r * system.m * system.n
     for ell, i, s in system.indices():
-        bound = r * m * n + ell
         # -inf for the zero polynomial
         got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)][1])))
-        if got > bound:
-            failures.append(
-                {"check": "deg_Pis", "index": [ell, i, s], "bound": bound, "got": str(got)}
-            )
-        # None for a window zero throughout, whose truncation is past n + 1
-        got = window_order(system.R[(ell, i, s)])
-        if got is not None and got < n + 1:
-            failures.append(
-                {"check": "ord_R", "index": [ell, i, s], "bound": n + 1, "got": got}
-            )
+        if got > rmn + ell:
+            failures.append({"check": "deg_Pis", "index": [ell, i, s],
+                             "bound": rmn + ell, "got": str(got)})
+        failures += _order_failures(system, ell, i, s)
     for ell, i, s in system.indices():
         product = remainder(system, ell, i, s)
         order, _, ints = product
@@ -596,6 +639,36 @@ def contract_failures(system: PadeSystem) -> list:
             failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
         if not _is_window(system.R[(ell, i, s)], product):
             failures.append({"check": "remainder_coeffs", "index": [ell, i, s]})
+    return failures
+
+
+def construction_failures(system: PadeSystem) -> list:
+    """Every failure of a built system's contract (`PadeSystem.built`), in
+    a fixed order; [] when it holds.  Each failure names its check and its
+    index:
+
+    * deg_P: deg P_ell = rmn + ell;
+    * weights: the psi_{i,s} weights (`_psi_table`) equal the series row of
+      F_s(alpha_i/z) (`_series_row`) entry by entry, over the
+      truncation - 2 + D weights that the rows and windows read, D the
+      width of P_rm: one comparison per (i, s);
+    * ord_R: the window of R_{ell,i,s} has order >= n+1.
+
+    On a built system, whose rows and windows are made from those weights,
+    these prove every check of `contract_failures` without its literal
+    products (proof in the README).
+    """
+    failures = _degree_failures(system)
+    spec = system.spec
+    count = system.truncation - 2 + max(len(ints) for _, ints in system.P.values())
+    for i, alpha in enumerate(system.alphas, 1):
+        for s in range(system.r):
+            weights = _psi_table(spec, alpha, s, count - 1)
+            dc, cn = _series_row(spec, alpha, s, count)
+            if any(a * dc != c * b for (a, b), c in zip(weights[:count], cn)):
+                failures.append({"check": "weights", "index": [i, s]})
+    for ell, i, s in system.indices():
+        failures += _order_failures(system, ell, i, s)
     return failures
 
 

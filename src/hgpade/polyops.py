@@ -303,8 +303,10 @@ def _series_row(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -
     least, as one integer row; a prefix of it over den is exact too.
 
     It is built by that product formula from the spec's c_k, never from the
-    psi weights: the literal product it feeds (`pade.remainder`) is the
-    oracle of the windows built from them.  With alpha = p/q,
+    psi weights: the literal product it feeds (`pade.remainder`), and the
+    comparison with the weights that proves a built system's contract
+    (`pade.construction_failures`), are the oracles of the windows built
+    from them.  With alpha = p/q,
     gamma_j = u_j/v_j and c_k = a_k/b_k, over den = prod v_j C q^(K+1),
     K = count - 1, C = lcm(b_k), the entry is
     prod (v_j k + u_j) a_k (C / b_k) p^(k+1) q^(K-k).  One row per

@@ -18,12 +18,14 @@ through `det_bareiss`, on integer rows (den, ints) whose denominators one
 helper divides out (`_det`).  Delta is constant by the paper's cofactor
 argument: every remainder has order >= n+1 at infinity, so the expansion
 along the top row leaves lead(P_rm) * Theta.  `delta_of_system` checks the
-argument's hypotheses through `pade.contract_failures`, one literal product
-per remainder over its window, and then evaluates Delta once, at z = 0:
-given the hypotheses its constancy is a theorem, and `delta_route_check`
-compares that value with lead(P_rm) * Theta.  The certify path builds
-windows only through 1/z^{n+1}, and without the cross-check, which would
-run the same contract again.  Delta and Theta read the integer rows of the
+argument's hypotheses, by construction on a built system
+(`pade.construction_failures`) and by one literal product per remainder on
+a loaded one (`pade.contract_failures`), and then evaluates Delta once, at
+z = 0: given the hypotheses its constancy is a theorem, and
+`delta_route_check` compares that value with lead(P_rm) * Theta.  The
+certify path builds windows only through 1/z^{n+1}, without the
+cross-check, and makes no P_{ell,i,s} row: Delta(0) reads their constant
+terms (`pade.constant_term`).  Delta and Theta read integer rows of the
 system and of its stored windows, each matrix row scaled once over the lcm
 of its denominators, with no Fraction per entry.  C_{u,m} is the
 moment determinant, whose columns are `_dot_rows` runs on integer rows.
@@ -49,6 +51,8 @@ from .pade import (
     PadeSystem,
     base_polynomial,
     build_system,
+    constant_term,
+    construction_failures,
     contract_failures,
     window_coeff,
 )
@@ -72,6 +76,7 @@ _HYPOTHESES = {
     "ord_R": "order >= n+1",
     "Pis_coeffs": "order >= n+1",
     "remainder_coeffs": "product coefficient",
+    "weights": "psi weights = series of F_s",
 }
 
 
@@ -86,9 +91,10 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     remainders, of order >= rm(n+1), against deg P_ell = rmn + ell.  Every
     term but ell = rm therefore vanishes at infinity, so the polynomial
     Delta is the constant lead(P_rm) * Theta.  The hypotheses are the
-    system's contract, `pade.contract_failures`, checked exactly on its own
-    data with one literal product per (ell, i, s); the first failure raises
-    NonconstantDeterminant naming its hypothesis:
+    system's contract, checked exactly on its own data; the first failure
+    raises NonconstantDeterminant naming its hypothesis.  On a loaded
+    system they are `pade.contract_failures`, with one literal product per
+    (ell, i, s):
 
     * deg P_ell = rmn + ell (deg_P);
     * deg P_{ell,i,s} <= rmn + ell (deg_Pis);
@@ -98,27 +104,32 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     * product coefficient: the product's exponents >= 1 are the stored
       window that Theta reads (remainder_coeffs).
 
+    On a built system (`PadeSystem.built`) they are
+    `pade.construction_failures`, which proves the same by construction:
+    deg P_ell = rmn + ell (deg_P), psi weights = series of F_s (weights)
+    and order >= n+1 (ord_R).
+
     Windows of truncation n + 2 are enough, so `certify_nonvanishing`
     builds at it: the order hypotheses read exponents 1..n, Theta reads
     n+1, and the product's exponents <= 0 are checked at any truncation.
 
     With the hypotheses holding, Delta is constant, so it is evaluated
-    once, at z = 0: one Bareiss determinant of p(0) = ints[0] / den, read
-    off the integer rows (den, ints) of the system, each matrix row scaled
-    once (`_det`).  `delta_route_check` compares it with
-    lead(P_rm) * Theta.
+    once, at z = 0: one Bareiss determinant of p(0), the constant terms of
+    the P_ell and of the P_{ell,i,s} (`pade.constant_term`, which makes no
+    row of a built system), each matrix row scaled once (`_det`).
+    `delta_route_check` compares it with lead(P_rm) * Theta.
     """
-    failures = contract_failures(system)
+    contract = construction_failures if system.built else contract_failures
+    failures = contract(system)
     if failures:
         raise NonconstantDeterminant(
             f"hypothesis {_HYPOTHESES[failures[0]['check']]} fails: {failures[0]}")
     r, m = system.r, system.m
     N = r * m
-    rows = [[system.P[ell] for ell in range(N + 1)]]
+    rows = [[(system.P[ell][1][0], system.P[ell][0]) for ell in range(N + 1)]]
     for i, s in _row_index_pairs(r, m):
-        rows.append([system.Pis[(ell, i, s)] for ell in range(N + 1)])
-    return _det([_scaled([(ints[0] if ints else 0, den) for den, ints in row])
-                 for row in rows])
+        rows.append([constant_term(system, ell, i, s) for ell in range(N + 1)])
+    return _det([_scaled(row) for row in rows])
 
 
 def theta_det(system: PadeSystem) -> Fraction:

@@ -190,16 +190,28 @@ def final_det_by_phi(spec, n, u):
 
 
 @st.composite
-def admissible_instances(draw, max_m=4):
-    """(spec, alphas): r <= 3, small-height non-integer a and b that pass
-    the hypothesis flags, and rm <= 4 distinct nonzero points alpha, at
-    most max_m of them."""
+def admissible_instances(draw, max_m=4, max_rm=4, any_flags=False):
+    """(spec, alphas): r <= 3, small-height a and b, and rm <= max_rm
+    distinct nonzero points alpha, at most max_m of them.  The a and b are
+    non-integers that pass the hypothesis flags; with any_flags they may be
+    small integers too, so that flags fail, and each b_j may repeat 1 or an
+    earlier b, a repeated zeta value; (AB) holds either way."""
     r = draw(st.integers(1, 3))
-    spec = HypergeometricSpec.from_ab(
-        draw(st.lists(_small_fractions, min_size=r, max_size=r)),
-        draw(st.lists(_small_fractions, min_size=r - 1, max_size=r - 1)))
-    assume(spec.flags_pass())
-    m = draw(st.integers(1, min(max_m, 4 // r)))
+    if any_flags:
+        values = _small_fractions | st.integers(-3, 3).filter(bool).map(F)
+        a = draw(st.lists(values, min_size=r, max_size=r))
+        b = []
+        for _ in range(r - 1):
+            b.append(draw(values | st.sampled_from([F(1), *b])))
+        # an integer a or b must be positive: a <= -1 or b <= 0 breaks (AB)
+        assume(all(x.denominator > 1 or x > 0 for x in a + b))
+        spec = HypergeometricSpec.from_ab(a, b)
+    else:
+        spec = HypergeometricSpec.from_ab(
+            draw(st.lists(_small_fractions, min_size=r, max_size=r)),
+            draw(st.lists(_small_fractions, min_size=r - 1, max_size=r - 1)))
+        assume(spec.flags_pass())
+    m = draw(st.integers(1, min(max_m, max_rm // r)))
     alphas = draw(st.lists(st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
                            min_size=m, max_size=m, unique=True))
     return spec, alphas

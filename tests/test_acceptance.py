@@ -527,10 +527,11 @@ def test_desk_report_is_frozen(monkeypatch):
     text = emit_report(report)
     assert report["all_passed"]
     # one literal product per (ell, i, s) of the 108 on the grid for the
-    # shared contract of pade-contract and nullspace-membership, one more
-    # for Delta's own hypotheses, and one per (ell, i, s) of the 6 of the
-    # n = 4 system whose windows numerical-shadow checks
-    assert len(calls) == 216 + 6
+    # shared contract of pade-contract and nullspace-membership, and one
+    # per (ell, i, s) of the 6 of the n = 4 system whose windows
+    # numerical-shadow checks; Delta's own hypotheses on the grid's built
+    # systems are proved by construction, with none
+    assert len(calls) == 108 + 6
     # every check's details, byte for byte
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ccd3239e21d52e90fcedc69afcb8ebab15ffb78646c5e895cf93f588843829ac"

@@ -600,9 +600,9 @@ def test_min_beta_scales_each_weight_run_once_and_makes_no_term_fraction(capsys,
     # every ell, the terms and the sizes, and sums the terms as unreduced
     # pairs (`pade` has no `_unscaled` to make a Fraction of a row): with
     # `_weight_run` counted by (alpha, s, start, stop, width), it still
-    # writes its frozen bytes.  The width tells the systems apart: a
-    # system's runs have width deg P_rm + 1 = 2n + 3, its build's one run
-    # for the P_{ell,i,s} 2n + 2
+    # writes its frozen bytes.  The width, deg P_rm + 1 = 2n + 3, tells the
+    # systems apart; each makes one run for its P_{ell,i,s}, with
+    # start = stop = 0
     from hgpade import pade
 
     calls = Counter()
@@ -620,7 +620,7 @@ def test_min_beta_scales_each_weight_run_once_and_makes_no_term_fraction(capsys,
     assert hashlib.sha256(out.encode()).hexdigest() == json.loads(_FROZEN.read_text())[key]
     assert json.loads(out)["min_beta"] == 10
     assert set(calls.values()) == {1}  # no range scaled twice
-    assert len(calls) == 131  # 18 builds and 113 runs over the 6 betas probed
+    assert len(calls) == 131  # 18 for the P_{ell,i,s}, 113 for the sums at 6 betas
 
 
 def test_eval_reduces_no_certified_value(capsys, monkeypatch):

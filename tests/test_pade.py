@@ -253,7 +253,8 @@ def test_product_route_does_not_use_the_kernel(spec_r2, monkeypatch):
     import hgpade.polyops
 
     sys = build_system(spec_r2, (F(1), F(2)), 1, cross_check=False)
-    windows = {key: sys.R[key] for key in sys.indices()}  # made before the patch
+    # every row and window made before the patch, as a build made its rows
+    windows = {key: (sys.Pis[key], sys.R[key])[1] for key in sys.indices()}
 
     def kernel(*args):
         raise AssertionError("the product route called the kernel")

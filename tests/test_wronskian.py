@@ -30,7 +30,7 @@ from conftest import (
 from hgpade.cli import _canonical
 from hgpade.errors import InvalidInput, NonconstantDeterminant, TheoryViolation
 from hgpade.linalg import det_bareiss
-from hgpade.pade import build_system
+from hgpade.pade import PadeSystem, build_system, construction_failures, contract_failures
 from hgpade.polyops import HypergeometricSpec
 from hgpade.wronskian import (
     C_um,
@@ -348,28 +348,35 @@ def test_certify_raises_when_one_link_is_broken(spec_r2, monkeypatch, target, fa
         certify_nonvanishing(spec_r2, alphas, n)
 
 
-def test_certify_takes_one_literal_product_per_remainder(spec_r3, monkeypatch):
-    # the contract behind Delta's hypotheses is the only check of the
-    # remainders on the certify path: one product per (ell, i, s), on a
-    # window that ends right past 1/z^{n+1}
+def test_certify_takes_no_literal_product_and_one_weight_check_per_pair(spec_r3,
+                                                                        monkeypatch):
+    # the certify path proves Delta's hypotheses by construction: no
+    # literal product, one comparison of the psi weights with the series
+    # row per (i, s), over the truncation - 2 + deg P_rm + 1 weights that a
+    # window ending right past 1/z^{n+1} reads, and no P_{ell,i,s} row made
     import hgpade.pade
 
-    seen, windows = [], set()
-    product = hgpade.pade.remainder
+    products, compared, made = [], [], []
+    series_row = hgpade.pade._series_row
+    make = hgpade.pade._PisRows._make
 
-    def counted(system, ell, i, s):
-        seen.append((ell, i, s))
-        order, _, ints = row = product(system, ell, i, s)
-        windows.add(order + len(ints))  # the product's truncation
-        return row
+    def counted(spec, alpha, s, count):
+        compared.append((alpha, s, count))
+        return series_row(spec, alpha, s, count)
 
-    monkeypatch.setattr(hgpade.pade, "remainder", counted)
+    def made_row(rows, ell, i, s):
+        made.append((ell, i, s))
+        return make(rows, ell, i, s)
+
+    monkeypatch.setattr(hgpade.pade, "remainder", lambda *key: products.append(key))
+    monkeypatch.setattr(hgpade.pade, "_series_row", counted)
+    monkeypatch.setattr(hgpade.pade._PisRows, "_make", made_row)
     report = certify_nonvanishing(spec_r3, [F(1), F(2)], 2)
     assert report.verdict == "certified nonzero"
     assert all(report.checks.values())
-    assert len(seen) == 42  # (rm + 1) * m * r at r = 3, m = 2
-    assert len(set(seen)) == 42
-    assert windows == {4}  # n + 2 at n = 2
+    assert products == made == []
+    # (alpha_i, s) for m = 2, r = 3; 4 - 2 + 19 weights at n = 2, deg P_6 = 18
+    assert sorted(compared) == [(F(a), s, 21) for a in (1, 2) for s in range(3)]
 
 
 def test_final_det_canonical(spec_r2):
@@ -579,6 +586,63 @@ def test_each_failed_hypothesis_is_named(canonical_system, part, key, edit, name
     broken = corrupted(canonical_system, (part, key, edit))
     with pytest.raises(NonconstantDeterminant, match="hypothesis " + re.escape(name)):
         delta_of_system(broken)
+
+
+def _alpha_k_series(real):
+    # the series row of F_s(alpha/z) with alpha^k for alpha^{k+1}: over
+    # alpha = p/q, every entry times q and the denominator times p
+    def series_row(spec, alpha, s, count):
+        den, ints = real(spec, alpha, s, count)
+        p, q = F(alpha).as_integer_ratio()
+        return den * p, [c * q for c in ints]
+    return series_row
+
+
+def _last_weight_doubled(real):
+    # the weight table with its entry upto doubled: for the run of a
+    # window's head, the last weight that its sums read
+    def psi_table(spec, alpha, s, upto):
+        table = list(real(spec, alpha, s, upto))
+        table[upto] = (2 * table[upto][0], table[upto][1])
+        return table
+    return psi_table
+
+
+@pytest.mark.parametrize("target, mutant", [
+    # the weight table one entry on: psi_{i,s}(t^k) read as psi_{i,s}(t^{k+1})
+    ("_psi_table", lambda real: lambda spec, alpha, s, upto: real(spec, alpha, s, upto + 1)[1:]),
+    ("_psi_table", _last_weight_doubled),
+    ("_series_row", _alpha_k_series),
+])
+def test_a_built_system_with_wrong_weights_breaks_a_named_hypothesis(spec_r2, monkeypatch,
+                                                                      target, mutant):
+    # the built system's rows and windows are made from the weight table, so
+    # they agree with each other whatever the table holds; only the
+    # comparison of the weights with the series row of F_s sees the fault
+    import hgpade.pade
+
+    monkeypatch.setattr(hgpade.pade, target, mutant(getattr(hgpade.pade, target)))
+    system = build_system(spec_r2, (F(1), F(2)), 1, truncation=3, cross_check=False)
+    assert system.built
+    with pytest.raises(NonconstantDeterminant,
+                       match=re.escape("hypothesis psi weights = series of F_s")):
+        delta_of_system(system)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(admissible_instances(max_rm=6, any_flags=True), st.integers(1, 3))
+def test_a_built_system_and_its_file_give_one_delta(instance, n):
+    # the contract proved by construction against the literal products, on
+    # the system certify builds (windows of truncation n + 2) and on its
+    # JSON round trip, a loaded system that Delta checks by literal
+    # products: random rm <= 6 and n <= 3, flags passing or failing, zeta
+    # repeated or not
+    spec, alphas = instance
+    system = build_system(spec, alphas, n, truncation=n + 2, cross_check=False)
+    loaded = PadeSystem.from_jsonable(system.to_jsonable())
+    assert system.built and not loaded.built
+    assert delta_route_check(system) == delta_route_check(loaded)
+    assert construction_failures(system) == contract_failures(system) == []
 
 
 def test_delta_is_one_determinant(canonical_system, monkeypatch):
