@@ -4,9 +4,7 @@ Everything in here is exact big-rational arithmetic (`fractions.Fraction`);
 floats appear only in logarithmic rates, where asymptotic comparisons are the
 point.  The module provides rational parsing and formatting, primality and
 factoring, the denominator-growth constant mu(x), Euler's totient, p-adic
-valuations and normalized absolute values, and the denominator-sequence
-profiles used by the growth-rate analysis: D_n for a Pochhammer ratio pair,
-and the coefficient-denominator families D_c / D'_c.
+valuations and normalized absolute values.
 """
 
 from __future__ import annotations
@@ -159,8 +157,8 @@ def log_mu(x: Fraction) -> float:
     mu(x) is the exact growth constant of den((x)_k / k!, k <= n): the
     den(x)^n part plus q^(n/(q-1)) from the factorials, per prime q | den(x).
     For squarefree den this is prod q^(q/(q-1)); the multiplicity-aware form
-    is the one the exact profiles reproduce (den = 4 gives rate 3 log 2, not
-    2 log 2 -- measured, see D_n_profile).
+    is the one the exact denominators of (x)_k / k! reproduce (den = 4 gives
+    rate 3 log 2, not 2 log 2, measured in the tests).
     """
     den = Fraction(x).denominator
     if den == 1:
@@ -255,49 +253,3 @@ def log_abs_at_place(x: Fraction, v: Place) -> float:
     if v.is_archimedean:
         return log_abs_fraction(x)
     return -v_p(x, v.p) * math.log(v.p)
-
-
-# ---------------------------------------------------------------------------
-# denominator profiles
-
-
-@dataclass
-class DenominatorProfile:
-    """Exact running denominators D_0 | D_1 | ... | D_N plus the end rate."""
-
-    N: int
-    values: list[int]
-    log_rate: float
-
-    def __post_init__(self):
-        assert len(self.values) == self.N + 1
-
-
-def _profile_from_terms(terms) -> DenominatorProfile:
-    values = []
-    running = 1
-    for t in terms:
-        running = math.lcm(running, Fraction(t).denominator)
-        values.append(running)
-    n = len(values) - 1
-    rate = log_int(values[-1]) / n if n > 0 else 0.0
-    return DenominatorProfile(n, values, rate)
-
-
-def D_c_profiles(eta, zeta, N: int) -> tuple[DenominatorProfile, DenominatorProfile]:
-    """Denominator profiles of prod_j (1+zeta_j)_k / prod_i (eta_i)_k and its reciprocal."""
-    eta = [Fraction(e) for e in eta]
-    zeta = [Fraction(z) for z in zeta]
-    if len(eta) != len(zeta):
-        raise InvalidInput("eta and zeta must have the same length")
-    for x in list(eta) + [1 + z for z in zeta]:
-        if x.denominator == 1 and x <= 0:
-            raise InvalidInput("vanishing Pochhammer factor (non-positive integer parameter)")
-    forward, backward = [], []
-    ratio = Fraction(1)
-    for k in range(N + 1):
-        forward.append(ratio)
-        backward.append(1 / ratio)
-        for z, e in zip(zeta, eta):
-            ratio *= (1 + z + k) / (e + k)
-    return _profile_from_terms(forward), _profile_from_terms(backward)

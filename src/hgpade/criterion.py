@@ -20,7 +20,6 @@ from functools import cached_property
 from fractions import Fraction
 
 from .arith import (
-    D_c_profiles,
     Place,
     abs_at_place,
     factorize,
@@ -53,8 +52,8 @@ MIN_FIT_SIZES = 4  # sizes n a rate fit needs; the CLI checks --n-range against 
 # the largest relative residual of a fit that reads as affine in n
 FIT_TOLERANCE = 0.02
 
-# the N of the denominator profiles D_N, D'_N that stand in for their
-# limsups at a finite place (`measure`, `place_consistency`)
+# the N of the denominators D_N, D'_N (`c_denominators`) that stand in for
+# their limsups at a finite place (`measure`, `place_consistency`)
 PROFILE_N = 200
 
 
@@ -117,35 +116,23 @@ def fit_rate(ns, values) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HeightData:
-    """Logarithmic height of a rational tuple, broken down by place."""
-
-    vector: tuple
-    h_v: dict  # place name ("inf" or the prime) -> float
-    h: float
-
-
 def _h_arch(vec) -> float:
     top = max(abs(Fraction(x)) for x in vec)
     return log_abs_fraction(top) if top > 1 else 0.0
 
 
-def heights(vec) -> HeightData:
-    """Per-place h_v = log max(1, max_i |x_i|_v) and their (finite) sum.
-
-    Only primes dividing some denominator contribute, so the breakdown lists
-    the archimedean place plus exactly those primes.
-    """
+def heights(vec) -> float:
+    """The height h = sum_v h_v, h_v = log max(1, max_i |x_i|_v), summed as
+    the archimedean part and then e log q by ascending prime q, q^e the
+    exact power of q in the lcm of the denominators (no other prime
+    contributes)."""
     vec = tuple(Fraction(x) for x in vec)
     if not vec or all(x == 0 for x in vec):
         raise InvalidInput("height of the zero tuple is undefined")
-    h_v = {"inf": _h_arch(vec)}
-    big_lcm = math.lcm(*(x.denominator for x in vec))
-    if big_lcm > 1:
-        for q, e in sorted(factorize(big_lcm).items()):
-            h_v[str(q)] = e * math.log(q)
-    return HeightData(vector=vec, h_v=h_v, h=sum(h_v.values()))
+    h = _h_arch(vec)
+    for q, e in sorted(factorize(math.lcm(*(x.denominator for x in vec))).items()):
+        h += e * math.log(q)
+    return h
 
 
 def _h_at_place(vec, v: Place) -> float:
@@ -355,6 +342,16 @@ def decay_fit_R(inst: Instance, beta, v0: Place) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
+def c_denominators(spec, N: int) -> tuple:
+    """(D_N, D'_N): the lcm of the denominators of c_0/c_k and of c_k/c_0
+    over k <= N, read off the spec's table of c_k.  c_0 cancels, so these
+    are the denominators of prod (1+zeta)_k / prod (eta)_k and of its
+    reciprocal; the numerator of c_k/c_0 is the denominator of c_0/c_k."""
+    ratios = [Fraction(*ck) / spec.c0 for ck in spec.c_pairs(N)[:N + 1]]
+    return (math.lcm(*(x.numerator for x in ratios)),
+            math.lcm(*(x.denominator for x in ratios)))
+
+
 def finite_place_budget(spec) -> float:
     """sum_j (log mu(eta_j) + 2 log mu(zeta_j) + den*den/(phi*phi)): a
     closed-form estimate of all finite-place growth combined, not a proven
@@ -456,7 +453,7 @@ def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
     # closed forms: skeleton terms are computable, the archimedean growth
     # constant is occluded -- fitted (primary) and Stirling (side-by-side)
     tuple_ab = list(alphas) + [beta]
-    h_all = heights(tuple_ab).h
+    h_all = heights(tuple_ab)
     h_v0 = _h_at_place(tuple_ab, v0)
     log_beta_v0 = log_abs_at_place(beta, v0)
     log_alpha_v0 = max(log_abs_at_place(a, v0) for a in alphas)
@@ -475,13 +472,13 @@ def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
         u_cf = rm * h_v0 + c_fit
     else:
         # finite v0: the local rate constants are reconstructible from the
-        # denominator profiles and the mu mass of zeta at p (profiles at
-        # N = PROFILE_N stand in for the limsups; declared in the diagnostics)
+        # denominators D_N, D'_N and the mu mass of zeta at p (N = PROFILE_N
+        # stands in for the limsups; declared in the diagnostics)
         p = v0.p
         n_prof = PROFILE_N
-        fwd, bwd = D_c_profiles(spec.eta, spec.zeta, n_prof)
-        d_rate = v_p(Fraction(fwd.values[n_prof]), p) / n_prof * math.log(p)
-        dd_rate = d_rate + v_p(Fraction(bwd.values[n_prof]), p) / n_prof * math.log(p)
+        D, D_prime = c_denominators(spec, n_prof)
+        d_rate = v_p(D, p) / n_prof * math.log(p)
+        dd_rate = d_rate + v_p(D_prime, p) / n_prof * math.log(p)
         c_xp = sum(
             p / (p - 1) * math.log(p)
             for z in spec.zeta
@@ -616,9 +613,9 @@ def place_consistency(spec) -> dict:
     instance, and above it at a = 1/5, 2/7, b = 1/2.  `measured_le_budget`
     records which, with no slack."""
     N = PROFILE_N
-    fwd, bwd = D_c_profiles(spec.eta, spec.zeta, N)
+    D, D_prime = c_denominators(spec, N)
     mu_part = sum(log_mu(Fraction(z)) for z in spec.zeta)
-    measured = (log_int(fwd.values[N]) + log_int(bwd.values[N])) / N + mu_part
+    measured = (log_int(D) + log_int(D_prime)) / N + mu_part
     budget = finite_place_budget(spec)
     gap = (budget - measured) / budget
     return {

@@ -69,6 +69,7 @@ from .errors import InvalidInput, TheoryViolation
 from .polyops import (
     HypergeometricSpec,
     _dot_rows,
+    _pochhammer,
     _psi_table,
     _scaled,
     _series_params,
@@ -136,12 +137,13 @@ def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
     The paper's formula is
         P_ell = T_c^{-1} prod_{j=1}^{n-1} B(theta+j) [t^ell prod_i (t-alpha_i)^{rn}]
                 / ((n-1)!)^r,
-    with T_c^{-1} t^k = t^k / c_k (`suite.T_c`).  Every operator
-    in it is diagonal on monomials, so with base_0 = prod_i (t-alpha_i)^{rn},
+    with T_c^{-1} t^k = t^k / c_k.  Every operator in it is diagonal on
+    monomials, so with base_0 = prod_i (t-alpha_i)^{rn},
         P_ell[k] = base_0[k-ell] * M(k),
-        M(k) = prod_{j=1}^{n-1} B(k+j) / (c_k ((n-1)!)^r).
-    By c_{k+1}/c_k = A(k)/B(k+1) the multiplier is a hypergeometric term:
-        M(0) = prod_{j=1}^{n-1} B(j) / (c_0 ((n-1)!)^r),
+        M(k) = prod_t (k+1+zeta_t)_{n-1} / (c_k ((n-1)!)^r),
+    as prod_{j=1}^{n-1} B(k+j) = prod_t (k+1+zeta_t)_{n-1}.  By
+    c_{k+1}/c_k = A(k)/B(k+1) the multiplier is a hypergeometric term:
+        M(0) = prod_t (1+zeta_t)_{n-1} / (c_0 ((n-1)!)^r),
         M(k+1)/M(k) = B(k+n)/A(k),
     which (AB) keeps finite and nonzero.  One M table serves every ell.
 
@@ -153,7 +155,7 @@ def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
     alphas = [Fraction(a) for a in alphas]
     r = spec.r
     db, bn = base_polynomial(alphas, r * n, 0)
-    M0 = (math.prod((spec.B_at(j) for j in range(1, n)), start=Fraction(1)) / (
+    M0 = (math.prod((_pochhammer(1 + z, n - 1) for z in spec.zeta), start=Fraction(1)) / (
         spec.c0 * math.factorial(n - 1) ** r)).as_integer_ratio()
     M = [M0] + term_table(M0, 0, len(bn) - 1 + top, 1,
                           [z + n for z in spec.zeta], spec.eta)

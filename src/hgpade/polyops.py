@@ -2,8 +2,9 @@
 tables, the weights of the evaluation functional psi_{i,s}, the series of
 F_s in 1/z, the ratio bound of a hypergeometric tail on the parameter lists
 of its terms (`_tail_ratio`, which every certified sum stops on;
-`_series_params` gives those of F_s), and the instance data (parameter
-vectors, derived roots, seed coefficient, hypothesis flags).
+`_series_params` gives those of F_s), the one rising factorial
+(`_pochhammer`), and the instance data (roots, seed coefficient, derived
+parameter vectors, hypothesis flags).
 
 Polynomials are plain coefficient lists (Fraction, low degree first, trailing
 zeros stripped); the zero polynomial is [] with degree -inf.
@@ -59,22 +60,23 @@ def poly_deg(p: Poly):
 
 @dataclass
 class HypergeometricSpec:
-    """Parameters of one instance: vectors a (length r) and b (length r-1),
-    derived roots eta_i = a_i + 1 and zeta = (b_1, ..., b_{r-1}, 1), the
-    gamma-ordering gamma_w = zeta_{r+1-w}, and the seed coefficient c0.
+    """Parameters of one instance: the roots eta (length r) and zeta
+    (length r) and the seed coefficient c0, with the vectors a_i = eta_i - 1
+    and b = (zeta_1, ..., zeta_{r-1}) and the gamma-ordering
+    gamma_w = zeta_{r+1-w} derived from them.
 
     The coefficient sequence follows c_{k+1} = c_k A(k)/B(k+1) with
-    A(X) = prod (X + eta_i), B(X) = prod (X + zeta_j).  The default seed is
-    c0 = prod a_i / prod b_j, which makes c_k the Pochhammer-ratio sequence
-    of the contiguous hypergeometric family.  `from_roots` admits general
-    (eta, zeta) with zeta_r not necessarily 1 (used by the Lerch cross-check).
+    A(X) = prod (X + eta_i), B(X) = prod (X + zeta_j), that is
+    c_k = c0 prod (eta_i)_k / prod (1 + zeta_j)_k.  `from_ab` takes the
+    vectors of the contiguous hypergeometric family, zeta_r = 1, with the
+    default seed c0 = prod a_i / prod b_j that makes c_k its
+    Pochhammer-ratio sequence; `from_roots` admits general (eta, zeta) with
+    zeta_r not necessarily 1 (used by the Lerch cross-check).
     """
 
-    a: tuple
-    b: tuple
+    eta: tuple
+    zeta: tuple
     c0: Fraction
-    eta: tuple = ()
-    zeta: tuple = ()
     _c_cache: list = field(default_factory=list, repr=False, compare=False)
     # (alpha, s) -> psi_{i,s} weights from k = 0, append-only (`_psi_table`)
     _psi_tables: dict = field(default_factory=dict, repr=False, compare=False)
@@ -89,20 +91,13 @@ class HypergeometricSpec:
         b = tuple(Fraction(x) for x in b)
         if len(b) != len(a) - 1:
             raise InvalidInput(f"need len(b) = len(a)-1, got {len(a)} and {len(b)}")
-        eta = tuple(x + 1 for x in a)
-        zeta = b + (Fraction(1),)
         if c0 is None:
             num = math.prod(a, start=Fraction(1))
             den = math.prod(b, start=Fraction(1))
             if num == 0 or den == 0:
                 raise InvalidInput("default c0 = prod(a)/prod(b) undefined here; pass c0")
             c0 = num / den
-        c0 = Fraction(c0)
-        if c0 == 0:
-            raise InvalidInput("c0 must be nonzero")
-        spec = cls(a=a, b=b, c0=c0, eta=eta, zeta=zeta)
-        spec._check_AB()
-        return spec
+        return cls.from_roots([x + 1 for x in a], b + (Fraction(1),), c0)
 
     @classmethod
     def from_roots(cls, eta, zeta, c0) -> "HypergeometricSpec":
@@ -110,12 +105,10 @@ class HypergeometricSpec:
         zeta = tuple(Fraction(x) for x in zeta)
         if len(eta) != len(zeta):
             raise InvalidInput("need len(eta) == len(zeta)")
-        a = tuple(x - 1 for x in eta)
-        b = zeta[:-1]
         c0 = Fraction(c0)
         if c0 == 0:
             raise InvalidInput("c0 must be nonzero")
-        spec = cls(a=a, b=b, c0=c0, eta=eta, zeta=zeta)
+        spec = cls(eta=eta, zeta=zeta, c0=c0)
         spec._check_AB()
         return spec
 
@@ -132,6 +125,16 @@ class HypergeometricSpec:
     # -- basic derived data
 
     @property
+    def a(self) -> tuple:
+        """a_i = eta_i - 1."""
+        return tuple(x - 1 for x in self.eta)
+
+    @property
+    def b(self) -> tuple:
+        """b = zeta without its last entry."""
+        return self.zeta[:-1]
+
+    @property
     def r(self) -> int:
         return len(self.eta)
 
@@ -139,9 +142,6 @@ class HypergeometricSpec:
     def gamma(self) -> tuple:
         """gamma_w = zeta_{r+1-w} for w = 1..r-1 (zeta reversed, last dropped)."""
         return tuple(reversed(self.zeta))[:-1]
-
-    def B_at(self, x: Fraction) -> Fraction:
-        return math.prod((Fraction(x) + z for z in self.zeta), start=Fraction(1))
 
     def c_pairs(self, upto: int) -> list:
         """The spec's table of c_k as reduced pairs, grown to hold entry
@@ -221,6 +221,12 @@ def term_table(t: tuple, k: int, count: int, x, upper, lower) -> list:
         num, den = (num // g1) * (a // g2), (den // g2) * (b // g1)
         out.append((num, den))
     return out
+
+
+def _pochhammer(x: Fraction, k: int) -> Fraction:
+    """The rising factorial (x)_k = x (x+1) ... (x+k-1), on integers."""
+    w, v = x.as_integer_ratio()
+    return Fraction(math.prod(w + v * i for i in range(k)), v ** k)
 
 
 def _grown(table: list, upto: int, term) -> list:

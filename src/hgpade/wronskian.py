@@ -56,7 +56,7 @@ from .pade import (
     contract_failures,
     window_coeff,
 )
-from .polyops import HypergeometricSpec, _dot_rows, _scaled, _zeta_row
+from .polyops import HypergeometricSpec, _dot_rows, _pochhammer, _scaled, _zeta_row
 
 # ---------------------------------------------------------------------------
 # Delta and Theta
@@ -186,18 +186,12 @@ def theta_chain_holds(spec: HypergeometricSpec, alphas, n: int, theta: Fraction,
 
 
 def a0s_values(spec: HypergeometricSpec, n: int) -> dict:
-    """a_{0,s} = prod_{i=1}^r prod_{k=1}^n (eta_i - k - zeta_{s+1}); zero
-    values are reported (they witness a hypothesis violation), not raised."""
-    values = []
-    zero_at = []
-    for s in range(spec.r):
-        v = Fraction(1)
-        for e in spec.eta:
-            for k in range(1, n + 1):
-                v *= e - k - spec.zeta[s]
-        values.append(v)
-        if v == 0:
-            zero_at.append(s)
+    """a_{0,s} = prod_{i=1}^r prod_{k=1}^n (eta_i - k - zeta_{s+1})
+    = prod_i (eta_i - n - zeta_{s+1})_n; zero values are reported (they
+    witness a hypothesis violation), not raised."""
+    values = [math.prod((_pochhammer(e - n - z, n) for e in spec.eta), start=Fraction(1))
+              for z in spec.zeta]
+    zero_at = [s for s, v in enumerate(values) if v == 0]
     return {"values": values, "all_nonzero": not zero_at, "zero_at": zero_at}
 
 
@@ -266,12 +260,6 @@ def _zeta_groups(spec: HypergeometricSpec):
             zhat.append(z)
             mult.append(1)
     return zhat, mult
-
-
-def _pochhammer(x: Fraction, k: int) -> Fraction:
-    # the rising factorial (x)_k = x (x+1) ... (x+k-1), on integers
-    w, v = x.as_integer_ratio()
-    return Fraction(math.prod(w + v * i for i in range(k)), v ** k)
 
 
 def _moment_scalar(r: int, N: int) -> int:

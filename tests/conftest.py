@@ -1,10 +1,10 @@
 """Shared fixtures and helpers: the worked instances every test module leans
 on, one admissible-instance strategy, one way to corrupt a system, the
-Fraction oracles of the package's integer tables (`correlate`,
-`f_s_coefficient`, `phi_zeta_s`, `zeta_prefix_weights`), the subset
-elimination oracle of the moment determinant C_{u,m}
-(`C_um_by_elimination`), a system's integer rows and a matrix
-of rationals read as Fractions (`row_values`, `window_values`,
+Fraction oracles of the package's integer tables (`psi_weights`, by the
+literal product of the c_k, `correlate`, `f_s_coefficient`, `phi_zeta_s`,
+`zeta_prefix_weights`), the subset elimination oracle of the moment
+determinant C_{u,m} (`C_um_by_elimination`), a system's integer rows and a
+matrix of rationals read as Fractions (`row_values`, `window_values`,
 `fraction_det`), and the partial fractions of 1/prod(X + zeta_t) by a
 linear solve (`partial_fractions`), the oracle of the closed-form change
 of basis E, and the final determinant as the determinant of its
@@ -14,11 +14,13 @@ The second half holds the oracles that two or more test modules read and
 the package does not: dense polynomials over Q, the functional psi_{i,s}
 on a polynomial, the series of F_s as Fractions, the diagonal operators
 H(theta) and T_c, the construction-free null-space solver, the remainder
-identity at a rational beta, the denominator profile of (a)_k/(b)_k, the
-criterion value V, and the measured (c, e) factorization of C_{u,m} with
-the homogeneity, vanishing-order and reduction checks built on it."""
+identity at a rational beta, the denominator profile of (a)_k/(b)_k
+(`DenominatorProfile`), B(x) = prod (x + zeta_j), the criterion value V,
+and the measured (c, e) factorization of C_{u,m} with the homogeneity,
+vanishing-order and reduction checks built on it."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from hgpade.arith import _profile_from_terms, format_rational, parse_rational
+from hgpade.arith import format_rational, log_int, parse_rational
 from hgpade.criterion import decay_fit_R, height_fit_vec
 from hgpade.errors import HgpadeError, InvalidInput, TheoryViolation
 from hgpade.linalg import det_bareiss
@@ -38,7 +40,6 @@ from hgpade.polyops import (
     _psi_table,
     _row_value,
     _scaled,
-    _series_row,
     poly_trim,
 )
 from hgpade.wronskian import C_um, _link_sign, _zeta_groups, alpha_exponent, vandermonde
@@ -49,12 +50,29 @@ _small_fractions = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
     lambda x: x.denominator > 1)
 
 
+# (eta, zeta, c0, alpha, s) -> [c_k / c0, alpha^{k+1}, the weights below k]
+_PSI_WEIGHTS = {}
+
+
 def psi_weights(spec, alpha, s, upto):
-    """psi_{i,s}(t^k) for k = 0..upto, as a fresh list of exactly upto + 1
-    Fractions cut from the spec's weight table of pairs: `correlate` reads
-    entries past the end of a list as zero, so a longer list would change
-    its results."""
-    return [F(*w) for w in _psi_table(spec, alpha, s, upto)[:upto + 1]]
+    """psi_{i,s}(t^k) = g_s(k) c_k alpha^{k+1} for k = 0..upto, as a fresh
+    list of exactly upto + 1 Fractions (`correlate` reads entries past the
+    end of a list as zero, so a longer list would change its results).
+    g_s(k) = (k+gamma_1)...(k+gamma_s) and c_k = c0 prod (eta)_k /
+    prod (1+zeta)_k are literal products on Fractions, the Pochhammer ratio
+    and the power of alpha kept running over k in a table of the tests' own
+    per (spec, alpha, s): no table of the spec is read."""
+    alpha = F(alpha)
+    state = _PSI_WEIGHTS.setdefault((spec.eta, spec.zeta, spec.c0, alpha, s),
+                                    [F(1), alpha, []])
+    ratio, power, out = state
+    for k in range(len(out), upto + 1):
+        g = math.prod((k + x for x in spec.gamma[:s]), start=F(1))
+        out.append(g * spec.c0 * ratio * power)
+        ratio *= math.prod(k + e for e in spec.eta) / math.prod(k + 1 + z for z in spec.zeta)
+        power *= alpha
+    state[:2] = ratio, power
+    return out[:upto + 1]
 
 
 def correlate(p, w, k0, k1):
@@ -335,13 +353,11 @@ def psi(spec, alphas, i: int, s: int, p):
 
 
 def expand_F_s(spec, alpha, s: int, count: int):
-    """The coefficients of 1/z, ..., 1/z^count in F_s(alpha/z), exact, as a
-    list of Fractions made from the spec's row (`_series_row`), which is
-    built from the c_k and never from the psi weights."""
+    """The coefficients of 1/z, ..., 1/z^count in F_s(alpha/z), exact: the
+    literal products of `psi_weights`, which is psi_{i,s}(t^k) too."""
     if not (0 <= s <= spec.r - 1):
         raise InvalidInput(f"s out of range: {s}")
-    den, ints = _series_row(spec, alpha, s, count)
-    return row_values((den, ints[:count]))
+    return psi_weights(spec, alpha, s, count - 1)
 
 
 class SingularEigenvalue(HgpadeError):
@@ -509,6 +525,29 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
         "entries": entries,
         "linear_form_rows": rows,
     }
+
+
+@dataclass
+class DenominatorProfile:
+    """Exact running denominators D_0 | D_1 | ... | D_N plus the end rate."""
+
+    N: int
+    values: list
+    log_rate: float
+
+
+def _profile_from_terms(terms) -> DenominatorProfile:
+    values, running = [], 1
+    for t in terms:
+        running = math.lcm(running, F(t).denominator)
+        values.append(running)
+    n = len(values) - 1
+    return DenominatorProfile(n, values, log_int(values[-1]) / n if n > 0 else 0.0)
+
+
+def B_at(spec, x):
+    """B(x) = prod_j (x + zeta_j), on Fractions."""
+    return math.prod((F(x) + z for z in spec.zeta), start=F(1))
 
 
 def D_n_profile(a, b, N: int):

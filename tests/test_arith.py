@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import D_n_profile
 from hgpade.arith import (
-    D_c_profiles,
     Place,
     abs_at_place,
     factorize,
@@ -23,7 +22,9 @@ from hgpade.arith import (
     totient,
     v_p,
 )
+from hgpade.criterion import c_denominators
 from hgpade.errors import InvalidInput, RationalParseError
+from hgpade.polyops import HypergeometricSpec, _pochhammer
 
 F = Fraction
 
@@ -101,11 +102,16 @@ def pochhammer(a: Fraction, k: int) -> Fraction:
 @given(rationals, st.integers(min_value=0, max_value=30))
 def test_pochhammer_recurrence(a, k):
     assert pochhammer(a, k + 1) == pochhammer(a, k) * (a + k)
+    assert _pochhammer(a, k) == pochhammer(a, k)
 
 
 def test_pochhammer_base():
-    assert pochhammer(F(1, 3), 0) == 1
+    assert pochhammer(F(1, 3), 0) == _pochhammer(F(1, 3), 0) == 1
     assert pochhammer(F(1, 3), 3) == F(1, 3) * F(4, 3) * F(7, 3)
+    # factors that step over 0, and that meet it
+    assert _pochhammer(F(-7, 2), 6) == pochhammer(F(-7, 2), 6) == F(315, 64)
+    assert _pochhammer(F(-3), 5) == pochhammer(F(-3), 5) == 0
+    assert _pochhammer(F(-3), 3) == pochhammer(F(-3), 3) == -6
 
 
 def den_of_set(values) -> int:
@@ -292,12 +298,21 @@ def test_doc_pair_rates(a, b, rate):
     assert prof.log_rate <= log_mu(a) + q / totient(q) + 0.05
 
 
-def test_D_c_profiles_divide_each_other():
-    eta, zeta = (F(4, 3), F(5, 4)), (F(3, 2), F(1))
-    num, den = D_c_profiles(eta, zeta, 25)
-    assert num.N == den.N == 25
-    assert all(v >= 1 for v in num.values)
-    assert all(v >= 1 for v in den.values)
+@pytest.mark.parametrize("spec", [
+    HypergeometricSpec.from_ab((F(-1, 3), F(-1, 3)), (F(1, 2),)),
+    HypergeometricSpec.from_ab((F(1, 3), F(-5, 4), F(2, 7)), (F(-3, 2), F(-3, 2))),
+    HypergeometricSpec.from_roots((F(5, 3), F(1, 4)), (F(3, 2), F(2)), F(-2, 7)),
+], ids=["repeated-negative-a", "repeated-negative-b", "roots-c0"])
+def test_c_denominators_are_the_lcm_of_the_pochhammer_ratios(spec):
+    # D_N and D'_N against the literal lcm of the denominators of
+    # prod (1+zeta)_k / prod (eta)_k and of its reciprocal, k <= N
+    ratios = [math.prod((pochhammer(1 + z, k) for z in spec.zeta), start=F(1))
+              / math.prod((pochhammer(e, k) for e in spec.eta), start=F(1))
+              for k in range(201)]
+    for N in (0, 1, 25, 200):
+        assert c_denominators(spec, N) == (
+            math.lcm(*(x.denominator for x in ratios[:N + 1])),
+            math.lcm(*((1 / x).denominator for x in ratios[:N + 1])))
 
 
 def test_profile_jsonable():

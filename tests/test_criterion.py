@@ -18,7 +18,6 @@ from hgpade import criterion
 from hgpade.arith import Place, log_abs_fraction, log_int, v_p
 from hgpade.cli import _canonical
 from hgpade.criterion import (
-    HeightData,
     Instance,
     _row_lcm,
     decay_fit_R,
@@ -95,30 +94,23 @@ def test_fit_rate_jsonable_round_trip_fields():
 
 
 def test_height_of_unit_tuple_is_zero():
-    h = heights((Fraction(1),))
-    assert h.h_v == {"inf": 0.0}
-    assert h.h == 0.0
+    assert heights((Fraction(1),)) == 0.0
 
 
 def test_height_integer_tuple_is_archimedean_only():
-    h = heights((Fraction(1), Fraction(2)))
-    assert h.h_v == {"inf": pytest.approx(math.log(2))}
-    assert h.h == pytest.approx(0.6931471805599453)
+    assert heights((Fraction(1), Fraction(2))) == math.log(2) == 0.6931471805599453
 
 
 def test_height_splits_between_places():
     h = heights((Fraction(1, 2), Fraction(3)))
-    assert set(h.h_v) == {"inf", "2"}
-    assert h.h_v["inf"] == pytest.approx(math.log(3))
-    assert h.h_v["2"] == pytest.approx(math.log(2))
-    assert h.h == pytest.approx(1.791759469228055)
-    assert h.h == pytest.approx(sum(h.h_v.values()))
+    assert h == math.log(3) + math.log(2)
+    assert h == pytest.approx(1.791759469228055)
 
 
 def test_height_single_rational_is_log_max_num_den():
     # h(p/q) = log max(|p|, q) for p/q in lowest terms
-    assert heights((Fraction(2, 3),)).h == pytest.approx(math.log(3))
-    assert heights((Fraction(-7, 4),)).h == pytest.approx(math.log(7))
+    assert heights((Fraction(2, 3),)) == pytest.approx(math.log(3))
+    assert heights((Fraction(-7, 4),)) == pytest.approx(math.log(7))
 
 
 def test_height_zero_tuple_rejected():
@@ -126,10 +118,11 @@ def test_height_zero_tuple_rejected():
         heights((Fraction(0),))
 
 
-def test_height_data_is_dataclass_with_vector():
-    h = heights((Fraction(5, 2),))
-    assert isinstance(h, HeightData)
-    assert h.vector == (Fraction(5, 2),)
+def test_height_sums_the_archimedean_part_then_the_primes_ascending():
+    # bit for bit: the measure's closed forms (V_cf, V_cf_stirling) read it
+    h = heights((Fraction(5, 12), Fraction(7), Fraction(1, 9)))
+    assert isinstance(h, float)
+    assert h == math.log(7) + 2 * math.log(2) + 2 * math.log(3)
 
 
 # ---------------------------------------------------------------------------

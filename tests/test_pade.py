@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    B_at,
     B_poly,
     admissible_instances,
     check_remainder_identity,
@@ -176,7 +177,7 @@ def _operator_chain_P(spec, alphas, n, ell):
     out = []
     for k, x in enumerate(g):
         out.append(x / c / math.factorial(n - 1) ** spec.r)
-        c = c * math.prod(k + e for e in spec.eta) / spec.B_at(F(k + 1))
+        c = c * math.prod(k + e for e in spec.eta) / B_at(spec, F(k + 1))
     return poly_trim(out)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     A_poly,
+    B_at,
     B_poly,
     SingularEigenvalue,
     T_c,
@@ -32,6 +33,7 @@ from hgpade.errors import HypothesisViolation, InvalidInput
 from hgpade.pade import _window_jsonable, _window_row, window_coeff, window_order
 from hgpade.polyops import (
     HypergeometricSpec,
+    _psi_table,
     _row_value,
     _scaled,
     _series_row,
@@ -226,6 +228,46 @@ def test_from_ab_roots_consistency(spec_r2):
         assert twin.c(k) == spec_r2.c(k)
 
 
+@pytest.mark.parametrize("a, b, c0", [
+    ((F(1, 3), F(1, 4)), (F(1, 2),), None),
+    ((F(1, 3), F(-5, 4), F(2, 7)), (F(-3, 2), F(-3, 2)), F(-2, 7)),
+    ((F(1, 3),), (), F(5)),
+])
+def test_from_ab_is_from_roots_of_a_plus_one_and_b_one(a, b, c0):
+    spec = HypergeometricSpec.from_ab(a, b, c0)
+    seed = math.prod(a, start=F(1)) / math.prod(b, start=F(1)) if c0 is None else c0
+    twin = HypergeometricSpec.from_roots([x + 1 for x in a], b + (F(1),), seed)
+    assert spec == twin
+    assert spec.a == twin.a == a and spec.b == twin.b == b
+    assert spec.to_jsonable() == twin.to_jsonable()
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: HypergeometricSpec.from_ab((F(1, 3),), (F(1, 2),), 0),
+     InvalidInput, "need len(b) = len(a)-1, got 1 and 1"),
+    (lambda: HypergeometricSpec.from_ab((F(0), F(-1)), (F(1, 2),)),
+     InvalidInput, "default c0 = prod(a)/prod(b) undefined here; pass c0"),
+    (lambda: HypergeometricSpec.from_ab((F(1, 3),), (), F(0)),
+     InvalidInput, "c0 must be nonzero"),
+    (lambda: HypergeometricSpec.from_ab((F(-1), F(1, 4)), (F(1, 2),), 0),
+     InvalidInput, "c0 must be nonzero"),
+    (lambda: HypergeometricSpec.from_ab((F(-1), F(1, 4)), (F(-2),)),
+     HypothesisViolation, "assumption (AB) fails: eta contains the non-positive integer 0"),
+    (lambda: HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(-2),)),
+     HypothesisViolation, "assumption (AB) fails: zeta contains the non-positive integer -2"),
+    (lambda: HypergeometricSpec.from_roots((F(4, 3),), (F(1, 2), F(1)), F(0)),
+     InvalidInput, "need len(eta) == len(zeta)"),
+    (lambda: HypergeometricSpec.from_roots((F(0),), (F(-1),), F(0)),
+     InvalidInput, "c0 must be nonzero"),
+    (lambda: HypergeometricSpec.from_roots((F(0),), (F(-1),), F(1)),
+     HypothesisViolation, "assumption (AB) fails: eta contains the non-positive integer 0"),
+])
+def test_constructor_errors_and_their_order(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_canonical_coefficients(spec_r2):
     # first few c_k of the doc instance, frozen
     assert [spec_r2.c(k) for k in range(4)] == [F(1, 6), F(5, 54), F(7, 108), F(65, 1296)]
@@ -239,7 +281,7 @@ def test_default_seed_coefficient(spec_r2):
 def test_recurrence_property(k):
     spec = HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(1, 2),))
     A_k = math.prod(k + e for e in spec.eta)
-    assert spec.c(k + 1) * spec.B_at(F(k + 1)) == spec.c(k) * A_k
+    assert spec.c(k + 1) * B_at(spec, F(k + 1)) == spec.c(k) * A_k
 
 
 def test_gamma_is_reversed_zeta(spec_r3):
@@ -254,7 +296,7 @@ def test_A_B_polys(spec_r2):
     assert poly_eval(A_poly(spec_r2), F(0)) == F(4, 3) * F(5, 4)
     assert poly_deg(A_poly(spec_r2)) == 2
     assert poly_deg(B_poly(spec_r2)) == 2
-    assert spec_r2.B_at(F(-1)) == 0  # zeta contains 1
+    assert B_at(spec_r2, F(-1)) == 0  # zeta contains 1
 
 
 def test_arity_checked():
@@ -399,29 +441,15 @@ def test_psi_evaluation_identity(p):
 def test_shared_psi_table_grows_out_of_order():
     # a fresh spec: short, long, then short again, at two alpha
     spec = HypergeometricSpec.from_ab((F(1, 3), F(-1, 4)), (F(1, 2),))
-
-    def naive(alpha, s, upto):
-        out, c = [], spec.c0
-        for k in range(upto + 1):
-            g = F(1)
-            for gam in spec.gamma[:s]:
-                g *= k + gam
-            out.append(g * c * alpha ** (k + 1))
-            c = c * math.prod(k + e for e in spec.eta) / spec.B_at(F(k + 1))
-        return out
-
     for alpha in (F(1), F(-2, 3)):
         for s in (1, 0):
             reached = -1
             for upto in (3, 40, 3, 0, 41):
-                w = psi_weights(spec, alpha, s, upto)
-                assert w == naive(alpha, s, upto)
+                table = _psi_table(spec, alpha, s, upto)
+                assert [F(*w) for w in table[:upto + 1]] == psi_weights(spec, alpha, s, upto)
                 reached = max(reached, upto)
-                stored = spec._psi_tables[(alpha, s)]
-                assert w is not stored
-                assert len(stored) == reached + 1  # grown on demand, never cut
-                w[-1] = F(99)  # the caller's list is its own
-    assert psi_weights(spec, F(1), 1, 5) == naive(F(1), 1, 5)
+                assert table is spec._psi_tables[(alpha, s)]  # the spec's own, not copied
+                assert len(table) == reached + 1  # grown on demand, never cut
     assert len(spec._psi_tables) == 4  # one table per (alpha, s)
 
 
