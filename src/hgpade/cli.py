@@ -361,7 +361,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     else:
         if cfg.n is None:
             raise InvalidInput("--n is required without --system")
-        # verify_system runs the contract; the build's cross-check would too
+        # verify_system runs the contract, which the cross-check would repeat
         system = build_system(cfg.spec(), cfg.alphas, cfg.n,
                               truncation=cfg.truncation, cross_check=False)
     report = verify_system(system)

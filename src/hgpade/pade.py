@@ -31,10 +31,10 @@ reads only the constant terms, takes them one dot product each
 Each remainder series is one append-only list on the system, read by
 exponent (`PadeSystem.terms`): its head, below the window's end, is filled
 on the first read inside it, and past the window it grows only as far as a
-caller reads.  The stored window (`PadeSystem.R`) is that head, in the
-form of the literal product `remainder`: the integer row (order, den,
-ints), kept on its first read by the contract, Theta or `to_jsonable` (a
-loaded system holds its own, parsed into the same form).  The p-adic sums
+caller reads.  The stored window (`PadeSystem.R`) is that head, as the
+integer row (order, den, ints), kept on its first read by the contract,
+Theta or `to_jsonable` (a loaded system holds its own, parsed into the
+same form).  The p-adic sums
 read the head, and the archimedean sums neither (`numerics.remainder_value`
 starts from prefix sums of the weights, `PadeSystem.weight_run`).
 Past the window, the sizes that bound the
@@ -43,15 +43,14 @@ beta-free part of their ratio bound (`PadeSystem.tail_ratio`).  Both lists
 hold unreduced integer pairs (a, den) over their run's denominator.  Only
 this module splits a series at the window's end.
 
-One function, `contract_failures`, decides the contract of any system
-with one literal product P_ell F_s(alpha_i/z) - P_{ell,i,s} per
-(ell, i, s) (`remainder`: its own integer loop over the rows, on the
-spec's integer row of the series, sharing no code with `_dot_rows`),
-compared with the stored window on integers; `verify_system`,
-`build_system`'s cross-check and Delta's hypotheses on a loaded system
-read it.  A built system's contract is proved by construction, with one
-comparison of the psi weights with the series row per (i, s) in place of
-the products (`construction_failures`).  A window becomes text only in
+One function, `contract_failures`, decides the contract of any system:
+the degrees, one comparison of the psi weights with the spec's series row
+of F_s per (i, s), the window orders, and on a loaded system its given
+P_{ell,i,s} rows and windows against those made from its own P_ell.  The
+rows and windows made from P_ell and those weights are the polynomial
+part and the tail of P_ell F_s(alpha_i/z), so the literal product is a
+test oracle; `verify_system`, `build_system`'s cross-check and Delta's
+hypotheses read the contract.  A window becomes text only in
 `to_jsonable`.
 """
 
@@ -168,39 +167,6 @@ def _P_family(spec: HypergeometricSpec, alphas, n: int, top: int) -> list:
     return rows
 
 
-def remainder(system: "PadeSystem", ell: int, i: int, s: int) -> tuple:
-    """The literal product P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z), exact
-    up to the system's truncation, where every stored window ends, as the
-    integer row (order, den, ints): the coefficient of 1/z^e is
-    ints[e - order] / den for order <= e < truncation, and order <= 1.
-
-    Its exponents <= 0 vanish exactly when P_{ell,i,s} is the polynomial
-    part of P_ell F_s, and its exponents >= 1 are the remainder R_{ell,i,s}.
-    It reads the rows of P_ell and P_{ell,i,s} and a prefix of the series
-    row (`_series_row`, long enough for every P of the system), in a loop
-    of its own: it shares no code with the stored window, which
-    `PadeSystem.terms` fills from the psi weights by `_dot_rows`.
-    """
-    truncation = system.truncation
-    dp, Pn = system.P[ell]
-    dq, Qn = system.Pis[(ell, i, s)]
-    d = max(len(Pn) - 1, 0)
-    width = max(len(ints) for _, ints in system.P.values())
-    dc, cn = _series_row(system.spec, system.alphas[i - 1], s,
-                         truncation - 1 + max(d, width - 1))
-    # the product's 1/z^e coefficient, 1 - d <= e < truncation, is
-    # sum_j Pn[j] cn[e + j - 1] / (dp dc); d zeros stand for the exponents
-    # below the series' order 1 that e + j reaches
-    cn = [0] * d + cn[:truncation - 1 + d]
-    order = min(1 - d, 1 - len(Qn))
-    ints = [0] * (1 - d - order) + [
-        sum(map(mul, Pn, cn[k:k + len(Pn)])) * dq
-        for k in range(truncation - 1 + d)]
-    for q, c in enumerate(Qn):
-        ints[-q - order] -= c * dp * dc
-    return order, dp * dc * dq, ints
-
-
 def _check_alphas(alphas):
     if not alphas:
         raise InvalidInput("need at least one evaluation point")
@@ -246,8 +212,8 @@ class _Made(Mapping):
 
 class _Windows(_Made):
     """The stored remainder windows, each the integer row (order, den,
-    ints) that `remainder` returns; a made one is the head of its term
-    list, whose pairs share one denominator, as (1, den, ints)."""
+    ints) read by `window_coeff`; a made one is the head of its term list,
+    whose pairs share one denominator, as (1, den, ints)."""
 
     def _make(self, ell: int, i: int, s: int) -> tuple:
         system = self._system
@@ -334,8 +300,9 @@ class PadeSystem:
     maps (ell, i, s) to the stored window of R_{ell,i,s}, an integer row
     (order, den, ints) read by `window_coeff`.  `Pis` and `R` hold what was
     given (`from_jsonable`) and make the rest on first read from P and the
-    psi weights (`_PisRows`, `_Windows`); a system given neither is `built`,
-    its contract a proof by construction (`construction_failures`).
+    psi weights (`_PisRows`, `_Windows`); a system given neither is
+    `built`, and its contract compares no given row with a made one
+    (`contract_failures`).
     Everything else a remainder sum reads is beta-free and
     kept on the system on first use, each computed once: the ratio bound
     past the window (`tail_ratio`), per (i, s) and range the psi weights on
@@ -542,10 +509,11 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
     is checked before anything is built: a given truncation by
     `check_truncation`, the default one by `default_truncation`.
     When cross_check is set (the default), the built system must pass
-    `contract_failures`, one literal product per (ell, i, s) over the whole
-    window; any failure is a theory violation, not a warning.  A caller that
-    proves the contract by construction (`wronskian.certify_nonvanishing`,
-    through Delta's `construction_failures`) builds without it.
+    `contract_failures`: its degrees, its psi weights and the orders of
+    its whole windows; any failure is a theory violation, not a warning.
+    A caller that checks the contract itself (`wronskian.certify_nonvanishing`,
+    through Delta's hypotheses) or never reads the windows
+    (`criterion.Instance`) builds without it.
     """
     alphas = tuple(Fraction(a) for a in alphas)
     _check_alphas(alphas)
@@ -581,86 +549,40 @@ def constant_term(system: PadeSystem, ell: int, i: int, s: int) -> tuple:
     return sum(map(mul, wn, Pn[1:])), dp * dw
 
 
-def _degree_failures(system: PadeSystem) -> list:
-    # the check deg_P of both contracts: deg P_ell = rmn + ell
-    failures = []
-    rm = system.r * system.m
-    rmn = rm * system.n
-    for ell in range(rm + 1):
-        got = poly_deg(poly_trim(list(system.P[ell][1])))
-        if got != rmn + ell:
-            failures.append(
-                {"check": "deg_P", "index": [ell], "expected": rmn + ell, "got": str(got)}
-            )
-    return failures
-
-
-def _order_failures(system: PadeSystem, ell: int, i: int, s: int) -> list:
-    # the check ord_R of both contracts: the stored window of R_{ell,i,s}
-    # has order >= n+1; window_order is None for a window zero throughout,
-    # whose truncation is past n + 1
-    got = window_order(system.R[(ell, i, s)])
-    if got is not None and got < system.n + 1:
-        return [{"check": "ord_R", "index": [ell, i, s], "bound": system.n + 1, "got": got}]
-    return []
-
-
 def contract_failures(system: PadeSystem) -> list:
     """Every failure of the system's contract, in a fixed order; [] when it
     holds.  Each failure names its check and its index:
-
-    * deg_P: deg P_ell = rmn + ell;
-    * deg_Pis: deg P_{ell,i,s} <= rmn + ell;
-    * ord_R: the stored window of R_{ell,i,s} has order >= n+1;
-    * Pis_coeffs: the literal product `remainder`, taken once per
-      (ell, i, s) at the window's truncation, vanishes at every exponent
-      <= 0, i.e. P_{ell,i,s} is the polynomial part of P_ell F_s;
-    * remainder_coeffs: its exponents >= 1 are the stored window, compared
-      from the lower of the two orders on.
-
-    Together these are the paper's contract: the true remainder
-    P_ell F_s(alpha_i/z) - P_{ell,i,s} has order >= n+1 at infinity.  The
-    degrees are read off the rows, and the product row and the window row
-    are compared entry by entry by cross-multiplying their denominators, so
-    the contract makes no Fraction of P_ell, P_{ell,i,s}, the product or
-    the window.
-    """
-    failures = _degree_failures(system)
-    rmn = system.r * system.m * system.n
-    for ell, i, s in system.indices():
-        # -inf for the zero polynomial
-        got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)][1])))
-        if got > rmn + ell:
-            failures.append({"check": "deg_Pis", "index": [ell, i, s],
-                             "bound": rmn + ell, "got": str(got)})
-        failures += _order_failures(system, ell, i, s)
-    for ell, i, s in system.indices():
-        product = remainder(system, ell, i, s)
-        order, _, ints = product
-        if any(ints[:1 - order]):
-            failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
-        if not _is_window(system.R[(ell, i, s)], product):
-            failures.append({"check": "remainder_coeffs", "index": [ell, i, s]})
-    return failures
-
-
-def construction_failures(system: PadeSystem) -> list:
-    """Every failure of a built system's contract (`PadeSystem.built`), in
-    a fixed order; [] when it holds.  Each failure names its check and its
-    index:
 
     * deg_P: deg P_ell = rmn + ell;
     * weights: the psi_{i,s} weights (`_psi_table`) equal the series row of
       F_s(alpha_i/z) (`_series_row`) entry by entry, over the
       truncation - 2 + D weights that the rows and windows read, D the
       width of P_rm: one comparison per (i, s);
-    * ord_R: the window of R_{ell,i,s} has order >= n+1.
+    * deg_Pis: deg P_{ell,i,s} <= rmn + ell;
+    * ord_R: the stored window of R_{ell,i,s} has order >= n+1;
+    * Pis_coeffs: P_{ell,i,s} is the row made from P_ell (`_PisRows`);
+    * remainder_coeffs: the stored window is the one made from P_ell
+      (`_Windows`), compared from the lower of its order and 1 on, so it
+      vanishes at every exponent <= 0.
 
-    On a built system, whose rows and windows are made from those weights,
-    these prove every check of `contract_failures` without its literal
-    products (proof in the README).
+    The row and the window made from P_ell and the checked weights are
+    the polynomial part and the tail of P_ell F_s(alpha_i/z) (proof in the
+    README), so these are the paper's contract: the remainder
+    P_ell F_s(alpha_i/z) - P_{ell,i,s} has order >= n+1 at infinity, and
+    its exponents >= 1 are the stored window.  A built system holds only
+    made rows and windows, so it is checked for deg_P, weights and ord_R
+    alone, and no P_{ell,i,s} row is made.  Rows are compared on integers,
+    by cross-multiplying their denominators, so the contract makes no
+    Fraction.
     """
-    failures = _degree_failures(system)
+    n, rm = system.n, system.r * system.m
+    rmn = rm * n
+    failures = []
+    for ell in range(rm + 1):
+        got = poly_deg(poly_trim(list(system.P[ell][1])))
+        if got != rmn + ell:
+            failures.append(
+                {"check": "deg_P", "index": [ell], "expected": rmn + ell, "got": str(got)})
     spec = system.spec
     count = system.truncation - 2 + max(len(ints) for _, ints in system.P.values())
     for i, alpha in enumerate(system.alphas, 1):
@@ -670,18 +592,31 @@ def construction_failures(system: PadeSystem) -> list:
             if any(a * dc != c * b for (a, b), c in zip(weights[:count], cn)):
                 failures.append({"check": "weights", "index": [i, s]})
     for ell, i, s in system.indices():
-        failures += _order_failures(system, ell, i, s)
+        if not system.built:
+            # -inf for the zero polynomial
+            got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)][1])))
+            if got > rmn + ell:
+                failures.append({"check": "deg_Pis", "index": [ell, i, s],
+                                 "bound": rmn + ell, "got": str(got)})
+        # None for a window zero throughout, whose truncation is past n + 1
+        got = window_order(system.R[(ell, i, s)])
+        if got is not None and got < n + 1:
+            failures.append({"check": "ord_R", "index": [ell, i, s], "bound": n + 1,
+                             "got": got})
+    if system.built:
+        return failures
+    for key in system.indices():
+        made_den, made = system.Pis._make(*key)
+        den, ints = system.Pis[key]
+        ints = poly_trim(list(ints))
+        if len(ints) != len(made) or any(a * made_den != b * den for a, b in zip(ints, made)):
+            failures.append({"check": "Pis_coeffs", "index": list(key)})
+        window, made = system.R[key], system.R._make(*key)
+        order, den, ints = window
+        if any(window_coeff(window, e)[0] * made[1] != window_coeff(made, e)[0] * den
+               for e in range(min(order, 1), order + len(ints))):
+            failures.append({"check": "remainder_coeffs", "index": list(key)})
     return failures
-
-
-def _is_window(window: tuple, product: tuple) -> bool:
-    # whether the window row is the product row's exponents >= 1, zero
-    # below, at every exponent of the window (both end at one truncation)
-    order, den, ints = window
-    porder, pden, pints = product
-    return all(
-        (pints[e - porder] if e > 0 else 0) * den == (ints[e - order] if e >= order else 0) * pden
-        for e in range(min(order, 1), order + len(ints)))
 
 
 def verify_system(system: PadeSystem) -> dict:

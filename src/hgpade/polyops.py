@@ -18,11 +18,10 @@ zeta-prefix weights (`_zeta_row`) and the series of F_s (`_series_row`).
 Every value psi_{i,s}(t^k p) is a correlation of p against the weights of
 (alpha_i, s), computed on integers by one kernel, `_dot_rows`, whose
 outputs share one denominator; a caller that reads a row's polynomial at
-a rational point takes one integer Horner (`_row_value`).  The literal
-product that `pade.contract_failures` checks those values against
-(`pade.remainder`) runs a loop of its own on the series row.  The dense polynomial
-arithmetic, psi on a polynomial and the series as Fractions are test
-oracles, in the tests.
+a rational point takes one integer Horner (`_row_value`).  The contract
+(`pade.contract_failures`) compares the weights with the series row.  The
+dense polynomial arithmetic, psi on a polynomial, the literal product of
+a Pade system and the series as Fractions are test oracles, in the tests.
 """
 
 from __future__ import annotations
@@ -309,10 +308,9 @@ def _series_row(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -
     least, as one integer row; a prefix of it over den is exact too.
 
     It is built by that product formula from the spec's c_k, never from the
-    psi weights: the literal product it feeds (`pade.remainder`), and the
-    comparison with the weights that proves a built system's contract
-    (`pade.construction_failures`), are the oracles of the windows built
-    from them.  With alpha = p/q,
+    psi weights: its comparison with the weights in the contract
+    (`pade.contract_failures`), and the tests' literal product, are the
+    oracles of the rows and windows made from them.  With alpha = p/q,
     gamma_j = u_j/v_j and c_k = a_k/b_k, over den = prod v_j C q^(K+1),
     K = count - 1, C = lcm(b_k), the entry is
     prod (v_j k + u_j) a_k (C / b_k) p^(k+1) q^(K-k).  One row per

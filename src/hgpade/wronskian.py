@@ -18,13 +18,11 @@ through `det_bareiss`, on integer rows (den, ints) whose denominators one
 helper divides out (`_det`).  Delta is constant by the paper's cofactor
 argument: every remainder has order >= n+1 at infinity, so the expansion
 along the top row leaves lead(P_rm) * Theta.  `delta_of_system` checks the
-argument's hypotheses, by construction on a built system
-(`pade.construction_failures`) and by one literal product per remainder on
-a loaded one (`pade.contract_failures`), and then evaluates Delta once, at
-z = 0: given the hypotheses its constancy is a theorem, and
-`delta_route_check` compares that value with lead(P_rm) * Theta.  The
-certify path builds windows only through 1/z^{n+1}, without the
-cross-check, and makes no P_{ell,i,s} row: Delta(0) reads their constant
+argument's hypotheses, the system's contract (`pade.contract_failures`),
+and then evaluates Delta once, at z = 0: given the hypotheses its
+constancy is a theorem, and `delta_route_check` compares that value with
+lead(P_rm) * Theta.  The certify path builds windows only through
+1/z^{n+1}, without the cross-check, and makes no P_{ell,i,s} row: Delta(0) reads their constant
 terms (`pade.constant_term`).  Delta and Theta read integer rows of the
 system and of its stored windows, each matrix row scaled once over the lcm
 of its denominators, with no Fraction per entry.  C_{u,m} is the
@@ -52,7 +50,6 @@ from .pade import (
     base_polynomial,
     build_system,
     constant_term,
-    construction_failures,
     contract_failures,
     window_coeff,
 )
@@ -92,26 +89,23 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     term but ell = rm therefore vanishes at infinity, so the polynomial
     Delta is the constant lead(P_rm) * Theta.  The hypotheses are the
     system's contract, checked exactly on its own data; the first failure
-    raises NonconstantDeterminant naming its hypothesis.  On a loaded
-    system they are `pade.contract_failures`, with one literal product per
-    (ell, i, s):
+    raises NonconstantDeterminant naming its hypothesis.  They are
+    `pade.contract_failures`:
 
     * deg P_ell = rmn + ell (deg_P);
+    * psi weights = series of F_s (weights), so the rows and windows made
+      from P_ell are the polynomial part and the tail of P_ell F_s;
     * deg P_{ell,i,s} <= rmn + ell (deg_Pis);
-    * order >= n+1: the stored window has it (ord_R) and the literal
-      product P_ell F_s - P_{ell,i,s} vanishes at every exponent <= 0
-      (Pis_coeffs);
-    * product coefficient: the product's exponents >= 1 are the stored
-      window that Theta reads (remainder_coeffs).
+    * order >= n+1: the stored window has it (ord_R), and a given
+      P_{ell,i,s} is the polynomial part of P_ell F_s (Pis_coeffs);
+    * product coefficient: a given window is the tail that Theta reads
+      (remainder_coeffs).
 
-    On a built system (`PadeSystem.built`) they are
-    `pade.construction_failures`, which proves the same by construction:
-    deg P_ell = rmn + ell (deg_P), psi weights = series of F_s (weights)
-    and order >= n+1 (ord_R).
-
-    Windows of truncation n + 2 are enough, so `certify_nonvanishing`
-    builds at it: the order hypotheses read exponents 1..n, Theta reads
-    n+1, and the product's exponents <= 0 are checked at any truncation.
+    A built system holds only made rows and windows, so only deg_P,
+    weights and ord_R can fail on it.  Windows of truncation n + 2 are
+    enough, so `certify_nonvanishing` builds at it: the order hypotheses
+    read exponents 1..n, Theta reads n+1, and the polynomial part is
+    checked at any truncation.
 
     With the hypotheses holding, Delta is constant, so it is evaluated
     once, at z = 0: one Bareiss determinant of p(0), the constant terms of
@@ -119,8 +113,7 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     row of a built system), each matrix row scaled once (`_det`).
     `delta_route_check` compares it with lead(P_rm) * Theta.
     """
-    contract = construction_failures if system.built else contract_failures
-    failures = contract(system)
+    failures = contract_failures(system)
     if failures:
         raise NonconstantDeterminant(
             f"hypothesis {_HYPOTHESES[failures[0]['check']]} fails: {failures[0]}")

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: the worked instances every test module leans
 on, one admissible-instance strategy, one way to corrupt a system, the
-Fraction oracles of the package's integer tables (`psi_weights`, by the
+literal product of a system and the contract decided by it
+(`remainder`, `literal_contract_failures`), the Fraction oracles of the package's integer tables (`psi_weights`, by the
 literal product of the c_k, `correlate`, `f_s_coefficient`, `phi_zeta_s`,
 `zeta_prefix_weights`), the subset elimination oracle of the moment
 determinant C_{u,m} (`C_um_by_elimination`), a system's integer rows and a
@@ -22,6 +23,7 @@ vanishing-order and reduction checks built on it."""
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -33,13 +35,21 @@ from hgpade.criterion import decay_fit_R, height_fit_vec
 from hgpade.errors import HgpadeError, InvalidInput, TheoryViolation
 from hgpade.linalg import det_bareiss
 from hgpade.numerics import BigFloat, eval_F_family, remainder_value
-from hgpade.pade import PadeSystem, base_polynomial, build_system, window_coeff
+from hgpade.pade import (
+    PadeSystem,
+    base_polynomial,
+    build_system,
+    window_coeff,
+    window_order,
+)
 from hgpade.polyops import (
     HypergeometricSpec,
     _dot_rows,
     _psi_table,
     _row_value,
     _scaled,
+    _series_row,
+    poly_deg,
     poly_trim,
 )
 from hgpade.wronskian import C_um, _link_sign, _zeta_groups, alpha_exponent, vandermonde
@@ -282,6 +292,81 @@ def corrupted(system, *edits):
             poly = edit([parse_rational(c) for c in data[part][name]])
             data[part][name] = [format_rational(c) for c in poly]
     return PadeSystem.from_jsonable(data)
+
+
+def remainder(system, ell: int, i: int, s: int) -> tuple:
+    """The literal product P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z), exact
+    up to the system's truncation, where every stored window ends, as the
+    integer row (order, den, ints): the coefficient of 1/z^e is
+    ints[e - order] / den for order <= e < truncation, and order <= 1.
+
+    Its exponents <= 0 vanish exactly when P_{ell,i,s} is the polynomial
+    part of P_ell F_s, and its exponents >= 1 are the remainder R_{ell,i,s}.
+    It reads the rows of P_ell and P_{ell,i,s} and a prefix of the series
+    row (`_series_row`, long enough for every P of the system), in a loop
+    of its own: it shares no code with the rows and windows that the
+    package makes from the psi weights by `_dot_rows`.
+    """
+    truncation = system.truncation
+    dp, Pn = system.P[ell]
+    dq, Qn = system.Pis[(ell, i, s)]
+    d = max(len(Pn) - 1, 0)
+    width = max(len(ints) for _, ints in system.P.values())
+    dc, cn = _series_row(system.spec, system.alphas[i - 1], s,
+                         truncation - 1 + max(d, width - 1))
+    # the product's 1/z^e coefficient, 1 - d <= e < truncation, is
+    # sum_j Pn[j] cn[e + j - 1] / (dp dc); d zeros stand for the exponents
+    # below the series' order 1 that e + j reaches
+    cn = [0] * d + cn[:truncation - 1 + d]
+    order = min(1 - d, 1 - len(Qn))
+    ints = [0] * (1 - d - order) + [
+        sum(map(mul, Pn, cn[k:k + len(Pn)])) * dq
+        for k in range(truncation - 1 + d)]
+    for q, c in enumerate(Qn):
+        ints[-q - order] -= c * dp * dc
+    return order, dp * dc * dq, ints
+
+
+def literal_contract_failures(system) -> list:
+    """The contract of `pade.contract_failures` decided by one literal
+    product per (ell, i, s) (`remainder`), with no psi weight: the same
+    checks in the same order, but for the weights, which it reads nowhere.
+
+    * deg_P: deg P_ell = rmn + ell;
+    * deg_Pis: deg P_{ell,i,s} <= rmn + ell;
+    * ord_R: the stored window of R_{ell,i,s} has order >= n+1;
+    * Pis_coeffs: the product vanishes at every exponent <= 0;
+    * remainder_coeffs: its exponents >= 1, zero below, are the stored
+      window, compared from the lower of the two orders on.
+
+    Rows are compared on integers, by cross-multiplying their denominators.
+    """
+    n, rm = system.n, system.r * system.m
+    failures = []
+    for ell in range(rm + 1):
+        got = poly_deg(poly_trim(list(system.P[ell][1])))
+        if got != rm * n + ell:
+            failures.append({"check": "deg_P", "index": [ell], "expected": rm * n + ell,
+                             "got": str(got)})
+    for ell, i, s in system.indices():
+        got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)][1])))
+        if got > rm * n + ell:
+            failures.append({"check": "deg_Pis", "index": [ell, i, s],
+                             "bound": rm * n + ell, "got": str(got)})
+        got = window_order(system.R[(ell, i, s)])
+        if got is not None and got < n + 1:
+            failures.append({"check": "ord_R", "index": [ell, i, s], "bound": n + 1,
+                             "got": got})
+    for ell, i, s in system.indices():
+        porder, pden, pints = remainder(system, ell, i, s)
+        if any(pints[:1 - porder]):
+            failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
+        order, den, ints = system.R[(ell, i, s)]
+        if any((pints[e - porder] if e > 0 else 0) * den
+               != (ints[e - order] if e >= order else 0) * pden
+               for e in range(min(order, 1), order + len(ints))):
+            failures.append({"check": "remainder_coeffs", "index": [ell, i, s]})
+    return failures
 
 
 # ---------------------------------------------------------------------------

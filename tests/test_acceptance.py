@@ -21,6 +21,7 @@ from functools import cached_property
 
 import pytest
 
+import conftest
 from conftest import (
     A_poly,
     B_poly,
@@ -36,6 +37,7 @@ from conftest import (
     expand_F_s,
     final_det_by_phi,
     homogeneity_degree,
+    literal_contract_failures,
     poly_eval,
     poly_shift_up,
     psi,
@@ -44,12 +46,11 @@ from conftest import (
     solve_pade_nullspace,
     vanishing_order_at_equal_alphas,
 )
-from hgpade import pade
 from hgpade.arith import Place, log_mu, totient
 from hgpade.cli import emit_report
 from hgpade.criterion import Instance, decay_fit_R, measure, min_beta
 from hgpade.numerics import _f_closed, _f_direct
-from hgpade.pade import build_system, contract_failures
+from hgpade.pade import build_system
 from hgpade.polyops import HypergeometricSpec, poly_deg
 from hgpade.wronskian import (
     C_um,
@@ -90,7 +91,7 @@ class Desk:
     @cached_property
     def grid(self) -> dict:
         """label -> (spec, alphas, n, system) over `GRID`, built without the
-        cross-check: `contracts` runs `contract_failures` once per system."""
+        cross-check: `contracts` runs the literal contract once per system."""
         specs = {key: _spec(key) for key in ("r2", "r3")}
         built = {}
         for key, m, ns in GRID:
@@ -103,10 +104,10 @@ class Desk:
 
     @cached_property
     def contracts(self) -> dict:
-        """label -> `contract_failures` of its grid system, read by
-        pade-contract and nullspace-membership (Delta checks its own
-        hypotheses)."""
-        return {label: contract_failures(system)
+        """label -> `literal_contract_failures` of its grid system, one
+        literal product per (ell, i, s), read by pade-contract and
+        nullspace-membership (Delta checks its own hypotheses)."""
+        return {label: literal_contract_failures(system)
                 for label, (_, _, _, system) in self.grid.items()}
 
     @cached_property
@@ -116,7 +117,7 @@ class Desk:
 
 def check_pade_contract(desk: Desk):
     """Degrees rmn+ell exact and every remainder of order >= n+1 on the grid:
-    the system contract (`contract_failures`)."""
+    the system contract, by literal products (`literal_contract_failures`)."""
     rows, ok = [], True
     for label in sorted(desk.grid):
         failures = desk.contracts[label]
@@ -133,10 +134,10 @@ def check_nullspace_membership(desk: Desk):
     """The constructed family solves the order-condition kernel of its own
     instance matrix: the ell=0 column is annihilated by the literal matrix
     rows, spans the (1-dimensional) kernel the solver finds at M = rmn, and
-    every column passes the system contract (`contract_failures`).  The
-    series F_s(alpha_i/z) come from their product formula (`expand_F_s`),
-    not from the construction's psi weights, and the system's rows are read
-    as Fractions (`row_values`)."""
+    every column passes the system contract by literal products
+    (`literal_contract_failures`).  The series F_s(alpha_i/z) come from
+    their product formula (`expand_F_s`), not from the construction's psi
+    weights, and the system's rows are read as Fractions (`row_values`)."""
     rows, ok = [], True
     for label, (spec, alphas, n, system) in sorted(desk.grid.items()):
         r, m = spec.r, len(alphas)
@@ -367,15 +368,15 @@ def check_numerical_shadow(desk: Desk):
     On the n = 4 system, the identity ties each certified sum R(beta),
     which starts from prefix sums of the psi weights and reads no stored
     window, to P_ell(beta) F_s(alpha_i/beta) - P_{ell,i,s}(beta); the
-    system's `contract_failures` ties each stored window, built here, to
-    the literal product P_ell F_s - P_{ell,i,s}."""
+    system's `literal_contract_failures` ties each stored window, built
+    here, to the literal product P_ell F_s - P_{ell,i,s}."""
     inst = desk.criterion
     beta = Fraction(10**6)
 
     ident = check_remainder_identity(inst.systems[4], beta, bits=128)
     budget_cap = max(e["budget"] for e in ident["entries"])
     certified = (ident["ok"] and budget_cap <= 2.0**-128
-                 and not contract_failures(inst.systems[4]))
+                 and not literal_contract_failures(inst.systems[4]))
 
     fit = decay_fit_R(inst, beta, ARCH)
     fit2 = decay_fit_R(inst, 2 * beta, ARCH)
@@ -509,13 +510,13 @@ def test_desk_report_is_frozen(monkeypatch):
     # every row on a fresh Desk, its details written as a report by
     # `cli.emit_report`
     calls = []
-    remainder = pade.remainder
+    remainder = conftest.remainder
 
     def counted(*args, **kwargs):
         calls.append(None)
         return remainder(*args, **kwargs)
 
-    monkeypatch.setattr(pade, "remainder", counted)
+    monkeypatch.setattr(conftest, "remainder", counted)
     desk = Desk()
     checks = []
     for check_id, description, budget_s, body in CHECKS:
@@ -530,7 +531,7 @@ def test_desk_report_is_frozen(monkeypatch):
     # shared contract of pade-contract and nullspace-membership, and one
     # per (ell, i, s) of the 6 of the n = 4 system whose windows
     # numerical-shadow checks; Delta's own hypotheses on the grid's built
-    # systems are proved by construction, with none
+    # systems take none (`contract_failures`)
     assert len(calls) == 108 + 6
     # every check's details, byte for byte
     assert hashlib.sha256(text.encode()).hexdigest() == (

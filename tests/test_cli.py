@@ -20,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import criterion_V
+from conftest import criterion_V, literal_contract_failures
 from hgpade import criterion
 from hgpade.arith import Place, format_rational, parse_rational
 from hgpade.cli import COMMANDS, MAX_N, emit_report, main
 from hgpade.numerics import BigFloat
+from hgpade.pade import PadeSystem
 
 R2 = ["--a", "1/3,1/4", "--b", "1/2"]
 
@@ -210,10 +211,12 @@ def test_verify_runs_the_contract_once(monkeypatch, capsys):
         assert len(calls) == 1
 
 
-def test_verify_reports_a_broken_build(monkeypatch, capsys):
-    # a build that breaks its contract exits 3, its failures in the report:
-    # the kernel shifts the constant term of every P_{ell,i,s}, the one call
-    # shape whose run is exactly as long as its outputs
+def test_verify_reports_a_broken_build(monkeypatch, tmp_path, capsys):
+    # a build whose kernel shifts the constant term of every P_{ell,i,s},
+    # the one call shape whose run is exactly as long as its outputs: its
+    # rows agree with its own weights, so the build passes, and the literal
+    # product sees the fault; its file, verified with the true kernel,
+    # exits 3 with the same failures in the report
     import hgpade.pade
 
     kernel = hgpade.pade._dot_rows
@@ -224,12 +227,19 @@ def test_verify_reports_a_broken_build(monkeypatch, capsys):
         return [c + 1 if d == 0 else c for d, c in enumerate(out)] \
             if len(wi) == count else out
 
-    monkeypatch.setattr(hgpade.pade, "_dot_rows", shifted)
-    assert main(["verify", *R2, "--alphas", "1", "--n", "1"]) == 3
+    path = tmp_path / "system.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(hgpade.pade, "_dot_rows", shifted)
+        assert main(["build", *R2, "--alphas", "1", "--n", "1", "--out", str(path)]) == 0
+    failures = literal_contract_failures(PadeSystem.from_jsonable(json.loads(path.read_text())))
+    assert {"check": "Pis_coeffs", "index": [0, 1, 0]} in failures
+    capsys.readouterr()
+
+    assert main(["verify", "--system", str(path)]) == 3
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["ok"] is False
-    assert {"check": "Pis_coeffs", "index": [0, 1, 0]} in report["failures"]
+    assert report["failures"] == failures
     assert "Pis_coeffs" in captured.err
 
 

@@ -15,9 +15,11 @@ from conftest import (
     correlate,
     corrupted,
     expand_F_s,
+    literal_contract_failures,
     poly_eval,
     poly_mul,
     psi_weights,
+    remainder,
     row_values,
     solve_pade_nullspace,
     window_values,
@@ -31,7 +33,6 @@ from hgpade.pade import (
     build_system,
     contract_failures,
     default_truncation,
-    remainder,
     verify_system,
     window_coeff,
     window_order,
@@ -247,9 +248,9 @@ def test_remainder_routes_agree(canonical_system):
 
 
 def test_product_route_does_not_use_the_kernel(spec_r2, monkeypatch):
-    # the cross-check is independent only if the series product never goes
-    # through the kernel that fills P_{ell,i,s} and the windows, nor through
-    # the scaled correlation built on it
+    # the literal product is an oracle only if it never goes through the
+    # kernel that fills P_{ell,i,s} and the windows, nor through the scaled
+    # correlation built on it
     import hgpade.pade
     import hgpade.polyops
 
@@ -264,11 +265,12 @@ def test_product_route_does_not_use_the_kernel(spec_r2, monkeypatch):
     monkeypatch.setattr(hgpade.pade, "_dot_rows", kernel)
     for key in [(0, 1, 0), (4, 2, 1)]:
         assert window_values(remainder(sys, *key)) == window_values(windows[key])
-    assert contract_failures(sys) == []  # the whole contract, kernel-free
+    # the whole contract, kernel-free, both ways
+    assert literal_contract_failures(sys) == contract_failures(sys) == []
 
 
 def test_one_build_expands_each_series_coefficient_once(monkeypatch):
-    # every ell of the cross-check reads a prefix of the one row of
+    # the cross-check compares the weights with the one row of
     # F_s(alpha/z) on the spec: one build makes each row once per
     # (alpha, s), as long as the longest P_ell needs, and `verify` after it
     # makes none
@@ -314,7 +316,10 @@ def _divided_difference_call(pi, wi, count):
 def test_cross_check_compares_below_the_larger_order(spec_r2, monkeypatch):
     # both mutants, injected through the system's one kernel, leave every
     # coefficient from the larger of the two orders on intact, so only a
-    # comparison from the smaller order sees them
+    # comparison from the smaller order sees them.  The mutated build's
+    # rows and windows agree with its own weights, so its contract holds;
+    # the literal product sees each mutant, and so does the contract of the
+    # build's file, loaded and checked with the true kernel
     import hgpade.pade
 
     kernel = hgpade.pade._dot_rows
@@ -334,8 +339,24 @@ def test_cross_check_compares_below_the_larger_order(spec_r2, monkeypatch):
     for mutant in (constant_plus_one, leading_zeroed):
         with monkeypatch.context() as patch:
             patch.setattr(hgpade.pade, "_dot_rows", mutant)
-            with pytest.raises(TheoryViolation):
-                build_system(spec_r2, (F(1), F(2)), 1)
+            system = build_system(spec_r2, (F(1), F(2)), 1)
+            failures = literal_contract_failures(system)
+        assert failures, mutant.__name__
+        assert contract_failures(corrupted(system)) == failures
+
+
+def test_cross_check_refuses_a_build_on_a_wrong_weight_table(spec_r2, monkeypatch):
+    # the weight table one entry on: the build's rows and windows agree with
+    # it, and only the cross-check's comparison with the series row of F_s
+    # refuses the build
+    import hgpade.pade
+
+    table = hgpade.pade._psi_table
+    monkeypatch.setattr(hgpade.pade, "_psi_table",
+                        lambda spec, alpha, s, upto: table(spec, alpha, s, upto + 1)[1:])
+    with pytest.raises(TheoryViolation, match="'check': 'weights'"):
+        build_system(spec_r2, (F(1), F(2)), 1)
+    assert build_system(spec_r2, (F(1), F(2)), 1, cross_check=False).built
 
 
 @pytest.mark.parametrize("a, b, alphas, n", [
@@ -537,6 +558,57 @@ def test_constructed_column_is_the_kernel(canonical_m1):
             assert [lam * c for c in fam[idx]] == row_values(sys.Pis[(0, i, s)])
 
 
+def _P_by_sympy(spec, alphas, n: int, ell: int) -> list:
+    """A basis of the P = z^ell Q, deg Q <= rmn, whose products
+    P(z) F_s(alpha_i/z) have no 1/z^e term for e = 1..n, for every (i, s),
+    solved by sympy alone: each F_s(alpha_i/z) is a sympy series in
+    w = 1/z with the coefficients (k+gamma_1)...(k+gamma_s) c_k alpha_i^{k+1},
+    c_k = c0 prod rf(eta, k) / prod rf(1+zeta, k), the conditions are read
+    off sympy's product of polynomials in w, and the basis is the nullspace
+    of their matrix; each vector holds the coefficients of z^ell.. as
+    Fractions."""
+    sympy = pytest.importorskip("sympy")
+    w = sympy.Symbol("w")
+
+    def q(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    eta, zeta, gamma = ([q(x) for x in v] for v in (spec.eta, spec.zeta, spec.gamma))
+    top = spec.r * len(alphas) * n + ell
+    coeffs = sympy.symbols(f"p{ell}:{top + 1}")
+    conditions = []
+    for alpha in map(q, alphas):
+        for s in range(spec.r):
+            series = sum(sympy.Mul(*(k + g for g in gamma[:s])) * q(spec.c0)
+                         * sympy.Mul(*(sympy.rf(e, k) for e in eta))
+                         / sympy.Mul(*(sympy.rf(1 + z, k) for z in zeta))
+                         * alpha ** (k + 1) * w ** (k + 1) for k in range(top + n))
+            # w^top P(1/w) F_s(alpha w): its w^(top+e) term is the 1/z^e
+            # term of P(z) F_s(alpha/z)
+            product = sympy.Poly(sum(c * w ** (top - d) for d, c in enumerate(coeffs, ell)),
+                                 w) * sympy.Poly(series, w)
+            conditions += [product.coeff_monomial(w ** (top + e)) for e in range(1, n + 1)]
+    basis = sympy.Matrix([[cond.coeff(c) for c in coeffs] for cond in conditions]).nullspace()
+    return [[F(int(x.p), int(x.q)) for x in vector] for vector in basis]
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(admissible_instances(), st.integers(1, 2))
+def test_every_P_ell_is_the_sympy_solution_of_its_conditions(instance, n):
+    # the type-II conditions with z^ell | P_ell fix P_ell up to a scalar,
+    # and sympy's solution of them is the package's row: random
+    # admissible r*m <= 4 and n <= 2
+    spec, alphas = instance
+    system = build_system(spec, alphas, n, truncation=n + 2, cross_check=False)
+    for ell, row in system.P.items():
+        basis = _P_by_sympy(spec, alphas, n, ell)
+        assert len(basis) == 1, ell
+        want, got = basis[0], row_values(row)
+        assert got[:ell] == [0] * ell
+        scale = got[-1] / want[-1]
+        assert [scale * c for c in want] == got[ell:], ell
+
+
 def test_membership_all_columns(canonical_system):
     # every column solves its own approximation problem: each literal
     # product P_ell F_s - P_{ell,i,s} has order >= n+1 and is the window
@@ -547,7 +619,7 @@ def test_membership_all_columns(canonical_system):
         assert not any(ints[:1 - order]), key  # nothing at exponents <= 0
         assert window_order(product) >= sys.n + 1, key
         assert window_values(product) == _functional(sys, *key), key
-    assert contract_failures(sys) == []
+    assert contract_failures(sys) == literal_contract_failures(sys) == []
 
 
 def test_psi_weights_agree_with_remainder(canonical_m1):
@@ -601,33 +673,53 @@ def _two_route_failures(system):
 
 @st.composite
 def _corrupted_systems(draw):
-    """A built admissible system (r*m <= 4, n <= 2) and a copy of it with
-    one entry of one P_ell, P_{ell,i,s} or stored window moved by a
-    nonzero rational."""
-    spec, alphas = draw(admissible_instances())
+    """A built admissible system (r*m <= 4, n <= 2, flags passing or
+    failing, zeta repeated or not) and a copy of it with one entry of one
+    P_ell, P_{ell,i,s} or stored window moved by a nonzero rational, or
+    with one window given a nonzero entry at an exponent <= 0."""
+    spec, alphas = draw(admissible_instances(any_flags=True))
     system = build_system(spec, alphas, draw(st.integers(1, 2)), cross_check=False)
     part = draw(st.sampled_from(["P", "Pis", "R"]))
+    below = part == "R" and draw(st.booleans())
     keys = sorted(getattr(system, part))
     key = keys[draw(st.integers(0, len(keys) - 1))]
     delta = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
 
     def moved(entry):
         coeffs = list(entry[1] if part == "R" else entry)
+        if below:
+            # the window from the order -low <= 0 on
+            low = draw(st.integers(0, 2))
+            coeffs[:0] = [F(0)] * (low + 1)
+            coeffs[draw(st.integers(0, low))] += delta
+            return -low, coeffs
         coeffs[draw(st.integers(0, len(coeffs) - 1))] += delta
         return (1, coeffs) if part == "R" else coeffs
 
     return system, corrupted(system, (part, key, moved))
 
 
-@settings(deadline=None, derandomize=True, max_examples=40)
+@settings(deadline=None, derandomize=True, max_examples=300)
 @given(_corrupted_systems())
 def test_contract_names_what_the_two_routes_named(systems):
+    # the contract, the two-route check it replaced and the literal product
+    # name the same failures, entry by entry and in order
     system, broken = systems
-    assert contract_failures(system) == _two_route_failures(system) == []
+    assert (contract_failures(system) == _two_route_failures(system)
+            == literal_contract_failures(system) == [])
     failures = contract_failures(broken)
     assert failures  # every corruption breaks the contract somewhere
-    assert failures == _two_route_failures(broken)
+    assert failures == _two_route_failures(broken) == literal_contract_failures(broken)
     assert verify_system(broken)["failures"] == failures
+
+
+def test_trailing_zeros_in_a_file_break_no_contract(canonical_system):
+    # a given row is compared as a polynomial: a P_ell or P_{ell,i,s} with
+    # a trailing zero is the same polynomial, for the contract and for the
+    # literal product
+    loaded = corrupted(canonical_system, ("P", 2, lambda p: [*p, F(0)]),
+                       ("Pis", (1, 2, 0), lambda p: [*p, F(0), F(0)]))
+    assert contract_failures(loaded) == literal_contract_failures(loaded) == []
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from conftest import (
     poly_shift_up,
     psi,
     psi_weights,
+    remainder,
     row_values,
     zeta_prefix_weights,
 )
@@ -186,7 +187,7 @@ def test_remainder_equals_the_fraction_loop(spec_r2, p, q, alpha, s, truncation)
     # than P, and unequal denominators on every side
     from types import MappingProxyType
 
-    from hgpade.pade import PadeSystem, remainder
+    from hgpade.pade import PadeSystem
 
     def rows(key, coeffs):
         # the one row of a system's mapping, as a built system holds it

@@ -19,6 +19,7 @@ from conftest import (
     corrupted,
     fraction_det,
     homogeneity_degree,
+    literal_contract_failures,
     final_det_by_phi,
     final_det_rows,
     partial_fractions,
@@ -30,7 +31,7 @@ from conftest import (
 from hgpade.cli import _canonical
 from hgpade.errors import InvalidInput, NonconstantDeterminant, TheoryViolation
 from hgpade.linalg import det_bareiss
-from hgpade.pade import PadeSystem, build_system, construction_failures, contract_failures
+from hgpade.pade import PadeSystem, build_system, contract_failures
 from hgpade.polyops import HypergeometricSpec
 from hgpade.wronskian import (
     C_um,
@@ -126,6 +127,27 @@ def test_delta_route_equality(canonical_system):
     assert route["delta"] == F(3981312, 146652240109375)
     assert route["theta"] == F(64, 97692469875)
     assert route["leading_coeff_Prm"] == leading_coeff_P_rm(canonical_system)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(admissible_instances(), st.integers(1, 5))
+def test_lead_of_P_rm_is_its_closed_product(instance, n):
+    # base_0 = prod (t - alpha_i)^{rn} is monic, so lead(P_rm) is the
+    # multiplier M(rmn + rm) = prod_t (rmn+rm+1+zeta_t)_{n-1} /
+    # (c_{rmn+rm} ((n-1)!)^r), here with c_k = c0 prod (eta)_k /
+    # prod (1+zeta)_k, every factor a literal product on Fractions
+    spec, alphas = instance
+    system = build_system(spec, alphas, n, truncation=n + 2, cross_check=False)
+    r = spec.r
+    top = r * len(alphas) * (n + 1)
+
+    def rising(x, k):
+        return math.prod((x + j for j in range(k)), start=F(1))
+
+    c = spec.c0 * math.prod(rising(e, top) for e in spec.eta) / math.prod(
+        rising(1 + z, top) for z in spec.zeta)
+    assert leading_coeff_P_rm(system) == math.prod(
+        rising(top + 1 + z, n - 1) for z in spec.zeta) / (c * math.factorial(n - 1) ** r)
 
 
 def test_theta_chain_identity(canonical_system):
@@ -356,7 +378,7 @@ def test_certify_takes_no_literal_product_and_one_weight_check_per_pair(spec_r3,
     # window ending right past 1/z^{n+1} reads, and no P_{ell,i,s} row made
     import hgpade.pade
 
-    products, compared, made = [], [], []
+    compared, made = [], []
     series_row = hgpade.pade._series_row
     make = hgpade.pade._PisRows._make
 
@@ -368,13 +390,13 @@ def test_certify_takes_no_literal_product_and_one_weight_check_per_pair(spec_r3,
         made.append((ell, i, s))
         return make(rows, ell, i, s)
 
-    monkeypatch.setattr(hgpade.pade, "remainder", lambda *key: products.append(key))
+    assert not hasattr(hgpade.pade, "remainder")  # the literal product is in the tests
     monkeypatch.setattr(hgpade.pade, "_series_row", counted)
     monkeypatch.setattr(hgpade.pade._PisRows, "_make", made_row)
     report = certify_nonvanishing(spec_r3, [F(1), F(2)], 2)
     assert report.verdict == "certified nonzero"
     assert all(report.checks.values())
-    assert products == made == []
+    assert made == []
     # (alpha_i, s) for m = 2, r = 3; 4 - 2 + 19 weights at n = 2, deg P_6 = 18
     assert sorted(compared) == [(F(a), s, 21) for a in (1, 2) for s in range(3)]
 
@@ -617,32 +639,36 @@ def _last_weight_doubled(real):
 def test_a_built_system_with_wrong_weights_breaks_a_named_hypothesis(spec_r2, monkeypatch,
                                                                       target, mutant):
     # the built system's rows and windows are made from the weight table, so
-    # they agree with each other whatever the table holds; only the
-    # comparison of the weights with the series row of F_s sees the fault
+    # they agree with each other whatever the table holds, and so do its
+    # file's and those its loaded copy makes; only the comparison of the
+    # weights with the series row of F_s sees the fault
     import hgpade.pade
 
     monkeypatch.setattr(hgpade.pade, target, mutant(getattr(hgpade.pade, target)))
     system = build_system(spec_r2, (F(1), F(2)), 1, truncation=3, cross_check=False)
-    assert system.built
-    with pytest.raises(NonconstantDeterminant,
-                       match=re.escape("hypothesis psi weights = series of F_s")):
-        delta_of_system(system)
+    loaded = PadeSystem.from_jsonable(system.to_jsonable())
+    assert system.built and not loaded.built
+    for each in (system, loaded):
+        with pytest.raises(NonconstantDeterminant,
+                           match=re.escape("hypothesis psi weights = series of F_s")):
+            delta_of_system(each)
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(admissible_instances(max_rm=6, any_flags=True), st.integers(1, 3))
 def test_a_built_system_and_its_file_give_one_delta(instance, n):
-    # the contract proved by construction against the literal products, on
-    # the system certify builds (windows of truncation n + 2) and on its
-    # JSON round trip, a loaded system that Delta checks by literal
-    # products: random rm <= 6 and n <= 3, flags passing or failing, zeta
-    # repeated or not
+    # the contract against the literal products, on the system certify
+    # builds (windows of truncation n + 2) and on its JSON round trip, a
+    # loaded system whose given rows and windows Delta compares with those
+    # made from its P_ell: random rm <= 6 and n <= 3, flags passing or
+    # failing, zeta repeated or not
     spec, alphas = instance
     system = build_system(spec, alphas, n, truncation=n + 2, cross_check=False)
     loaded = PadeSystem.from_jsonable(system.to_jsonable())
     assert system.built and not loaded.built
     assert delta_route_check(system) == delta_route_check(loaded)
-    assert construction_failures(system) == contract_failures(system) == []
+    assert contract_failures(system) == contract_failures(loaded) == []
+    assert literal_contract_failures(system) == literal_contract_failures(loaded) == []
 
 
 def test_delta_is_one_determinant(canonical_system, monkeypatch):
