@@ -272,8 +272,8 @@ def window_values(window) -> list:
     return [F(*window_coeff(window, e)) for e in range(1, order + len(ints))]
 
 
-def corrupted(system, *edits):
-    """The system loaded from its JSON form after the edits, each a triple
+def edited(system, *edits) -> dict:
+    """The JSON form of the system after the edits, each a triple
     (part, key, edit): the entry of "P", "Pis" or "R" at key becomes
     edit(entry), where a P_ell or P_{ell,i,s} is its list of Fractions and
     a window is the pair (order, coefficients), its Fractions from the
@@ -291,7 +291,12 @@ def corrupted(system, *edits):
         else:
             poly = edit([parse_rational(c) for c in data[part][name]])
             data[part][name] = [format_rational(c) for c in poly]
-    return PadeSystem.from_jsonable(data)
+    return data
+
+
+def corrupted(system, *edits):
+    """The system loaded from its JSON form after the edits (`edited`)."""
+    return PadeSystem.from_jsonable(edited(system, *edits))
 
 
 def remainder(system, ell: int, i: int, s: int) -> tuple:

@@ -20,12 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import criterion_V, literal_contract_failures
+from conftest import criterion_V, edited, literal_contract_failures
 from hgpade import criterion
 from hgpade.arith import Place, format_rational, parse_rational
 from hgpade.cli import COMMANDS, MAX_N, emit_report, main
 from hgpade.numerics import BigFloat
-from hgpade.pade import PadeSystem
+from hgpade.pade import PadeSystem, build_system
+from hgpade.polyops import HypergeometricSpec
 
 R2 = ["--a", "1/3,1/4", "--b", "1/2"]
 
@@ -241,6 +242,74 @@ def test_verify_reports_a_broken_build(monkeypatch, tmp_path, capsys):
     assert report["ok"] is False
     assert report["failures"] == failures
     assert "Pis_coeffs" in captured.err
+
+
+def _bumped(p):
+    # the constant coefficient moved by one
+    return [p[0] + 1, *p[1:]]
+
+
+# r = 2, m = 2, n = 2 at its default truncation 19: each file edit, applied
+# to the built system's JSON form (`edited`), against the sha256 of the
+# `verify --system` stdout and stderr and its exit code
+_VERIFY_EDITS = {
+    "Pis_moved": [("Pis", (1, 1, 0), _bumped)],
+    "Pis_empty": [("Pis", (2, 2, 1), lambda p: [])],
+    "Pis_trailing_zero": [("Pis", (0, 1, 1), lambda p: [*p, Fraction(0)])],
+    "P_lead_zeroed": [("P", 3, lambda p: [*p[:-1], Fraction(0)])],
+    "P_empty": [("P", 1, lambda p: [])],
+    "P_constant_shifted": [("P", 0, _bumped)],
+    # a 1/z^2 term in the window of R_{2,1,0}, below its order n + 1 = 3
+    "R_order_lowered": [("R", (2, 1, 0), lambda w: (1, [Fraction(0), Fraction(1),
+                                                        *w[1][2:]]))],
+    "R_zero": [("R", (1, 2, 1), lambda w: (1, [Fraction(0)] * len(w[1])))],
+    "R_from_exponent_0": [("R", (0, 2, 0), lambda w: (0, [Fraction(1), *w[1]]))],
+    # P_{3,2,0} one degree past its bound rmn + 3 = 11
+    "three_at_once": [("P", 4, _bumped),
+                      ("Pis", (3, 2, 0), lambda p: [*p, *[Fraction(0)] * (12 - len(p)),
+                                                    Fraction(1)]),
+                      ("R", (1, 1, 1), lambda w: (1, [Fraction(0)] * len(w[1])))],
+}
+
+_VERIFY_PINS = {
+    "Pis_moved": (3, "6e31e5855579fd68b9cf85ffe78e0b8fcd1fb57b829397ac2e2e843636d881d3",
+        "ae1852462594b42e37fd472114e0a32242ac863261d822100a2c8e617925a9db"),
+    "Pis_empty": (3, "88cf4ceb7cbb8629fb530e127989eadc8aa4a0647c50a2ddf7b6bc2421f1079c",
+        "602dc056a438c94b009c3e533128be619c1c01de8249a50648effd57313faf26"),
+    "Pis_trailing_zero": (0, "8d82348665424c14e0ac5569b52652bc9185206bf81f7955c73e9f6de7f07ec0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "P_lead_zeroed": (3, "68f7fa4521ab8f4ada28e436e1045961e99311421a58ac59ad7e79ad83ae8524",
+        "c06990632af9aa6101180a38b2e5ba81ed5a127e987dea3da8d3a5c1bc218003"),
+    "P_empty": (3, "99acaac96ef42e951da75a679b6e66b5e8465f6917c3a8ff495443f2619ffa46",
+        "b44a5110b43378a5f1d820f4ee43fb2d80f90c9022955cb31f5820a666a41b01"),
+    "P_constant_shifted": (3, "5647644a9840a5483af471fb89678eab000f771c551e6a4d7cf4a3273fcae210",
+        "a40d5122027d0d0a5260eec36258f96f1e4b151f5686b03dd0b57e2909961624"),
+    "R_order_lowered": (3, "60b77f0f1f4b9db9556d1109123aa2971fd19247edfee45ff0206bbdc032c7d3",
+        "e4ca4e111e4856c88530cb9ee480e38026f14754699c2b834a4627681baadd8c"),
+    "R_zero": (3, "17c5a59919d65cffe3358ff484f33517a96c8bae893561f4ce5bbc0b014e888f",
+        "f81d1e1fc332c902daab78c19b451f886612eb35a41d858c9e5860b4b546b6fe"),
+    "R_from_exponent_0": (3, "a686db70b53870977c509712c3b0e2c1c87391b0c817893da46a861ebf7b53ee",
+        "8ac9b060fd1e058d64335a5d693e229198504fb2833b7575d30b7a31ee2e0b7e"),
+    "three_at_once": (3, "cf52dfb56ef05fc2a66e206ccaa3ecf717957db7d4edb9297212e69b2ed6d580",
+        "2813a5e62c52fe9c108782ce3747eee43e63a8f64f2a959ae803f6562218b00c"),
+}
+
+
+def test_verify_reports_on_edited_files_are_pinned(tmp_path, capsys):
+    # every byte `verify --system` writes on a file edited from a build,
+    # and its exit code: the report, its failures in order, and the
+    # failure lines on stderr
+    spec = HypergeometricSpec.from_ab((Fraction(1, 3), Fraction(1, 4)), (Fraction(1, 2),))
+    system = build_system(spec, (1, 2), 2)
+    got = {}
+    for name, edits in _VERIFY_EDITS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(edited(system, *edits)))
+        code = main(["verify", "--system", str(path)])
+        captured = capsys.readouterr()
+        got[name] = (code, hashlib.sha256(captured.out.encode()).hexdigest(),
+                     hashlib.sha256(captured.err.encode()).hexdigest())
+    assert got == _VERIFY_PINS
 
 
 @pytest.mark.parametrize("argv, config", [
