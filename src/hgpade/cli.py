@@ -27,7 +27,7 @@ from .arith import Place, format_rational, parse_place, parse_rational
 from .criterion import MIN_FIT_SIZES, Instance, measure, min_beta
 from .errors import HgpadeError, InvalidInput, RationalParseError, StepBudgetExceeded
 from .numerics import eval_F_family
-from .pade import PadeSystem, build_system, verify_system
+from .pade import build_system, load_system, verify_system
 from .polyops import HypergeometricSpec
 from .wronskian import certify_nonvanishing
 
@@ -348,6 +348,7 @@ def _cmd_build(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    given = None  # a file's own P_{ell,i,s} rows and windows
     if cfg.system is not None:
         for flag in (*_SPEC, "--alphas", "--n", "--truncation"):
             if flag in cfg.given:
@@ -355,7 +356,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
                                    "gives the whole system")
         try:
             with open(cfg.system, encoding="utf-8") as fh:
-                system = PadeSystem.from_jsonable(json.load(fh))
+                system, given = load_system(json.load(fh))
         except (OSError, json.JSONDecodeError, KeyError, TypeError, InvalidInput) as exc:
             raise InvalidInput(f"--system: {exc}") from exc
     else:
@@ -364,7 +365,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         # verify_system runs the contract, which the cross-check would repeat
         system = build_system(cfg.spec(), cfg.alphas, cfg.n,
                               truncation=cfg.truncation, cross_check=False)
-    report = verify_system(system)
+    report = verify_system(system, given)
     emit_report(report, cfg.format, cfg.out)
     code = _flags_exit(system.spec)
     if not report["ok"]:

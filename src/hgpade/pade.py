@@ -21,20 +21,18 @@ P_{ell,i,s} is the psi_{i,s}-image of the divided difference
 system scales the weights of one range of exponents once, at the width of
 its longest row (`PadeSystem.weight_run`), and every ell reads a prefix of
 that run.  A Fraction is made only where a caller reads a
-rational.  A system is given its data once, when it is made: each P_ell
+rational.  A system is its P_ell, given once, when it is made: each P_ell
 and each P_{ell,i,s} is only its integer row (den, ints) over one
 denominator, ints a tuple, in a read-only mapping (`PadeSystem.P`,
-`PadeSystem.Pis`); a reader that wants rationals makes them.  A built
-system makes each P_{ell,i,s} row on its first read, and Delta, which
-reads only the constant terms, takes them one dot product each
-(`constant_term`).
+`PadeSystem.Pis`); a reader that wants rationals makes them.  A system
+makes each P_{ell,i,s} row on its first read, and Delta, which reads only
+the constant terms, takes them one dot product each (`constant_term`).
 Each remainder series is one append-only list on the system, read by
 exponent (`PadeSystem.terms`): its head, below the window's end, is filled
 on the first read inside it, and past the window it grows only as far as a
 caller reads.  The stored window (`PadeSystem.R`) is that head, as the
 integer row (order, den, ints), kept on its first read by the contract,
-Theta or `to_jsonable` (a loaded system holds its own, parsed into the
-same form).  The p-adic sums
+Theta or `to_jsonable`.  The p-adic sums
 read the head, and the archimedean sums neither (`numerics.remainder_value`
 starts from prefix sums of the weights, `PadeSystem.weight_run`).
 Past the window, the sizes that bound the
@@ -45,8 +43,9 @@ this module splits a series at the window's end.
 
 One function, `contract_failures`, decides the contract of any system:
 the degrees, one comparison of the psi weights with the spec's series row
-of F_s per (i, s), the window orders, and on a loaded system its given
-P_{ell,i,s} rows and windows against those made from its own P_ell.  The
+of F_s per (i, s), the window orders, and for a file (`load_system`) its
+own P_{ell,i,s} rows and windows, data beside the system made from its
+P_ell, against the made ones.  The
 rows and windows made from P_ell and those weights are the polynomial
 part and the tail of P_ell F_s(alpha_i/z), so the literal product is a
 test oracle; `verify_system`, `build_system`'s cross-check and Delta's
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -185,22 +184,20 @@ def _indices(r: int, m: int):
 
 
 class _Made(Mapping):
-    """Rows of a system by (ell, i, s), keyed by its indices: those it was
-    given (`PadeSystem.from_jsonable`), never rebuilt, so a loaded system is
-    checked on its own data; else each made on its first read (`_make`)
-    and kept."""
+    """Rows of a system by (ell, i, s), keyed by its indices, each made on
+    its first read (`_make`) and kept."""
 
-    def __init__(self, system: "PadeSystem", given):
-        self._system, self._built = system, dict(given)
+    def __init__(self, system: "PadeSystem"):
+        self._system, self._made = system, {}
 
     def __getitem__(self, key) -> tuple:
-        got = self._built.get(key)
+        got = self._made.get(key)
         if got is None:
             system = self._system
             ell, i, s = key
             if not (ell in system.P and 1 <= i <= system.m and 0 <= s < system.r):
                 raise KeyError(key)
-            got = self._built[key] = self._make(ell, i, s)
+            got = self._made[key] = self._make(ell, i, s)
         return got
 
     def __iter__(self):
@@ -212,8 +209,8 @@ class _Made(Mapping):
 
 class _Windows(_Made):
     """The stored remainder windows, each the integer row (order, den,
-    ints) read by `window_coeff`; a made one is the head of its term list,
-    whose pairs share one denominator, as (1, den, ints)."""
+    ints) read by `window_coeff`: the head of its term list, whose pairs
+    share one denominator, as (1, den, ints)."""
 
     def _make(self, ell: int, i: int, s: int) -> tuple:
         system = self._system
@@ -222,10 +219,10 @@ class _Windows(_Made):
 
 
 class _PisRows(_Made):
-    """The P_{ell,i,s}, each the integer row (den, ints), ints a tuple.  A
-    made one is the psi_{i,s}-image of the divided difference of P_ell: its
-    z^j coefficient is sum_k w_k P_ell[j+1+k], one `_dot_rows` call on the
-    row of P_ell past its constant against the system's run of the weights
+    """The P_{ell,i,s}, each the integer row (den, ints), ints a tuple: the
+    psi_{i,s}-image of the divided difference of P_ell, whose z^j
+    coefficient is sum_k w_k P_ell[j+1+k], one `_dot_rows` call on the row
+    of P_ell past its constant against the system's run of the weights
     below deg P_rm, over dp * dw, trailing zeros trimmed."""
 
     def _make(self, ell: int, i: int, s: int) -> tuple:
@@ -290,18 +287,18 @@ def _window_row(name: str, data, truncation: int) -> tuple:
 
 @dataclass(eq=False)
 class PadeSystem:
-    """One instance: its P_ell, and its P_{ell,i,s} and remainder windows,
-    given or made on first read.  A system equals only itself, as a
+    """One instance: its P_ell, with every P_{ell,i,s} and remainder window
+    made from them on first read.  A system equals only itself, as a
     `BigFloat` does: comparing the data would build every row and window.
 
-    Its data is given once, when it is made, and never assigned: `P` maps
+    Its P_ell are given once, when it is made, and never assigned: `P` maps
     ell to P_ell and `Pis` maps (ell, i, s) to P_{ell,i,s}, read-only
     mappings of integer rows (den, ints), den > 0 and ints a tuple, and `R`
     maps (ell, i, s) to the stored window of R_{ell,i,s}, an integer row
-    (order, den, ints) read by `window_coeff`.  `Pis` and `R` hold what was
-    given (`from_jsonable`) and make the rest on first read from P and the
-    psi weights (`_PisRows`, `_Windows`); a system given neither is
-    `built`, and its contract compares no given row with a made one
+    (order, den, ints) read by `window_coeff`.  `Pis` and `R` make each
+    entry on its first read from P and the psi weights (`_PisRows`,
+    `_Windows`); a file's own rows and windows are data beside the system
+    (`load_system`), which the contract compares with these
     (`contract_failures`).
     Everything else a remainder sum reads is beta-free and
     kept on the system on first use, each computed once: the ratio bound
@@ -318,20 +315,16 @@ class PadeSystem:
     n: int
     truncation: int
     P: Mapping                                      # ell -> row of P_ell (in z)
-    Pis: Mapping = None                             # (ell, i, s) -> row of P_{ell,i,s}
-    windows: InitVar[dict] = None                   # (ell, i, s) -> window row
-    R: _Windows = field(init=False, repr=False)
-    # whether Pis and R are made here, none given (`build_system`)
-    built: bool = field(init=False)
+    Pis: _PisRows = field(init=False, repr=False)   # (ell, i, s) -> row of P_{ell,i,s}
+    R: _Windows = field(init=False, repr=False)     # (ell, i, s) -> window row
     # (tag, *index) -> the state of `_kept`; like `spec._psi_tables`, a
     # pure function of the system
     _state: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def __post_init__(self, windows):
-        self.built = self.Pis is None and windows is None
-        self.Pis = _PisRows(self, self.Pis or {})
-        self.R = _Windows(self, windows or {})
+    def __post_init__(self):
+        self.Pis = _PisRows(self)
+        self.R = _Windows(self)
 
     @property
     def r(self) -> int:
@@ -379,17 +372,16 @@ class PadeSystem:
         `size`: no Fraction is made.  The head, below the window's end
         truncation - 1, holds None until a read inside it fills the whole
         head, from which the stored window `R` is made; a read past the end
-        grows the list to max(k + 1, twice its part past the window).  The
-        list only grows, so a caller's reference stays valid; an entry is
-        set once a read at its index has returned."""
+        grows the list (`_grow`).  The list only grows, so a caller's
+        reference stays valid; an entry is set once a read at its index has
+        returned."""
         end = self.truncation - 1
         terms = self._kept(("terms", ell, i, s), lambda: [None] * end)
         if k < end:
             if terms[k] is None:
                 terms[:end] = self._psi_run(ell, i, s, 0, end)
         elif k >= len(terms):
-            start = len(terms)
-            terms.extend(self._psi_run(ell, i, s, start, max(k + 1, 2 * start - end)))
+            self._grow(terms, ell, i, s, len(terms), k)
         return terms
 
     def size(self, ell: int, i: int, s: int, k: int) -> tuple:
@@ -402,11 +394,17 @@ class PadeSystem:
         nothing else, and no size fills a head or makes a window."""
         end = self.truncation - 1
         sizes = self._kept(("sizes", ell, i, s), list)
-        start = end + len(sizes)
-        if k >= start:
-            sizes.extend(self._psi_run(ell, i, s, start, max(k + 1, 2 * start - end),
-                                       absolute=True))
+        if k >= end + len(sizes):
+            self._grow(sizes, ell, i, s, end + len(sizes), k, absolute=True)
         return sizes[k - end]
+
+    def _grow(self, run: list, ell: int, i: int, s: int, start: int, k: int,
+              absolute: bool = False) -> None:
+        # extend the terms (or sizes) of R_{ell,i,s} whose next exponent
+        # index is start, past the window's end, to hold index k: up to
+        # max(k + 1, twice their part past the window)
+        stop = max(k + 1, 2 * start - (self.truncation - 1))
+        run.extend(self._psi_run(ell, i, s, start, stop, absolute))
 
     def _psi_run(self, ell: int, i: int, s: int, start: int, stop: int,
                  absolute: bool = False) -> list:
@@ -434,63 +432,66 @@ class PadeSystem:
             "R": {f"{ell},{i},{s}": _window_jsonable(w) for (ell, i, s), w in self.R.items()},
         }
 
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "PadeSystem":
-        """The system of a `to_jsonable` form, made with its own windows,
-        each parsed into its row (`_window_row`).  The instance must be one
-        `build_system` accepts: distinct nonzero alphas, an integer n >= 1
-        and an integer truncation `check_truncation` passes (a JSON true is
-        neither), which every window's truncation equals; and P, Pis and R
-        hold exactly the keys of ell = 0..rm and of the indices, each entry
-        a list of rationals; the form, each part and the spec are JSON
-        objects, with all their keys.  Otherwise InvalidInput names the
-        field (for the keys, the first missing, else the first extra; for
-        an entry, its key too; for the spec, its own field)."""
-        spec_data, alphas, n, truncation, *_ = json_fields(
-            data, ("spec", "alphas", "n", "truncation", "P", "Pis", "R"))
-        try:
-            spec = HypergeometricSpec.from_jsonable(spec_data)
-        except InvalidInput as exc:
-            raise InvalidInput(f"spec: {exc}") from None
-        alphas = tuple(parse_rationals("alphas", alphas))
-        try:
-            _check_alphas(alphas)
-        except InvalidInput as exc:
-            raise InvalidInput(f"alphas: {exc}") from None
-        if type(n) is not int or n < 1:
-            raise InvalidInput(f"n: need an integer n >= 1, got {n!r}")
-        if type(truncation) is not int:
-            raise InvalidInput(f"truncation: need an integer, got {truncation!r}")
-        check_truncation(n, truncation, "truncation")
-        r, m = spec.r, len(alphas)
-        tops = {str(ell): ell for ell in range(r * m + 1)}
-        index = {f"{ell},{i},{s}": (ell, i, s) for ell, i, s in _indices(r, m)}
 
-        def entries(part, keys):
-            # (name, key, entry) of data[part], its names exactly those of keys
-            got = data[part]
-            if not isinstance(got, dict):
-                raise InvalidInput(f"{part}: need an object, got {type(got).__name__}")
-            missing = [name for name in keys if name not in got]
-            extra = [name for name in got if name not in keys]
-            if missing or extra:
-                raise InvalidInput(f'{part}: {"missing" if missing else "extra"} '
-                                   f'key "{(missing or extra)[0]}"')
-            return [(name, keys[name], got[name]) for name in keys]
+def load_system(data: dict) -> tuple:
+    """(system, given) of a `to_jsonable` form: the system made from its
+    P_ell alone, and given = {"Pis": ..., "R": ...}, the form's own
+    P_{ell,i,s} rows and windows by (ell, i, s), each parsed into the row
+    a system makes (`_window_row`), for `contract_failures` to compare
+    with the made ones.  The instance must be one `build_system` accepts:
+    distinct nonzero alphas, an integer n >= 1 and an integer truncation
+    `check_truncation` passes (a JSON true is neither), which every
+    window's truncation equals; and P, Pis and R hold exactly the keys of
+    ell = 0..rm and of the indices, each entry a list of rationals; the
+    form, each part and the spec are JSON objects, with all their keys.
+    Otherwise InvalidInput names the field (for the keys, the first
+    missing, else the first extra; for an entry, its key too; for the
+    spec, its own field)."""
+    spec_data, alphas, n, truncation, *_ = json_fields(
+        data, ("spec", "alphas", "n", "truncation", "P", "Pis", "R"))
+    try:
+        spec = HypergeometricSpec.from_jsonable(spec_data)
+    except InvalidInput as exc:
+        raise InvalidInput(f"spec: {exc}") from None
+    alphas = tuple(parse_rationals("alphas", alphas))
+    try:
+        _check_alphas(alphas)
+    except InvalidInput as exc:
+        raise InvalidInput(f"alphas: {exc}") from None
+    if type(n) is not int or n < 1:
+        raise InvalidInput(f"n: need an integer n >= 1, got {n!r}")
+    if type(truncation) is not int:
+        raise InvalidInput(f"truncation: need an integer, got {truncation!r}")
+    check_truncation(n, truncation, "truncation")
+    r, m = spec.r, len(alphas)
+    tops = {str(ell): ell for ell in range(r * m + 1)}
+    index = {f"{ell},{i},{s}": (ell, i, s) for ell, i, s in _indices(r, m)}
 
-        def rows(part, keys):
-            # each entry over the lcm of its denominators, as a system holds it
-            scaled = {key: _scaled([c.as_integer_ratio()
-                                    for c in parse_rationals(f'{part} "{name}"', p)])
-                      for name, key, p in entries(part, keys)}
-            return MappingProxyType({key: (den, tuple(ints))
-                                     for key, (den, ints) in scaled.items()})
+    def entries(part, keys):
+        # (name, key, entry) of data[part], its names exactly those of keys
+        got = data[part]
+        if not isinstance(got, dict):
+            raise InvalidInput(f"{part}: need an object, got {type(got).__name__}")
+        missing = [name for name in keys if name not in got]
+        extra = [name for name in got if name not in keys]
+        if missing or extra:
+            raise InvalidInput(f'{part}: {"missing" if missing else "extra"} '
+                               f'key "{(missing or extra)[0]}"')
+        return [(name, keys[name], got[name]) for name in keys]
 
-        P, Pis = rows("P", tops), rows("Pis", index)
-        windows = {key: _window_row(name, t, truncation)
-                   for name, key, t in entries("R", index)}
-        return cls(spec=spec, alphas=alphas, n=n, truncation=truncation,
-                   P=P, Pis=Pis, windows=windows)
+    def rows(part, keys):
+        # each entry over the lcm of its denominators, as a system holds it
+        scaled = {key: _scaled([c.as_integer_ratio()
+                                for c in parse_rationals(f'{part} "{name}"', p)])
+                  for name, key, p in entries(part, keys)}
+        return MappingProxyType({key: (den, tuple(ints))
+                                 for key, (den, ints) in scaled.items()})
+
+    P, Pis = rows("P", tops), rows("Pis", index)
+    windows = {key: _window_row(name, t, truncation)
+               for name, key, t in entries("R", index)}
+    system = PadeSystem(spec=spec, alphas=alphas, n=n, truncation=truncation, P=P)
+    return system, {"Pis": Pis, "R": windows}
 
 
 def _weight_run(spec: HypergeometricSpec, alpha, s: int, start: int, stop: int,
@@ -537,43 +538,40 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
 
 
 def constant_term(system: PadeSystem, ell: int, i: int, s: int) -> tuple:
-    """The constant term of P_{ell,i,s} as the pair (a, den).  On a built
-    system it is the one dot product sum_k w_k P_ell[1+k] over the run its
-    row reads (`_PisRows`), and no row is made; else it is read off the
-    given row."""
-    if not system.built:
-        den, ints = system.Pis[(ell, i, s)]
-        return (ints[0] if ints else 0), den
+    """The constant term of P_{ell,i,s} as the pair (a, den): the one dot
+    product sum_k w_k P_ell[1+k] over the run its row reads (`_PisRows`),
+    so no row is made."""
     dp, Pn = system.P[ell]
     dw, wn = system.weight_run(i, s, 0, 0)
     return sum(map(mul, wn, Pn[1:])), dp * dw
 
 
-def contract_failures(system: PadeSystem) -> list:
+def contract_failures(system: PadeSystem, given: dict = None) -> list:
     """Every failure of the system's contract, in a fixed order; [] when it
-    holds.  Each failure names its check and its index:
+    holds.  `given` holds a file's own P_{ell,i,s} rows and windows
+    (`load_system`); without it the stored windows are the system's own.
+    Each failure names its check and its index:
 
     * deg_P: deg P_ell = rmn + ell;
     * weights: the psi_{i,s} weights (`_psi_table`) equal the series row of
       F_s(alpha_i/z) (`_series_row`) entry by entry, over the
       truncation - 2 + D weights that the rows and windows read, D the
       width of P_rm: one comparison per (i, s);
-    * deg_Pis: deg P_{ell,i,s} <= rmn + ell;
+    * deg_Pis: a given P_{ell,i,s} has degree <= rmn + ell;
     * ord_R: the stored window of R_{ell,i,s} has order >= n+1;
-    * Pis_coeffs: P_{ell,i,s} is the row made from P_ell (`_PisRows`);
-    * remainder_coeffs: the stored window is the one made from P_ell
-      (`_Windows`), compared from the lower of its order and 1 on, so it
-      vanishes at every exponent <= 0.
+    * Pis_coeffs: a given P_{ell,i,s} is the made row, `system.Pis`;
+    * remainder_coeffs: a given window is the made one, `system.R`,
+      compared from the lower of its order and 1 on, so it vanishes at
+      every exponent <= 0.
 
     The row and the window made from P_ell and the checked weights are
     the polynomial part and the tail of P_ell F_s(alpha_i/z) (proof in the
     README), so these are the paper's contract: the remainder
     P_ell F_s(alpha_i/z) - P_{ell,i,s} has order >= n+1 at infinity, and
-    its exponents >= 1 are the stored window.  A built system holds only
-    made rows and windows, so it is checked for deg_P, weights and ord_R
-    alone, and no P_{ell,i,s} row is made.  Rows are compared on integers,
-    by cross-multiplying their denominators, so the contract makes no
-    Fraction.
+    its exponents >= 1 are the stored window.  Without `given` the system
+    is checked for deg_P, weights and ord_R alone, and no P_{ell,i,s} row
+    is made.  Rows are compared on integers, by cross-multiplying their
+    denominators, so the contract makes no Fraction.
     """
     n, rm = system.n, system.r * system.m
     rmn = rm * n
@@ -591,27 +589,28 @@ def contract_failures(system: PadeSystem) -> list:
             dc, cn = _series_row(spec, alpha, s, count)
             if any(a * dc != c * b for (a, b), c in zip(weights[:count], cn)):
                 failures.append({"check": "weights", "index": [i, s]})
+    windows = system.R if given is None else given["R"]
     for ell, i, s in system.indices():
-        if not system.built:
+        if given is not None:
             # -inf for the zero polynomial
-            got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)][1])))
+            got = poly_deg(poly_trim(list(given["Pis"][(ell, i, s)][1])))
             if got > rmn + ell:
                 failures.append({"check": "deg_Pis", "index": [ell, i, s],
                                  "bound": rmn + ell, "got": str(got)})
         # None for a window zero throughout, whose truncation is past n + 1
-        got = window_order(system.R[(ell, i, s)])
+        got = window_order(windows[(ell, i, s)])
         if got is not None and got < n + 1:
             failures.append({"check": "ord_R", "index": [ell, i, s], "bound": n + 1,
                              "got": got})
-    if system.built:
+    if given is None:
         return failures
     for key in system.indices():
-        made_den, made = system.Pis._make(*key)
-        den, ints = system.Pis[key]
+        made_den, made = system.Pis[key]
+        den, ints = given["Pis"][key]
         ints = poly_trim(list(ints))
         if len(ints) != len(made) or any(a * made_den != b * den for a, b in zip(ints, made)):
             failures.append({"check": "Pis_coeffs", "index": list(key)})
-        window, made = system.R[key], system.R._make(*key)
+        window, made = windows[key], system.R[key]
         order, den, ints = window
         if any(window_coeff(window, e)[0] * made[1] != window_coeff(made, e)[0] * den
                for e in range(min(order, 1), order + len(ints))):
@@ -619,10 +618,11 @@ def contract_failures(system: PadeSystem) -> list:
     return failures
 
 
-def verify_system(system: PadeSystem) -> dict:
-    """The system's `contract_failures` as a report, with the instance's
-    hypothesis flags and its shape."""
-    failures = contract_failures(system)
+def verify_system(system: PadeSystem, given: dict = None) -> dict:
+    """The system's `contract_failures`, on a file's `given` rows and
+    windows if any, as a report, with the instance's hypothesis flags and
+    its shape."""
+    failures = contract_failures(system, given)
     return {
         "ok": not failures,
         "failures": failures,

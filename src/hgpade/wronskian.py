@@ -69,10 +69,7 @@ def _row_index_pairs(r: int, m: int):
 # the hypothesis of the cofactor argument that each contract check decides
 _HYPOTHESES = {
     "deg_P": "deg P_ell = rmn + ell",
-    "deg_Pis": "deg P_{ell,i,s} <= rmn + ell",
     "ord_R": "order >= n+1",
-    "Pis_coeffs": "order >= n+1",
-    "remainder_coeffs": "product coefficient",
     "weights": "psi weights = series of F_s",
 }
 
@@ -87,30 +84,26 @@ def delta_of_system(system: PadeSystem) -> Fraction:
     along the top row, the cofactor of column ell is an rm x rm minor of
     remainders, of order >= rm(n+1), against deg P_ell = rmn + ell.  Every
     term but ell = rm therefore vanishes at infinity, so the polynomial
-    Delta is the constant lead(P_rm) * Theta.  The hypotheses are the
-    system's contract, checked exactly on its own data; the first failure
-    raises NonconstantDeterminant naming its hypothesis.  They are
-    `pade.contract_failures`:
+    Delta is the constant lead(P_rm) * Theta.  Delta reads only the rows
+    and windows the system makes from its P_ell (a file's own are
+    `pade.verify_system`'s to compare), so the hypotheses are those of
+    `pade.contract_failures` on the system alone, checked exactly; the
+    first failure raises NonconstantDeterminant naming its hypothesis:
 
     * deg P_ell = rmn + ell (deg_P);
-    * psi weights = series of F_s (weights), so the rows and windows made
-      from P_ell are the polynomial part and the tail of P_ell F_s;
-    * deg P_{ell,i,s} <= rmn + ell (deg_Pis);
-    * order >= n+1: the stored window has it (ord_R), and a given
-      P_{ell,i,s} is the polynomial part of P_ell F_s (Pis_coeffs);
-    * product coefficient: a given window is the tail that Theta reads
-      (remainder_coeffs).
+    * psi weights = series of F_s (weights), so the made rows and windows
+      are the polynomial part and the tail of P_ell F_s, and
+      deg P_{ell,i,s} < deg P_ell by construction;
+    * order >= n+1: every made window has it (ord_R).
 
-    A built system holds only made rows and windows, so only deg_P,
-    weights and ord_R can fail on it.  Windows of truncation n + 2 are
-    enough, so `certify_nonvanishing` builds at it: the order hypotheses
-    read exponents 1..n, Theta reads n+1, and the polynomial part is
-    checked at any truncation.
+    Windows of truncation n + 2 are enough, so `certify_nonvanishing`
+    builds at it: the order hypothesis reads exponents 1..n, Theta reads
+    n+1, and the weights are checked at any truncation.
 
     With the hypotheses holding, Delta is constant, so it is evaluated
     once, at z = 0: one Bareiss determinant of p(0), the constant terms of
     the P_ell and of the P_{ell,i,s} (`pade.constant_term`, which makes no
-    row of a built system), each matrix row scaled once (`_det`).
+    row), each matrix row scaled once (`_det`).
     `delta_route_check` compares it with lead(P_rm) * Theta.
     """
     failures = contract_failures(system)

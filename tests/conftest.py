@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: the worked instances every test module leans
-on, one admissible-instance strategy, one way to corrupt a system, the
-literal product of a system and the contract decided by it
+on, one admissible-instance strategy, one way to edit a system's file and
+load it (`edited`, `corrupted`), the literal product of a system and the
+contract decided by it
 (`remainder`, `literal_contract_failures`), the Fraction oracles of the package's integer tables (`psi_weights`, by the
 literal product of the c_k, `correlate`, `f_s_coefficient`, `phi_zeta_s`,
 `zeta_prefix_weights`), the subset elimination oracle of the moment
@@ -36,9 +37,9 @@ from hgpade.errors import HgpadeError, InvalidInput, TheoryViolation
 from hgpade.linalg import det_bareiss
 from hgpade.numerics import BigFloat, eval_F_family, remainder_value
 from hgpade.pade import (
-    PadeSystem,
     base_polynomial,
     build_system,
+    load_system,
     window_coeff,
     window_order,
 )
@@ -295,11 +296,19 @@ def edited(system, *edits) -> dict:
 
 
 def corrupted(system, *edits):
-    """The system loaded from its JSON form after the edits (`edited`)."""
-    return PadeSystem.from_jsonable(edited(system, *edits))
+    """(system, given) of its JSON form after the edits (`edited`), as
+    `load_system` reads it: the system made from the edited P_ell, and the
+    edited file's own P_{ell,i,s} rows and windows."""
+    return load_system(edited(system, *edits))
 
 
-def remainder(system, ell: int, i: int, s: int) -> tuple:
+def file_rows(system, given=None) -> dict:
+    """The P_{ell,i,s} rows and windows an oracle checks: a file's own
+    (`given`, of `load_system`), else those the system makes."""
+    return given if given is not None else {"Pis": system.Pis, "R": system.R}
+
+
+def remainder(system, ell: int, i: int, s: int, given=None) -> tuple:
     """The literal product P_ell(z) F_s(alpha_i/z) - P_{ell,i,s}(z), exact
     up to the system's truncation, where every stored window ends, as the
     integer row (order, den, ints): the coefficient of 1/z^e is
@@ -307,14 +316,15 @@ def remainder(system, ell: int, i: int, s: int) -> tuple:
 
     Its exponents <= 0 vanish exactly when P_{ell,i,s} is the polynomial
     part of P_ell F_s, and its exponents >= 1 are the remainder R_{ell,i,s}.
-    It reads the rows of P_ell and P_{ell,i,s} and a prefix of the series
-    row (`_series_row`, long enough for every P of the system), in a loop
-    of its own: it shares no code with the rows and windows that the
-    package makes from the psi weights by `_dot_rows`.
+    It reads the row of P_ell, that of P_{ell,i,s} (a file's own if
+    `given`, `file_rows`) and a prefix of the series row (`_series_row`,
+    long enough for every P of the system), in a loop of its own: it
+    shares no code with the rows and windows that the package makes from
+    the psi weights by `_dot_rows`.
     """
     truncation = system.truncation
     dp, Pn = system.P[ell]
-    dq, Qn = system.Pis[(ell, i, s)]
+    dq, Qn = file_rows(system, given)["Pis"][(ell, i, s)]
     d = max(len(Pn) - 1, 0)
     width = max(len(ints) for _, ints in system.P.values())
     dc, cn = _series_row(system.spec, system.alphas[i - 1], s,
@@ -332,10 +342,13 @@ def remainder(system, ell: int, i: int, s: int) -> tuple:
     return order, dp * dc * dq, ints
 
 
-def literal_contract_failures(system) -> list:
+def literal_contract_failures(system, given=None) -> list:
     """The contract of `pade.contract_failures` decided by one literal
     product per (ell, i, s) (`remainder`), with no psi weight: the same
     checks in the same order, but for the weights, which it reads nowhere.
+    It checks a file's own P_{ell,i,s} rows and windows (`given`), else
+    the system's made ones, which the contract takes on trust from the
+    weights (`file_rows`).
 
     * deg_P: deg P_ell = rmn + ell;
     * deg_Pis: deg P_{ell,i,s} <= rmn + ell;
@@ -347,6 +360,7 @@ def literal_contract_failures(system) -> list:
     Rows are compared on integers, by cross-multiplying their denominators.
     """
     n, rm = system.n, system.r * system.m
+    rows = file_rows(system, given)
     failures = []
     for ell in range(rm + 1):
         got = poly_deg(poly_trim(list(system.P[ell][1])))
@@ -354,19 +368,19 @@ def literal_contract_failures(system) -> list:
             failures.append({"check": "deg_P", "index": [ell], "expected": rm * n + ell,
                              "got": str(got)})
     for ell, i, s in system.indices():
-        got = poly_deg(poly_trim(list(system.Pis[(ell, i, s)][1])))
+        got = poly_deg(poly_trim(list(rows["Pis"][(ell, i, s)][1])))
         if got > rm * n + ell:
             failures.append({"check": "deg_Pis", "index": [ell, i, s],
                              "bound": rm * n + ell, "got": str(got)})
-        got = window_order(system.R[(ell, i, s)])
+        got = window_order(rows["R"][(ell, i, s)])
         if got is not None and got < n + 1:
             failures.append({"check": "ord_R", "index": [ell, i, s], "bound": n + 1,
                              "got": got})
     for ell, i, s in system.indices():
-        porder, pden, pints = remainder(system, ell, i, s)
+        porder, pden, pints = remainder(system, ell, i, s, rows)
         if any(pints[:1 - porder]):
             failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
-        order, den, ints = system.R[(ell, i, s)]
+        order, den, ints = rows["R"][(ell, i, s)]
         if any((pints[e - porder] if e > 0 else 0) * den
                != (ints[e - order] if e >= order else 0) * pden
                for e in range(min(order, 1), order + len(ints))):
@@ -558,7 +572,7 @@ def error_of(x: BigFloat) -> Fraction:
     return F(x.err, x.err_den)
 
 
-def check_remainder_identity(system, beta, bits: int = 128) -> dict:
+def check_remainder_identity(system, beta, bits: int = 128, given=None) -> dict:
     """For every (ell, i, s): P_ell(beta) F_s(alpha_i/beta) - P_{ell,i,s}(beta)
     must agree with the remainder's certified value within the certified
     errors; also aggregates each row ell into the linear-form identity.
@@ -568,9 +582,10 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
     leave a budget of order 2^-bits on the difference itself.  Every
     polynomial is evaluated on its integer row (`polyops._row_value`).
 
-    This is a numerical cross-check of the rows, not the system's contract:
-    it reads no stored window (`PadeSystem.R`) and checks no order at
-    infinity, so a loaded system whose windows disagree with its rows, or
+    It reads the P_{ell,i,s} rows of a file (`given`), else the system's
+    made ones (`file_rows`).  This is a numerical cross-check of the rows,
+    not the system's contract: it reads no stored window and checks no
+    order at infinity, so a file whose windows disagree with its rows, or
     whose P_ell carries an added constant that leaves P_{ell,i,s} the
     polynomial part of P_ell F_s, can pass it and still fail
     `pade.verify_system`, which is the contract."""
@@ -590,7 +605,7 @@ def check_remainder_identity(system, beta, bits: int = 128) -> dict:
     rows_acc = {}
     for ell, i, s in system.indices():
         Pb = P_at[ell]
-        Pisb = _row_value(*system.Pis[(ell, i, s)], beta)
+        Pisb = _row_value(*file_rows(system, given)["Pis"][(ell, i, s)], beta)
         Fv = F_at[i][s]
         v, e = Pb * Fv.value - Pisb, abs(Pb) * error_of(Fv)
         lhs = BigFloat(v.numerator, v.denominator, e.numerator, e.denominator, bits)
@@ -875,8 +890,8 @@ def list_stops(system, key):
 
 
 def window_built(system, key) -> bool:
-    """Whether the stored window of key has been made (or assigned)."""
-    return key in system.R._built
+    """Whether the stored window of key has been made."""
+    return key in system.R._made
 
 
 def head_filled(system, key) -> bool:

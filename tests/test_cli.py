@@ -25,7 +25,7 @@ from hgpade import criterion
 from hgpade.arith import Place, format_rational, parse_rational
 from hgpade.cli import COMMANDS, MAX_N, emit_report, main
 from hgpade.numerics import BigFloat
-from hgpade.pade import PadeSystem, build_system
+from hgpade.pade import build_system, load_system
 from hgpade.polyops import HypergeometricSpec
 
 R2 = ["--a", "1/3,1/4", "--b", "1/2"]
@@ -200,9 +200,9 @@ def test_verify_runs_the_contract_once(monkeypatch, capsys):
     calls = []
     contract = hgpade.pade.contract_failures
 
-    def counted(system):
+    def counted(system, given=None):
         calls.append(None)
-        return contract(system)
+        return contract(system, given)
 
     monkeypatch.setattr(hgpade.pade, "contract_failures", counted)
     for spec in (R2, ["--a", "1/3,1/4,1/5", "--b", "1/2,2/3"]):
@@ -232,7 +232,7 @@ def test_verify_reports_a_broken_build(monkeypatch, tmp_path, capsys):
     with monkeypatch.context() as patch:
         patch.setattr(hgpade.pade, "_dot_rows", shifted)
         assert main(["build", *R2, "--alphas", "1", "--n", "1", "--out", str(path)]) == 0
-    failures = literal_contract_failures(PadeSystem.from_jsonable(json.loads(path.read_text())))
+    failures = literal_contract_failures(*load_system(json.loads(path.read_text())))
     assert {"check": "Pis_coeffs", "index": [0, 1, 0]} in failures
     capsys.readouterr()
 

@@ -650,7 +650,7 @@ def test_archimedean_measure_builds_no_window(spec_r2, remainder_state):
     measure(inst, Fraction(10**9), Place(), 0.1)
     assert len(inst.systems) == 4
     for system in inst.systems.values():
-        assert not system.R._built
+        assert not system.R._made
         assert sorted(system.Pis) == sorted(system.indices())
         assert sorted(system.P) == list(range(5))
         for key in system.indices():

@@ -965,7 +965,7 @@ def test_remainder_value_starts_at_its_first_stop_test(call):
     system = build_system(spec, alphas, n, cross_check=False)
     got = {key: _outcome(remainder_value, system, *key, beta, bits)
            for key in system.indices()}
-    assert not system.R._built
+    assert not system.R._made
     assert not any(head_filled(system, key) for key in system.indices())
     for key in system.indices():
         assert got[key] == _outcome(_naive_remainder_value, system, *key, beta, bits)

@@ -15,6 +15,7 @@ from conftest import (
     correlate,
     corrupted,
     expand_F_s,
+    file_rows,
     literal_contract_failures,
     poly_eval,
     poly_mul,
@@ -33,6 +34,7 @@ from hgpade.pade import (
     build_system,
     contract_failures,
     default_truncation,
+    load_system,
     verify_system,
     window_coeff,
     window_order,
@@ -342,7 +344,7 @@ def test_cross_check_compares_below_the_larger_order(spec_r2, monkeypatch):
             system = build_system(spec_r2, (F(1), F(2)), 1)
             failures = literal_contract_failures(system)
         assert failures, mutant.__name__
-        assert contract_failures(corrupted(system)) == failures
+        assert contract_failures(*corrupted(system)) == failures
 
 
 def test_cross_check_refuses_a_build_on_a_wrong_weight_table(spec_r2, monkeypatch):
@@ -356,7 +358,8 @@ def test_cross_check_refuses_a_build_on_a_wrong_weight_table(spec_r2, monkeypatc
                         lambda spec, alpha, s, upto: table(spec, alpha, s, upto + 1)[1:])
     with pytest.raises(TheoryViolation, match="'check': 'weights'"):
         build_system(spec_r2, (F(1), F(2)), 1)
-    assert build_system(spec_r2, (F(1), F(2)), 1, cross_check=False).built
+    # without the cross-check the build goes through
+    build_system(spec_r2, (F(1), F(2)), 1, cross_check=False)
 
 
 @pytest.mark.parametrize("a, b, alphas, n", [
@@ -379,8 +382,8 @@ def test_verify_clean(canonical_system):
 
 
 def test_verify_names_degree_failure(canonical_system):
-    broken = corrupted(canonical_system, ("P", 1, lambda p: p[:-1]))  # drop the leading coefficient
-    report = verify_system(broken)
+    # drop the leading coefficient
+    report = verify_system(*corrupted(canonical_system, ("P", 1, lambda p: p[:-1])))
     assert not report["ok"]
     assert any(f["check"] == "deg_P" and f["index"] == [1] for f in report["failures"])
 
@@ -389,9 +392,9 @@ def test_verify_reads_the_degree_of_the_trimmed_P(spec_r2):
     # a stored leading coefficient of 0: P_4 of r2, alphas (1, 2), n = 2 has
     # degree rmn + 3, not rmn + 4, and deg_P says so without trimming the
     # stored list
-    broken = corrupted(build_system(spec_r2, (F(1), F(2)), 2),
-                       ("P", 4, lambda p: [*p[:-1], F(0)]))
-    failures = verify_system(broken)["failures"]
+    broken, given = corrupted(build_system(spec_r2, (F(1), F(2)), 2),
+                              ("P", 4, lambda p: [*p[:-1], F(0)]))
+    failures = verify_system(broken, given)["failures"]
     assert failures[0] == {"check": "deg_P", "index": [4], "expected": 12, "got": "11"}
     assert [f for f in failures if f["check"].startswith("deg")] == failures[:1]
     assert len(broken.P[4][1]) == 13 and broken.P[4][1][-1] == 0
@@ -400,8 +403,7 @@ def test_verify_reads_the_degree_of_the_trimmed_P(spec_r2):
 def test_verify_names_a_zero_P(canonical_system):
     # P_ell = 0 read from a file: the literal product is -P_{ell,i,s}, and
     # the report names the failures instead of raising
-    broken = corrupted(canonical_system, ("P", 2, lambda p: []))
-    failures = verify_system(broken)["failures"]
+    failures = verify_system(*corrupted(canonical_system, ("P", 2, lambda p: [])))["failures"]
     assert failures[0] == {"check": "deg_P", "index": [2], "expected": 6, "got": "-inf"}
     assert {"check": "Pis_coeffs", "index": [2, 1, 0]} in failures
     assert {"check": "remainder_coeffs", "index": [2, 1, 0]} in failures
@@ -409,9 +411,8 @@ def test_verify_names_a_zero_P(canonical_system):
 
 def test_verify_names_order_failure(canonical_system):
     trunc = canonical_system.truncation
-    broken = corrupted(canonical_system, ("R", (0, 1, 0), lambda w: (
-        1, [F(1)] + [F(0)] * (trunc - 2))))
-    report = verify_system(broken)
+    report = verify_system(*corrupted(canonical_system, ("R", (0, 1, 0), lambda w: (
+        1, [F(1)] + [F(0)] * (trunc - 2)))))
     assert not report["ok"]
     checks = {f["check"] for f in report["failures"]}
     assert "ord_R" in checks
@@ -419,14 +420,13 @@ def test_verify_names_order_failure(canonical_system):
     # the true window with a 1/z^0 term in front: the product's exponents
     # >= 1 still match, and the stored term below them is named
     broken = corrupted(canonical_system, ("R", (0, 1, 0), lambda w: (0, [F(1)] + w[1])))
-    assert [f["check"] for f in verify_system(broken)["failures"]] == [
+    assert [f["check"] for f in verify_system(*broken)["failures"]] == [
         "ord_R", "remainder_coeffs"]
 
 
 def test_verify_names_remainder_failure(canonical_system):
     # same degree, wrong polynomial
-    broken = corrupted(canonical_system, ("P", 0, lambda p: [p[0] + 1, *p[1:]]))
-    report = verify_system(broken)
+    report = verify_system(*corrupted(canonical_system, ("P", 0, lambda p: [p[0] + 1, *p[1:]])))
     assert not report["ok"]
     assert any(f["check"] == "remainder_coeffs" for f in report["failures"])
 
@@ -479,30 +479,45 @@ _DOUBLED_P0 = ([("P", 0, _doubled)]
 ])
 def test_verify_and_the_remainder_identity_on_edited_files(canonical_system, edits,
                                                            verified, identity):
-    # the contract and the remainder identity read the one form a system
-    # holds; the identity checks less (no window, no order), so an edit
-    # that breaks only the stored windows fails the contract alone
-    broken = corrupted(canonical_system, *edits)
-    assert verify_system(broken)["ok"] is verified
-    assert check_remainder_identity(broken, 10**6, 64)["ok"] is identity
+    # the contract and the remainder identity read the file's own rows;
+    # the identity checks less (no window, no order), so an edit that
+    # breaks only the stored windows fails the contract alone
+    broken, given = corrupted(canonical_system, *edits)
+    assert verify_system(broken, given)["ok"] is verified
+    assert check_remainder_identity(broken, 10**6, 64, given)["ok"] is identity
 
 
 def test_json_round_trip(canonical_system):
-    back = PadeSystem.from_jsonable(canonical_system.to_jsonable())
+    back, given = load_system(canonical_system.to_jsonable())
     assert back.spec.eta == canonical_system.spec.eta
     assert back.alphas == canonical_system.alphas
     assert back.n == canonical_system.n
     assert back.truncation == canonical_system.truncation
     # each row read back over the lcm of its denominators: the same values
     assert back.P == canonical_system.P
-    assert ({key: row_values(row) for key, row in back.Pis.items()}
+    assert ({key: row_values(row) for key, row in given["Pis"].items()}
             == {key: row_values(row) for key, row in canonical_system.Pis.items()})
     # a window is read back over the lcm of its denominators, its leading
     # zeros folded into its order: the same coefficients, and the same text
-    assert all(window_values(back.R[key]) == window_values(canonical_system.R[key])
+    assert all(window_values(given["R"][key]) == window_values(canonical_system.R[key])
                for key in back.indices())
     assert back.to_jsonable() == canonical_system.to_jsonable()
-    assert verify_system(back)["ok"]
+    assert verify_system(back, given)["ok"]
+
+
+def test_a_loaded_system_holds_only_the_rows_made_from_its_P(canonical_system):
+    # a file's P_{ell,i,s} rows and windows are data beside the system it
+    # loads: the system makes its own from the file's P_ell, so it keeps
+    # one copy of each window, and an edited row or window in the file is
+    # named by verify, never read as the system's
+    key = (1, 2, 0)
+    loaded, given = corrupted(canonical_system, ("Pis", key, lambda p: [p[0] + 1, *p[1:]]),
+                              ("R", key, lambda w: (1, [*w[1][:-1], w[1][-1] + 1])))
+    assert given["Pis"][key] != loaded.Pis[key] == canonical_system.Pis[key]
+    assert window_values(given["R"][key]) != window_values(loaded.R[key])
+    assert window_values(loaded.R[key]) == window_values(canonical_system.R[key])
+    assert [f["check"] for f in verify_system(loaded, given)["failures"]] == [
+        "Pis_coeffs", "remainder_coeffs"]
 
 
 def test_comparing_two_systems_builds_no_window(spec_r2, monkeypatch):
@@ -635,11 +650,13 @@ def test_psi_weights_agree_with_remainder(canonical_m1):
 # the contract against the two-route check it replaced
 
 
-def _two_route_failures(system):
+def _two_route_failures(system, given=None):
     """The failure list of the two-route `verify_system` that the literal
     product replaced: the degrees and orders as the contract checks them,
     P_{ell,i,s} against a fresh divided difference, and the stored window
-    against a fresh functional window from the psi weights."""
+    against a fresh functional window from the psi weights, on a file's
+    own rows and windows (`given`), else the system's (`file_rows`)."""
+    rows = file_rows(system, given)
     failures = []
     r, m, n = system.r, system.m, system.n
     for ell in range(r * m + 1):
@@ -650,20 +667,20 @@ def _two_route_failures(system):
                 {"check": "deg_P", "index": [ell], "expected": want, "got": str(got)})
     for ell, i, s in system.indices():
         bound = r * m * n + ell
-        got = poly_deg(row_values(system.Pis[(ell, i, s)]))
+        got = poly_deg(row_values(rows["Pis"][(ell, i, s)]))
         if got > bound:
             failures.append({"check": "deg_Pis", "index": [ell, i, s],
                              "bound": bound, "got": str(got)})
-        got = window_order(system.R[(ell, i, s)])
+        got = window_order(rows["R"][(ell, i, s)])
         if got is not None and got < n + 1:
             failures.append({"check": "ord_R", "index": [ell, i, s], "bound": n + 1,
                              "got": got})
     for ell, i, s in system.indices():
         P = row_values(system.P[ell])
         w = psi_weights(system.spec, system.alphas[i - 1], s, len(P) - 2)
-        if poly_trim(row_values(system.Pis[(ell, i, s)])) != divided_difference_image(P, w):
+        if poly_trim(row_values(rows["Pis"][(ell, i, s)])) != divided_difference_image(P, w):
             failures.append({"check": "Pis_coeffs", "index": [ell, i, s]})
-        window = system.R[(ell, i, s)]
+        window = rows["R"][(ell, i, s)]
         start = min(window[0], 1)
         fresh = [F(0)] * (1 - start) + _functional(system, ell, i, s)
         if [F(*window_coeff(window, e)) for e in range(start, system.truncation)] != fresh:
@@ -704,13 +721,14 @@ def _corrupted_systems(draw):
 def test_contract_names_what_the_two_routes_named(systems):
     # the contract, the two-route check it replaced and the literal product
     # name the same failures, entry by entry and in order
-    system, broken = systems
+    system, (broken, given) = systems
     assert (contract_failures(system) == _two_route_failures(system)
             == literal_contract_failures(system) == [])
-    failures = contract_failures(broken)
+    failures = contract_failures(broken, given)
     assert failures  # every corruption breaks the contract somewhere
-    assert failures == _two_route_failures(broken) == literal_contract_failures(broken)
-    assert verify_system(broken)["failures"] == failures
+    assert (failures == _two_route_failures(broken, given)
+            == literal_contract_failures(broken, given))
+    assert verify_system(broken, given)["failures"] == failures
 
 
 def test_trailing_zeros_in_a_file_break_no_contract(canonical_system):
@@ -719,7 +737,7 @@ def test_trailing_zeros_in_a_file_break_no_contract(canonical_system):
     # literal product
     loaded = corrupted(canonical_system, ("P", 2, lambda p: [*p, F(0)]),
                        ("Pis", (1, 2, 0), lambda p: [*p, F(0), F(0)]))
-    assert contract_failures(loaded) == literal_contract_failures(loaded) == []
+    assert contract_failures(*loaded) == literal_contract_failures(*loaded) == []
 
 
 # ---------------------------------------------------------------------------

@@ -182,24 +182,23 @@ def _naive_mul_poly(series, p, start, stop):
 @example(p=[F(-7, 15)] * 4, q=[F(2, 9), F(-5, 6)], alpha=F(3), s=0, truncation=4)
 def test_remainder_equals_the_fraction_loop(spec_r2, p, q, alpha, s, truncation):
     # the row (order, den, ints) of the literal product P F_s(alpha/z) - Q,
-    # on a system given P as P_0 and Q as P_{0,1,s}, against the Fraction
-    # product of the series and P less Q: zero and trailing-zero P, Q longer
-    # than P, and unequal denominators on every side
+    # on a system made from P as P_0 with Q given as P_{0,1,s}, against the
+    # Fraction product of the series and P less Q: zero and trailing-zero P,
+    # Q longer than P, and unequal denominators on every side
     from types import MappingProxyType
 
     from hgpade.pade import PadeSystem
 
     def rows(key, coeffs):
-        # the one row of a system's mapping, as a built system holds it
+        # the one row of a mapping, as a system or a loaded file holds it
         den, ints = _scaled([c.as_integer_ratio() for c in coeffs])
         return MappingProxyType({key: (den, tuple(ints))})
 
-    system = PadeSystem(spec_r2, (alpha,), 1, truncation,
-                        P=rows(0, p), Pis=rows((0, 1, s), q))
+    system = PadeSystem(spec_r2, (alpha,), 1, truncation, P=rows(0, p))
     d = max(len(p) - 1, 0)
     series = [f_s_coefficient(spec_r2, s, k) * alpha ** (k + 1)
               for k in range(truncation + d - 1)]
-    order, den, ints = remainder(system, 0, 1, s)
+    order, den, ints = remainder(system, 0, 1, s, {"Pis": rows((0, 1, s), q)})
     assert order == min(1 - d, 1 - len(q)) and len(ints) == truncation - order
     product = _naive_mul_poly(series, p, order, truncation)
     for e in range(order, truncation):

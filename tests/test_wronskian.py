@@ -31,7 +31,7 @@ from conftest import (
 from hgpade.cli import _canonical
 from hgpade.errors import InvalidInput, NonconstantDeterminant, TheoryViolation
 from hgpade.linalg import det_bareiss
-from hgpade.pade import PadeSystem, build_system, contract_failures
+from hgpade.pade import build_system, contract_failures, load_system, verify_system
 from hgpade.polyops import HypergeometricSpec
 from hgpade.wronskian import (
     C_um,
@@ -583,7 +583,7 @@ def _window_plus_one(window, e):
 
 def test_nonconstant_determinant_raises(canonical_system):
     # corrupting one polynomial makes the determinant genuinely z-dependent
-    broken = corrupted(canonical_system, ("P", 0, lambda p: [p[0] + 1, *p[1:]]))
+    broken, _ = corrupted(canonical_system, ("P", 0, lambda p: [p[0] + 1, *p[1:]]))
     values = _delta_by_evaluation(broken)
     assert any(v != values[0] for v in values)
     with pytest.raises(NonconstantDeterminant):
@@ -593,21 +593,32 @@ def test_nonconstant_determinant_raises(canonical_system):
 @pytest.mark.parametrize("part, key, edit, name", [
     # deg P_0 = rmn + 1 instead of rmn
     ("P", 0, lambda p: [*p, F(1)], "deg P_ell"),
-    # deg P_{0,1,0} = rmn + 2 past its bound rmn
-    ("Pis", (0, 1, 0), lambda p: [*p, *[F(0)] * (6 - len(p)), F(1)],
-     "deg P_{ell,i,s}"),
-    # a constant term in P_{0,1,0}: the product has order 0
-    ("Pis", (0, 1, 0), lambda p: [p[0] + 1, *p[1:]], "order >= n+1"),
-    # the product is untouched, the window entry Theta reads is not
-    ("R", (1, 2, 1), lambda w: _window_plus_one(w, 2),
-     "product coefficient"),
     # a stored leading 0: deg P_4 = rmn + 3, whatever the list's length
     ("P", 4, lambda p: [*p[:-1], F(0)], "deg P_ell"),
 ])
 def test_each_failed_hypothesis_is_named(canonical_system, part, key, edit, name):
-    broken = corrupted(canonical_system, (part, key, edit))
+    broken, _ = corrupted(canonical_system, (part, key, edit))
     with pytest.raises(NonconstantDeterminant, match="hypothesis " + re.escape(name)):
         delta_of_system(broken)
+
+
+@pytest.mark.parametrize("part, key, edit, check", [
+    # deg P_{0,1,0} = rmn + 2 past its bound rmn
+    ("Pis", (0, 1, 0), lambda p: [*p, *[F(0)] * (6 - len(p)), F(1)], "deg_Pis"),
+    # a constant term in P_{0,1,0}: the product has order 0
+    ("Pis", (0, 1, 0), lambda p: [p[0] + 1, *p[1:]], "Pis_coeffs"),
+    # the product is untouched, the window entry Theta reads is not
+    ("R", (1, 2, 1), lambda w: _window_plus_one(w, 2), "remainder_coeffs"),
+])
+def test_a_files_own_rows_and_windows_are_verified_not_read_by_delta(
+        canonical_system, part, key, edit, check):
+    # Delta reads only the rows and windows made from the file's P_ell, so
+    # an edited P_{ell,i,s} or window leaves it the build's Delta, and
+    # verify names the edit
+    broken, given = corrupted(canonical_system, (part, key, edit))
+    assert delta_route_check(broken) == delta_route_check(canonical_system)
+    first = verify_system(broken, given)["failures"][0]
+    assert (first["check"], first["index"]) == (check, list(key))
 
 
 def _alpha_k_series(real):
@@ -639,15 +650,14 @@ def _last_weight_doubled(real):
 def test_a_built_system_with_wrong_weights_breaks_a_named_hypothesis(spec_r2, monkeypatch,
                                                                       target, mutant):
     # the built system's rows and windows are made from the weight table, so
-    # they agree with each other whatever the table holds, and so do its
-    # file's and those its loaded copy makes; only the comparison of the
+    # they agree with each other whatever the table holds, and so do those
+    # the system loaded from its file makes; only the comparison of the
     # weights with the series row of F_s sees the fault
     import hgpade.pade
 
     monkeypatch.setattr(hgpade.pade, target, mutant(getattr(hgpade.pade, target)))
     system = build_system(spec_r2, (F(1), F(2)), 1, truncation=3, cross_check=False)
-    loaded = PadeSystem.from_jsonable(system.to_jsonable())
-    assert system.built and not loaded.built
+    loaded, _ = load_system(system.to_jsonable())
     for each in (system, loaded):
         with pytest.raises(NonconstantDeterminant,
                            match=re.escape("hypothesis psi weights = series of F_s")):
@@ -658,17 +668,16 @@ def test_a_built_system_with_wrong_weights_breaks_a_named_hypothesis(spec_r2, mo
 @given(admissible_instances(max_rm=6, any_flags=True), st.integers(1, 3))
 def test_a_built_system_and_its_file_give_one_delta(instance, n):
     # the contract against the literal products, on the system certify
-    # builds (windows of truncation n + 2) and on its JSON round trip, a
-    # loaded system whose given rows and windows Delta compares with those
-    # made from its P_ell: random rm <= 6 and n <= 3, flags passing or
-    # failing, zeta repeated or not
+    # builds (windows of truncation n + 2) and on its JSON round trip, whose
+    # own rows and windows the contract compares with those made from its
+    # P_ell: random rm <= 6 and n <= 3, flags passing or failing, zeta
+    # repeated or not
     spec, alphas = instance
     system = build_system(spec, alphas, n, truncation=n + 2, cross_check=False)
-    loaded = PadeSystem.from_jsonable(system.to_jsonable())
-    assert system.built and not loaded.built
+    loaded, given = load_system(system.to_jsonable())
     assert delta_route_check(system) == delta_route_check(loaded)
-    assert contract_failures(system) == contract_failures(loaded) == []
-    assert literal_contract_failures(system) == literal_contract_failures(loaded) == []
+    assert contract_failures(system) == contract_failures(loaded, given) == []
+    assert literal_contract_failures(system) == literal_contract_failures(loaded, given) == []
 
 
 def test_delta_is_one_determinant(canonical_system, monkeypatch):
