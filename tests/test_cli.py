@@ -62,6 +62,54 @@ def test_help_exits_0(capsys):
     assert "criterion" in capsys.readouterr().out
 
 
+# argv that argparse alone decides (help, and each kind of usage error),
+# against the sha256 of the stdout and stderr of `main` and its exit code,
+# at an 80-column terminal
+_R2 = ["--a=1/3,1/4", "--b=1/2"]
+_USAGE_ARGVS = {
+    "help": ["--help"],
+    "eval_help": ["eval", "--help"],
+    "no_command": [],
+    "unknown_command": ["frobnicate"],
+    "abbreviated_flag": ["criterion", *_R2, "--alphas=1", "--n=4:7"],
+    "missing_value": ["eval", *_R2, "--z"],
+    "value_read_as_flag": ["eval", "--a", "-1/3", "--b=", "--z=1/2"],
+    "positional": ["eval", *_R2, "--z=1/2", "extra"],
+    "double_dash": ["eval", *_R2, "--", "--z=1/2"],
+}
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_USAGE_PINS = {
+    "help": (0, "37ab47c2e3a5d5659641e235840f2b64bed7c8290a34a9652e0962ab51332a74", _EMPTY),
+    "eval_help": (0, "cecadeccf2c7bbc729d8628d17d051482ad41687d69e8494214f561515dccd3c",
+                  _EMPTY),
+    "no_command": (1, _EMPTY,
+                   "c496bbe4b9ee9f5615ca2d07295c4e513707676eeeee926644a7ba179de02fde"),
+    "unknown_command": (1, _EMPTY,
+                        "385fe908c8a9e638c99ccde909f44b2537f577c7e62ccf1366cff8bc86b59b47"),
+    "abbreviated_flag": (1, _EMPTY,
+                         "4c0997704bb618e8cdb23dccce7f7b286858d8c8aaf92515d5b42e1304f0383c"),
+    "missing_value": (1, _EMPTY,
+                      "3545a63ba6f00ccb881b71abc6b6ea5e595dd6515f9234cb434b599605e5d098"),
+    "value_read_as_flag": (1, _EMPTY,
+                           "41a82620d8af4af050054f43e6a9de073bb6bd0fa1072e23ae2bfc9f6a3b0bb6"),
+    "positional": (1, _EMPTY,
+                   "375823b8f397238a8dc313d6ab9d7fd0ed4eb2aa186556c5d69161f64bceb88c"),
+    "double_dash": (1, _EMPTY,
+                    "c9b7bbc37262a73339627ec299d9ccf6c520dfbfab4ab6cf837b3bb4684760a3"),
+}
+
+
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = {}
+    for name, argv in _USAGE_ARGVS.items():
+        code = main(argv)
+        captured = capsys.readouterr()
+        got[name] = (code, hashlib.sha256(captured.out.encode()).hexdigest(),
+                     hashlib.sha256(captured.err.encode()).hexdigest())
+    assert got == _USAGE_PINS
+
+
 def test_bad_rational_names_the_flag(capsys):
     code = main(["build", "--a", "1/0", "--b", "", "--alphas", "1", "--n", "1"])
     assert code == 1
