@@ -8,7 +8,11 @@ wall-clock timing.
 
 Each flag is declared once, in `FLAGS`, with its help text, its default
 and the one function that parses and checks its text, from argv or from
---config alike; `COMMANDS` gives each command's flags.
+--config alike; `COMMANDS` gives each command's flags.  A well-formed argv
+(`--flag=text` or `--flag text` of the command's own flags) is read
+through those tables directly (`_read_argv`); argparse, imported only
+then, prints the help and the usage errors and reads what that reader
+leaves to it, so both give the same texts and the same bytes.
 
 Exit codes: 0 all verdicts pass; 1 parse/input/precision problems (including
 a criterion that fails to certify); 2 violated hypothesis flags, named; 3 a
@@ -17,7 +21,6 @@ certified-nonzero quantity evaluated to zero (theory violation).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -103,8 +106,9 @@ _parameters = _checked(_named(_rationals), lambda xs: all(map(_within_height, xs
                        _HEIGHT)
 
 # flag -> (help text, default, parser).  A flag's attribute on RunConfig is
-# its argparse dest (--n-range: n_range); its --config key is that dest or
-# the flag without its dashes (n-range)
+# its dest, the flag without its dashes and with `_` for `-` (--n-range:
+# n_range), as argparse names it; its --config key is that dest or the flag
+# without its dashes (n-range)
 FLAGS = {
     "--config": ("JSON file whose keys are this command's flags, e.g. "
                  '{"n": 2}; any other key exits 1; explicit flags win', None, _text),
@@ -143,6 +147,10 @@ FLAGS = {
                         f"1 <= bits <= {MAX_BITS}")),
 }
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 _COMMON = ("--config", "--out", "--format")
 _SPEC = ("--a", "--b", "--c0")
 
@@ -166,7 +174,7 @@ COMMANDS = {
 class RunConfig:
     """One command's configuration: its name, the set `given` of the flags
     whose text came from argv or --config, and one attribute per flag of the
-    command (`COMMANDS`), named by the flag's argparse dest, holding the
+    command (`COMMANDS`), named by the flag's dest (`_dest`), holding the
     parsed value or the flag's default."""
 
     def __init__(self, command: str):
@@ -179,20 +187,26 @@ class RunConfig:
         return HypergeometricSpec.from_ab(self.a, self.b, self.c0)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; our contract reserves 2 for violated
-    hypothesis flags, so usage problems map to exit 1 instead."""
+def _parser(**kwargs):
+    """An argparse parser whose usage errors exit 1: argparse exits 2, which
+    the exit-code contract reserves for violated hypothesis flags.  argparse
+    is imported here only, for help, usage errors and the argv that
+    `_read_argv` leaves to it."""
+    import argparse
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
+    return Parser(**kwargs)
 
 
 def _list_commands(argv) -> None:
     """Parse an argv that starts with no command by a parser that lists the
     commands: it prints the help, or exits 1 on a usage error."""
-    top = _Parser(
+    top = _parser(
         prog="hgpade",
         description="simultaneous Pade systems, Wronskian certification and "
         "effective irrationality measures over Q",
@@ -201,6 +215,43 @@ def _list_commands(argv) -> None:
     for command, (text, _) in COMMANDS.items():
         sub.add_parser(command, help=text)
     top.parse_args(argv)
+
+
+def _argparse_texts(command: str, tokens) -> dict:
+    """The text of each flag of `command` that argparse reads in `tokens`,
+    the argv past the command; it prints the help, or exits 1 on a usage
+    error."""
+    about, flags = COMMANDS[command]
+    # no abbreviations, as in --config: criterion's --n-range is not --n
+    parser = _parser(prog=f"hgpade {command}", description=about, allow_abbrev=False)
+    for flag in flags:
+        parser.add_argument(flag, help=FLAGS[flag][0])
+    namespace = parser.parse_args(tokens)
+    texts = {flag: getattr(namespace, _dest(flag)) for flag in flags}
+    return {flag: text for flag, text in texts.items() if text is not None}
+
+
+def _read_argv(flags, tokens) -> dict | None:
+    """The text of each flag in `tokens`, the argv past the command, read as
+    argparse reads it, when every token is a flag of `flags`, spelled
+    exactly, with its text: `--flag=text`, text not `--` (argparse drops
+    that one), or `--flag text`, text not starting with `-` (argparse may
+    read that one as a flag).  A later occurrence of a flag wins.  Anything
+    else is None: help, an unknown or abbreviated flag, a missing value, a
+    positional argument or `--`, all left to argparse (`_argparse_texts`)."""
+    texts, i = {}, 0
+    while i < len(tokens):
+        flag, eq, text = tokens[i].partition("=")
+        if eq and flag in flags and text != "--":
+            i += 1
+        elif (not eq and flag in flags and i + 1 < len(tokens)
+              and not tokens[i + 1].startswith("-")):
+            text = tokens[i + 1]
+            i += 2
+        else:
+            return None
+        texts[flag] = text
+    return texts
 
 
 def _config_file(path: str, command: str, flags) -> dict:
@@ -230,22 +281,19 @@ def config_from_args(argv) -> RunConfig:
         _list_commands(argv)
         raise RationalParseError("no command given; see hgpade --help")
     command = argv[0]
-    about, flags = COMMANDS[command]
-    # no abbreviations, as in --config: criterion's --n-range is not --n
-    parser = _Parser(prog=f"hgpade {command}", description=about, allow_abbrev=False)
-    for flag in flags:
-        parser.add_argument(flag, help=FLAGS[flag][0])
-    cfg = parser.parse_args(argv[1:], namespace=RunConfig(command))
-    texts = _config_file(cfg.config, command, flags) if cfg.config else {}
+    flags = COMMANDS[command][1]
+    texts = _read_argv(flags, argv[1:])
+    if texts is None:
+        texts = _argparse_texts(command, argv[1:])
+    if texts.get("--config"):
+        texts = {**_config_file(texts["--config"], command, flags), **texts}
+    cfg = RunConfig(command)
     for flag in flags:
         _, default, parse = FLAGS[flag]
-        dest = flag[2:].replace("-", "_")
-        text = getattr(cfg, dest)
-        if text is None:
-            text = texts.get(flag)
+        text = texts.get(flag)
         if text is not None:
             cfg.given.add(flag)
-        setattr(cfg, dest, default if text is None else parse(flag, text))
+        setattr(cfg, _dest(flag), default if text is None else parse(flag, text))
     return cfg
 
 

@@ -200,20 +200,24 @@ def term_table(t: tuple, k: int, count: int, x, upper, lower) -> list:
     t_{j+1}/t_j = x * prod_u (j + u) / prod_d (j + d), exact, as reduced
     pairs (num, den), den > 0, t one too.
 
-    Each factor j + p/q enters as the small integer q*j + p, so a step
-    multiplies t by a small reduced ratio a/b, cancelling across as
-    Fraction multiplication does (two big-by-small gcds).
+    Each parameter p/q becomes its integer pair (q, p) once, so a factor
+    j + p/q enters a step as the small integer q*j + p, a product of plain
+    ints; a step multiplies t by a small reduced ratio a/b, cancelling
+    across as Fraction multiplication does (two big-by-small gcds).
     """
     x = Fraction(x)
-    upper = [Fraction(u) for u in upper]
-    lower = [Fraction(d) for d in lower]
-    num0 = x.numerator * math.prod(d.denominator for d in lower)
-    den0 = x.denominator * math.prod(u.denominator for u in upper)
+    ups = [Fraction(u).as_integer_ratio()[::-1] for u in upper]
+    downs = [Fraction(d).as_integer_ratio()[::-1] for d in lower]
+    num0 = x.numerator * math.prod(q for q, _ in downs)
+    den0 = x.denominator * math.prod(q for q, _ in ups)
     num, den = t
     out = []
     for j in range(k, k + count):
-        a = num0 * math.prod(u.denominator * j + u.numerator for u in upper)
-        b = den0 * math.prod(d.denominator * j + d.numerator for d in lower)
+        a, b = num0, den0
+        for q, p in ups:
+            a *= q * j + p
+        for q, p in downs:
+            b *= q * j + p
         g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
         a, b = a // g, b // g
         g1, g2 = math.gcd(num, b), math.gcd(a, den)

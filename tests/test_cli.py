@@ -17,13 +17,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import criterion_V, edited, literal_contract_failures
 from hgpade import criterion
 from hgpade.arith import Place, format_rational, parse_rational
-from hgpade.cli import COMMANDS, MAX_N, emit_report, main
+from hgpade.cli import COMMANDS, MAX_N, _argparse_texts, _read_argv, emit_report, main
 from hgpade.numerics import BigFloat
 from hgpade.pade import build_system, load_system
 from hgpade.polyops import HypergeometricSpec
@@ -1147,27 +1147,96 @@ def test_fuzzed_argv_never_tracebacks(argv):
     _exits_cleanly(argv)
 
 
+# the argv mix of the reader's property test: well-formed flags of the
+# command, repeated, beside unknown and abbreviated flags, help, missing
+# values, positional arguments and `--`, with texts argparse reads apart
+_ODD_FLAGS = ("--frobnicate", "--n", "--alph", "--sys", "--bi", "--ep", "-h", "--help")
+_TEXTS = ("", "-5", "-1/3", "--", "-", "=", "a=b", "1/3,1/4", "4:7", "json", "1 2")
+
+
+@st.composite
+def _reader_argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[command][1]
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(flags) if draw(st.integers(0, 9))
+                    else st.sampled_from(_ODD_FLAGS))
+        text = draw(st.sampled_from(_TEXTS))
+        argv += draw(st.sampled_from(([f"{flag}={text}"], [flag, text]) * 8
+                                     + ([flag], [text], ["--"])))
+    return argv
+
+
+@settings(deadline=None, derandomize=True, max_examples=500)
+@given(_reader_argvs())
+@example(["criterion", "--epsilon=--"])
+@example(["criterion", "--epsilon", "--"])
+@example(["eval", "--a", "-1/3", "--z=-1/3", "--b", "", "--a=a=b", "--bits", "="])
+def test_the_argv_reader_reads_what_argparse_reads_or_defers(argv):
+    # every argv the reader takes, argparse reads to the same texts, value
+    # for value; on everything else (help and usage errors among it) the
+    # reader defers to argparse
+    command, tokens = argv[0], argv[1:]
+    texts = _read_argv(COMMANDS[command][1], tokens)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = _argparse_texts(command, tokens)
+        except SystemExit:
+            expected = None
+    assert texts is None or texts == expected, argv
+
+
+def test_the_argv_reader_takes_both_flag_forms_and_the_last_occurrence():
+    flags = COMMANDS["eval"][1]
+    assert _read_argv(flags, ["--a", "1/3", "--z=-1/2", "--a=1/5", "--b", ""]) == {
+        "--a": "1/5", "--z": "-1/2", "--b": ""}
+    # argparse turns `--epsilon=--` into [], and reads `--a -1/3` as two flags
+    for tokens in (["--z=--"], ["--a", "-1/3"], ["--a"], ["--", "--a=1"], ["-h"],
+                   ["--a=1", "extra"], ["--bi=64"]):
+        assert _read_argv(flags, tokens) is None
+
+
 def test_the_runtime_is_standard_library_only():
     # importing the front end in a fresh interpreter loads no module outside
-    # the standard library but hgpade's own
+    # the standard library but hgpade's own, and not argparse (nor gettext
+    # and locale, which it loads): argparse is for help and usage errors
+    # only, so the 32 frozen benchmark argv, run in that interpreter, write
+    # their frozen bytes without it
     import os
     import subprocess
     import sys
 
-    src = Path(__file__).resolve().parents[1] / "src"
+    root = Path(__file__).resolve().parents[1]
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import hgpade.cli\n"
-        "print('\\n'.join(sorted({name.split('.')[0] for name in set(sys.modules) - before})))\n"
+        "loaded = sorted({name.split('.')[0] for name in set(sys.modules) - before})\n"
+        "import contextlib, hashlib, io, json\n"
+        "digests = {}\n"
+        "for key in json.loads(open(sys.argv[1], encoding='utf-8').read()):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = hgpade.cli.main(key.split(' '))\n"
+        "    digests[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
+        "print(json.dumps({'loaded': loaded, 'digests': digests,\n"
+        "                  'argparse_after': 'argparse' in sys.modules}))\n"
     )
-    got = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": str(src)})
-    loaded = set(got.stdout.split())
+    frozen_path = root / "perfbench" / "frozen.json"
+    got = subprocess.run([sys.executable, "-c", probe, str(frozen_path)],
+                         capture_output=True, text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    got = json.loads(got.stdout)
+    loaded = set(got["loaded"])
     assert "hgpade" in loaded
     assert not {name for name in loaded
                 if name != "hgpade" and name not in sys.stdlib_module_names}
+    assert not {"argparse", "gettext", "locale"} & loaded
+    frozen = json.loads(frozen_path.read_text())
+    assert len(frozen) == 32
+    assert got["digests"] == frozen
+    assert got["argparse_after"] is False
 
 
 def test_the_pade_module_loads_neither_numerics_nor_linalg():
