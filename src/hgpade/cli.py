@@ -147,10 +147,6 @@ FLAGS = {
                         f"1 <= bits <= {MAX_BITS}")),
 }
 
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
-
-
 _COMMON = ("--config", "--out", "--format")
 _SPEC = ("--a", "--b", "--c0")
 
@@ -169,6 +165,10 @@ COMMANDS = {
                  (*_COMMON, *_SPEC, "--alphas", "--search-bound", "--n-range")),
     "eval": ("certified values F_0(z)..F_{r-1}(z)", (*_COMMON, *_SPEC, "--z", "--bits")),
 }
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 class RunConfig:

@@ -200,23 +200,23 @@ def term_table(t: tuple, k: int, count: int, x, upper, lower) -> list:
     t_{j+1}/t_j = x * prod_u (j + u) / prod_d (j + d), exact, as reduced
     pairs (num, den), den > 0, t one too.
 
-    Each parameter p/q becomes its integer pair (q, p) once, so a factor
+    Each parameter p/q becomes its integer pair (p, q) once, so a factor
     j + p/q enters a step as the small integer q*j + p, a product of plain
     ints; a step multiplies t by a small reduced ratio a/b, cancelling
     across as Fraction multiplication does (two big-by-small gcds).
     """
     x = Fraction(x)
-    ups = [Fraction(u).as_integer_ratio()[::-1] for u in upper]
-    downs = [Fraction(d).as_integer_ratio()[::-1] for d in lower]
-    num0 = x.numerator * math.prod(q for q, _ in downs)
-    den0 = x.denominator * math.prod(q for q, _ in ups)
+    ups = [Fraction(u).as_integer_ratio() for u in upper]
+    downs = [Fraction(d).as_integer_ratio() for d in lower]
+    num0 = x.numerator * math.prod(q for _, q in downs)
+    den0 = x.denominator * math.prod(q for _, q in ups)
     num, den = t
     out = []
     for j in range(k, k + count):
         a, b = num0, den0
-        for q, p in ups:
+        for p, q in ups:
             a *= q * j + p
-        for q, p in downs:
+        for p, q in downs:
             b *= q * j + p
         g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
         a, b = a // g, b // g
