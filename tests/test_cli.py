@@ -1147,9 +1147,10 @@ def test_fuzzed_argv_never_tracebacks(argv):
     _exits_cleanly(argv)
 
 
-# the argv mix of the reader's property test: well-formed flags of the
-# command, repeated, beside unknown and abbreviated flags, help, missing
-# values, positional arguments and `--`, with texts argparse reads apart
+# the argv mix of the reader's property test: the command's own flags in
+# both forms, repeated, beside unknown and abbreviated flags, help, missing
+# values, positional arguments and `--`, with texts that argparse reads in
+# its own way (`--` dropped, a leading `-` read as a flag)
 _ODD_FLAGS = ("--frobnicate", "--n", "--alph", "--sys", "--bi", "--ep", "-h", "--help")
 _TEXTS = ("", "-5", "-1/3", "--", "-", "=", "a=b", "1/3,1/4", "4:7", "json", "1 2")
 
@@ -1175,8 +1176,8 @@ def _reader_argvs(draw):
 @example(["eval", "--a", "-1/3", "--z=-1/3", "--b", "", "--a=a=b", "--bits", "="])
 def test_the_argv_reader_reads_what_argparse_reads_or_defers(argv):
     # every argv the reader takes, argparse reads to the same texts, value
-    # for value; on everything else (help and usage errors among it) the
-    # reader defers to argparse
+    # for value, so one that argparse refuses (help, a usage error) is
+    # always left to it
     command, tokens = argv[0], argv[1:]
     texts = _read_argv(COMMANDS[command][1], tokens)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
