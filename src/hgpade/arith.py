@@ -4,7 +4,7 @@ Everything in here is exact big-rational arithmetic (`fractions.Fraction`);
 floats appear only in logarithmic rates, where asymptotic comparisons are the
 point.  The module provides rational parsing and formatting, primality and
 factoring, the denominator-growth constant mu(x), Euler's totient, p-adic
-valuations and normalized absolute values.
+valuations and the logs of normalized absolute values.
 """
 
 from __future__ import annotations
@@ -234,16 +234,6 @@ def parse_place(text: str) -> Place:
         return Place(int(s))
     except ValueError:
         raise RationalParseError(f"not a place (expected 'inf' or a prime): {text!r}") from None
-
-
-def abs_at_place(x: Fraction, v: Place) -> Fraction:
-    """Normalized |x|_v, exact: |x| at the archimedean place, p^(-v_p(x)) at p."""
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    if v.is_archimedean:
-        return abs(x)
-    return Fraction(v.p) ** (-v_p(x, v.p))
 
 
 def log_abs_at_place(x: Fraction, v: Place) -> float:

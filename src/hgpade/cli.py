@@ -220,7 +220,7 @@ def _list_commands(argv) -> None:
 def _argparse_texts(command: str, tokens) -> dict:
     """The text of each flag of `command` that argparse reads in `tokens`,
     the argv past the command; it prints the help, or exits 1 on a usage
-    error."""
+    error, `--flag=--` (which argparse reads as [], not a text) included."""
     about, flags = COMMANDS[command]
     # no abbreviations, as in --config: criterion's --n-range is not --n
     parser = _parser(prog=f"hgpade {command}", description=about, allow_abbrev=False)
@@ -228,7 +228,11 @@ def _argparse_texts(command: str, tokens) -> dict:
         parser.add_argument(flag, help=FLAGS[flag][0])
     namespace = parser.parse_args(tokens)
     texts = {flag: getattr(namespace, _dest(flag)) for flag in flags}
-    return {flag: text for flag, text in texts.items() if text is not None}
+    texts = {flag: text for flag, text in texts.items() if text is not None}
+    for flag, text in texts.items():
+        if not isinstance(text, str):
+            parser.error(f"argument {flag}: expected one argument")
+    return texts
 
 
 def _read_argv(flags, tokens) -> dict | None:

@@ -1,11 +1,12 @@
 """Effective irrationality machinery built on top of the approximant systems.
 
-Heights of rational tuples, empirical growth/decay rates of the approximant
-data at a chosen place, the criterion value V whose positivity certifies the
-linear-independence setup, the resulting measure mu and constant C, and the
-search for the smallest usable integer beta.  The remainder sums at both
-kinds of place read each system's remainder series by exponent
-(`PadeSystem.terms`), one list per (ell, i, s) shared by every beta.
+Heights of rational tuples (the finite part is log of the lcm of the
+denominators, so no height factors a number), empirical growth/decay rates
+of the approximant data at a chosen place, the criterion value V whose
+positivity certifies the linear-independence setup, the resulting measure mu
+and constant C, and the search for the smallest usable integer beta.  The
+remainder sums at both kinds of place read each system's remainder series by
+exponent (`PadeSystem.terms`), one list per (ell, i, s) shared by every beta.
 
 The closed-form rate constants are only partly recoverable from the source
 material (the archimedean one is occluded), so every closed-form figure here
@@ -21,8 +22,6 @@ from fractions import Fraction
 
 from .arith import (
     Place,
-    abs_at_place,
-    factorize,
     log_abs_at_place,
     log_abs_fraction,
     log_int,
@@ -122,26 +121,14 @@ def _h_arch(vec) -> float:
 
 
 def heights(vec) -> float:
-    """The height h = sum_v h_v, h_v = log max(1, max_i |x_i|_v), summed as
-    the archimedean part and then e log q by ascending prime q, q^e the
-    exact power of q in the lcm of the denominators (no other prime
-    contributes)."""
+    """The height h = sum_v h_v, h_v = log max(1, max_i |x_i|_v): the
+    archimedean part plus log of the lcm of the denominators.  That log is
+    the finite part, sum e log q over the prime powers q^e of the lcm, with
+    nothing factored."""
     vec = tuple(Fraction(x) for x in vec)
     if not vec or all(x == 0 for x in vec):
         raise InvalidInput("height of the zero tuple is undefined")
-    h = _h_arch(vec)
-    for q, e in sorted(factorize(math.lcm(*(x.denominator for x in vec))).items()):
-        h += e * math.log(q)
-    return h
-
-
-def _h_at_place(vec, v: Place) -> float:
-    """log max(1, max_i |x_i|_v) for one place, without factoring."""
-    vec = [Fraction(x) for x in vec]
-    if v.is_archimedean:
-        return _h_arch(vec)
-    e = max(max(0, -v_p(x, v.p)) for x in vec if x != 0)
-    return e * math.log(v.p)
+    return _h_arch(vec) + log_int(math.lcm(*(x.denominator for x in vec)))
 
 
 def _row_lcm(den: int, ints: list) -> int:
@@ -207,15 +194,18 @@ class Instance:
         }
 
 
-def growth_fit_P(inst: Instance, beta, v: Place) -> FitResult:
-    """Fitted rate of log max_ell |P_ell(beta)|_v; the empirical U at v."""
+def growth_fit_P(inst: Instance, beta, *places: Place) -> dict:
+    """Fitted rate of log max_ell |P_ell(beta)|_v by place v; the empirical
+    U at v.  Each P_ell(beta) is evaluated once per n and read at every
+    place."""
     beta = Fraction(beta)
-    ns, ys = [], []
+    ns, ys = [], {v: [] for v in places}
     for n, sysn in inst.systems.items():
         vals = [_row_value(den, ints, beta) for den, ints in sysn.P.values()]
-        ys.append(max(log_abs_at_place(x, v) for x in vals if x != 0))
+        for v, y in ys.items():
+            y.append(max(log_abs_at_place(x, v) for x in vals if x != 0))
         ns.append(n)
-    return fit_rate(ns, ys)
+    return {v: fit_rate(ns, y) for v, y in ys.items()}
 
 
 # --- remainder size at the two kinds of places -----------------------------
@@ -315,7 +305,8 @@ def decay_fit_R(inst: Instance, beta, v0: Place) -> FitResult:
     empirical A."""
     beta = Fraction(beta)
     for a in inst.alphas:
-        if abs_at_place(a / beta, v0) >= 1:
+        x = a / beta
+        if x and (abs(x) >= 1 if v0.is_archimedean else v_p(x, v0.p) <= 0):
             raise DivergentSeries(
                 f"|alpha/beta| at {v0} is not < 1 (alpha={a}, beta={beta})"
             )
@@ -445,7 +436,9 @@ def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
     rm = spec.r * len(alphas)
 
     a_fit = decay_fit_R(inst, beta, v0)
-    u_fit = growth_fit_P(inst, beta, v0)
+    # U at v0, and the archimedean U that c_fit reads (one fit at v0 = inf)
+    u_fits = growth_fit_P(inst, beta, v0, Place())
+    u_fit, u_arch = u_fits[v0], u_fits[Place()].rate
     q_fit = height_fit_vec(inst, beta, v0)
     a_emp, u_emp = a_fit.rate, u_fit.rate
     v_emp = a_emp - q_fit.rate
@@ -454,17 +447,14 @@ def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
     # constant is occluded -- fitted (primary) and Stirling (side-by-side)
     tuple_ab = list(alphas) + [beta]
     h_all = heights(tuple_ab)
-    h_v0 = _h_at_place(tuple_ab, v0)
+    h_arch = _h_arch(tuple_ab)
+    h_v0 = h_arch if v0.is_archimedean else (
+        max(0, -min(v_p(x, v0.p) for x in tuple_ab)) * math.log(v0.p))
     log_beta_v0 = log_abs_at_place(beta, v0)
     log_alpha_v0 = max(log_abs_at_place(a, v0) for a in alphas)
     budget = finite_place_budget(spec)
     c_stirling = stirling_growth_const(spec.r, len(alphas))
-
-    if v0.is_archimedean:
-        u_arch = u_emp
-    else:
-        u_arch = growth_fit_P(inst, beta, Place()).rate
-    c_fit = u_arch - rm * _h_at_place(tuple_ab, Place())
+    c_fit = u_arch - rm * h_arch
 
     if v0.is_archimedean:
         n_prof = None

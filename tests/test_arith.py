@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import D_n_profile
 from hgpade.arith import (
     Place,
-    abs_at_place,
     factorize,
     format_rational,
     is_prime,
@@ -22,8 +21,8 @@ from hgpade.arith import (
     totient,
     v_p,
 )
-from hgpade.criterion import c_denominators
-from hgpade.errors import InvalidInput, RationalParseError
+from hgpade.criterion import Instance, c_denominators, decay_fit_R
+from hgpade.errors import DivergentSeries, InvalidInput, RationalParseError
 from hgpade.polyops import HypergeometricSpec, _pochhammer
 
 F = Fraction
@@ -158,12 +157,21 @@ def test_place_parsing():
 
 def test_abs_at_place():
     x = F(50, 27)
-    assert abs_at_place(x, Place()) == F(50, 27)
-    assert abs_at_place(x, Place(5)) == F(1, 25)
-    assert abs_at_place(x, Place(3)) == F(27)
     assert log_abs_at_place(x, Place(3)) == pytest.approx(3 * math.log(3))
     with pytest.raises(InvalidInput):
         log_abs_at_place(F(0), Place(3))
+    # decay_fit_R needs |alpha/beta|_v < 1 for every alpha, read exactly:
+    # |alpha/beta| < 1 at inf, v_p(alpha/beta) > 0 at p
+    spec = HypergeometricSpec.from_ab([F(1, 3), F(1, 4)], [F(1, 2)])
+    with pytest.raises(DivergentSeries, match="alpha=2, beta=-2"):
+        decay_fit_R(Instance(spec, [1, 2], range(4, 8)), F(-2), Place())
+    inst = Instance(spec, [1], range(4, 8))
+    for beta in (F(2), F(2, 3)):  # v_5(alpha/beta) = 0
+        with pytest.raises(DivergentSeries, match="at 5 is not < 1"):
+            decay_fit_R(inst, beta, Place(5))
+    fit = decay_fit_R(inst, F(1, 5), Place(5))  # v_5(alpha/beta) = 1
+    assert [n for n, _ in fit.points] == [4, 5, 6, 7]
+    assert fit.rate > 0
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,10 @@ _USAGE_ARGVS = {
     "value_read_as_flag": ["eval", "--a", "-1/3", "--b=", "--z=1/2"],
     "positional": ["eval", *_R2, "--z=1/2", "extra"],
     "double_dash": ["eval", *_R2, "--", "--z=1/2"],
+    # argparse reads `--flag=--` as [], refused as a missing value
+    "epsilon_double_dash": ["criterion", *_R2, "--alphas=1", "--epsilon=--"],
+    "a_double_dash": ["eval", "--a=--", "--b=", "--z=1/2"],
+    "out_double_dash": ["eval", *_R2, "--z=1/2", "--out=--"],
 }
 _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 _USAGE_PINS = {
@@ -96,11 +100,19 @@ _USAGE_PINS = {
                    "375823b8f397238a8dc313d6ab9d7fd0ed4eb2aa186556c5d69161f64bceb88c"),
     "double_dash": (1, _EMPTY,
                     "c9b7bbc37262a73339627ec299d9ccf6c520dfbfab4ab6cf837b3bb4684760a3"),
+    "epsilon_double_dash": (1, _EMPTY,
+                            "bd12bd207f00e7a4decd1811b80cb0dff0037671a3fbcfbd4b6496a3d4758006"),
+    # the same bytes as value_read_as_flag: both are argparse's missing --a
+    "a_double_dash": (1, _EMPTY,
+                      "41a82620d8af4af050054f43e6a9de073bb6bd0fa1072e23ae2bfc9f6a3b0bb6"),
+    "out_double_dash": (1, _EMPTY,
+                        "e91b4c49d932d53b153063ac89e6b7f35725053931f52f628a58929f0de20729"),
 }
 
 
-def test_help_and_usage_errors_are_pinned(monkeypatch, capsys):
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
     got = {}
     for name, argv in _USAGE_ARGVS.items():
         code = main(argv)
@@ -108,6 +120,8 @@ def test_help_and_usage_errors_are_pinned(monkeypatch, capsys):
         got[name] = (code, hashlib.sha256(captured.out.encode()).hexdigest(),
                      hashlib.sha256(captured.err.encode()).hexdigest())
     assert got == _USAGE_PINS
+    # no usage error writes a report file, `--out=--` (argparse's []) included
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_rational_names_the_flag(capsys):
@@ -1049,7 +1063,7 @@ def test_bad_input_exits_1_naming_the_flag(argv, config, flag, tmp_path, capsys)
 # fuzzed argv: every command, valid flags mixed with bad values
 # ---------------------------------------------------------------------------
 
-_BAD = ("nan", "inf", "-5", "0", "x", "1/0", "")
+_BAD = ("nan", "inf", "-5", "0", "x", "1/0", "", "--")
 _HUGE = str(10**30)
 
 # Valid values keep each run cheap (n <= 2, windows within 4:7, bits <= 256,
@@ -1143,6 +1157,8 @@ def _argvs(draw):
 
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(_argvs())
+@example(["criterion", *_R2, "--alphas=1", "--epsilon=--"])
+@example(["eval", "--a=--", "--b=", "--z=1/2"])
 def test_fuzzed_argv_never_tracebacks(argv):
     _exits_cleanly(argv)
 

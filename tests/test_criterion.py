@@ -6,17 +6,24 @@ route at the archimedean place) are asserted against the report fields
 rather than re-frozen.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import criterion_V, error_of, row_values
-from hgpade import criterion
-from hgpade.arith import Place, log_abs_fraction, log_int, v_p
-from hgpade.cli import _canonical
+from hgpade import arith, criterion
+from hgpade.arith import Place, factorize, log_abs_fraction, log_int, v_p
+from hgpade.cli import _canonical, main
 from hgpade.criterion import (
     Instance,
     _row_lcm,
@@ -125,6 +132,25 @@ def test_height_sums_the_archimedean_part_then_the_primes_ascending():
     assert h == math.log(7) + 2 * math.log(2) + 2 * math.log(3)
 
 
+# products of small primes, so that denominators (of a tuple, or of a row
+# and its entries) share factors
+_smooth = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=10).map(math.prod)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.lists(st.builds(Fraction, st.integers(-10**6, 10**6), _smooth),
+                min_size=1, max_size=6).filter(any))
+@example([Fraction(1, 2**10 * 3**10 * 5**10 * 7**10), Fraction(-3, 5)])
+def test_height_is_the_factoring_sum_over_the_lcm(vec):
+    # log lcm(denominators) against sum e log q over its factored prime
+    # powers q^e, plus the archimedean part
+    top = max(abs(x) for x in vec)
+    lcm = math.lcm(*(x.denominator for x in vec))
+    expected = (log_abs_fraction(top) if top > 1 else 0.0) + sum(
+        e * math.log(q) for q, e in factorize(lcm).items())
+    assert heights(vec) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # closed-form skeleton constants
 # ---------------------------------------------------------------------------
@@ -156,10 +182,6 @@ def test_stirling_growth_const_frozen():
 # ---------------------------------------------------------------------------
 # heights of the matrix rows: integer rows against the Fraction route
 # ---------------------------------------------------------------------------
-
-# products of small primes, so that rows and their denominator share factors
-_smooth = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=10).map(math.prod)
-
 
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(_smooth, st.lists(st.one_of(
@@ -357,6 +379,53 @@ def test_measure_checks_spec_hypotheses_first():
     with pytest.raises(HypothesisViolation):
         measure(Instance(bad, (Fraction(1),), range(4, 17)), Fraction(10**6),
                 Place(), epsilon=0.1)
+
+
+# ---------------------------------------------------------------------------
+# no height factors alpha or beta
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+# the denominator of beta is a semiprime of two 65-bit primes, far past what
+# Pollard's rho factors in the time the test allows
+_SEMIPRIME = 10000000000000000051 * 30000000000000000041
+
+
+def test_a_semiprime_beta_is_refused_at_once():
+    beta = f"--beta={_SEMIPRIME * 10**6 + 1}/{_SEMIPRIME}"
+    got = subprocess.run(
+        [sys.executable, "-m", "hgpade.cli", "criterion", "--a=1/3,1/4", "--b=1/2",
+         "--alphas=1", beta, "--n-range=4:7"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert got.returncode == 1
+    assert got.stderr.startswith("hgpade criterion: CriterionNotSatisfied: ")
+    assert got.stdout == ""
+
+
+def test_criterion_runs_factor_only_the_specs_denominators(monkeypatch):
+    # the benchmark's criterion and min-beta ops (perfbench/frozen.json, only
+    # read) and a p-adic criterion: no factored number exceeds the CLI's
+    # cap of 1000 on the spec's denominators
+    frozen = json.loads((ROOT / "perfbench" / "frozen.json").read_text())
+    argvs = [key.split() for key in frozen if key.split()[0] in ("criterion", "min-beta")]
+    assert len(argvs) == 3
+    argvs.append(["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1",
+                  "--beta=1/9765625", "--place", "5"])
+    factored = []
+
+    def spy(n):
+        factored.append(n)
+        return real(n)
+
+    real = arith.factorize
+    for module in [m for name, m in sys.modules.items() if name.startswith("hgpade")]:
+        if getattr(module, "factorize", None) is real:
+            monkeypatch.setattr(module, "factorize", spy)
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    assert factored and max(factored) <= 1000
 
 
 # ---------------------------------------------------------------------------
