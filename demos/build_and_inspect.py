@@ -36,7 +36,7 @@ def main() -> None:
         assert all(deg == r * m * n + ell for ell, deg in degs.items())
 
         # order contract: every remainder vanishes to order >= n+1 at infinity;
-        # each stored window is an integer row (order, den, ints)
+        # each window is an integer row (order, den, ints)
         orders = sorted(window_order(window) for window in system.R.values())
         assert orders[0] >= n + 1
 

@@ -66,7 +66,7 @@ def format_rational(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# primality / factorization (deterministic below 2^64)
+# primality (deterministic below 2^64) and factorization
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -96,44 +96,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    # Brent's variant; n must be odd composite.
-    if n % 2 == 0:
-        return 2
-    x0, c = 2, 1
-    while True:
-        x = y = x0
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}, by trial
+    division up to sqrt(n): its callers factor only the spec's
+    denominators (`log_mu`, `totient`), which the CLI caps at 1000."""
     if n < 1:
         raise InvalidInput(f"factorize expects n >= 1, got {n}")
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
 
 

@@ -235,7 +235,7 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
     exponent from the system's term list (`PadeSystem.terms`), the one the
     archimedean sums read past their first stop test, and made a Fraction
     here from its unreduced pair.  This sum starts at
-    k = n, inside the stored window, so it builds the window; the sizes
+    k = n, inside the window, so it fills the term head; the sizes
     that bound the archimedean sums are never computed here.
 
     Partial sums are exact rationals; the loop stops once every later term
@@ -269,7 +269,7 @@ def _vp_remainder(system, ell, i, s, beta, p: int) -> int:
         raise DivergentSeries(
             f"cannot certify p-adic contraction at p={p}: "
             f"v_p(alpha)-v_p(beta)={va - vb} does not beat the "
-            f"denominator growth {cnt}/(p-1)={cnt / (p - 1):.3f}"
+            f"denominator growth {-a_neg} (eta) + {cnt}/(p-1) (zeta) = {-slope_a:.3f}"
         )
 
     def lowbound(k: int) -> float:

@@ -23,7 +23,7 @@ and `eval` reads them without one gcd.  The remainder values R(beta) of
 `remainder_value` are summed on integers too, over one running denominator
 L * p^e for beta = p/q: up to the first stop test in one piece, from prefix
 sums of the psi weights (`_head_sum`, which reads no coefficient and so no
-stored window), and from there in one loop over the system's terms by
+window), and from there in one loop over the system's terms by
 exponent.  Their beta-free set-up lives on the system: the ratio bound's
 part without |alpha/beta|, P_ell and the weights on integers, the terms and
 the sizes of the bound, each read only where the sum needs it
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
@@ -61,8 +60,8 @@ class BigFloat:
     positive denominator (the constructor moves a sign onto the
     numerator), so no gcd is taken on the way: `agrees_with`, `to_decimal`
     and `error_exponent` depend only on the two rationals, not on their
-    forms.  `value` is the reduced Fraction, made on its first read, for
-    the readers that need a reduced form.  Equality is identity
+    forms.  `value` is the reduced Fraction, made on each read and not
+    kept, for the readers that need a reduced form.  Equality is identity
     (eq=False): compare values, not the pairs."""
 
     num: int
@@ -81,7 +80,7 @@ class BigFloat:
         if self.err < 0:
             raise InvalidInput("error bound must be nonnegative")
 
-    @cached_property
+    @property
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
 
@@ -482,7 +481,7 @@ def remainder_value(system, ell: int, i: int, s: int, beta, bits: int) -> BigFlo
     appended until the bound drops under the 2^-bits target.
 
     No stop test runs below k0, the first index of the ratio bound
-    (`PadeSystem.tail_ratio`, past the stored window), so the sum up to k0
+    (`PadeSystem.tail_ratio`, past the window), so the sum up to k0
     is taken whole from prefix sums of the psi weights (`_head_sum`),
     without a single coefficient psi_{i,s}(t^k P_ell): no window is built.
     From k0 on, a size sum_d |P_d| |w_{k+d}| (`PadeSystem.size`) is read at

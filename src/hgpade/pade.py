@@ -21,18 +21,19 @@ P_{ell,i,s} is the psi_{i,s}-image of the divided difference
 system scales the weights of one range of exponents once, at the width of
 its longest row (`PadeSystem.weight_run`), and every ell reads a prefix of
 that run.  A Fraction is made only where a caller reads a
-rational.  A system is its P_ell, given once, when it is made: each P_ell
-and each P_{ell,i,s} is only its integer row (den, ints) over one
-denominator, ints a tuple, in a read-only mapping (`PadeSystem.P`,
-`PadeSystem.Pis`); a reader that wants rationals makes them.  A system
-makes each P_{ell,i,s} row on its first read, and Delta, which reads only
-the constant terms, takes them one dot product each (`constant_term`).
+rational.  A system is its P_ell, given once, when it is made, and the
+remainder series those determine: each P_ell and each P_{ell,i,s} is only
+its integer row (den, ints) over one denominator, ints a tuple, in a
+read-only mapping (`PadeSystem.P`, `PadeSystem.Pis`); a reader that wants
+rationals makes them.  A system keeps no P_{ell,i,s} row: `Pis` makes one
+on each read, and Delta, which reads only the constant terms, takes them
+one dot product each (`constant_term`).
 Each remainder series is one append-only list on the system, read by
 exponent (`PadeSystem.terms`): its head, below the window's end, is filled
 on the first read inside it, and past the window it grows only as far as a
-caller reads.  The stored window (`PadeSystem.R`) is that head, as the
-integer row (order, den, ints), kept on its first read by the contract,
-Theta or `to_jsonable`.  The p-adic sums
+caller reads.  A window (`PadeSystem.R`) is that head, read afresh as the
+integer row (order, den, ints), ints a tuple, by the contract, Theta or
+`to_jsonable`.  The p-adic sums
 read the head, and the archimedean sums neither (`numerics.remainder_value`
 starts from prefix sums of the weights, `PadeSystem.weight_run`).
 Past the window, the sizes that bound the
@@ -183,22 +184,20 @@ def _indices(r: int, m: int):
                 yield ell, i, s
 
 
-class _Made(Mapping):
-    """Rows of a system by (ell, i, s), keyed by its indices, each made on
-    its first read (`_make`) and kept."""
+class _Rows(Mapping):
+    """A read-only view of a system's rows by (ell, i, s), keyed by its
+    indices: each read makes its row afresh, make(system, ell, i, s), and
+    nothing is kept, so no row can be edited or assigned."""
 
-    def __init__(self, system: "PadeSystem"):
-        self._system, self._made = system, {}
+    def __init__(self, system: "PadeSystem", make):
+        self._system, self._make = system, make
 
     def __getitem__(self, key) -> tuple:
-        got = self._made.get(key)
-        if got is None:
-            system = self._system
-            ell, i, s = key
-            if not (ell in system.P and 1 <= i <= system.m and 0 <= s < system.r):
-                raise KeyError(key)
-            got = self._made[key] = self._make(ell, i, s)
-        return got
+        system = self._system
+        ell, i, s = key
+        if not (ell in system.P and 1 <= i <= system.m and 0 <= s < system.r):
+            raise KeyError(key)
+        return self._make(system, ell, i, s)
 
     def __iter__(self):
         return self._system.indices()
@@ -207,29 +206,24 @@ class _Made(Mapping):
         return sum(1 for _ in self._system.indices())
 
 
-class _Windows(_Made):
-    """The stored remainder windows, each the integer row (order, den,
-    ints) read by `window_coeff`: the head of its term list, whose pairs
-    share one denominator, as (1, den, ints)."""
-
-    def _make(self, ell: int, i: int, s: int) -> tuple:
-        system = self._system
-        head = system.terms(ell, i, s, 0)[:system.truncation - 1]
-        return 1, head[0][1], [a for a, _ in head]
-
-
-class _PisRows(_Made):
-    """The P_{ell,i,s}, each the integer row (den, ints), ints a tuple: the
+def _pis_row(system: "PadeSystem", ell: int, i: int, s: int) -> tuple:
+    """P_{ell,i,s} as the integer row (den, ints), ints a tuple: the
     psi_{i,s}-image of the divided difference of P_ell, whose z^j
     coefficient is sum_k w_k P_ell[j+1+k], one `_dot_rows` call on the row
     of P_ell past its constant against the system's run of the weights
     below deg P_rm, over dp * dw, trailing zeros trimmed."""
+    dp, Pn = system.P[ell]
+    dw, wn = system.weight_run(i, s, 0, 0)
+    deg = len(Pn) - 1
+    return dp * dw, tuple(poly_trim(_dot_rows(wn[:deg], Pn[1:], deg)))
 
-    def _make(self, ell: int, i: int, s: int) -> tuple:
-        dp, Pn = self._system.P[ell]
-        dw, wn = self._system.weight_run(i, s, 0, 0)
-        deg = len(Pn) - 1
-        return dp * dw, tuple(poly_trim(_dot_rows(wn[:deg], Pn[1:], deg)))
+
+def _window(system: "PadeSystem", ell: int, i: int, s: int) -> tuple:
+    """The window of R_{ell,i,s} as the integer row (order, den, ints), ints
+    a tuple, read by `window_coeff`: the head of its term list, whose pairs
+    share one denominator, as (1, den, ints)."""
+    head = system.terms(ell, i, s, 0)[:system.truncation - 1]
+    return 1, head[0][1], tuple(a for a, _ in head)
 
 
 def window_coeff(window: tuple, e: int) -> tuple:
@@ -281,33 +275,34 @@ def _window_row(name: str, data, truncation: int) -> tuple:
         got = len(coeffs) if isinstance(coeffs, list) else coeffs
         raise InvalidInput(f"{where}: coefficients: need a list of truncation - order "
                            f"= {trunc - order} rationals, got {got!r}")
-    return (order, *_scaled([c.as_integer_ratio()
-                             for c in parse_rationals(f"{where}: coefficients", coeffs)]))
+    den, ints = _scaled([c.as_integer_ratio()
+                         for c in parse_rationals(f"{where}: coefficients", coeffs)])
+    return order, den, tuple(ints)
 
 
 @dataclass(eq=False)
 class PadeSystem:
-    """One instance: its P_ell, with every P_{ell,i,s} and remainder window
-    made from them on first read.  A system equals only itself, as a
-    `BigFloat` does: comparing the data would build every row and window.
+    """One instance: its P_ell, from which every P_{ell,i,s} and remainder
+    window is made on each read.  A system equals only itself, as a
+    `BigFloat` does: comparing the data would make every row and window.
 
     Its P_ell are given once, when it is made, and never assigned: `P` maps
-    ell to P_ell and `Pis` maps (ell, i, s) to P_{ell,i,s}, read-only
-    mappings of integer rows (den, ints), den > 0 and ints a tuple, and `R`
-    maps (ell, i, s) to the stored window of R_{ell,i,s}, an integer row
-    (order, den, ints) read by `window_coeff`.  `Pis` and `R` make each
-    entry on its first read from P and the psi weights (`_PisRows`,
-    `_Windows`); a file's own rows and windows are data beside the system
-    (`load_system`), which the contract compares with these
-    (`contract_failures`).
-    Everything else a remainder sum reads is beta-free and
-    kept on the system on first use, each computed once: the ratio bound
+    ell to P_ell, a read-only mapping of integer rows (den, ints), den > 0
+    and ints a tuple.  `Pis` maps (ell, i, s) to P_{ell,i,s}, a row of the
+    same form, and `R` maps (ell, i, s) to the window of R_{ell,i,s}, an
+    integer row (order, den, ints) read by `window_coeff`: both are
+    read-only views that make each entry afresh on every read, from P and
+    the psi weights (`_pis_row`, `_window`), and keep nothing.  A file's
+    own rows and windows are data beside the system (`load_system`), which
+    the contract compares with these (`contract_failures`).
+    The only other state is what a remainder sum re-reads, beta-free and
+    kept in `_state` on first use, each computed once: the ratio bound
     past the window (`tail_ratio`), per (i, s) and range the psi weights on
     integers (`weight_run`), shared by every ell, and per
-    (ell, i, s) the coefficients by exponent (`terms`) and the sizes that
-    bound them (`size`), two lists of unreduced integer pairs that grow only
-    as far as they are read, both from the kernel `_dot_rows` on the row of
-    P_ell and a weight run.
+    (ell, i, s) the coefficients by exponent (`terms`), whose head a window
+    is read from, and the sizes that bound them (`size`), two lists of
+    unreduced integer pairs that grow only as far as they are read, both
+    from the kernel `_dot_rows` on the row of P_ell and a weight run.
     """
 
     spec: HypergeometricSpec
@@ -315,16 +310,20 @@ class PadeSystem:
     n: int
     truncation: int
     P: Mapping                                      # ell -> row of P_ell (in z)
-    Pis: _PisRows = field(init=False, repr=False)   # (ell, i, s) -> row of P_{ell,i,s}
-    R: _Windows = field(init=False, repr=False)     # (ell, i, s) -> window row
     # (tag, *index) -> the state of `_kept`; like `spec._psi_tables`, a
     # pure function of the system
     _state: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def __post_init__(self):
-        self.Pis = _PisRows(self)
-        self.R = _Windows(self)
+    @property
+    def Pis(self) -> Mapping:
+        """(ell, i, s) -> the row of P_{ell,i,s}, made on each read."""
+        return _Rows(self, _pis_row)
+
+    @property
+    def R(self) -> Mapping:
+        """(ell, i, s) -> the window row of R_{ell,i,s}, made on each read."""
+        return _Rows(self, _window)
 
     @property
     def r(self) -> int:
@@ -358,7 +357,7 @@ class PadeSystem:
         their lcm dw (`_weight_run`).  Every shorter P_ell meets a prefix of
         them, so one run serves the terms and the sizes of every ell over
         that range; start = stop = 0 gives the weights below deg P_rm,
-        those the P_{ell,i,s} meet (`_PisRows`).  Scaled once per (i, s,
+        those the P_{ell,i,s} meet (`_pis_row`).  Scaled once per (i, s,
         start, stop)."""
         return self._kept(("run", i, s, start, stop), lambda: _weight_run(
             self.spec, self.alphas[i - 1], s, start, stop,
@@ -371,7 +370,7 @@ class PadeSystem:
         its run's denominator dp * dw (`P`, `weight_run`), the form of
         `size`: no Fraction is made.  The head, below the window's end
         truncation - 1, holds None until a read inside it fills the whole
-        head, from which the stored window `R` is made; a read past the end
+        head, which a window `R` is read from; a read past the end
         grows the list (`_grow`).  The list only grows, so a caller's
         reference stays valid; an entry is set once a read at its index has
         returned."""
@@ -506,7 +505,7 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
                  truncation: int = None, cross_check: bool = True) -> PadeSystem:
     """Build every P_ell of the instance, as integer rows from one
     multiplier table (`_P_family`); each P_{ell,i,s} and each remainder
-    window is made on its first read (`PadeSystem.Pis`, `.R`).  The window
+    window is made on each read (`PadeSystem.Pis`, `.R`).  The window
     is checked before anything is built: a given truncation by
     `check_truncation`, the default one by `default_truncation`.
     When cross_check is set (the default), the built system must pass
@@ -539,7 +538,7 @@ def build_system(spec: HypergeometricSpec, alphas, n: int,
 
 def constant_term(system: PadeSystem, ell: int, i: int, s: int) -> tuple:
     """The constant term of P_{ell,i,s} as the pair (a, den): the one dot
-    product sum_k w_k P_ell[1+k] over the run its row reads (`_PisRows`),
+    product sum_k w_k P_ell[1+k] over the run its row reads (`_pis_row`),
     so no row is made."""
     dp, Pn = system.P[ell]
     dw, wn = system.weight_run(i, s, 0, 0)
@@ -549,7 +548,7 @@ def constant_term(system: PadeSystem, ell: int, i: int, s: int) -> tuple:
 def contract_failures(system: PadeSystem, given: dict = None) -> list:
     """Every failure of the system's contract, in a fixed order; [] when it
     holds.  `given` holds a file's own P_{ell,i,s} rows and windows
-    (`load_system`); without it the stored windows are the system's own.
+    (`load_system`); without it the windows are the system's own.
     Each failure names its check and its index:
 
     * deg_P: deg P_ell = rmn + ell;
@@ -558,7 +557,7 @@ def contract_failures(system: PadeSystem, given: dict = None) -> list:
       truncation - 2 + D weights that the rows and windows read, D the
       width of P_rm: one comparison per (i, s);
     * deg_Pis: a given P_{ell,i,s} has degree <= rmn + ell;
-    * ord_R: the stored window of R_{ell,i,s} has order >= n+1;
+    * ord_R: the window of R_{ell,i,s} has order >= n+1;
     * Pis_coeffs: a given P_{ell,i,s} is the made row, `system.Pis`;
     * remainder_coeffs: a given window is the made one, `system.R`,
       compared from the lower of its order and 1 on, so it vanishes at
@@ -568,7 +567,7 @@ def contract_failures(system: PadeSystem, given: dict = None) -> list:
     the polynomial part and the tail of P_ell F_s(alpha_i/z) (proof in the
     README), so these are the paper's contract: the remainder
     P_ell F_s(alpha_i/z) - P_{ell,i,s} has order >= n+1 at infinity, and
-    its exponents >= 1 are the stored window.  Without `given` the system
+    its exponents >= 1 are the window.  Without `given` the system
     is checked for deg_P, weights and ord_R alone, and no P_{ell,i,s} row
     is made.  Rows are compared on integers, by cross-multiplying their
     denominators, so the contract makes no Fraction.

@@ -79,8 +79,6 @@ class HypergeometricSpec:
     _c_cache: list = field(default_factory=list, repr=False, compare=False)
     # (alpha, s) -> psi_{i,s} weights from k = 0, append-only (`_psi_table`)
     _psi_tables: dict = field(default_factory=dict, repr=False, compare=False)
-    # (alpha, s) -> the integer row of F_s(alpha/z) from 1/z (`_series_row`)
-    _series_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- constructors
 
@@ -308,8 +306,8 @@ def _zeta_row(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -> 
 
 def _series_row(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -> tuple:
     """(den, ints): the coefficients g_s(k) c_k alpha^{k+1} of 1/z^{k+1} in
-    F_s(alpha/z), g_s(k) = (k+gamma_1)...(k+gamma_s), for k < count at
-    least, as one integer row; a prefix of it over den is exact too.
+    F_s(alpha/z), g_s(k) = (k+gamma_1)...(k+gamma_s), for k < count, as
+    one integer row; a prefix of it over den is exact too.
 
     It is built by that product formula from the spec's c_k, never from the
     psi weights: its comparison with the weights in the contract
@@ -317,21 +315,16 @@ def _series_row(spec: HypergeometricSpec, alpha: Fraction, s: int, count: int) -
     oracles of the rows and windows made from them.  With alpha = p/q,
     gamma_j = u_j/v_j and c_k = a_k/b_k, over den = prod v_j C q^(K+1),
     K = count - 1, C = lcm(b_k), the entry is
-    prod (v_j k + u_j) a_k (C / b_k) p^(k+1) q^(K-k).  One row per
-    (alpha, s) is kept on the spec, remade when a longer one is asked for.
+    prod (v_j k + u_j) a_k (C / b_k) p^(k+1) q^(K-k).  Nothing is kept:
+    each call makes its row.
     """
-    alpha = Fraction(alpha)
-    row = spec._series_rows.get((alpha, s))
-    if row is None or len(row[1]) < count:
-        p, q = alpha.as_integer_ratio()
-        gam = spec.gamma[:s]
-        cs = spec.c_pairs(count - 1)[:count]
-        C, K = math.lcm(*(b for _, b in cs)), count - 1
-        ints = [math.prod(x.denominator * k + x.numerator for x in gam) * a * (C // b)
-                * p ** (k + 1) * q ** (K - k) for k, (a, b) in enumerate(cs)]
-        row = spec._series_rows[(alpha, s)] = (
-            math.prod(x.denominator for x in gam) * C * q ** (K + 1), ints)
-    return row
+    p, q = Fraction(alpha).as_integer_ratio()
+    gam = spec.gamma[:s]
+    cs = spec.c_pairs(count - 1)[:count]
+    C, K = math.lcm(*(b for _, b in cs)), count - 1
+    ints = [math.prod(x.denominator * k + x.numerator for x in gam) * a * (C // b)
+            * p ** (k + 1) * q ** (K - k) for k, (a, b) in enumerate(cs)]
+    return math.prod(x.denominator for x in gam) * C * q ** (K + 1), ints
 
 
 def _series_params(spec: HypergeometricSpec, s: int) -> tuple:

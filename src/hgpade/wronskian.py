@@ -24,7 +24,7 @@ constancy is a theorem, and `delta_route_check` compares that value with
 lead(P_rm) * Theta.  The certify path builds windows only through
 1/z^{n+1}, without the cross-check, and makes no P_{ell,i,s} row: Delta(0) reads their constant
 terms (`pade.constant_term`).  Delta and Theta read integer rows of the
-system and of its stored windows, each matrix row scaled once over the lcm
+system and of its windows, each matrix row scaled once over the lcm
 of its denominators, with no Fraction per entry.  C_{u,m} is the
 moment determinant, whose columns are `_dot_rows` runs on integer rows.
 The chain's constants are stated, from c_{u,0} = 1 by the paper's link, and
@@ -120,7 +120,7 @@ def delta_of_system(system: PadeSystem) -> Fraction:
 
 def theta_det(system: PadeSystem) -> Fraction:
     """det of the rm x rm matrix with entries psi_{i,s}(t^n P_ell(t)), each
-    read off the stored remainder window as its 1/z^{n+1} coefficient."""
+    read off its remainder window as its 1/z^{n+1} coefficient."""
     r, m, n = system.r, system.m, system.n
     return _det([
         _scaled([window_coeff(system.R[(ell, i, s)], n + 1) for ell in range(r * m)])

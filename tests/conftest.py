@@ -352,7 +352,7 @@ def literal_contract_failures(system, given=None) -> list:
 
     * deg_P: deg P_ell = rmn + ell;
     * deg_Pis: deg P_{ell,i,s} <= rmn + ell;
-    * ord_R: the stored window of R_{ell,i,s} has order >= n+1;
+    * ord_R: the window of R_{ell,i,s} has order >= n+1;
     * Pis_coeffs: the product vanishes at every exponent <= 0;
     * remainder_coeffs: its exponents >= 1, zero below, are the stored
       window, compared from the lower of the two orders on.
@@ -889,11 +889,6 @@ def list_stops(system, key):
             end + (0 if sizes is None else len(sizes)))
 
 
-def window_built(system, key) -> bool:
-    """Whether the stored window of key has been made."""
-    return key in system.R._made
-
-
 def head_filled(system, key) -> bool:
     """Whether the head of the term list of key, below the window's end,
     has been filled."""
@@ -904,7 +899,7 @@ def head_filled(system, key) -> bool:
 def _check_remainder_lists(system, key):
     # every entry of the term list of R_{ell,i,s} is psi(t^k P_ell): the
     # head, below the window's end, is None throughout until a read inside
-    # it fills all of it, and a made window is that head; every entry, an
+    # it fills all of it, and the window read then is that head; every entry, an
     # unreduced pair (a, den), is its naive Fraction sum, and every size,
     # an unreduced pair (sa, sb), is sum_d |P_d| |w_{k+d}| from the window's
     # end on, against its naive Fraction sum
@@ -918,8 +913,7 @@ def _check_remainder_lists(system, key):
     assert not terms or len(terms) >= end
     if not head_filled(system, key):
         assert terms[:end] == [None] * len(terms[:end])
-        assert not window_built(system, key)
-    elif window_built(system, key):
+    else:
         assert [F(*term) for term in terms[:end]] == window_values(system.R[key])
     for k, term in enumerate(terms):
         if term is not None:
@@ -937,7 +931,6 @@ def check_remainder_lists():
 @pytest.fixture(scope="session")
 def remainder_state():
     """Read a system's remainder state without growing or building any of
-    it: `lists` and `stops` of one (ell, i, s), `head_filled` and
-    `window_built`."""
+    it: `lists` and `stops` of one (ell, i, s) and `head_filled`."""
     return SimpleNamespace(lists=remainder_lists, stops=list_stops,
-                           head_filled=head_filled, window_built=window_built)
+                           head_filled=head_filled)

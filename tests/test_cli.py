@@ -12,6 +12,7 @@ import hashlib
 import importlib
 import io
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -183,13 +184,13 @@ def test_verify_and_wronskian_read_no_companion_fraction(argv, digest, monkeypat
     # every stored window is an integer row, and Delta and Theta reach
     # `det_bareiss` as integer rows: with a window or a determinant entry
     # that is a Fraction made to fail, each report keeps its bytes
+    import hgpade.pade
     import hgpade.wronskian
-    from hgpade.pade import _Windows
 
-    window_of = _Windows.__getitem__
+    window_of = hgpade.pade._window
 
-    def integer_window(windows, key):
-        order, den, ints = window = window_of(windows, key)
+    def integer_window(system, *key):
+        order, den, ints = window = window_of(system, *key)
         if not all(type(x) is int for x in (order, den, *ints)):
             raise AssertionError(f"read the window {key} as Fractions")
         return window
@@ -201,7 +202,7 @@ def test_verify_and_wronskian_read_no_companion_fraction(argv, digest, monkeypat
             raise AssertionError("a determinant entry is a Fraction")
         return det(matrix)
 
-    monkeypatch.setattr(_Windows, "__getitem__", integer_window)
+    monkeypatch.setattr(hgpade.pade, "_window", integer_window)
     monkeypatch.setattr(hgpade.wronskian, "det_bareiss", integer_det)
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -692,9 +693,24 @@ def test_criterion_uncertified_exit_1(capsys):
     assert "CriterionNotSatisfied" in capsys.readouterr().err
 
 
+def test_p_adic_refusal_states_the_whole_growth(capsys):
+    # v_2(alpha) - v_2(beta) = 2, against eta = (4/3, 5/4), whose 5/4 adds
+    # 2 to the growth, and one zeta prime to 2, which adds 1/(p-1) = 1: the
+    # refusal states the growth 3 that the difference 2 does not beat
+    code = main(["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1/2", "--beta=1/8",
+                 "--place", "2", "--n-range=4:8"])
+    assert code == 1
+    err = capsys.readouterr().err
+    found = re.search(r"v_p\(alpha\)-v_p\(beta\)=(-?\d+) does not beat the "
+                      r"denominator growth .*=\s*(-?[\d.]+)\s*$", err)
+    assert found, err
+    difference, growth = int(found[1]), float(found[2])
+    assert (difference, growth) == (2, 3.0) and growth >= difference
+
+
 def test_criterion_at_a_finite_place_report_is_frozen(capsys):
     # the p-adic route: |alpha/beta|_5 = 5^-10, remainder valuations summed
-    # exactly past the stored window
+    # exactly past the window
     code = main(["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1",
                  "--beta=1/9765625", "--place", "5", "--epsilon=0.1"])
     assert code == 0

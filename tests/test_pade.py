@@ -45,6 +45,7 @@ from hgpade.polyops import (
     poly_deg,
     poly_trim,
 )
+from hgpade.wronskian import theta_det
 
 F = Fraction
 
@@ -257,8 +258,9 @@ def test_product_route_does_not_use_the_kernel(spec_r2, monkeypatch):
     import hgpade.polyops
 
     sys = build_system(spec_r2, (F(1), F(2)), 1, cross_check=False)
-    # every row and window made before the patch, as a build made its rows
-    windows = {key: (sys.Pis[key], sys.R[key])[1] for key in sys.indices()}
+    # every row and window made before the patch, as a file holds them;
+    # reading the windows fills the term heads they are read from
+    made = {"Pis": dict(sys.Pis), "R": dict(sys.R)}
 
     def kernel(*args):
         raise AssertionError("the product route called the kernel")
@@ -266,36 +268,36 @@ def test_product_route_does_not_use_the_kernel(spec_r2, monkeypatch):
     monkeypatch.setattr(hgpade.polyops, "_dot_rows", kernel)
     monkeypatch.setattr(hgpade.pade, "_dot_rows", kernel)
     for key in [(0, 1, 0), (4, 2, 1)]:
-        assert window_values(remainder(sys, *key)) == window_values(windows[key])
+        assert window_values(remainder(sys, *key, made)) == window_values(made["R"][key])
     # the whole contract, kernel-free, both ways
-    assert literal_contract_failures(sys) == contract_failures(sys) == []
+    assert literal_contract_failures(sys, made) == contract_failures(sys) == []
 
 
 def test_one_build_expands_each_series_coefficient_once(monkeypatch):
-    # the cross-check compares the weights with the one row of
-    # F_s(alpha/z) on the spec: one build makes each row once per
-    # (alpha, s), as long as the longest P_ell needs, and `verify` after it
-    # makes none
+    # the cross-check compares the weights with the row of F_s(alpha/z):
+    # one build makes each row once per (alpha, s), as long as the longest
+    # P_ell needs, and nothing keeps it, so `verify` after it makes each
+    # once more
     import hgpade.pade
 
     made = []
     series_row = hgpade.pade._series_row
 
     def counted(spec, alpha, s, count):
-        before = spec._series_rows.get((alpha, s))
         row = series_row(spec, alpha, s, count)
-        if row is not before:
-            made.append((alpha, s, len(row[1])))
+        made.append((alpha, s, len(row[1])))
         return row
 
     monkeypatch.setattr(hgpade.pade, "_series_row", counted)
     spec = HypergeometricSpec.from_ab((F(1, 3), F(1, 4)), (F(1, 2),))
     alphas = (F(1), F(-1, 2))
     system = build_system(spec, alphas, 2)
-    assert verify_system(system)["ok"]
     longest = system.truncation + len(system.P[system.r * system.m][1]) - 2
-    assert sorted(made) == sorted((alpha, s, longest) for alpha in alphas
-                                  for s in range(spec.r))
+    once = sorted((alpha, s, longest) for alpha in alphas for s in range(spec.r))
+    assert sorted(made) == once
+    made.clear()
+    assert verify_system(system)["ok"]
+    assert sorted(made) == once
 
 
 def test_cross_check_off_matches(spec_r2, canonical_system):
@@ -321,7 +323,8 @@ def test_cross_check_compares_below_the_larger_order(spec_r2, monkeypatch):
     # comparison from the smaller order sees them.  The mutated build's
     # rows and windows agree with its own weights, so its contract holds;
     # the literal product sees each mutant, and so does the contract of the
-    # build's file, loaded and checked with the true kernel
+    # build's file, written under the mutant, loaded and checked with the
+    # true kernel
     import hgpade.pade
 
     kernel = hgpade.pade._dot_rows
@@ -343,8 +346,9 @@ def test_cross_check_compares_below_the_larger_order(spec_r2, monkeypatch):
             patch.setattr(hgpade.pade, "_dot_rows", mutant)
             system = build_system(spec_r2, (F(1), F(2)), 1)
             failures = literal_contract_failures(system)
+            data = system.to_jsonable()
         assert failures, mutant.__name__
-        assert contract_failures(*corrupted(system)) == failures
+        assert contract_failures(*load_system(data)) == failures
 
 
 def test_cross_check_refuses_a_build_on_a_wrong_weight_table(spec_r2, monkeypatch):
@@ -433,10 +437,11 @@ def test_verify_names_remainder_failure(canonical_system):
 
 def test_a_system_is_fixed_when_it_is_made(canonical_system):
     # a row is a tuple (den, ints) with ints a tuple, in a read-only
-    # mapping, and nothing assigns to a system: an edit in place or an
-    # assignment raises, and the data stay as made
+    # mapping, and so is a window (order, den, ints): nothing assigns to a
+    # system, an edit in place or an assignment raises, and the data stay
+    # as made
     system = canonical_system
-    P0, Pis0 = system.P[0], system.Pis[(0, 1, 0)]
+    P0, Pis0, theta = system.P[0], system.Pis[(0, 1, 0)], theta_det(system)
     with pytest.raises(TypeError):
         system.P[0][0] += 1
     with pytest.raises(TypeError):
@@ -451,7 +456,10 @@ def test_a_system_is_fixed_when_it_is_made(canonical_system):
         system.Pis[(0, 1, 0)] = (Pis0[0], tuple(2 * c for c in Pis0[1]))
     with pytest.raises(TypeError):
         system.R[(0, 1, 0)] = system.R[(0, 1, 1)]
+    with pytest.raises(TypeError):
+        system.R[(0, 1, 0)][2][2] += 1
     assert system.P[0] == P0 and system.Pis[(0, 1, 0)] == Pis0
+    assert theta_det(system) == theta
     assert verify_system(system)["ok"]
 
 

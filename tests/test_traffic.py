@@ -35,8 +35,8 @@ def test_traffic_lists_what_a_short_run_leaves_unexecuted():
     assert [argv[0] for argv in readme] == ["build", "verify", "verify", "wronskian",
                                             "criterion", "min-beta", "eval"]
 
-    hits, exits = traffic.run_traced([("eval", *R2, "--z=1/7", "--bits=64"),
-                                      ("wronskian", *R2, "--alphas=1", "--n=1")], [])
+    hits, exits, memos = traffic.run_traced([("eval", *R2, "--z=1/7", "--bits=64"),
+                                             ("wronskian", *R2, "--alphas=1", "--n=1")], [])
     assert exits == {}
     missed = traffic.unexecuted(hits)
     # a function no run entered is listed from its first line on; one that
@@ -51,5 +51,17 @@ def test_traffic_lists_what_a_short_run_leaves_unexecuted():
     text = traffic.report(missed)
     assert text.splitlines()[0].startswith(f"{sum(map(len, missed.values()))} lines in ")
     assert len(text.splitlines()) == len(missed) + 1
+    # the Wronskian run reads its weight runs and term lists again (Theta
+    # and the contract read the windows of one head), and each count line
+    # names its table; the wrappers are gone after the runs
+    for table in ("PadeSystem._kept run", "PadeSystem._kept terms"):
+        made, again = memos[table]
+        assert made > 0 and again > 0, table
+    lines = traffic.memo_report(memos).splitlines()
+    assert len(lines) == len(memos)
+    assert f"memo PadeSystem._kept terms: {made} made, {again} re-read" in lines
+    from hgpade import pade, polyops
+    assert pade.PadeSystem._kept.__qualname__ == "PadeSystem._kept"
+    assert polyops._grown.__qualname__ == "_grown"
     # nothing under src/ or perfbench/ was written
     assert _tree("src", "perfbench") == before

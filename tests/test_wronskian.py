@@ -380,19 +380,19 @@ def test_certify_takes_no_literal_product_and_one_weight_check_per_pair(spec_r3,
 
     compared, made = [], []
     series_row = hgpade.pade._series_row
-    make = hgpade.pade._PisRows._make
+    make = hgpade.pade._pis_row
 
     def counted(spec, alpha, s, count):
         compared.append((alpha, s, count))
         return series_row(spec, alpha, s, count)
 
-    def made_row(rows, ell, i, s):
+    def made_row(system, ell, i, s):
         made.append((ell, i, s))
-        return make(rows, ell, i, s)
+        return make(system, ell, i, s)
 
     assert not hasattr(hgpade.pade, "remainder")  # the literal product is in the tests
     monkeypatch.setattr(hgpade.pade, "_series_row", counted)
-    monkeypatch.setattr(hgpade.pade._PisRows, "_make", made_row)
+    monkeypatch.setattr(hgpade.pade, "_pis_row", made_row)
     report = certify_nonvanishing(spec_r3, [F(1), F(2)], 2)
     assert report.verdict == "certified nonzero"
     assert all(report.checks.values())

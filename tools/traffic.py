@@ -1,4 +1,5 @@
-"""Traffic audit: the lines of src/hgpade that no real run executes.
+"""Traffic audit: the lines of src/hgpade that no real run executes, and
+how often each memo table is read again.
 
 Under `sys.settrace`, in this process, it runs the ops of the benchmark's
 three workloads at seeds 0-2 (`ops_for` of perfbench/workloads.py, whose
@@ -9,7 +10,15 @@ executed, grouped by function, one function a line:
 
     module.qualname: 12 14-17
 
-A function that no run entered lists its def line too.  It writes nothing
+A function that no run entered lists its def line too.  After them comes
+one line per memo table, with the reads that made (or grew) an entry and
+the reads that found it already there:
+
+    memo PadeSystem._kept terms: 120 made, 340 re-read
+
+Each tag of `PadeSystem._kept` is a table, and so is each caller of
+`polyops._grown`; both are wrapped for the runs and put back after.  A
+table that no run reads again is a cache that buys nothing.  It writes nothing
 under src/ or perfbench/: bytecode caching is off, and the README's build
 writes its system file into a temporary directory.  Run from anywhere:
 
@@ -117,23 +126,54 @@ def _tracer(hits: set, files: set):
     return calls
 
 
+@contextlib.contextmanager
+def _memo_counts(counts: dict):
+    """While active, count each read of a memo table in counts, table ->
+    [made, re-read]: a `PadeSystem._kept` read by its tag, made when its key
+    was not yet kept, and a `polyops._grown` read by the function that
+    asked for it, made when the table had to grow.  The wrappers only
+    count, and the originals are put back on exit."""
+    from hgpade import pade, polyops
+
+    kept, grown = pade.PadeSystem._kept, polyops._grown
+
+    def tally(table, made):
+        counts.setdefault(table, [0, 0])[0 if made else 1] += 1
+
+    def counted_kept(system, key, make):
+        tally(f"PadeSystem._kept {key[0]}", key not in system._state)
+        return kept(system, key, make)
+
+    def counted_grown(table, upto, term):
+        tally(f"polyops._grown {sys._getframe(1).f_code.co_name}", len(table) <= upto)
+        return grown(table, upto, term)
+
+    pade.PadeSystem._kept, polyops._grown = counted_kept, counted_grown
+    try:
+        yield
+    finally:
+        pade.PadeSystem._kept, polyops._grown = kept, grown
+
+
 def run_traced(argvs, demo_paths) -> tuple:
-    """(hits, exits): the (file, line) pairs of src/hgpade that running
-    each argv through `hgpade.cli.main` and each demo executed, and the
-    nonzero exit codes by run."""
+    """(hits, exits, memos): the (file, line) pairs of src/hgpade that
+    running each argv through `hgpade.cli.main` and each demo executed,
+    the nonzero exit codes by run, and the reads of each memo table,
+    table -> [made, re-read] (`_memo_counts`)."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     with _no_bytecode():
         from hgpade.cli import main
 
     files = {str(path) for path in PACKAGE.glob("*.py")}
-    hits, exits = set(), {}
+    hits, exits, memos = set(), {}, {}
     previous = sys.gettrace()
     sink = io.StringIO()
     sys.settrace(_tracer(hits, files))
     try:
         with _no_bytecode(), tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
-                contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+                _memo_counts(memos):
             for argv in argvs:
                 code = main(list(argv))
                 if code:
@@ -144,7 +184,7 @@ def run_traced(argvs, demo_paths) -> tuple:
                 runpy.run_path(str(path), run_name="__main__")
     finally:
         sys.settrace(previous)
-    return hits, exits
+    return hits, exits, memos
 
 
 def _qualnames(path: str) -> list:
@@ -197,12 +237,18 @@ def report(missed: dict) -> str:
     return "\n".join([head, *rows])
 
 
+def memo_report(memos: dict) -> str:
+    return "\n".join(f"memo {table}: {made} made, {again} re-read"
+                     for table, (made, again) in sorted(memos.items()))
+
+
 def main() -> int:
     argvs = [*workload_ops(), *readme_commands(), PADIC]
-    hits, exits = run_traced(argvs, demos())
+    hits, exits, memos = run_traced(argvs, demos())
     for argv, code in exits.items():
         print(f"exit {code}: hgpade {argv}", file=sys.stderr)
     print(report(unexecuted(hits)))
+    print(memo_report(memos))
     return 0
 
 
