@@ -32,8 +32,8 @@ Each remainder series is one append-only list on the system, read by
 exponent (`PadeSystem.terms`): its head, below the window's end, is filled
 on the first read inside it, and past the window it grows only as far as a
 caller reads.  A window (`PadeSystem.R`) is that head, read afresh as the
-integer row (order, den, ints), ints a tuple, by the contract, Theta or
-`to_jsonable`.  The p-adic sums
+integer row (order, den, ints), ints a tuple, by the contract or
+`to_jsonable`.  Theta and the p-adic sums
 read the head, and the archimedean sums neither (`numerics.remainder_value`
 starts from prefix sums of the weights, `PadeSystem.weight_run`).
 Past the window, the sizes that bound the

@@ -23,8 +23,9 @@ and then evaluates Delta once, at z = 0: given the hypotheses its
 constancy is a theorem, and `delta_route_check` compares that value with
 lead(P_rm) * Theta.  The certify path builds windows only through
 1/z^{n+1}, without the cross-check, and makes no P_{ell,i,s} row: Delta(0) reads their constant
-terms (`pade.constant_term`).  Delta and Theta read integer rows of the
-system and of its windows, each matrix row scaled once over the lcm
+terms (`pade.constant_term`), and Theta reads the one remainder
+coefficient of each entry off its term list.  Delta and Theta read integer
+rows and pairs of the system, each matrix row scaled once over the lcm
 of its denominators, with no Fraction per entry.  C_{u,m} is the
 moment determinant, whose columns are `_dot_rows` runs on integer rows.
 The chain's constants are stated, from c_{u,0} = 1 by the paper's link, and
@@ -51,7 +52,6 @@ from .pade import (
     build_system,
     constant_term,
     contract_failures,
-    window_coeff,
 )
 from .polyops import HypergeometricSpec, _dot_rows, _pochhammer, _scaled, _zeta_row
 
@@ -119,11 +119,13 @@ def delta_of_system(system: PadeSystem) -> Fraction:
 
 
 def theta_det(system: PadeSystem) -> Fraction:
-    """det of the rm x rm matrix with entries psi_{i,s}(t^n P_ell(t)), each
-    read off its remainder window as its 1/z^{n+1} coefficient."""
+    """det of the rm x rm matrix with entries psi_{i,s}(t^n P_ell(t)), the
+    1/z^{n+1} coefficients of the remainders, each read off its term list
+    (`PadeSystem.terms`) as the unreduced pair terms[n]: no window is
+    made."""
     r, m, n = system.r, system.m, system.n
     return _det([
-        _scaled([window_coeff(system.R[(ell, i, s)], n + 1) for ell in range(r * m)])
+        _scaled([system.terms(ell, i, s, n)[n] for ell in range(r * m)])
         for i, s in _row_index_pairs(r, m)
     ])
 

@@ -181,7 +181,7 @@ def test_build_report_is_frozen(capsys):
 ])
 def test_verify_and_wronskian_read_no_companion_fraction(argv, digest, monkeypatch, capsys):
     # a system holds only the integer rows of every P_ell and P_{ell,i,s},
-    # every stored window is an integer row, and Delta and Theta reach
+    # every window is an integer row, and Delta and Theta reach
     # `det_bareiss` as integer rows: with a window or a determinant entry
     # that is a Fraction made to fail, each report keeps its bytes
     import hgpade.pade

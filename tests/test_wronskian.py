@@ -607,7 +607,7 @@ def test_each_failed_hypothesis_is_named(canonical_system, part, key, edit, name
     ("Pis", (0, 1, 0), lambda p: [*p, *[F(0)] * (6 - len(p)), F(1)], "deg_Pis"),
     # a constant term in P_{0,1,0}: the product has order 0
     ("Pis", (0, 1, 0), lambda p: [p[0] + 1, *p[1:]], "Pis_coeffs"),
-    # the product is untouched, the window entry Theta reads is not
+    # the product is untouched, the window entry at Theta's exponent is not
     ("R", (1, 2, 1), lambda w: _window_plus_one(w, 2), "remainder_coeffs"),
 ])
 def test_a_files_own_rows_and_windows_are_verified_not_read_by_delta(
