@@ -122,7 +122,7 @@ FLAGS = {
                  _checked(_named(_rationals), bool, "at least one point")),
     "--n": (f"weight parameter, 1 <= n <= {MAX_N}", None,
             _checked(_integer, lambda n: 1 <= n <= MAX_N, f"1 <= n <= {MAX_N}")),
-    "--truncation": ("length of the stored 1/z-windows (default rm(n+1)+n+5)", None,
+    "--truncation": ("length of each 1/z-window (default rm(n+1)+n+5)", None,
                      _integer),
     "--system": ("system JSON produced by build", None, _text),
     "--beta": ("nonzero rational evaluation point (default 10^6)", Fraction(10**6),
@@ -161,7 +161,8 @@ COMMANDS = {
     "criterion": ("measure the effective irrationality criterion",
                   (*_COMMON, *_SPEC, "--alphas", "--beta", "--place", "--epsilon",
                    "--n-range")),
-    "min-beta": ("smallest integer beta certifying V > 0 at the archimedean place",
+    "min-beta": ("integer beta where V crosses 0 at the archimedean place: V(beta) > 0, "
+                 "and V(beta-1) <= 0 unless beta = floor(max|alpha|) + 1",
                  (*_COMMON, *_SPEC, "--alphas", "--search-bound", "--n-range")),
     "eval": ("certified values F_0(z)..F_{r-1}(z)", (*_COMMON, *_SPEC, "--z", "--bits")),
 }

@@ -543,7 +543,7 @@ def measure(inst: Instance, beta, v0: Place, epsilon: float) -> MeasureReport:
 
 
 def min_beta(inst: Instance, search_bound: int) -> tuple:
-    """(beta, V): the smallest integer beta <= search_bound with
+    """(beta, V): an integer beta <= search_bound where V crosses 0, with
     V = V_emp(beta) > 0 at the archimedean place, or (None, None) if
     V(search_bound) <= 0 or the bound is under the floor int(max |alpha|) + 1.
 

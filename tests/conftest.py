@@ -1,7 +1,9 @@
-"""Shared fixtures and helpers: the worked instances every test module leans
-on, one admissible-instance strategy, one way to edit a system's file and
-load it (`edited`, `corrupted`), the literal product of a system and the
-contract decided by it
+"""Shared fixtures and helpers: the one loader of the golden texts
+(`assert_golden`, `run_golden`, `run_own_goldens`, over the cases of
+`golden_cases`), the worked instances every test module leans on, one
+admissible-instance strategy, one way to edit a system's file and load it
+(`edited`, of `golden_cases`, and `corrupted`), the literal product of a
+system and the contract decided by it
 (`remainder`, `literal_contract_failures`), the Fraction oracles of the package's integer tables (`psi_weights`, by the
 literal product of the c_k, `correlate`, `f_s_coefficient`, `phi_zeta_s`,
 `zeta_prefix_weights`), the subset elimination oracle of the moment
@@ -21,6 +23,7 @@ identity at a rational beta, the denominator profile of (a)_k/(b)_k
 and the measured (c, e) factorization of C_{u,m} with the homogeneity,
 vanishing-order and reduction checks built on it."""
 
+import difflib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +34,9 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from hgpade.arith import format_rational, log_int, parse_rational
+import golden_cases
+from golden_cases import edited
+from hgpade.arith import log_int
 from hgpade.criterion import decay_fit_R, height_fit_vec
 from hgpade.errors import HgpadeError, InvalidInput, TheoryViolation
 from hgpade.linalg import det_bareiss
@@ -56,6 +61,53 @@ from hgpade.polyops import (
 from hgpade.wronskian import C_um, _link_sign, _zeta_groups, alpha_exponent, vandermonde
 
 F = Fraction
+
+
+def assert_golden(results: dict):
+    """Fail unless each result (exit code, stdout, stderr), by case name,
+    writes the golden text of its case byte for byte; the failure shows a
+    unified diff of the first case that differs, after the case's argv and
+    its first differing line.  A case with no file differs from the empty
+    text.  tools/golden.py rewrites the texts."""
+    for name, result in results.items():
+        path = golden_cases.GOLDEN / f"{name}.txt"
+        want = path.read_bytes().decode("utf-8") if path.exists() else ""
+        got = golden_cases.golden_text(golden_cases.CASES[name], *result)
+        if got == want:
+            continue
+        want_lines, got_lines = want.splitlines(keepends=True), got.splitlines(keepends=True)
+        line = next(k for k, (w, g) in enumerate(zip([*want_lines, ""], [*got_lines, ""]))
+                    if w != g)
+        diff = difflib.unified_diff(want_lines, got_lines, f"tests/golden/{name}.txt",
+                                    "this run")
+        pytest.fail(f"golden case {name} ({golden_cases.CASES[name].label}) differs "
+                    f"first at line {line + 1}:\n" + "".join(list(diff)[:200]),
+                    pytrace=False)
+
+
+def _run_goldens(names, workdir) -> dict:
+    results = {name: golden_cases.run_case(golden_cases.CASES[name], workdir)
+               for name in names}
+    assert_golden(results)
+    # no case writes a file of its own, `--out=--` (argparse's []) included
+    assert sorted(path.name for path in workdir.iterdir()) == sorted(
+        file for name in names for file, _ in golden_cases.CASES[name].files)
+    return results
+
+
+def run_golden(name: str, workdir) -> tuple:
+    """Run the golden case `name` in workdir (`golden_cases.run_case`),
+    assert its golden text, and return its (exit code, stdout, stderr)."""
+    return _run_goldens([name], workdir)[name]
+
+
+def run_own_goldens(request, workdir) -> dict:
+    """Run, in workdir, the golden cases of the requesting test
+    (`golden_cases.cases_of`), and assert their golden texts; return their
+    (exit code, stdout, stderr) by name."""
+    test = f"{request.module.__name__}.{request.function.__name__}"
+    return _run_goldens(golden_cases.cases_of(test), workdir)
+
 
 _small_fractions = st.builds(F, st.integers(-7, 7), st.integers(2, 6)).filter(
     lambda x: x.denominator > 1)
@@ -271,28 +323,6 @@ def window_values(window) -> list:
     row (order, den, ints), as Fractions (zero below its order)."""
     order, _, ints = window
     return [F(*window_coeff(window, e)) for e in range(1, order + len(ints))]
-
-
-def edited(system, *edits) -> dict:
-    """The JSON form of the system after the edits, each a triple
-    (part, key, edit): the entry of "P", "Pis" or "R" at key becomes
-    edit(entry), where a P_ell or P_{ell,i,s} is its list of Fractions and
-    a window is the pair (order, coefficients), its Fractions from the
-    exponent order on; it is given with order 1, and the edit's pair is
-    written with the truncation order + len(coefficients)."""
-    data = system.to_jsonable()
-    for part, key, edit in edits:
-        name = ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
-        if part == "R":
-            text = data[part][name]
-            order, coeffs = edit((1, [F(0)] * (text["order"] - 1)
-                                  + [parse_rational(c) for c in text["coefficients"]]))
-            data[part][name] = {"order": order, "truncation": order + len(coeffs),
-                                "coefficients": [format_rational(c) for c in coeffs]}
-        else:
-            poly = edit([parse_rational(c) for c in data[part][name]])
-            data[part][name] = [format_rational(c) for c in poly]
-    return data
 
 
 def corrupted(system, *edits):

@@ -7,12 +7,12 @@ returns (passed, details); its details keep rationals exact.  Each row is a
 separate parametrized test on one module-level `Desk`, timed against its
 budget, so a red run names the broken check directly and the expensive
 approximant systems are not rebuilt ten times.  `test_desk_report_is_frozen`
-pins every check's details, byte for byte, as `cli.emit_report` writes them.
+pins every check's details, byte for byte, as `cli.emit_report` writes them
+(`desk_report`, the golden case `desk`).
 Failure details name the offending instance label, so a red run points
 straight at the broken link.
 """
 
-import hashlib
 import math
 import random
 import time
@@ -43,6 +43,7 @@ from conftest import (
     psi,
     reduction_check,
     row_values,
+    run_own_goldens,
     solve_pade_nullspace,
     vanishing_order_at_equal_alphas,
 )
@@ -506,9 +507,24 @@ def test_acceptance(row):
     assert took <= budget_s, f"{check_id} took {took:.2f}s, budget {budget_s:.0f}s"
 
 
-def test_desk_report_is_frozen(monkeypatch):
-    # every row on a fresh Desk, its details written as a report by
-    # `cli.emit_report`
+def desk_report() -> int:
+    """Write every row's details, run on a fresh Desk, as one report
+    (`cli.emit_report`); 0 if every check passed, else 1.  The golden case
+    `desk` pins its bytes."""
+    desk = Desk()
+    checks = []
+    for check_id, description, budget_s, body in CHECKS:
+        passed, details = body(desk)
+        checks.append({"id": check_id, "description": description, "passed": passed,
+                       "budget_s": budget_s, "details": details})
+    passed = all(check["passed"] for check in checks)
+    emit_report({"level": "desk", "seed": SUITE_SEED, "all_passed": passed,
+                 "checks": checks})
+    return 0 if passed else 1
+
+
+def test_desk_report_is_frozen(request, monkeypatch, tmp_path):
+    # every check's details, byte for byte
     calls = []
     remainder = conftest.remainder
 
@@ -517,23 +533,11 @@ def test_desk_report_is_frozen(monkeypatch):
         return remainder(*args, **kwargs)
 
     monkeypatch.setattr(conftest, "remainder", counted)
-    desk = Desk()
-    checks = []
-    for check_id, description, budget_s, body in CHECKS:
-        passed, details = body(desk)
-        checks.append({"id": check_id, "description": description, "passed": passed,
-                       "budget_s": budget_s, "details": details})
-    report = {"level": "desk", "seed": SUITE_SEED,
-              "all_passed": all(check["passed"] for check in checks), "checks": checks}
-    text = emit_report(report)
-    assert report["all_passed"]
+    (code, _, _), = run_own_goldens(request, tmp_path).values()
+    assert code == 0
     # one literal product per (ell, i, s) of the 108 on the grid for the
     # shared contract of pade-contract and nullspace-membership, and one
     # per (ell, i, s) of the 6 of the n = 4 system whose windows
     # numerical-shadow checks; Delta's own hypotheses on the grid's built
     # systems take none (`contract_failures`)
     assert len(calls) == 108 + 6
-    # every check's details, byte for byte
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ccd3239e21d52e90fcedc69afcb8ebab15ffb78646c5e895cf93f588843829ac"
-    )

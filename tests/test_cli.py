@@ -8,7 +8,6 @@ subprocesses.
 import ast
 import builtins
 import contextlib
-import hashlib
 import importlib
 import io
 import json
@@ -21,13 +20,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import criterion_V, edited, literal_contract_failures
+import golden_cases
+from conftest import (
+    assert_golden,
+    criterion_V,
+    literal_contract_failures,
+    run_golden,
+    run_own_goldens,
+)
 from hgpade import criterion
 from hgpade.arith import Place, format_rational, parse_rational
 from hgpade.cli import COMMANDS, MAX_N, _argparse_texts, _read_argv, emit_report, main
 from hgpade.numerics import BigFloat
-from hgpade.pade import build_system, load_system
-from hgpade.polyops import HypergeometricSpec
+from hgpade.pade import load_system
 
 R2 = ["--a", "1/3,1/4", "--b", "1/2"]
 
@@ -63,66 +68,11 @@ def test_help_exits_0(capsys):
     assert "criterion" in capsys.readouterr().out
 
 
-# argv that argparse alone decides (help, and each kind of usage error),
-# against the sha256 of the stdout and stderr of `main` and its exit code,
-# at an 80-column terminal
-_R2 = ["--a=1/3,1/4", "--b=1/2"]
-_USAGE_ARGVS = {
-    "help": ["--help"],
-    "eval_help": ["eval", "--help"],
-    "no_command": [],
-    "unknown_command": ["frobnicate"],
-    "abbreviated_flag": ["criterion", *_R2, "--alphas=1", "--n=4:7"],
-    "missing_value": ["eval", *_R2, "--z"],
-    "value_read_as_flag": ["eval", "--a", "-1/3", "--b=", "--z=1/2"],
-    "positional": ["eval", *_R2, "--z=1/2", "extra"],
-    "double_dash": ["eval", *_R2, "--", "--z=1/2"],
-    # argparse reads `--flag=--` as [], refused as a missing value
-    "epsilon_double_dash": ["criterion", *_R2, "--alphas=1", "--epsilon=--"],
-    "a_double_dash": ["eval", "--a=--", "--b=", "--z=1/2"],
-    "out_double_dash": ["eval", *_R2, "--z=1/2", "--out=--"],
-}
-_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-_USAGE_PINS = {
-    "help": (0, "37ab47c2e3a5d5659641e235840f2b64bed7c8290a34a9652e0962ab51332a74", _EMPTY),
-    "eval_help": (0, "cecadeccf2c7bbc729d8628d17d051482ad41687d69e8494214f561515dccd3c",
-                  _EMPTY),
-    "no_command": (1, _EMPTY,
-                   "c496bbe4b9ee9f5615ca2d07295c4e513707676eeeee926644a7ba179de02fde"),
-    "unknown_command": (1, _EMPTY,
-                        "385fe908c8a9e638c99ccde909f44b2537f577c7e62ccf1366cff8bc86b59b47"),
-    "abbreviated_flag": (1, _EMPTY,
-                         "4c0997704bb618e8cdb23dccce7f7b286858d8c8aaf92515d5b42e1304f0383c"),
-    "missing_value": (1, _EMPTY,
-                      "3545a63ba6f00ccb881b71abc6b6ea5e595dd6515f9234cb434b599605e5d098"),
-    "value_read_as_flag": (1, _EMPTY,
-                           "41a82620d8af4af050054f43e6a9de073bb6bd0fa1072e23ae2bfc9f6a3b0bb6"),
-    "positional": (1, _EMPTY,
-                   "375823b8f397238a8dc313d6ab9d7fd0ed4eb2aa186556c5d69161f64bceb88c"),
-    "double_dash": (1, _EMPTY,
-                    "c9b7bbc37262a73339627ec299d9ccf6c520dfbfab4ab6cf837b3bb4684760a3"),
-    "epsilon_double_dash": (1, _EMPTY,
-                            "bd12bd207f00e7a4decd1811b80cb0dff0037671a3fbcfbd4b6496a3d4758006"),
-    # the same bytes as value_read_as_flag: both are argparse's missing --a
-    "a_double_dash": (1, _EMPTY,
-                      "41a82620d8af4af050054f43e6a9de073bb6bd0fa1072e23ae2bfc9f6a3b0bb6"),
-    "out_double_dash": (1, _EMPTY,
-                        "e91b4c49d932d53b153063ac89e6b7f35725053931f52f628a58929f0de20729"),
-}
-
-
-def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.chdir(tmp_path)
-    got = {}
-    for name, argv in _USAGE_ARGVS.items():
-        code = main(argv)
-        captured = capsys.readouterr()
-        got[name] = (code, hashlib.sha256(captured.out.encode()).hexdigest(),
-                     hashlib.sha256(captured.err.encode()).hexdigest())
-    assert got == _USAGE_PINS
-    # no usage error writes a report file, `--out=--` (argparse's []) included
-    assert list(tmp_path.iterdir()) == []
+def test_help_and_usage_errors_are_pinned(request, tmp_path):
+    # argv that argparse alone decides (help, and each kind of usage error),
+    # at an 80-column terminal: every byte of stdout and stderr, and the exit
+    # code; no usage error writes a report file
+    run_own_goldens(request, tmp_path)
 
 
 def test_bad_rational_names_the_flag(capsys):
@@ -163,27 +113,19 @@ def test_build_verify_round_trip(tmp_path, capsys):
     assert report["failures"] == []
 
 
-def test_build_report_is_frozen(capsys):
-    # every coefficient of P_ell, P_{ell,i,s} and the stored windows of the
-    # r = 2, m = 2, n = 2 system, byte for byte
-    assert main(["build", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=2"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "380d7cda4470c60871f1b4733a5d5f45a06e04db9ce00fc6950a65578bde0ae2"
-    )
+def test_build_report_is_frozen(request, tmp_path):
+    # every coefficient of P_ell, P_{ell,i,s} and the windows of each
+    # system of the golden cases (r = 2, m = 2, n = 2 among them), byte for
+    # byte
+    run_own_goldens(request, tmp_path)
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (["verify", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=2"],
-     "8d82348665424c14e0ac5569b52652bc9185206bf81f7955c73e9f6de7f07ec0"),
-    (["wronskian", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2", "--n=3"],
-     "e436543b4c3138dfa8d966eace68353b6b61ed12857e741635b67c55d1c7599f"),
-])
-def test_verify_and_wronskian_read_no_companion_fraction(argv, digest, monkeypatch, capsys):
+@pytest.mark.parametrize("case", ["systems/r2m2n2_verify", "bench/wronskian_r2m2n3"])
+def test_verify_and_wronskian_read_no_companion_fraction(case, monkeypatch, tmp_path):
     # a system holds only the integer rows of every P_ell and P_{ell,i,s},
     # every window is an integer row, and Delta and Theta reach
     # `det_bareiss` as integer rows: with a window or a determinant entry
-    # that is a Fraction made to fail, each report keeps its bytes
+    # that is a Fraction made to fail, each report keeps its golden bytes
     import hgpade.pade
     import hgpade.wronskian
 
@@ -204,8 +146,7 @@ def test_verify_and_wronskian_read_no_companion_fraction(argv, digest, monkeypat
 
     monkeypatch.setattr(hgpade.pade, "_window", integer_window)
     monkeypatch.setattr(hgpade.wronskian, "det_bareiss", integer_det)
-    assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert run_golden(case, tmp_path)[0] == 0
 
 
 def test_verify_corrupted_system_exits_3(tmp_path, capsys):
@@ -307,72 +248,12 @@ def test_verify_reports_a_broken_build(monkeypatch, tmp_path, capsys):
     assert "Pis_coeffs" in captured.err
 
 
-def _bumped(p):
-    # the constant coefficient moved by one
-    return [p[0] + 1, *p[1:]]
-
-
-# r = 2, m = 2, n = 2 at its default truncation 19: each file edit, applied
-# to the built system's JSON form (`edited`), against the sha256 of the
-# `verify --system` stdout and stderr and its exit code
-_VERIFY_EDITS = {
-    "Pis_moved": [("Pis", (1, 1, 0), _bumped)],
-    "Pis_empty": [("Pis", (2, 2, 1), lambda p: [])],
-    "Pis_trailing_zero": [("Pis", (0, 1, 1), lambda p: [*p, Fraction(0)])],
-    "P_lead_zeroed": [("P", 3, lambda p: [*p[:-1], Fraction(0)])],
-    "P_empty": [("P", 1, lambda p: [])],
-    "P_constant_shifted": [("P", 0, _bumped)],
-    # a 1/z^2 term in the window of R_{2,1,0}, below its order n + 1 = 3
-    "R_order_lowered": [("R", (2, 1, 0), lambda w: (1, [Fraction(0), Fraction(1),
-                                                        *w[1][2:]]))],
-    "R_zero": [("R", (1, 2, 1), lambda w: (1, [Fraction(0)] * len(w[1])))],
-    "R_from_exponent_0": [("R", (0, 2, 0), lambda w: (0, [Fraction(1), *w[1]]))],
-    # P_{3,2,0} one degree past its bound rmn + 3 = 11
-    "three_at_once": [("P", 4, _bumped),
-                      ("Pis", (3, 2, 0), lambda p: [*p, *[Fraction(0)] * (12 - len(p)),
-                                                    Fraction(1)]),
-                      ("R", (1, 1, 1), lambda w: (1, [Fraction(0)] * len(w[1])))],
-}
-
-_VERIFY_PINS = {
-    "Pis_moved": (3, "6e31e5855579fd68b9cf85ffe78e0b8fcd1fb57b829397ac2e2e843636d881d3",
-        "ae1852462594b42e37fd472114e0a32242ac863261d822100a2c8e617925a9db"),
-    "Pis_empty": (3, "88cf4ceb7cbb8629fb530e127989eadc8aa4a0647c50a2ddf7b6bc2421f1079c",
-        "602dc056a438c94b009c3e533128be619c1c01de8249a50648effd57313faf26"),
-    "Pis_trailing_zero": (0, "8d82348665424c14e0ac5569b52652bc9185206bf81f7955c73e9f6de7f07ec0",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "P_lead_zeroed": (3, "68f7fa4521ab8f4ada28e436e1045961e99311421a58ac59ad7e79ad83ae8524",
-        "c06990632af9aa6101180a38b2e5ba81ed5a127e987dea3da8d3a5c1bc218003"),
-    "P_empty": (3, "99acaac96ef42e951da75a679b6e66b5e8465f6917c3a8ff495443f2619ffa46",
-        "b44a5110b43378a5f1d820f4ee43fb2d80f90c9022955cb31f5820a666a41b01"),
-    "P_constant_shifted": (3, "5647644a9840a5483af471fb89678eab000f771c551e6a4d7cf4a3273fcae210",
-        "a40d5122027d0d0a5260eec36258f96f1e4b151f5686b03dd0b57e2909961624"),
-    "R_order_lowered": (3, "60b77f0f1f4b9db9556d1109123aa2971fd19247edfee45ff0206bbdc032c7d3",
-        "e4ca4e111e4856c88530cb9ee480e38026f14754699c2b834a4627681baadd8c"),
-    "R_zero": (3, "17c5a59919d65cffe3358ff484f33517a96c8bae893561f4ce5bbc0b014e888f",
-        "f81d1e1fc332c902daab78c19b451f886612eb35a41d858c9e5860b4b546b6fe"),
-    "R_from_exponent_0": (3, "a686db70b53870977c509712c3b0e2c1c87391b0c817893da46a861ebf7b53ee",
-        "8ac9b060fd1e058d64335a5d693e229198504fb2833b7575d30b7a31ee2e0b7e"),
-    "three_at_once": (3, "cf52dfb56ef05fc2a66e206ccaa3ecf717957db7d4edb9297212e69b2ed6d580",
-        "2813a5e62c52fe9c108782ce3747eee43e63a8f64f2a959ae803f6562218b00c"),
-}
-
-
-def test_verify_reports_on_edited_files_are_pinned(tmp_path, capsys):
-    # every byte `verify --system` writes on a file edited from a build,
-    # and its exit code: the report, its failures in order, and the
-    # failure lines on stderr
-    spec = HypergeometricSpec.from_ab((Fraction(1, 3), Fraction(1, 4)), (Fraction(1, 2),))
-    system = build_system(spec, (1, 2), 2)
-    got = {}
-    for name, edits in _VERIFY_EDITS.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(edited(system, *edits)))
-        code = main(["verify", "--system", str(path)])
-        captured = capsys.readouterr()
-        got[name] = (code, hashlib.sha256(captured.out.encode()).hexdigest(),
-                     hashlib.sha256(captured.err.encode()).hexdigest())
-    assert got == _VERIFY_PINS
+def test_verify_reports_on_edited_files_are_pinned(request, tmp_path):
+    # every byte `verify` writes, and its exit code, on each system of the
+    # golden cases: by flags, and by --system on its built file and on each
+    # file edited from it (`edited`): the report, its failures in order, and
+    # the failure lines on stderr
+    run_own_goldens(request, tmp_path)
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -629,19 +510,15 @@ def test_wronskian_certifies_r4_up_to_m3(alphas, capsys):
     assert all(report["hypothesis_flags"].values())
 
 
-def test_wronskian_certifies_r4_m6_with_its_report_frozen(capsys):
-    # r*m = 24 on windows that end right past 1/z^{n+1}: the report's
-    # sha256 was measured on windows of the default length
-    code = main(["wronskian", "--a=1/3,1/4,1/5,1/6", "--b=1/2,2/3,3/4",
-                 "--alphas=1,2,3,4,5,6", "--n=1"])
+def test_wronskian_certifies_r4_m6_with_its_report_frozen(request, tmp_path):
+    # r*m = 24 on windows that end right past 1/z^{n+1}: the golden report
+    # was written on windows of the default length
+    (code, out, _), = run_own_goldens(request, tmp_path).values()
     assert code == 0
-    out = capsys.readouterr().out
     assert json.loads(out)["verdict"] == "certified nonzero"
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "86685229c860dcc417c26f42352483117b5f002ba7ddefeb9bf16c95cee54ac4")
 
 
-def test_wronskian_certifies_r5_m5_with_one_C_um_per_level(capsys, monkeypatch):
+def test_wronskian_certifies_r5_m5_with_one_C_um_per_level(request, monkeypatch, tmp_path):
     # r*m = 25: L(u) and final_det are products, so the chain evaluates one
     # moment determinant per level, C_{u_k,k} at alpha_1..alpha_k, m in all
     from hgpade import wronskian
@@ -654,13 +531,9 @@ def test_wronskian_certifies_r5_m5_with_one_C_um_per_level(capsys, monkeypatch):
         return c_um(spec, alphas, n, u, route)
 
     monkeypatch.setattr(wronskian, "C_um", counted)
-    code = main(["wronskian", "--a=1/3,1/4,1/5,1/7,1/9", "--b=1/2,2/3,3/4,4/5",
-                 "--alphas=1,2,3,4,5", "--n=1"])
+    (code, out, _), = run_own_goldens(request, tmp_path).values()
     assert code == 0
-    out = capsys.readouterr().out
     assert json.loads(out)["verdict"] == "certified nonzero"
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "072e4d42c8f949d490ef38c9233f66008c970469f48c797cbb774b0b5f10be8a")
     assert [len(points) for points, _ in calls] == [5, 4, 3, 2, 1]
 
 
@@ -708,56 +581,38 @@ def test_p_adic_refusal_states_the_whole_growth(capsys):
     assert (difference, growth) == (2, 3.0) and growth >= difference
 
 
-def test_criterion_at_a_finite_place_report_is_frozen(capsys):
+def test_criterion_at_a_finite_place_report_is_frozen(request, tmp_path):
     # the p-adic route: |alpha/beta|_5 = 5^-10, remainder valuations summed
     # exactly past the window
-    code = main(["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1",
-                 "--beta=1/9765625", "--place", "5", "--epsilon=0.1"])
+    (code, out, _), = run_own_goldens(request, tmp_path).values()
     assert code == 0
-    out = capsys.readouterr().out
     assert json.loads(out)["verdict"] is True
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "66fb2996fec8073b2c315225b91228cb30771fe927f27bdf28f972a8c7b9feeb"
-    )
 
 
-def test_criterion_report_over_a_long_window_is_frozen(capsys):
+def test_criterion_report_over_a_long_window_is_frozen(request, tmp_path):
     # r = 2, m = 2 at beta = 10^9 up to n = 24: every remainder sum starts
     # at its first stop test, past windows that reach 1/z^128
-    assert main(["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1,2",
-                 "--beta=1000000000", "--n-range=4:24"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "bdc3a7b360c7cfb1c4445c67a4001222ad3fe0dab799be290b2d085e5efff909"
-    )
+    run_own_goldens(request, tmp_path)
 
 
-_FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "frozen.json"
-
-
-def test_measure_reports_match_frozen(capsys):
+def test_measure_reports_match_frozen(request, tmp_path):
     # the benchmark's three default-seed `measure` ops (two criterion runs
     # and one min-beta bisection) and its 25 default-seed `series` ops (one
-    # eval at 4096 bits, 24 at 512 bits), run in process: every report byte
-    # must match the sha256 the benchmark pins in its frozen table
-    frozen = json.loads(_FROZEN.read_text())
-    keys = sorted(k for k in frozen
-                  if k.split()[0] in ("criterion", "min-beta", "eval"))
-    assert len(keys) == 3 + 25
-    for key in keys:
-        assert main(key.split()) == 0, key
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == frozen[key], key
+    # eval at 4096 bits, 24 at 512 bits), run in process: every byte of
+    # their golden texts, whose stdout perfbench/frozen.json pins by sha256
+    results = run_own_goldens(request, tmp_path)
+    assert len(results) == 3 + 25
+    assert {code for code, _, _ in results.values()} == {0}
 
 
-def test_min_beta_scales_each_weight_run_once_and_makes_no_term_fraction(capsys,
-                                                                         monkeypatch):
+def test_min_beta_scales_each_weight_run_once_and_makes_no_term_fraction(monkeypatch,
+                                                                         tmp_path):
     # the benchmark's min-beta op (r = 2, m = 1, n = 4..12, bound 1024)
     # scales each run of psi weights once per system and range, shared by
     # every ell, the terms and the sizes, and sums the terms as unreduced
     # pairs (`pade` has no `_unscaled` to make a Fraction of a row): with
     # `_weight_run` counted by (alpha, s, start, stop, width), it still
-    # writes its frozen bytes.  The width, deg P_rm + 1 = 2n + 3, tells the
+    # writes its golden bytes.  The width, deg P_rm + 1 = 2n + 3, tells the
     # systems apart; each makes one run for its P_{ell,i,s}, with
     # start = stop = 0
     from hgpade import pade
@@ -771,55 +626,42 @@ def test_min_beta_scales_each_weight_run_once_and_makes_no_term_fraction(capsys,
 
     assert not hasattr(pade, "_unscaled")
     monkeypatch.setattr(pade, "_weight_run", counted)
-    key = "min-beta --a=1/3,1/4 --b=1/2 --alphas=1 --search-bound=1024"
-    assert main(key.split()) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == json.loads(_FROZEN.read_text())[key]
+    _, out, _ = run_golden("bench/min_beta_r2m1", tmp_path)
     assert json.loads(out)["min_beta"] == 10
     assert set(calls.values()) == {1}  # no range scaled twice
     assert len(calls) == 131  # 18 for the P_{ell,i,s}, 113 for the sums at 6 betas
 
 
-def test_eval_reduces_no_certified_value(capsys, monkeypatch):
+def test_eval_reduces_no_certified_value(monkeypatch, tmp_path):
     # `eval` reads its values only as the unreduced pairs the sums reach:
     # with the reduced value unreadable, the benchmark's 4096-bit op still
-    # writes the report bytes its frozen table pins; the package makes no
-    # reduced error at all
+    # writes its golden bytes; the package makes no reduced error at all
     def unreadable(self):
         raise AssertionError("the eval path reduced a BigFloat")
 
     assert not hasattr(BigFloat, "error")
     monkeypatch.setattr(BigFloat, "value", property(unreadable))
-    key = "eval --a=1/3,1/4,1/5 --b=1/2,2/3 --z=1/3 --bits=4096"
-    assert main(key.split()) == 0
-    out = capsys.readouterr().out
-    frozen = json.loads(_FROZEN.read_text())
-    assert hashlib.sha256(out.encode()).hexdigest() == frozen[key]
+    run_golden("bench/eval_r3_z1_3_bits4096", tmp_path)
 
 
-def test_certify_reports_match_frozen(capsys):
+def test_certify_reports_match_frozen(request, tmp_path):
     # the benchmark's four default-seed `certify` ops (wronskian at r*m = 6
-    # and r*m <= 4), run in process: every report byte must match the sha256
-    # the benchmark pins in its frozen table
-    frozen = json.loads(_FROZEN.read_text())
-    keys = sorted(k for k in frozen if k.split()[0] == "wronskian")
-    assert len(keys) == 4
-    for key in keys:
-        assert main(key.split()) == 0, key
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == frozen[key], key
+    # and r*m <= 4), run in process: every byte of their golden texts, whose
+    # stdout perfbench/frozen.json pins by sha256
+    results = run_own_goldens(request, tmp_path)
+    assert len(results) == 4
+    assert {code for code, _, _ in results.values()} == {0}
 
 
 @pytest.mark.parametrize("key", [
     "wronskian --a=1/3,1/4 --b=1/2 --alphas=1,2 --n=3",
     "wronskian --a=1/3,1/4,1/5 --b=1/2,2/3 --alphas=1,2 --n=2",
 ])
-def test_the_wronskian_chain_makes_no_table_of_fractions(key, capsys):
+def test_the_wronskian_chain_makes_no_table_of_fractions(key, tmp_path):
     # every table the chain reads is an integer row from its closed form:
     # the Fraction routes of the zeta-prefix weights, the phi-functionals
     # and the series of F_s are test oracles and not in the package at
-    # all, and the certify ops at r2m2n3 and r3m2n2 write the report bytes
-    # the frozen table pins
+    # all, and the certify ops at r2m2n3 and r3m2n2 write their golden bytes
     import sys
 
     for name, module in list(sys.modules.items()):
@@ -827,9 +669,8 @@ def test_the_wronskian_chain_makes_no_table_of_fractions(key, capsys):
             assert not hasattr(module, "phi_zeta_s"), name
             assert not hasattr(module, "expand_F_s"), name
             assert not hasattr(module, "zeta_prefix_weights"), name
-    assert main(key.split()) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == json.loads(_FROZEN.read_text())[key]
+    case, = [name for name, bench in golden_cases.BENCH.items() if bench == key]
+    run_golden(case, tmp_path)
 
 
 def test_criterion_names_the_beta_that_the_ratio_bound_needs(capsys):
@@ -927,22 +768,21 @@ def test_json_report_is_sorted_with_one_trailing_newline():
     assert text.index('"a"') < text.index('"b"')
 
 
-def test_csv_format_flattens_dotted_keys(capsys):
-    code = main(["criterion", *R2, "--alphas", "1", "--beta", "1000000",
-                 "--n-range", "4:9", "--format", "csv"])
+def test_csv_format_flattens_dotted_keys(request, tmp_path):
+    # the csv form of a criterion report (`cli._flatten`), byte for byte:
+    # one sorted key,value line per leaf, nested keys dotted
+    (code, out, _), = run_own_goldens(request, tmp_path).values()
     assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    keys = [line.split(",", 1)[0] for line in lines]
+    keys = [line.split(",", 1)[0] for line in out.splitlines()]
     assert "A_emp" in keys
     assert "diagnostics.fit_A.ok" in keys
     assert keys == sorted(keys)
 
 
-def test_text_format_renders_nested_report(capsys):
-    code = main(["criterion", *R2, "--alphas", "1", "--beta", "1000000",
-                 "--n-range", "4:9", "--format", "text"])
+def test_text_format_renders_nested_report(request, tmp_path):
+    # the text form of a criterion report (`cli._render_text`), byte for byte
+    (code, out, _), = run_own_goldens(request, tmp_path).values()
     assert code == 0
-    out = capsys.readouterr().out
     assert "verdict: True" in out
     assert "diagnostics:" in out
 
@@ -1173,7 +1013,7 @@ def _argvs(draw):
 
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(_argvs())
-@example(["criterion", *_R2, "--alphas=1", "--epsilon=--"])
+@example(["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1", "--epsilon=--"])
 @example(["eval", "--a=--", "--b=", "--z=1/2"])
 def test_fuzzed_argv_never_tracebacks(argv):
     _exits_cleanly(argv)
@@ -1230,12 +1070,12 @@ def test_the_argv_reader_takes_both_flag_forms_and_the_last_occurrence():
         assert _read_argv(flags, tokens) is None
 
 
-def test_the_runtime_is_standard_library_only():
+def test_the_runtime_is_standard_library_only(tmp_path):
     # importing the front end in a fresh interpreter loads no module outside
     # the standard library but hgpade's own, and not argparse (nor gettext
     # and locale, which it loads): argparse is for help and usage errors
-    # only, so the 32 frozen benchmark argv, run in that interpreter, write
-    # their frozen bytes without it
+    # only, so the 32 benchmark argv, run in that interpreter, write their
+    # golden texts without it
     import os
     import subprocess
     import sys
@@ -1246,18 +1086,16 @@ def test_the_runtime_is_standard_library_only():
         "before = set(sys.modules)\n"
         "import hgpade.cli\n"
         "loaded = sorted({name.split('.')[0] for name in set(sys.modules) - before})\n"
-        "import contextlib, hashlib, io, json\n"
-        "digests = {}\n"
-        "for key in json.loads(open(sys.argv[1], encoding='utf-8').read()):\n"
-        "    out = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out):\n"
-        "        code = hgpade.cli.main(key.split(' '))\n"
-        "    digests[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
-        "print(json.dumps({'loaded': loaded, 'digests': digests,\n"
+        "import json, pathlib\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import golden_cases\n"
+        "results = {name: golden_cases.run_case(golden_cases.CASES[name],\n"
+        "                                       pathlib.Path(sys.argv[2]))\n"
+        "           for name in golden_cases.BENCH}\n"
+        "print(json.dumps({'loaded': loaded, 'results': results,\n"
         "                  'argparse_after': 'argparse' in sys.modules}))\n"
     )
-    frozen_path = root / "perfbench" / "frozen.json"
-    got = subprocess.run([sys.executable, "-c", probe, str(frozen_path)],
+    got = subprocess.run([sys.executable, "-c", probe, str(root / "tests"), str(tmp_path)],
                          capture_output=True, text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": str(root / "src")})
     got = json.loads(got.stdout)
@@ -1266,9 +1104,8 @@ def test_the_runtime_is_standard_library_only():
     assert not {name for name in loaded
                 if name != "hgpade" and name not in sys.stdlib_module_names}
     assert not {"argparse", "gettext", "locale"} & loaded
-    frozen = json.loads(frozen_path.read_text())
-    assert len(frozen) == 32
-    assert got["digests"] == frozen
+    assert len(got["results"]) == 32
+    assert_golden({name: tuple(result) for name, result in got["results"].items()})
     assert got["argparse_after"] is False
 
 

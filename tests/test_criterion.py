@@ -8,7 +8,6 @@ rather than re-frozen.
 
 import contextlib
 import io
-import json
 import math
 import os
 import subprocess
@@ -20,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import criterion_V, error_of, row_values
+import golden_cases
+from conftest import criterion_V, error_of, row_values, run_own_goldens
 from hgpade import arith, criterion
 from hgpade.arith import Place, factorize, log_abs_fraction, log_int, v_p
 from hgpade.cli import _canonical, main
@@ -403,12 +403,21 @@ def test_a_semiprime_beta_is_refused_at_once():
     assert got.stdout == ""
 
 
+def test_criterion_and_min_beta_reports_at_each_place_are_pinned(request, tmp_path):
+    # criterion at the places 2, 3, 5, 7 and inf, and min-beta, on short
+    # n-ranges, byte for byte: certified runs exit 0 with a report, refused
+    # and inconclusive ones exit 1 and say why on stderr
+    results = run_own_goldens(request, tmp_path)
+    assert {code for code, _, _ in results.values()} == {0, 1}
+    assert all(err for code, _, err in results.values() if code == 1)
+
+
 def test_criterion_runs_factor_only_the_specs_denominators(monkeypatch):
-    # the benchmark's criterion and min-beta ops (perfbench/frozen.json, only
-    # read) and a p-adic criterion: no factored number exceeds the CLI's
-    # cap of 1000 on the spec's denominators
-    frozen = json.loads((ROOT / "perfbench" / "frozen.json").read_text())
-    argvs = [key.split() for key in frozen if key.split()[0] in ("criterion", "min-beta")]
+    # the benchmark's criterion and min-beta ops (`golden_cases.BENCH`) and
+    # a p-adic criterion: no factored number exceeds the CLI's cap of 1000
+    # on the spec's denominators
+    argvs = [key.split() for key in golden_cases.BENCH.values()
+             if key.split()[0] in ("criterion", "min-beta")]
     assert len(argvs) == 3
     argvs.append(["criterion", "--a=1/3,1/4", "--b=1/2", "--alphas=1",
                   "--beta=1/9765625", "--place", "5"])
